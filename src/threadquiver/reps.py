@@ -7,16 +7,21 @@ supported on the predecessors of v.  Paths act by multiplying their arrow
 matrices in path order, and every relation of the window must act by zero.
 
 Certificates: representations built as direct sums of standard projectives
-(resp. injectives) remember the vertex list.  Hom spaces into/out of such
-sums admit explicit Yoneda bases, which the resolution and duality machinery
-uses heavily; `hom_basis_generic` always solves the naturality system from
-scratch and is kept as the independent route for cross-checking.
+(resp. injectives) remember the vertex list.  By Yoneda, a map out of such a
+sum is its values at the blocks' identity paths: covers are built from those
+values (`yoneda_map`), maps between certified sums are read and written as hom
+coordinates (`extract_proj_coords`, `realize_proj_coords`), and the Serre
+check's hom complexes are evaluated on them directly.  `hom_basis` turns this
+into explicit bases of module maps where a caller needs them (`ext_dim`);
+`hom_basis_generic` always solves the naturality system from scratch and is
+kept as the independent route for cross-checking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     AlphaNotInvertible,
@@ -119,6 +124,20 @@ class Rep:
     def support(self) -> list[str]:
         return [v for v in self.window.quiver.vertices if self.dims[v] > 0]
 
+    @cached_property
+    def block_offsets(self) -> list[dict[str, int]]:
+        """Per certified block, its first coordinate in M(x) for every vertex x
+        (computed once: representations are never mutated)."""
+        kind, verts = self.cert
+        w = self.window
+        offs = []
+        run = {x: 0 for x in w.quiver.vertices}
+        for v in verts:
+            offs.append(dict(run))
+            for x in w.quiver.vertices:
+                run[x] += w.hom(x, v).dim if kind == "proj" else w.hom(v, x).dim
+        return offs
+
     def cert_block_dims(self) -> list[dict[str, int]]:
         assert self.cert is not None
         kind, verts = self.cert
@@ -171,6 +190,12 @@ class RepMap:
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.comps.values())
+
+    @cached_property
+    def proj_coords(self):
+        """`extract_proj_coords` of this map, computed once (maps are never
+        mutated, so a resolution's differentials are read once per probe)."""
+        return extract_proj_coords(self)
 
     def __add__(self, other: "RepMap") -> "RepMap":
         return RepMap(self.source, self.target,
@@ -333,18 +358,6 @@ def yoneda_map(P: Rep, v: str, N: Rep, vec: list) -> dict[str, Matrix]:
     return comps
 
 
-def _proj_block_offsets(P: Rep) -> list[dict[str, int]]:
-    kind, verts = P.cert
-    w = P.window
-    offs = []
-    run = {x: 0 for x in w.quiver.vertices}
-    for v in verts:
-        offs.append(dict(run))
-        for x in w.quiver.vertices:
-            run[x] += w.hom(x, v).dim if kind == "proj" else w.hom(v, x).dim
-    return offs
-
-
 def hom_basis_generic(M: Rep, N: Rep) -> tuple[int, list[RepMap]]:
     """Hom space by solving the naturality system directly (no shortcuts)."""
     if M.window is not N.window:
@@ -425,7 +438,7 @@ def _place_block_map(P: Rep, block: int, comps: dict[str, Matrix], N: Rep) -> Re
     """Extend components defined on one certified block to all of P."""
     w = P.window
     f = w.field
-    offs = _proj_block_offsets(P)[block]
+    offs = P.block_offsets[block]
     kind, verts = P.cert
     v = verts[block]
     full = {}
@@ -457,7 +470,7 @@ def hom_coords(basis: list[RepMap], f: RepMap) -> list:
         # the basis produced by hom_basis is ordered by (block, target basis
         # vector); read coordinates at each block's identity-path column
         coords = []
-        offs = _proj_block_offsets(M)
+        offs = M.block_offsets
         N = basis[0].target
         for b, v in enumerate(M.cert[1]):
             hb = w.hom(v, v)
@@ -619,7 +632,7 @@ def projective_cover(M: Rep) -> tuple[Rep, RepMap]:
     if not gens:
         assert M.is_zero(), "nonzero module with zero top"
         return P, zero_map(P, M)
-    offs = _proj_block_offsets(P)
+    offs = P.block_offsets
     comps = {x: Matrix.zeros(w.field, M.dims[x], P.dims[x]) for x in w.quiver.vertices}
     for b, (v, vec) in enumerate(gens):
         block = yoneda_map(P, v, M, vec)
@@ -684,6 +697,18 @@ def one_term_complex(M: Rep, degree: int = 0) -> Complex:
     return Complex(M.window, degree, [M], [])
 
 
+def dualize_complex(cx: Complex) -> Complex:
+    """The dual complex over the opposite window: D of the degree-n term sits
+    in degree -n, and each differential is transposed."""
+    terms = [dualize(t) for t in reversed(cx.terms)]
+    diffs = [
+        RepMap(terms[i], terms[i + 1], {v: m.transpose() for v, m in d.comps.items()})
+        for i, d in enumerate(reversed(cx.diffs))
+    ]
+    top = cx.min_degree + len(cx.terms) - 1
+    return Complex(cx.window.opposite(), -top, terms, diffs)
+
+
 @dataclass
 class Resolution:
     complex: Complex
@@ -709,8 +734,7 @@ def resolution(M: Rep, side: str, max_len: int, forbid_boundary: bool = False) -
             _check_boundary(w, P0.cert[1])
         terms.append(P0)
         augment = cover
-        fac = map_factor(cover)
-        current, prev_incl = fac.kernel, fac.ker_incl
+        current, prev_incl = kernel_with_inclusion(cover)
         length = 0
         while not current.is_zero():
             if length >= max_len:
@@ -721,8 +745,7 @@ def resolution(M: Rep, side: str, max_len: int, forbid_boundary: bool = False) -
                 _check_boundary(w, P.cert[1])
             terms.append(P)
             diffs.append(cov.then(prev_incl))  # P -> previous term
-            fac = map_factor(cov)
-            current, prev_incl = fac.kernel, fac.ker_incl
+            current, prev_incl = kernel_with_inclusion(cov)
             length += 1
         terms.reverse()
         diffs.reverse()
@@ -732,15 +755,10 @@ def resolution(M: Rep, side: str, max_len: int, forbid_boundary: bool = False) -
         if forbid_boundary:
             for t in op_res.complex.terms:
                 _check_boundary(w, t.cert[1])
-        terms = [dualize(t) for t in reversed(op_res.complex.terms)]
-        diffs = [
-            RepMap(terms[i], terms[i + 1],
-                   {v: m.transpose() for v, m in d.comps.items()})
-            for i, d in enumerate(reversed(op_res.complex.diffs))
-        ]
-        augment = RepMap(M, terms[0],
+        cx = dualize_complex(op_res.complex)
+        augment = RepMap(M, cx.terms[0],
                          {v: m.transpose() for v, m in op_res.augment.comps.items()})
-        return Resolution(Complex(w, 0, terms, diffs), augment, INJECTIVE)
+        return Resolution(cx, augment, INJECTIVE)
     raise ValueError(f"unknown side {side!r}")
 
 
@@ -1090,8 +1108,8 @@ def extract_proj_coords(f: RepMap):
     assert P.cert is not None and P.cert[0] == "proj"
     assert Q.cert is not None and Q.cert[0] == "proj"
     w = P.window
-    poffs = _proj_block_offsets(P)
-    qoffs = _proj_block_offsets(Q)
+    poffs = P.block_offsets
+    qoffs = Q.block_offsets
     entries = []
     for i, wt in enumerate(Q.cert[1]):
         row = []
@@ -1121,8 +1139,8 @@ def realize_proj_coords(P: Rep, Q: Rep, entries) -> RepMap:
     w = P.window
     fld = w.field
     assert P.cert is not None and Q.cert is not None
-    poffs = _proj_block_offsets(P)
-    qoffs = _proj_block_offsets(Q)
+    poffs = P.block_offsets
+    qoffs = Q.block_offsets
     comps = {x: Matrix.zeros(fld, Q.dims[x], P.dims[x]) for x in w.quiver.vertices}
     for i, wt in enumerate(Q.cert[1]):
         for j, vs in enumerate(P.cert[1]):

@@ -7,6 +7,16 @@ recognizing it as a sum of standard projectives; pseudocokernels go through
 the opposite window.  The Serre functor is realized on bounded complexes of
 standard projectives by the Nakayama transport P(v) -> I(v), and the duality
 is verified at dimension level: dim RHom^n(X, Y) = dim RHom^{-n}(Y, SX).
+
+Total hom complexes are assembled by Yoneda evaluation, never from bases of
+module maps: hom(⊕P(v_b), Z) = ⊕Z(v_b), so a complex of certified projective
+sums into any complex gives blocks of Z's spaces, with the differentials read
+off as path actions Z(q) weighted by the hom coordinates of the projective
+side's differentials.  A target of injective sums is handled by the dual
+isomorphism over the opposite window.  The right-hand side still reads the
+realized Nakayama complex (its injective sums and transported maps), so the
+check compares two different computations rather than a matrix with its
+transpose.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from .errors import (
     ExceedsBound,
     NotProjectiveCertified,
     NotRepresentable,
+    ThreadQuiverError,
 )
 from .linalg import Matrix, hstack, rank
 from .quiver import Path
@@ -31,10 +42,9 @@ from .reps import (
     Rep,
     RepMap,
     decompose_with_maps,
+    dualize_complex,
     dualize_map,
     extract_proj_coords,
-    hom_basis,
-    hom_coords,
     inj_sum,
     injective_hull,
     kernel_with_inclusion,
@@ -227,8 +237,7 @@ def nakayama(cx: Complex) -> Complex:
     terms = [inj_sum(w, t.cert[1]) for t in cx.terms]
     diffs = []
     for i, d in enumerate(cx.diffs):
-        cells = extract_proj_coords(d)
-        entries = [[None if c is None else c[2] for c in row] for row in cells]
+        entries = [[None if c is None else c[2] for c in row] for row in d.proj_coords]
         diffs.append(
             realize_inj_coords(w, cx.terms[i].cert[1], cx.terms[i + 1].cert[1], entries)
         )
@@ -252,32 +261,40 @@ def _as_complex(X, max_len: int, forbid_boundary: bool) -> Complex:
     return resolution(X, PROJECTIVE, max_len, forbid_boundary).complex
 
 
-def total_hom_data(CX: Complex, CY: Complex) -> tuple[dict[int, int], dict[int, Matrix]]:
-    """Component dimensions and differentials of the total hom complex.
+def _is_sum_of(cx: Complex, kind: str) -> bool:
+    return all(t.cert is not None and t.cert[0] == kind for t in cx.terms)
 
-    The degree-n component is the direct sum of hom(X^p, Y^q) over q - p = n;
-    the differential sends f to dY . f - (-1)^n f . dX.
+
+def _yoneda_hom_data(CX: Complex, CY: Complex) -> tuple[dict[int, int], dict[int, Matrix]]:
+    """The total hom complex of a complex of certified projective sums, by
+    Yoneda evaluation: hom(⊕_b P(v_b), Z) = ⊕_b Z(v_b).
+
+    The (p, q) block is ⊕_b CY^q(v_b) over the vertices v_b of CX^p, ordered
+    by block and then unit vector, as in `hom_basis`.  A map P(u) -> P(v)
+    with hom coordinates c over the paths q: u -> v induces Σ c_q·Z(q):
+    Z(v) -> Z(u), so precomposing with dX is a block matrix of path actions,
+    and postcomposing with dY is block diagonal with blocks dY(v_b).
     """
-    fld = CX.window.field
-    bases: dict[tuple[int, int], list[RepMap]] = {}
-    for p in CX.degrees():
-        for q in CY.degrees():
-            bases[(p, q)] = hom_basis(CX.term(p), CY.term(q))[1]
+    w = CX.window
+    fld = w.field
     n_min = CY.min_degree - (CX.min_degree + len(CX.terms) - 1)
     n_max = (CY.min_degree + len(CY.terms) - 1) - CX.min_degree
-    # block layout per total degree
     layout: dict[int, list[tuple[int, int]]] = {}
-    offsets: dict[tuple[int, int], int] = {}
+    # (p, q) -> first coordinate of each block b within degree q - p
+    offsets: dict[tuple[int, int], list[int]] = {}
     dims: dict[int, int] = {}
     for n in range(n_min, n_max + 1):
         blocks = []
         off = 0
         for p in CX.degrees():
-            q = p + n
-            if (p, q) in bases:
-                blocks.append((p, q))
-                offsets[(p, q)] = off
-                off += len(bases[(p, q)])
+            Y = CY.term(p + n)
+            if Y is None:
+                continue
+            blocks.append((p, p + n))
+            offsets[(p, p + n)] = starts = []
+            for v in CX.term(p).cert[1]:
+                starts.append(off)
+                off += Y.dims[v]
         layout[n] = blocks
         dims[n] = off
 
@@ -288,25 +305,53 @@ def total_hom_data(CX: Complex, CY: Complex) -> tuple[dict[int, int], dict[int, 
         if rows == 0 or cols == 0:
             return m
         sign = -(fld(-1) if n % 2 else fld.one)  # -(-1)^n
+
+        def place(r0: int, c0: int, block: Matrix, scale=None):
+            for i in range(block.rows):
+                row = block.data[i * block.cols:(i + 1) * block.cols]
+                base = (r0 + i) * cols + c0
+                m.data[base:base + block.cols] = (
+                    row if scale is None else [scale * c for c in row])
+
         for (p, q) in layout[n]:
-            for j, f in enumerate(bases[(p, q)]):
-                col = offsets[(p, q)] + j
-                dY = CY.diff(q)
-                if dY is not None and (p, q + 1) in offsets and bases[(p, q + 1)]:
-                    coords = hom_coords(bases[(p, q + 1)], f.then(dY))
-                    base = offsets[(p, q + 1)]
-                    for r, c in enumerate(coords):
-                        m.data[(base + r) * cols + col] = m.data[(base + r) * cols + col] + c
-                dX = CX.diff(p - 1)
-                if dX is not None and (p - 1, q) in offsets and bases[(p - 1, q)]:
-                    coords = hom_coords(bases[(p - 1, q)], dX.then(f))
-                    base = offsets[(p - 1, q)]
-                    for r, c in enumerate(coords):
-                        m.data[(base + r) * cols + col] = m.data[(base + r) * cols + col] + sign * c
+            verts = CX.term(p).cert[1]
+            dY = CY.diff(q)
+            if dY is not None:
+                for b, v in enumerate(verts):
+                    place(offsets[(p, q + 1)][b], offsets[(p, q)][b], dY.comps[v])
+            dX = CX.diff(p - 1)
+            if dX is not None:
+                Y = CY.term(q)
+                for b, row in enumerate(dX.proj_coords):
+                    for a, cell in enumerate(row):
+                        if cell is None:
+                            continue
+                        u, v, coords = cell
+                        terms = [(c, path) for c, path in zip(coords, w.hom(u, v).basis)
+                                 if c != fld.zero]
+                        place(offsets[(p - 1, q)][a], offsets[(p, q)][b],
+                              Y.act_terms(terms), sign)
         return m
 
     diffs = {n: differential(n) for n in range(n_min, n_max + 1)}
     return dims, diffs
+
+
+def total_hom_data(CX: Complex, CY: Complex) -> tuple[dict[int, int], dict[int, Matrix]]:
+    """Component dimensions and differentials of the total hom complex.
+
+    The degree-n component is the direct sum of hom(X^p, Y^q) over q - p = n;
+    the differential sends f to dY . f - (-1)^n f . dX.  CX must consist of
+    certified projective sums, or CY of certified injective sums; the latter
+    is computed as hom(D CY, D CX) over the opposite window, an isomorphic
+    complex (same degrees, differentials equal up to transpose and sign).
+    """
+    if _is_sum_of(CX, "proj"):
+        return _yoneda_hom_data(CX, CY)
+    if _is_sum_of(CY, "inj"):
+        return _yoneda_hom_data(dualize_complex(CY), dualize_complex(CX))
+    raise NotProjectiveCertified(
+        "total hom needs a complex of projective sums or a target of injective sums")
 
 
 def total_hom_dims(CX: Complex, CY: Complex) -> dict[int, int]:
@@ -314,7 +359,7 @@ def total_hom_dims(CX: Complex, CY: Complex) -> dict[int, int]:
 
     Requires CX to consist of projectives or CY of injectives (the
     resolutions produced here always satisfy this), so homotopy classes
-    compute derived homs.
+    compute derived homs; otherwise NotProjectiveCertified is raised.
     """
     dims, diffs = total_hom_data(CX, CY)
     ranks = {n: rank(d) for n, d in diffs.items()}
@@ -333,12 +378,9 @@ def derived_hom_dim(X, Y, n: int, max_len: int = 8, forbid_boundary: bool = Fals
     resolution is needed (and double resolution is avoided).
     """
     CY = Y if isinstance(Y, Complex) else one_term_complex(Y)
-    y_injective = all(
-        t.cert is not None and t.cert[0] == "inj" for t in CY.terms
-    )
     if isinstance(X, Complex):
         CX = X
-    elif y_injective:
+    elif _is_sum_of(CY, "inj"):
         CX = one_term_complex(X)
     else:
         CX = _as_complex(X, max_len, forbid_boundary)
@@ -348,23 +390,31 @@ def derived_hom_dim(X, Y, n: int, max_len: int = 8, forbid_boundary: bool = Fals
 # -- checks -----------------------------------------------------------------------
 
 
-def _nakayama_functoriality_spot_check(w: Window) -> bool:
-    """One composability spot check of the Serre transport: the Nakayama
-    realization of a composable pair of variety morphisms composes."""
-    # find a composable pair of arrows
-    for a in w.quiver.arrows:
-        for b in w.quiver.out_arrows[a.tgt]:
-            f = VarietyMor.from_arrow(w, a.name)
-            g = VarietyMor.from_arrow(w, b.name)
-            comp_coords = w.compose_coords(
-                a.src, a.tgt, b.tgt, f.entries[0][0], g.entries[0][0]
-            )
-            gf = VarietyMor(w, (a.src,), (b.tgt,), [[comp_coords]])
-            nf = realize_inj_coords(w, f.source, f.target, f.entries)
-            ng = realize_inj_coords(w, g.source, g.target, g.entries)
-            ngf = realize_inj_coords(w, gf.source, gf.target, gf.entries)
-            lhs = nf.then(RepMap(nf.target, ng.target, ng.comps))
-            return all(lhs.comps[v] == ngf.comps[v] for v in w.quiver.vertices)
+def _nakayama_functoriality_check(w: Window) -> bool:
+    """The Nakayama realization composes: N(b·a) = N(b)·N(a) for every
+    composable pair of arrows a, b."""
+
+    def realize(arrows) -> list[tuple[VarietyMor, RepMap]]:
+        out = []
+        for arrow in arrows:
+            vm = VarietyMor.from_arrow(w, arrow.name)
+            out.append((vm, realize_inj_coords(w, vm.source, vm.target, vm.entries)))
+        return out
+
+    # pairs are grouped by their middle vertex, so only the arrows at one
+    # vertex are held realized at a time
+    for y in w.quiver.vertices:
+        if not w.quiver.in_arrows[y] or not w.quiver.out_arrows[y]:
+            continue
+        outs = realize(w.quiver.out_arrows[y])
+        for f, nf in realize(w.quiver.in_arrows[y]):
+            for g, ng in outs:
+                x, z = f.source[0], g.target[0]
+                comp_coords = w.compose_coords(x, y, z, f.entries[0][0], g.entries[0][0])
+                ngf = realize_inj_coords(w, (x,), (z,), [[comp_coords]])
+                lhs = nf.then(RepMap(nf.target, ng.target, ng.comps))
+                if not all(lhs.comps[v] == ngf.comps[v] for v in w.quiver.vertices):
+                    return False
     return True
 
 
@@ -414,7 +464,7 @@ def check_serre(
                     report.fail(
                         f"RHom^{n}({xl}, {yl}) vs RHom^{-n}({yl}, S {xl})", ln, rn
                     )
-    if usable and not _nakayama_functoriality_spot_check(w):
+    if usable and not _nakayama_functoriality_check(w):
         report.fail("nakayama functoriality", "composition preserved", "violated")
     return report
 
@@ -466,7 +516,7 @@ def check_dualizing(w: Window, max_len: int = 6, strict_boundary: bool = False) 
             report.tally()
             try:
                 certs = presentation_certs(M, side)
-            except Exception as exc:  # structural failure
+            except ThreadQuiverError as exc:  # structural failure
                 report.fail(label, "2-term presentation", type(exc).__name__)
                 continue
             if strict_boundary:

@@ -18,7 +18,6 @@ from .orders import (
     FiniteChain,
     LinearOrderExpr,
     contains_thread_order,
-    order_expr_str,
     thread_order,
     truncate,
 )
@@ -420,11 +419,3 @@ def window_from_quiver(
         name=name,
     )
 
-
-def thread_quiver_str(tq: ThreadQuiver) -> str:
-    parts = [f"vertices: {', '.join(tq.vertices)}"]
-    for a in tq.standard_arrows:
-        parts.append(f"  {a.name}: {a.src} -> {a.tgt}")
-    for t in tq.thread_arrows:
-        parts.append(f"  {t.name}: {t.src} ..> {t.tgt} [{order_expr_str(t.label)}]")
-    return "\n".join(parts)

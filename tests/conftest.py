@@ -8,10 +8,10 @@ zero, and its linearly oriented cousin.
 
 import random
 
-from threadquiver.linalg import QQ
+from threadquiver.linalg import QQ, Matrix, rank
 from threadquiver.orders import INT, Fin
 from threadquiver.quiver import Quiver, Relation
-from threadquiver.reps import hom_basis, map_factor, proj_sum
+from threadquiver.reps import hom_basis, hom_coords, map_factor, proj_sum
 from threadquiver.windows import ThreadQuiver, window_from_quiver
 
 
@@ -154,3 +154,64 @@ def random_fp_rep(w, rng, n_gens=2, n_rels=2):
     if f is None:
         return P0
     return map_factor(f).cokernel
+
+
+def basis_route_hom_data(CX, CY):
+    """Differential oracle for `serre.total_hom_data`: the total hom complex
+    assembled from explicit RepMap bases of every hom(X^p, Y^q), reading each
+    composite back with `hom_coords`.
+
+    Same degrees, block order (block, then unit vector) and sign convention
+    as the evaluation route; the differential sends f to dY . f - (-1)^n f . dX.
+    """
+    fld = CX.window.field
+    bases = {}
+    for p in CX.degrees():
+        for q in CY.degrees():
+            bases[(p, q)] = hom_basis(CX.term(p), CY.term(q))[1]
+    n_min = CY.min_degree - (CX.min_degree + len(CX.terms) - 1)
+    n_max = (CY.min_degree + len(CY.terms) - 1) - CX.min_degree
+    layout, offsets, dims = {}, {}, {}
+    for n in range(n_min, n_max + 1):
+        blocks = []
+        off = 0
+        for p in CX.degrees():
+            q = p + n
+            if (p, q) in bases:
+                blocks.append((p, q))
+                offsets[(p, q)] = off
+                off += len(bases[(p, q)])
+        layout[n] = blocks
+        dims[n] = off
+
+    def differential(n):
+        rows = dims.get(n + 1, 0)
+        cols = dims.get(n, 0)
+        m = Matrix.zeros(fld, rows, cols)
+        if rows == 0 or cols == 0:
+            return m
+        sign = -(fld(-1) if n % 2 else fld.one)  # -(-1)^n
+        for (p, q) in layout[n]:
+            for j, f in enumerate(bases[(p, q)]):
+                col = offsets[(p, q)] + j
+                dY = CY.diff(q)
+                if dY is not None and (p, q + 1) in offsets and bases[(p, q + 1)]:
+                    coords = hom_coords(bases[(p, q + 1)], f.then(dY))
+                    base = offsets[(p, q + 1)]
+                    for r, c in enumerate(coords):
+                        m.data[(base + r) * cols + col] += c
+                dX = CX.diff(p - 1)
+                if dX is not None and (p - 1, q) in offsets and bases[(p - 1, q)]:
+                    coords = hom_coords(bases[(p - 1, q)], dX.then(f))
+                    base = offsets[(p - 1, q)]
+                    for r, c in enumerate(coords):
+                        m.data[(base + r) * cols + col] += sign * c
+        return m
+
+    return dims, {n: differential(n) for n in range(n_min, n_max + 1)}
+
+
+def cohomology_dims(dims, diffs):
+    """dim H^n of a complex given by component dims and differentials."""
+    ranks = {n: rank(d) for n, d in diffs.items()}
+    return {n: dims[n] - ranks[n] - ranks.get(n - 1, 0) for n in dims}

@@ -3,11 +3,19 @@ import random
 import pytest
 from conftest import (
     ainf_rad2_window,
+    basis_route_hom_data,
+    cohomology_dims,
+    random_fp_rep,
     star_tail_window,
+    tq_comm_square,
     tq_fin1_thread,
+    tq_mixed,
     tq_z_thread,
     zigzag_window,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_windows import random_thread_quivers
 
 from threadquiver.errors import ExceedsBound, NotProjectiveCertified
 from threadquiver.quiver import Quiver
@@ -32,6 +40,7 @@ from threadquiver.serre import (
     nakayama,
     pseudo,
     serre_image,
+    total_hom_data,
     total_hom_dims,
 )
 from threadquiver.windows import expand, window_from_quiver
@@ -333,3 +342,110 @@ def test_check_dualizing_interior_strict_on_deep_window():
     # only name presentations that genuinely touch the boundary
     for item in report.items:
         assert "boundary" in item.actual
+
+
+# -- the evaluation route against the basis-route oracle ------------------------------
+
+
+def _all_probes(w):
+    return probes(w, interior_only=False)
+
+
+@pytest.mark.parametrize(
+    "make_window",
+    [
+        a2_window,
+        zigzag_window,
+        lambda: expand(tq_comm_square(), 0),
+        lambda: expand(tq_z_thread(), 2),
+        lambda: expand(tq_mixed(), 1),
+    ],
+    ids=["a2", "zigzag", "comm_square", "z_thread-d2", "mixed-d1"],
+)
+def test_total_hom_data_matches_basis_oracle(make_window):
+    # both complexes check_serre assembles, for every ordered probe pair:
+    # hom(res X, Y) and hom(res Y, S X); the matrices agree entry for entry
+    w = make_window()
+    objs = _all_probes(w)
+    resolved = {l: resolution(M, PROJECTIVE, 6).complex for l, M in objs}
+    images = {l: nakayama(resolved[l]) for l, _ in objs}
+    for xl, _ in objs:
+        for yl, Y in objs:
+            for CX, CY in ((resolved[xl], one_term_complex(Y)),
+                           (resolved[yl], images[xl])):
+                dims, diffs = total_hom_data(CX, CY)
+                o_dims, o_diffs = basis_route_hom_data(CX, CY)
+                assert dims == o_dims, (xl, yl)
+                assert diffs == o_diffs, (xl, yl)
+
+
+@given(random_thread_quivers(), st.integers(0, 1), st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_injective_target_route_matches_basis_oracle(tq, depth, seed):
+    # a module of no certified shape into an injective coresolution goes
+    # through the opposite window; its cohomology must match the oracle's
+    w = expand(tq, depth)
+    rng = random.Random(seed)
+    X = random_fp_rep(w, rng)
+    Y = random_fp_rep(w, rng)
+    CX = one_term_complex(X)
+    CY = resolution(Y, INJECTIVE, 8).complex
+    got = total_hom_dims(CX, CY)
+    assert got == cohomology_dims(*basis_route_hom_data(CX, CY))
+    assert all(got.get(i, 0) == ext_dim(i, X, Y, 8) for i in range(3))
+
+
+def test_total_hom_needs_a_certified_side():
+    w = a2_window()
+    s = one_term_complex(std_module(w, "2", SIMPLE))
+    with pytest.raises(NotProjectiveCertified):
+        total_hom_dims(s, s)
+
+
+def test_check_serre_fails_without_the_nakayama_transport(monkeypatch):
+    # the right-hand side must read the realized transport: with every
+    # transported differential zeroed the dimensions disagree
+    import threadquiver.serre as serre
+    from threadquiver.reps import RepMap, inj_sum
+
+    def zero_transport(w, src_verts, tgt_verts, entries):
+        return RepMap(inj_sum(w, src_verts), inj_sum(w, tgt_verts), {})
+
+    monkeypatch.setattr(serre, "realize_inj_coords", zero_transport)
+    w = zigzag_window()
+    report = check_serre(w, probes(w), 6, shifts=range(-4, 5))
+    assert not report.passed
+    assert any(i.subject.startswith("RHom") for i in report.items)
+
+
+def test_nakayama_functoriality_checks_every_pair(monkeypatch):
+    # A4 has the composable pairs (a, b) and (b, c); corrupting the transport
+    # of the second composite only is still caught
+    import threadquiver.serre as serre
+
+    q = Quiver(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
+    w = window_from_quiver(q, name="A4")
+    real = serre.realize_inj_coords
+
+    def corrupt(w_, src_verts, tgt_verts, entries):
+        g = real(w_, src_verts, tgt_verts, entries)
+        if (tuple(src_verts), tuple(tgt_verts)) == (("2",), ("4",)):
+            return g.scale(2)
+        return g
+
+    assert check_serre(w, probes(w), 6, shifts=range(-3, 4)).passed
+    monkeypatch.setattr(serre, "realize_inj_coords", corrupt)
+    report = check_serre(w, probes(w), 6, shifts=range(-3, 4))
+    assert [i.subject for i in report.items] == ["nakayama functoriality"]
+
+
+def test_check_dualizing_lets_bugs_propagate(monkeypatch):
+    # only package errors become failed-presentation items
+    import threadquiver.serre as serre
+
+    def broken_cover(M):
+        raise AssertionError("cover not surjective")
+
+    monkeypatch.setattr(serre, "projective_cover", broken_cover)
+    with pytest.raises(AssertionError):
+        check_dualizing(a2_window())
