@@ -17,7 +17,7 @@ from .linalg import field_by_name
 from .report import Report
 from .reps import PROJECTIVE, SIMPLE, ext_dim, std_module
 from .serre import check_dualizing, check_serre
-from .threads import extract_threadquiver, thread_analysis, thread_hom_check
+from .threads import extract_threadquiver, thread_hom_check, thread_runs, thread_summary
 from .windows import expand, normalize, window_iso
 
 
@@ -154,8 +154,9 @@ def cmd_dualizing_check(args) -> int:
 
 def cmd_threads(args) -> int:
     w = _window(args)
-    tv, intervals = thread_analysis(w)
-    report = thread_hom_check(w)
+    runs = thread_runs(w)
+    tv, intervals = thread_summary(runs)
+    report = thread_hom_check(w, runs)
     report.check = "threads"
     print(
         f"thread vertices: {len(tv)}; maximal threads: "

@@ -225,22 +225,29 @@ def zero_map(M: Rep, N: Rep) -> RepMap:
     return RepMap(M, N, {})
 
 
-def rep_direct_sum(parts: list[Rep]) -> tuple[Rep, list[RepMap], list[RepMap]]:
-    """Direct sum with canonical inclusions and projections."""
-    assert parts
+def _sum_object(parts: list[Rep]) -> Rep:
+    """The direct sum alone: dims, block-diagonal arrow maps, and the joint
+    certificate when every part is certified of one kind."""
     w = parts[0].window
-    f = w.field
-    dims = {v: sum(p.dims[v] for p in parts) for v in w.quiver.vertices}
     from .linalg import direct_sum as mat_direct_sum
 
-    maps = {}
-    for a in w.quiver.arrows:
-        maps[a.name] = mat_direct_sum([p.maps[a.name] for p in parts])
+    dims = {v: sum(p.dims[v] for p in parts) for v in w.quiver.vertices}
+    maps = {
+        a.name: mat_direct_sum([p.maps[a.name] for p in parts])
+        for a in w.quiver.arrows
+    }
     cert = None
     kinds = {p.cert[0] for p in parts if p.cert is not None}
     if all(p.cert is not None for p in parts) and len(kinds) == 1:
         cert = (kinds.pop(), tuple(v for p in parts for v in p.cert[1]))
-    total = Rep(w, dims, maps, validate=False, cert=cert)
+    return Rep(w, dims, maps, validate=False, cert=cert)
+
+
+def rep_direct_sum(parts: list[Rep]) -> tuple[Rep, list[RepMap], list[RepMap]]:
+    """Direct sum with canonical inclusions and projections."""
+    assert parts
+    total = _sum_object(parts)
+    w, f, dims = total.window, total.field, total.dims
     incls, projs = [], []
     offsets = {v: 0 for v in w.quiver.vertices}
     for p in parts:
@@ -317,15 +324,17 @@ def proj_sum(w: Window, vertices) -> Rep:
         return zero_rep(w)
     if len(vertices) == 1:
         return std_module(w, vertices[0], PROJECTIVE)
-    total, _, _ = rep_direct_sum([std_module(w, v, PROJECTIVE) for v in vertices])
-    return total
+    return _sum_object([std_module(w, v, PROJECTIVE) for v in vertices])
+
 
 def inj_sum(w: Window, vertices) -> Rep:
+    """Direct sum of standard injectives (empty sum allowed)."""
     vertices = tuple(vertices)
     if not vertices:
         return Rep(w, {}, {}, validate=False, cert=("inj", ()))
-    total, _, _ = rep_direct_sum([std_module(w, v, INJECTIVE) for v in vertices])
-    return total
+    if len(vertices) == 1:
+        return std_module(w, vertices[0], INJECTIVE)
+    return _sum_object([std_module(w, v, INJECTIVE) for v in vertices])
 
 
 def yoneda_map(P: Rep, v: str, N: Rep, vec: list) -> dict[str, Matrix]:

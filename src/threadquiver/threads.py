@@ -11,7 +11,7 @@ from __future__ import annotations
 from .errors import BoundaryContaminated, NotRepresentable, ZNotExtOrthogonal
 from .linalg import Matrix, hstack, rank, solve_matrix, vstack
 from .orders import Fin
-from .quiver import Arrow, Quiver
+from .quiver import Arrow, Path, Quiver
 from .report import Report
 from .reps import (
     INJECTIVE,
@@ -41,8 +41,11 @@ RIGHT = "right"
 def rad_irr_dims(w: Window, x: str, y: str) -> tuple[int, int, int]:
     """(dim rad, dim rad^2, dim irr) between two vertices of an acyclic window.
 
-    Between distinct vertices of an acyclic window every morphism is radical;
-    rad^2 is spanned by composites through intermediate vertices.
+    Between distinct vertices of an acyclic window every morphism is radical.
+    A path of length >= 2 is an arrow a: x -> z followed by a path z -> y with
+    z != y, so rad^2 is spanned by the classes of a . q over those arrows and
+    the basis q of hom(z, y); this holds whatever the relations.  Without an
+    arrow x -> y every path has length >= 2, so irr(x, y) = 0.
     """
     if x == y:
         return 0, 0, 0
@@ -51,15 +54,11 @@ def rad_irr_dims(w: Window, x: str, y: str) -> tuple[int, int, int]:
     if radd == 0:
         return 0, 0, 0
     vectors = []
-    for z in w.quiver.vertices:
-        if z == x or z == y:
+    for a in w.quiver.out_arrows[x]:
+        if a.tgt == y:
             continue
-        hxz, hzy = w.hom(x, z), w.hom(z, y)
-        if hxz.dim == 0 or hzy.dim == 0:
-            continue
-        for p in hxz.basis:
-            for q in hzy.basis:
-                vectors.append(hxy.expand_path(p.then(q)))
+        for q in w.hom(a.tgt, y).basis:
+            vectors.append(hxy.expand_path(Path(x, y, (a.name,) + q.arrows)))
     if not vectors:
         return radd, 0, radd
     m = Matrix(w.field, len(vectors), hxy.dim, [c for vec in vectors for c in vec])
@@ -67,14 +66,19 @@ def rad_irr_dims(w: Window, x: str, y: str) -> tuple[int, int, int]:
     return radd, rad2, radd - rad2
 
 
+def _arrow_pairs(w: Window) -> list[tuple[str, str]]:
+    """Distinct (src, tgt) pairs of the window's arrows: the only vertex pairs
+    whose irreducible maps can be nonzero."""
+    return list(dict.fromkeys((a.src, a.tgt) for a in w.quiver.arrows))
+
+
 def gabriel_quiver(w: Window) -> Quiver:
     """Vertices of the window with irr(x, y) arrows x -> y."""
     arrows = []
-    for x in w.quiver.vertices:
-        for y in w.quiver.vertices:
-            _, _, irr = rad_irr_dims(w, x, y)
-            for i in range(irr):
-                arrows.append(Arrow(f"{x}->{y}#{i}", x, y))
+    for x, y in _arrow_pairs(w):
+        _, _, irr = rad_irr_dims(w, x, y)
+        for i in range(irr):
+            arrows.append(Arrow(f"{x}->{y}#{i}", x, y))
     return Quiver(list(w.quiver.vertices), arrows)
 
 
@@ -102,11 +106,10 @@ def _degree_maps(w: Window, use_irr: bool) -> tuple[dict, dict]:
     ins: dict[str, list[str]] = {v: [] for v in w.quiver.vertices}
     outs: dict[str, list[str]] = {v: [] for v in w.quiver.vertices}
     if use_irr:
-        for x in w.quiver.vertices:
-            for y in w.quiver.vertices:
-                _, _, irr = rad_irr_dims(w, x, y)
-                outs[x].extend([y] * irr)
-                ins[y].extend([x] * irr)
+        for x, y in _arrow_pairs(w):
+            _, _, irr = rad_irr_dims(w, x, y)
+            outs[x].extend([y] * irr)
+            ins[y].extend([x] * irr)
     else:
         for a in w.quiver.arrows:
             outs[a.src].append(a.tgt)
@@ -136,21 +139,13 @@ def _maximal_runs(w: Window, is_thread, ins, outs) -> list[list[str]]:
     return runs
 
 
-def thread_analysis(w: Window) -> tuple[set[str], list[tuple[str, str]]]:
-    """Thread vertices (interior, unique direct predecessor and successor)
-    and the maximal threads as (first, last) intervals."""
-    ins, outs = _degree_maps(w, use_irr=True)
-    thread_vertices = {
-        v
-        for v in w.interior_vertices()
-        if len(ins[v]) == 1 and len(outs[v]) == 1
-    }
-    runs = _maximal_runs(w, lambda v: v in thread_vertices, ins, outs)
-    return thread_vertices, [(r[0], r[-1]) for r in runs]
-
-
 def thread_runs(w: Window) -> list[list[str]]:
-    """Maximal runs of interior thread vertices, in order."""
+    """Maximal runs of thread vertices, in order.
+
+    A thread vertex is interior with a unique direct predecessor and a unique
+    direct successor, counted by irreducible maps; every thread vertex lies on
+    exactly one run.
+    """
     ins, outs = _degree_maps(w, use_irr=True)
     tv = {
         v for v in w.interior_vertices() if len(ins[v]) == 1 and len(outs[v]) == 1
@@ -158,11 +153,26 @@ def thread_runs(w: Window) -> list[list[str]]:
     return _maximal_runs(w, lambda v: v in tv, ins, outs)
 
 
-def thread_hom_check(w: Window) -> Report:
+def thread_summary(runs: list[list[str]]) -> tuple[set[str], list[tuple[str, str]]]:
+    """Thread vertices (the union of the runs) and the maximal threads as
+    (first, last) intervals."""
+    return {v for run in runs for v in run}, [(run[0], run[-1]) for run in runs]
+
+
+def thread_analysis(w: Window) -> tuple[set[str], list[tuple[str, str]]]:
+    """Thread vertices and maximal threads of the window, read off `thread_runs`."""
+    return thread_summary(thread_runs(w))
+
+
+def thread_hom_check(w: Window, runs: list[list[str]] | None = None) -> Report:
     """Along every maximal thread, hom between comparable vertices is one
-    dimensional; thread intervals sharing an endpoint are nested."""
+    dimensional; thread intervals sharing an endpoint are nested.
+
+    `runs` are the window's `thread_runs`, when the caller already has them.
+    """
     report = Report("thread-hom-check")
-    runs = thread_runs(w)
+    if runs is None:
+        runs = thread_runs(w)
     for run in runs:
         for i in range(len(run)):
             for j in range(i, len(run)):

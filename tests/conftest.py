@@ -7,12 +7,18 @@ zero, and its linearly oriented cousin.
 """
 
 import random
+from pathlib import Path
 
+from hypothesis import strategies as st
+
+from threadquiver.dsl import parse_tq
 from threadquiver.linalg import QQ, Matrix, rank
-from threadquiver.orders import INT, Fin
+from threadquiver.orders import INT, NAT, NEG_NAT, Fin
 from threadquiver.quiver import Quiver, Relation
 from threadquiver.reps import hom_basis, hom_coords, map_factor, proj_sum
-from threadquiver.windows import ThreadQuiver, window_from_quiver
+from threadquiver.windows import ThreadQuiver, expand, window_from_quiver
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def tq_a2():
@@ -137,6 +143,58 @@ def star_tail_window(n=6, field=QQ):
     return window_from_quiver(q, [], boundary={f"c{n}"}, field=field, name="star-tail")
 
 
+def comm_grid_window(n, field=QQ):
+    """The commutative (n+1)x(n+1) grid: arrows right and down, every square
+    commutes."""
+    def v(i, j):
+        return f"v{i}_{j}"
+
+    vertices = [v(i, j) for i in range(n + 1) for j in range(n + 1)]
+    arrows = [(f"h{i}_{j}", v(i, j), v(i, j + 1))
+              for i in range(n + 1) for j in range(n)]
+    arrows += [(f"d{i}_{j}", v(i, j), v(i + 1, j))
+               for i in range(n) for j in range(n + 1)]
+    q = Quiver(vertices, arrows)
+    rels = [
+        Relation(((1, q.path((f"h{i}_{j}", f"d{i}_{j + 1}"))),
+                  (-1, q.path((f"d{i}_{j}", f"h{i + 1}_{j}")))))
+        for i in range(n) for j in range(n)
+    ]
+    return window_from_quiver(q, rels, field=field, name=f"grid{n}")
+
+
+def fixture_windows(depths):
+    """(label, window) for every fixture file expanded at each depth."""
+    out = []
+    for path in sorted(FIXTURES.glob("*.tq")):
+        tq = parse_tq(path.read_text())
+        for d in depths:
+            out.append((f"{path.stem}@{d}", expand(tq, d)))
+    return out
+
+
+label_strategy = st.one_of(
+    st.builds(Fin, st.integers(0, 3)), st.just(NAT), st.just(NEG_NAT), st.just(INT)
+)
+
+
+@st.composite
+def random_thread_quivers(draw):
+    n = draw(st.integers(2, 5))
+    verts = [f"v{i}" for i in range(n)]
+    std, thr = [], []
+    k = 0
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, n - 2))
+        j = draw(st.integers(i + 1, n - 1))
+        if draw(st.booleans()):
+            std.append((f"s{k}", verts[i], verts[j]))
+        else:
+            thr.append((f"t{k}", verts[i], verts[j], draw(label_strategy)))
+        k += 1
+    return ThreadQuiver(verts, std, thr)
+
+
 def random_fp_rep(w, rng, n_gens=2, n_rels=2):
     """Random finitely presented module as a cokernel between projective sums."""
     verts = w.quiver.vertices
@@ -209,6 +267,33 @@ def basis_route_hom_data(CX, CY):
         return m
 
     return dims, {n: differential(n) for n in range(n_min, n_max + 1)}
+
+
+def all_intermediate_rad_irr_dims(w, x, y):
+    """Differential oracle for `threads.rad_irr_dims`: rad^2(x, y) spanned by
+    the composites p . q over every intermediate vertex z and every pair of
+    basis paths p of hom(x, z) and q of hom(z, y)."""
+    if x == y:
+        return 0, 0, 0
+    hxy = w.hom(x, y)
+    radd = hxy.dim
+    if radd == 0:
+        return 0, 0, 0
+    vectors = []
+    for z in w.quiver.vertices:
+        if z == x or z == y:
+            continue
+        hxz, hzy = w.hom(x, z), w.hom(z, y)
+        if hxz.dim == 0 or hzy.dim == 0:
+            continue
+        for p in hxz.basis:
+            for q in hzy.basis:
+                vectors.append(hxy.expand_path(p.then(q)))
+    if not vectors:
+        return radd, 0, radd
+    m = Matrix(w.field, len(vectors), hxy.dim, [c for vec in vectors for c in vec])
+    rad2 = rank(m)
+    return radd, rad2, radd - rad2
 
 
 def cohomology_dims(dims, diffs):

@@ -1,5 +1,10 @@
 import pytest
 from conftest import (
+    FIXTURES,
+    all_intermediate_rad_irr_dims,
+    comm_grid_window,
+    fixture_windows,
+    random_thread_quivers,
     tq_empty_thread,
     tq_fin1_thread,
     tq_fin3_thread,
@@ -7,7 +12,11 @@ from conftest import (
     tq_two_empty_threads,
     tq_z_thread,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from threadquiver import cli, threads
+from threadquiver.dsl import parse_tq
 from threadquiver.errors import BoundaryContaminated, ZNotExtOrthogonal
 from threadquiver.orders import Fin
 from threadquiver.quiver import Quiver, Relation
@@ -86,6 +95,72 @@ def test_gabriel_quiver_with_zero_relation():
 def test_gabriel_single_vertex():
     w = window_from_quiver(Quiver(["v"], []))
     assert gabriel_quiver(w).arrows == []
+
+
+def non_admissible_triangle():
+    # c equals the composite b . a, so the arrow c is not irreducible
+    tq = parse_tq(
+        "vertex p q r\narrow a: p -> q\narrow b: q -> r\narrow c: p -> r\n"
+        "relation c - b*a = 0\n"
+    )
+    return expand(tq, 0)
+
+
+def assert_rad_irr_matches_oracle(w):
+    arrow_pairs = {(a.src, a.tgt) for a in w.quiver.arrows}
+    for x in w.quiver.vertices:
+        for y in w.quiver.vertices:
+            expected = all_intermediate_rad_irr_dims(w, x, y)
+            assert rad_irr_dims(w, x, y) == expected, (w, x, y)
+            if (x, y) not in arrow_pairs:
+                assert expected[2] == 0, (w, x, y)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        pytest.param(w, id=label)
+        for label, w in fixture_windows((0, 1, 2))
+        + [(f"grid{n}", comm_grid_window(n)) for n in (2, 3)]
+        + [("non-admissible-triangle", non_admissible_triangle())]
+    ],
+)
+def test_rad_irr_dims_matches_all_intermediate_oracle(w):
+    assert_rad_irr_matches_oracle(w)
+
+
+def test_rad_irr_non_admissible_relation():
+    w = non_admissible_triangle()
+    assert rad_irr_dims(w, "p", "r") == (1, 1, 0)
+    assert {(a.src, a.tgt) for a in gabriel_quiver(w).arrows} == {("p", "q"), ("q", "r")}
+
+
+@given(random_thread_quivers(), st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_rad_irr_and_gabriel_quiver_on_random_thread_quivers(tq, d):
+    w = expand(tq, d)
+    assert_rad_irr_matches_oracle(w)
+    # relation-free: every arrow is irreducible, with its multiplicity
+    got = sorted((a.src, a.tgt) for a in gabriel_quiver(w).arrows)
+    assert got == sorted((a.src, a.tgt) for a in w.quiver.arrows)
+
+
+def test_threads_cli_asks_rad_irr_dims_only_for_arrow_pairs(monkeypatch, capsys):
+    path = FIXTURES / "mixed.tq"
+    w = expand(parse_tq(path.read_text()), 3)
+    pairs = {(a.src, a.tgt) for a in w.quiver.arrows}
+    calls = []
+    orig = threads.rad_irr_dims
+
+    def counted(w, x, y):
+        calls.append((x, y))
+        return orig(w, x, y)
+
+    monkeypatch.setattr(threads, "rad_irr_dims", counted)
+    assert cli.run(["threads", str(path), "--depth", "3"]) == 0
+    capsys.readouterr()
+    assert calls
+    assert len(calls) <= len(pairs)
 
 
 # -- almost split neighbors -------------------------------------------------------

@@ -1,9 +1,10 @@
 import pytest
+from conftest import random_thread_quivers
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threadquiver.errors import NonAcyclic, TooLarge
-from threadquiver.orders import INT, NAT, NEG_NAT, Fin
+from threadquiver.orders import INT, Fin
 from threadquiver.quiver import Path, Quiver, Relation
 from threadquiver.windows import (
     ThreadQuiver,
@@ -212,28 +213,6 @@ def test_opposite_window():
     op = w.opposite()
     assert op.hom_dim("y", "x") == w.hom_dim("x", "y")
     assert op.opposite() is w
-
-
-label_strategy = st.one_of(
-    st.builds(Fin, st.integers(0, 3)), st.just(NAT), st.just(NEG_NAT), st.just(INT)
-)
-
-
-@st.composite
-def random_thread_quivers(draw):
-    n = draw(st.integers(2, 5))
-    verts = [f"v{i}" for i in range(n)]
-    std, thr = [], []
-    k = 0
-    for _ in range(draw(st.integers(0, 4))):
-        i = draw(st.integers(0, n - 2))
-        j = draw(st.integers(i + 1, n - 1))
-        if draw(st.booleans()):
-            std.append((f"s{k}", verts[i], verts[j]))
-        else:
-            thr.append((f"t{k}", verts[i], verts[j], draw(label_strategy)))
-        k += 1
-    return ThreadQuiver(verts, std, thr)
 
 
 @given(random_thread_quivers(), st.integers(0, 2))
