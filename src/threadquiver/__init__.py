@@ -19,7 +19,6 @@ from .quiver import (
     Path,
     Quiver,
     Relation,
-    enumerate_paths,
     hom_basis_paths,
     is_strongly_locally_finite,
 )

@@ -562,35 +562,35 @@ def kernel_with_inclusion(f: RepMap) -> tuple[Rep, RepMap]:
     return K, RepMap(K, M, {v: kbases[v] for v in kbases})
 
 
+def cokernel_with_projection(f: RepMap) -> tuple[Rep, RepMap]:
+    """Just the cokernel and its projection (cheaper than a full
+    factorization when only the cokernel is needed)."""
+    N = f.target
+    w = N.window
+    cdims, cprojs, csects = {}, {}, {}
+    for v in w.quiver.vertices:
+        # the quotient depends only on the column space of f.comps[v]
+        proj, sect = _quotient_projection(w.field, f.comps[v])
+        cdims[v] = proj.rows
+        cprojs[v], csects[v] = proj, sect
+    cmaps = {a.name: cprojs[a.src] @ (N.maps[a.name] @ csects[a.tgt]) for a in w.quiver.arrows}
+    C = Rep(w, cdims, cmaps, validate=False)
+    return C, RepMap(N, C, cprojs)
+
+
 def map_factor(f: RepMap) -> Factorization:
     """Vertexwise exact kernel, image, and cokernel with induced arrow actions."""
     M, N = f.source, f.target
     w = M.window
-    fld = w.field
-    kbases = {v: kernel_basis(f.comps[v]) for v in w.quiver.vertices}
+    K, ker_incl = kernel_with_inclusion(f)
     ibases = {v: column_space_basis(f.comps[v]) for v in w.quiver.vertices}
-    kdims = {v: kbases[v].cols for v in kbases}
     idims = {v: ibases[v].cols for v in ibases}
-    kmaps, imaps = {}, {}
-    for a in w.quiver.arrows:
-        x, y = a.src, a.tgt
-        kmaps[a.name] = coords_in_basis(kbases[x], M.maps[a.name] @ kbases[y])
-        imaps[a.name] = coords_in_basis(ibases[x], N.maps[a.name] @ ibases[y])
-    K = Rep(w, kdims, kmaps, validate=False)
+    imaps = {a.name: coords_in_basis(ibases[a.src], N.maps[a.name] @ ibases[a.tgt])
+             for a in w.quiver.arrows}
     I = Rep(w, idims, imaps, validate=False)
-    ker_incl = RepMap(K, M, {v: kbases[v] for v in kbases})
     im_incl = RepMap(I, N, {v: ibases[v] for v in ibases})
     im_epi = RepMap(M, I, {v: coords_in_basis(ibases[v], f.comps[v]) for v in ibases})
-    cdims, cmaps, cprojs, csects = {}, {}, {}, {}
-    for v in w.quiver.vertices:
-        proj, sect = _quotient_projection(fld, ibases[v])
-        cdims[v] = proj.rows
-        cprojs[v], csects[v] = proj, sect
-    for a in w.quiver.arrows:
-        x, y = a.src, a.tgt
-        cmaps[a.name] = cprojs[x] @ (N.maps[a.name] @ csects[y])
-    C = Rep(w, cdims, cmaps, validate=False)
-    coker_proj = RepMap(N, C, {v: cprojs[v] for v in cprojs})
+    C, coker_proj = cokernel_with_projection(f)
     return Factorization(K, ker_incl, I, im_epi, im_incl, C, coker_proj)
 
 
@@ -1067,9 +1067,9 @@ def induce(M: Rep, source: Window, target: Window, vertex_map: dict[str, str],
     if M.is_zero():
         return zero_rep(target)
     P0, cover = projective_cover(M)
-    k0 = map_factor(cover)
-    P1, cover1 = projective_cover(k0.kernel)
-    d = cover1.then(k0.ker_incl)  # P1 -> P0 over the source
+    K0, ker_incl = kernel_with_inclusion(cover)
+    P1, cover1 = projective_cover(K0)
+    d = cover1.then(ker_incl)  # P1 -> P0 over the source
     entries = extract_proj_coords(d)
     tgt_entries = []
     for row in entries:
@@ -1087,7 +1087,7 @@ def induce(M: Rep, source: Window, target: Window, vertex_map: dict[str, str],
     A = proj_sum(target, [vertex_map[v] for v in P1.cert[1]])
     B = proj_sum(target, [vertex_map[v] for v in P0.cert[1]])
     g = realize_proj_coords(A, B, tgt_entries)
-    return map_factor(g).cokernel
+    return cokernel_with_projection(g)[0]
 
 
 def _transport_coords(source: Window, target: Window, x: str, y: str, coords,

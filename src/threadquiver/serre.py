@@ -41,6 +41,7 @@ from .reps import (
     Complex,
     Rep,
     RepMap,
+    cokernel_with_projection,
     decompose_with_maps,
     dualize_complex,
     dualize_map,
@@ -48,7 +49,6 @@ from .reps import (
     inj_sum,
     injective_hull,
     kernel_with_inclusion,
-    map_factor,
     one_term_complex,
     proj_sum,
     projective_cover,
@@ -184,7 +184,7 @@ def pseudo(vm: VarietyMor, side: str) -> tuple[tuple[str, ...], VarietyMor]:
     composites = []
     for part, incl, _proj in parts:
         P, cover = projective_cover(part)
-        if len(P.cert[1]) != 1 or not map_factor(cover).kernel.is_zero():
+        if len(P.cert[1]) != 1 or not kernel_with_inclusion(cover)[0].is_zero():
             raise NotRepresentable(
                 "kernel has a non-projective summand (semi-heredity fails here)")
         verts.append(P.cert[1][0])
@@ -497,11 +497,11 @@ def check_dualizing(w: Window, max_len: int = 6, strict_boundary: bool = False) 
     def presentation_certs(M: Rep, side: str) -> tuple[str, ...]:
         if side == PROJECTIVE:
             P0, cover = projective_cover(M)
-            K = map_factor(cover).kernel
+            K, _ = kernel_with_inclusion(cover)
             P1, _ = projective_cover(K)
             return P0.cert[1] + P1.cert[1]
         I0, emb = injective_hull(M)
-        C = map_factor(emb).cokernel
+        C, _ = cokernel_with_projection(emb)
         I1, _ = injective_hull(C)
         return I0.cert[1] + I1.cert[1]
 

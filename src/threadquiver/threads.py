@@ -19,10 +19,12 @@ from .reps import (
     SIMPLE,
     Rep,
     RepMap,
+    cokernel_with_projection,
     decompose_with_maps,
     dualize,
     ext_dim,
     hom_basis,
+    kernel_with_inclusion,
     map_factor,
     projective_cover,
     injective_hull,
@@ -90,12 +92,12 @@ def almost_split(w: Window, v: str, side: str) -> tuple[str, ...]:
     S = std_module(w, v, SIMPLE)
     if side == LEFT:
         _, cover = projective_cover(S)
-        K = map_factor(cover).kernel
+        K, _ = kernel_with_inclusion(cover)
         P1, _ = projective_cover(K)
         return P1.cert[1]
     if side == RIGHT:
         _, emb = injective_hull(S)
-        C = map_factor(emb).cokernel
+        C, _ = cokernel_with_projection(emb)
         I1, _ = injective_hull(C)
         return I1.cert[1]
     raise ValueError(f"unknown side {side!r}")
@@ -235,8 +237,6 @@ def extract_threadquiver(w: Window, min_len: int) -> ThreadQuiver:
 def _kernel_as_projectives(f: RepMap) -> tuple[tuple[str, ...], RepMap]:
     """Decompose ker f into standard projectives; returns the vertex list and
     the inclusion ⊕P(verts) -> source(f) through the kernel."""
-    from .reps import kernel_with_inclusion
-
     w = f.source.window
     kernel, ker_incl = kernel_with_inclusion(f)
     if kernel.is_zero():
@@ -246,7 +246,7 @@ def _kernel_as_projectives(f: RepMap) -> tuple[tuple[str, ...], RepMap]:
     verts, composites = [], []
     for part, incl, _ in parts:
         P, cover = projective_cover(part)
-        if len(P.cert[1]) != 1 or not map_factor(cover).kernel.is_zero():
+        if len(P.cert[1]) != 1 or not kernel_with_inclusion(cover)[0].is_zero():
             raise NotRepresentable("kernel summand is not a standard projective")
         verts.append(P.cert[1][0])
         composites.append(cover.then(incl).then(ker_incl))
@@ -331,7 +331,7 @@ def supp_adjoint(w: Window, A: str, Y: str) -> tuple[tuple[str, ...], VarietyMor
     verts, unit_blocks = [], []
     for part, incl, proj in parts:
         Pp, cover = projective_cover(part)
-        if len(Pp.cert[1]) != 1 or not map_factor(cover).kernel.is_zero():
+        if len(Pp.cert[1]) != 1 or not kernel_with_inclusion(cover)[0].is_zero():
             raise NotRepresentable("support image is not a sum of standard projectives")
         verts.append(Pp.cert[1][0])
         inv_comps = {}

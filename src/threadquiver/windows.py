@@ -11,6 +11,7 @@ which vertices are truncation artifacts and how the original data embeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NonAcyclic, TooLarge
 from .linalg import QQ
@@ -124,7 +125,6 @@ class Window:
         self.field = field
         self.name = name
         self._hom_cache: dict[tuple[str, str], HomBasis] = {}
-        self._path_cache: dict[tuple[str, str], list[Path]] = {}
         self._std_cache: dict = {}
         self._topo = self.quiver.topological_order()
         self._opposite = None
@@ -147,14 +147,31 @@ class Window:
 
     # -- hom spaces of the presented category --------------------------------
 
+    @cached_property
+    def _hom(self):
+        # one lookup shared by every HomBasis of this window, bound on the
+        # first hom so that a window that never builds one holds no cycle
+        return self.hom
+
     def hom(self, x: str, y: str) -> HomBasis:
         key = (x, y)
-        hb = self._hom_cache.get(key)
+        cache = self._hom_cache
+        hb = cache.get(key)
         if hb is None:
-            hb = hom_basis_paths(
-                self.quiver, self.relations, x, y, self.field, self._path_cache
-            )
-            self._hom_cache[key] = hb
+            q = self.quiver
+            # hom(x, y) is built from the hom(z, y) of the vertices z between
+            # x and y.  A cached hom(z, y) implies the same for every vertex
+            # between z and y, so the layers are filled only when a direct
+            # successor of x other than y (whose hom needs no other) is
+            # missing, nearest y first, and no build recurses along a path.
+            for a in q.out_arrows[x]:
+                if a.tgt != y and (a.tgt, y) not in cache and y in q.reachable_from(a.tgt):
+                    for z in q.between(x, y)[:-1]:
+                        if (z, y) not in cache:
+                            self.hom(z, y)
+                    break
+            hb = hom_basis_paths(q, self.relations, x, y, self.field, self._hom)
+            cache[key] = hb
         return hb
 
     def hom_dim(self, x: str, y: str) -> int:

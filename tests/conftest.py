@@ -12,8 +12,9 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from threadquiver.dsl import parse_tq
-from threadquiver.linalg import QQ, Matrix, rank
+from threadquiver.linalg import QQ, Matrix, rank, rref
 from threadquiver.orders import INT, NAT, NEG_NAT, Fin
+from threadquiver.quiver import Path as QPath
 from threadquiver.quiver import Quiver, Relation
 from threadquiver.reps import hom_basis, hom_coords, map_factor, proj_sum
 from threadquiver.windows import ThreadQuiver, expand, window_from_quiver
@@ -300,3 +301,84 @@ def cohomology_dims(dims, diffs):
     """dim H^n of a complex given by component dims and differentials."""
     ranks = {n: rank(d) for n, d in diffs.items()}
     return {n: dims[n] - ranks[n] - ranks.get(n - 1, 0) for n in dims}
+
+
+def enumerate_paths(q, x, y, max_len):
+    """All paths x -> y of length <= max_len, sorted by (length, arrow names)."""
+    assert x in q.vertex_set and y in q.vertex_set
+    out = []
+    if y not in q.reachable_from(x):
+        return out
+
+    def walk(v, acc):
+        if v == y:
+            out.append(QPath(x, y, tuple(acc)))
+        if len(acc) == max_len:
+            return
+        for a in q.out_arrows[v]:
+            if y in q.reachable_from(a.tgt):
+                acc.append(a.name)
+                walk(a.tgt, acc)
+                acc.pop()
+
+    walk(x, [])
+    out.sort(key=QPath.sort_key)
+    return out
+
+
+class EnumeratedHomBasis:
+    """`paths` is every path x -> y; `basis` and `expand` as in `HomBasis`."""
+
+    def __init__(self, field, paths, reducers, free_idx):
+        self.field = field
+        self.paths = paths
+        self.index = {p: i for i, p in enumerate(paths)}
+        self.reducers = reducers
+        self.free_idx = free_idx
+        self.basis = [paths[i] for i in free_idx]
+        self.dim = len(free_idx)
+
+    def expand(self, terms):
+        zero = self.field.zero
+        vec = [zero] * len(self.paths)
+        for c, p in terms:
+            vec[self.index[p]] = vec[self.index[p]] + self.field(c)
+        for pivot_col, row in self.reducers:
+            f = vec[pivot_col]
+            if f != zero:
+                for j, rv in row:
+                    vec[j] = vec[j] - f * rv
+        return [vec[i] for i in self.free_idx]
+
+    def expand_path(self, p):
+        return self.expand([(self.field.one, p)])
+
+
+def path_enumeration_hom_basis(q, relations, x, y, field):
+    """Differential oracle for `quiver.hom_basis_paths`: enumerate every path
+    x -> y, span the ideal component by s . r . p over all relations r, all
+    paths p into r's source and s out of r's target, and reduce by rref."""
+    max_len = max(len(q.vertices) - 1, 0)
+    paths = enumerate_paths(q, x, y, max_len)
+    index = {p: i for i, p in enumerate(paths)}
+    zero = field.zero
+    rows = []
+    for rel in relations:
+        for pre in enumerate_paths(q, x, rel.src, max_len):
+            for post in enumerate_paths(q, rel.tgt, y, max_len):
+                vec = [zero] * len(paths)
+                for c, t in rel.terms:
+                    full = pre.then(t).then(post)
+                    vec[index[full]] = vec[index[full]] + field(c)
+                if any(v != zero for v in vec):
+                    rows.append(vec)
+    if not rows:
+        return EnumeratedHomBasis(field, paths, [], list(range(len(paths))))
+    _, red, pivots = rref(Matrix(field, len(rows), len(paths), [v for row in rows for v in row]))
+    reducers = []
+    for r, pc in enumerate(pivots):
+        row = red.data[r * red.cols:(r + 1) * red.cols]
+        reducers.append((pc, [(j, c) for j, c in enumerate(row) if j != pc and c != zero]))
+    pivot_set = set(pivots)
+    return EnumeratedHomBasis(field, paths, reducers,
+                              [i for i in range(len(paths)) if i not in pivot_set])

@@ -1,5 +1,12 @@
 import pytest
-from hypothesis import given, settings
+from conftest import (
+    comm_grid_window,
+    enumerate_paths,
+    fixture_windows,
+    path_enumeration_hom_basis,
+    random_thread_quivers,
+)
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from threadquiver.errors import NonAcyclic
@@ -8,11 +15,12 @@ from threadquiver.quiver import (
     Path,
     Quiver,
     Relation,
-    enumerate_paths,
     hom_basis_paths,
     identity_path,
     is_strongly_locally_finite,
 )
+from threadquiver.reps import PROJECTIVE, std_module
+from threadquiver.windows import expand, window_from_quiver
 
 
 def a2():
@@ -179,3 +187,102 @@ def test_identity_survives_relations(edges):
         rels.append(Relation(((1, Path(a.src, a.tgt, (a.name,))),)))
     for v in q.vertices:
         assert hom_basis_paths(q, rels, v, v, QQ).dim >= 1
+
+
+# -- the layered quotient against path enumeration ------------------------------
+
+
+def assert_matches_enumeration(w):
+    """Same basis as the enumerate-and-rref oracle on every ordered pair, and
+    the same coordinates for every path the oracle enumerates."""
+    for x in w.quiver.vertices:
+        for y in w.quiver.vertices:
+            hb = w.hom(x, y)
+            ob = path_enumeration_hom_basis(w.quiver, w.relations, x, y, w.field)
+            assert hb.basis == ob.basis, (w.name, x, y)
+            for p in ob.paths:
+                assert hb.expand_path(p) == ob.expand_path(p), (w.name, x, y, p)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_layered_hom_matches_enumeration_on_fixtures(depth):
+    for _, w in fixture_windows([depth]):
+        assert_matches_enumeration(w)
+        assert_matches_enumeration(w.opposite())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_layered_hom_matches_enumeration_on_grids(n):
+    w = comm_grid_window(n)
+    assert_matches_enumeration(w)
+    assert_matches_enumeration(w.opposite())
+
+
+def test_layered_hom_matches_enumeration_non_admissible():
+    # c - b*a = 0 identifies an arrow with a composite
+    q = Quiver(["p", "q", "r"], [("a", "p", "q"), ("b", "q", "r"), ("c", "p", "r")])
+    rel = Relation(((1, q.path(("c",))), (-1, q.path(("a", "b")))))
+    w = window_from_quiver(q, [rel])
+    assert_matches_enumeration(w)
+    assert_matches_enumeration(w.opposite())
+    # the pivot is the smallest path, so the composite is the basis path
+    hb = hom_basis_paths(q, [rel], "p", "r", QQ)
+    assert hb.basis == [q.path(("a", "b"))]
+    assert hb.expand_path(q.path(("c",))) == [1]
+
+
+def test_layered_hom_matches_enumeration_deep_rewrite():
+    # doubled arrows 0 => 1 => 2 => 3 => 4 with a2.b3 = b2.a3 near the end: a
+    # path such as a0.a1.a2.b3 is rewritten from two arrows in, through homs
+    # of dimension > 1
+    q = Quiver([str(i) for i in range(5)],
+               [(f"{c}{i}", str(i), str(i + 1)) for i in range(4) for c in "ab"])
+    rel = Relation(((1, q.path(("a2", "b3"))), (-1, q.path(("b2", "a3")))))
+    w = window_from_quiver(q, [rel])
+    assert w.hom_dim("0", "4") == 12
+    assert_matches_enumeration(w)
+    assert_matches_enumeration(w.opposite())
+
+
+@given(random_thread_quivers(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_layered_hom_matches_enumeration_random_relation(tq, data):
+    w0 = expand(tq, data.draw(st.integers(0, 1)))
+    q = w0.quiver
+    max_len = len(q.vertices) - 1
+    parallel = [
+        ps for x in q.vertices for y in q.vertices if x != y
+        for ps in [enumerate_paths(q, x, y, max_len)] if len(ps) >= 2
+    ]
+    assume(parallel)
+    paths = data.draw(st.sampled_from(parallel))
+    k = data.draw(st.integers(2, min(3, len(paths))))
+    chosen = data.draw(st.permutations(paths))[:k]
+    coeffs = data.draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=k, max_size=k))
+    rel = Relation(tuple(zip(coeffs, chosen)))
+    w = window_from_quiver(q, [rel])
+    assert_matches_enumeration(w)
+    assert_matches_enumeration(w.opposite())
+    x, y = chosen[0].src, chosen[0].tgt
+    ob = path_enumeration_hom_basis(q, [rel], x, y, QQ)
+    assert hom_basis_paths(q, [rel], x, y, QQ).basis == ob.basis
+
+
+def test_layered_hom_candidates_follow_dimensions():
+    # 6x6 commutative grid: 252 paths from corner to corner, one class
+    w = comm_grid_window(5)
+    assert len(w.hom("v0_0", "v5_5").paths) <= 2
+    V = w.quiver.vertices
+    homs = [w.hom(x, y) for x in V for y in V]
+    assert sum(len(hb.paths) for hb in homs) <= 2 * sum(hb.dim for hb in homs) + len(V)
+
+
+def test_hom_on_a_long_line_does_not_recurse():
+    n = 1200
+    q = Quiver([f"v{i}" for i in range(n)], [(f"a{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)])
+    top = f"v{n - 1}"
+    assert hom_basis_paths(q, [], "v0", top, QQ).dim == 1
+    w = window_from_quiver(q)
+    assert w.hom_dim("v0", top) == 1
+    P = std_module(w, top, PROJECTIVE)
+    assert all(P.dims[v] == 1 for v in q.vertices)

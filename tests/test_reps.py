@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from conftest import random_fp_rep, random_thread_quivers
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threadquiver.errors import ExceedsBound, NotFunctorial
-from threadquiver.linalg import QQ, rank
+from threadquiver.linalg import QQ, Matrix, rank
 from threadquiver.orders import Fin
 from threadquiver.quiver import Path, Quiver, Relation
 from threadquiver.reps import (
@@ -138,6 +141,28 @@ def test_hom_fast_path_matches_generic():
                 assert g.is_natural()
             for g in hom_basis(M, I)[1]:
                 assert g.is_natural()
+
+
+@given(random_thread_quivers(), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_hom_basis_matches_generic_random(tq, seed, projective_side, data):
+    """hom_basis (Yoneda on the certified side) against the naturality system,
+    with a standard projective source or a standard injective target."""
+    w = expand(tq, 1)
+    M = random_fp_rep(w, random.Random(seed), n_gens=3)
+    v = data.draw(st.sampled_from(M.support() or w.quiver.vertices))
+    if projective_side:
+        X, Y = std_module(w, v, PROJECTIVE), M
+    else:
+        X, Y = M, std_module(w, v, INJECTIVE)
+    dim, basis = hom_basis(X, Y)
+    assert dim == len(basis) == hom_basis_generic(X, Y)[0] == M.dims[v]
+    for g in basis:
+        assert g.is_natural()
+    # the maps are independent, so they are a basis
+    flat = [[c for u in w.quiver.vertices for c in g.comps[u].data] for g in basis]
+    if flat:
+        assert rank(Matrix(w.field, len(flat), len(flat[0]), [c for row in flat for c in row])) == dim
 
 
 def test_hom_projectives_a2():
