@@ -70,8 +70,6 @@ def cmd_normalize(args) -> int:
 
 def cmd_expand(args) -> int:
     w = _window(args)
-    report = Report("expand")
-    report.tally()
     print(
         json.dumps(
             {
@@ -99,8 +97,6 @@ def cmd_dot(args) -> int:
 
 def cmd_hom(args) -> int:
     w = _window(args)
-    report = Report("hom")
-    report.tally()
     if args.x not in set(w.quiver.vertices) or args.y not in set(w.quiver.vertices):
         print("unknown vertex", file=sys.stderr)
         return 2

@@ -29,6 +29,7 @@ from .errors import (
     EndNotSplit,
     ExceedsBound,
     NotFunctorial,
+    NotRepresentable,
     WindowMismatch,
 )
 from .linalg import (
@@ -76,9 +77,6 @@ class Rep:
     @property
     def field(self):
         return self.window.field
-
-    def dim_vector(self) -> dict[str, int]:
-        return dict(self.dims)
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -137,18 +135,6 @@ class Rep:
             for x in w.quiver.vertices:
                 run[x] += w.hom(x, v).dim if kind == "proj" else w.hom(v, x).dim
         return offs
-
-    def cert_block_dims(self) -> list[dict[str, int]]:
-        assert self.cert is not None
-        kind, verts = self.cert
-        w = self.window
-        out = []
-        for v in verts:
-            if kind == "proj":
-                out.append({x: w.hom(x, v).dim for x in w.quiver.vertices})
-            else:
-                out.append({x: w.hom(v, x).dim for x in w.quiver.vertices})
-        return out
 
     def __repr__(self):
         sup = {v: d for v, d in self.dims.items() if d}
@@ -241,29 +227,6 @@ def _sum_object(parts: list[Rep]) -> Rep:
     if all(p.cert is not None for p in parts) and len(kinds) == 1:
         cert = (kinds.pop(), tuple(v for p in parts for v in p.cert[1]))
     return Rep(w, dims, maps, validate=False, cert=cert)
-
-
-def rep_direct_sum(parts: list[Rep]) -> tuple[Rep, list[RepMap], list[RepMap]]:
-    """Direct sum with canonical inclusions and projections."""
-    assert parts
-    total = _sum_object(parts)
-    w, f, dims = total.window, total.field, total.dims
-    incls, projs = [], []
-    offsets = {v: 0 for v in w.quiver.vertices}
-    for p in parts:
-        inc, prj = {}, {}
-        for v in w.quiver.vertices:
-            o, d, D = offsets[v], p.dims[v], dims[v]
-            im = Matrix.zeros(f, D, d)
-            pm = Matrix.zeros(f, d, D)
-            for i in range(d):
-                im.data[(o + i) * d + i] = f.one
-                pm.data[i * D + (o + i)] = f.one
-            inc[v], prj[v] = im, pm
-            offsets[v] += d
-        incls.append(RepMap(p, total, inc))
-        projs.append(RepMap(total, p, prj))
-    return total, incls, projs
 
 
 # -- standard modules ---------------------------------------------------------
@@ -367,13 +330,37 @@ def yoneda_map(P: Rep, v: str, N: Rep, vec: list) -> dict[str, Matrix]:
     return comps
 
 
+def _naturality_rows(L: Matrix, y_off: int, x_off: int, R: Matrix, zero) -> list[dict]:
+    """Sparse rows of L·Y - X·R = 0 over two unknown blocks stored row-major
+    in one variable vector: Y (L.cols x R.cols) from y_off and X (L.rows x
+    R.rows) from x_off.  One row per entry (i, j), in row-major order, with
+    Y's terms before X's; all-zero rows are dropped."""
+    rows = []
+    for i in range(L.rows):
+        for j in range(R.cols):
+            eq: dict[int, object] = {}
+            for k in range(L.cols):
+                c = L[i, k]
+                if c != zero:
+                    var = y_off + k * R.cols + j
+                    eq[var] = eq.get(var, zero) + c
+            for l in range(R.rows):
+                c = R[l, j]
+                if c != zero:
+                    var = x_off + i * R.rows + l
+                    eq[var] = eq.get(var, zero) - c
+            eq = {k: c for k, c in eq.items() if c != zero}
+            if eq:
+                rows.append(eq)
+    return rows
+
+
 def hom_basis_generic(M: Rep, N: Rep) -> tuple[int, list[RepMap]]:
     """Hom space by solving the naturality system directly (no shortcuts)."""
     if M.window is not N.window:
         raise WindowMismatch("hom between different windows")
     w = M.window
     f = w.field
-    zero = f.zero
     offsets = {}
     nvars = 0
     for v in w.quiver.vertices:
@@ -381,28 +368,11 @@ def hom_basis_generic(M: Rep, N: Rep) -> tuple[int, list[RepMap]]:
         nvars += N.dims[v] * M.dims[v]
     if nvars == 0:
         return 0, []
+    # N(a)·φ_y = φ_x·M(a) for every arrow a: x -> y
     eqs = []
     for a in w.quiver.arrows:
-        x, y = a.src, a.tgt
-        Na, Ma = N.maps[a.name], M.maps[a.name]
-        nx, ny = N.dims[x], N.dims[y]
-        mx, my = M.dims[x], M.dims[y]
-        for i in range(nx):
-            for j in range(my):
-                eq: dict[int, object] = {}
-                for k in range(ny):
-                    c = Na[i, k]
-                    if c != zero:
-                        var = offsets[y] + k * my + j
-                        eq[var] = eq.get(var, zero) + c
-                for l in range(mx):
-                    c = Ma[l, j]
-                    if c != zero:
-                        var = offsets[x] + i * mx + l
-                        eq[var] = eq.get(var, zero) - c
-                eq = {k: c for k, c in eq.items() if c != zero}
-                if eq:
-                    eqs.append(eq)
+        eqs += _naturality_rows(N.maps[a.name], offsets[a.tgt], offsets[a.src],
+                                M.maps[a.name], f.zero)
     sols = sparse_kernel(eqs, nvars, f)
     basis = []
     for vec in sols:
@@ -430,8 +400,9 @@ def hom_basis(M: Rep, N: Rep) -> tuple[int, list[RepMap]]:
         for b, v in enumerate(M.cert[1]):
             for j in range(N.dims[v]):
                 vec = [f.one if i == j else f.zero for i in range(N.dims[v])]
-                comps = yoneda_map(M, v, N, vec)
-                basis.append(_place_block_map(M, b, comps, N))
+                full = {x: Matrix.zeros(f, N.dims[x], M.dims[x]) for x in w.quiver.vertices}
+                _place_block(M, b, yoneda_map(M, v, N, vec), full)
+                basis.append(RepMap(M, N, full))
         return len(basis), basis
     if N.cert is not None and N.cert[0] == "inj":
         # hom(M, D P_op) is dual to hom_op(P_op, D M)
@@ -443,24 +414,20 @@ def hom_basis(M: Rep, N: Rep) -> tuple[int, list[RepMap]]:
     return hom_basis_generic(M, N)
 
 
-def _place_block_map(P: Rep, block: int, comps: dict[str, Matrix], N: Rep) -> RepMap:
-    """Extend components defined on one certified block to all of P."""
+def _place_block(P: Rep, block: int, comps: dict[str, Matrix], out: dict[str, Matrix]) -> None:
+    """Copy components defined on one certified block of P into that block's
+    columns of the full components `out` (maps P -> N, filled in place)."""
     w = P.window
-    f = w.field
     offs = P.block_offsets[block]
     kind, verts = P.cert
     v = verts[block]
-    full = {}
     for x in w.quiver.vertices:
         bd = w.hom(x, v).dim if kind == "proj" else w.hom(v, x).dim
-        m = Matrix.zeros(f, N.dims[x], P.dims[x])
-        src = comps[x]
+        src, dst = comps[x], out[x]
         assert src.cols == bd
-        for i in range(N.dims[x]):
-            for j in range(bd):
-                m.data[i * P.dims[x] + offs[x] + j] = src.data[i * bd + j]
-        full[x] = m
-    return RepMap(P, N, full)
+        for i in range(src.rows):
+            base = i * dst.cols + offs[x]
+            dst.data[base:base + bd] = src.data[i * bd:(i + 1) * bd]
 
 
 def hom_dim(M: Rep, N: Rep) -> int:
@@ -482,15 +449,7 @@ def hom_coords(basis: list[RepMap], f: RepMap) -> list:
         offs = M.block_offsets
         N = basis[0].target
         for b, v in enumerate(M.cert[1]):
-            hb = w.hom(v, v)
-            id_idx = None
-            idp = identity_path(v)
-            for i, p in enumerate(hb.basis):
-                if p == idp:
-                    id_idx = i
-                    break
-            assert id_idx is not None
-            col = offs[b][v] + id_idx
+            col = offs[b][v] + w.hom(v, v).basis.index(identity_path(v))
             comp = f.comps[v]
             for i in range(N.dims[v]):
                 coords.append(comp.data[i * M.dims[v] + col])
@@ -594,6 +553,27 @@ def map_factor(f: RepMap) -> Factorization:
     return Factorization(K, ker_incl, I, im_epi, im_incl, C, coker_proj)
 
 
+def kernel_as_projectives(f: RepMap) -> tuple[tuple[str, ...], RepMap]:
+    """ker f recognized as a sum of standard projectives: the vertex list and
+    the inclusion ⊕P(verts) -> source(f) through the kernel.  Raises
+    NotRepresentable when a summand of the kernel is not a standard
+    projective (where semi-heredity fails)."""
+    w = f.source.window
+    kernel, ker_incl = kernel_with_inclusion(f)
+    verts, composites = [], []
+    for part, incl, _ in decompose_with_maps(kernel):
+        P, cover = projective_cover(part)
+        if len(P.cert[1]) != 1 or not kernel_with_inclusion(cover)[0].is_zero():
+            raise NotRepresentable(
+                "kernel has a non-projective summand (semi-heredity fails here)")
+        verts.append(P.cert[1][0])
+        composites.append(cover.then(incl).then(ker_incl))
+    comps = {}
+    if composites:
+        comps = {x: hstack([c.comps[x] for c in composites]) for x in w.quiver.vertices}
+    return tuple(verts), RepMap(proj_sum(w, verts), f.source, comps)
+
+
 # -- covers, hulls, resolutions -------------------------------------------------
 
 
@@ -641,16 +621,9 @@ def projective_cover(M: Rep) -> tuple[Rep, RepMap]:
     if not gens:
         assert M.is_zero(), "nonzero module with zero top"
         return P, zero_map(P, M)
-    offs = P.block_offsets
     comps = {x: Matrix.zeros(w.field, M.dims[x], P.dims[x]) for x in w.quiver.vertices}
     for b, (v, vec) in enumerate(gens):
-        block = yoneda_map(P, v, M, vec)
-        for x in w.quiver.vertices:
-            bd = w.hom(x, v).dim
-            src = block[x]
-            for i in range(M.dims[x]):
-                for j in range(bd):
-                    comps[x].data[i * P.dims[x] + offs[b][x] + j] = src.data[i * bd + j]
+        _place_block(P, b, yoneda_map(P, v, M, vec), comps)
     cover = RepMap(P, M, comps)
     for v in w.quiver.vertices:  # covers are epi over acyclic windows
         assert rank(cover.comps[v]) == M.dims[v], "cover not surjective"
@@ -1332,58 +1305,19 @@ def modification_hom_dim(t1: TripleRep, t2: TripleRep) -> int:
 
     def naturality(window, M1, M2, tag_of):
         for a in window.quiver.arrows:
-            x, y = a.src, a.tgt
-            A2, A1 = M2.maps[a.name], M1.maps[a.name]
-            n2x, n2y = M2.dims[x], M2.dims[y]
-            n1x, n1y = M1.dims[x], M1.dims[y]
-            for i in range(n2x):
-                for j in range(n1y):
-                    eq: dict[int, object] = {}
-                    for k in range(n2y):
-                        c = A2[i, k]
-                        if c != zero:
-                            var = offsets[tag_of(y)] + k * n1y + j
-                            eq[var] = eq.get(var, zero) + c
-                    for l in range(n1x):
-                        c = A1[l, j]
-                        if c != zero:
-                            var = offsets[tag_of(x)] + i * n1x + l
-                            eq[var] = eq.get(var, zero) - c
-                    eq = {k: v for k, v in eq.items() if v != zero}
-                    if eq:
-                        eqs.append(eq)
+            eqs.extend(_naturality_rows(M2.maps[a.name], offsets[tag_of(a.tgt)],
+                                        offsets[tag_of(a.src)], M1.maps[a.name], zero))
 
     naturality(base, t1.N, t2.N, lambda v: ("N", v))
     for t, cw in t1.chains.items():
         naturality(cw, t1.L[t], t2.L[t], lambda e, t=t: (t, e))
-    # gluing squares: beta_{src} @ alpha = alpha' @ gamma_{min} (and dually at max)
+    # gluing squares beta_{src} @ alpha = alpha' @ gamma_{min} (and dually at
+    # max) are naturality rows with L = alpha', Y = gamma, X = beta, R = alpha,
+    # negated, which leaves the kernel unchanged
     for t, cw in t1.chains.items():
         sv, tv = t1.chain_ends[t]
         first, last = cw.quiver.vertices[0], cw.quiver.vertices[-1]
-        for (bv, ce, a1, a2) in (
-            (sv, first, t1.alpha[t][0], t2.alpha[t][0]),
-            (tv, last, t1.alpha[t][1], t2.alpha[t][1]),
-        ):
-            n2 = t2.N.dims[bv]
-            n1g = t1.L[t].dims[ce]
-            n1 = t1.N.dims[bv]
-            n2g = t2.L[t].dims[ce]
-            for i in range(n2):
-                for j in range(n1g):
-                    eq: dict[int, object] = {}
-                    # (beta_bv @ a1)[i, j]
-                    for l in range(n1):
-                        c = a1[l, j]
-                        if c != zero:
-                            var = offsets[("N", bv)] + i * n1 + l
-                            eq[var] = eq.get(var, zero) + c
-                    # -(a2 @ gamma_ce)[i, j]
-                    for k in range(n2g):
-                        c = a2[i, k]
-                        if c != zero:
-                            var = offsets[(t, ce)] + k * n1g + j
-                            eq[var] = eq.get(var, zero) - c
-                    eq = {k: v for k, v in eq.items() if v != zero}
-                    if eq:
-                        eqs.append(eq)
+        for end, bv, ce in ((0, sv, first), (1, tv, last)):
+            eqs.extend(_naturality_rows(t2.alpha[t][end], offsets[(t, ce)],
+                                        offsets[("N", bv)], t1.alpha[t][end], zero))
     return len(sparse_kernel(eqs, nvars, f))

@@ -1,12 +1,15 @@
 """Dualizing-variety and Serre-duality checks on finite windows.
 
 Morphisms of the variety itself are matrices of hom-space elements between
-formal direct sums of vertices (VarietyMor).  Pseudokernels are computed by
-taking the honest kernel of the induced map of projective modules and
-recognizing it as a sum of standard projectives; pseudocokernels go through
-the opposite window.  The Serre functor is realized on bounded complexes of
-standard projectives by the Nakayama transport P(v) -> I(v), and the duality
-is verified at dimension level: dim RHom^n(X, Y) = dim RHom^{-n}(Y, SX).
+formal direct sums of vertices (VarietyMor).  `transport_to_opposite` is the
+one place that reads such a morphism in the opposite window.  Pseudokernels
+are computed by taking the honest kernel of the induced map of projective
+modules and recognizing it as a sum of standard projectives
+(`reps.kernel_as_projectives`); pseudocokernels are pseudokernels in the
+opposite window.  The Serre functor is realized on bounded complexes of
+standard projectives by the Nakayama transport P(v) -> I(v), the dual of the
+projective realization over the opposite window, and the duality is verified
+at dimension level: dim RHom^n(X, Y) = dim RHom^{-n}(Y, SX).
 
 Total hom complexes are assembled by Yoneda evaluation, never from bases of
 module maps: hom(⊕P(v_b), Z) = ⊕Z(v_b), so a complex of certified projective
@@ -31,7 +34,7 @@ from .errors import (
     NotRepresentable,
     ThreadQuiverError,
 )
-from .linalg import Matrix, hstack, rank
+from .linalg import Matrix, rank
 from .quiver import Path
 from .report import Report
 from .reps import (
@@ -42,12 +45,12 @@ from .reps import (
     Rep,
     RepMap,
     cokernel_with_projection,
-    decompose_with_maps,
     dualize_complex,
     dualize_map,
     extract_proj_coords,
     inj_sum,
     injective_hull,
+    kernel_as_projectives,
     kernel_with_inclusion,
     one_term_complex,
     proj_sum,
@@ -137,7 +140,11 @@ def _coords_to_op(w: Window, x: str, y: str, coords) -> list:
 
 
 def transport_to_opposite(vm: VarietyMor) -> VarietyMor:
-    """The same morphism read in the opposite window (source and target swap)."""
+    """The same morphism read in the opposite window (source and target swap).
+
+    `w.opposite().opposite() is w`, so transporting twice gives back a
+    morphism over the original window.
+    """
     w = vm.window
     op = w.opposite()
     entries = [
@@ -159,44 +166,12 @@ def pseudo(vm: VarietyMor, side: str) -> tuple[tuple[str, ...], VarietyMor]:
     standard projectives (this is where semi-heredity is used); otherwise
     NotRepresentable is raised.  Cokernels are kernels over the opposite.
     """
-    w = vm.window
     if side == COKERNEL:
         verts, op_mor = pseudo(transport_to_opposite(vm), KERNEL)
-        # the induced map lives in the opposite; read it back in this window
-        entries = [
-            [
-                None
-                if op_mor.entries[i][j] is None
-                else _coords_to_op(w.opposite(), op_mor.source[j], op_mor.target[i],
-                                   op_mor.entries[i][j])
-                for i in range(len(op_mor.target))
-            ]
-            for j in range(len(op_mor.source))
-        ]
-        return verts, VarietyMor(w, op_mor.target, op_mor.source, entries)
+        return verts, transport_to_opposite(op_mor)
     assert side == KERNEL
-    f = realize_proj(vm)
-    kernel, ker_incl = kernel_with_inclusion(f)
-    if kernel.is_zero():
-        return (), VarietyMor.zero(w, (), vm.source)
-    parts = decompose_with_maps(kernel)
-    verts = []
-    composites = []
-    for part, incl, _proj in parts:
-        P, cover = projective_cover(part)
-        if len(P.cert[1]) != 1 or not kernel_with_inclusion(cover)[0].is_zero():
-            raise NotRepresentable(
-                "kernel has a non-projective summand (semi-heredity fails here)")
-        verts.append(P.cert[1][0])
-        composites.append(cover.then(incl).then(ker_incl))
-    total = proj_sum(w, verts)
-    comps = {}
-    for x in w.quiver.vertices:
-        blocks = [c.comps[x] for c in composites]
-        comps[x] = hstack(blocks) if blocks else Matrix.zeros(
-            w.field, f.source.dims[x], 0)
-    g = RepMap(total, f.source, comps)
-    return tuple(verts), variety_mor_from_proj_map(g)
+    verts, incl = kernel_as_projectives(realize_proj(vm))
+    return verts, variety_mor_from_proj_map(incl)
 
 
 # -- Nakayama transport ---------------------------------------------------------
@@ -205,26 +180,13 @@ def pseudo(vm: VarietyMor, side: str) -> tuple[tuple[str, ...], VarietyMor]:
 def realize_inj_coords(w: Window, src_verts, tgt_verts, entries) -> RepMap:
     """Realize hom coordinates as a map of standard injective sums.
 
-    A path q: v -> w acts on injectives as the dual of precomposition, which
-    is exactly the projective realization over the opposite window, dualized.
+    A path q: v -> w acts on injectives as the dual of precomposition, so the
+    map is the dual of the projective realization of the same morphism read
+    in the opposite window (`transport_to_opposite`).
     """
-    op = w.opposite()
-    src_verts, tgt_verts = tuple(src_verts), tuple(tgt_verts)
-    op_cells = [
-        [
-            None
-            if entries[i][j] is None
-            else (tgt_verts[i], src_verts[j],
-                  _coords_to_op(w, src_verts[j], tgt_verts[i], entries[i][j]))
-            for i in range(len(tgt_verts))
-        ]
-        for j in range(len(src_verts))
-    ]
-    A_op = proj_sum(op, tgt_verts)
-    B_op = proj_sum(op, src_verts)
-    g_op = realize_proj_coords(A_op, B_op, op_cells)
-    d = dualize_map(g_op)
-    return RepMap(inj_sum(w, src_verts), inj_sum(w, tgt_verts), d.comps)
+    vm = VarietyMor(w, tuple(src_verts), tuple(tgt_verts), entries)
+    d = dualize_map(realize_proj(transport_to_opposite(vm)))
+    return RepMap(inj_sum(w, vm.source), inj_sum(w, vm.target), d.comps)
 
 
 def nakayama(cx: Complex) -> Complex:

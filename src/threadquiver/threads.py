@@ -9,7 +9,7 @@ support, and interval), all verified instance-wise through hom dimensions.
 from __future__ import annotations
 
 from .errors import BoundaryContaminated, NotRepresentable, ZNotExtOrthogonal
-from .linalg import Matrix, hstack, rank, solve_matrix, vstack
+from .linalg import Matrix, rank, solve_matrix, vstack
 from .orders import Fin
 from .quiver import Arrow, Path, Quiver
 from .report import Report
@@ -19,21 +19,22 @@ from .reps import (
     SIMPLE,
     Rep,
     RepMap,
+    _sum_object,
     cokernel_with_projection,
     decompose_with_maps,
     dualize,
     ext_dim,
     hom_basis,
+    kernel_as_projectives,
     kernel_with_inclusion,
     map_factor,
     projective_cover,
     injective_hull,
     proj_sum,
-    rep_direct_sum,
     std_module,
     yoneda_map,
 )
-from .serre import VarietyMor, _coords_to_op, variety_mor_from_proj_map
+from .serre import VarietyMor, transport_to_opposite, variety_mor_from_proj_map
 from .windows import ThreadQuiver, Window
 
 LEFT = "left"
@@ -234,31 +235,6 @@ def extract_threadquiver(w: Window, min_len: int) -> ThreadQuiver:
 # -- explicit adjoints -------------------------------------------------------------
 
 
-def _kernel_as_projectives(f: RepMap) -> tuple[tuple[str, ...], RepMap]:
-    """Decompose ker f into standard projectives; returns the vertex list and
-    the inclusion ⊕P(verts) -> source(f) through the kernel."""
-    w = f.source.window
-    kernel, ker_incl = kernel_with_inclusion(f)
-    if kernel.is_zero():
-        empty = proj_sum(w, ())
-        return (), RepMap(empty, f.source, {})
-    parts = decompose_with_maps(kernel)
-    verts, composites = [], []
-    for part, incl, _ in parts:
-        P, cover = projective_cover(part)
-        if len(P.cert[1]) != 1 or not kernel_with_inclusion(cover)[0].is_zero():
-            raise NotRepresentable("kernel summand is not a standard projective")
-        verts.append(P.cert[1][0])
-        composites.append(cover.then(incl).then(ker_incl))
-    total = proj_sum(w, verts)
-    comps = {}
-    for x in w.quiver.vertices:
-        blocks = [c.comps[x] for c in composites]
-        comps[x] = hstack(blocks) if blocks else Matrix.zeros(
-            w.field, f.source.dims[x], 0)
-    return tuple(verts), RepMap(total, f.source, comps)
-
-
 def perp_adjoint(w: Window, A: str, Zs: list[Rep], side: str,
                  max_len: int = 8) -> tuple[tuple[str, ...], VarietyMor]:
     """Image of A under the adjoint of the perpendicular-subcategory embedding.
@@ -273,20 +249,9 @@ def perp_adjoint(w: Window, A: str, Zs: list[Rep], side: str,
             if ext_dim(1, Z1, Z2, max_len) != 0:
                 raise ZNotExtOrthogonal("the removed family is not Ext-orthogonal")
     if side == LEFT:
-        op = w.opposite()
-        Zs_op = [dualize(Z) for Z in Zs]
-        verts, op_mor = perp_adjoint(op, A, Zs_op, RIGHT, max_len)
-        entries = [
-            [
-                None
-                if op_mor.entries[i][j] is None
-                else _coords_to_op(op, op_mor.source[j], op_mor.target[i],
-                                   op_mor.entries[i][j])
-                for i in range(len(op_mor.target))
-            ]
-            for j in range(len(op_mor.source))
-        ]
-        return verts, VarietyMor(w, op_mor.target, op_mor.source, entries)
+        verts, op_mor = perp_adjoint(w.opposite(), A, [dualize(Z) for Z in Zs], RIGHT,
+                                     max_len)
+        return verts, transport_to_opposite(op_mor)
     assert side == RIGHT
     P = std_module(w, A, PROJECTIVE)
     blocks = []
@@ -296,14 +261,10 @@ def perp_adjoint(w: Window, A: str, Zs: list[Rep], side: str,
             blocks.append((Z, yoneda_map(P, A, Z, vec)))
     if not blocks:
         return (A,), VarietyMor.identity(w, A)
-    targets = [Z for Z, _ in blocks]
-    total, incls, _ = rep_direct_sum(targets)
-    comps = {x: Matrix.zeros(w.field, total.dims[x], P.dims[x]) for x in w.quiver.vertices}
-    for (Z, block), inc in zip(blocks, incls):
-        for x in w.quiver.vertices:
-            comps[x] = comps[x] + inc.comps[x] @ block[x]
-    e = RepMap(P, total, comps)
-    verts, incl = _kernel_as_projectives(e)
+    total = _sum_object([Z for Z, _ in blocks])
+    e = RepMap(P, total, {x: vstack([block[x] for _, block in blocks])
+                          for x in w.quiver.vertices})
+    verts, incl = kernel_as_projectives(e)
     return verts, variety_mor_from_proj_map(incl)
 
 
@@ -360,17 +321,9 @@ def _interval_kernel_object(w: Window, X: str, Y: str) -> tuple[str, ...]:
     # hom(P(Y), I(X)) is hom(X, Y)^* by Yoneda, so stacking a basis of it
     # realizes the canonical evaluation up to base change; the joint kernel
     # is basis independent
-    targets = [I] * len(basis)
-    total, incls, _ = rep_direct_sum(targets)
-    comps = {
-        x: Matrix.zeros(w.field, total.dims[x], P.dims[x])
-        for x in w.quiver.vertices
-    }
-    for b, inc in zip(basis, incls):
-        for x in w.quiver.vertices:
-            comps[x] = comps[x] + inc.comps[x] @ b.comps[x]
-    e = RepMap(P, total, comps)
-    verts, _ = _kernel_as_projectives(e)
+    e = RepMap(P, _sum_object([I] * len(basis)),
+               {x: vstack([b.comps[x] for b in basis]) for x in w.quiver.vertices})
+    verts, _ = kernel_as_projectives(e)
     return verts
 
 
@@ -383,19 +336,8 @@ def interval_adjoint(w: Window, X: str, Y: str, A: str, side: str,
     Right adjoint: the dual construction over the opposite window.
     """
     if side == RIGHT:
-        op = w.opposite()
-        verts, op_mor = interval_adjoint(op, Y, X, A, LEFT, max_len)
-        entries = [
-            [
-                None
-                if op_mor.entries[i][j] is None
-                else _coords_to_op(op, op_mor.source[j], op_mor.target[i],
-                                   op_mor.entries[i][j])
-                for i in range(len(op_mor.target))
-            ]
-            for j in range(len(op_mor.source))
-        ]
-        return verts, VarietyMor(w, op_mor.target, op_mor.source, entries)
+        verts, op_mor = interval_adjoint(w.opposite(), Y, X, A, LEFT, max_len)
+        return verts, transport_to_opposite(op_mor)
     assert side == LEFT
     averts, unit1 = supp_adjoint(w, A, Y)
     if not averts:

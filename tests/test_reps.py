@@ -26,7 +26,6 @@ from threadquiver.reps import (
     proj_dim,
     proj_sum,
     projective_cover,
-    rep_direct_sum,
     resolution,
     restrict,
     restrict_full,
@@ -364,9 +363,7 @@ def test_dual_simple_is_simple():
 
 def test_decompose_direct_sum_a2():
     w = a2_window()
-    p1 = std_module(w, "1", PROJECTIVE)
-    p2 = std_module(w, "2", PROJECTIVE)
-    total, _, _ = rep_direct_sum([p1, p2])
+    total = proj_sum(w, ["1", "2"])
     parts = decompose(total)
     assert sorted(tuple(sorted(dim_vec(p).items())) for p in parts) == [
         (("1", 1),),
@@ -389,8 +386,7 @@ def test_decompose_zero():
 
 def test_decompose_square_of_same_summand():
     w = a2_window()
-    p2 = std_module(w, "2", PROJECTIVE)
-    total, _, _ = rep_direct_sum([p2, p2])
+    total = proj_sum(w, ["2", "2"])
     parts = decompose(total)
     assert len(parts) == 2
     assert all(dim_vec(p) == {"1": 1, "2": 1} for p in parts)
@@ -557,9 +553,7 @@ def test_decompose_over_prime_field():
 
     f5 = field_by_name("fp:5")
     w = window_from_quiver(Quiver(["1", "2"], [("a", "1", "2")]), field=f5)
-    p1 = std_module(w, "1", PROJECTIVE)
-    p2 = std_module(w, "2", PROJECTIVE)
-    total, _, _ = rep_direct_sum([p1, p2, p2])
+    total = proj_sum(w, ["1", "2", "2"])
     parts = decompose(total)
     assert len(parts) == 3
     # the rotation endomorphism splits over F_5 (x^2 + 1 = (x-2)(x-3))

@@ -318,6 +318,17 @@ def test_check_dualizing_a2():
     assert report.passed, report.items
 
 
+def test_check_dualizing_fails_without_semi_heredity():
+    # on the line with rad^2 = 0, ker(P(v_i) -> P(v_i+1)) is the simple at
+    # v_i-1, projective only for i <= 2; dually, pseudocokernels exist only
+    # for i >= 8
+    report = check_dualizing(ainf_rad2_window(10))
+    assert not report.passed
+    expected = {(f"pseudokernel(a{i})", "NotRepresentable") for i in range(3, 10)}
+    expected |= {(f"pseudocokernel(a{i})", "NotRepresentable") for i in range(1, 8)}
+    assert {(i.subject, i.actual) for i in report.items} == expected
+
+
 def test_check_dualizing_expansions():
     for tq in (tq_z_thread(), tq_fin1_thread()):
         w = expand(tq, 1)
