@@ -143,8 +143,7 @@ def cmd_serre_check(args) -> int:
 
 def cmd_dualizing_check(args) -> int:
     w = _window(args)
-    report = check_dualizing(w, max_len=args.max_len,
-                             strict_boundary=args.strict_boundary)
+    report = check_dualizing(w, strict_boundary=args.strict_boundary)
     return _emit(report)
 
 
@@ -186,51 +185,52 @@ def cmd_roundtrip(args) -> int:
     return _emit(report)
 
 
+# every option a subcommand can take: its add_argument keywords, under the
+# name of the flag (--max-len for max_len)
+_OPTIONS = {
+    "depth": dict(type=int, default=2, help="truncation depth"),
+    "field": dict(default="q", help="q or fp:<prime>"),
+    "max_len": dict(type=int, default=6, help="resolution length bound"),
+    "min_thread_len": dict(type=int, default=3, help="extraction threshold"),
+    "skip_boundary": dict(action=argparse.BooleanOptionalAction, default=True,
+                          help="restrict checks to interior vertices (default on)"),
+    "strict_boundary": dict(action="store_true",
+                            help="fail presentations that touch truncation artifacts"),
+    "expanded": dict(action="store_true", help="render the expanded window instead"),
+    "degree": dict(type=int, default=1),
+}
+_WINDOW = ("depth", "field")  # read by _window
+
+# (name, handler, positional arguments after the file, options it reads)
+_COMMANDS = [
+    ("check", cmd_check, (), ()),
+    ("normalize", cmd_normalize, (), ()),
+    ("expand", cmd_expand, (), _WINDOW),
+    ("dot", cmd_dot, (), _WINDOW + ("expanded",)),
+    ("hom", cmd_hom, ("x", "y"), _WINDOW),
+    ("ext", cmd_ext, ("x", "y"), _WINDOW + ("max_len", "degree")),
+    ("serre-check", cmd_serre_check, (), _WINDOW + ("max_len", "skip_boundary")),
+    ("dualizing-check", cmd_dualizing_check, (), _WINDOW + ("strict_boundary",)),
+    ("threads", cmd_threads, (), _WINDOW),
+    ("extract", cmd_extract, (), _WINDOW + ("min_thread_len",)),
+    ("roundtrip", cmd_roundtrip, (), _WINDOW + ("min_thread_len",)),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="threadquiver",
         description="thread-quiver expansion and homological structure checks",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, with_file=True):
-        if with_file:
-            p.add_argument("file", help="thread-quiver DSL file")
-        p.add_argument("--depth", type=int, default=2)
-        p.add_argument("--max-len", type=int, default=6, dest="max_len")
-        p.add_argument("--min-thread-len", type=int, default=3, dest="min_thread_len")
-        p.add_argument("--field", default="q", help="q or fp:<prime>")
-        p.add_argument(
-            "--skip-boundary", action=argparse.BooleanOptionalAction, default=True,
-            help="restrict checks to interior vertices (default on)")
-
-    for name, fn in [
-        ("check", cmd_check),
-        ("normalize", cmd_normalize),
-        ("expand", cmd_expand),
-        ("dot", cmd_dot),
-        ("hom", cmd_hom),
-        ("ext", cmd_ext),
-        ("serre-check", cmd_serre_check),
-        ("dualizing-check", cmd_dualizing_check),
-        ("threads", cmd_threads),
-        ("extract", cmd_extract),
-        ("roundtrip", cmd_roundtrip),
-    ]:
+    for name, fn, positionals, options in _COMMANDS:
         p = sub.add_parser(name)
-        common(p)
+        p.add_argument("file", help="thread-quiver DSL file")
+        for pos in positionals:
+            p.add_argument(pos)
+        for opt in options:
+            p.add_argument("--" + opt.replace("_", "-"), **_OPTIONS[opt])
         p.set_defaults(fn=fn)
-        if name == "dot":
-            p.add_argument("--expanded", action="store_true",
-                           help="render the expanded window instead")
-        if name == "dualizing-check":
-            p.add_argument("--strict-boundary", action="store_true",
-                           help="fail presentations that touch truncation artifacts")
-        if name in ("hom", "ext"):
-            p.add_argument("x")
-            p.add_argument("y")
-        if name == "ext":
-            p.add_argument("--degree", type=int, default=1)
     return ap
 
 

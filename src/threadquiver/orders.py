@@ -77,10 +77,6 @@ def thread_order(p: LinearOrderExpr) -> LinearOrderExpr:
     return ThreadOrder(p)
 
 
-INTERIOR = "interior"
-CUT_ADJACENT = "cut-adjacent"
-
-
 @dataclass
 class FiniteChain:
     """A finite linear order with per-element truncation marks."""
@@ -101,9 +97,6 @@ class FiniteChain:
             raise ElementNotFound(e)
         return self._index[e]
 
-    def flag(self, e: str) -> str:
-        return CUT_ADJACENT if self.cut_adjacent[self.index(e)] else INTERIOR
-
     @property
     def min(self) -> str:
         return self.elements[0]
@@ -111,9 +104,6 @@ class FiniteChain:
     @property
     def max(self) -> str:
         return self.elements[-1]
-
-    def interior_elements(self) -> list[str]:
-        return [e for e, c in zip(self.elements, self.cut_adjacent) if not c]
 
 
 def neighbors(c: FiniteChain, e: str) -> tuple[str | None, str | None]:

@@ -47,10 +47,6 @@ class Path:
     def __len__(self):
         return len(self.arrows)
 
-    @property
-    def is_identity(self):
-        return not self.arrows
-
     def then(self, other: "Path") -> "Path":
         """self followed by other (requires self.tgt == other.src)."""
         assert self.tgt == other.src, (self, other)
@@ -157,31 +153,16 @@ class Quiver:
             return False
 
     def reachable_from(self, x: str) -> set[str]:
+        """Vertices reachable from x (x included); raises NonAcyclic on a
+        cycle.  All sets are built at once along a reverse topological sweep."""
         if self._reach is None:
-            self._reach = {}
-            # accumulate along a reverse topological sweep when acyclic;
-            # fall back to per-vertex DFS otherwise
-            try:
-                order = self.topological_order()
-            except NonAcyclic:
-                order = None
-            if order is not None:
-                for v in reversed(order):
-                    acc = {v}
-                    for a in self.out_arrows[v]:
-                        acc |= self._reach[a.tgt]
-                    self._reach[v] = acc
-            else:
-                for v in self.vertices:
-                    seen = {v}
-                    stack = [v]
-                    while stack:
-                        u = stack.pop()
-                        for a in self.out_arrows[u]:
-                            if a.tgt not in seen:
-                                seen.add(a.tgt)
-                                stack.append(a.tgt)
-                    self._reach[v] = seen
+            reach: dict[str, set[str]] = {}
+            for v in reversed(self.topological_order()):
+                acc = {v}
+                for a in self.out_arrows[v]:
+                    acc |= reach[a.tgt]
+                reach[v] = acc
+            self._reach = reach
         return self._reach[x]
 
     def between(self, x: str, y: str) -> list[str]:

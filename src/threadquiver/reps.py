@@ -8,11 +8,15 @@ matrices in path order, and every relation of the window must act by zero.
 
 Certificates: representations built as direct sums of standard projectives
 (resp. injectives) remember the vertex list.  By Yoneda, a map out of such a
-sum is its values at the blocks' identity paths: covers are built from those
-values (`yoneda_map`), maps between certified sums are read and written as hom
-coordinates (`extract_proj_coords`, `realize_proj_coords`), and the Serre
-check's hom complexes are evaluated on them directly.  `hom_basis` turns this
-into explicit bases of module maps where a caller needs them (`ext_dim`);
+sum P = ⊕ P(v_b) -> N is the list of its values at the blocks' identity
+paths, one vector of N(v_b) per block.  `_yoneda_write` is the one place such
+a map is written (covers, kernel inclusions, the certified branch of
+`hom_basis`, `realize_proj_coords`, and the evaluation and unit maps of
+`threads`), and `_yoneda_read` the one place it is read (`hom_coords`,
+`extract_proj_coords`); between two certified sums a value splits by target
+block into hom coordinates.  The Serre check's hom complexes are evaluated
+on the certificates directly.  `hom_basis` gives explicit bases of module
+maps where a caller needs them (`ext_dim`);
 `hom_basis_generic` always solves the naturality system from scratch and is
 kept as the independent route for cross-checking.
 """
@@ -303,9 +307,10 @@ def inj_sum(w: Window, vertices) -> Rep:
 def yoneda_map(P: Rep, v: str, N: Rep, vec: list) -> dict[str, Matrix]:
     """Components of the map P(v) -> N determined by vec in N(v) (Yoneda).
 
-    Returns plain component matrices (indexed like a RepMap P(v) -> N).
-    Path actions are applied as matrix-vector products with shared suffixes,
-    so the cost is one small product per distinct subpath into v.
+    Returns plain component matrices at the vertices x with hom(x, v) != 0
+    (elsewhere P(v) is zero).  Path actions are applied as matrix-vector
+    products with shared suffixes, so the cost is one small product per
+    distinct subpath into v.
     """
     w = P.window
     f = w.field
@@ -321,6 +326,8 @@ def yoneda_map(P: Rep, v: str, N: Rep, vec: list) -> dict[str, Matrix]:
     comps = {}
     for x in w.quiver.vertices:
         hb = w.hom(x, v)
+        if hb.dim == 0:
+            continue
         m = Matrix.zeros(f, N.dims[x], hb.dim)
         for j, p in enumerate(hb.basis):
             col = apply_path(p.arrows)
@@ -328,6 +335,38 @@ def yoneda_map(P: Rep, v: str, N: Rep, vec: list) -> dict[str, Matrix]:
                 m.data[i * hb.dim + j] = c
         comps[x] = m
     return comps
+
+
+def _yoneda_write(P: Rep, N: Rep, vecs: list) -> RepMap:
+    """The map out of a certified projective sum P = ⊕ P(v_b) whose value at
+    block b's identity path is vecs[b] in N(v_b), or zero where vecs[b] is
+    None.  The one place a map out of a projective sum is written."""
+    w = P.window
+    comps = {x: Matrix.zeros(w.field, N.dims[x], P.dims[x]) for x in w.quiver.vertices}
+    for b, (v, vec) in enumerate(zip(P.cert[1], vecs, strict=True)):
+        if vec is None:
+            continue
+        offs = P.block_offsets[b]
+        for x, src in yoneda_map(P, v, N, vec).items():
+            dst, bd = comps[x], src.cols
+            for i in range(src.rows):
+                base = i * dst.cols + offs[x]
+                dst.data[base:base + bd] = src.data[i * bd:(i + 1) * bd]
+    return RepMap(P, N, comps)
+
+
+def _yoneda_read(f: RepMap) -> list[list]:
+    """Per block v_b of the certified projective sum f.source, the value of f
+    at the block's identity path, a vector of f.target(v_b).  The one place
+    a map out of a projective sum is read."""
+    P = f.source
+    w = P.window
+    vals = []
+    for b, v in enumerate(P.cert[1]):
+        col = P.block_offsets[b][v] + w.hom(v, v).basis.index(identity_path(v))
+        comp = f.comps[v]
+        vals.append([comp.data[i * comp.cols + col] for i in range(comp.rows)])
+    return vals
 
 
 def _naturality_rows(L: Matrix, y_off: int, x_off: int, R: Matrix, zero) -> list[dict]:
@@ -396,13 +435,13 @@ def hom_basis(M: Rep, N: Rep) -> tuple[int, list[RepMap]]:
     w = M.window
     f = w.field
     if M.cert is not None and M.cert[0] == "proj":
+        # one map per block b and unit vector of N(v_b), in that order
         basis = []
         for b, v in enumerate(M.cert[1]):
             for j in range(N.dims[v]):
-                vec = [f.one if i == j else f.zero for i in range(N.dims[v])]
-                full = {x: Matrix.zeros(f, N.dims[x], M.dims[x]) for x in w.quiver.vertices}
-                _place_block(M, b, yoneda_map(M, v, N, vec), full)
-                basis.append(RepMap(M, N, full))
+                vecs = [None] * len(M.cert[1])
+                vecs[b] = [f.one if i == j else f.zero for i in range(N.dims[v])]
+                basis.append(_yoneda_write(M, N, vecs))
         return len(basis), basis
     if N.cert is not None and N.cert[0] == "inj":
         # hom(M, D P_op) is dual to hom_op(P_op, D M)
@@ -412,22 +451,6 @@ def hom_basis(M: Rep, N: Rep) -> tuple[int, list[RepMap]]:
         _, op_basis = hom_basis(Pop, Mop)
         return len(op_basis), [dualize_map(g) for g in op_basis]
     return hom_basis_generic(M, N)
-
-
-def _place_block(P: Rep, block: int, comps: dict[str, Matrix], out: dict[str, Matrix]) -> None:
-    """Copy components defined on one certified block of P into that block's
-    columns of the full components `out` (maps P -> N, filled in place)."""
-    w = P.window
-    offs = P.block_offsets[block]
-    kind, verts = P.cert
-    v = verts[block]
-    for x in w.quiver.vertices:
-        bd = w.hom(x, v).dim if kind == "proj" else w.hom(v, x).dim
-        src, dst = comps[x], out[x]
-        assert src.cols == bd
-        for i in range(src.rows):
-            base = i * dst.cols + offs[x]
-            dst.data[base:base + bd] = src.data[i * bd:(i + 1) * bd]
 
 
 def hom_dim(M: Rep, N: Rep) -> int:
@@ -443,17 +466,8 @@ def hom_coords(basis: list[RepMap], f: RepMap) -> list:
     w = M.window
     fld = w.field
     if M.cert is not None and M.cert[0] == "proj":
-        # the basis produced by hom_basis is ordered by (block, target basis
-        # vector); read coordinates at each block's identity-path column
-        coords = []
-        offs = M.block_offsets
-        N = basis[0].target
-        for b, v in enumerate(M.cert[1]):
-            col = offs[b][v] + w.hom(v, v).basis.index(identity_path(v))
-            comp = f.comps[v]
-            for i in range(N.dims[v]):
-                coords.append(comp.data[i * M.dims[v] + col])
-        return coords
+        # the basis produced by hom_basis is ordered by (block, unit vector)
+        return [c for val in _yoneda_read(f) for c in val]
     # generic: solve against the flattened basis
     def flatten(g: RepMap):
         out = []
@@ -553,25 +567,35 @@ def map_factor(f: RepMap) -> Factorization:
     return Factorization(K, ker_incl, I, im_epi, im_incl, C, coker_proj)
 
 
+def _standard_summands(M: Rep) -> list[tuple[str, RepMap, RepMap, RepMap]]:
+    """M recognized as a sum of standard projectives, one indecomposable
+    summand at a time: its vertex v, its cover P(v) -> summand (an
+    isomorphism), and the summand's inclusion into and projection from M.
+    Raises NotRepresentable when a summand is not a standard projective
+    (where semi-heredity fails)."""
+    out = []
+    for part, incl, proj in decompose_with_maps(M):
+        P, cover = projective_cover(part)
+        if len(P.cert[1]) != 1 or not kernel_with_inclusion(cover)[0].is_zero():
+            raise NotRepresentable(
+                "summand is not a standard projective (semi-heredity fails here)")
+        out.append((P.cert[1][0], cover, incl, proj))
+    return out
+
+
 def kernel_as_projectives(f: RepMap) -> tuple[tuple[str, ...], RepMap]:
     """ker f recognized as a sum of standard projectives: the vertex list and
     the inclusion ⊕P(verts) -> source(f) through the kernel.  Raises
     NotRepresentable when a summand of the kernel is not a standard
-    projective (where semi-heredity fails)."""
-    w = f.source.window
+    projective."""
     kernel, ker_incl = kernel_with_inclusion(f)
-    verts, composites = [], []
-    for part, incl, _ in decompose_with_maps(kernel):
-        P, cover = projective_cover(part)
-        if len(P.cert[1]) != 1 or not kernel_with_inclusion(cover)[0].is_zero():
-            raise NotRepresentable(
-                "kernel has a non-projective summand (semi-heredity fails here)")
-        verts.append(P.cert[1][0])
-        composites.append(cover.then(incl).then(ker_incl))
-    comps = {}
-    if composites:
-        comps = {x: hstack([c.comps[x] for c in composites]) for x in w.quiver.vertices}
-    return tuple(verts), RepMap(proj_sum(w, verts), f.source, comps)
+    summands = _standard_summands(kernel)
+    verts = tuple(v for v, _, _, _ in summands)
+    # block v's value: the summand cover's value at the identity of v, sent
+    # through the summand's inclusion into the kernel and the kernel's into f.source
+    vecs = [ker_incl.comps[v].apply(incl.comps[v].apply(_yoneda_read(cover)[0]))
+            for v, cover, incl, _ in summands]
+    return verts, _yoneda_write(proj_sum(f.source.window, verts), f.source, vecs)
 
 
 # -- covers, hulls, resolutions -------------------------------------------------
@@ -621,10 +645,7 @@ def projective_cover(M: Rep) -> tuple[Rep, RepMap]:
     if not gens:
         assert M.is_zero(), "nonzero module with zero top"
         return P, zero_map(P, M)
-    comps = {x: Matrix.zeros(w.field, M.dims[x], P.dims[x]) for x in w.quiver.vertices}
-    for b, (v, vec) in enumerate(gens):
-        _place_block(P, b, yoneda_map(P, v, M, vec), comps)
-    cover = RepMap(P, M, comps)
+    cover = _yoneda_write(P, M, [vec for _, vec in gens])
     for v in w.quiver.vertices:  # covers are epi over acyclic windows
         assert rank(cover.comps[v]) == M.dims[v], "cover not surjective"
     return P, cover
@@ -637,6 +658,24 @@ def injective_hull(M: Rep) -> tuple[Rep, RepMap]:
     I = dualize(Pop)
     emb = RepMap(M, I, {v: m.transpose() for v, m in cover.comps.items()})
     return I, emb
+
+
+def two_term_presentation(M: Rep, side: str) -> tuple[Rep, Rep]:
+    """The terms (P0, P1) of the minimal projective presentation
+    P1 -> P0 -> M -> 0, or (I0, I1) of the minimal injective copresentation
+    0 -> M -> I0 -> I1, by cover (hull), kernel (cokernel), cover (hull).
+    The differential is not composed."""
+    if side == PROJECTIVE:
+        P0, cover = projective_cover(M)
+        K, _ = kernel_with_inclusion(cover)
+        P1, _ = projective_cover(K)
+        return P0, P1
+    if side == INJECTIVE:
+        I0, emb = injective_hull(M)
+        C, _ = cokernel_with_projection(emb)
+        I1, _ = injective_hull(C)
+        return I0, I1
+    raise ValueError(f"unknown side {side!r}")
 
 
 @dataclass
@@ -670,9 +709,6 @@ class Complex:
     def check(self):
         for d1, d2 in zip(self.diffs, self.diffs[1:]):
             assert d1.then(d2).is_zero(), "differentials do not compose to zero"
-
-    def shift_degrees(self, by: int) -> "Complex":
-        return Complex(self.window, self.min_degree + by, self.terms, self.diffs)
 
 
 def one_term_complex(M: Rep, degree: int = 0) -> Complex:
@@ -1084,73 +1120,42 @@ def extract_proj_coords(f: RepMap):
     """Coordinates of a map between certified projective sums.
 
     Returns entries[i][j] = (source vertex, target vertex, hom coordinates)
-    for the block map P(src_j) -> P(tgt_i), or None for a zero block.
+    for the block map P(src_j) -> P(tgt_i), or None for a zero block: the
+    value of source block j at its identity path, split by target block
+    (P(tgt_i)(src_j) has basis hom(src_j, tgt_i)).
     """
     P, Q = f.source, f.target
     assert P.cert is not None and P.cert[0] == "proj"
     assert Q.cert is not None and Q.cert[0] == "proj"
     w = P.window
-    poffs = P.block_offsets
+    zero = w.field.zero
     qoffs = Q.block_offsets
+    vals = _yoneda_read(f)
     entries = []
     for i, wt in enumerate(Q.cert[1]):
         row = []
         for j, vs in enumerate(P.cert[1]):
-            hb = w.hom(vs, wt)
-            # read the block column at the identity path of vs
-            hvv = w.hom(vs, vs)
-            id_idx = hvv.basis.index(identity_path(vs))
-            col = poffs[j][vs] + id_idx
-            comp = f.comps[vs]
-            coords = [
-                comp.data[(qoffs[i][vs] + r) * P.dims[vs] + col]
-                for r in range(hb.dim)
-            ]
-            # coordinates are read in the basis of hom(vs, wt) evaluated at vs:
-            # P(wt)(vs) has basis hom(vs, wt), block rows match that order
-            if all(c == w.field.zero for c in coords):
-                row.append(None)
-            else:
-                row.append((vs, wt, coords))
+            start = qoffs[i][vs]
+            coords = vals[j][start:start + w.hom(vs, wt).dim]
+            row.append(None if all(c == zero for c in coords) else (vs, wt, coords))
         entries.append(row)
     return entries
 
 
 def realize_proj_coords(P: Rep, Q: Rep, entries) -> RepMap:
-    """Inverse of extract_proj_coords: build the map from hom coordinates."""
-    w = P.window
-    fld = w.field
+    """Inverse of extract_proj_coords: each source block's cells, placed at
+    the target blocks' offsets, are its value at the identity path."""
     assert P.cert is not None and Q.cert is not None
-    poffs = P.block_offsets
+    zero = P.field.zero
     qoffs = Q.block_offsets
-    comps = {x: Matrix.zeros(fld, Q.dims[x], P.dims[x]) for x in w.quiver.vertices}
-    for i, wt in enumerate(Q.cert[1]):
-        for j, vs in enumerate(P.cert[1]):
-            cell = entries[i][j]
-            if cell is None:
-                continue
-            _, _, coords = cell
-            hb = w.hom(vs, wt)
-            for x in w.quiver.vertices:
-                hxv = w.hom(x, vs)
-                hxw = w.hom(x, wt)
-                if hxv.dim == 0 or hxw.dim == 0:
-                    continue
-                block = Matrix.zeros(fld, hxw.dim, hxv.dim)
-                for jj, p in enumerate(hxv.basis):
-                    terms = []
-                    for c, q in zip(coords, hb.basis):
-                        if c != fld.zero:
-                            terms.append((c, p.then(q)))
-                    if terms:
-                        col = hxw.expand(terms)
-                        for ii, c in enumerate(col):
-                            block.data[ii * hxv.dim + jj] = c
-                for ii in range(hxw.dim):
-                    for jj in range(hxv.dim):
-                        comps[x].data[(qoffs[i][x] + ii) * P.dims[x] + poffs[j][x] + jj] = (
-                            block.data[ii * hxv.dim + jj])
-    return RepMap(P, Q, comps)
+    vecs = []
+    for j, vs in enumerate(P.cert[1]):
+        cells = [(qoffs[i][vs], row[j][2]) for i, row in enumerate(entries) if row[j] is not None]
+        vec = [zero] * Q.dims[vs] if cells else None
+        for start, coords in cells:
+            vec[start:start + len(coords)] = coords
+        vecs.append(vec)
+    return _yoneda_write(P, Q, vecs)
 
 
 # -- the triple presentation -------------------------------------------------------

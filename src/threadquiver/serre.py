@@ -44,20 +44,17 @@ from .reps import (
     Complex,
     Rep,
     RepMap,
-    cokernel_with_projection,
     dualize_complex,
     dualize_map,
     extract_proj_coords,
     inj_sum,
-    injective_hull,
     kernel_as_projectives,
-    kernel_with_inclusion,
     one_term_complex,
     proj_sum,
-    projective_cover,
     realize_proj_coords,
     resolution,
     std_module,
+    two_term_presentation,
 )
 from .windows import Window
 
@@ -431,7 +428,7 @@ def check_serre(
     return report
 
 
-def check_dualizing(w: Window, max_len: int = 6, strict_boundary: bool = False) -> Report:
+def check_dualizing(w: Window, strict_boundary: bool = False) -> Report:
     """Dualizing-variety conditions on the window's interior.
 
     Pseudokernels and pseudocokernels must exist for all arrows between
@@ -456,17 +453,6 @@ def check_dualizing(w: Window, max_len: int = 6, strict_boundary: bool = False) 
             except EndNotSplit:
                 report.fail(f"pseudo{side}({a.name})", "representable", "EndNotSplit")
 
-    def presentation_certs(M: Rep, side: str) -> tuple[str, ...]:
-        if side == PROJECTIVE:
-            P0, cover = projective_cover(M)
-            K, _ = kernel_with_inclusion(cover)
-            P1, _ = projective_cover(K)
-            return P0.cert[1] + P1.cert[1]
-        I0, emb = injective_hull(M)
-        C, _ = cokernel_with_projection(emb)
-        I1, _ = injective_hull(C)
-        return I0.cert[1] + I1.cert[1]
-
     for v in sorted(interior, key=lambda v: w.quiver.vertices.index(v)):
         checks = [
             (f"I({v}) finitely presented", std_module(w, v, INJECTIVE), PROJECTIVE),
@@ -477,12 +463,12 @@ def check_dualizing(w: Window, max_len: int = 6, strict_boundary: bool = False) 
         for label, M, side in checks:
             report.tally()
             try:
-                certs = presentation_certs(M, side)
+                first, second = two_term_presentation(M, side)
             except ThreadQuiverError as exc:  # structural failure
                 report.fail(label, "2-term presentation", type(exc).__name__)
                 continue
             if strict_boundary:
-                touched = sorted(set(certs) & w.boundary)
+                touched = sorted(set(first.cert[1] + second.cert[1]) & w.boundary)
                 if touched:
                     report.fail(
                         label, "presentation away from the cut",

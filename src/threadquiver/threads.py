@@ -9,7 +9,7 @@ support, and interval), all verified instance-wise through hom dimensions.
 from __future__ import annotations
 
 from .errors import BoundaryContaminated, NotRepresentable, ZNotExtOrthogonal
-from .linalg import Matrix, rank, solve_matrix, vstack
+from .linalg import Matrix, rank, solve
 from .orders import Fin
 from .quiver import Arrow, Path, Quiver
 from .report import Report
@@ -19,20 +19,17 @@ from .reps import (
     SIMPLE,
     Rep,
     RepMap,
+    _standard_summands,
     _sum_object,
-    cokernel_with_projection,
-    decompose_with_maps,
+    _yoneda_read,
+    _yoneda_write,
     dualize,
     ext_dim,
-    hom_basis,
     kernel_as_projectives,
-    kernel_with_inclusion,
     map_factor,
-    projective_cover,
-    injective_hull,
     proj_sum,
     std_module,
-    yoneda_map,
+    two_term_presentation,
 )
 from .serre import VarietyMor, transport_to_opposite, variety_mor_from_proj_map
 from .windows import ThreadQuiver, Window
@@ -86,22 +83,15 @@ def gabriel_quiver(w: Window) -> Quiver:
 
 
 def almost_split(w: Window, v: str, side: str) -> tuple[str, ...]:
-    """The sum N in the (left/right) almost split map at v, from the minimal
-    presentation (resp. copresentation) of the simple at v."""
+    """The sum N in the (left/right) almost split map at v: the second term
+    of the minimal presentation (resp. copresentation) of the simple at v."""
     if v in w.boundary:
         raise BoundaryContaminated(f"{v} is a truncation artifact")
+    if side not in (LEFT, RIGHT):
+        raise ValueError(f"unknown side {side!r}")
     S = std_module(w, v, SIMPLE)
-    if side == LEFT:
-        _, cover = projective_cover(S)
-        K, _ = kernel_with_inclusion(cover)
-        P1, _ = projective_cover(K)
-        return P1.cert[1]
-    if side == RIGHT:
-        _, emb = injective_hull(S)
-        C, _ = cokernel_with_projection(emb)
-        I1, _ = injective_hull(C)
-        return I1.cert[1]
-    raise ValueError(f"unknown side {side!r}")
+    _, second = two_term_presentation(S, PROJECTIVE if side == LEFT else INJECTIVE)
+    return second.cert[1]
 
 
 def _degree_maps(w: Window, use_irr: bool) -> tuple[dict, dict]:
@@ -235,6 +225,19 @@ def extract_threadquiver(w: Window, min_len: int) -> ThreadQuiver:
 # -- explicit adjoints -------------------------------------------------------------
 
 
+def _evaluation(w: Window, A: str, Zs: list[Rep]) -> RepMap | None:
+    """The canonical evaluation P(A) -> ⊕_Z Z ⊗ Z(A)^*, or None when every
+    Z(A) is zero.  By Yoneda it is the map whose value at the identity of A
+    is, in the copy of Z for each unit vector of Z(A), that unit vector."""
+    f = w.field
+    copies = [(Z, j) for Z in Zs for j in range(Z.dims[A])]
+    if not copies:
+        return None
+    generator = [f.one if i == j else f.zero for Z, j in copies for i in range(Z.dims[A])]
+    return _yoneda_write(std_module(w, A, PROJECTIVE), _sum_object([Z for Z, _ in copies]),
+                         [generator])
+
+
 def perp_adjoint(w: Window, A: str, Zs: list[Rep], side: str,
                  max_len: int = 8) -> tuple[tuple[str, ...], VarietyMor]:
     """Image of A under the adjoint of the perpendicular-subcategory embedding.
@@ -253,17 +256,9 @@ def perp_adjoint(w: Window, A: str, Zs: list[Rep], side: str,
                                      max_len)
         return verts, transport_to_opposite(op_mor)
     assert side == RIGHT
-    P = std_module(w, A, PROJECTIVE)
-    blocks = []
-    for Z in Zs:
-        for j in range(Z.dims[A]):
-            vec = [w.field.one if i == j else w.field.zero for i in range(Z.dims[A])]
-            blocks.append((Z, yoneda_map(P, A, Z, vec)))
-    if not blocks:
+    e = _evaluation(w, A, Zs)
+    if e is None:
         return (A,), VarietyMor.identity(w, A)
-    total = _sum_object([Z for Z, _ in blocks])
-    e = RepMap(P, total, {x: vstack([block[x] for _, block in blocks])
-                          for x in w.quiver.vertices})
     verts, incl = kernel_as_projectives(e)
     return verts, variety_mor_from_proj_map(incl)
 
@@ -288,41 +283,23 @@ def supp_adjoint(w: Window, A: str, Y: str) -> tuple[tuple[str, ...], VarietyMor
     fac = map_factor(f)
     if fac.image.is_zero():
         return (), VarietyMor.zero(w, (A,), ())
-    parts = decompose_with_maps(fac.image)
-    verts, unit_blocks = [], []
-    for part, incl, proj in parts:
-        Pp, cover = projective_cover(part)
-        if len(Pp.cert[1]) != 1 or not kernel_with_inclusion(cover)[0].is_zero():
-            raise NotRepresentable("support image is not a sum of standard projectives")
-        verts.append(Pp.cert[1][0])
-        inv_comps = {}
-        for v in w.quiver.vertices:
-            inv = solve_matrix(cover.comps[v], Matrix.identity(w.field, cover.comps[v].rows))
-            assert inv is not None
-            inv_comps[v] = inv
-        unit_blocks.append(fac.im_epi.then(proj).then(RepMap(part, Pp, inv_comps)))
-    total = proj_sum(w, verts)
-    comps = {}
-    for x in w.quiver.vertices:
-        rows = [b.comps[x] for b in unit_blocks]
-        comps[x] = vstack(rows) if rows else Matrix.zeros(w.field, 0, f.source.dims[x])
-    unit = RepMap(f.source, total, comps)
+    # the unit's value at the identity of A: its image in each summand,
+    # pulled back through the summand's cover P(v) -> summand (an isomorphism)
+    image_id = _yoneda_read(fac.im_epi)[0]
+    verts, value = [], []
+    for v, cover, _, proj in _standard_summands(fac.image):
+        verts.append(v)
+        value += solve(cover.comps[A], proj.comps[A].apply(image_id))
+    unit = _yoneda_write(f.source, proj_sum(w, verts), [value])
     return tuple(verts), variety_mor_from_proj_map(unit)
 
 
 def _interval_kernel_object(w: Window, X: str, Y: str) -> tuple[str, ...]:
     """The representing object of ker(P(Y) -> I(X) ⊗ hom(X, Y)) from the
-    interval-adjoint construction."""
-    I = std_module(w, X, INJECTIVE)
-    P = std_module(w, Y, PROJECTIVE)
-    _, basis = hom_basis(P, I)
-    if not basis:
+    interval-adjoint construction (I(X)(Y) is hom(X, Y)^*)."""
+    e = _evaluation(w, Y, [std_module(w, X, INJECTIVE)])
+    if e is None:
         return (Y,)
-    # hom(P(Y), I(X)) is hom(X, Y)^* by Yoneda, so stacking a basis of it
-    # realizes the canonical evaluation up to base change; the joint kernel
-    # is basis independent
-    e = RepMap(P, _sum_object([I] * len(basis)),
-               {x: vstack([b.comps[x] for b in basis]) for x in w.quiver.vertices})
     verts, _ = kernel_as_projectives(e)
     return verts
 
@@ -331,10 +308,14 @@ def interval_adjoint(w: Window, X: str, Y: str, A: str, side: str,
                      max_len: int = 8) -> tuple[tuple[str, ...], VarietyMor]:
     """Adjoint image of A for the interval embedding [X, Y] -> window.
 
-    Left adjoint: corestrict onto supp hom(-, Y), then pass to the
-    perpendicular of the kernel object of P(Y) -> I(X) ⊗ hom(X, Y).
-    Right adjoint: the dual construction over the opposite window.
+    An A already in [X, Y] (hom(X, A) != 0 != hom(A, Y)) is its own image,
+    with the identity as unit.  Otherwise, left adjoint: corestrict onto
+    supp hom(-, Y), then pass to the perpendicular of the kernel object of
+    P(Y) -> I(X) ⊗ hom(X, Y).  Right adjoint: the dual construction over the
+    opposite window.
     """
+    if w.hom_dim(X, A) != 0 and w.hom_dim(A, Y) != 0:
+        return (A,), VarietyMor.identity(w, A)
     if side == RIGHT:
         verts, op_mor = interval_adjoint(w.opposite(), Y, X, A, LEFT, max_len)
         return verts, transport_to_opposite(op_mor)

@@ -139,9 +139,6 @@ class Window:
     def topological_order(self) -> list[str]:
         return list(self._topo)
 
-    def is_interior(self, v: str) -> bool:
-        return v not in self.boundary
-
     def interior_vertices(self) -> list[str]:
         return [v for v in self.quiver.vertices if v not in self.boundary]
 

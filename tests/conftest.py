@@ -16,7 +16,7 @@ from threadquiver.linalg import QQ, Matrix, rank, rref
 from threadquiver.orders import INT, NAT, NEG_NAT, Fin
 from threadquiver.quiver import Path as QPath
 from threadquiver.quiver import Quiver, Relation
-from threadquiver.reps import hom_basis, hom_coords, map_factor, proj_sum
+from threadquiver.reps import RepMap, hom_basis, hom_coords, map_factor, proj_sum
 from threadquiver.windows import ThreadQuiver, expand, window_from_quiver
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -268,6 +268,33 @@ def basis_route_hom_data(CX, CY):
         return m
 
     return dims, {n: differential(n) for n in range(n_min, n_max + 1)}
+
+
+def per_vertex_realize_proj_coords(P, Q, entries):
+    """Differential oracle for `reps.realize_proj_coords`: the map of
+    certified projective sums assembled vertex by vertex.  At each vertex x,
+    the block for the cell P(v) -> P(t) with hom coordinates c sends a basis
+    path p: x -> v of P(v)(x) to the class of p . (sum of c_q q) in
+    hom(x, t), expanded over the window's paths."""
+    w = P.window
+    fld = w.field
+    poffs, qoffs = P.block_offsets, Q.block_offsets
+    comps = {x: Matrix.zeros(fld, Q.dims[x], P.dims[x]) for x in w.quiver.vertices}
+    for i, wt in enumerate(Q.cert[1]):
+        for j, vs in enumerate(P.cert[1]):
+            cell = entries[i][j]
+            if cell is None:
+                continue
+            hb = w.hom(vs, wt)
+            for x in w.quiver.vertices:
+                hxv, hxw = w.hom(x, vs), w.hom(x, wt)
+                for jj, p in enumerate(hxv.basis):
+                    terms = [(c, p.then(q)) for c, q in zip(cell[2], hb.basis) if c != fld.zero]
+                    if not terms:
+                        continue
+                    for ii, c in enumerate(hxw.expand(terms)):
+                        comps[x][qoffs[i][x] + ii, poffs[j][x] + jj] = c
+    return RepMap(P, Q, comps)
 
 
 def all_intermediate_rad_irr_dims(w, x, y):

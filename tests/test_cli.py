@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from threadquiver.cli import run
+from threadquiver.cli import build_parser, run
 from threadquiver.dsl import emit_dot, parse_tq, sanitize_names, serialize_tq
 from threadquiver.errors import DuplicateName, ParseError, UnknownVertex
 from threadquiver.orders import INT, Concat, Fin, NAT, NEG_NAT
@@ -256,6 +257,47 @@ def test_usage_error_exit_code():
 
 def test_missing_file_exit_code(capsys):
     assert run(["check", "/nonexistent/x.tq"]) == 2
+
+
+WINDOW = {"--depth", "--field"}
+SUBCOMMAND_FLAGS = {
+    "check": set(),
+    "normalize": set(),
+    "expand": WINDOW,
+    "dot": WINDOW | {"--expanded"},
+    "hom": WINDOW,
+    "ext": WINDOW | {"--max-len", "--degree"},
+    "serre-check": WINDOW | {"--max-len", "--skip-boundary", "--no-skip-boundary"},
+    "dualizing-check": WINDOW | {"--strict-boundary"},
+    "threads": WINDOW,
+    "extract": WINDOW | {"--min-thread-len"},
+    "roundtrip": WINDOW | {"--min-thread-len"},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags, settable = {}, 0
+    for name, p in sub.choices.items():
+        actions = [a for a in p._actions if a.option_strings and a.dest != "help"]
+        settable += len(actions)
+        flags[name] = {opt for a in actions for opt in a.option_strings}
+    assert flags == SUBCOMMAND_FLAGS
+    assert settable == 26  # --skip-boundary / --no-skip-boundary is one setting
+
+
+@pytest.mark.parametrize("argv", [
+    ["dualizing-check", "a2.tq", "--no-skip-boundary"],
+    ["dualizing-check", "a2.tq", "--max-len", "3"],
+    ["threads", "a2.tq", "--max-len", "3"],
+    ["check", "a2.tq", "--depth", "1"],
+    ["hom", "a2.tq", "a", "b", "--min-thread-len", "1"],
+])
+def test_flag_a_subcommand_ignores_is_a_usage_error(argv, capsys):
+    argv = [argv[0], str(FIXTURES / argv[1]), *argv[2:]]
+    assert run(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_subprocess_entry():

@@ -137,6 +137,13 @@ def test_hom_rejects_cycles():
         hom_basis_paths(q, [], "a", "b", QQ)
 
 
+def test_reachable_from_rejects_cycles():
+    q = Quiver(["a", "b"], [("f", "a", "b"), ("g", "b", "a")])
+    for _ in range(2):  # the cycle is not cached as an answer
+        with pytest.raises(NonAcyclic):
+            q.reachable_from("a")
+
+
 def random_acyclic_quiver(seed_edges):
     # vertices 0..4, arrows only forward: acyclic by construction
     verts = [str(i) for i in range(5)]

@@ -1,7 +1,12 @@
 import random
 
 import pytest
-from conftest import random_fp_rep, random_thread_quivers
+from conftest import (
+    fixture_windows,
+    per_vertex_realize_proj_coords,
+    random_fp_rep,
+    random_thread_quivers,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -529,6 +534,43 @@ def test_proj_coords_roundtrip_with_repeated_summands():
     f2 = realize_proj_coords(P, Q, cells)
     for v in w.quiver.vertices:
         assert f2.comps[v] == f.comps[v]
+
+
+def _realize_cases(w):
+    """(P, Q, entries) for every arrow a: x -> y as P(x) -> P(y), and for
+    every composable pair a, b: y -> z as the 2x2 block map
+    P(x) + P(y) -> P(y) + P(z) with blocks a, id, b.a (None when zero), b."""
+    def coords(a):
+        return w.hom(a.src, a.tgt).expand_path(Path(a.src, a.tgt, (a.name,)))
+
+    def cell(x, y, c):
+        return None if all(v == w.field.zero for v in c) else (x, y, c)
+
+    for a in w.quiver.arrows:
+        x, y = a.src, a.tgt
+        yield proj_sum(w, (x,)), proj_sum(w, (y,)), [[cell(x, y, coords(a))]]
+        for b in w.quiver.out_arrows[y]:
+            z = b.tgt
+            ba = w.compose_coords(x, y, z, coords(a), coords(b))
+            entries = [[cell(x, y, coords(a)), cell(y, y, w.identity_coords(y))],
+                       [cell(x, z, ba), cell(y, z, coords(b))]]
+            yield proj_sum(w, (x, y)), proj_sum(w, (y, z)), entries
+
+
+@pytest.mark.parametrize("label, w", [
+    pytest.param(label, win, id=f"{label}{suffix}")
+    for label, w in fixture_windows((0, 1, 2))
+    for suffix, win in (("", w), ("-op", w.opposite()))
+])
+def test_realize_proj_coords_matches_per_vertex_oracle(label, w):
+    from threadquiver.reps import extract_proj_coords, realize_proj_coords
+
+    for P, Q, entries in _realize_cases(w):
+        f = realize_proj_coords(P, Q, entries)
+        oracle = per_vertex_realize_proj_coords(P, Q, entries)
+        for x in w.quiver.vertices:
+            assert f.comps[x] == oracle.comps[x], (label, P.cert, Q.cert, x)
+        assert extract_proj_coords(f) == entries
 
 
 def test_induce_along_path_valued_embedding():

@@ -23,6 +23,7 @@ from threadquiver.reps import (
     INJECTIVE,
     PROJECTIVE,
     SIMPLE,
+    Complex,
     ext_dim,
     hom_dim,
     one_term_complex,
@@ -193,6 +194,11 @@ def test_total_hom_complex_squares_to_zero():
             assert prod.is_zero(), f"D^2 != 0 at degree {n}"
 
 
+def shift_degrees(cx: Complex, by: int) -> Complex:
+    """The same complex with every term moved up by `by` degrees."""
+    return Complex(cx.window, cx.min_degree + by, cx.terms, cx.diffs)
+
+
 def test_derived_hom_shift_identity():
     # shifting the target complex shifts cohomology degrees
     w = zigzag_window()
@@ -201,7 +207,7 @@ def test_derived_hom_shift_identity():
     res = resolution(s, PROJECTIVE, 6)
     img = serre_image(t, 6)
     base = total_hom_dims(res.complex, img)
-    shifted = total_hom_dims(res.complex, img.shift_degrees(2))
+    shifted = total_hom_dims(res.complex, shift_degrees(img, 2))
     for n, d in base.items():
         assert shifted.get(n + 2, 0) == d
 
@@ -452,11 +458,11 @@ def test_nakayama_functoriality_checks_every_pair(monkeypatch):
 
 def test_check_dualizing_lets_bugs_propagate(monkeypatch):
     # only package errors become failed-presentation items
-    import threadquiver.serre as serre
+    import threadquiver.reps as reps
 
     def broken_cover(M):
         raise AssertionError("cover not surjective")
 
-    monkeypatch.setattr(serre, "projective_cover", broken_cover)
+    monkeypatch.setattr(reps, "projective_cover", broken_cover)
     with pytest.raises(AssertionError):
         check_dualizing(a2_window())

@@ -1,6 +1,7 @@
 import pytest
 from conftest import (
     FIXTURES,
+    ainf_rad2_window,
     all_intermediate_rad_irr_dims,
     comm_grid_window,
     fixture_windows,
@@ -20,8 +21,8 @@ from threadquiver.dsl import parse_tq
 from threadquiver.errors import BoundaryContaminated, NotRepresentable, ZNotExtOrthogonal
 from threadquiver.orders import Fin
 from threadquiver.quiver import Quiver, Relation
-from threadquiver.reps import SIMPLE, std_module
-from threadquiver.serre import VarietyMor, transport_to_opposite
+from threadquiver.reps import SIMPLE, kernel_as_projectives, std_module
+from threadquiver.serre import VarietyMor, realize_proj, transport_to_opposite
 from threadquiver.threads import (
     LEFT,
     RIGHT,
@@ -342,6 +343,17 @@ def test_supp_adjoint_branch():
     assert w.hom_dim(verts[0], "y2") == 1
 
 
+def test_support_image_and_kernel_fail_at_one_recognition_site():
+    # with rad^2 = 0, the image of P(v4) -> P(v5) and the kernel of
+    # P(v3) -> P(v4) both have a summand that is not a standard projective
+    w = ainf_rad2_window(10)
+    message = "summand is not a standard projective"
+    with pytest.raises(NotRepresentable, match=message):
+        supp_adjoint(w, "v4", "v5")
+    with pytest.raises(NotRepresentable, match=message):
+        kernel_as_projectives(realize_proj(VarietyMor.from_arrow(w, "a3")))
+
+
 def test_interval_adjoint_inside():
     w = an_window(5)
     verts, _ = interval_adjoint(w, "2", "4", "3", LEFT)
@@ -379,13 +391,27 @@ def test_opposite_transport_round_trip_and_dual_side_adjoints(label, w):
         assert (back.source, back.target, back.entries) == (vm.source, vm.target, vm.entries)
         _, unit = perp_adjoint(w, a.src, [std_module(w, a.tgt, SIMPLE)], LEFT, max_len=12)
         assert unit.window is w
-        try:
-            _, unit = interval_adjoint(w, a.src, a.tgt, a.src, RIGHT)
-        except NotRepresentable:
-            # the zigzag's zero relations leave a non-projective kernel object
-            assert label.startswith("zigzag@"), (label, a.name)
-            continue
-        assert unit.window is w
+        # a.src lies before the one-point interval [a.tgt, a.tgt], so this
+        # goes through the opposite window (with an empty image); objects of
+        # the interval return at once (see the next test)
+        verts, unit = interval_adjoint(w, a.tgt, a.tgt, a.src, RIGHT)
+        assert verts == () and unit.window is w
+
+
+@pytest.mark.parametrize(
+    "label, w", [pytest.param(label, w, id=label) for label, w in fixture_windows((0, 1, 2))]
+)
+def test_interval_adjoint_fixes_objects_of_the_interval(label, w):
+    # for an arrow x -> y, both ends lie in [x, y]: each is its own image,
+    # with the identity as unit, on either side and whatever the relations
+    for a in w.quiver.arrows:
+        for A in (a.src, a.tgt):
+            for side in (LEFT, RIGHT):
+                verts, unit = interval_adjoint(w, a.src, a.tgt, A, side)
+                assert verts == (A,), (label, a.name, A, side)
+                assert unit.window is w
+                assert (unit.source, unit.target) == ((A,), (A,))
+                assert unit.entries == [[w.identity_coords(A)]]
 
 
 def test_interval_adjoint_full_assignment_checks():
