@@ -5,6 +5,11 @@ Everything here is pure value code: matrices are immutable in practice
 and all ranks/kernels are computed by fraction-exact Gaussian elimination.
 A sparse homogeneous solver is provided for the large, very sparse
 naturality systems that arise when computing hom spaces of representations.
+
+The dense kernels (`is_zero`, products, `apply`, `rref`) test an entry for
+zero by its truth value: both fields define `bool` as "nonzero"
+(`Fraction.__bool__`, `FpElement.__bool__`), at a fraction of the cost of
+comparing with the field's zero.
 """
 
 from __future__ import annotations
@@ -212,8 +217,7 @@ class Matrix:
         return hash((self.rows, self.cols, tuple(self.data)))
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for x in self.data)
+        return not any(self.data)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -244,20 +248,19 @@ class Matrix:
                 f"matmul shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
         out = Matrix.zeros(self.field, self.rows, other.cols)
-        zero = self.field.zero
         oc = other.cols
         for i in range(self.rows):
             base = i * self.cols
             orow = i * oc
             for k in range(self.cols):
                 a = self.data[base + k]
-                if a == zero:
+                if not a:
                     continue
                 ob = k * oc
                 od = out.data
                 for j in range(oc):
                     b = other.data[ob + j]
-                    if b != zero:
+                    if b:
                         od[orow + j] = od[orow + j] + a * b
         return out
 
@@ -270,7 +273,7 @@ class Matrix:
             base = i * self.cols
             acc = zero
             for j, v in enumerate(vec):
-                if v != zero:
+                if v:
                     acc = acc + self.data[base + j] * v
             out[i] = acc
         return out
@@ -336,7 +339,6 @@ def direct_sum(parts: list[Matrix]) -> Matrix:
 def rref(m: Matrix) -> tuple[int, Matrix, list[int]]:
     """Row-reduced echelon form.  Returns (rank, reduced matrix, pivot columns)."""
     r = m.copy()
-    zero = m.field.zero
     pivots = []
     pr = 0
     for pc in range(r.cols):
@@ -345,7 +347,7 @@ def rref(m: Matrix) -> tuple[int, Matrix, list[int]]:
         # find a pivot in column pc at or below row pr
         hit = -1
         for i in range(pr, r.rows):
-            if r.data[i * r.cols + pc] != zero:
+            if r.data[i * r.cols + pc]:
                 hit = i
                 break
         if hit < 0:
@@ -367,12 +369,12 @@ def rref(m: Matrix) -> tuple[int, Matrix, list[int]]:
             if i == pr:
                 continue
             f = r.data[i * r.cols + pc]
-            if f == zero:
+            if not f:
                 continue
             ib = i * r.cols
             for j in range(pc, r.cols):
                 v = r.data[base + j]
-                if v != zero:
+                if v:
                     r.data[ib + j] = r.data[ib + j] - f * v
         pivots.append(pc)
         pr += 1

@@ -26,6 +26,7 @@ and the same normal forms as reducing all of I(x, y) over all paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NonAcyclic
 from .linalg import Matrix, rref
@@ -105,8 +106,20 @@ class Quiver:
         for a in self.arrows:
             self.out_arrows[a.src].append(a)
             self.in_arrows[a.tgt].append(a)
-        self._reach: dict[str, set[str]] | None = None
         self._topo_cache = None
+        self._level: dict[str, int] | None = None
+        # per target y, the vertices already found to reach it
+        self._reaching: dict[str, set[str]] = {}
+
+    @cached_property
+    def vertex_index(self) -> dict[str, int]:
+        """Position of each vertex in `vertices`."""
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def arrow_index(self) -> dict[str, int]:
+        """Position of each arrow name in `arrows`."""
+        return {a.name: i for i, a in enumerate(self.arrows)}
 
     def path(self, arrow_names: tuple[str, ...], src: str | None = None) -> Path:
         """Build a Path from arrow names in composition order; checks composability."""
@@ -152,18 +165,60 @@ class Quiver:
         except NonAcyclic:
             return False
 
-    def reachable_from(self, x: str) -> set[str]:
-        """Vertices reachable from x (x included); raises NonAcyclic on a
-        cycle.  All sets are built at once along a reverse topological sweep."""
-        if self._reach is None:
-            reach: dict[str, set[str]] = {}
-            for v in reversed(self.topological_order()):
-                acc = {v}
-                for a in self.out_arrows[v]:
-                    acc |= reach[a.tgt]
-                reach[v] = acc
-            self._reach = reach
-        return self._reach[x]
+    def _levels(self) -> dict[str, int]:
+        """Each vertex's level, the length of the longest path into it: every
+        arrow raises the level, so a path x -> y needs level(x) < level(y)
+        unless x = y.  Raises NonAcyclic on a cycle."""
+        if self._level is None:
+            level: dict[str, int] = {}
+            for v in self.topological_order():
+                level[v] = max((level[a.src] + 1 for a in self.in_arrows[v]), default=0)
+            self._level = level
+        return self._level
+
+    def reaches(self, x: str, y: str) -> bool:
+        """Whether some path runs x -> y (x reaches itself); raises NonAcyclic
+        on a cycle.  A walk from x through the vertices of level below y's,
+        so a y whose level is not above x's is rejected at once.  Positive
+        answers are kept, and a walk stops at a vertex already known to reach
+        y, so the memory follows the pairs asked, never all pairs."""
+        level = self._level or self._levels()
+        if x == y:
+            return True
+        top = level[y]
+        if level[x] >= top:
+            return False
+        known = self._reaching.get(y)
+        if known is None:
+            known = self._reaching[y] = set()
+        elif x in known:
+            return True
+        seen, stack = {x}, [x]
+        while stack:
+            for a in self.out_arrows[stack.pop()]:
+                t = a.tgt
+                if t == y or t in known:
+                    known.add(x)
+                    return True
+                if t not in seen and level[t] < top:
+                    seen.add(t)
+                    stack.append(t)
+        return False
+
+    def ancestors(self, y: str, start: str | None = None) -> set[str]:
+        """Vertices that reach y (y included), or with `start` only those of
+        level at least start's (every vertex on a path from start): a walk
+        back from y."""
+        level = self._level or self._levels()
+        low = level[start] if start is not None else 0
+        seen, stack = {y}, [y]
+        while stack:
+            for a in self.in_arrows[stack.pop()]:
+                s = a.src
+                if s not in seen and level[s] >= low:
+                    seen.add(s)
+                    stack.append(s)
+        return seen
 
     def between(self, x: str, y: str) -> list[str]:
         """Vertices on some path x -> y, in reverse topological order (y first).
@@ -171,14 +226,15 @@ class Quiver:
         The post-order of a depth-first walk from x through the vertices
         that reach y; the cost follows the answer, not the quiver.
         """
-        if y not in self.reachable_from(x):
+        to_y = self.ancestors(y, start=x)
+        if x not in to_y:
             return []
         order, seen = [], {x}
         stack = [(x, iter(self.out_arrows[x]))]
         while stack:
             v, arrows = stack[-1]
             for a in arrows:
-                if a.tgt not in seen and y in self.reachable_from(a.tgt):
+                if a.tgt not in seen and a.tgt in to_y:
                     seen.add(a.tgt)
                     stack.append((a.tgt, iter(self.out_arrows[a.tgt])))
                     break
@@ -332,7 +388,7 @@ def hom_basis_paths(q: Quiver, relations: list[Relation], x: str, y: str, field,
             memo[z, y] = hom_basis_paths(q, relations, z, y, field, hom)
     if x == y:
         return HomBasis(field, [identity_path(x)], q, hom)
-    firsts = [a for a in q.out_arrows[x] if y in q.reachable_from(a.tgt)]
+    firsts = [a for a in q.out_arrows[x] if q.reaches(a.tgt, y)]
     paths = sorted(
         (Path(x, y, (a.name,) + b.arrows) for a in firsts for b in hom(a.tgt, y).basis),
         key=Path.sort_key,
@@ -343,7 +399,7 @@ def hom_basis_paths(q: Quiver, relations: list[Relation], x: str, y: str, field,
     zero = field.zero
     rows = []
     for rel in relations:
-        if rel.src != x or y not in q.reachable_from(rel.tgt):
+        if rel.src != x or not q.reaches(rel.tgt, y):
             continue
         for b in hom(rel.tgt, y).basis:
             vec = hb._candidate_vector([(c, t.then(b)) for c, t in rel.terms])

@@ -19,6 +19,18 @@ on the certificates directly.  `hom_basis` gives explicit bases of module
 maps where a caller needs them (`ext_dim`);
 `hom_basis_generic` always solves the naturality system from scratch and is
 kept as the independent route for cross-checking.
+
+Storage: a module keeps its blocks on its support only.  `Rep.maps` stores
+the matrices of the arrows whose two ends are nonzero and `RepMap.comps` the
+components at the vertices where source and target are both nonzero; any
+other key reads as the empty matrix of its shape (0 x n or n x 0), so
+`M.maps[a]` and `f.comps[v]` work for every arrow and vertex while
+`.items()` visits only the stored blocks.  A module caches its support and
+the arrows inside it, and covers, kernels, cokernels, sums, duals, Yoneda
+maps and compositions loop over those, so a simple's cover costs the same
+on any window.  `Rep.dims` stays a full dict over the window's vertices on
+purpose: dimension vectors are compared and indexed at every vertex by
+callers outside this module, and it costs one small dict per module.
 """
 
 from __future__ import annotations
@@ -55,22 +67,61 @@ INJECTIVE = "injective"
 SIMPLE = "simple"
 
 
+class _Blocks(dict):
+    """The blocks of a Rep (keyed by arrow name) or a RepMap (keyed by
+    vertex) stored on the support only: exactly the blocks with both
+    dimensions nonzero.  Any other key reads as the empty matrix of its
+    shape, 0 x n or n x 0, built on demand and not stored."""
+
+    __slots__ = ("field", "rows", "cols", "arrows")
+
+    def __init__(self, field, rows: dict[str, int], cols: dict[str, int], arrows=None):
+        super().__init__()
+        self.field = field
+        self.rows = rows  # vertex -> row count (at the arrow's source for arrow keys)
+        self.cols = cols  # vertex -> column count (at the arrow's target)
+        self.arrows = arrows  # arrow name -> Arrow, or None for vertex keys
+
+    def __missing__(self, key):
+        if self.arrows is None:
+            rows, cols = self.rows[key], self.cols[key]
+        else:
+            a = self.arrows[key]
+            rows, cols = self.rows[a.src], self.cols[a.tgt]
+        assert not (rows and cols), f"nonempty block {key!r} is not stored"
+        return Matrix(self.field, rows, cols, [])
+
+
 class Rep:
     """A contravariant module over the window's path category mod relations."""
 
     def __init__(self, window: Window, dims: dict[str, int], maps: dict[str, Matrix],
                  validate: bool = True, cert: tuple[str, tuple[str, ...]] | None = None):
         self.window = window
-        self.dims = {v: int(dims.get(v, 0)) for v in window.quiver.vertices}
-        self.maps: dict[str, Matrix] = {}
+        q = window.quiver
         f = window.field
-        for a in window.quiver.arrows:
+        pos = q.vertex_index
+        # the support and the arrows inside it, in window order, kept once:
+        # representations are never mutated
+        self.support = tuple(sorted((v for v, d in dims.items() if d and v in pos),
+                                    key=pos.__getitem__))
+        self.dims = dict.fromkeys(q.vertices, 0)
+        for v in self.support:
+            self.dims[v] = int(dims[v])
+        d = self.dims
+        self.support_arrows = tuple(sorted(
+            (a for v in self.support for a in q.out_arrows[v] if d[a.tgt]),
+            key=lambda a: q.arrow_index[a.name]))
+        self.maps: dict[str, Matrix] = _Blocks(f, d, d, q.arrow_by_name)
+        for a in self.support_arrows:
             m = maps.get(a.name)
             if m is None:
-                m = Matrix.zeros(f, self.dims[a.src], self.dims[a.tgt])
-            assert (m.rows, m.cols) == (self.dims[a.src], self.dims[a.tgt]), (
-                a.name, m.rows, m.cols, self.dims[a.src], self.dims[a.tgt])
+                m = Matrix.zeros(f, d[a.src], d[a.tgt])
             self.maps[a.name] = m
+        for name, m in maps.items():
+            a = q.arrow_by_name[name]
+            assert (m.rows, m.cols) == (d[a.src], d[a.tgt]), (
+                name, m.rows, m.cols, d[a.src], d[a.tgt])
         # cert = ("proj"|"inj", vertex tuple): this rep is literally the direct
         # sum of standard projectives/injectives at those vertices, in order
         self.cert = cert
@@ -83,10 +134,10 @@ class Rep:
         return self.window.field
 
     def total_dim(self) -> int:
-        return sum(self.dims.values())
+        return sum(self.dims[v] for v in self.support)
 
     def is_zero(self) -> bool:
-        return self.total_dim() == 0
+        return not self.support
 
     def act(self, p: Path) -> Matrix:
         """Matrix of the path action M(p): M(p.tgt) -> M(p.src)."""
@@ -119,29 +170,29 @@ class Rep:
         return acc
 
     def check_relations(self):
+        # a relation x -> y acts as an empty matrix unless M(x) and M(y) are nonzero
         for rel in self.window.relations:
-            m = self.act_terms(rel.terms)
-            assert m.is_zero(), f"relation violated: {rel}"
-
-    def support(self) -> list[str]:
-        return [v for v in self.window.quiver.vertices if self.dims[v] > 0]
+            if self.dims[rel.src] and self.dims[rel.tgt]:
+                m = self.act_terms(rel.terms)
+                assert m.is_zero(), f"relation violated: {rel}"
 
     @cached_property
     def block_offsets(self) -> list[dict[str, int]]:
-        """Per certified block, its first coordinate in M(x) for every vertex x
-        (computed once: representations are never mutated)."""
+        """Per certified block, its first coordinate in M(x) for every vertex
+        x of the support (computed once: representations are never mutated)."""
         kind, verts = self.cert
-        w = self.window
+        std = PROJECTIVE if kind == "proj" else INJECTIVE
         offs = []
-        run = {x: 0 for x in w.quiver.vertices}
+        run = dict.fromkeys(self.support, 0)
         for v in verts:
             offs.append(dict(run))
-            for x in w.quiver.vertices:
-                run[x] += w.hom(x, v).dim if kind == "proj" else w.hom(v, x).dim
+            block = std_module(self.window, v, std)
+            for x in block.support:
+                run[x] += block.dims[x]
         return offs
 
     def __repr__(self):
-        sup = {v: d for v, d in self.dims.items() if d}
+        sup = {v: self.dims[v] for v in self.support}
         return f"Rep({sup}{' cert=' + str(self.cert) if self.cert else ''})"
 
 
@@ -153,29 +204,37 @@ class RepMap:
             raise WindowMismatch("representations live over different windows")
         self.source = source
         self.target = target
-        self.comps: dict[str, Matrix] = {}
+        sd, td = source.dims, target.dims
         f = source.field
-        for v in source.window.quiver.vertices:
-            m = comps.get(v)
-            if m is None:
-                m = Matrix.zeros(f, target.dims[v], source.dims[v])
-            assert (m.rows, m.cols) == (target.dims[v], source.dims[v]), v
-            self.comps[v] = m
+        self.comps: dict[str, Matrix] = _Blocks(f, td, sd)
+        for v in (source.support if len(source.support) <= len(target.support)
+                  else target.support):
+            if sd[v] and td[v]:
+                m = comps.get(v)
+                if m is None:
+                    m = Matrix.zeros(f, td[v], sd[v])
+                self.comps[v] = m
+        for v, m in comps.items():
+            assert (m.rows, m.cols) == (td[v], sd[v]), v
         if validate:
             assert self.is_natural(), "naturality fails"
 
     def is_natural(self) -> bool:
+        # both sides of the square at a: x -> y are N(x) x M(y) matrices
         M, N = self.source, self.target
-        for a in M.window.quiver.arrows:
-            left = N.maps[a.name] @ self.comps[a.tgt]
-            right = self.comps[a.src] @ M.maps[a.name]
-            if left != right:
-                return False
+        for v in N.support:
+            for a in M.window.quiver.out_arrows[v]:
+                if M.dims[a.tgt]:
+                    left = N.maps[a.name] @ self.comps[a.tgt]
+                    right = self.comps[a.src] @ M.maps[a.name]
+                    if left != right:
+                        return False
         return True
 
     def then(self, other: "RepMap") -> "RepMap":
         assert self.target is other.source or self.target.dims == other.source.dims
-        comps = {v: other.comps[v] @ self.comps[v] for v in self.comps}
+        out = other.target.dims
+        comps = {v: other.comps[v] @ m for v, m in self.comps.items() if out[v]}
         return RepMap(self.source, other.target, comps)
 
     def is_zero(self) -> bool:
@@ -189,11 +248,11 @@ class RepMap:
 
     def __add__(self, other: "RepMap") -> "RepMap":
         return RepMap(self.source, self.target,
-                      {v: self.comps[v] + other.comps[v] for v in self.comps})
+                      {v: m + other.comps[v] for v, m in self.comps.items()})
 
     def __sub__(self, other: "RepMap") -> "RepMap":
         return RepMap(self.source, self.target,
-                      {v: self.comps[v] - other.comps[v] for v in self.comps})
+                      {v: m - other.comps[v] for v, m in self.comps.items()})
 
     def scale(self, c) -> "RepMap":
         return RepMap(self.source, self.target,
@@ -204,7 +263,7 @@ class RepMap:
 
 
 def identity_map(M: Rep) -> RepMap:
-    return RepMap(M, M, {v: Matrix.identity(M.field, M.dims[v]) for v in M.dims})
+    return RepMap(M, M, {v: Matrix.identity(M.field, M.dims[v]) for v in M.support})
 
 
 def zero_rep(w: Window) -> Rep:
@@ -221,11 +280,14 @@ def _sum_object(parts: list[Rep]) -> Rep:
     w = parts[0].window
     from .linalg import direct_sum as mat_direct_sum
 
-    dims = {v: sum(p.dims[v] for p in parts) for v in w.quiver.vertices}
-    maps = {
-        a.name: mat_direct_sum([p.maps[a.name] for p in parts])
-        for a in w.quiver.arrows
-    }
+    dims: dict[str, int] = {}
+    names: dict[str, None] = {}
+    for p in parts:
+        for v in p.support:
+            dims[v] = dims.get(v, 0) + p.dims[v]
+        names.update(dict.fromkeys(a.name for a in p.support_arrows))
+    # an arrow inside no part's support gets the zero block from Rep
+    maps = {name: mat_direct_sum([p.maps[name] for p in parts]) for name in names}
     cert = None
     kinds = {p.cert[0] for p in parts if p.cert is not None}
     if all(p.cert is not None for p in parts) and len(kinds) == 1:
@@ -246,16 +308,24 @@ def std_module(w: Window, v: str, kind: str) -> Rep:
     if kind == SIMPLE:
         rep = Rep(w, {v: 1}, {}, validate=False)
     elif kind == PROJECTIVE:
-        dims = {x: w.hom(x, v).dim for x in w.quiver.vertices}
+        # P(v) lives on the vertices with a nonzero hom to v, all of which reach v
+        q = w.quiver
+        dims = {x: w.hom(x, v).dim
+                for x in sorted(q.ancestors(v), key=q.vertex_index.__getitem__)}
         maps = {}
-        for a in w.quiver.arrows:
-            hx, hy = w.hom(a.src, v), w.hom(a.tgt, v)
-            m = Matrix.zeros(f, hx.dim, hy.dim)
-            for j, p in enumerate(hy.basis):
-                col = hx.expand_path(Path(a.src, v, (a.name,) + p.arrows))
-                for i, c in enumerate(col):
-                    m.data[i * hy.dim + j] = c
-            maps[a.name] = m
+        for x, dx in dims.items():
+            if not dx:
+                continue
+            for a in q.out_arrows[x]:
+                if not dims.get(a.tgt):
+                    continue
+                hx, hy = w.hom(a.src, v), w.hom(a.tgt, v)
+                m = Matrix.zeros(f, hx.dim, hy.dim)
+                for j, p in enumerate(hy.basis):
+                    col = hx.expand_path(Path(a.src, v, (a.name,) + p.arrows))
+                    for i, c in enumerate(col):
+                        m.data[i * hy.dim + j] = c
+                maps[a.name] = m
         rep = Rep(w, dims, maps, validate=False, cert=("proj", (v,)))
     elif kind == INJECTIVE:
         # dual of the standard projective at v over the opposite window
@@ -271,11 +341,11 @@ def std_module(w: Window, v: str, kind: str) -> Rep:
 def dualize(M: Rep) -> Rep:
     """The dual module over the opposite window: spaces dualized, matrices transposed."""
     op = M.window.opposite()
-    maps = {a.name: M.maps[a.name].transpose() for a in M.window.quiver.arrows}
+    maps = {name: m.transpose() for name, m in M.maps.items()}
     cert = None
     if M.cert is not None:
         cert = ("inj" if M.cert[0] == "proj" else "proj", M.cert[1])
-    return Rep(op, dict(M.dims), maps, validate=False, cert=cert)
+    return Rep(op, {v: M.dims[v] for v in M.support}, maps, validate=False, cert=cert)
 
 
 def dualize_map(fm: RepMap) -> RepMap:
@@ -307,13 +377,14 @@ def inj_sum(w: Window, vertices) -> Rep:
 def yoneda_map(P: Rep, v: str, N: Rep, vec: list) -> dict[str, Matrix]:
     """Components of the map P(v) -> N determined by vec in N(v) (Yoneda).
 
-    Returns plain component matrices at the vertices x with hom(x, v) != 0
-    (elsewhere P(v) is zero).  Path actions are applied as matrix-vector
-    products with shared suffixes, so the cost is one small product per
-    distinct subpath into v.
+    Returns plain component matrices at the vertices x of the support of
+    P(v) where N(x) is nonzero (elsewhere the component is empty).  Path
+    actions are applied as matrix-vector products with shared suffixes, so
+    the cost is one small product per distinct subpath into v.
     """
     w = P.window
     f = w.field
+    Pv = std_module(w, v, PROJECTIVE)
     memo: dict[tuple[str, ...], list] = {(): list(vec)}
 
     def apply_path(arrows: tuple[str, ...]) -> list:
@@ -324,10 +395,10 @@ def yoneda_map(P: Rep, v: str, N: Rep, vec: list) -> dict[str, Matrix]:
         return got
 
     comps = {}
-    for x in w.quiver.vertices:
-        hb = w.hom(x, v)
-        if hb.dim == 0:
+    for x in Pv.support:
+        if not N.dims[x]:
             continue
+        hb = w.hom(x, v)
         m = Matrix.zeros(f, N.dims[x], hb.dim)
         for j, p in enumerate(hb.basis):
             col = apply_path(p.arrows)
@@ -341,14 +412,17 @@ def _yoneda_write(P: Rep, N: Rep, vecs: list) -> RepMap:
     """The map out of a certified projective sum P = ⊕ P(v_b) whose value at
     block b's identity path is vecs[b] in N(v_b), or zero where vecs[b] is
     None.  The one place a map out of a projective sum is written."""
-    w = P.window
-    comps = {x: Matrix.zeros(w.field, N.dims[x], P.dims[x]) for x in w.quiver.vertices}
+    fld = P.field
+    comps: dict[str, Matrix] = {}
     for b, (v, vec) in enumerate(zip(P.cert[1], vecs, strict=True)):
         if vec is None:
             continue
         offs = P.block_offsets[b]
         for x, src in yoneda_map(P, v, N, vec).items():
-            dst, bd = comps[x], src.cols
+            dst = comps.get(x)
+            if dst is None:
+                dst = comps[x] = Matrix.zeros(fld, N.dims[x], P.dims[x])
+            bd = src.cols
             for i in range(src.rows):
                 base = i * dst.cols + offs[x]
                 dst.data[base:base + bd] = src.data[i * bd:(i + 1) * bd]
@@ -399,24 +473,31 @@ def hom_basis_generic(M: Rep, N: Rep) -> tuple[int, list[RepMap]]:
     if M.window is not N.window:
         raise WindowMismatch("hom between different windows")
     w = M.window
+    q = w.quiver
     f = w.field
+    # unknowns φ_v on the vertices where M and N are both nonzero
     offsets = {}
     nvars = 0
-    for v in w.quiver.vertices:
-        offsets[v] = nvars
-        nvars += N.dims[v] * M.dims[v]
+    for v in M.support:
+        if N.dims[v]:
+            offsets[v] = nvars
+            nvars += N.dims[v] * M.dims[v]
     if nvars == 0:
         return 0, []
-    # N(a)·φ_y = φ_x·M(a) for every arrow a: x -> y
+    # N(a)·φ_y = φ_x·M(a) for every arrow a: x -> y; its rows are indexed by
+    # N(x) x M(y), so only arrows from the support of N into that of M have
+    # any, and the offset of an empty unknown block is never read
+    arrows = sorted((a for x in N.support for a in q.out_arrows[x] if M.dims[a.tgt]),
+                    key=lambda a: q.arrow_index[a.name])
     eqs = []
-    for a in w.quiver.arrows:
-        eqs += _naturality_rows(N.maps[a.name], offsets[a.tgt], offsets[a.src],
-                                M.maps[a.name], f.zero)
+    for a in arrows:
+        eqs += _naturality_rows(N.maps[a.name], offsets.get(a.tgt, 0),
+                                offsets.get(a.src, 0), M.maps[a.name], f.zero)
     sols = sparse_kernel(eqs, nvars, f)
     basis = []
     for vec in sols:
         comps = {}
-        for v in w.quiver.vertices:
+        for v in offsets:
             nv, mv = N.dims[v], M.dims[v]
             m = Matrix.zeros(f, nv, mv)
             base = offsets[v]
@@ -470,10 +551,8 @@ def hom_coords(basis: list[RepMap], f: RepMap) -> list:
         return [c for val in _yoneda_read(f) for c in val]
     # generic: solve against the flattened basis
     def flatten(g: RepMap):
-        out = []
-        for v in w.quiver.vertices:
-            out.extend(g.comps[v].data)
-        return out
+        # every map M -> N stores the same blocks, in vertex order
+        return [c for m in g.comps.values() for c in m.data]
 
     cols = [flatten(g) for g in basis]
     n = len(cols[0])
@@ -525,13 +604,13 @@ def kernel_with_inclusion(f: RepMap) -> tuple[Rep, RepMap]:
     """Just the kernel subrepresentation and its inclusion (cheaper than
     a full factorization when only the kernel is needed)."""
     M = f.source
-    w = M.window
-    kbases = {v: kernel_basis(f.comps[v]) for v in w.quiver.vertices}
+    kbases = {v: kernel_basis(f.comps[v]) for v in M.support}
     kdims = {v: kbases[v].cols for v in kbases}
     kmaps = {}
-    for a in w.quiver.arrows:
-        kmaps[a.name] = coords_in_basis(kbases[a.src], M.maps[a.name] @ kbases[a.tgt])
-    K = Rep(w, kdims, kmaps, validate=False)
+    for a in M.support_arrows:
+        if kdims[a.src] and kdims[a.tgt]:
+            kmaps[a.name] = coords_in_basis(kbases[a.src], M.maps[a.name] @ kbases[a.tgt])
+    K = Rep(M.window, kdims, kmaps, validate=False)
     return K, RepMap(K, M, {v: kbases[v] for v in kbases})
 
 
@@ -541,12 +620,13 @@ def cokernel_with_projection(f: RepMap) -> tuple[Rep, RepMap]:
     N = f.target
     w = N.window
     cdims, cprojs, csects = {}, {}, {}
-    for v in w.quiver.vertices:
+    for v in N.support:
         # the quotient depends only on the column space of f.comps[v]
         proj, sect = _quotient_projection(w.field, f.comps[v])
         cdims[v] = proj.rows
         cprojs[v], csects[v] = proj, sect
-    cmaps = {a.name: cprojs[a.src] @ (N.maps[a.name] @ csects[a.tgt]) for a in w.quiver.arrows}
+    cmaps = {a.name: cprojs[a.src] @ (N.maps[a.name] @ csects[a.tgt])
+             for a in N.support_arrows if cdims[a.src] and cdims[a.tgt]}
     C = Rep(w, cdims, cmaps, validate=False)
     return C, RepMap(N, C, cprojs)
 
@@ -554,13 +634,13 @@ def cokernel_with_projection(f: RepMap) -> tuple[Rep, RepMap]:
 def map_factor(f: RepMap) -> Factorization:
     """Vertexwise exact kernel, image, and cokernel with induced arrow actions."""
     M, N = f.source, f.target
-    w = M.window
     K, ker_incl = kernel_with_inclusion(f)
-    ibases = {v: column_space_basis(f.comps[v]) for v in w.quiver.vertices}
+    # the image lives where f has a stored block
+    ibases = {v: column_space_basis(m) for v, m in f.comps.items()}
     idims = {v: ibases[v].cols for v in ibases}
     imaps = {a.name: coords_in_basis(ibases[a.src], N.maps[a.name] @ ibases[a.tgt])
-             for a in w.quiver.arrows}
-    I = Rep(w, idims, imaps, validate=False)
+             for a in N.support_arrows if idims.get(a.src) and idims.get(a.tgt)}
+    I = Rep(M.window, idims, imaps, validate=False)
     im_incl = RepMap(I, N, {v: ibases[v] for v in ibases})
     im_epi = RepMap(M, I, {v: coords_in_basis(ibases[v], f.comps[v]) for v in ibases})
     C, coker_proj = cokernel_with_projection(f)
@@ -604,14 +684,11 @@ def kernel_as_projectives(f: RepMap) -> tuple[tuple[str, ...], RepMap]:
 def radical_subspaces(M: Rep) -> dict[str, Matrix]:
     """Per vertex, a column basis of rad M(v) = sum of images of arrows out of v."""
     w = M.window
-    out = {}
-    for v in w.quiver.vertices:
-        outs = [M.maps[a.name] for a in w.quiver.out_arrows[v] if M.dims[a.tgt] > 0]
-        if not outs or M.dims[v] == 0:
-            out[v] = Matrix.zeros(w.field, M.dims[v], 0)
-        else:
-            out[v] = column_space_basis(hstack(outs))
-    return out
+    outs: dict[str, list[Matrix]] = {v: [] for v in M.support}
+    for a in M.support_arrows:
+        outs[a.src].append(M.maps[a.name])
+    return {v: column_space_basis(hstack(ms)) if ms else Matrix.zeros(w.field, M.dims[v], 0)
+            for v, ms in outs.items()}
 
 
 def top_generators(M: Rep) -> list[tuple[str, list]]:
@@ -620,10 +697,8 @@ def top_generators(M: Rep) -> list[tuple[str, list]]:
     fld = w.field
     gens = []
     rads = radical_subspaces(M)
-    for v in w.quiver.vertices:
+    for v in M.support:
         n = M.dims[v]
-        if n == 0:
-            continue
         r = rads[v]
         if r.cols == n:
             continue
@@ -646,7 +721,7 @@ def projective_cover(M: Rep) -> tuple[Rep, RepMap]:
         assert M.is_zero(), "nonzero module with zero top"
         return P, zero_map(P, M)
     cover = _yoneda_write(P, M, [vec for _, vec in gens])
-    for v in w.quiver.vertices:  # covers are epi over acyclic windows
+    for v in M.support:  # covers are epi over acyclic windows
         assert rank(cover.comps[v]) == M.dims[v], "cover not surjective"
     return P, cover
 
@@ -913,9 +988,8 @@ def _eigen_candidates(M: Rep, h: RepMap) -> list:
         return [fld(i) for i in range(fld.p)]
     assert isinstance(fld, RationalField)
     lams = set()
-    for v in M.window.quiver.vertices:
-        if M.dims[v]:
-            lams.update(_rational_roots(_char_poly(fld, h.comps[v])))
+    for v in M.support:
+        lams.update(_rational_roots(_char_poly(fld, h.comps[v])))
     return [fld(l) for l in sorted(lams)]
 
 
@@ -941,10 +1015,9 @@ def _try_split(M: Rep, h: RepMap) -> tuple[RepMap, RepMap, RepMap, RepMap] | Non
     if kd == 0 or idm == 0:
         return None
     # M = ker + im vertexwise; build the projections along the sum
-    w = M.window
-    fld = w.field
+    fld = M.field
     projK, projI = {}, {}
-    for v in w.quiver.vertices:
+    for v in M.support:
         kb, ib = fac.ker_incl.comps[v], fac.im_incl.comps[v]
         both = hstack([kb, ib])
         assert both.rows == both.cols == M.dims[v], "Fitting split failed"
@@ -1044,7 +1117,8 @@ def restrict(M: Rep, target: Window, vertex_map: dict[str, str],
         if p.src != vertex_map[a.src] or p.tgt != vertex_map[a.tgt]:
             raise NotFunctorial(f"arrow {a.name} maps to a non-parallel path")
     dims = {v: M.dims[vertex_map[v]] for v in target.quiver.vertices}
-    maps = {a.name: M.act(arrow_map[a.name]) for a in target.quiver.arrows}
+    maps = {a.name: M.act(arrow_map[a.name]) for a in target.quiver.arrows
+            if dims[a.src] and dims[a.tgt]}
     out = Rep(target, dims, maps, validate=False)
     for rel in target.relations:
         acc = None
@@ -1135,8 +1209,12 @@ def extract_proj_coords(f: RepMap):
     for i, wt in enumerate(Q.cert[1]):
         row = []
         for j, vs in enumerate(P.cert[1]):
+            d = w.hom(vs, wt).dim
+            if not d:  # vs may lie outside Q's support
+                row.append(None)
+                continue
             start = qoffs[i][vs]
-            coords = vals[j][start:start + w.hom(vs, wt).dim]
+            coords = vals[j][start:start + d]
             row.append(None if all(c == zero for c in coords) else (vs, wt, coords))
         entries.append(row)
     return entries
@@ -1150,7 +1228,10 @@ def realize_proj_coords(P: Rep, Q: Rep, entries) -> RepMap:
     qoffs = Q.block_offsets
     vecs = []
     for j, vs in enumerate(P.cert[1]):
-        cells = [(qoffs[i][vs], row[j][2]) for i, row in enumerate(entries) if row[j] is not None]
+        # a cell without coordinates has hom(vs, t) = 0, and vs may lie
+        # outside Q's support
+        cells = [(qoffs[i][vs], row[j][2]) for i, row in enumerate(entries)
+                 if row[j] is not None and row[j][2]]
         vec = [zero] * Q.dims[vs] if cells else None
         for start, coords in cells:
             vec[start:start + len(coords)] = coords

@@ -372,7 +372,9 @@ def _nakayama_functoriality_check(w: Window) -> bool:
                 comp_coords = w.compose_coords(x, y, z, f.entries[0][0], g.entries[0][0])
                 ngf = realize_inj_coords(w, (x,), (z,), [[comp_coords]])
                 lhs = nf.then(RepMap(nf.target, ng.target, ng.comps))
-                if not all(lhs.comps[v] == ngf.comps[v] for v in w.quiver.vertices):
+                # both store the blocks where I(x) and I(z) are nonzero, and
+                # every other block of either is empty
+                if lhs.comps != ngf.comps:
                     return False
     return True
 
@@ -453,7 +455,7 @@ def check_dualizing(w: Window, strict_boundary: bool = False) -> Report:
             except EndNotSplit:
                 report.fail(f"pseudo{side}({a.name})", "representable", "EndNotSplit")
 
-    for v in sorted(interior, key=lambda v: w.quiver.vertices.index(v)):
+    for v in sorted(interior, key=w.quiver.vertex_index.__getitem__):
         checks = [
             (f"I({v}) finitely presented", std_module(w, v, INJECTIVE), PROJECTIVE),
             (f"P({v}) cofinitely presented", std_module(w, v, PROJECTIVE), INJECTIVE),

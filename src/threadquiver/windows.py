@@ -162,7 +162,7 @@ class Window:
             # successor of x other than y (whose hom needs no other) is
             # missing, nearest y first, and no build recurses along a path.
             for a in q.out_arrows[x]:
-                if a.tgt != y and (a.tgt, y) not in cache and y in q.reachable_from(a.tgt):
+                if a.tgt != y and (a.tgt, y) not in cache and q.reaches(a.tgt, y):
                     for z in q.between(x, y)[:-1]:
                         if (z, y) not in cache:
                             self.hom(z, y)

@@ -7,6 +7,7 @@ zero, and its linearly oriented cousin.
 """
 
 import random
+from functools import lru_cache
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -164,10 +165,15 @@ def comm_grid_window(n, field=QQ):
     return window_from_quiver(q, rels, field=field, name=f"grid{n}")
 
 
-def fixture_windows(depths):
-    """(label, window) for every fixture file expanded at each depth."""
+def fixture_windows(depths, fixtures=FIXTURES):
+    """(label, window) for every fixture file expanded at each depth.
+    Raises FileNotFoundError when the directory holds no `.tq` file, so a
+    sweep parametrized by it fails instead of collecting no case."""
+    paths = sorted(Path(fixtures).glob("*.tq"))
+    if not paths:
+        raise FileNotFoundError(f"no .tq fixture files in {fixtures}")
     out = []
-    for path in sorted(FIXTURES.glob("*.tq")):
+    for path in paths:
         tq = parse_tq(path.read_text())
         for d in depths:
             out.append((f"{path.stem}@{d}", expand(tq, d)))
@@ -330,11 +336,25 @@ def cohomology_dims(dims, diffs):
     return {n: dims[n] - ranks[n] - ranks.get(n - 1, 0) for n in dims}
 
 
+@lru_cache(maxsize=64)
+def all_pairs_reach(q):
+    """Oracle for `Quiver.reaches`: every vertex's set of reachable vertices
+    (itself included), built at once along a reverse topological sweep."""
+    reach = {}
+    for v in reversed(q.topological_order()):
+        acc = {v}
+        for a in q.out_arrows[v]:
+            acc |= reach[a.tgt]
+        reach[v] = acc
+    return reach
+
+
 def enumerate_paths(q, x, y, max_len):
     """All paths x -> y of length <= max_len, sorted by (length, arrow names)."""
     assert x in q.vertex_set and y in q.vertex_set
     out = []
-    if y not in q.reachable_from(x):
+    reach = all_pairs_reach(q)
+    if y not in reach[x]:
         return out
 
     def walk(v, acc):
@@ -343,7 +363,7 @@ def enumerate_paths(q, x, y, max_len):
         if len(acc) == max_len:
             return
         for a in q.out_arrows[v]:
-            if y in q.reachable_from(a.tgt):
+            if y in reach[a.tgt]:
                 acc.append(a.name)
                 walk(a.tgt, acc)
                 acc.pop()

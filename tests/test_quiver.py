@@ -1,5 +1,9 @@
+import random
+import re
+
 import pytest
 from conftest import (
+    all_pairs_reach,
     comm_grid_window,
     enumerate_paths,
     fixture_windows,
@@ -138,10 +142,68 @@ def test_hom_rejects_cycles():
 
 
 def test_reachable_from_rejects_cycles():
+    # the reachability queries `reaches`, `ancestors` and `between`
     q = Quiver(["a", "b"], [("f", "a", "b"), ("g", "b", "a")])
     for _ in range(2):  # the cycle is not cached as an answer
-        with pytest.raises(NonAcyclic):
-            q.reachable_from("a")
+        for query in (lambda: q.reaches("a", "b"), lambda: q.ancestors("a"),
+                      lambda: q.between("a", "b")):
+            with pytest.raises(NonAcyclic):
+                query()
+
+
+def assert_reach_matches_oracle(q):
+    """`reaches`, `ancestors` and `between` against the all-pairs sets."""
+    reach = all_pairs_reach(q)
+    for x in q.vertices:
+        for y in q.vertices:
+            assert q.reaches(x, y) == (y in reach[x]), (x, y)
+            on_path = {z for z in reach[x] if y in reach[z]}
+            assert set(q.between(x, y)) == on_path, (x, y)
+            level = q._levels()
+            assert q.ancestors(y, start=x) == {y} | {
+                z for z in q.vertices if y in reach[z] and level[z] >= level[x]}
+        assert q.ancestors(x) == {z for z in q.vertices if x in reach[z]}
+
+
+@st.composite
+def shuffled_dags(draw):
+    """A random DAG whose vertex list is not in topological order: arrows
+    run forward in a hidden ranking, and the names are listed shuffled."""
+    n = draw(st.integers(1, 8))
+    rank_of = draw(st.permutations(range(n)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14))
+    arrows = [(f"e{k}", f"v{i}", f"v{j}") for k, (i, j) in enumerate(pairs)
+              if rank_of[i] < rank_of[j]]
+    order = [f"v{i}" for i in range(n)]
+    random.Random(draw(st.integers(0, 2**16))).shuffle(order)
+    return Quiver(order, arrows)
+
+
+@given(shuffled_dags())
+@settings(max_examples=80, deadline=None)
+def test_reaches_matches_all_pairs_oracle_on_random_dags(q):
+    assert_reach_matches_oracle(q)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_reaches_matches_all_pairs_oracle_on_fixtures(depth):
+    for _, w in fixture_windows([depth]):
+        assert_reach_matches_oracle(w.quiver)
+        assert_reach_matches_oracle(w.opposite().quiver)
+
+
+def test_reaches_and_between_on_a_long_line():
+    n = 1200
+    q = Quiver([f"v{i}" for i in range(n)],
+               [(f"a{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)])
+    assert q.reaches("v0", f"v{n - 1}")
+    assert not q.reaches(f"v{n - 1}", "v0")
+    assert q.between("v10", "v12") == ["v12", "v11", "v10"]
+
+
+def test_fixture_windows_fails_on_an_empty_directory(tmp_path):
+    with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path))):
+        fixture_windows([0], fixtures=tmp_path)
 
 
 def random_acyclic_quiver(seed_edges):

@@ -154,7 +154,7 @@ def test_hom_basis_matches_generic_random(tq, seed, projective_side, data):
     with a standard projective source or a standard injective target."""
     w = expand(tq, 1)
     M = random_fp_rep(w, random.Random(seed), n_gens=3)
-    v = data.draw(st.sampled_from(M.support() or w.quiver.vertices))
+    v = data.draw(st.sampled_from(M.support or w.quiver.vertices))
     if projective_side:
         X, Y = std_module(w, v, PROJECTIVE), M
     else:
