@@ -728,7 +728,6 @@ def projective_cover(M: Rep) -> tuple[Rep, RepMap]:
 
 def injective_hull(M: Rep) -> tuple[Rep, RepMap]:
     """Minimal injective hull, computed as the dual of a cover over the opposite."""
-    op = M.window.opposite()
     Pop, cover = projective_cover(dualize(M))
     I = dualize(Pop)
     emb = RepMap(M, I, {v: m.transpose() for v, m in cover.comps.items()})

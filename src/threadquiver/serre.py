@@ -20,10 +20,18 @@ isomorphism over the opposite window.  The right-hand side still reads the
 realized Nakayama complex (its injective sums and transported maps), so the
 check compares two different computations rather than a matrix with its
 transpose.
+
+The evidence that every probe has finite injective dimension is read off the
+minimal projective resolutions of the window's simples, computed once per
+check: in a minimal injective resolution of X, I(u) occurs in degree i
+dim Ext^i(S(u), X) times, and the global dimension is max_u pd S(u).  Only
+when some simple's resolution is longer than the bound does each probe fall
+back to an injective resolution of its own.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import (
@@ -224,7 +232,7 @@ def _is_sum_of(cx: Complex, kind: str) -> bool:
     return all(t.cert is not None and t.cert[0] == kind for t in cx.terms)
 
 
-def _yoneda_hom_data(CX: Complex, CY: Complex) -> tuple[dict[int, int], dict[int, Matrix]]:
+def _yoneda_hom_data(CX: Complex, CY: Complex) -> tuple[dict[int, int], Callable[[int], Matrix]]:
     """The total hom complex of a complex of certified projective sums, by
     Yoneda evaluation: hom(⊕_b P(v_b), Z) = ⊕_b Z(v_b).
 
@@ -233,6 +241,8 @@ def _yoneda_hom_data(CX: Complex, CY: Complex) -> tuple[dict[int, int], dict[int
     with hom coordinates c over the paths q: u -> v induces Σ c_q·Z(q):
     Z(v) -> Z(u), so precomposing with dX is a block matrix of path actions,
     and postcomposing with dY is block diagonal with blocks dY(v_b).
+    Returns the component dimensions and a function giving the differential
+    out of a degree, so that a caller can stop at the dimensions.
     """
     w = CX.window
     fld = w.field
@@ -292,8 +302,18 @@ def _yoneda_hom_data(CX: Complex, CY: Complex) -> tuple[dict[int, int], dict[int
                               Y.act_terms(terms), sign)
         return m
 
-    diffs = {n: differential(n) for n in range(n_min, n_max + 1)}
-    return dims, diffs
+    return dims, differential
+
+
+def _hom_complex(CX: Complex, CY: Complex) -> tuple[dict[int, int], Callable[[int], Matrix]]:
+    """Component dimensions of the total hom complex and a function building
+    its differential out of a given degree; see `total_hom_data`."""
+    if _is_sum_of(CX, "proj"):
+        return _yoneda_hom_data(CX, CY)
+    if _is_sum_of(CY, "inj"):
+        return _yoneda_hom_data(dualize_complex(CY), dualize_complex(CX))
+    raise NotProjectiveCertified(
+        "total hom needs a complex of projective sums or a target of injective sums")
 
 
 def total_hom_data(CX: Complex, CY: Complex) -> tuple[dict[int, int], dict[int, Matrix]]:
@@ -305,12 +325,8 @@ def total_hom_data(CX: Complex, CY: Complex) -> tuple[dict[int, int], dict[int, 
     is computed as hom(D CY, D CX) over the opposite window, an isomorphic
     complex (same degrees, differentials equal up to transpose and sign).
     """
-    if _is_sum_of(CX, "proj"):
-        return _yoneda_hom_data(CX, CY)
-    if _is_sum_of(CY, "inj"):
-        return _yoneda_hom_data(dualize_complex(CY), dualize_complex(CX))
-    raise NotProjectiveCertified(
-        "total hom needs a complex of projective sums or a target of injective sums")
+    dims, differential = _hom_complex(CX, CY)
+    return dims, {n: differential(n) for n in dims}
 
 
 def total_hom_dims(CX: Complex, CY: Complex) -> dict[int, int]:
@@ -319,9 +335,13 @@ def total_hom_dims(CX: Complex, CY: Complex) -> dict[int, int]:
     Requires CX to consist of projectives or CY of injectives (the
     resolutions produced here always satisfy this), so homotopy classes
     compute derived homs; otherwise NotProjectiveCertified is raised.
+    A complex whose components are all zero is answered with zeros before
+    any differential is built.
     """
-    dims, diffs = total_hom_data(CX, CY)
-    ranks = {n: rank(d) for n, d in diffs.items()}
+    dims, differential = _hom_complex(CX, CY)
+    if not any(dims.values()):
+        return dict.fromkeys(dims, 0)
+    ranks = {n: rank(differential(n)) for n in dims}
     out: dict[int, int] = {}
     for n in dims:
         out[n] = dims[n] - ranks[n] - ranks.get(n - 1, 0)
@@ -352,21 +372,22 @@ def derived_hom_dim(X, Y, n: int, max_len: int = 8, forbid_boundary: bool = Fals
 def _nakayama_functoriality_check(w: Window) -> bool:
     """The Nakayama realization composes: N(b·a) = N(b)·N(a) for every
     composable pair of arrows a, b."""
-
-    def realize(arrows) -> list[tuple[VarietyMor, RepMap]]:
-        out = []
-        for arrow in arrows:
-            vm = VarietyMor.from_arrow(w, arrow.name)
-            out.append((vm, realize_inj_coords(w, vm.source, vm.target, vm.entries)))
-        return out
-
-    # pairs are grouped by their middle vertex, so only the arrows at one
-    # vertex are held realized at a time
-    for y in w.quiver.vertices:
-        if not w.quiver.in_arrows[y] or not w.quiver.out_arrows[y]:
+    q = w.quiver
+    # pairs are grouped by their middle vertex, visited in topological order:
+    # an arrow is realized once, at its source's turn, and held until its
+    # target's turn
+    held: dict[str, tuple[VarietyMor, RepMap]] = {}
+    for y in q.topological_order():
+        for arrow in q.out_arrows[y]:
+            if q.in_arrows[y] or q.out_arrows[arrow.tgt]:
+                vm = VarietyMor.from_arrow(w, arrow.name)
+                held[arrow.name] = (
+                    vm, realize_inj_coords(w, vm.source, vm.target, vm.entries))
+        ins = [held.pop(arrow.name, None) for arrow in q.in_arrows[y]]
+        if not ins or not q.out_arrows[y]:
             continue
-        outs = realize(w.quiver.out_arrows[y])
-        for f, nf in realize(w.quiver.in_arrows[y]):
+        outs = [held[arrow.name] for arrow in q.out_arrows[y]]
+        for f, nf in ins:
             for g, ng in outs:
                 x, z = f.source[0], g.target[0]
                 comp_coords = w.compose_coords(x, y, z, f.entries[0][0], g.entries[0][0])
@@ -377,6 +398,79 @@ def _nakayama_functoriality_check(w: Window) -> bool:
                 if lhs.comps != ngf.comps:
                     return False
     return True
+
+
+def _simple_resolutions(w: Window, max_len: int) -> dict[str, Complex] | None:
+    """The minimal projective resolution of every simple of the window, with
+    no boundary restriction, or None as soon as one is longer than max_len.
+
+    The window's category is a finite-dimensional algebra, so its global
+    dimension is max_u pd S(u): when every resolution fits, no module has
+    projective or injective dimension above max_len.
+    """
+    out: dict[str, Complex] = {}
+    for u in w.quiver.vertices:
+        try:
+            out[u] = resolution(std_module(w, u, SIMPLE), PROJECTIVE, max_len).complex
+        except ExceedsBound:
+            return None
+    return out
+
+
+def _boundary_terms(cx: Complex) -> list[str]:
+    boundary = cx.window.boundary
+    return sorted({v for t in cx.terms for v in t.cert[1] if v in boundary})
+
+
+def _injective_boundary_terms(X: Rep, simples: dict[str, Complex]) -> list[str]:
+    """The boundary vertices b with I(b) in the minimal injective resolution
+    of X: I(b) occurs in degree i with multiplicity dim Ext^i(S(b), X)."""
+    touched = []
+    for b in sorted(X.window.boundary):
+        res = simples[b]
+        # hom(P(v), X) = X(v), so the Ext vanishes unless a term meets X's support
+        if not any(X.dims[v] for t in res.terms for v in t.cert[1]):
+            continue
+        if any(total_hom_dims(res, one_term_complex(X)).values()):
+            touched.append(b)
+    return touched
+
+
+def _usable_probes(w: Window, test_set: list[tuple[str, Rep]], max_len: int,
+                   forbid_boundary: bool, report: Report) -> list[tuple[str, Rep, Complex]]:
+    """The probes with finite projective and injective dimension within
+    max_len, each with its minimal projective resolution.  A probe that
+    exceeds the bound fails; under forbid_boundary a probe either of whose
+    resolutions touches the boundary is skipped.  See `check_serre` for how
+    the injective side is decided."""
+    simples = _simple_resolutions(w, max_len) if test_set else None
+    usable = []
+    for label, X in test_set:
+        try:
+            if simples is None:
+                res = resolution(X, PROJECTIVE, max_len, forbid_boundary).complex
+                resolution(X, INJECTIVE, max_len, forbid_boundary)
+            else:
+                if X.total_dim() == 1:  # the simple at its one vertex
+                    res = simples[X.support[0]]
+                else:
+                    res = resolution(X, PROJECTIVE, max_len, forbid_boundary).complex
+                if forbid_boundary:
+                    touched = _boundary_terms(res) or _injective_boundary_terms(X, simples)
+                    if touched:
+                        raise BoundaryContaminated(
+                            f"resolution touches boundary vertices {touched}")
+        except ExceedsBound:
+            report.fail(f"pd/id({label})", f"<= {max_len}", "ExceedsBound")
+            continue
+        except BoundaryContaminated:
+            # the probe's resolution leans on truncation artifacts: it carries
+            # no evidence either way, so it is skipped rather than failed
+            report.skipped += 1
+            continue
+        report.tally()
+        usable.append((label, X, res))
+    return usable
 
 
 def check_serre(
@@ -391,33 +485,27 @@ def check_serre(
     For every pair X, Y and shift n in range, asserts
     dim RHom^n(X, Y) = dim RHom^{-n}(Y, SX), plus finite projective and
     injective dimension of every probe (within max_len).
+
+    The injective side is read off the minimal projective resolutions of
+    the window's simples, computed once: when all of them fit in max_len,
+    the global dimension bounds every probe's injective dimension, and
+    I(u) occurs in degree i of a probe X's minimal injective resolution
+    dim Ext^i(S(u), X) times, so under forbid_boundary X is skipped exactly
+    when that Ext is nonzero at a boundary vertex u.  A simple probe takes
+    its simple's resolution as its projective one.  When some simple's
+    resolution is longer than max_len, every probe falls back to resolving
+    X both projectively and injectively.  The rule reads only the window
+    and max_len.
     """
     report = Report("serre-check")
     if shifts is None:
         shifts = range(-max_len, max_len + 1)
-    resolved: dict[str, Complex] = {}
-    images: dict[str, Complex] = {}
-    usable: list[tuple[str, Rep]] = []
-    for label, X in test_set:
-        try:
-            res = resolution(X, PROJECTIVE, max_len, forbid_boundary)
-            resolution(X, INJECTIVE, max_len, forbid_boundary)
-        except ExceedsBound:
-            report.fail(f"pd/id({label})", f"<= {max_len}", "ExceedsBound")
-            continue
-        except BoundaryContaminated:
-            # the probe's resolution leans on truncation artifacts: it carries
-            # no evidence either way, so it is skipped rather than failed
-            report.skipped += 1
-            continue
-        report.tally()
-        resolved[label] = res.complex
-        images[label] = nakayama(res.complex)
-        usable.append((label, X))
-    for xl, X in usable:
-        for yl, Y in usable:
-            left = total_hom_dims(resolved[xl], one_term_complex(Y))
-            right = total_hom_dims(resolved[yl], images[xl])
+    usable = _usable_probes(w, test_set, max_len, forbid_boundary, report)
+    images = {label: nakayama(res) for label, _, res in usable}
+    for xl, _, res_x in usable:
+        for yl, Y, res_y in usable:
+            left = total_hom_dims(res_x, one_term_complex(Y))
+            right = total_hom_dims(res_y, images[xl])
             for n in shifts:
                 report.tally()
                 ln, rn = left.get(n, 0), right.get(-n, 0)

@@ -13,11 +13,21 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from threadquiver.dsl import parse_tq
+from threadquiver.errors import BoundaryContaminated, ExceedsBound
 from threadquiver.linalg import QQ, Matrix, rank, rref
 from threadquiver.orders import INT, NAT, NEG_NAT, Fin
 from threadquiver.quiver import Path as QPath
 from threadquiver.quiver import Quiver, Relation
-from threadquiver.reps import RepMap, hom_basis, hom_coords, map_factor, proj_sum
+from threadquiver.reps import (
+    INJECTIVE,
+    PROJECTIVE,
+    RepMap,
+    hom_basis,
+    hom_coords,
+    map_factor,
+    proj_sum,
+    resolution,
+)
 from threadquiver.windows import ThreadQuiver, expand, window_from_quiver
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -274,6 +284,26 @@ def basis_route_hom_data(CX, CY):
         return m
 
     return dims, {n: differential(n) for n in range(n_min, n_max + 1)}
+
+
+def per_probe_usable_probes(w, test_set, max_len, forbid_boundary, report):
+    """Differential oracle for `serre._usable_probes`: every probe resolved
+    both projectively and injectively, each resolution refusing the boundary
+    under forbid_boundary, and the injective one thrown away."""
+    usable = []
+    for label, X in test_set:
+        try:
+            res = resolution(X, PROJECTIVE, max_len, forbid_boundary)
+            resolution(X, INJECTIVE, max_len, forbid_boundary)
+        except ExceedsBound:
+            report.fail(f"pd/id({label})", f"<= {max_len}", "ExceedsBound")
+            continue
+        except BoundaryContaminated:
+            report.skipped += 1
+            continue
+        report.tally()
+        usable.append((label, X, res.complex))
+    return usable
 
 
 def per_vertex_realize_proj_coords(P, Q, entries):

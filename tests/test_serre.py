@@ -1,10 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
 from conftest import (
+    FIXTURES,
     ainf_rad2_window,
     basis_route_hom_data,
     cohomology_dims,
+    comm_grid_window,
+    enumerate_paths,
+    fixture_windows,
+    per_probe_usable_probes,
     random_fp_rep,
     star_tail_window,
     tq_comm_square,
@@ -13,12 +19,14 @@ from conftest import (
     tq_z_thread,
     zigzag_window,
 )
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_windows import random_thread_quivers
 
+import threadquiver.serre as serre
+from threadquiver.dsl import parse_tq
 from threadquiver.errors import ExceedsBound, NotProjectiveCertified
-from threadquiver.quiver import Quiver
+from threadquiver.quiver import Quiver, Relation
 from threadquiver.reps import (
     INJECTIVE,
     PROJECTIVE,
@@ -422,7 +430,6 @@ def test_total_hom_needs_a_certified_side():
 def test_check_serre_fails_without_the_nakayama_transport(monkeypatch):
     # the right-hand side must read the realized transport: with every
     # transported differential zeroed the dimensions disagree
-    import threadquiver.serre as serre
     from threadquiver.reps import RepMap, inj_sum
 
     def zero_transport(w, src_verts, tgt_verts, entries):
@@ -438,8 +445,6 @@ def test_check_serre_fails_without_the_nakayama_transport(monkeypatch):
 def test_nakayama_functoriality_checks_every_pair(monkeypatch):
     # A4 has the composable pairs (a, b) and (b, c); corrupting the transport
     # of the second composite only is still caught
-    import threadquiver.serre as serre
-
     q = Quiver(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
     w = window_from_quiver(q, name="A4")
     real = serre.realize_inj_coords
@@ -466,3 +471,97 @@ def test_check_dualizing_lets_bugs_propagate(monkeypatch):
     monkeypatch.setattr(reps, "projective_cover", broken_cover)
     with pytest.raises(AssertionError):
         check_dualizing(a2_window())
+
+
+# -- the injective side read off the simples' resolutions ------------------------------
+
+
+def _injective_multiplicities(X, simples):
+    """{i: multiset of u with multiplicity dim Ext^i(S(u), X)}, each Ext read
+    from the shared resolution of S(u)."""
+    out = {}
+    for u, res in simples.items():
+        for i, d in total_hom_dims(res, one_term_complex(X)).items():
+            if d:
+                out.setdefault(i, Counter())[u] += d
+    return out
+
+
+def _assert_injective_terms_are_ext_from_simples(w, modules=()):
+    # a finite acyclic window has global dimension below its vertex count
+    max_len = len(w.quiver.vertices)
+    simples = serre._simple_resolutions(w, max_len)
+    assert simples is not None
+    std = [(f"{k}({v})", std_module(w, v, k))
+           for v in w.quiver.vertices for k in (PROJECTIVE, INJECTIVE, SIMPLE)]
+    for label, X in std + list(modules):
+        cx = resolution(X, INJECTIVE, max_len).complex
+        terms = {i: Counter(cx.term(i).cert[1]) for i in cx.degrees() if cx.term(i).cert[1]}
+        assert terms == _injective_multiplicities(X, simples), (w.name, label)
+
+
+FIXTURE_WINDOWS = [pytest.param(w, id=label) for label, w in fixture_windows([0, 1, 2])]
+
+
+@pytest.mark.parametrize(
+    "w",
+    FIXTURE_WINDOWS + [pytest.param(comm_grid_window(n), id=f"grid{n}") for n in (2, 3)],
+)
+def test_injective_resolution_terms_are_ext_from_simples(w):
+    _assert_injective_terms_are_ext_from_simples(w)
+
+
+@given(random_thread_quivers(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_injective_resolution_terms_are_ext_from_simples_random(tq, data):
+    # one random commutativity relation between two parallel paths
+    q = expand(tq, data.draw(st.integers(0, 1))).quiver
+    max_len = len(q.vertices) - 1
+    parallel = [
+        ps for x in q.vertices for y in q.vertices if x != y
+        for ps in [enumerate_paths(q, x, y, max_len)] if len(ps) >= 2
+    ]
+    assume(parallel)
+    p1, p2 = data.draw(st.permutations(data.draw(st.sampled_from(parallel))))[:2]
+    w = window_from_quiver(q, [Relation(((1, p1), (-1, p2)))])
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    _assert_injective_terms_are_ext_from_simples(w, [("random", random_fp_rep(w, rng))])
+
+
+@pytest.mark.parametrize("forbid_boundary", [True, False], ids=["skip", "no-skip"])
+@pytest.mark.parametrize("w", FIXTURE_WINDOWS)
+def test_check_serre_matches_per_probe_oracle(w, forbid_boundary, monkeypatch):
+    # the CLI's probe set; the oracle resolves every probe both ways
+    test_set = probes(w, interior_only=forbid_boundary)
+
+    def run():
+        r = check_serre(w, test_set, 6, forbid_boundary=forbid_boundary)
+        return r.to_json_dict(), r.checked, r.skipped
+
+    got = run()
+    monkeypatch.setattr(serre, "_usable_probes", per_probe_usable_probes)
+    assert got == run()
+
+
+def test_check_serre_resolves_injectively_only_past_the_global_dimension(monkeypatch):
+    # the route is decided by the window and max_len: mixed has global
+    # dimension 1, zigzag 3 and the radical-square-zero line 9
+    real = serre.resolution
+    calls = []
+
+    def counting(M, side, *args, **kwargs):
+        if side == INJECTIVE:
+            calls.append(M)
+        return real(M, side, *args, **kwargs)
+
+    monkeypatch.setattr(serre, "resolution", counting)
+
+    def injective_resolutions(name, depth, max_len):
+        w = expand(parse_tq((FIXTURES / f"{name}.tq").read_text()), depth)
+        calls.clear()
+        check_serre(w, probes(w), max_len)
+        return len(calls)
+
+    assert injective_resolutions("mixed", 2, 6) == 0
+    assert injective_resolutions("ainf_rad2", 2, 6) > 0
+    assert injective_resolutions("zigzag", 2, 2) > 0
