@@ -14,6 +14,7 @@ comparing with the field's zero.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DimensionMismatch
@@ -113,10 +114,10 @@ class RationalField:
 
 
 class PrimeField:
-    """Integers mod p, p prime (not verified beyond a trial division)."""
+    """Integers mod p, p prime (checked by trial division up to sqrt(p))."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, min(p, 1000)) if d * d <= p):
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"fp:{p}"

@@ -10,15 +10,22 @@ Certificates: representations built as direct sums of standard projectives
 (resp. injectives) remember the vertex list.  By Yoneda, a map out of such a
 sum P = ⊕ P(v_b) -> N is the list of its values at the blocks' identity
 paths, one vector of N(v_b) per block.  `_yoneda_write` is the one place such
-a map is written (covers, kernel inclusions, the certified branch of
-`hom_basis`, `realize_proj_coords`, and the evaluation and unit maps of
-`threads`), and `_yoneda_read` the one place it is read (`hom_coords`,
-`extract_proj_coords`); between two certified sums a value splits by target
-block into hom coordinates.  The Serre check's hom complexes are evaluated
-on the certificates directly.  `hom_basis` gives explicit bases of module
-maps where a caller needs them (`ext_dim`);
-`hom_basis_generic` always solves the naturality system from scratch and is
-kept as the independent route for cross-checking.
+a map is written, and only where a module map is needed: covers, the
+certified branch of `hom_basis`, `realize_proj_coords` and the evaluation
+map of `threads`.  `_yoneda_read` is the one place it is read (`hom_coords`,
+`extract_proj_coords`, and a summand's cover in `kernel_as_projectives`).
+Between two certified sums the values split by target block into hom
+coordinates (`split_proj_values`), and these certificate-indexed
+coordinates, entries[i][j] for P(src_j) -> P(tgt_i) or None, are the one
+coordinate form of such a map: `extract_proj_coords` reads it,
+`realize_proj_coords` writes it, and `kernel_as_projectives` (the
+inclusion of a kernel) and `threads.supp_adjoint` (a unit) split it
+straight from the values they compute, with no map written.  Hom
+complexes, and so `ext_dim`, are evaluated on the certificates directly, as
+in the Serre check.  `hom_basis` gives explicit bases of module maps (it no
+longer serves `ext_dim`; the basis route to Ext survives only as a test
+oracle), and `hom_basis_generic` always solves the naturality system from
+scratch and is kept as the independent route for cross-checking.
 
 Storage: a module keeps its blocks on its support only.  `Rep.maps` stores
 the matrices of the arrows whose two ends are nonzero and `RepMap.comps` the
@@ -663,19 +670,20 @@ def _standard_summands(M: Rep) -> list[tuple[str, RepMap, RepMap, RepMap]]:
     return out
 
 
-def kernel_as_projectives(f: RepMap) -> tuple[tuple[str, ...], RepMap]:
-    """ker f recognized as a sum of standard projectives: the vertex list and
-    the inclusion ⊕P(verts) -> source(f) through the kernel.  Raises
-    NotRepresentable when a summand of the kernel is not a standard
-    projective."""
+def kernel_as_projectives(f: RepMap) -> tuple[tuple[str, ...], list[list]]:
+    """ker f recognized as a sum of standard projectives, for f out of a
+    certified projective sum: the vertex list and the hom coordinates of the
+    inclusion ⊕P(verts) -> source(f) through the kernel, in the shape of
+    `extract_proj_coords`.  Raises NotRepresentable when a summand of the
+    kernel is not a standard projective."""
     kernel, ker_incl = kernel_with_inclusion(f)
     summands = _standard_summands(kernel)
     verts = tuple(v for v, _, _, _ in summands)
     # block v's value: the summand cover's value at the identity of v, sent
     # through the summand's inclusion into the kernel and the kernel's into f.source
-    vecs = [ker_incl.comps[v].apply(incl.comps[v].apply(_yoneda_read(cover)[0]))
+    vals = [ker_incl.comps[v].apply(incl.comps[v].apply(_yoneda_read(cover)[0]))
             for v, cover, incl, _ in summands]
-    return verts, _yoneda_write(proj_sum(f.source.window, verts), f.source, vecs)
+    return verts, split_proj_values(f.source.window, verts, f.source.cert[1], vals)
 
 
 # -- covers, hulls, resolutions -------------------------------------------------
@@ -816,8 +824,14 @@ def _check_boundary(w: Window, vertices) -> None:
 
 def resolution(M: Rep, side: str, max_len: int, forbid_boundary: bool = False) -> Resolution:
     """Minimal resolution by standard projectives (degrees -n..0) or standard
-    injectives (degrees 0..n); raises ExceedsBound past max_len syzygies."""
+    injectives (degrees 0..n); raises ExceedsBound past max_len syzygies.
+    A certified sum of standard projectives is its own resolution (and a
+    certified sum of injectives, through `dualize`)."""
     w = M.window
+    if side == PROJECTIVE and M.cert is not None and M.cert[0] == "proj":
+        if forbid_boundary:
+            _check_boundary(w, M.cert[1])
+        return Resolution(Complex(w, 0, [M], []), identity_map(M), PROJECTIVE)
     if side == PROJECTIVE:
         terms: list[Rep] = []
         diffs: list[RepMap] = []
@@ -869,42 +883,15 @@ def inj_dim(M: Rep, max_len: int, forbid_boundary: bool = False) -> int:
 
 
 def ext_dim(i: int, M: Rep, N: Rep, max_len: int, forbid_boundary: bool = False) -> int:
-    """dim Ext^i computed from a minimal projective resolution of M."""
+    """dim Ext^i(M, N): H^i of the total hom complex from a minimal projective
+    resolution of M into N, evaluated by Yoneda as in the Serre check."""
+    from .serre import total_hom_dims
+
     assert i >= 0
     if M.is_zero() or N.is_zero():
         return 0
     res = resolution(M, PROJECTIVE, max_len, forbid_boundary)
-    cx = res.complex
-    # hom complex: degree k component is hom(P_k, N) where P_k sits in degree -k
-    def basis_at(k: int):
-        t = cx.term(-k)
-        if t is None:
-            return []
-        return hom_basis(t, N)[1]
-
-    b_i = basis_at(i)
-    if not b_i:
-        return 0
-    b_prev = basis_at(i - 1) if i >= 1 else []
-    b_next = basis_at(i + 1)
-
-    def delta(bs_from, bs_to, d: RepMap | None):
-        # precompose with the differential P_{k+1} -> P_k
-        if not bs_from or not bs_to or d is None:
-            return Matrix.zeros(M.field, len(bs_to), max(len(bs_from), 0))
-        cols = []
-        for g in bs_from:
-            comp = d.then(g)
-            cols.append(hom_coords(bs_to, comp))
-        m = Matrix.zeros(M.field, len(bs_to), len(bs_from))
-        for j, col in enumerate(cols):
-            for r, c in enumerate(col):
-                m.data[r * len(bs_from) + j] = c
-        return m
-
-    d_in = delta(b_prev, b_i, cx.diff(-i)) if i >= 1 else Matrix.zeros(M.field, len(b_i), 0)
-    d_out = delta(b_i, b_next, cx.diff(-(i + 1)))
-    return len(b_i) - rank(d_out) - rank(d_in)
+    return total_hom_dims(res.complex, one_term_complex(N)).get(i, 0)
 
 
 # -- decomposition ---------------------------------------------------------------
@@ -1039,12 +1026,24 @@ def _try_split(M: Rep, h: RepMap) -> tuple[RepMap, RepMap, RepMap, RepMap] | Non
 
 
 def _is_scalar_plus_nilpotent(M: Rep, h: RepMap) -> bool:
+    """Whether h = λ + nilpotent for a scalar λ of the field.  Each h_v - λ
+    is then nilpotent, so λ = tr(h_v) / dim M(v) at any vertex whose
+    dimension is nonzero in the field; only when the characteristic divides
+    every dimension is each scalar tried."""
+    fld = M.field
     n = M.total_dim()
-    for lam in _eigen_candidates(M, h):
-        shifted = h - identity_map(M).scale(lam)
-        if _endo_power(shifted, n).is_zero():
+    if n == 0:
+        return True
+    v = next((v for v in M.support if fld(M.dims[v]) != fld.zero), None)
+    if v is None:
+        lams = [fld(i) for i in range(fld.p)]
+    else:
+        hv = h.comps[v]
+        lams = [sum((hv[i, i] for i in range(hv.rows)), fld.zero) / fld(M.dims[v])]
+    for lam in lams:
+        if _endo_power(h - identity_map(M).scale(lam), n).is_zero():
             return True
-    return n == 0
+    return False
 
 
 def decompose_with_maps(M: Rep, rng=None) -> list[tuple[Rep, RepMap, RepMap]]:
@@ -1152,20 +1151,11 @@ def induce(M: Rep, source: Window, target: Window, vertex_map: dict[str, str],
     K0, ker_incl = kernel_with_inclusion(cover)
     P1, cover1 = projective_cover(K0)
     d = cover1.then(ker_incl)  # P1 -> P0 over the source
-    entries = extract_proj_coords(d)
-    tgt_entries = []
-    for row in entries:
-        new_row = []
-        for cell in row:
-            if cell is None:
-                new_row.append(None)
-            else:
-                vsrc, vtgt, coords = cell
-                new_row.append(
-                    (vertex_map[vsrc], vertex_map[vtgt],
-                     _transport_coords(source, target, vsrc, vtgt, coords,
-                                       vertex_map, arrow_map)))
-        tgt_entries.append(new_row)
+    tgt_entries = [
+        [None if cell is None else
+         _transport_coords(source, target, vs, vt, cell, vertex_map, arrow_map)
+         for vs, cell in zip(P1.cert[1], row)]
+        for vt, row in zip(P0.cert[1], extract_proj_coords(d))]
     A = proj_sum(target, [vertex_map[v] for v in P1.cert[1]])
     B = proj_sum(target, [vertex_map[v] for v in P0.cert[1]])
     g = realize_proj_coords(A, B, tgt_entries)
@@ -1189,34 +1179,32 @@ def _transport_coords(source: Window, target: Window, x: str, y: str, coords,
     return hb_tgt.expand(terms)
 
 
-def extract_proj_coords(f: RepMap):
-    """Coordinates of a map between certified projective sums.
+def split_proj_values(w: Window, src, tgt, vals) -> list[list]:
+    """Hom coordinates of the map ⊕P(src) -> ⊕P(tgt) whose value at source
+    block j's identity path is vals[j], a vector of ⊕_i P(tgt_i)(src_j):
+    entries[i][j] is its slice at target block i, the coordinates of
+    P(src_j) -> P(tgt_i) over hom(src_j, tgt_i), or None when zero."""
+    zero = w.field.zero
+    cols = []
+    for vs, val in zip(src, vals, strict=True):
+        col, start = [], 0
+        for wt in tgt:
+            d = w.hom(vs, wt).dim
+            coords = val[start:start + d]
+            start += d
+            col.append(coords if any(c != zero for c in coords) else None)
+        cols.append(col)
+    return [[col[i] for col in cols] for i in range(len(tgt))]
 
-    Returns entries[i][j] = (source vertex, target vertex, hom coordinates)
-    for the block map P(src_j) -> P(tgt_i), or None for a zero block: the
-    value of source block j at its identity path, split by target block
-    (P(tgt_i)(src_j) has basis hom(src_j, tgt_i)).
-    """
+
+def extract_proj_coords(f: RepMap) -> list[list]:
+    """Coordinates of a map between certified projective sums: entries[i][j]
+    holds the hom coordinates of the block map P(src_j) -> P(tgt_i), or None
+    for a zero block, read off each source block's value at its identity."""
     P, Q = f.source, f.target
     assert P.cert is not None and P.cert[0] == "proj"
     assert Q.cert is not None and Q.cert[0] == "proj"
-    w = P.window
-    zero = w.field.zero
-    qoffs = Q.block_offsets
-    vals = _yoneda_read(f)
-    entries = []
-    for i, wt in enumerate(Q.cert[1]):
-        row = []
-        for j, vs in enumerate(P.cert[1]):
-            d = w.hom(vs, wt).dim
-            if not d:  # vs may lie outside Q's support
-                row.append(None)
-                continue
-            start = qoffs[i][vs]
-            coords = vals[j][start:start + d]
-            row.append(None if all(c == zero for c in coords) else (vs, wt, coords))
-        entries.append(row)
-    return entries
+    return split_proj_values(P.window, P.cert[1], Q.cert[1], _yoneda_read(f))
 
 
 def realize_proj_coords(P: Rep, Q: Rep, entries) -> RepMap:
@@ -1229,8 +1217,7 @@ def realize_proj_coords(P: Rep, Q: Rep, entries) -> RepMap:
     for j, vs in enumerate(P.cert[1]):
         # a cell without coordinates has hom(vs, t) = 0, and vs may lie
         # outside Q's support
-        cells = [(qoffs[i][vs], row[j][2]) for i, row in enumerate(entries)
-                 if row[j] is not None and row[j][2]]
+        cells = [(qoffs[i][vs], row[j]) for i, row in enumerate(entries) if row[j]]
         vec = [zero] * Q.dims[vs] if cells else None
         for start, coords in cells:
             vec[start:start + len(coords)] = coords

@@ -1,24 +1,34 @@
 """Dualizing-variety and Serre-duality checks on finite windows.
 
 Morphisms of the variety itself are matrices of hom-space elements between
-formal direct sums of vertices (VarietyMor).  `transport_to_opposite` is the
-one place that reads such a morphism in the opposite window.  Pseudokernels
-are computed by taking the honest kernel of the induced map of projective
-modules and recognizing it as a sum of standard projectives
-(`reps.kernel_as_projectives`); pseudocokernels are pseudokernels in the
-opposite window.  The Serre functor is realized on bounded complexes of
-standard projectives by the Nakayama transport P(v) -> I(v), the dual of the
-projective realization over the opposite window, and the duality is verified
-at dimension level: dim RHom^n(X, Y) = dim RHom^{-n}(Y, SX).
+formal direct sums of vertices (VarietyMor).  Their entries are the
+certificate-indexed hom coordinates of `reps`, the one coordinate form of a
+map between sums of standard projectives: `realize_proj` writes a module map
+from them (through `reps.realize_proj_coords`), and a resolution's
+differentials are read back into them once (`RepMap.proj_coords`).
+`transport_to_opposite` is the one place that reads such a morphism in the
+opposite window.  Pseudokernels are computed by taking the honest kernel of
+the induced map of projective modules and recognizing it as a sum of
+standard projectives; `reps.kernel_as_projectives` returns the inclusion's
+coordinates, which are the pseudokernel's entries, without writing the
+inclusion.  Pseudocokernels are pseudokernels in the opposite window.  The
+Serre functor is realized on bounded complexes of standard projectives by
+the Nakayama transport P(v) -> I(v): each differential's coordinates are
+realized between the complex's injective sums (`realize_inj_coords`) as the
+dual of the projective realization over the opposite window.  The duality is
+verified at dimension level: dim RHom^n(X, Y) = dim RHom^{-n}(Y, SX).
 
 Total hom complexes are assembled by Yoneda evaluation, never from bases of
 module maps: hom(⊕P(v_b), Z) = ⊕Z(v_b), so a complex of certified projective
 sums into any complex gives blocks of Z's spaces, with the differentials read
 off as path actions Z(q) weighted by the hom coordinates of the projective
 side's differentials.  A target of injective sums is handled by the dual
-isomorphism over the opposite window.  The right-hand side still reads the
-realized Nakayama complex (its injective sums and transported maps), so the
-check compares two different computations rather than a matrix with its
+isomorphism over the opposite window.  `reps.ext_dim` reads Ext off the same
+evaluation (`total_hom_dims` of a projective resolution into a one-term
+complex), so derived hom has one implementation; the basis route survives
+only as a test oracle.  The right-hand side still reads the realized
+Nakayama complex (its injective sums and transported maps), so the check
+compares two different computations rather than a matrix with its
 transpose.
 
 The evidence that every probe has finite injective dimension is read off the
@@ -53,8 +63,6 @@ from .reps import (
     Rep,
     RepMap,
     dualize_complex,
-    dualize_map,
-    extract_proj_coords,
     inj_sum,
     kernel_as_projectives,
     one_term_complex,
@@ -107,26 +115,7 @@ class VarietyMor:
 def realize_proj(vm: VarietyMor) -> RepMap:
     """The induced map of projective modules ⊕P(source) -> ⊕P(target)."""
     w = vm.window
-    A = proj_sum(w, vm.source)
-    B = proj_sum(w, vm.target)
-    cells = [
-        [
-            None if vm.entries[i][j] is None else (vm.source[j], vm.target[i], vm.entries[i][j])
-            for j in range(len(vm.source))
-        ]
-        for i in range(len(vm.target))
-    ]
-    return realize_proj_coords(A, B, cells)
-
-
-def variety_mor_from_proj_map(f: RepMap) -> VarietyMor:
-    w = f.source.window
-    cells = extract_proj_coords(f)
-    entries = [
-        [None if c is None else c[2] for c in row]
-        for row in cells
-    ]
-    return VarietyMor(w, f.source.cert[1], f.target.cert[1], entries)
+    return realize_proj_coords(proj_sum(w, vm.source), proj_sum(w, vm.target), vm.entries)
 
 
 def _coords_to_op(w: Window, x: str, y: str, coords) -> list:
@@ -175,23 +164,24 @@ def pseudo(vm: VarietyMor, side: str) -> tuple[tuple[str, ...], VarietyMor]:
         verts, op_mor = pseudo(transport_to_opposite(vm), KERNEL)
         return verts, transport_to_opposite(op_mor)
     assert side == KERNEL
-    verts, incl = kernel_as_projectives(realize_proj(vm))
-    return verts, variety_mor_from_proj_map(incl)
+    verts, entries = kernel_as_projectives(realize_proj(vm))
+    return verts, VarietyMor(vm.window, verts, vm.source, entries)
 
 
 # -- Nakayama transport ---------------------------------------------------------
 
 
-def realize_inj_coords(w: Window, src_verts, tgt_verts, entries) -> RepMap:
-    """Realize hom coordinates as a map of standard injective sums.
+def realize_inj_coords(I: Rep, J: Rep, entries) -> RepMap:
+    """Realize hom coordinates as a map between the certified injective sums
+    I and J.
 
     A path q: v -> w acts on injectives as the dual of precomposition, so the
     map is the dual of the projective realization of the same morphism read
     in the opposite window (`transport_to_opposite`).
     """
-    vm = VarietyMor(w, tuple(src_verts), tuple(tgt_verts), entries)
-    d = dualize_map(realize_proj(transport_to_opposite(vm)))
-    return RepMap(inj_sum(w, vm.source), inj_sum(w, vm.target), d.comps)
+    vm = VarietyMor(I.window, I.cert[1], J.cert[1], entries)
+    op = realize_proj(transport_to_opposite(vm))
+    return RepMap(I, J, {v: m.transpose() for v, m in op.comps.items()})
 
 
 def nakayama(cx: Complex) -> Complex:
@@ -202,14 +192,8 @@ def nakayama(cx: Complex) -> Complex:
             raise NotProjectiveCertified(
                 "nakayama requires terms certified as sums of standard projectives")
     terms = [inj_sum(w, t.cert[1]) for t in cx.terms]
-    diffs = []
-    for i, d in enumerate(cx.diffs):
-        entries = [[None if c is None else c[2] for c in row] for row in d.proj_coords]
-        diffs.append(
-            realize_inj_coords(w, cx.terms[i].cert[1], cx.terms[i + 1].cert[1], entries)
-        )
-        # rebind endpoints to the canonical terms
-        diffs[-1] = RepMap(terms[i], terms[i + 1], diffs[-1].comps)
+    diffs = [realize_inj_coords(terms[i], terms[i + 1], d.proj_coords)
+             for i, d in enumerate(cx.diffs)]
     return Complex(w, cx.min_degree, terms, diffs)
 
 
@@ -291,12 +275,13 @@ def _yoneda_hom_data(CX: Complex, CY: Complex) -> tuple[dict[int, int], Callable
             dX = CX.diff(p - 1)
             if dX is not None:
                 Y = CY.term(q)
+                prev = CX.term(p - 1).cert[1]
                 for b, row in enumerate(dX.proj_coords):
-                    for a, cell in enumerate(row):
-                        if cell is None:
+                    for a, coords in enumerate(row):
+                        if coords is None:
                             continue
-                        u, v, coords = cell
-                        terms = [(c, path) for c, path in zip(coords, w.hom(u, v).basis)
+                        hom = w.hom(prev[a], verts[b])
+                        terms = [(c, path) for c, path in zip(coords, hom.basis)
                                  if c != fld.zero]
                         place(offsets[(p - 1, q)][a], offsets[(p, q)][b],
                               Y.act_terms(terms), sign)
@@ -381,8 +366,8 @@ def _nakayama_functoriality_check(w: Window) -> bool:
         for arrow in q.out_arrows[y]:
             if q.in_arrows[y] or q.out_arrows[arrow.tgt]:
                 vm = VarietyMor.from_arrow(w, arrow.name)
-                held[arrow.name] = (
-                    vm, realize_inj_coords(w, vm.source, vm.target, vm.entries))
+                held[arrow.name] = (vm, realize_inj_coords(
+                    inj_sum(w, vm.source), inj_sum(w, vm.target), vm.entries))
         ins = [held.pop(arrow.name, None) for arrow in q.in_arrows[y]]
         if not ins or not q.out_arrows[y]:
             continue
@@ -391,8 +376,8 @@ def _nakayama_functoriality_check(w: Window) -> bool:
             for g, ng in outs:
                 x, z = f.source[0], g.target[0]
                 comp_coords = w.compose_coords(x, y, z, f.entries[0][0], g.entries[0][0])
-                ngf = realize_inj_coords(w, (x,), (z,), [[comp_coords]])
-                lhs = nf.then(RepMap(nf.target, ng.target, ng.comps))
+                ngf = realize_inj_coords(nf.source, ng.target, [[comp_coords]])
+                lhs = nf.then(ng)
                 # both store the blocks where I(x) and I(z) are nonzero, and
                 # every other block of either is empty
                 if lhs.comps != ngf.comps:

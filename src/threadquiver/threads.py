@@ -27,11 +27,11 @@ from .reps import (
     ext_dim,
     kernel_as_projectives,
     map_factor,
-    proj_sum,
+    split_proj_values,
     std_module,
     two_term_presentation,
 )
-from .serre import VarietyMor, transport_to_opposite, variety_mor_from_proj_map
+from .serre import VarietyMor, realize_proj, transport_to_opposite
 from .windows import ThreadQuiver, Window
 
 LEFT = "left"
@@ -259,8 +259,8 @@ def perp_adjoint(w: Window, A: str, Zs: list[Rep], side: str,
     e = _evaluation(w, A, Zs)
     if e is None:
         return (A,), VarietyMor.identity(w, A)
-    verts, incl = kernel_as_projectives(e)
-    return verts, variety_mor_from_proj_map(incl)
+    verts, entries = kernel_as_projectives(e)
+    return verts, VarietyMor(w, verts, (A,), entries)
 
 
 def supp_adjoint(w: Window, A: str, Y: str) -> tuple[tuple[str, ...], VarietyMor]:
@@ -276,11 +276,7 @@ def supp_adjoint(w: Window, A: str, Y: str) -> tuple[tuple[str, ...], VarietyMor
     for i in range(d):
         coords = [w.field.one if k == i else w.field.zero for k in range(d)]
         entries.append([coords])
-    vm = VarietyMor(w, (A,), tuple([Y] * d), entries)
-    from .serre import realize_proj
-
-    f = realize_proj(vm)
-    fac = map_factor(f)
+    fac = map_factor(realize_proj(VarietyMor(w, (A,), tuple([Y] * d), entries)))
     if fac.image.is_zero():
         return (), VarietyMor.zero(w, (A,), ())
     # the unit's value at the identity of A: its image in each summand,
@@ -290,8 +286,8 @@ def supp_adjoint(w: Window, A: str, Y: str) -> tuple[tuple[str, ...], VarietyMor
     for v, cover, _, proj in _standard_summands(fac.image):
         verts.append(v)
         value += solve(cover.comps[A], proj.comps[A].apply(image_id))
-    unit = _yoneda_write(f.source, proj_sum(w, verts), [value])
-    return tuple(verts), variety_mor_from_proj_map(unit)
+    verts = tuple(verts)
+    return verts, VarietyMor(w, (A,), verts, split_proj_values(w, (A,), verts, [value]))
 
 
 def _interval_kernel_object(w: Window, X: str, Y: str) -> tuple[str, ...]:

@@ -286,6 +286,40 @@ def basis_route_hom_data(CX, CY):
     return dims, {n: differential(n) for n in range(n_min, n_max + 1)}
 
 
+def basis_route_ext_dim(i, M, N, max_len, forbid_boundary=False):
+    """Differential oracle for `reps.ext_dim`: dim Ext^i(M, N) from explicit
+    RepMap bases of hom(P_k, N) over a minimal projective resolution of M,
+    each precomposed with the resolution's differential and read back with
+    `hom_coords`."""
+    assert i >= 0
+    if M.is_zero() or N.is_zero():
+        return 0
+    fld = M.field
+    cx = resolution(M, PROJECTIVE, max_len, forbid_boundary).complex
+
+    # the degree-k component is hom(P_k, N), with P_k in degree -k
+    def basis_at(k):
+        t = cx.term(-k)
+        return [] if t is None else hom_basis(t, N)[1]
+
+    def delta(bs_from, bs_to, d):
+        # precompose with the differential P_{k+1} -> P_k
+        m = Matrix.zeros(fld, len(bs_to), len(bs_from))
+        if not bs_from or not bs_to or d is None:
+            return m
+        for j, g in enumerate(bs_from):
+            for r, c in enumerate(hom_coords(bs_to, d.then(g))):
+                m.data[r * len(bs_from) + j] = c
+        return m
+
+    b_i = basis_at(i)
+    if not b_i:
+        return 0
+    d_in = delta(basis_at(i - 1), b_i, cx.diff(-i)) if i >= 1 else None
+    d_out = delta(b_i, basis_at(i + 1), cx.diff(-(i + 1)))
+    return len(b_i) - rank(d_out) - (rank(d_in) if d_in is not None else 0)
+
+
 def per_probe_usable_probes(w, test_set, max_len, forbid_boundary, report):
     """Differential oracle for `serre._usable_probes`: every probe resolved
     both projectively and injectively, each resolution refusing the boundary
@@ -325,7 +359,7 @@ def per_vertex_realize_proj_coords(P, Q, entries):
             for x in w.quiver.vertices:
                 hxv, hxw = w.hom(x, vs), w.hom(x, wt)
                 for jj, p in enumerate(hxv.basis):
-                    terms = [(c, p.then(q)) for c, q in zip(cell[2], hb.basis) if c != fld.zero]
+                    terms = [(c, p.then(q)) for c, q in zip(cell, hb.basis) if c != fld.zero]
                     if not terms:
                         continue
                     for ii, c in enumerate(hxw.expand(terms)):

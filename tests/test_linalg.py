@@ -194,3 +194,11 @@ def test_prime_field_arithmetic():
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         PrimeField(9)
+
+
+def test_prime_field_rejects_composite_with_large_factors():
+    # 1022117 = 1009 * 1013: both factors lie above 1000
+    with pytest.raises(ValueError):
+        field_by_name("fp:1022117")
+    f = field_by_name("fp:1000003")
+    assert f.one / f(1009) * f(1009) == f.one

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from conftest import (
+    basis_route_ext_dim,
     fixture_windows,
     per_vertex_realize_proj_coords,
     random_fp_rep,
@@ -259,6 +260,37 @@ def test_resolution_projective_is_length_zero():
         assert proj_dim(p, 4) == 0
 
 
+def test_certified_sum_is_its_own_resolution(monkeypatch):
+    # a certified sum of projectives resolves to itself with no cover, the
+    # injective side through the dual; the boundary is still refused
+    import threadquiver.reps as reps
+    from conftest import star_tail_window
+
+    from threadquiver.errors import BoundaryContaminated
+    from threadquiver.reps import inj_sum
+
+    def no_cover(M):
+        raise AssertionError("a certified sum needs no cover")
+
+    monkeypatch.setattr(reps, "projective_cover", no_cover)
+    w = a3_window()
+    P = proj_sum(w, ("3", "1", "3"))
+    res = resolution(P, PROJECTIVE, 0)
+    assert res.complex.terms == [P] and res.complex.min_degree == 0
+    assert res.augment.source is P and res.augment.target is P
+    assert all(m == Matrix.identity(QQ, P.dims[v]) for v, m in res.augment.comps.items())
+    I = inj_sum(w, ("2", "1"))
+    ires = resolution(I, INJECTIVE, 0)
+    assert [t.cert for t in ires.complex.terms] == [("inj", ("2", "1"))]
+    assert all(m == Matrix.identity(QQ, I.dims[v]) for v, m in ires.augment.comps.items())
+    star = star_tail_window()
+    assert resolution(std_module(star, "X", PROJECTIVE), PROJECTIVE, 0, True).complex.terms
+    with pytest.raises(BoundaryContaminated):
+        resolution(std_module(star, "c6", PROJECTIVE), PROJECTIVE, 0, True)
+    with pytest.raises(BoundaryContaminated):
+        resolution(std_module(star, "c6", INJECTIVE), INJECTIVE, 0, True)
+
+
 def test_resolution_exactness():
     w = a3_window(zero_rel=True)
     s3 = std_module(w, "3", SIMPLE)
@@ -333,6 +365,86 @@ def test_ext2_vanishes_on_relation_free_windows():
     for _ in range(5):
         M, N = random_rep(w, rng), random_rep(w, rng)
         assert ext_dim(2, M, N, 8) == 0
+
+
+def _memo_resolution(monkeypatch):
+    """Both ext routes resolve M by the same `resolution` call; compute each
+    resolution once for the whole sweep, errors included."""
+    import conftest
+
+    import threadquiver.reps as reps
+
+    real = reps.resolution
+    memo = {}
+
+    def resolution_once(M, side, max_len, forbid_boundary=False):
+        key = (id(M), side, max_len, forbid_boundary)
+        if key not in memo:
+            try:
+                memo[key] = (M, real(M, side, max_len, forbid_boundary), None)
+            except ExceedsBound as exc:
+                memo[key] = (M, None, exc)
+        _, res, exc = memo[key]
+        if exc is not None:
+            raise exc
+        return res
+
+    monkeypatch.setattr(reps, "resolution", resolution_once)
+    monkeypatch.setattr(conftest, "resolution", resolution_once)
+
+
+def _ext_or_bound(ext, i, M, N, max_len):
+    try:
+        return ext(i, M, N, max_len)
+    except ExceedsBound:
+        return "ExceedsBound"
+
+
+@pytest.mark.parametrize("label, w", [
+    pytest.param(label, w, id=label) for label, w in fixture_windows((0, 1))])
+def test_ext_dim_matches_basis_route_on_standard_modules(label, w, monkeypatch):
+    # every ordered pair of standard projectives, injectives and simples,
+    # degrees 0-3; ainf_rad2 exceeds the bound on both routes alike
+    _memo_resolution(monkeypatch)
+    mods = [(f"{k}({v})", std_module(w, v, k))
+            for v in w.quiver.vertices for k in (PROJECTIVE, INJECTIVE, SIMPLE)]
+    for xl, M in mods:
+        for yl, N in mods:
+            for i in range(4):
+                got = _ext_or_bound(ext_dim, i, M, N, 6)
+                assert got == _ext_or_bound(basis_route_ext_dim, i, M, N, 6), (xl, yl, i)
+
+
+@given(random_thread_quivers(), st.integers(0, 1), st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_ext_dim_matches_basis_route_on_random_modules(tq, depth, seed):
+    w = expand(tq, depth)
+    rng = random.Random(seed)
+    M, N = random_fp_rep(w, rng), random_fp_rep(w, rng)
+    for i in range(4):
+        assert ext_dim(i, M, N, 8) == basis_route_ext_dim(i, M, N, 8), i
+
+
+def test_ext_cli_builds_no_module_map_basis(monkeypatch, capsys):
+    # the CLI's ext reads the evaluated hom complex, never hom_basis/hom_coords
+    import json
+
+    from conftest import FIXTURES
+
+    import threadquiver.reps as reps
+    from threadquiver.cli import run
+
+    def forbidden(*args):
+        raise AssertionError("ext built a basis of module maps")
+
+    monkeypatch.setattr(reps, "hom_basis", forbidden)
+    monkeypatch.setattr(reps, "hom_coords", forbidden)
+    zigzag = str(FIXTURES / "zigzag.tq")
+    for x, y, degree, expected in (("a22", "a20", 2, "1"), ("a33", "a30", 3, "1"),
+                                   ("a33", "a30", 2, "0")):
+        capsys.readouterr()
+        assert run(["ext", zigzag, x, y, "--degree", str(degree), "--depth", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["items"][0]["actual"] == expected
 
 
 # -- duality ---------------------------------------------------------------------
@@ -539,22 +651,25 @@ def test_proj_coords_roundtrip_with_repeated_summands():
 def _realize_cases(w):
     """(P, Q, entries) for every arrow a: x -> y as P(x) -> P(y), and for
     every composable pair a, b: y -> z as the 2x2 block map
-    P(x) + P(y) -> P(y) + P(z) with blocks a, id, b.a (None when zero), b."""
+    P(x) + P(y) -> P(y) + P(z) with blocks a, id, b.a (None when zero), b,
+    and as the row P(x) + P(y) + P(z) -> P(z) with blocks b.a, b, None."""
     def coords(a):
         return w.hom(a.src, a.tgt).expand_path(Path(a.src, a.tgt, (a.name,)))
 
-    def cell(x, y, c):
-        return None if all(v == w.field.zero for v in c) else (x, y, c)
+    def cell(c):
+        return None if all(v == w.field.zero for v in c) else c
 
     for a in w.quiver.arrows:
         x, y = a.src, a.tgt
-        yield proj_sum(w, (x,)), proj_sum(w, (y,)), [[cell(x, y, coords(a))]]
+        yield proj_sum(w, (x,)), proj_sum(w, (y,)), [[cell(coords(a))]]
         for b in w.quiver.out_arrows[y]:
             z = b.tgt
             ba = w.compose_coords(x, y, z, coords(a), coords(b))
-            entries = [[cell(x, y, coords(a)), cell(y, y, w.identity_coords(y))],
-                       [cell(x, z, ba), cell(y, z, coords(b))]]
+            entries = [[cell(coords(a)), cell(w.identity_coords(y))],
+                       [cell(ba), cell(coords(b))]]
             yield proj_sum(w, (x, y)), proj_sum(w, (y, z)), entries
+            yield (proj_sum(w, (x, y, z)), proj_sum(w, (z,)),
+                   [[cell(ba), cell(coords(b)), None]])
 
 
 @pytest.mark.parametrize("label, w", [
@@ -571,6 +686,64 @@ def test_realize_proj_coords_matches_per_vertex_oracle(label, w):
         for x in w.quiver.vertices:
             assert f.comps[x] == oracle.comps[x], (label, P.cert, Q.cert, x)
         assert extract_proj_coords(f) == entries
+
+
+@pytest.mark.parametrize("label, w", [
+    pytest.param(label, win, id=f"{label}{suffix}")
+    for label, w in fixture_windows((0, 1, 2))
+    for suffix, win in (("", w), ("-op", w.opposite()))
+])
+def test_kernel_as_projectives_coordinates_realize_the_kernel(label, w):
+    # every arrow's map P(x) -> P(y) and the block maps of `_realize_cases`
+    # (kernels with a copy of P(x), and with summands at x and z): the
+    # returned coordinates realize a natural injection onto ker f
+    from threadquiver.errors import NotRepresentable
+    from threadquiver.reps import (
+        kernel_as_projectives,
+        kernel_with_inclusion,
+        realize_proj_coords,
+    )
+    from threadquiver.serre import VarietyMor, realize_proj
+
+    maps = [realize_proj(VarietyMor.from_arrow(w, a.name)) for a in w.quiver.arrows]
+    maps += [realize_proj_coords(P, Q, entries) for P, Q, entries in _realize_cases(w)]
+    for f in maps:
+        try:
+            verts, entries = kernel_as_projectives(f)
+        except NotRepresentable:
+            continue
+        g = realize_proj_coords(proj_sum(w, verts), f.source, entries)
+        kernel = kernel_with_inclusion(f)[0]
+        assert g.is_natural(), (label, f.source.cert)
+        assert g.then(f).is_zero(), (label, f.source.cert)
+        for x in w.quiver.vertices:
+            assert g.source.dims[x] == kernel.dims[x], (label, f.source.cert, x)
+            assert rank(g.comps[x]) == g.source.dims[x], (label, f.source.cert, x)
+
+
+def test_kernel_as_projectives_writes_no_map(monkeypatch):
+    # P(1) + P(2) -> P(2) + P(3) with blocks a, id, b.a, b has kernel P(1);
+    # its coordinates are split from the kernel's values: the summands'
+    # covers are written, but no map into source(f) is
+    import threadquiver.reps as reps
+    from threadquiver.reps import kernel_as_projectives, realize_proj_coords
+
+    w = a3_window()
+    (P, Q, entries), = [c for c in _realize_cases(w) if len(c[0].cert[1]) == 2]
+    f = realize_proj_coords(P, Q, entries)
+    real = reps._yoneda_write
+    targets = []
+
+    def recording(P, N, vecs):
+        targets.append(N)
+        return real(P, N, vecs)
+
+    monkeypatch.setattr(reps, "_yoneda_write", recording)
+    verts, coords = kernel_as_projectives(f)
+    assert targets and all(N is not f.source for N in targets)
+    assert verts == ("1",)
+    one = w.field.one
+    assert coords == [[[-one]], [[one]]]  # P(1) -> P(1) + P(2) as (-id, a)
 
 
 def test_induce_along_path_valued_embedding():
@@ -625,3 +798,20 @@ def test_decompose_end_not_split_over_rationals():
     assert hom_dim(M, M) == 2
     with pytest.raises(EndNotSplit):
         decompose(M)
+
+
+@pytest.mark.parametrize("field", ["fp:2", "fp:5", "fp:103", "fp:10007"])
+def test_decompose_kronecker_local_over_prime_fields(field):
+    # the Kronecker module with M(a) = I_2 and M(b) = J_2 has End = k[x]/x^2,
+    # local over every field; over fp:2 each dimension is 0 in the field, so
+    # every scalar is tried
+    from threadquiver.linalg import Matrix, field_by_name
+    from threadquiver.reps import Rep
+
+    fld = field_by_name(field)
+    q = Quiver(["x", "y"], [("a", "x", "y"), ("b", "x", "y")])
+    w = window_from_quiver(q, field=fld)
+    jordan = Matrix.from_rows(fld, [[0, 1], [0, 0]])
+    M = Rep(w, {"x": 2, "y": 2}, {"a": Matrix.identity(fld, 2), "b": jordan})
+    assert hom_dim(M, M) == 2
+    assert len(decompose(M)) == 1

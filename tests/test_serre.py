@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     FIXTURES,
     ainf_rad2_window,
+    basis_route_ext_dim,
     basis_route_hom_data,
     cohomology_dims,
     comm_grid_window,
@@ -163,6 +164,7 @@ def test_derived_hom_matches_hom_and_ext():
         for N in probes_list:
             assert derived_hom_dim(M, N, 0, 6) == hom_dim(M, N)
             assert derived_hom_dim(M, N, 1, 6) == ext_dim(1, M, N, 6)
+            assert ext_dim(1, M, N, 6) == basis_route_ext_dim(1, M, N, 6)
 
 
 def test_derived_hom_a2_by_hand():
@@ -245,6 +247,7 @@ def test_ext_agrees_with_injective_coresolution_route():
             for i in range(3):
                 assert ext_dim(i, M, N, 8) == via_inj.get(i, 0), (i, w.name)
                 assert ext_dim(i, M, N, 8) == via_both.get(i, 0), (i, w.name)
+                assert ext_dim(i, M, N, 8) == basis_route_ext_dim(i, M, N, 8), (i, w.name)
 
 
 # -- check_serre -------------------------------------------------------------------
@@ -418,6 +421,7 @@ def test_injective_target_route_matches_basis_oracle(tq, depth, seed):
     got = total_hom_dims(CX, CY)
     assert got == cohomology_dims(*basis_route_hom_data(CX, CY))
     assert all(got.get(i, 0) == ext_dim(i, X, Y, 8) for i in range(3))
+    assert all(got.get(i, 0) == basis_route_ext_dim(i, X, Y, 8) for i in range(3))
 
 
 def test_total_hom_needs_a_certified_side():
@@ -430,10 +434,10 @@ def test_total_hom_needs_a_certified_side():
 def test_check_serre_fails_without_the_nakayama_transport(monkeypatch):
     # the right-hand side must read the realized transport: with every
     # transported differential zeroed the dimensions disagree
-    from threadquiver.reps import RepMap, inj_sum
+    from threadquiver.reps import RepMap
 
-    def zero_transport(w, src_verts, tgt_verts, entries):
-        return RepMap(inj_sum(w, src_verts), inj_sum(w, tgt_verts), {})
+    def zero_transport(I, J, entries):
+        return RepMap(I, J, {})
 
     monkeypatch.setattr(serre, "realize_inj_coords", zero_transport)
     w = zigzag_window()
@@ -449,9 +453,9 @@ def test_nakayama_functoriality_checks_every_pair(monkeypatch):
     w = window_from_quiver(q, name="A4")
     real = serre.realize_inj_coords
 
-    def corrupt(w_, src_verts, tgt_verts, entries):
-        g = real(w_, src_verts, tgt_verts, entries)
-        if (tuple(src_verts), tuple(tgt_verts)) == (("2",), ("4",)):
+    def corrupt(I, J, entries):
+        g = real(I, J, entries)
+        if (I.cert[1], J.cert[1]) == (("2",), ("4",)):
             return g.scale(2)
         return g
 
