@@ -31,9 +31,13 @@ def _load(path: str):
         return parse_tq(fh.read())
 
 
-def _window(args, tq=None):
+def _window(args, tq=None, depth=None):
+    """Expand the command's thread quiver (or `tq`) at its depth (or `depth`);
+    `run` releases every window built here when the command returns."""
     tq = tq if tq is not None else _load(args.file)
-    return expand(tq, args.depth, field=field_by_name(args.field))
+    w = expand(tq, args.depth if depth is None else depth, field=field_by_name(args.field))
+    args.windows.append(w)
+    return w
 
 
 def _probes(w, skip_boundary: bool):
@@ -169,12 +173,11 @@ def cmd_extract(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    tq = _load(args.file)
-    w = expand(tq, args.depth, field=field_by_name(args.field))
+    w = _window(args)
     report = Report("roundtrip")
     report.tally()
     extracted = extract_threadquiver(w, args.min_thread_len)
-    w0 = expand(extracted, 0, field=field_by_name(args.field))
+    w0 = _window(args, extracted, depth=0)
     iso = window_iso(w0, w)
     if iso is None:
         report.fail(
@@ -240,6 +243,7 @@ def run(argv: list[str]) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    args.windows = []
     try:
         return args.fn(args)
     except ParseError as e:
@@ -251,6 +255,9 @@ def run(argv: list[str]) -> int:
     except ThreadQuiverError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
+    finally:
+        for w in args.windows:
+            w.release()
 
 
 def main():

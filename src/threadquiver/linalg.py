@@ -14,7 +14,6 @@ comparing with the field's zero.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import DimensionMismatch
@@ -113,11 +112,46 @@ class RationalField:
         return hash("QQ")
 
 
+# The first 13 primes, and the smallest odd composite that passes the strong
+# probable-prime test to every one of them (Sorenson and Webster, 2015):
+# below it, Miller-Rabin with these bases decides primality exactly.
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for n below
+    MILLER_RABIN_LIMIT (about 3.3e24); larger n raise ValueError."""
+    if n >= MILLER_RABIN_LIMIT:
+        raise ValueError(
+            f"{n} is too large: primality is decided only below {MILLER_RABIN_LIMIT}")
+    if n < 2:
+        return False
+    for a in MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """Integers mod p, p prime (checked by trial division up to sqrt(p))."""
+    """Integers mod p, p prime (checked by `is_prime`)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"fp:{p}"
@@ -269,13 +303,16 @@ class Matrix:
         """Matrix times column vector (as a plain list)."""
         assert len(vec) == self.cols
         zero = self.field.zero
+        data = self.data
+        nonzero = [(j, v) for j, v in enumerate(vec) if v]
         out = [zero] * self.rows
         for i in range(self.rows):
             base = i * self.cols
             acc = zero
-            for j, v in enumerate(vec):
-                if v:
-                    acc = acc + self.data[base + j] * v
+            for j, v in nonzero:
+                a = data[base + j]
+                if a:
+                    acc = acc + a * v
             out[i] = acc
         return out
 
@@ -386,11 +423,14 @@ def rank(m: Matrix) -> int:
     return rref(m)[0]
 
 
-def kernel_basis(m: Matrix) -> Matrix:
-    """Columns form a basis of the right null space of m."""
-    n, red, pivots = None, None, None
-    rk, red, pivots = rref(m)
-    free = [j for j in range(m.cols) if j not in set(pivots)]
+def kernel_basis(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Columns form a basis of the right null space of m; returned with the
+    free columns of m's echelon form.  At the rows of the free columns the
+    basis is an identity, so a vector of the null space has its coordinates
+    at those rows."""
+    _, red, pivots = rref(m)
+    pivot_set = set(pivots)
+    free = [j for j in range(m.cols) if j not in pivot_set]
     out = Matrix.zeros(m.field, m.cols, len(free))
     one = m.field.one
     for idx, fc in enumerate(free):
@@ -398,7 +438,7 @@ def kernel_basis(m: Matrix) -> Matrix:
         # pivot rows: x_pivot = -sum(red[row, free] * x_free)
         for row, pc in enumerate(pivots):
             out.data[pc * len(free) + idx] = -red.data[row * red.cols + fc]
-    return out
+    return out, free
 
 
 def column_space_basis(m: Matrix) -> Matrix:
@@ -429,19 +469,18 @@ def solve(m: Matrix, b: list) -> list | None:
 
 
 def solve_matrix(m: Matrix, b: Matrix) -> Matrix | None:
-    """Solve m X = b columnwise; None when any column has no solution."""
+    """One exact solution X of m X = b, or None when some column of b is not
+    in the image: [m | b] is reduced once for all columns, and the free
+    variables are zero."""
     if b.rows != m.rows:
         raise DimensionMismatch("solve_matrix shape mismatch")
-    cols = []
-    for j in range(b.cols):
-        x = solve(m, b.col(j))
-        if x is None:
-            return None
-        cols.append(x)
+    _, red, pivots = rref(hstack([m, b]))
+    if pivots and pivots[-1] >= m.cols:
+        return None
     out = Matrix.zeros(m.field, m.cols, b.cols)
-    for j, x in enumerate(cols):
-        for i, v in enumerate(x):
-            out.data[i * b.cols + j] = v
+    for row, pc in enumerate(pivots):
+        base = row * red.cols + m.cols
+        out.data[pc * b.cols:(pc + 1) * b.cols] = red.data[base:base + b.cols]
     return out
 
 

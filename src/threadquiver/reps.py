@@ -38,6 +38,20 @@ maps and compositions loop over those, so a simple's cover costs the same
 on any window.  `Rep.dims` stays a full dict over the window's vertices on
 purpose: dimension vectors are compared and indexed at every vertex by
 callers outside this module, and it costs one small dict per module.
+
+Elimination runs only where its answer is not already known.  A kernel or
+cokernel takes the identity basis or projection at the vertices where the
+map's component is zero, and an arrow between two such vertices keeps its
+matrix.  Elsewhere a kernel basis is an identity at the rows of its free
+columns (`linalg.kernel_basis` returns them), so an arrow's coordinates in
+the kernel are read off those rows of its image, and one exact product
+checks that the image lies in the span.  `linalg.solve_matrix` reduces
+[m | B] once for all columns, and `top_generators` finds the top with one
+elimination of [out-arrow maps | I] per vertex.  A two-term presentation is
+returned as the vertex tuples of its terms, since that is all its callers
+read, and the minimal injective copresentation of M is read as the
+projective presentation of D M over the opposite window, with no injective
+hull or cokernel built.
 """
 
 from __future__ import annotations
@@ -392,15 +406,8 @@ def yoneda_map(P: Rep, v: str, N: Rep, vec: list) -> dict[str, Matrix]:
     w = P.window
     f = w.field
     Pv = std_module(w, v, PROJECTIVE)
+    # the value of each path suffix, filled from the longest one already known
     memo: dict[tuple[str, ...], list] = {(): list(vec)}
-
-    def apply_path(arrows: tuple[str, ...]) -> list:
-        got = memo.get(arrows)
-        if got is None:
-            got = N.maps[arrows[0]].apply(apply_path(arrows[1:]))
-            memo[arrows] = got
-        return got
-
     comps = {}
     for x in Pv.support:
         if not N.dims[x]:
@@ -408,9 +415,15 @@ def yoneda_map(P: Rep, v: str, N: Rep, vec: list) -> dict[str, Matrix]:
         hb = w.hom(x, v)
         m = Matrix.zeros(f, N.dims[x], hb.dim)
         for j, p in enumerate(hb.basis):
-            col = apply_path(p.arrows)
-            for i, c in enumerate(col):
-                m.data[i * hb.dim + j] = c
+            arrows = p.arrows
+            col = memo.get(arrows)
+            if col is None:
+                k = 1
+                while (col := memo.get(arrows[k:])) is None:
+                    k += 1
+                for i in range(k - 1, -1, -1):
+                    col = memo[arrows[i:]] = N.maps[arrows[i]].apply(col)
+            m.data[j::hb.dim] = col
         comps[x] = m
     return comps
 
@@ -609,32 +622,70 @@ class Factorization:
 
 def kernel_with_inclusion(f: RepMap) -> tuple[Rep, RepMap]:
     """Just the kernel subrepresentation and its inclusion (cheaper than
-    a full factorization when only the kernel is needed)."""
+    a full factorization when only the kernel is needed).
+
+    Where f's component is zero the kernel is the whole space, with the
+    identity basis.  Elsewhere the kernel basis is an identity at the rows of
+    its free columns, so an arrow's coordinates are those rows of its image
+    M(a)·kb(y), and one product kb(x)·c == M(a)·kb(y) checks them.  An arrow
+    between two whole spaces keeps its matrix."""
     M = f.source
-    kbases = {v: kernel_basis(f.comps[v]) for v in M.support}
-    kdims = {v: kbases[v].cols for v in kbases}
+    fld = M.field
+    kbases, frees = {}, {}
+    for v in M.support:
+        comp = f.comps[v]
+        if comp.is_zero():
+            kbases[v] = Matrix.identity(fld, M.dims[v])
+        else:
+            kbases[v], frees[v] = kernel_basis(comp)
     kmaps = {}
     for a in M.support_arrows:
-        if kdims[a.src] and kdims[a.tgt]:
-            kmaps[a.name] = coords_in_basis(kbases[a.src], M.maps[a.name] @ kbases[a.tgt])
-    K = Rep(M.window, kdims, kmaps, validate=False)
-    return K, RepMap(K, M, {v: kbases[v] for v in kbases})
+        x, y = a.src, a.tgt
+        kx = kbases[x]
+        if not (kx.cols and kbases[y].cols):
+            continue
+        img = M.maps[a.name]
+        if y in frees:
+            img = img @ kbases[y]
+        free = frees.get(x)
+        if free is None:
+            kmaps[a.name] = img
+            continue
+        n = img.cols
+        c = Matrix(fld, len(free), n, [e for i in free for e in img.data[i * n:(i + 1) * n]])
+        assert kx @ c == img, "vectors not in span of basis"
+        kmaps[a.name] = c
+    K = Rep(M.window, {v: kb.cols for v, kb in kbases.items()}, kmaps, validate=False)
+    return K, RepMap(K, M, kbases)
 
 
 def cokernel_with_projection(f: RepMap) -> tuple[Rep, RepMap]:
     """Just the cokernel and its projection (cheaper than a full
-    factorization when only the cokernel is needed)."""
+    factorization when only the cokernel is needed).  Where f's component is
+    zero the projection and its section are identities, and an arrow between
+    two such vertices keeps its matrix."""
     N = f.target
     w = N.window
-    cdims, cprojs, csects = {}, {}, {}
+    cprojs, csects = {}, {}
     for v in N.support:
-        # the quotient depends only on the column space of f.comps[v]
-        proj, sect = _quotient_projection(w.field, f.comps[v])
-        cdims[v] = proj.rows
-        cprojs[v], csects[v] = proj, sect
-    cmaps = {a.name: cprojs[a.src] @ (N.maps[a.name] @ csects[a.tgt])
-             for a in N.support_arrows if cdims[a.src] and cdims[a.tgt]}
-    C = Rep(w, cdims, cmaps, validate=False)
+        comp = f.comps[v]
+        if comp.is_zero():
+            cprojs[v] = Matrix.identity(w.field, N.dims[v])
+        else:
+            # the quotient depends only on the column space of the component
+            cprojs[v], csects[v] = _quotient_projection(w.field, comp)
+    cmaps = {}
+    for a in N.support_arrows:
+        x, y = a.src, a.tgt
+        if not (cprojs[x].rows and cprojs[y].rows):
+            continue
+        m = N.maps[a.name]
+        if y in csects:
+            m = m @ csects[y]
+        if x in csects:
+            m = cprojs[x] @ m
+        cmaps[a.name] = m
+    C = Rep(w, {v: p.rows for v, p in cprojs.items()}, cmaps, validate=False)
     return C, RepMap(N, C, cprojs)
 
 
@@ -689,34 +740,28 @@ def kernel_as_projectives(f: RepMap) -> tuple[tuple[str, ...], list[list]]:
 # -- covers, hulls, resolutions -------------------------------------------------
 
 
-def radical_subspaces(M: Rep) -> dict[str, Matrix]:
-    """Per vertex, a column basis of rad M(v) = sum of images of arrows out of v."""
-    w = M.window
+def top_generators(M: Rep) -> list[tuple[str, list]]:
+    """Vectors projecting to a basis of top M = M / rad M, as (vertex, vector).
+
+    rad M(v) is spanned by the images of the arrows out of v.  One
+    elimination of [those arrow maps | I] per vertex: its pivots past the
+    arrow columns are the unit vectors that complete rad M(v) to a basis."""
+    fld = M.field
     outs: dict[str, list[Matrix]] = {v: [] for v in M.support}
     for a in M.support_arrows:
         outs[a.src].append(M.maps[a.name])
-    return {v: column_space_basis(hstack(ms)) if ms else Matrix.zeros(w.field, M.dims[v], 0)
-            for v, ms in outs.items()}
-
-
-def top_generators(M: Rep) -> list[tuple[str, list]]:
-    """Vectors projecting to a basis of top M = M / rad M, as (vertex, vector)."""
-    w = M.window
-    fld = w.field
     gens = []
-    rads = radical_subspaces(M)
     for v in M.support:
         n = M.dims[v]
-        r = rads[v]
-        if r.cols == n:
-            continue
-        # standard basis vectors completing the radical to a full basis
-        ext = hstack([r, Matrix.identity(fld, n)])
-        _, _, pivots = rref(ext)
-        for p in pivots:
-            if p >= r.cols:
-                j = p - r.cols
-                gens.append((v, [fld.one if i == j else fld.zero for i in range(n)]))
+        ms = outs[v]
+        if ms:
+            k = sum(m.cols for m in ms)
+            _, _, pivots = rref(hstack(ms + [Matrix.identity(fld, n)]))
+            units = [p - k for p in pivots if p >= k]
+        else:
+            units = range(n)
+        for j in units:
+            gens.append((v, [fld.one if i == j else fld.zero for i in range(n)]))
     return gens
 
 
@@ -742,21 +787,18 @@ def injective_hull(M: Rep) -> tuple[Rep, RepMap]:
     return I, emb
 
 
-def two_term_presentation(M: Rep, side: str) -> tuple[Rep, Rep]:
-    """The terms (P0, P1) of the minimal projective presentation
-    P1 -> P0 -> M -> 0, or (I0, I1) of the minimal injective copresentation
-    0 -> M -> I0 -> I1, by cover (hull), kernel (cokernel), cover (hull).
-    The differential is not composed."""
+def two_term_presentation(M: Rep, side: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The vertices of the terms (P0, P1) of the minimal projective
+    presentation P1 -> P0 -> M -> 0, by cover, kernel, cover; or of (I0, I1)
+    of the minimal injective copresentation 0 -> M -> I0 -> I1, which is the
+    dual of the projective presentation of D M over the opposite window
+    (D I(v) = P(v) there).  The differential is not composed."""
     if side == PROJECTIVE:
         P0, cover = projective_cover(M)
-        K, _ = kernel_with_inclusion(cover)
-        P1, _ = projective_cover(K)
-        return P0, P1
+        P1, _ = projective_cover(kernel_with_inclusion(cover)[0])
+        return P0.cert[1], P1.cert[1]
     if side == INJECTIVE:
-        I0, emb = injective_hull(M)
-        C, _ = cokernel_with_projection(emb)
-        I1, _ = injective_hull(C)
-        return I0, I1
+        return two_term_presentation(dualize(M), PROJECTIVE)
     raise ValueError(f"unknown side {side!r}")
 
 

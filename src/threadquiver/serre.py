@@ -543,7 +543,7 @@ def check_dualizing(w: Window, strict_boundary: bool = False) -> Report:
                 report.fail(label, "2-term presentation", type(exc).__name__)
                 continue
             if strict_boundary:
-                touched = sorted(set(first.cert[1] + second.cert[1]) & w.boundary)
+                touched = sorted(set(first + second) & w.boundary)
                 if touched:
                     report.fail(
                         label, "presentation away from the cut",

@@ -24,14 +24,15 @@ from .reps import (
     _yoneda_read,
     _yoneda_write,
     dualize,
-    ext_dim,
     kernel_as_projectives,
     map_factor,
+    one_term_complex,
+    resolution,
     split_proj_values,
     std_module,
     two_term_presentation,
 )
-from .serre import VarietyMor, realize_proj, transport_to_opposite
+from .serre import VarietyMor, realize_proj, total_hom_dims, transport_to_opposite
 from .windows import ThreadQuiver, Window
 
 LEFT = "left"
@@ -90,8 +91,7 @@ def almost_split(w: Window, v: str, side: str) -> tuple[str, ...]:
     if side not in (LEFT, RIGHT):
         raise ValueError(f"unknown side {side!r}")
     S = std_module(w, v, SIMPLE)
-    _, second = two_term_presentation(S, PROJECTIVE if side == LEFT else INJECTIVE)
-    return second.cert[1]
+    return two_term_presentation(S, PROJECTIVE if side == LEFT else INJECTIVE)[1]
 
 
 def _degree_maps(w: Window, use_irr: bool) -> tuple[dict, dict]:
@@ -247,9 +247,12 @@ def perp_adjoint(w: Window, A: str, Zs: list[Rep], side: str,
     construction over the opposite window.  Requires the Z family to be
     Ext^1-orthogonal (raises ZNotExtOrthogonal otherwise).
     """
-    for Z1 in Zs:
-        for Z2 in Zs:
-            if ext_dim(1, Z1, Z2, max_len) != 0:
+    # Ext^1(Z1, Z2) over every ordered pair, each nonzero Z1 resolved once
+    nonzero = [Z for Z in Zs if not Z.is_zero()]
+    for Z1 in nonzero:
+        res = resolution(Z1, PROJECTIVE, max_len).complex
+        for Z2 in nonzero:
+            if total_hom_dims(res, one_term_complex(Z2)).get(1, 0) != 0:
                 raise ZNotExtOrthogonal("the removed family is not Ext-orthogonal")
     if side == LEFT:
         verts, op_mor = perp_adjoint(w.opposite(), A, [dualize(Z) for Z in Zs], RIGHT,

@@ -226,6 +226,25 @@ class Window:
         self._opposite = w
         return w
 
+    def release(self) -> None:
+        """Drop the caches of this window and of its opposite, then unlink the
+        two, so that reference counting frees them once the caller lets go.
+
+        Everything cached refers back to its window: a `HomBasis` through the
+        bound `hom` lookup, a standard module through `Rep.window`, and each
+        window through its opposite.  Without `release` a window is a web of
+        reference cycles that only a full garbage collection frees.  Call it
+        when the window's work is done.  The window stays usable, since its
+        caches refill on demand and `opposite()` builds a new opposite, but
+        modules built before the call keep the old opposite.
+        """
+        for w in (self, self._opposite):
+            if w is not None:
+                w._hom_cache = {}
+                w._std_cache = {}
+                w.__dict__.pop("_hom", None)
+                w._opposite = None
+
     def __repr__(self):
         return (
             f"Window({self.name or 'anon'}: {len(self.quiver.vertices)} vertices, "

@@ -14,18 +14,31 @@ from hypothesis import strategies as st
 
 from threadquiver.dsl import parse_tq
 from threadquiver.errors import BoundaryContaminated, ExceedsBound
-from threadquiver.linalg import QQ, Matrix, rank, rref
+from threadquiver.linalg import (
+    QQ,
+    Matrix,
+    column_space_basis,
+    hstack,
+    kernel_basis,
+    rank,
+    rref,
+    solve,
+)
 from threadquiver.orders import INT, NAT, NEG_NAT, Fin
 from threadquiver.quiver import Path as QPath
 from threadquiver.quiver import Quiver, Relation
 from threadquiver.reps import (
     INJECTIVE,
     PROJECTIVE,
+    Rep,
     RepMap,
+    _quotient_projection,
     hom_basis,
     hom_coords,
+    injective_hull,
     map_factor,
     proj_sum,
+    projective_cover,
     resolution,
 )
 from threadquiver.windows import ThreadQuiver, expand, window_from_quiver
@@ -493,3 +506,92 @@ def path_enumeration_hom_basis(q, relations, x, y, field):
     pivot_set = set(pivots)
     return EnumeratedHomBasis(field, paths, reducers,
                               [i for i in range(len(paths)) if i not in pivot_set])
+
+
+def per_column_solve_matrix(m, b):
+    """Differential oracle for `linalg.solve_matrix`: one elimination of
+    [m | b_j] per column of b."""
+    cols = []
+    for j in range(b.cols):
+        x = solve(m, b.col(j))
+        if x is None:
+            return None
+        cols.append(x)
+    out = Matrix.zeros(m.field, m.cols, b.cols)
+    for j, x in enumerate(cols):
+        for i, v in enumerate(x):
+            out.data[i * b.cols + j] = v
+    return out
+
+
+def solving_kernel_with_inclusion(f):
+    """Differential oracle for `reps.kernel_with_inclusion`: a kernel basis
+    eliminated at every vertex, zero components included, and each arrow's
+    coordinates solved column by column in the basis at its source."""
+    M = f.source
+    kbases = {v: kernel_basis(f.comps[v])[0] for v in M.support}
+    kdims = {v: kb.cols for v, kb in kbases.items()}
+    kmaps = {}
+    for a in M.support_arrows:
+        if kdims[a.src] and kdims[a.tgt]:
+            coords = per_column_solve_matrix(kbases[a.src], M.maps[a.name] @ kbases[a.tgt])
+            assert coords is not None, "vectors not in span of basis"
+            kmaps[a.name] = coords
+    K = Rep(M.window, kdims, kmaps, validate=False)
+    return K, RepMap(K, M, kbases)
+
+
+def eliminating_cokernel_with_projection(f):
+    """Differential oracle for `reps.cokernel_with_projection`: the quotient
+    projection and section eliminated at every vertex, zero components
+    included, and every arrow conjugated by them."""
+    N = f.target
+    w = N.window
+    cprojs, csects = {}, {}
+    for v in N.support:
+        cprojs[v], csects[v] = _quotient_projection(w.field, f.comps[v])
+    cmaps = {a.name: cprojs[a.src] @ (N.maps[a.name] @ csects[a.tgt])
+             for a in N.support_arrows if cprojs[a.src].rows and cprojs[a.tgt].rows}
+    C = Rep(w, {v: p.rows for v, p in cprojs.items()}, cmaps, validate=False)
+    return C, RepMap(N, C, cprojs)
+
+
+def two_step_top_generators(M):
+    """Differential oracle for `reps.top_generators`: per vertex, a column
+    basis of rad M(v) from one elimination of the out-arrow maps, then the
+    unit vectors completing it from a second elimination of [basis | I]."""
+    fld = M.field
+    outs = {v: [] for v in M.support}
+    for a in M.support_arrows:
+        outs[a.src].append(M.maps[a.name])
+    gens = []
+    for v in M.support:
+        n = M.dims[v]
+        r = column_space_basis(hstack(outs[v])) if outs[v] else Matrix.zeros(fld, n, 0)
+        if r.cols == n:
+            continue
+        _, _, pivots = rref(hstack([r, Matrix.identity(fld, n)]))
+        for p in pivots:
+            if p >= r.cols:
+                j = p - r.cols
+                gens.append((v, [fld.one if i == j else fld.zero for i in range(n)]))
+    return gens
+
+
+def cover_kernel_cover_presentation(M):
+    """Differential oracle for the projective side of
+    `reps.two_term_presentation`: the vertices of the cover and of the cover
+    of its kernel, the kernel taken by `solving_kernel_with_inclusion`."""
+    P0, cover = projective_cover(M)
+    P1, _ = projective_cover(solving_kernel_with_inclusion(cover)[0])
+    return P0.cert[1], P1.cert[1]
+
+
+def hull_cokernel_hull_copresentation(M):
+    """Differential oracle for the injective side of
+    `reps.two_term_presentation`: the vertices of the injective hull of M and
+    of the hull of its cokernel, each hull dualized from a cover over the
+    opposite window."""
+    I0, emb = injective_hull(M)
+    I1, _ = injective_hull(eliminating_cokernel_with_projection(emb)[0])
+    return I0.cert[1], I1.cert[1]

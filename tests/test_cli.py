@@ -1,16 +1,20 @@
 import argparse
+import gc
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
+from threadquiver import cli
 from threadquiver.cli import build_parser, run
 from threadquiver.dsl import emit_dot, parse_tq, sanitize_names, serialize_tq
-from threadquiver.errors import DuplicateName, ParseError, UnknownVertex
+from threadquiver.errors import DuplicateName, ParseError, TooLarge, UnknownVertex
 from threadquiver.orders import INT, Concat, Fin, NAT, NEG_NAT
-from threadquiver.windows import expand
+from threadquiver.threads import thread_hom_check
+from threadquiver.windows import Window, expand
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -337,3 +341,77 @@ def test_sanitize_names_roundtrip():
     extracted = sanitize_names(extract_threadquiver(w, 1))
     text = serialize_tq(extracted)
     assert parse_tq(text).vertices == extracted.vertices
+
+
+# -- window lifetime -----------------------------------------------------------------
+
+
+def _watch_windows(monkeypatch):
+    """Weak references to every window `cli.run` expands and every opposite
+    it builds."""
+    refs = []
+    expand_orig, opposite_orig = cli.expand, Window.opposite
+
+    def expand_watched(*args, **kwargs):
+        w = expand_orig(*args, **kwargs)
+        refs.append(weakref.ref(w))
+        return w
+
+    def opposite_watched(self):
+        op = opposite_orig(self)
+        refs.append(weakref.ref(op))
+        return op
+
+    monkeypatch.setattr(cli, "expand", expand_watched)
+    monkeypatch.setattr(Window, "opposite", opposite_watched)
+    return refs
+
+
+def _raise_after_threads(error):
+    # the check runs, filling the window's hom cache, and then fails
+    def check(w, runs=None):
+        thread_hom_check(w, runs)
+        raise error("after the check")
+    return check
+
+
+MIXED = str(FIXTURES / "mixed.tq")
+
+
+@pytest.mark.parametrize("argv, code, patch", [
+    pytest.param(["serre-check", MIXED, "--depth", "1"], 0, None, id="serre-check"),
+    pytest.param(["dualizing-check", MIXED, "--depth", "1"], 0, None, id="dualizing-check"),
+    pytest.param(["threads", MIXED, "--depth", "1"], 0, None, id="threads"),
+    pytest.param(["hom", MIXED, "A", "E", "--depth", "1"], 0, None, id="hom"),
+    pytest.param(["ext", MIXED, "A", "E", "--depth", "1"], 0, None, id="ext"),
+    pytest.param(["threads", MIXED, "--depth", "1"], 1, TooLarge, id="threads-fails"),
+    pytest.param(["threads", MIXED, "--depth", "1"], None, RuntimeError, id="threads-raises"),
+])
+def test_cli_run_frees_its_windows_without_a_collection(argv, code, patch, monkeypatch):
+    refs = _watch_windows(monkeypatch)
+    if patch is not None:
+        monkeypatch.setattr(cli, "thread_hom_check", _raise_after_threads(patch))
+    gc.collect()
+    gc.disable()
+    try:
+        if code is None:
+            with pytest.raises(RuntimeError) as excinfo:
+                run(argv)
+            del excinfo
+        else:
+            assert run(argv) == code
+        assert refs
+        assert all(r() is None for r in refs), sum(r() is not None for r in refs)
+    finally:
+        gc.enable()
+
+
+def test_released_window_still_answers():
+    w = expand(parse_tq((FIXTURES / "mixed.tq").read_text()), 1)
+    op = w.opposite()
+    dims = {(x, y): w.hom_dim(x, y) for x in w.vertices for y in w.vertices}
+    w.release()
+    assert w._hom_cache == {} and w._std_cache == {} and op._hom_cache == {}
+    assert op._opposite is None
+    assert {(x, y): w.hom_dim(x, y) for x in w.vertices for y in w.vertices} == dims
+    assert w.opposite() is not op and w.opposite().opposite() is w

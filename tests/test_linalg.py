@@ -1,11 +1,14 @@
+import time
 from fractions import Fraction
 
 import pytest
+from conftest import per_column_solve_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threadquiver.linalg import (
     QQ,
+    MILLER_RABIN_LIMIT,
     DimensionMismatch,
     Matrix,
     PrimeField,
@@ -13,10 +16,12 @@ from threadquiver.linalg import (
     direct_sum,
     field_by_name,
     hstack,
+    is_prime,
     kernel_basis,
     rank,
     rref,
     solve,
+    solve_matrix,
     sparse_kernel,
     vstack,
 )
@@ -68,19 +73,21 @@ def test_rref_matches_hand_reduction():
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(Matrix.identity(QQ, 3)).cols == 0
+    assert kernel_basis(Matrix.identity(QQ, 3))[0].cols == 0
 
 
 def test_kernel_zero_map():
-    k = kernel_basis(Matrix.zeros(QQ, 2, 3))
+    k, free = kernel_basis(Matrix.zeros(QQ, 2, 3))
+    assert free == [0, 1, 2]
     assert k.cols == 3
     assert rank(k) == 3
 
 
 def test_kernel_hand_example():
     m = M([[1, 1, 0], [0, 1, 1]])
-    k = kernel_basis(m)
+    k, free = kernel_basis(m)
     assert k.cols == 1
+    assert free == [2] and k[2, 0] == 1
     v = k.col(0)
     # proportional to (1, -1, 1)
     assert v[0] == -v[1] == v[2] != 0
@@ -133,7 +140,7 @@ def test_rank_of_transpose(m):
 @given(matrices())
 @settings(max_examples=60, deadline=None)
 def test_rank_nullity(m):
-    assert m.cols == rank(m) + kernel_basis(m).cols
+    assert m.cols == rank(m) + kernel_basis(m)[0].cols
 
 
 @given(matrices(), st.lists(small_entries, min_size=4, max_size=4))
@@ -160,7 +167,7 @@ def test_sparse_kernel_agrees_with_dense(m):
         eq = {j: m[i, j] for j in range(m.cols) if m[i, j] != 0}
         eqs.append(eq)
     sk = sparse_kernel(eqs, m.cols, QQ)
-    assert len(sk) == kernel_basis(m).cols
+    assert len(sk) == kernel_basis(m)[0].cols
     for vec in sk:
         dense = [vec.get(j, Fraction(0)) for j in range(m.cols)]
         assert all(x == 0 for x in m.apply(dense))
@@ -202,3 +209,63 @@ def test_prime_field_rejects_composite_with_large_factors():
         field_by_name("fp:1022117")
     f = field_by_name("fp:1000003")
     assert f.one / f(1009) * f(1009) == f.one
+
+
+@given(matrices(), st.integers(0, 3), st.lists(small_entries, min_size=16, max_size=16),
+       st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_solve_matrix_matches_per_column_oracle(m, k, entries, in_image):
+    # right-hand sides in the image (m times a random X) or arbitrary, so
+    # both answers, a solution and None, are compared
+    rhs = Matrix(QQ, m.cols if in_image else m.rows, k,
+                 [QQ(c) for c in entries[:(m.cols if in_image else m.rows) * k]])
+    b = m @ rhs if in_image else rhs
+    x = solve_matrix(m, b)
+    assert x == per_column_solve_matrix(m, b)
+    if in_image:
+        assert x is not None and m @ x == b
+
+
+def test_kernel_basis_is_identity_at_free_rows():
+    m = M([[1, 2, 0, 1], [0, 0, 1, 3]])
+    k, free = kernel_basis(m)
+    assert free == [1, 3]
+    assert Matrix(QQ, 2, 2, [k[i, j] for i in free for j in range(2)]) == Matrix.identity(QQ, 2)
+    assert (m @ k).is_zero()
+
+
+def test_is_prime_agrees_with_a_sieve():
+    n = 10 ** 4
+    sieve = [False, False] + [True] * (n - 2)
+    for i in range(2, 101):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, n, i))
+    assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+
+@pytest.mark.parametrize("n", [561, 41041, 3215031751, 1022117])
+def test_prime_field_rejects_pseudoprimes(n):
+    # Carmichael numbers, a strong pseudoprime to the bases 2, 3, 5 and 7,
+    # and 1009 * 1013
+    assert not is_prime(n)
+    with pytest.raises(ValueError, match="not prime"):
+        field_by_name(f"fp:{n}")
+
+
+def test_prime_field_large_modulus_is_fast():
+    best = min(_timed(lambda: field_by_name("fp:99999999999973")) for _ in range(3))
+    assert best < 0.010
+    assert field_by_name("fp:99999999999973").p == 99999999999973
+
+
+def test_prime_field_refuses_moduli_past_the_exact_range():
+    # the limit is the smallest composite every base passes
+    assert MILLER_RABIN_LIMIT == 1287836182261 * 2575672364521
+    with pytest.raises(ValueError, match=str(MILLER_RABIN_LIMIT)):
+        field_by_name(f"fp:{MILLER_RABIN_LIMIT}")
+
+
+def _timed(fn):
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0

@@ -3,10 +3,16 @@ import random
 import pytest
 from conftest import (
     basis_route_ext_dim,
+    comm_grid_window,
+    cover_kernel_cover_presentation,
+    eliminating_cokernel_with_projection,
     fixture_windows,
+    hull_cokernel_hull_copresentation,
     per_vertex_realize_proj_coords,
     random_fp_rep,
     random_thread_quivers,
+    solving_kernel_with_inclusion,
+    two_step_top_generators,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +25,9 @@ from threadquiver.reps import (
     INJECTIVE,
     PROJECTIVE,
     SIMPLE,
+    Rep,
+    RepMap,
+    cokernel_with_projection,
     decompose,
     dualize,
     ext_dim,
@@ -28,6 +37,7 @@ from threadquiver.reps import (
     identity_map,
     induce,
     inj_dim,
+    kernel_with_inclusion,
     map_factor,
     proj_dim,
     proj_sum,
@@ -36,6 +46,9 @@ from threadquiver.reps import (
     restrict,
     restrict_full,
     std_module,
+    top_generators,
+    two_term_presentation,
+    zero_map,
     zero_rep,
 )
 from threadquiver.windows import ThreadQuiver, expand, window_from_quiver
@@ -815,3 +828,83 @@ def test_decompose_kronecker_local_over_prime_fields(field):
     M = Rep(w, {"x": 2, "y": 2}, {"a": Matrix.identity(fld, 2), "b": jordan})
     assert hom_dim(M, M) == 2
     assert len(decompose(M)) == 1
+
+
+# -- kernels, cokernels, tops and presentations against their oracles ----------
+
+
+def _same_rep(A, B):
+    return A.dims == B.dims and dict(A.maps) == dict(B.maps)
+
+
+def _assert_matches_oracles(f, where):
+    """Kernel, cokernel and the tops of all four modules equal the oracles',
+    block for block."""
+    K, incl = kernel_with_inclusion(f)
+    K0, incl0 = solving_kernel_with_inclusion(f)
+    assert _same_rep(K, K0) and dict(incl.comps) == dict(incl0.comps), where
+    C, proj = cokernel_with_projection(f)
+    C0, proj0 = eliminating_cokernel_with_projection(f)
+    assert _same_rep(C, C0) and dict(proj.comps) == dict(proj0.comps), where
+    for X in (f.source, f.target, K, C):
+        assert top_generators(X) == two_step_top_generators(X), where
+
+
+@pytest.mark.parametrize("label, w", [
+    pytest.param(label, w, id=label) for label, w in fixture_windows((0, 1, 2))
+] + [pytest.param(f"grid{n}", comm_grid_window(n), id=f"grid{n}") for n in (2, 3)])
+def test_kernel_cokernel_top_and_presentations_match_oracles(label, w):
+    # the covers of every standard module and the maps P(x) -> P(y) of the
+    # arrows: their components vanish at some vertices of the source's
+    # support and act at others
+    from threadquiver.serre import VarietyMor, realize_proj
+    from threadquiver.threads import LEFT, RIGHT, almost_split
+
+    vanishing = acting = 0
+    maps = [realize_proj(VarietyMor.from_arrow(w, a.name)) for a in w.quiver.arrows]
+    for v in w.quiver.vertices:
+        for kind in (PROJECTIVE, INJECTIVE, SIMPLE):
+            X = std_module(w, v, kind)
+            maps.append(projective_cover(X)[1])
+            assert two_term_presentation(X, PROJECTIVE) == cover_kernel_cover_presentation(X)
+            assert two_term_presentation(X, INJECTIVE) == hull_cokernel_hull_copresentation(X)
+        if v not in w.boundary:
+            S = std_module(w, v, SIMPLE)
+            assert almost_split(w, v, LEFT) == cover_kernel_cover_presentation(S)[1]
+            assert almost_split(w, v, RIGHT) == hull_cokernel_hull_copresentation(S)[1]
+    for f in maps:
+        _assert_matches_oracles(f, (label, f.source, f.target))
+        for v in f.source.support:
+            vanishing += f.comps[v].is_zero()
+            acting += not f.comps[v].is_zero()
+    assert vanishing and acting
+
+
+@given(random_thread_quivers(), st.integers(0, 1), st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_kernel_cokernel_top_and_presentations_match_oracles_on_random_maps(tq, depth, seed):
+    # sparse combinations of a hom basis vanish at some vertices where both
+    # modules are nonzero
+    w = expand(tq, depth)
+    rng = random.Random(seed)
+    M, N = random_fp_rep(w, rng), random_fp_rep(w, rng)
+    f = zero_map(M, N)
+    for g in hom_basis_generic(M, N)[1]:
+        c = rng.choice((0, 0, 1, -1, 2))
+        if c:
+            f = f + g.scale(QQ(c))
+    _assert_matches_oracles(f, seed)
+    assert two_term_presentation(M, PROJECTIVE) == cover_kernel_cover_presentation(M)
+    assert two_term_presentation(M, INJECTIVE) == hull_cokernel_hull_copresentation(M)
+
+
+def test_kernel_with_inclusion_rejects_a_non_natural_map():
+    # M = P(2) + S(1) on 1 -a-> 2, and f: M -> S(1) killing the second
+    # coordinate at 1 only: M(a) sends M(2) outside the kernel at 1, which
+    # the free-row coordinates alone would not notice
+    w = a2_window()
+    M = Rep(w, {"1": 2, "2": 1}, {"a": Matrix.from_rows(QQ, [[1], [0]])})
+    f = RepMap(M, std_module(w, "1", SIMPLE), {"1": Matrix.from_rows(QQ, [[1, 0]])})
+    assert not f.is_natural()
+    with pytest.raises(AssertionError, match="not in span"):
+        kernel_with_inclusion(f)

@@ -18,10 +18,23 @@ from hypothesis import strategies as st
 
 from threadquiver import cli, threads
 from threadquiver.dsl import parse_tq
-from threadquiver.errors import BoundaryContaminated, NotRepresentable, ZNotExtOrthogonal
+from threadquiver.errors import (
+    BoundaryContaminated,
+    ExceedsBound,
+    NotRepresentable,
+    ZNotExtOrthogonal,
+)
 from threadquiver.orders import Fin
 from threadquiver.quiver import Quiver, Relation
-from threadquiver.reps import SIMPLE, kernel_as_projectives, std_module
+from threadquiver.reps import (
+    INJECTIVE,
+    PROJECTIVE,
+    SIMPLE,
+    dualize,
+    ext_dim,
+    kernel_as_projectives,
+    std_module,
+)
 from threadquiver.serre import VarietyMor, realize_proj, transport_to_opposite
 from threadquiver.threads import (
     LEFT,
@@ -310,6 +323,67 @@ def test_perp_adjoint_left_side():
     assign = {v: perp_adjoint(w, v, [s2], LEFT)[0] for v in w.quiver.vertices}
     report = adjunction_check(w, ["1", "3"], assign, LEFT)
     assert report.passed, report.items
+
+
+def _pairwise_orthogonality(Zs, side, max_len):
+    """The orthogonality test as `ext_dim` on every ordered pair, each pair
+    resolving its first module again; the left side tests the family and
+    then its dual over the opposite window."""
+    for family in [Zs] if side == RIGHT else [Zs, [dualize(Z) for Z in Zs]]:
+        for Z1 in family:
+            for Z2 in family:
+                if ext_dim(1, Z1, Z2, max_len) != 0:
+                    return "ZNotExtOrthogonal"
+    return "orthogonal"
+
+
+def _perp_outcome(w, A, Zs, side, max_len):
+    try:
+        perp_adjoint(w, A, Zs, side, max_len)
+    except ZNotExtOrthogonal:
+        return "ZNotExtOrthogonal"
+    except NotRepresentable:
+        pass
+    return "orthogonal"
+
+
+@pytest.mark.parametrize("label, w", [
+    pytest.param(label, w, id=label) for label, w in fixture_windows((0, 1, 2))])
+def test_perp_adjoint_orthogonality_matches_pairwise_ext(label, w, monkeypatch):
+    # families at the ends of every arrow x -> y; each member is resolved
+    # once per family tested, and ZNotExtOrthogonal (or ExceedsBound) comes
+    # exactly when the pairwise route raises it
+    resolved = []
+    resolution_orig = threads.resolution
+
+    def counting_resolution(M, *args, **kwargs):
+        resolved.append(M)
+        return resolution_orig(M, *args, **kwargs)
+
+    monkeypatch.setattr(threads, "resolution", counting_resolution)
+    outcomes = set()
+    for a in w.quiver.arrows:
+        x, y = a.src, a.tgt
+        S = {v: std_module(w, v, SIMPLE) for v in (x, y)}
+        families = [[S[x], S[y]], [S[y], S[x]], [std_module(w, x, PROJECTIVE), S[y]],
+                    [S[x], std_module(w, y, INJECTIVE)], [S[y]]]
+        for Zs in families:
+            for side in (LEFT, RIGHT):
+                try:
+                    expected = _pairwise_orthogonality(Zs, side, 4)
+                except ExceedsBound:
+                    expected = "ExceedsBound"
+                del resolved[:]
+                try:
+                    got = _perp_outcome(w, x, Zs, side, 4)
+                except ExceedsBound:
+                    got = "ExceedsBound"
+                assert got == expected, (label, a.name, side)
+                if got == "orthogonal":
+                    families = 1 if side == RIGHT else 2
+                    assert len(resolved) == families * len(Zs), (label, a.name, side)
+                outcomes.add(got)
+    assert "ZNotExtOrthogonal" in outcomes and "orthogonal" in outcomes, (label, outcomes)
 
 
 def test_perp_adjoint_rejects_nonorthogonal():
