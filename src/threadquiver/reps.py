@@ -49,9 +49,12 @@ checks that the image lies in the span.  `linalg.solve_matrix` reduces
 [m | B] once for all columns, and `top_generators` finds the top with one
 elimination of [out-arrow maps | I] per vertex.  A two-term presentation is
 returned as the vertex tuples of its terms, since that is all its callers
-read, and the minimal injective copresentation of M is read as the
-projective presentation of D M over the opposite window, with no injective
-hull or cokernel built.
+read.  Its second term is the top of the first cover's kernel, read off
+`top_generators` and certified locally (at every vertex of the kernel's
+support, the out-arrow images and the generators there span the space), so
+no second cover is written.  The minimal injective copresentation of M is
+read as the projective presentation of D M over the opposite window, with no
+injective hull or cokernel built.
 """
 
 from __future__ import annotations
@@ -740,16 +743,25 @@ def kernel_as_projectives(f: RepMap) -> tuple[tuple[str, ...], list[list]]:
 # -- covers, hulls, resolutions -------------------------------------------------
 
 
-def top_generators(M: Rep) -> list[tuple[str, list]]:
+def _out_maps(M: Rep) -> dict[str, list[Matrix]]:
+    """The matrices of the arrows out of each vertex of M's support: their
+    images span rad M(v)."""
+    outs: dict[str, list[Matrix]] = {v: [] for v in M.support}
+    for a in M.support_arrows:
+        outs[a.src].append(M.maps[a.name])
+    return outs
+
+
+def top_generators(M: Rep, outs: dict[str, list[Matrix]] | None = None) -> list[tuple[str, list]]:
     """Vectors projecting to a basis of top M = M / rad M, as (vertex, vector).
 
     rad M(v) is spanned by the images of the arrows out of v.  One
     elimination of [those arrow maps | I] per vertex: its pivots past the
-    arrow columns are the unit vectors that complete rad M(v) to a basis."""
+    arrow columns are the unit vectors that complete rad M(v) to a basis.
+    `outs` are M's `_out_maps`, when the caller already has them."""
     fld = M.field
-    outs: dict[str, list[Matrix]] = {v: [] for v in M.support}
-    for a in M.support_arrows:
-        outs[a.src].append(M.maps[a.name])
+    if outs is None:
+        outs = _out_maps(M)
     gens = []
     for v in M.support:
         n = M.dims[v]
@@ -763,6 +775,28 @@ def top_generators(M: Rep) -> list[tuple[str, list]]:
         for j in units:
             gens.append((v, [fld.one if i == j else fld.zero for i in range(n)]))
     return gens
+
+
+def _assert_generates(M: Rep, gens: list[tuple[str, list]],
+                      outs: dict[str, list[Matrix]]) -> None:
+    """Certify that the vectors gens generate M, with no cover written: at
+    every vertex x of the support, the images of the arrows out of x (`outs`,
+    M's `_out_maps`) and the generators at x span M(x).  On a finite acyclic
+    window this holds at every x exactly when the generated submodule is M
+    (graded Nakayama, by induction from the sinks), that is, when
+    P(gens) -> M is onto.  A nonzero vertex with no arrow out and no
+    generator has no columns, rank 0."""
+    fld = M.field
+    at: dict[str, list[list]] = {}
+    for v, vec in gens:
+        at.setdefault(v, []).append(vec)
+    for v in M.support:
+        n = M.dims[v]
+        ms = outs[v]
+        vecs = at.get(v)
+        if vecs:
+            ms = ms + [Matrix(fld, n, len(vecs), [vec[i] for i in range(n) for vec in vecs])]
+        assert ms and rank(hstack(ms)) == n, "cover not surjective"
 
 
 def projective_cover(M: Rep) -> tuple[Rep, RepMap]:
@@ -789,14 +823,21 @@ def injective_hull(M: Rep) -> tuple[Rep, RepMap]:
 
 def two_term_presentation(M: Rep, side: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The vertices of the terms (P0, P1) of the minimal projective
-    presentation P1 -> P0 -> M -> 0, by cover, kernel, cover; or of (I0, I1)
-    of the minimal injective copresentation 0 -> M -> I0 -> I1, which is the
-    dual of the projective presentation of D M over the opposite window
-    (D I(v) = P(v) there).  The differential is not composed."""
+    presentation P1 -> P0 -> M -> 0; or of (I0, I1) of the minimal injective
+    copresentation 0 -> M -> I0 -> I1, which is the dual of the projective
+    presentation of D M over the opposite window (D I(v) = P(v) there).
+
+    P0 is the projective cover of M.  P1 is the top of the cover's kernel K:
+    its vertices are those of `top_generators(K)`, and `_assert_generates`
+    certifies at every vertex of K's support that they generate K, so no
+    second cover is written.  The differential is not composed."""
     if side == PROJECTIVE:
         P0, cover = projective_cover(M)
-        P1, _ = projective_cover(kernel_with_inclusion(cover)[0])
-        return P0.cert[1], P1.cert[1]
+        K = kernel_with_inclusion(cover)[0]
+        outs = _out_maps(K)
+        gens = top_generators(K, outs)
+        _assert_generates(K, gens, outs)
+        return P0.cert[1], tuple(v for v, _ in gens)
     if side == INJECTIVE:
         return two_term_presentation(dualize(M), PROJECTIVE)
     raise ValueError(f"unknown side {side!r}")

@@ -41,6 +41,7 @@ back to an injective resolution of its own.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -72,7 +73,7 @@ from .reps import (
     std_module,
     two_term_presentation,
 )
-from .windows import Window
+from .windows import Window, gabriel_neighbours
 
 KERNEL = "kernel"
 COKERNEL = "cokernel"
@@ -509,9 +510,12 @@ def check_dualizing(w: Window, strict_boundary: bool = False) -> Report:
     Pseudokernels and pseudocokernels must exist for all arrows between
     interior vertices; standard injectives get length-2 projective
     presentations, projectives get injective copresentations, and simples
-    both.  With strict_boundary, presentations whose terms touch marked
-    truncation artifacts are reported as failures (finite-window evidence
-    that the infinite object is not finitely / cofinitely presented).
+    both.  The terms of a simple's presentation (copresentation) are compared
+    with the Gabriel quiver: P0 = P(v), and P1 is the sum of P(u) over the
+    in-neighbours (out-neighbours) u of v, with irr multiplicity.  With
+    strict_boundary, presentations whose terms touch marked truncation
+    artifacts are reported as failures (finite-window evidence that the
+    infinite object is not finitely / cofinitely presented).
     """
     report = Report("dualizing-check")
     interior = set(w.interior_vertices())
@@ -528,20 +532,26 @@ def check_dualizing(w: Window, strict_boundary: bool = False) -> Report:
             except EndNotSplit:
                 report.fail(f"pseudo{side}({a.name})", "representable", "EndNotSplit")
 
+    ins, outs = gabriel_neighbours(w)
     for v in sorted(interior, key=w.quiver.vertex_index.__getitem__):
+        # (label, module, side, the Gabriel quiver's second term or None)
         checks = [
-            (f"I({v}) finitely presented", std_module(w, v, INJECTIVE), PROJECTIVE),
-            (f"P({v}) cofinitely presented", std_module(w, v, PROJECTIVE), INJECTIVE),
-            (f"S({v}) finitely presented", std_module(w, v, SIMPLE), PROJECTIVE),
-            (f"S({v}) cofinitely presented", std_module(w, v, SIMPLE), INJECTIVE),
+            (f"I({v}) finitely presented", std_module(w, v, INJECTIVE), PROJECTIVE, None),
+            (f"P({v}) cofinitely presented", std_module(w, v, PROJECTIVE), INJECTIVE, None),
+            (f"S({v}) finitely presented", std_module(w, v, SIMPLE), PROJECTIVE, ins[v]),
+            (f"S({v}) cofinitely presented", std_module(w, v, SIMPLE), INJECTIVE, outs[v]),
         ]
-        for label, M, side in checks:
+        for label, M, side, neighbours in checks:
             report.tally()
             try:
                 first, second = two_term_presentation(M, side)
             except ThreadQuiverError as exc:  # structural failure
                 report.fail(label, "2-term presentation", type(exc).__name__)
                 continue
+            if neighbours is not None and (
+                    first != (v,) or Counter(second) != Counter(neighbours)):
+                report.fail(label, f"Gabriel quiver terms {((v,), tuple(neighbours))}",
+                            str((first, second)))
             if strict_boundary:
                 touched = sorted(set(first + second) & w.boundary)
                 if touched:

@@ -1,17 +1,18 @@
 """Structure theory of the window category itself.
 
-Radical and irreducible-map dimensions, the Gabriel quiver, almost split
-neighbors, thread detection and extraction back to a thread quiver, and the
-explicit adjoints of reflective subcategory embeddings (perpendicular,
-support, and interval), all verified instance-wise through hom dimensions.
+The Gabriel quiver (its irreducible-map dimensions are
+`windows.rad_irr_dims`), almost split neighbors, thread detection and
+extraction back to a thread quiver, and the explicit adjoints of reflective
+subcategory embeddings (perpendicular, support, and interval), all verified
+instance-wise through hom dimensions.
 """
 
 from __future__ import annotations
 
-from .errors import BoundaryContaminated, NotRepresentable, ZNotExtOrthogonal
-from .linalg import Matrix, rank, solve
+from .errors import BoundaryContaminated, ExceedsBound, NotRepresentable, ZNotExtOrthogonal
+from .linalg import solve
 from .orders import Fin
-from .quiver import Arrow, Path, Quiver
+from .quiver import Arrow, Quiver
 from .report import Report
 from .reps import (
     INJECTIVE,
@@ -33,50 +34,16 @@ from .reps import (
     two_term_presentation,
 )
 from .serre import VarietyMor, realize_proj, total_hom_dims, transport_to_opposite
-from .windows import ThreadQuiver, Window
+from .windows import ThreadQuiver, Window, arrow_pairs, gabriel_neighbours, rad_irr_dims
 
 LEFT = "left"
 RIGHT = "right"
 
 
-def rad_irr_dims(w: Window, x: str, y: str) -> tuple[int, int, int]:
-    """(dim rad, dim rad^2, dim irr) between two vertices of an acyclic window.
-
-    Between distinct vertices of an acyclic window every morphism is radical.
-    A path of length >= 2 is an arrow a: x -> z followed by a path z -> y with
-    z != y, so rad^2 is spanned by the classes of a . q over those arrows and
-    the basis q of hom(z, y); this holds whatever the relations.  Without an
-    arrow x -> y every path has length >= 2, so irr(x, y) = 0.
-    """
-    if x == y:
-        return 0, 0, 0
-    hxy = w.hom(x, y)
-    radd = hxy.dim
-    if radd == 0:
-        return 0, 0, 0
-    vectors = []
-    for a in w.quiver.out_arrows[x]:
-        if a.tgt == y:
-            continue
-        for q in w.hom(a.tgt, y).basis:
-            vectors.append(hxy.expand_path(Path(x, y, (a.name,) + q.arrows)))
-    if not vectors:
-        return radd, 0, radd
-    m = Matrix(w.field, len(vectors), hxy.dim, [c for vec in vectors for c in vec])
-    rad2 = rank(m)
-    return radd, rad2, radd - rad2
-
-
-def _arrow_pairs(w: Window) -> list[tuple[str, str]]:
-    """Distinct (src, tgt) pairs of the window's arrows: the only vertex pairs
-    whose irreducible maps can be nonzero."""
-    return list(dict.fromkeys((a.src, a.tgt) for a in w.quiver.arrows))
-
-
 def gabriel_quiver(w: Window) -> Quiver:
     """Vertices of the window with irr(x, y) arrows x -> y."""
     arrows = []
-    for x, y in _arrow_pairs(w):
+    for x, y in arrow_pairs(w):
         _, _, irr = rad_irr_dims(w, x, y)
         for i in range(irr):
             arrows.append(Arrow(f"{x}->{y}#{i}", x, y))
@@ -94,19 +61,14 @@ def almost_split(w: Window, v: str, side: str) -> tuple[str, ...]:
     return two_term_presentation(S, PROJECTIVE if side == LEFT else INJECTIVE)[1]
 
 
-def _degree_maps(w: Window, use_irr: bool) -> tuple[dict, dict]:
-    """(in-neighbors, out-neighbors) with multiplicity, by irr dims or raw arrows."""
+def _arrow_neighbours(w: Window) -> tuple[dict, dict]:
+    """(in-neighbours, out-neighbours) of every vertex by the window's arrows,
+    with multiplicity."""
     ins: dict[str, list[str]] = {v: [] for v in w.quiver.vertices}
     outs: dict[str, list[str]] = {v: [] for v in w.quiver.vertices}
-    if use_irr:
-        for x, y in _arrow_pairs(w):
-            _, _, irr = rad_irr_dims(w, x, y)
-            outs[x].extend([y] * irr)
-            ins[y].extend([x] * irr)
-    else:
-        for a in w.quiver.arrows:
-            outs[a.src].append(a.tgt)
-            ins[a.tgt].append(a.src)
+    for a in w.quiver.arrows:
+        outs[a.src].append(a.tgt)
+        ins[a.tgt].append(a.src)
     return ins, outs
 
 
@@ -139,7 +101,7 @@ def thread_runs(w: Window) -> list[list[str]]:
     direct successor, counted by irreducible maps; every thread vertex lies on
     exactly one run.
     """
-    ins, outs = _degree_maps(w, use_irr=True)
+    ins, outs = gabriel_neighbours(w)
     tv = {
         v for v in w.interior_vertices() if len(ins[v]) == 1 and len(outs[v]) == 1
     }
@@ -195,7 +157,7 @@ def extract_threadquiver(w: Window, min_len: int) -> ThreadQuiver:
     X ..> Y labeled by the finite order of its length.
     """
     assert not w.relations, "extraction expects a relation-free window"
-    ins, outs = _degree_maps(w, use_irr=False)
+    ins, outs = _arrow_neighbours(w)
     chainlike = {
         v for v in w.quiver.vertices if len(ins[v]) == 1 and len(outs[v]) == 1
     }
@@ -238,6 +200,37 @@ def _evaluation(w: Window, A: str, Zs: list[Rep]) -> RepMap | None:
                          [generator])
 
 
+def _assert_ext_orthogonal(Zs: list[Rep], max_len: int) -> None:
+    """Raise ZNotExtOrthogonal unless Ext^1(Z1, Z2) = 0 over every ordered
+    pair of the family, each nonzero Z1 resolved once.  Where a resolution
+    does not finish within max_len, the dual family over the opposite window
+    settles it instead: Ext^1_op(DZ1, DZ2) = Ext^1(Z2, Z1), so its ordered
+    pairs are those of Zs.  ExceedsBound comes only when neither finishes."""
+
+    def test(family):
+        nonzero = [Z for Z in family if not Z.is_zero()]
+        for Z1 in nonzero:
+            res = resolution(Z1, PROJECTIVE, max_len).complex
+            for Z2 in nonzero:
+                if total_hom_dims(res, one_term_complex(Z2)).get(1, 0) != 0:
+                    raise ZNotExtOrthogonal("the removed family is not Ext-orthogonal")
+
+    try:
+        test(Zs)
+    except ExceedsBound:
+        test([dualize(Z) for Z in Zs])
+
+
+def _right_perp(w: Window, A: str, Zs: list[Rep]) -> tuple[tuple[str, ...], VarietyMor]:
+    """The right adjoint's image of A, for a family already known to be
+    Ext^1-orthogonal."""
+    e = _evaluation(w, A, Zs)
+    if e is None:
+        return (A,), VarietyMor.identity(w, A)
+    verts, entries = kernel_as_projectives(e)
+    return verts, VarietyMor(w, verts, (A,), entries)
+
+
 def perp_adjoint(w: Window, A: str, Zs: list[Rep], side: str,
                  max_len: int = 8) -> tuple[tuple[str, ...], VarietyMor]:
     """Image of A under the adjoint of the perpendicular-subcategory embedding.
@@ -245,25 +238,15 @@ def perp_adjoint(w: Window, A: str, Zs: list[Rep], side: str,
     Right adjoint: the kernel of the evaluation P(A) -> ⊕_Z Z ⊗ Z(A)^*,
     recognized as a sum of standard projectives.  Left adjoint: the dual
     construction over the opposite window.  Requires the Z family to be
-    Ext^1-orthogonal (raises ZNotExtOrthogonal otherwise).
+    Ext^1-orthogonal (raises ZNotExtOrthogonal otherwise), tested once on
+    either side.
     """
-    # Ext^1(Z1, Z2) over every ordered pair, each nonzero Z1 resolved once
-    nonzero = [Z for Z in Zs if not Z.is_zero()]
-    for Z1 in nonzero:
-        res = resolution(Z1, PROJECTIVE, max_len).complex
-        for Z2 in nonzero:
-            if total_hom_dims(res, one_term_complex(Z2)).get(1, 0) != 0:
-                raise ZNotExtOrthogonal("the removed family is not Ext-orthogonal")
+    _assert_ext_orthogonal(Zs, max_len)
     if side == LEFT:
-        verts, op_mor = perp_adjoint(w.opposite(), A, [dualize(Z) for Z in Zs], RIGHT,
-                                     max_len)
+        verts, op_mor = _right_perp(w.opposite(), A, [dualize(Z) for Z in Zs])
         return verts, transport_to_opposite(op_mor)
     assert side == RIGHT
-    e = _evaluation(w, A, Zs)
-    if e is None:
-        return (A,), VarietyMor.identity(w, A)
-    verts, entries = kernel_as_projectives(e)
-    return verts, VarietyMor(w, verts, (A,), entries)
+    return _right_perp(w, A, Zs)
 
 
 def supp_adjoint(w: Window, A: str, Y: str) -> tuple[tuple[str, ...], VarietyMor]:

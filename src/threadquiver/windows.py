@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NonAcyclic, TooLarge
-from .linalg import QQ
+from .linalg import QQ, Matrix, rank
 from .orders import (
     FiniteChain,
     LinearOrderExpr,
@@ -308,6 +308,55 @@ def expand(tq: ThreadQuiver, depth: int, field=QQ, name: str = "") -> Window:
     )
     w.source_tq = tq
     return w
+
+
+# -- radical and irreducible maps ----------------------------------------------
+
+
+def arrow_pairs(w: Window) -> list[tuple[str, str]]:
+    """Distinct (src, tgt) pairs of the window's arrows: the only vertex pairs
+    whose irreducible maps can be nonzero."""
+    return list(dict.fromkeys((a.src, a.tgt) for a in w.quiver.arrows))
+
+
+def rad_irr_dims(w: Window, x: str, y: str) -> tuple[int, int, int]:
+    """(dim rad, dim rad^2, dim irr) between two vertices of an acyclic window.
+
+    Between distinct vertices of an acyclic window every morphism is radical.
+    A path of length >= 2 is an arrow a: x -> z followed by a path z -> y with
+    z != y, so rad^2 is spanned by the classes of a . q over those arrows and
+    the basis q of hom(z, y); this holds whatever the relations.  Without an
+    arrow x -> y every path has length >= 2, so irr(x, y) = 0.
+    """
+    if x == y:
+        return 0, 0, 0
+    hxy = w.hom(x, y)
+    radd = hxy.dim
+    if radd == 0:
+        return 0, 0, 0
+    vectors = []
+    for a in w.quiver.out_arrows[x]:
+        if a.tgt == y:
+            continue
+        for q in w.hom(a.tgt, y).basis:
+            vectors.append(hxy.expand_path(Path(x, y, (a.name,) + q.arrows)))
+    if not vectors:
+        return radd, 0, radd
+    m = Matrix(w.field, len(vectors), hxy.dim, [c for vec in vectors for c in vec])
+    rad2 = rank(m)
+    return radd, rad2, radd - rad2
+
+
+def gabriel_neighbours(w: Window) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """(in-neighbours, out-neighbours) of every vertex in the Gabriel quiver:
+    u appears irr(u, v) times among the in-neighbours of v."""
+    ins: dict[str, list[str]] = {v: [] for v in w.quiver.vertices}
+    outs: dict[str, list[str]] = {v: [] for v in w.quiver.vertices}
+    for x, y in arrow_pairs(w):
+        _, _, irr = rad_irr_dims(w, x, y)
+        outs[x].extend([y] * irr)
+        ins[y].extend([x] * irr)
+    return ins, outs
 
 
 # -- window isomorphism -------------------------------------------------------

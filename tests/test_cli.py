@@ -317,6 +317,23 @@ def test_cli_subprocess_entry():
     assert doc["status"] == "pass"
 
 
+def test_time_checks_script_prints_one_row_per_check_and_depth():
+    # scripts/time_checks.py records the Baseline timings: one JSON row per
+    # (check, depth), each run in a fresh interpreter
+    script = FIXTURES.parent / "scripts" / "time_checks.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), str(FIXTURES / "z_thread.tq"),
+         "--depths", "1", "--checks", "threads"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(rows) == 1
+    assert set(rows[0]) == {"check", "depth", "exit", "wall_s", "peak_rss_mb"}
+    assert (rows[0]["check"], rows[0]["depth"], rows[0]["exit"]) == ("threads", 1, 0)
+
+
 def test_json_keys_sorted(capsys):
     code, _ = run_json(["serre-check", str(FIXTURES / "a2.tq")], capsys)
     # re-run to capture the raw text

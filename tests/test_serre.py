@@ -39,6 +39,7 @@ from threadquiver.reps import (
     proj_dim,
     resolution,
     std_module,
+    two_term_presentation,
 )
 from threadquiver.serre import (
     COKERNEL,
@@ -475,6 +476,115 @@ def test_check_dualizing_lets_bugs_propagate(monkeypatch):
     monkeypatch.setattr(reps, "projective_cover", broken_cover)
     with pytest.raises(AssertionError):
         check_dualizing(a2_window())
+
+
+# -- presentations: the second term certified without a second cover ----------------
+
+
+def two_in_arrows_window():
+    # the kernel of P(v) -> S(v) on a -f-> v <-g- b is P(a) + P(b): its
+    # support {a, b} has no arrow inside, and each vertex carries one generator
+    return window_from_quiver(Quiver(["a", "b", "v"], [("f", "a", "v"), ("g", "b", "v")]))
+
+
+def drop_last_generator(K, gens):
+    return gens[:-1]
+
+
+def drop_every_generator(K, gens):
+    return []
+
+
+def drop_generators_at_a_sink(K, gens):
+    # every generator at the first vertex of K's support with no arrow out
+    # inside it; the generators elsewhere stay
+    sources = {a.src for a in K.support_arrows}
+    sink = next(v for v, _ in gens if v not in sources)
+    return [(v, vec) for v, vec in gens if v != sink]
+
+
+def mutate_kernel_top(monkeypatch, mutate):
+    """`top_generators` answers wrongly on every call made outside
+    `projective_cover`, which keeps its exact top and its own rank
+    assertion: the only such call reads the kernel's top in
+    `two_term_presentation`.  Returns the wrong answers given."""
+    import threadquiver.reps as reps
+
+    top_generators = reps.top_generators
+    projective_cover = reps.projective_cover
+    covers_open = []
+    given = []
+
+    def cover(M):
+        covers_open.append(M)
+        try:
+            return projective_cover(M)
+        finally:
+            covers_open.pop()
+
+    def mutant(M, *args):
+        gens = top_generators(M, *args)
+        if gens and not covers_open:
+            given.append(mutate(M, gens))
+            return given[-1]
+        return gens
+
+    monkeypatch.setattr(reps, "projective_cover", cover)
+    monkeypatch.setattr(reps, "top_generators", mutant)
+    return given
+
+
+def raised_assertion(call):
+    try:
+        call()
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("mutate", [
+    drop_last_generator, drop_every_generator, drop_generators_at_a_sink])
+def test_presentation_certificate_rejects_a_wrong_kernel_top(monkeypatch, mutate):
+    # generators that miss part of the kernel fail the local certificate, at
+    # a vertex with no generator too, and the AssertionError is a bug that
+    # check_dualizing lets through
+    w = two_in_arrows_window()
+    S = std_module(w, "v", SIMPLE)
+    assert two_term_presentation(S, PROJECTIVE) == (("v",), ("a", "b"))
+    given = mutate_kernel_top(monkeypatch, mutate)
+    raised = raised_assertion(lambda: two_term_presentation(S, PROJECTIVE))
+    assert len(given) == 1, "the mutant did not answer for the kernel's top"
+    assert raised == "cover not surjective"
+    if mutate is drop_generators_at_a_sink:  # a generator is left, at b
+        assert [v for v, _ in given[0]] == ["b"]
+    del given[:]
+    raised = raised_assertion(lambda: check_dualizing(w))
+    assert given, "the mutant did not answer inside check_dualizing"
+    assert raised == "cover not surjective"
+
+
+def test_simple_presentation_items_compare_with_the_gabriel_quiver(monkeypatch):
+    # a presentation answering with the other side's second term fails every
+    # S(v) item, showing both tuples; the I(v) and P(v) items, which are not
+    # compared, and the checked count do not move
+    w = window_from_quiver(Quiver(["s", "a", "b"], [("f", "s", "a"), ("g", "s", "b")]))
+    honest = check_dualizing(w)
+    assert honest.passed
+    presentation = serre.two_term_presentation
+
+    def other_side(M, side):
+        other = INJECTIVE if side == PROJECTIVE else PROJECTIVE
+        return presentation(M, side)[0], presentation(M, other)[1]
+
+    monkeypatch.setattr(serre, "two_term_presentation", other_side)
+    report = check_dualizing(w)
+    assert report.checked == honest.checked
+    items = {i.subject: (i.expected, i.actual) for i in report.items}
+    assert set(items) == {f"S({v}) {k}presented" for v in "sab" for k in ("finitely ", "cofinitely ")}
+    assert items["S(s) cofinitely presented"] == (
+        "Gabriel quiver terms (('s',), ('a', 'b'))", "(('s',), ())")
+    assert items["S(a) finitely presented"] == (
+        "Gabriel quiver terms (('a',), ('s',))", "(('a',), ())")
 
 
 # -- the injective side read off the simples' resolutions ------------------------------

@@ -16,7 +16,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threadquiver import cli, threads
+from threadquiver import cli, threads, windows
 from threadquiver.dsl import parse_tq
 from threadquiver.errors import (
     BoundaryContaminated,
@@ -165,13 +165,14 @@ def test_threads_cli_asks_rad_irr_dims_only_for_arrow_pairs(monkeypatch, capsys)
     w = expand(parse_tq(path.read_text()), 3)
     pairs = {(a.src, a.tgt) for a in w.quiver.arrows}
     calls = []
-    orig = threads.rad_irr_dims
+    orig = windows.rad_irr_dims
 
     def counted(w, x, y):
         calls.append((x, y))
         return orig(w, x, y)
 
-    monkeypatch.setattr(threads, "rad_irr_dims", counted)
+    # the Gabriel quiver's neighbours are read in the module that defines it
+    monkeypatch.setattr(windows, "rad_irr_dims", counted)
     assert cli.run(["threads", str(path), "--depth", "3"]) == 0
     capsys.readouterr()
     assert calls
@@ -325,16 +326,23 @@ def test_perp_adjoint_left_side():
     assert report.passed, report.items
 
 
-def _pairwise_orthogonality(Zs, side, max_len):
+def _pairwise_orthogonality(Zs, max_len):
     """The orthogonality test as `ext_dim` on every ordered pair, each pair
-    resolving its first module again; the left side tests the family and
-    then its dual over the opposite window."""
-    for family in [Zs] if side == RIGHT else [Zs, [dualize(Z) for Z in Zs]]:
+    resolving its first module again, and the family that settled it: Zs
+    over the window, or, where one of its resolutions does not finish, the
+    dual family over the opposite window (Ext^1_op(DZ1, DZ2) = Ext^1(Z2, Z1))."""
+    def outcome(family):
         for Z1 in family:
             for Z2 in family:
                 if ext_dim(1, Z1, Z2, max_len) != 0:
                     return "ZNotExtOrthogonal"
-    return "orthogonal"
+        return "orthogonal"
+
+    try:
+        return outcome(Zs), Zs
+    except ExceedsBound:
+        dual = [dualize(Z) for Z in Zs]
+        return outcome(dual), dual
 
 
 def _perp_outcome(w, A, Zs, side, max_len):
@@ -350,9 +358,10 @@ def _perp_outcome(w, A, Zs, side, max_len):
 @pytest.mark.parametrize("label, w", [
     pytest.param(label, w, id=label) for label, w in fixture_windows((0, 1, 2))])
 def test_perp_adjoint_orthogonality_matches_pairwise_ext(label, w, monkeypatch):
-    # families at the ends of every arrow x -> y; each member is resolved
-    # once per family tested, and ZNotExtOrthogonal (or ExceedsBound) comes
-    # exactly when the pairwise route raises it
+    # families at the ends of every arrow x -> y; on either side each member
+    # of the family that settles orthogonality is resolved once, and
+    # ZNotExtOrthogonal (or ExceedsBound) comes exactly when the pairwise
+    # route raises it
     resolved = []
     resolution_orig = threads.resolution
 
@@ -368,11 +377,11 @@ def test_perp_adjoint_orthogonality_matches_pairwise_ext(label, w, monkeypatch):
         families = [[S[x], S[y]], [S[y], S[x]], [std_module(w, x, PROJECTIVE), S[y]],
                     [S[x], std_module(w, y, INJECTIVE)], [S[y]]]
         for Zs in families:
+            try:
+                expected, settled_by = _pairwise_orthogonality(Zs, 4)
+            except ExceedsBound:
+                expected, settled_by = "ExceedsBound", None
             for side in (LEFT, RIGHT):
-                try:
-                    expected = _pairwise_orthogonality(Zs, side, 4)
-                except ExceedsBound:
-                    expected = "ExceedsBound"
                 del resolved[:]
                 try:
                     got = _perp_outcome(w, x, Zs, side, 4)
@@ -380,8 +389,9 @@ def test_perp_adjoint_orthogonality_matches_pairwise_ext(label, w, monkeypatch):
                     got = "ExceedsBound"
                 assert got == expected, (label, a.name, side)
                 if got == "orthogonal":
-                    families = 1 if side == RIGHT else 2
-                    assert len(resolved) == families * len(Zs), (label, a.name, side)
+                    tail = resolved[len(resolved) - len(Zs):]
+                    assert [M.window for M in tail] == [Z.window for Z in settled_by]
+                    assert len(resolved) == len(Zs) or settled_by is not Zs, (label, a.name)
                 outcomes.add(got)
     assert "ZNotExtOrthogonal" in outcomes and "orthogonal" in outcomes, (label, outcomes)
 
@@ -390,8 +400,44 @@ def test_perp_adjoint_rejects_nonorthogonal():
     w = a3_window()
     s2 = std_module(w, "2", SIMPLE)
     s3 = std_module(w, "3", SIMPLE)
-    with pytest.raises(ZNotExtOrthogonal):
-        perp_adjoint(w, "1", [s2, s3], RIGHT)
+    for side in (LEFT, RIGHT):
+        with pytest.raises(ZNotExtOrthogonal):
+            perp_adjoint(w, "1", [s2, s3], side)
+
+
+def test_perp_adjoint_orthogonality_settled_by_the_dual_family():
+    # on the radical-square-zero A10, S(v10) has projective dimension 9, past
+    # max_len = 8, while its dual over the opposite window is projective:
+    # the dual family settles orthogonality, on either side
+    w = expand(parse_tq((FIXTURES / "ainf_rad2.tq").read_text()), 0)
+    s9, s10 = std_module(w, "v9", SIMPLE), std_module(w, "v10", SIMPLE)
+    with pytest.raises(ExceedsBound):
+        ext_dim(1, s10, s10, 8)
+    for side in (LEFT, RIGHT):
+        assert perp_adjoint(w, "v9", [s10], side)[0] == ("v9",), side
+        with pytest.raises(ZNotExtOrthogonal):
+            perp_adjoint(w, "v9", [s9, s10], side)
+
+
+def test_perp_adjoint_left_tests_orthogonality_once(monkeypatch):
+    # on a window of finite global dimension either side resolves each
+    # nonzero member once, over the window; a zero member is never resolved
+    import threadquiver.reps as reps
+
+    resolved = []
+    resolution_orig = reps.resolution
+
+    def counting_resolution(M, *args, **kwargs):
+        resolved.append(M.window)
+        return resolution_orig(M, *args, **kwargs)
+
+    monkeypatch.setattr(threads, "resolution", counting_resolution)
+    w = a3_window()
+    Zs = [std_module(w, "1", SIMPLE), reps.zero_rep(w), std_module(w, "3", SIMPLE)]
+    for side in (RIGHT, LEFT):
+        del resolved[:]
+        perp_adjoint(w, "2", Zs, side)
+        assert resolved == [w, w], side
 
 
 def test_supp_adjoint_trivial_cases():
