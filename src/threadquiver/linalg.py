@@ -2,14 +2,26 @@
 
 Everything here is pure value code: matrices are immutable in practice
 (no operation mutates its arguments), entries are exact field elements,
-and all ranks/kernels are computed by fraction-exact Gaussian elimination.
+and all ranks/kernels are computed by exact Gaussian elimination.
 A sparse homogeneous solver is provided for the large, very sparse
 naturality systems that arise when computing hom spaces of representations.
 
+An element of `QQ` is a Python `int` when it is integral and a
+`fractions.Fraction` otherwise: `QQ(x)` and `QQ.div` return an `int` for an
+integral value, and `QQ(x)` refuses a `float`.  Most entries the checks meet
+are 0 or ±1, so most arithmetic stays on ints.  Sums and products involving a
+`Fraction` may leave an integral `Fraction`; it equals, hashes and prints as
+the `int`, so the two forms never need to be told apart.  An element of a
+`PrimeField` is an `FpElement`.
+
+Each field has one exact division, `field.div(a, b)`, and it is the only
+way code outside this module divides field elements: `a / b` on two ints
+would silently give a float.
+
 The dense kernels (`is_zero`, products, `apply`, `rref`) test an entry for
-zero by its truth value: both fields define `bool` as "nonzero"
-(`Fraction.__bool__`, `FpElement.__bool__`), at a fraction of the cost of
-comparing with the field's zero.
+zero by its truth value: every representation defines `bool` as "nonzero"
+(`int.__bool__`, `Fraction.__bool__`, `FpElement.__bool__`), at a fraction
+of the cost of comparing with the field's zero.
 """
 
 from __future__ import annotations
@@ -93,14 +105,30 @@ class FpElement:
 
 
 class RationalField:
-    """Exact rationals; the default scalar field."""
+    """Exact rationals; the default scalar field.  Integral elements are
+    `int`s, the others `Fraction`s (see the module docstring)."""
 
     name = "q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def __call__(self, x) -> Fraction:
-        return Fraction(x)
+    def __call__(self, x):
+        if type(x) is int:
+            return x
+        if isinstance(x, float):
+            raise TypeError(f"QQ refuses the float {x!r}: pass an int, a Fraction or a string")
+        q = Fraction(x)
+        return q.numerator if q.denominator == 1 else q
+
+    @staticmethod
+    def div(a, b):
+        """The exact quotient a / b: an `int` when it is integral."""
+        if type(a) is int and type(b) is int:
+            if a % b:
+                return Fraction(a, b)
+            return a // b
+        q = Fraction(a) / b
+        return q.numerator if q.denominator == 1 else q
 
     def __repr__(self):
         return "QQ"
@@ -163,8 +191,12 @@ class PrimeField:
             assert x.p == self.p
             return x
         if isinstance(x, Fraction):
-            return FpElement(x.numerator, self.p) / FpElement(x.denominator, self.p)
+            return self.div(FpElement(x.numerator, self.p), FpElement(x.denominator, self.p))
         return FpElement(int(x), self.p)
+
+    def div(self, a, b) -> FpElement:
+        """The exact quotient a / b, as an `FpElement` even for two ints."""
+        return self(a) / self(b)
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -333,18 +365,15 @@ class Matrix:
 
 def hstack(parts: list[Matrix]) -> Matrix:
     assert parts
-    field = parts[0].field
     rows = parts[0].rows
     if any(p.rows != rows for p in parts):
         raise DimensionMismatch("hstack row mismatch")
-    cols = sum(p.cols for p in parts)
-    out = Matrix.zeros(field, rows, cols)
-    off = 0
-    for p in parts:
-        for i in range(rows):
-            out.data[i * cols + off : i * cols + off + p.cols] = p.row(i)
-        off += p.cols
-    return out
+    spans = [(p.data, p.cols) for p in parts if p.cols]
+    data = []
+    for i in range(rows):
+        for d, c in spans:
+            data += d[i * c:(i + 1) * c]
+    return Matrix(parts[0].field, rows, sum(c for _, c in spans), data)
 
 
 def vstack(parts: list[Matrix]) -> Matrix:
@@ -377,6 +406,7 @@ def direct_sum(parts: list[Matrix]) -> Matrix:
 def rref(m: Matrix) -> tuple[int, Matrix, list[int]]:
     """Row-reduced echelon form.  Returns (rank, reduced matrix, pivot columns)."""
     r = m.copy()
+    one, div = m.field.one, m.field.div
     pivots = []
     pr = 0
     for pc in range(r.cols):
@@ -398,11 +428,11 @@ def rref(m: Matrix) -> tuple[int, Matrix, list[int]]:
                 r.data[a : a + r.cols],
             )
         pv = r.data[pr * r.cols + pc]
-        if pv != m.field.one:
-            base = pr * r.cols
-            for j in range(pc, r.cols):
-                r.data[base + j] = r.data[base + j] / pv
         base = pr * r.cols
+        if pv != one:
+            inv = div(one, pv)
+            for j in range(pc, r.cols):
+                r.data[base + j] = r.data[base + j] * inv
         for i in range(r.rows):
             if i == pr:
                 continue
@@ -498,7 +528,7 @@ def sparse_kernel(eqs: list[dict[int, object]], nvars: int, field) -> list[dict[
     limit fill-in; the naturality systems this serves are near-chain shaped,
     so elimination stays close to linear.
     """
-    zero = field.zero
+    zero, one = field.zero, field.one
     # normalize: drop zero coefficients
     work = []
     for eq in eqs:
@@ -521,8 +551,8 @@ def sparse_kernel(eqs: list[dict[int, object]], nvars: int, field) -> list[dict[
             continue
         # pivot on the variable appearing in the fewest other equations
         pv = min(eq, key=lambda v: (len(var_to_eqs.get(v, ())), v))
-        pc = eq[pv]
-        row = {v: c / pc for v, c in eq.items()}
+        inv = field.div(one, eq[pv])
+        row = {v: c * inv for v, c in eq.items()}
         pivots.append((pv, row))
         pivoted_vars.add(pv)
         for oi in list(var_to_eqs.get(pv, ())):
@@ -547,7 +577,6 @@ def sparse_kernel(eqs: list[dict[int, object]], nvars: int, field) -> list[dict[
                 var_to_eqs[pv].discard(oi)
     free = [v for v in range(nvars) if v not in pivoted_vars]
     basis = []
-    one = field.one
     for fv in free:
         vec = {fv: one}
         # pivots were eliminated against all later rows, so back-substitute in reverse

@@ -990,7 +990,7 @@ def _char_poly(fld, m: Matrix) -> list:
     for k in range(1, n + 1):
         Mk = m @ Mk
         tr = sum((Mk[i, i] for i in range(n)), fld.zero)
-        c = -tr / fld(k)
+        c = fld.div(-tr, fld(k))
         coeffs[n - k] = c
         for i in range(n):
             Mk[i, i] = Mk[i, i] + c
@@ -1122,7 +1122,8 @@ def _is_scalar_plus_nilpotent(M: Rep, h: RepMap) -> bool:
         lams = [fld(i) for i in range(fld.p)]
     else:
         hv = h.comps[v]
-        lams = [sum((hv[i, i] for i in range(hv.rows)), fld.zero) / fld(M.dims[v])]
+        trace = sum((hv[i, i] for i in range(hv.rows)), fld.zero)
+        lams = [fld.div(trace, fld(M.dims[v]))]
     for lam in lams:
         if _endo_power(h - identity_map(M).scale(lam), n).is_zero():
             return True

@@ -7,6 +7,7 @@ zero, and its linearly oriented cousin.
 """
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from threadquiver.errors import BoundaryContaminated, ExceedsBound
 from threadquiver.linalg import (
     QQ,
     Matrix,
+    RationalField,
     column_space_basis,
     hstack,
     kernel_basis,
@@ -27,6 +29,8 @@ from threadquiver.linalg import (
 from threadquiver.orders import INT, NAT, NEG_NAT, Fin
 from threadquiver.quiver import Path as QPath
 from threadquiver.quiver import Quiver, Relation
+import threadquiver.serre as serre
+from threadquiver.report import Report
 from threadquiver.reps import (
     INJECTIVE,
     PROJECTIVE,
@@ -42,6 +46,32 @@ from threadquiver.reps import (
     resolution,
 )
 from threadquiver.windows import ThreadQuiver, expand, window_from_quiver
+
+
+class FractionField(RationalField):
+    """Differential oracle for `linalg.QQ`: the rationals with every element
+    a `Fraction`, integral or not, and `/` as the division.  It is a
+    `RationalField`, so every rationals-only route accepts it, but it
+    compares equal only to itself."""
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def __call__(self, x) -> Fraction:
+        return Fraction(x)
+
+    @staticmethod
+    def div(a, b):
+        return a / b
+
+    def __repr__(self):
+        return "FractionField"
+
+    def __eq__(self, other):
+        return isinstance(other, FractionField)
+
+    def __hash__(self):
+        return hash("FractionField")
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -351,6 +381,30 @@ def per_probe_usable_probes(w, test_set, max_len, forbid_boundary, report):
         report.tally()
         usable.append((label, X, res.complex))
     return usable
+
+
+def per_pair_check_serre(w, test_set, max_len, shifts=None, forbid_boundary=True):
+    """Differential oracle for `serre.check_serre`: both hom complexes of
+    every ordered probe pair are evaluated, with no test by support."""
+    report = Report("serre-check")
+    if shifts is None:
+        shifts = range(-max_len, max_len + 1)
+    usable = serre._usable_probes(w, test_set, max_len, forbid_boundary, report)
+    images = {label: serre.nakayama(res) for label, _, res in usable}
+    for xl, _, res_x in usable:
+        for yl, Y, res_y in usable:
+            left = serre.total_hom_dims(res_x, serre.one_term_complex(Y))
+            right = serre.total_hom_dims(res_y, images[xl])
+            for n in shifts:
+                report.tally()
+                ln, rn = left.get(n, 0), right.get(-n, 0)
+                if ln != rn:
+                    report.fail(
+                        f"RHom^{n}({xl}, {yl}) vs RHom^{-n}({yl}, S {xl})", ln, rn
+                    )
+    if usable and not serre._nakayama_functoriality_check(w):
+        report.fail("nakayama functoriality", "composition preserved", "violated")
+    return report
 
 
 def per_vertex_realize_proj_coords(P, Q, entries):

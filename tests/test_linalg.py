@@ -1,8 +1,10 @@
+import ast
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from conftest import per_column_solve_matrix
+from conftest import FractionField, per_column_solve_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +12,7 @@ from threadquiver.linalg import (
     QQ,
     MILLER_RABIN_LIMIT,
     DimensionMismatch,
+    FpElement,
     Matrix,
     PrimeField,
     column_space_basis,
@@ -269,3 +272,164 @@ def _timed(fn):
     t0 = time.perf_counter()
     fn()
     return time.perf_counter() - t0
+
+
+# -- elements of QQ: ints where integral, one exact division per field ----------
+
+
+def _exact(x):
+    return type(x) is int or type(x) is Fraction
+
+
+def test_rationals_are_ints_where_integral():
+    assert (QQ.zero, QQ.one) == (0, 1) and type(QQ.zero) is type(QQ.one) is int
+    assert type(QQ(3)) is int and type(QQ(Fraction(4, 2))) is int and QQ(Fraction(4, 2)) == 2
+    assert type(QQ("6/3")) is int and QQ("6/3") == 2
+    assert QQ(Fraction(1, 2)) == Fraction(1, 2) and QQ("-1/2") == Fraction(-1, 2)
+    assert type(QQ(True)) is int
+
+
+def test_rationals_refuse_floats():
+    with pytest.raises(TypeError):
+        QQ(0.5)
+    with pytest.raises(TypeError):
+        QQ(2.0)
+
+
+def test_field_division_is_exact():
+    assert QQ.div(1, 2) == Fraction(1, 2) and type(QQ.div(1, 2)) is Fraction
+    assert QQ.div(-6, 3) == -2 and type(QQ.div(-6, 3)) is int
+    assert QQ.div(7, -2) == Fraction(-7, 2)
+    assert QQ.div(Fraction(1, 2), Fraction(1, 4)) == 2
+    assert type(QQ.div(Fraction(1, 2), Fraction(1, 4))) is int
+    assert QQ.div(3, Fraction(2, 3)) == Fraction(9, 2)
+    assert QQ.div(Fraction(3, 2), 3) == Fraction(1, 2)
+    for a, b in ((1, 0), (Fraction(1, 2), 0), (0, 0)):
+        with pytest.raises(ZeroDivisionError):
+            QQ.div(a, b)
+    F7 = PrimeField(7)
+    assert F7.div(F7(3), F7(5)) * F7(5) == F7(3)
+    assert F7.div(3, 5) == F7.div(F7(3), F7(5)) and type(F7.div(3, 5)) is FpElement
+    assert F7(Fraction(1, 2)) * F7(2) == F7.one
+    with pytest.raises(ZeroDivisionError):
+        F7.div(F7.one, F7.zero)
+
+
+def test_only_the_fields_divide():
+    # `a / b` on two ints is a float: outside FpElement and the fields'
+    # `div`, no code under src/ may divide
+    src = Path(__file__).resolve().parent.parent / "src"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+
+        def visit(node, scope):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append((path.name, scope, node.lineno))
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = scope + (node.name,)
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(tree, ())
+    assert found, "the fields' divisions were not seen"
+    for name, scope, line in found:
+        assert name == "linalg.py" and (
+            scope[:1] == ("FpElement",)
+            or scope in (("RationalField", "div"), ("PrimeField", "div"))), (name, scope, line)
+
+
+@st.composite
+def non_unit_pivot_rows(draw, max_dim=4):
+    """A small matrix whose rows are scaled by 2..5, so pivots are rarely
+    units, with a fractional entry now and then."""
+    r = draw(st.integers(1, max_dim))
+    c = draw(st.integers(1, max_dim))
+    entry = st.one_of(small_entries, small_entries,
+                      st.builds(Fraction, small_entries, st.integers(1, 3)))
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    scales = draw(st.lists(st.integers(2, 5), min_size=r, max_size=r))
+    return [[s * x for x in row] for s, row in zip(scales, rows)]
+
+
+def _both_fields(rows):
+    FF = FractionField()
+    return Matrix.from_rows(QQ, rows), Matrix.from_rows(FF, rows)
+
+
+def _assert_exact(values):
+    bad = [x for x in values if not _exact(x)]
+    assert not bad, bad
+
+
+@given(non_unit_pivot_rows(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_qq_elimination_matches_the_fraction_field(rows, data):
+    m, f = _both_fields(rows)
+    _assert_exact(m.data)
+    rk, red, piv = rref(m)
+    frk, fred, fpiv = rref(f)
+    assert (rk, piv, red.data) == (frk, fpiv, fred.data)
+    _assert_exact(red.data)
+    assert rk == hand_row_reduce(rows)[0]
+
+    kb, free = kernel_basis(m)
+    fkb, ffree = kernel_basis(f)
+    assert free == ffree and kb.data == fkb.data
+    _assert_exact(kb.data)
+
+    b_cols = data.draw(st.integers(1, 3))
+    b_rows = data.draw(st.lists(
+        st.lists(small_entries, min_size=b_cols, max_size=b_cols),
+        min_size=m.rows, max_size=m.rows))
+    # half of the right-hand sides are in the image by construction
+    if data.draw(st.booleans()):
+        x = Matrix.from_rows(QQ, data.draw(st.lists(
+            st.lists(small_entries, min_size=b_cols, max_size=b_cols),
+            min_size=m.cols, max_size=m.cols)))
+        b_rows = [(m @ x).row(i) for i in range(m.rows)]
+    b, fb = _both_fields(b_rows)
+    got, want = solve_matrix(m, b), solve_matrix(f, fb)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.data == want.data
+        _assert_exact(got.data)
+        assert m @ got == b
+
+    eqs = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    feqs = [{j: f.field(x) for j, x in eq.items()} for eq in eqs]
+    basis = sparse_kernel([{j: QQ(x) for j, x in eq.items()} for eq in eqs], m.cols, QQ)
+    assert basis == sparse_kernel(feqs, m.cols, FractionField())
+    for vec in basis:
+        _assert_exact(vec.values())
+        dense = [vec.get(j, 0) for j in range(m.cols)]
+        assert not any(m.apply(dense))
+    assert len(basis) == m.cols - rk
+
+
+def _naive_hstack(parts):
+    rows = parts[0].rows
+    data = [x for i in range(rows) for p in parts for x in p.row(i)]
+    return Matrix(parts[0].field, rows, sum(p.cols for p in parts), data)
+
+
+@given(st.integers(0, 3), st.lists(st.integers(0, 3), min_size=1, max_size=5), st.data())
+@settings(max_examples=100, deadline=None)
+def test_hstack_matches_the_row_by_row_oracle(rows, widths, data):
+    parts = [
+        Matrix(QQ, rows, c, data.draw(st.lists(small_entries, min_size=rows * c,
+                                               max_size=rows * c)))
+        for c in widths
+    ]
+    assert hstack(parts) == _naive_hstack(parts)
+
+
+def test_hstack_keeps_zero_column_parts_and_checks_rows():
+    a = M([[1, 2], [3, 4]])
+    empty = Matrix.zeros(QQ, 2, 0)
+    assert hstack([empty, a, empty, a]) == M([[1, 2, 1, 2], [3, 4, 3, 4]])
+    assert hstack([empty, empty]) == Matrix.zeros(QQ, 2, 0)
+    with pytest.raises(DimensionMismatch):
+        hstack([a, Matrix.zeros(QQ, 3, 0)])
+    with pytest.raises(DimensionMismatch):
+        hstack([Matrix.zeros(QQ, 1, 0), a])

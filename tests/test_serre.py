@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 from conftest import (
     FIXTURES,
+    FractionField,
     ainf_rad2_window,
     basis_route_ext_dim,
     basis_route_hom_data,
@@ -11,6 +12,7 @@ from conftest import (
     comm_grid_window,
     enumerate_paths,
     fixture_windows,
+    per_pair_check_serre,
     per_probe_usable_probes,
     random_fp_rep,
     star_tail_window,
@@ -27,7 +29,9 @@ from test_windows import random_thread_quivers
 import threadquiver.serre as serre
 from threadquiver.dsl import parse_tq
 from threadquiver.errors import ExceedsBound, NotProjectiveCertified
+from threadquiver.linalg import QQ
 from threadquiver.quiver import Quiver, Relation
+from threadquiver.report import Report
 from threadquiver.reps import (
     INJECTIVE,
     PROJECTIVE,
@@ -642,19 +646,22 @@ def test_injective_resolution_terms_are_ext_from_simples_random(tq, data):
     _assert_injective_terms_are_ext_from_simples(w, [("random", random_fp_rep(w, rng))])
 
 
+def _serre_answer(report):
+    return report.to_json_dict(), report.checked, report.skipped
+
+
 @pytest.mark.parametrize("forbid_boundary", [True, False], ids=["skip", "no-skip"])
 @pytest.mark.parametrize("w", FIXTURE_WINDOWS)
 def test_check_serre_matches_per_probe_oracle(w, forbid_boundary, monkeypatch):
-    # the CLI's probe set; the oracle resolves every probe both ways
+    # the CLI's probe set; one oracle resolves every probe both ways, the
+    # other evaluates every pair with no test by support: the same items and
+    # the same checked and skipped counts
     test_set = probes(w, interior_only=forbid_boundary)
-
-    def run():
-        r = check_serre(w, test_set, 6, forbid_boundary=forbid_boundary)
-        return r.to_json_dict(), r.checked, r.skipped
-
-    got = run()
+    got = _serre_answer(check_serre(w, test_set, 6, forbid_boundary=forbid_boundary))
+    assert got == _serre_answer(
+        per_pair_check_serre(w, test_set, 6, forbid_boundary=forbid_boundary))
     monkeypatch.setattr(serre, "_usable_probes", per_probe_usable_probes)
-    assert got == run()
+    assert got == _serre_answer(check_serre(w, test_set, 6, forbid_boundary=forbid_boundary))
 
 
 def test_check_serre_resolves_injectively_only_past_the_global_dimension(monkeypatch):
@@ -679,3 +686,60 @@ def test_check_serre_resolves_injectively_only_past_the_global_dimension(monkeyp
     assert injective_resolutions("mixed", 2, 6) == 0
     assert injective_resolutions("ainf_rad2", 2, 6) > 0
     assert injective_resolutions("zigzag", 2, 2) > 0
+
+
+def _probe_sides(w, forbid_boundary):
+    """Every ordered probe pair of the CLI's probe set, with both hom
+    complexes `check_serre` compares and the sides it flags as zero."""
+    report = Report("serre-check")
+    usable = serre._usable_probes(
+        w, probes(w, interior_only=forbid_boundary), 6, forbid_boundary, report)
+    images = {label: nakayama(res) for label, _, res in usable}
+    sets = serre._support_sets(usable, images)
+    for xl, _, res_x in usable:
+        for yl, Y, res_y in usable:
+            sides = ((res_x, one_term_complex(Y)), (res_y, images[xl]))
+            yield xl, yl, zip(serre._zero_sides(sets, xl, yl), sides)
+
+
+@pytest.mark.parametrize("forbid_boundary", [True, False], ids=["skip", "no-skip"])
+@pytest.mark.parametrize(
+    "w", [pytest.param(w, id=label) for label, w in fixture_windows([0, 1, 2, 3])])
+def test_serre_sides_zero_by_support_are_exactly_the_zero_complexes(w, forbid_boundary):
+    # a flagged side has every component zero, so its cohomology is zero;
+    # and every side with all components zero is flagged
+    for xl, yl, sides in _probe_sides(w, forbid_boundary):
+        for zero, (CX, CY) in sides:
+            dims, _ = serre._hom_complex(CX, CY)
+            assert zero == (not any(dims.values())), (xl, yl)
+            if zero:
+                assert not any(total_hom_dims(CX, CY).values()), (xl, yl)
+
+
+def test_check_serre_skips_by_support_without_presuming_duality(monkeypatch):
+    # with the Nakayama transport replaced by the identity, duality fails;
+    # the pairs zero on one side only must still be evaluated on the other
+    monkeypatch.setattr(serre, "nakayama", lambda cx: cx)
+    w = expand(tq_mixed(), 1)
+    test_set = probes(w, interior_only=False)
+    got = check_serre(w, test_set, 6, forbid_boundary=False)
+    assert not got.passed
+    assert _serre_answer(got) == _serre_answer(
+        per_pair_check_serre(w, test_set, 6, forbid_boundary=False))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.tq")))
+def test_reports_over_the_fraction_field_equal_those_over_qq(name):
+    # the same windows with every rational a Fraction: the reports of both
+    # checks are equal at depths 0-2
+    tq = parse_tq((FIXTURES / f"{name}.tq").read_text())
+    for depth in (0, 1, 2):
+        answers = []
+        for field in (QQ, FractionField()):
+            w = expand(tq, depth, field=field)
+            answers.append((
+                _serre_answer(check_serre(w, probes(w), 6)),
+                _serre_answer(check_dualizing(w)),
+                _serre_answer(check_dualizing(w, strict_boundary=True)),
+            ))
+        assert answers[0] == answers[1], (name, depth)
