@@ -46,15 +46,20 @@ matrix.  Elsewhere a kernel basis is an identity at the rows of its free
 columns (`linalg.kernel_basis` returns them), so an arrow's coordinates in
 the kernel are read off those rows of its image, and one exact product
 checks that the image lies in the span.  `linalg.solve_matrix` reduces
-[m | B] once for all columns, and `top_generators` finds the top with one
-elimination of [out-arrow maps | I] per vertex.  A two-term presentation is
-returned as the vertex tuples of its terms, since that is all its callers
-read.  Its second term is the top of the first cover's kernel, read off
-`top_generators` and certified locally (at every vertex of the kernel's
-support, the out-arrow images and the generators there span the space), so
-no second cover is written.  The minimal injective copresentation of M is
-read as the projective presentation of D M over the opposite window, with no
-injective hull or cokernel built.
+[m | B] once for all columns.  A cover's components are eliminated once, by
+its kernel: `projective_cover` computes the kernel, certifies the cover with
+it by rank-nullity and hands it back on the map, and resolutions and
+presentations read it there.  The top is read from the vectors spanning the
+radical at each vertex (the nonzero columns of the arrow maps out of it),
+eliminated once as rows, with no matrix stacked; at a one-dimensional
+vertex only whether one of them is nonzero is asked.  A two-term
+presentation is returned as the vertex tuples of its terms, since that is
+all its callers read.  Its second term is the top of the first cover's
+kernel, read off `top_generators` and certified locally (at every vertex of
+the kernel's support, the radical's vectors and the generators there span
+the space), so no second cover is written.  The minimal injective
+copresentation of M is read as the projective presentation of D M over the
+opposite window, with no injective hull or cokernel built.
 """
 
 from __future__ import annotations
@@ -717,7 +722,7 @@ def _standard_summands(M: Rep) -> list[tuple[str, RepMap, RepMap, RepMap]]:
     out = []
     for part, incl, proj in decompose_with_maps(M):
         P, cover = projective_cover(part)
-        if len(P.cert[1]) != 1 or not kernel_with_inclusion(cover)[0].is_zero():
+        if len(P.cert[1]) != 1 or not cover.kernel[0].is_zero():
             raise NotRepresentable(
                 "summand is not a standard projective (semi-heredity fails here)")
         out.append((P.cert[1][0], cover, incl, proj))
@@ -743,73 +748,100 @@ def kernel_as_projectives(f: RepMap) -> tuple[tuple[str, ...], list[list]]:
 # -- covers, hulls, resolutions -------------------------------------------------
 
 
-def _out_maps(M: Rep) -> dict[str, list[Matrix]]:
-    """The matrices of the arrows out of each vertex of M's support: their
-    images span rad M(v)."""
-    outs: dict[str, list[Matrix]] = {v: [] for v in M.support}
+def _radical_vectors(M: Rep) -> dict[str, list[list]]:
+    """Per vertex x of M's support, the nonzero columns of the matrices of
+    the arrows out of x: these vectors span rad M(x)."""
+    vecs: dict[str, list[list]] = {v: [] for v in M.support}
     for a in M.support_arrows:
-        outs[a.src].append(M.maps[a.name])
-    return outs
+        m = M.maps[a.name]
+        k = m.cols
+        out = vecs[a.src]
+        for j in range(k):
+            col = m.data[j::k]
+            if any(col):
+                out.append(col)
+    return vecs
 
 
-def top_generators(M: Rep, outs: dict[str, list[Matrix]] | None = None) -> list[tuple[str, list]]:
+def top_generators(M: Rep, rad: dict[str, list[list]] | None = None) -> list[tuple[str, list]]:
     """Vectors projecting to a basis of top M = M / rad M, as (vertex, vector).
 
-    rad M(v) is spanned by the images of the arrows out of v.  One
-    elimination of [those arrow maps | I] per vertex: its pivots past the
-    arrow columns are the unit vectors that complete rad M(v) to a basis.
-    `outs` are M's `_out_maps`, when the caller already has them."""
+    At each vertex v the vectors spanning rad M(v) (`rad`, M's
+    `_radical_vectors`, when the caller already has them) are eliminated
+    once, as the rows of a matrix with their coordinates reversed, so that a
+    row's pivot is its vector's last nonzero coordinate.  The unit vectors
+    at the other coordinates complete rad M(v) to a basis: e_j is taken
+    exactly when no vector of rad M(v) ends at j, the same units as a
+    column elimination of [spanning vectors | I] picks.  At a
+    one-dimensional M(v) the radical is 0 or all of M(v), so only whether
+    some spanning vector is nonzero is asked."""
     fld = M.field
-    if outs is None:
-        outs = _out_maps(M)
+    if rad is None:
+        rad = _radical_vectors(M)
     gens = []
     for v in M.support:
         n = M.dims[v]
-        ms = outs[v]
-        if ms:
-            k = sum(m.cols for m in ms)
-            _, _, pivots = rref(hstack(ms + [Matrix.identity(fld, n)]))
-            units = [p - k for p in pivots if p >= k]
-        else:
+        vecs = rad[v]
+        if not vecs:
             units = range(n)
+        elif n == 1:
+            units = ()
+        else:
+            rows = [e for vec in vecs for e in reversed(vec)]
+            ends = {n - 1 - p for p in rref(Matrix(fld, len(vecs), n, rows))[2]}
+            units = [j for j in range(n) if j not in ends]
         for j in units:
             gens.append((v, [fld.one if i == j else fld.zero for i in range(n)]))
     return gens
 
 
 def _assert_generates(M: Rep, gens: list[tuple[str, list]],
-                      outs: dict[str, list[Matrix]]) -> None:
+                      rad: dict[str, list[list]]) -> None:
     """Certify that the vectors gens generate M, with no cover written: at
-    every vertex x of the support, the images of the arrows out of x (`outs`,
-    M's `_out_maps`) and the generators at x span M(x).  On a finite acyclic
-    window this holds at every x exactly when the generated submodule is M
-    (graded Nakayama, by induction from the sinks), that is, when
-    P(gens) -> M is onto.  A nonzero vertex with no arrow out and no
-    generator has no columns, rank 0."""
+    every vertex x of the support, the vectors spanning rad M(x) (`rad`,
+    M's `_radical_vectors`) and the generators at x span M(x), ranked as
+    the rows of one matrix.  On a finite acyclic window this holds at every
+    x exactly when the generated submodule is M (graded Nakayama, by
+    induction from the sinks), that is, when P(gens) -> M is onto.  At a
+    one-dimensional M(x) it asks only whether one of those vectors is
+    nonzero; a vertex with none of them fails."""
     fld = M.field
     at: dict[str, list[list]] = {}
     for v, vec in gens:
         at.setdefault(v, []).append(vec)
     for v in M.support:
         n = M.dims[v]
-        ms = outs[v]
-        vecs = at.get(v)
-        if vecs:
-            ms = ms + [Matrix(fld, n, len(vecs), [vec[i] for i in range(n) for vec in vecs])]
-        assert ms and rank(hstack(ms)) == n, "cover not surjective"
+        vecs = rad[v] + at.get(v, [])
+        if n == 1:
+            spans = any(any(vec) for vec in vecs)
+        else:
+            spans = len(vecs) >= n and rank(
+                Matrix(fld, len(vecs), n, [e for vec in vecs for e in vec])) == n
+        assert spans, "cover not surjective"
 
 
 def projective_cover(M: Rep) -> tuple[Rep, RepMap]:
-    """Minimal projective cover: P(top M) onto M."""
+    """Minimal projective cover: P(top M) onto M.
+
+    The cover's kernel is computed here, once, and handed back on the map
+    as `cover.kernel`, the pair (K, inclusion K -> P) of
+    `kernel_with_inclusion`; callers read it there instead of eliminating
+    the cover again, and it lives as long as the map.  It also certifies
+    the cover: over an acyclic window the cover is onto exactly when
+    dim P(v) - dim K(v) = dim M(v) at every vertex v of M's support
+    (rank-nullity: the cover's rank at v is dim M(v))."""
     w = M.window
     gens = top_generators(M)
     P = proj_sum(w, [v for v, _ in gens])
-    if not gens:
+    if gens:
+        cover = _yoneda_write(P, M, [vec for _, vec in gens])
+    else:
         assert M.is_zero(), "nonzero module with zero top"
-        return P, zero_map(P, M)
-    cover = _yoneda_write(P, M, [vec for _, vec in gens])
-    for v in M.support:  # covers are epi over acyclic windows
-        assert rank(cover.comps[v]) == M.dims[v], "cover not surjective"
+        cover = zero_map(P, M)
+    cover.kernel = kernel_with_inclusion(cover)
+    kdims = cover.kernel[0].dims
+    for v in M.support:
+        assert P.dims[v] - kdims[v] == M.dims[v], "cover not surjective"
     return P, cover
 
 
@@ -833,10 +865,10 @@ def two_term_presentation(M: Rep, side: str) -> tuple[tuple[str, ...], tuple[str
     second cover is written.  The differential is not composed."""
     if side == PROJECTIVE:
         P0, cover = projective_cover(M)
-        K = kernel_with_inclusion(cover)[0]
-        outs = _out_maps(K)
-        gens = top_generators(K, outs)
-        _assert_generates(K, gens, outs)
+        K = cover.kernel[0]
+        rad = _radical_vectors(K)
+        gens = top_generators(K, rad)
+        _assert_generates(K, gens, rad)
         return P0.cert[1], tuple(v for v, _ in gens)
     if side == INJECTIVE:
         return two_term_presentation(dualize(M), PROJECTIVE)
@@ -923,7 +955,7 @@ def resolution(M: Rep, side: str, max_len: int, forbid_boundary: bool = False) -
             _check_boundary(w, P0.cert[1])
         terms.append(P0)
         augment = cover
-        current, prev_incl = kernel_with_inclusion(cover)
+        current, prev_incl = cover.kernel
         length = 0
         while not current.is_zero():
             if length >= max_len:
@@ -934,7 +966,7 @@ def resolution(M: Rep, side: str, max_len: int, forbid_boundary: bool = False) -
                 _check_boundary(w, P.cert[1])
             terms.append(P)
             diffs.append(cov.then(prev_incl))  # P -> previous term
-            current, prev_incl = kernel_with_inclusion(cov)
+            current, prev_incl = cov.kernel
             length += 1
         terms.reverse()
         diffs.reverse()
@@ -1232,7 +1264,7 @@ def induce(M: Rep, source: Window, target: Window, vertex_map: dict[str, str],
     if M.is_zero():
         return zero_rep(target)
     P0, cover = projective_cover(M)
-    K0, ker_incl = kernel_with_inclusion(cover)
+    K0, ker_incl = cover.kernel
     P1, cover1 = projective_cover(K0)
     d = cover1.then(ker_incl)  # P1 -> P0 over the source
     tgt_entries = [

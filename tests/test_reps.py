@@ -12,6 +12,7 @@ from conftest import (
     random_fp_rep,
     random_thread_quivers,
     solving_kernel_with_inclusion,
+    tq_mixed,
     two_step_top_generators,
 )
 from hypothesis import given, settings
@@ -894,6 +895,8 @@ def test_kernel_cokernel_top_and_presentations_match_oracles_on_random_maps(tq, 
         if c:
             f = f + g.scale(QQ(c))
     _assert_matches_oracles(f, seed)
+    K = projective_cover(M)[1].kernel[0]
+    assert top_generators(K) == two_step_top_generators(K), seed
     assert two_term_presentation(M, PROJECTIVE) == cover_kernel_cover_presentation(M)
     assert two_term_presentation(M, INJECTIVE) == hull_cokernel_hull_copresentation(M)
 
@@ -908,3 +911,93 @@ def test_kernel_with_inclusion_rejects_a_non_natural_map():
     assert not f.is_natural()
     with pytest.raises(AssertionError, match="not in span"):
         kernel_with_inclusion(f)
+
+
+# -- covers certified by their kernels, tops read from the radical's vectors ---
+
+
+def _nonzero_radical_dims(X):
+    """The dimensions of X(v) at the vertices where rad X(v) is nonzero."""
+    return {X.dims[a.src] for a in X.support_arrows if not X.maps[a.name].is_zero()}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_top_generators_match_the_two_step_oracle_on_cover_kernels(n):
+    # the kernels of the covers of every standard module (one-dimensional
+    # wherever they are nonzero on a grid) and of random modules, whose
+    # cover kernels reach higher dimensions: both branches occur
+    w = comm_grid_window(n)
+    rng = random.Random(n)
+    modules = [std_module(w, v, kind)
+               for v in w.quiver.vertices for kind in (PROJECTIVE, INJECTIVE, SIMPLE)]
+    modules += [random_fp_rep(w, rng, n_gens=4) for _ in range(8)]
+    seen = set()
+    for M in modules:
+        for X in (M, projective_cover(M)[1].kernel[0]):
+            assert top_generators(X) == two_step_top_generators(X)
+            seen |= {min(d, 2) for d in _nonzero_radical_dims(X)}
+    assert seen == {1, 2}
+
+
+@pytest.mark.parametrize("dims, a, drop", [
+    # S(1) + S(2): the zero arrow's column spans nothing at the
+    # one-dimensional M(1), so its generator is needed
+    ({"1": 1, "2": 1}, [[0]], "1"),
+    # P(2) on 1 -a-> 2: the one-dimensional M(2) has no arrow out
+    ({"1": 1, "2": 1}, [[1]], "2"),
+    # rad M(1) = span(e0) in the two-dimensional M(1); e1 is the generator
+    ({"1": 2, "2": 1}, [[1], [0]], "1"),
+], ids=["dim1-zero-arrow", "dim1-sink", "dim2"])
+def test_assert_generates_rejects_a_dropped_generator(dims, a, drop):
+    from threadquiver.reps import _assert_generates, _radical_vectors
+
+    w = a2_window()
+    M = Rep(w, dims, {"a": Matrix.from_rows(QQ, a)})
+    rad = _radical_vectors(M)
+    gens = top_generators(M, rad)
+    _assert_generates(M, gens, rad)
+    assert [v for v, _ in gens].count(drop) == 1
+    with pytest.raises(AssertionError, match="cover not surjective"):
+        _assert_generates(M, [(v, vec) for v, vec in gens if v != drop], rad)
+
+
+def test_presentations_and_resolutions_eliminate_each_cover_component_once(monkeypatch):
+    # no stacked matrix on either route, and every cover component is
+    # eliminated once, by its kernel, where it is nonzero (never where zero)
+    import threadquiver.linalg as linalg
+    import threadquiver.reps as reps
+
+    w = expand(tq_mixed(), 2)
+    stacked, eliminated, covers = [], [], []
+    real_rref, real_cover = linalg.rref, reps.projective_cover
+
+    def counting_rref(m):
+        eliminated.append(m)
+        return real_rref(m)
+
+    def recording_cover(M):
+        P, cover = real_cover(M)
+        covers.append(cover)
+        return P, cover
+
+    def recording_hstack(parts):
+        stacked.append(parts)
+        return linalg.hstack(parts)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(reps, "rref", counting_rref)
+    monkeypatch.setattr(reps, "hstack", recording_hstack)
+    monkeypatch.setattr(reps, "projective_cover", recording_cover)
+    for v in w.quiver.vertices:
+        for kind in (PROJECTIVE, INJECTIVE, SIMPLE):
+            X = std_module(w, v, kind)
+            for side in (PROJECTIVE, INJECTIVE):
+                two_term_presentation(X, side)
+                resolution(X, side, 6)
+    assert covers and not stacked
+    times = {}
+    for m in eliminated:
+        times[id(m)] = times.get(id(m), 0) + 1
+    for cover in covers:
+        for m in cover.comps.values():
+            assert times.get(id(m), 0) == (0 if m.is_zero() else 1)

@@ -37,6 +37,7 @@ from threadquiver.reps import (
     PROJECTIVE,
     SIMPLE,
     Complex,
+    Rep,
     ext_dim,
     hom_dim,
     one_term_complex,
@@ -507,11 +508,12 @@ def drop_generators_at_a_sink(K, gens):
     return [(v, vec) for v, vec in gens if v != sink]
 
 
-def mutate_kernel_top(monkeypatch, mutate):
+def mutate_kernel_top(monkeypatch, mutate, in_cover=False):
     """`top_generators` answers wrongly on every call made outside
     `projective_cover`, which keeps its exact top and its own rank
     assertion: the only such call reads the kernel's top in
-    `two_term_presentation`.  Returns the wrong answers given."""
+    `two_term_presentation`.  With in_cover, it answers wrongly on the calls
+    made inside `projective_cover` instead.  Returns the wrong answers given."""
     import threadquiver.reps as reps
 
     top_generators = reps.top_generators
@@ -528,7 +530,7 @@ def mutate_kernel_top(monkeypatch, mutate):
 
     def mutant(M, *args):
         gens = top_generators(M, *args)
-        if gens and not covers_open:
+        if gens and bool(covers_open) == in_cover:
             given.append(mutate(M, gens))
             return given[-1]
         return gens
@@ -565,6 +567,22 @@ def test_presentation_certificate_rejects_a_wrong_kernel_top(monkeypatch, mutate
     raised = raised_assertion(lambda: check_dualizing(w))
     assert given, "the mutant did not answer inside check_dualizing"
     assert raised == "cover not surjective"
+
+
+@pytest.mark.parametrize("dims", [{"a": 1, "b": 1}, {"v": 2}], ids=["dim1", "dim2"])
+@pytest.mark.parametrize("route", ["resolution", "presentation"])
+def test_cover_rejects_a_dropped_generator(monkeypatch, dims, route):
+    # inside projective_cover the top loses its last generator: for
+    # S(a) + S(b) the one at the one-dimensional M(b), for S(v)^2 one of
+    # the two at M(v); the cover's own rank-nullity assertion fires
+    w = two_in_arrows_window()
+    M = Rep(w, dims, {})
+    build = {"resolution": lambda: resolution(M, PROJECTIVE, 4),
+             "presentation": lambda: two_term_presentation(M, PROJECTIVE)}[route]
+    build()
+    given = mutate_kernel_top(monkeypatch, drop_last_generator, in_cover=True)
+    assert raised_assertion(build) == "cover not surjective"
+    assert len(given) == 1, "the mutant did not answer for the cover's top"
 
 
 def test_simple_presentation_items_compare_with_the_gabriel_quiver(monkeypatch):
