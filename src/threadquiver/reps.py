@@ -9,23 +9,22 @@ matrices in path order, and every relation of the window must act by zero.
 Certificates: representations built as direct sums of standard projectives
 (resp. injectives) remember the vertex list.  By Yoneda, a map out of such a
 sum P = ⊕ P(v_b) -> N is the list of its values at the blocks' identity
-paths, one vector of N(v_b) per block.  `_yoneda_write` is the one place such
-a map is written, and only where a module map is needed: covers, the
+paths, one vector of N(v_b) per block.  `_yoneda_write` is the one place
+such a map is written, and only where a module map is needed: covers, the
 certified branch of `hom_basis`, `realize_proj_coords` and the evaluation
 map of `threads`.  `_yoneda_read` is the one place it is read (`hom_coords`,
-`extract_proj_coords`, and a summand's cover in `kernel_as_projectives`).
+`extract_proj_coords`, and the kernel's cover in `kernel_as_projectives`).
 Between two certified sums the values split by target block into hom
 coordinates (`split_proj_values`), and these certificate-indexed
 coordinates, entries[i][j] for P(src_j) -> P(tgt_i) or None, are the one
 coordinate form of such a map: `extract_proj_coords` reads it,
-`realize_proj_coords` writes it, and `kernel_as_projectives` (the
-inclusion of a kernel) and `threads.supp_adjoint` (a unit) split it
-straight from the values they compute, with no map written.  Hom
-complexes, and so `ext_dim`, are evaluated on the certificates directly, as
-in the Serre check.  `hom_basis` gives explicit bases of module maps (it no
-longer serves `ext_dim`; the basis route to Ext survives only as a test
-oracle), and `hom_basis_generic` always solves the naturality system from
-scratch and is kept as the independent route for cross-checking.
+`realize_proj_coords` writes it, and `kernel_as_projectives` splits the
+inclusion of a kernel straight from the values it computes, with no map
+written.  Hom complexes, and so `ext_dim`, are evaluated on the certificates
+directly, as in the Serre check.  `hom_basis` gives explicit bases of module
+maps (it no longer serves `ext_dim`; the basis route to Ext survives only as
+a test oracle), and `hom_basis_generic` always solves the naturality system
+from scratch and is kept as the independent route for cross-checking.
 
 Storage: a module keeps its blocks on its support only.  `Rep.maps` stores
 the matrices of the arrows whose two ends are nonzero and `RepMap.comps` the
@@ -49,15 +48,17 @@ checks that the image lies in the span.  `linalg.solve_matrix` reduces
 [m | B] once for all columns.  A cover's components are eliminated once, by
 its kernel: `projective_cover` computes the kernel, certifies the cover with
 it by rank-nullity and hands it back on the map, and resolutions and
-presentations read it there.  The top is read from the vectors spanning the
-radical at each vertex (the nonzero columns of the arrow maps out of it),
-eliminated once as rows, with no matrix stacked; at a one-dimensional
-vertex only whether one of them is nonzero is asked.  A two-term
-presentation is returned as the vertex tuples of its terms, since that is
-all its callers read.  Its second term is the top of the first cover's
-kernel, read off `top_generators` and certified locally (at every vertex of
-the kernel's support, the radical's vectors and the generators there span
-the space), so no second cover is written.  The minimal injective
+presentations read it there.  The cover also recognizes a sum of standard
+projectives: M is one exactly when its cover's kernel is zero, which is all
+`kernel_as_projectives` asks, with no decomposition of M.  The top is read
+from the vectors spanning the radical at each vertex (the nonzero columns of
+the arrow maps out of it), eliminated once as rows, with no matrix stacked;
+at a one-dimensional vertex only whether one of them is nonzero is asked.  A
+two-term presentation is returned as the vertex tuples of its terms, since
+that is all its callers read.  Its second term is the top of the first
+cover's kernel, read off `top_generators` and certified locally (at every
+vertex of the kernel's support, the radical's vectors and the generators
+there span the space), so no second cover is written.  The minimal injective
 copresentation of M is read as the projective presentation of D M over the
 opposite window, with no injective hull or cokernel built.
 """
@@ -94,6 +95,7 @@ from .windows import Window
 PROJECTIVE = "projective"
 INJECTIVE = "injective"
 SIMPLE = "simple"
+NOT_STANDARD = "summand is not a standard projective (semi-heredity fails here)"
 
 
 class _Blocks(dict):
@@ -622,7 +624,6 @@ class Factorization:
     kernel: Rep
     ker_incl: RepMap
     image: Rep
-    im_epi: RepMap     # source -> image
     im_incl: RepMap    # image -> target
     cokernel: Rep
     coker_proj: RepMap
@@ -708,40 +709,24 @@ def map_factor(f: RepMap) -> Factorization:
              for a in N.support_arrows if idims.get(a.src) and idims.get(a.tgt)}
     I = Rep(M.window, idims, imaps, validate=False)
     im_incl = RepMap(I, N, {v: ibases[v] for v in ibases})
-    im_epi = RepMap(M, I, {v: coords_in_basis(ibases[v], f.comps[v]) for v in ibases})
     C, coker_proj = cokernel_with_projection(f)
-    return Factorization(K, ker_incl, I, im_epi, im_incl, C, coker_proj)
-
-
-def _standard_summands(M: Rep) -> list[tuple[str, RepMap, RepMap, RepMap]]:
-    """M recognized as a sum of standard projectives, one indecomposable
-    summand at a time: its vertex v, its cover P(v) -> summand (an
-    isomorphism), and the summand's inclusion into and projection from M.
-    Raises NotRepresentable when a summand is not a standard projective
-    (where semi-heredity fails)."""
-    out = []
-    for part, incl, proj in decompose_with_maps(M):
-        P, cover = projective_cover(part)
-        if len(P.cert[1]) != 1 or not cover.kernel[0].is_zero():
-            raise NotRepresentable(
-                "summand is not a standard projective (semi-heredity fails here)")
-        out.append((P.cert[1][0], cover, incl, proj))
-    return out
+    return Factorization(K, ker_incl, I, im_incl, C, coker_proj)
 
 
 def kernel_as_projectives(f: RepMap) -> tuple[tuple[str, ...], list[list]]:
     """ker f recognized as a sum of standard projectives, for f out of a
-    certified projective sum: the vertex list and the hom coordinates of the
-    inclusion ⊕P(verts) -> source(f) through the kernel, in the shape of
-    `extract_proj_coords`.  Raises NotRepresentable when a summand of the
-    kernel is not a standard projective."""
-    kernel, ker_incl = kernel_with_inclusion(f)
-    summands = _standard_summands(kernel)
-    verts = tuple(v for v, _, _, _ in summands)
-    # block v's value: the summand cover's value at the identity of v, sent
-    # through the summand's inclusion into the kernel and the kernel's into f.source
-    vals = [ker_incl.comps[v].apply(incl.comps[v].apply(_yoneda_read(cover)[0]))
-            for v, cover, incl, _ in summands]
+    certified projective sum: the vertices of the kernel's cover, in its
+    order, and the hom coordinates of the inclusion ⊕P(verts) -> source(f)
+    in the shape of `extract_proj_coords`.  A zero kernel returns at once;
+    otherwise NotRepresentable is raised unless the cover's kernel is zero."""
+    K, incl = kernel_with_inclusion(f)
+    verts, vals = (), []
+    if not K.is_zero():
+        P, cover = projective_cover(K)
+        if not cover.kernel[0].is_zero():
+            raise NotRepresentable(NOT_STANDARD)
+        verts = P.cert[1]
+        vals = [incl.comps[v].apply(val) for v, val in zip(verts, _yoneda_read(cover))]
     return verts, split_proj_values(f.source.window, verts, f.source.cert[1], vals)
 
 
@@ -928,7 +913,6 @@ def dualize_complex(cx: Complex) -> Complex:
 class Resolution:
     complex: Complex
     augment: RepMap  # P_0 -> M (projective) or M -> I^0 (injective)
-    side: str
 
 
 def _check_boundary(w: Window, vertices) -> None:
@@ -946,7 +930,7 @@ def resolution(M: Rep, side: str, max_len: int, forbid_boundary: bool = False) -
     if side == PROJECTIVE and M.cert is not None and M.cert[0] == "proj":
         if forbid_boundary:
             _check_boundary(w, M.cert[1])
-        return Resolution(Complex(w, 0, [M], []), identity_map(M), PROJECTIVE)
+        return Resolution(Complex(w, 0, [M], []), identity_map(M))
     if side == PROJECTIVE:
         terms: list[Rep] = []
         diffs: list[RepMap] = []
@@ -970,7 +954,7 @@ def resolution(M: Rep, side: str, max_len: int, forbid_boundary: bool = False) -
             length += 1
         terms.reverse()
         diffs.reverse()
-        return Resolution(Complex(w, -length, terms, diffs), augment, PROJECTIVE)
+        return Resolution(Complex(w, -length, terms, diffs), augment)
     if side == INJECTIVE:
         op_res = resolution(dualize(M), PROJECTIVE, max_len, forbid_boundary=False)
         if forbid_boundary:
@@ -979,7 +963,7 @@ def resolution(M: Rep, side: str, max_len: int, forbid_boundary: bool = False) -
         cx = dualize_complex(op_res.complex)
         augment = RepMap(M, cx.terms[0],
                          {v: m.transpose() for v, m in op_res.augment.comps.items()})
-        return Resolution(cx, augment, INJECTIVE)
+        return Resolution(cx, augment)
     raise ValueError(f"unknown side {side!r}")
 
 
@@ -1235,11 +1219,7 @@ def restrict(M: Rep, target: Window, vertex_map: dict[str, str],
             if dims[a.src] and dims[a.tgt]}
     out = Rep(target, dims, maps, validate=False)
     for rel in target.relations:
-        acc = None
-        for c, p in rel.terms:
-            m = out.act(p).scale(c)
-            acc = m if acc is None else acc + m
-        if acc is not None and not acc.is_zero():
+        if not out.act_terms(rel.terms).is_zero():
             raise NotFunctorial("assigned paths violate a relation of the target window")
     return out
 

@@ -9,14 +9,15 @@ differentials are read back into them once (`RepMap.proj_coords`).
 `transport_to_opposite` is the one place that reads such a morphism in the
 opposite window.  Pseudokernels are computed by taking the honest kernel of
 the induced map of projective modules and recognizing it as a sum of
-standard projectives; `reps.kernel_as_projectives` returns the inclusion's
-coordinates, which are the pseudokernel's entries, without writing the
-inclusion.  Pseudocokernels are pseudokernels in the opposite window.  The
-Serre functor is realized on bounded complexes of standard projectives by
-the Nakayama transport P(v) -> I(v): each differential's coordinates are
-realized between the complex's injective sums (`realize_inj_coords`) as the
-dual of the projective realization over the opposite window.  The duality is
-verified at dimension level: dim RHom^n(X, Y) = dim RHom^{-n}(Y, SX).
+standard projectives by its projective cover, which must be an isomorphism;
+`reps.kernel_as_projectives` returns the inclusion's coordinates, which are
+the pseudokernel's entries, without writing the inclusion.  Pseudocokernels
+are pseudokernels in the opposite window.  The Serre functor is realized on
+bounded complexes of standard projectives by the Nakayama transport
+P(v) -> I(v): each differential's coordinates are realized between the
+complex's injective sums (`realize_inj_coords`) as the dual of the
+projective realization over the opposite window.  The duality is verified at
+dimension level: dim RHom^n(X, Y) = dim RHom^{-n}(Y, SX).
 
 Total hom complexes are assembled by Yoneda evaluation, never from bases of
 module maps: hom(⊕P(v_b), Z) = ⊕Z(v_b), so a complex of certified projective
@@ -47,7 +48,6 @@ from dataclasses import dataclass
 
 from .errors import (
     BoundaryContaminated,
-    EndNotSplit,
     ExceedsBound,
     NotProjectiveCertified,
     NotRepresentable,
@@ -157,9 +157,10 @@ def transport_to_opposite(vm: VarietyMor) -> VarietyMor:
 def pseudo(vm: VarietyMor, side: str) -> tuple[tuple[str, ...], VarietyMor]:
     """Pseudokernel or pseudocokernel of a variety morphism.
 
-    The kernel of the induced map of projective modules must decompose into
-    standard projectives (this is where semi-heredity is used); otherwise
-    NotRepresentable is raised.  Cokernels are kernels over the opposite.
+    The kernel of the induced map of projective modules must be a sum of
+    standard projectives, recognized by its cover (this is where
+    semi-heredity is used); otherwise NotRepresentable is raised.  Cokernels
+    are kernels over the opposite.
     """
     if side == COKERNEL:
         verts, op_mor = pseudo(transport_to_opposite(vm), KERNEL)
@@ -564,8 +565,6 @@ def check_dualizing(w: Window, strict_boundary: bool = False) -> Report:
                 pseudo(vm, side)
             except NotRepresentable:
                 report.fail(f"pseudo{side}({a.name})", "representable", "NotRepresentable")
-            except EndNotSplit:
-                report.fail(f"pseudo{side}({a.name})", "representable", "EndNotSplit")
 
     ins, outs = gabriel_neighbours(w)
     for v in sorted(interior, key=w.quiver.vertex_index.__getitem__):

@@ -4,32 +4,31 @@ The Gabriel quiver (its irreducible-map dimensions are
 `windows.rad_irr_dims`), almost split neighbors, thread detection and
 extraction back to a thread quiver, and the explicit adjoints of reflective
 subcategory embeddings (perpendicular, support, and interval), all verified
-instance-wise through hom dimensions.
+instance-wise through hom dimensions.  The support adjoint of A is A or
+nothing (a projective quotient of P(A) is P(A)), so the interval adjoint's
+unit is the perpendicular step's, restricted to supp hom(-, Y).
 """
 
 from __future__ import annotations
 
 from .errors import BoundaryContaminated, ExceedsBound, NotRepresentable, ZNotExtOrthogonal
-from .linalg import solve
 from .orders import Fin
 from .quiver import Arrow, Quiver
 from .report import Report
 from .reps import (
     INJECTIVE,
+    NOT_STANDARD,
     PROJECTIVE,
     SIMPLE,
     Rep,
     RepMap,
-    _standard_summands,
     _sum_object,
-    _yoneda_read,
     _yoneda_write,
     dualize,
     kernel_as_projectives,
-    map_factor,
+    kernel_with_inclusion,
     one_term_complex,
     resolution,
-    split_proj_values,
     std_module,
     two_term_presentation,
 )
@@ -253,27 +252,19 @@ def supp_adjoint(w: Window, A: str, Y: str) -> tuple[tuple[str, ...], VarietyMor
     """Left adjoint image of A for the embedding of supp hom(-, Y).
 
     The image of the canonical P(A) -> P(Y) ⊗ hom(A, Y)^* must be a sum of
-    standard projectives (heredity); the unit is the corestriction of A onto it.
+    standard projectives (heredity).  As a quotient of P(A) it is one only
+    when it is P(A): A, with the identity as unit, when the map is
+    injective, and NotRepresentable otherwise.
     """
     d = w.hom_dim(A, Y)
     if d == 0:
         return (), VarietyMor.zero(w, (A,), ())
-    entries = []
-    for i in range(d):
-        coords = [w.field.one if k == i else w.field.zero for k in range(d)]
-        entries.append([coords])
-    fac = map_factor(realize_proj(VarietyMor(w, (A,), tuple([Y] * d), entries)))
-    if fac.image.is_zero():
-        return (), VarietyMor.zero(w, (A,), ())
-    # the unit's value at the identity of A: its image in each summand,
-    # pulled back through the summand's cover P(v) -> summand (an isomorphism)
-    image_id = _yoneda_read(fac.im_epi)[0]
-    verts, value = [], []
-    for v, cover, _, proj in _standard_summands(fac.image):
-        verts.append(v)
-        value += solve(cover.comps[A], proj.comps[A].apply(image_id))
-    verts = tuple(verts)
-    return verts, VarietyMor(w, (A,), verts, split_proj_values(w, (A,), verts, [value]))
+    fld = w.field
+    entries = [[[fld.one if k == i else fld.zero for k in range(d)]] for i in range(d)]
+    kernel, _ = kernel_with_inclusion(realize_proj(VarietyMor(w, (A,), (Y,) * d, entries)))
+    if not kernel.is_zero():
+        raise NotRepresentable(NOT_STANDARD)
+    return (A,), VarietyMor.identity(w, A)
 
 
 def _interval_kernel_object(w: Window, X: str, Y: str) -> tuple[str, ...]:
@@ -293,8 +284,9 @@ def interval_adjoint(w: Window, X: str, Y: str, A: str, side: str,
     An A already in [X, Y] (hom(X, A) != 0 != hom(A, Y)) is its own image,
     with the identity as unit.  Otherwise, left adjoint: corestrict onto
     supp hom(-, Y), then pass to the perpendicular of the kernel object of
-    P(Y) -> I(X) ⊗ hom(X, Y).  Right adjoint: the dual construction over the
-    opposite window.
+    P(Y) -> I(X) ⊗ hom(X, Y); the first step gives A or nothing, so the
+    unit is the second step's, restricted to supp hom(-, Y).  Right
+    adjoint: the dual construction over the opposite window.
     """
     if w.hom_dim(X, A) != 0 and w.hom_dim(A, Y) != 0:
         return (A,), VarietyMor.identity(w, A)
@@ -302,55 +294,19 @@ def interval_adjoint(w: Window, X: str, Y: str, A: str, side: str,
         verts, op_mor = interval_adjoint(w.opposite(), Y, X, A, LEFT, max_len)
         return verts, transport_to_opposite(op_mor)
     assert side == LEFT
-    averts, unit1 = supp_adjoint(w, A, Y)
-    if not averts:
+    if not supp_adjoint(w, A, Y)[0]:
         return (), VarietyMor.zero(w, (A,), ())
-    zverts = _interval_kernel_object(w, X, Y)
-    zmods = [std_module(w, z, PROJECTIVE) for z in zverts]
-    out_verts: list[str] = []
-    blocks: list[tuple[tuple[str, ...], VarietyMor]] = []
-    for a1 in averts:
-        pverts, unit2 = perp_adjoint(w, a1, zmods, LEFT, max_len)
-        # the perpendicular step belongs inside supp hom(-, Y); components the
-        # full window adds outside that support have no homs into [X, Y]
-        # (composition of nonzero paths is nonzero here) and are discarded
-        keep = [i for i, v in enumerate(pverts) if w.hom_dim(v, Y) > 0]
-        pverts = tuple(pverts[i] for i in keep)
-        unit2 = VarietyMor(
-            w, unit2.source, pverts, [unit2.entries[i] for i in keep])
-        blocks.append((pverts, unit2))
-        out_verts.extend(pverts)
-    # compose the units: A -> ⊕ a1 -> ⊕ (perp images)
-    unit = _vm_block_compose(w, unit1, blocks, tuple(out_verts))
+    zmods = [std_module(w, z, PROJECTIVE) for z in _interval_kernel_object(w, X, Y)]
+    pverts, unit = perp_adjoint(w, A, zmods, LEFT, max_len)
+    # the perpendicular step belongs inside supp hom(-, Y); components the
+    # full window adds outside that support have no homs into [X, Y]
+    # (composition of nonzero paths is nonzero here) and are discarded
+    keep = [i for i, v in enumerate(pverts) if w.hom_dim(v, Y) > 0]
+    out_verts = tuple(pverts[i] for i in keep)
     for v in out_verts:
-        if w.hom_dim(X, v) == 0 or w.hom_dim(v, Y) == 0:
+        if w.hom_dim(X, v) == 0:
             raise NotRepresentable(f"adjoint image {v} fell outside [{X}, {Y}]")
-    return tuple(out_verts), unit
-
-
-def _vm_compose_entry(w: Window, x: str, y: str, z: str, f, g):
-    if f is None or g is None:
-        return None
-    coords = w.compose_coords(x, y, z, f, g)
-    if all(c == w.field.zero for c in coords):
-        return None
-    return coords
-
-
-def _vm_block_compose(w: Window, first: VarietyMor,
-                      blocks: list[tuple[tuple[str, ...], VarietyMor]],
-                      out_verts: tuple[str, ...]) -> VarietyMor:
-    """Compose A -> ⊕ mid with the block-diagonal of mid_i -> ⊕ out_i."""
-    assert len(first.source) == 1
-    A = first.source[0]
-    entries = []
-    for mid_i, (pverts, unit2) in enumerate(blocks):
-        mid_vertex = first.target[mid_i]
-        for i_local, pv in enumerate(pverts):
-            f = first.entries[mid_i][0]
-            g = unit2.entries[i_local][0]
-            entries.append([_vm_compose_entry(w, A, mid_vertex, pv, f, g)])
-    return VarietyMor(w, (A,), out_verts, entries)
+    return out_verts, VarietyMor(w, (A,), out_verts, [unit.entries[i] for i in keep])
 
 
 def adjunction_check(

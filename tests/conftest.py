@@ -14,7 +14,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from threadquiver.dsl import parse_tq
-from threadquiver.errors import BoundaryContaminated, ExceedsBound
+from threadquiver.errors import BoundaryContaminated, ExceedsBound, NotRepresentable
 from threadquiver.linalg import (
     QQ,
     Matrix,
@@ -30,21 +30,29 @@ from threadquiver.orders import INT, NAT, NEG_NAT, Fin
 from threadquiver.quiver import Path as QPath
 from threadquiver.quiver import Quiver, Relation
 import threadquiver.serre as serre
+import threadquiver.threads as threads
 from threadquiver.report import Report
 from threadquiver.reps import (
     INJECTIVE,
+    NOT_STANDARD,
     PROJECTIVE,
     Rep,
     RepMap,
     _quotient_projection,
+    _yoneda_read,
+    decompose_with_maps,
     hom_basis,
     hom_coords,
     injective_hull,
+    kernel_with_inclusion,
     map_factor,
     proj_sum,
     projective_cover,
     resolution,
+    split_proj_values,
+    std_module,
 )
+from threadquiver.serre import VarietyMor
 from threadquiver.windows import ThreadQuiver, expand, window_from_quiver
 
 
@@ -649,3 +657,89 @@ def hull_cokernel_hull_copresentation(M):
     I0, emb = injective_hull(M)
     I1, _ = injective_hull(eliminating_cokernel_with_projection(emb)[0])
     return I0.cert[1], I1.cert[1]
+
+
+def decomposition_standard_summands(M):
+    """M split into indecomposable summands by the Fitting decomposition
+    (`reps.decompose_with_maps`), each recognized by its own cover: per
+    summand its vertex v, its cover P(v) -> summand (an isomorphism), and the
+    summand's inclusion into and projection from M.  Raises NotRepresentable
+    when a summand is not a standard projective."""
+    out = []
+    for part, incl, proj in decompose_with_maps(M):
+        P, cover = projective_cover(part)
+        if len(P.cert[1]) != 1 or not cover.kernel[0].is_zero():
+            raise NotRepresentable(NOT_STANDARD)
+        out.append((P.cert[1][0], cover, incl, proj))
+    return out
+
+
+def decomposition_kernel_as_projectives(f):
+    """Differential oracle for `reps.kernel_as_projectives`: the kernel
+    recognized summand by summand (`decomposition_standard_summands`), in
+    the Fitting order; block v's value is the summand cover's value at the
+    identity of v, sent through the summand's inclusion into the kernel and
+    the kernel's into source(f)."""
+    kernel, ker_incl = kernel_with_inclusion(f)
+    summands = decomposition_standard_summands(kernel)
+    verts = tuple(v for v, _, _, _ in summands)
+    vals = [ker_incl.comps[v].apply(incl.comps[v].apply(_yoneda_read(cover)[0]))
+            for v, cover, incl, _ in summands]
+    return verts, split_proj_values(f.source.window, verts, f.source.cert[1], vals)
+
+
+def factorization_supp_adjoint(w, A, Y):
+    """Differential oracle for `threads.supp_adjoint`: the image of
+    P(A) -> P(Y) ⊗ hom(A, Y)^* from `reps.map_factor`, recognized as a sum of
+    standard projectives by `decomposition_standard_summands`; the unit's
+    value at the identity of A is the map's value there, read in the image
+    and pulled back through each summand's cover."""
+    d = w.hom_dim(A, Y)
+    if d == 0:
+        return (), VarietyMor.zero(w, (A,), ())
+    fld = w.field
+    entries = [[[fld.one if k == i else fld.zero for k in range(d)]] for i in range(d)]
+    g = serre.realize_proj(VarietyMor(w, (A,), (Y,) * d, entries))
+    fac = map_factor(g)
+    value_at_id = _yoneda_read(g)[0]
+    image_id = solve(fac.im_incl.comps[A], value_at_id)
+    assert image_id is not None, "the value is not in the image"
+    verts, value = [], []
+    for v, cover, _, proj in decomposition_standard_summands(fac.image):
+        verts.append(v)
+        value += solve(cover.comps[A], proj.comps[A].apply(image_id))
+    verts = tuple(verts)
+    return verts, VarietyMor(w, (A,), verts, split_proj_values(w, (A,), verts, [value]))
+
+
+def unit_composing_interval_adjoint(w, X, Y, A, side, max_len=8):
+    """Differential oracle for `threads.interval_adjoint`: the support step
+    by `factorization_supp_adjoint`, one perpendicular step
+    (`threads.perp_adjoint`) per vertex of its image, and the two units
+    composed entry by entry with `Window.compose_coords`."""
+    if w.hom_dim(X, A) != 0 and w.hom_dim(A, Y) != 0:
+        return (A,), VarietyMor.identity(w, A)
+    if side == threads.RIGHT:
+        verts, op_mor = unit_composing_interval_adjoint(
+            w.opposite(), Y, X, A, threads.LEFT, max_len)
+        return verts, serre.transport_to_opposite(op_mor)
+    averts, unit1 = factorization_supp_adjoint(w, A, Y)
+    if not averts:
+        return (), VarietyMor.zero(w, (A,), ())
+    zmods = [std_module(w, z, PROJECTIVE) for z in threads._interval_kernel_object(w, X, Y)]
+    zero = w.field.zero
+    out_verts, entries = [], []
+    for mid, row1 in zip(averts, unit1.entries):
+        pverts, unit2 = threads.perp_adjoint(w, mid, zmods, threads.LEFT, max_len)
+        for pv, row2 in zip(pverts, unit2.entries):
+            if w.hom_dim(pv, Y) == 0:
+                continue
+            f, g = row1[0], row2[0]
+            coords = None if f is None or g is None else w.compose_coords(A, mid, pv, f, g)
+            out_verts.append(pv)
+            entries.append([coords if coords and any(c != zero for c in coords) else None])
+    for v in out_verts:
+        if w.hom_dim(X, v) == 0 or w.hom_dim(v, Y) == 0:
+            raise NotRepresentable(f"adjoint image {v} fell outside [{X}, {Y}]")
+    out_verts = tuple(out_verts)
+    return out_verts, VarietyMor(w, (A,), out_verts, entries)

@@ -737,8 +737,8 @@ def test_kernel_as_projectives_coordinates_realize_the_kernel(label, w):
 
 def test_kernel_as_projectives_writes_no_map(monkeypatch):
     # P(1) + P(2) -> P(2) + P(3) with blocks a, id, b.a, b has kernel P(1);
-    # its coordinates are split from the kernel's values: the summands'
-    # covers are written, but no map into source(f) is
+    # its coordinates are split from the kernel's values: the kernel's cover
+    # is written, but no map into source(f) is
     import threadquiver.reps as reps
     from threadquiver.reps import kernel_as_projectives, realize_proj_coords
 

@@ -1,0 +1,100 @@
+"""Hygiene of the package source, read with the standard library's `ast`.
+
+Two checks that keep a deletion from leaving dead code behind: every name a
+module imports is used in that module, and every module-level private
+function is referenced somewhere in the package.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "threadquiver"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _used_names(tree):
+    """How often each name is read in tree: identifiers, attribute names, and
+    the names inside string annotations."""
+    used = Counter()
+
+    def visit(node):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        annotations = []
+        if isinstance(node, ast.arg | ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef):
+            annotations.append(node.returns)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                visit(ast.parse(ann.value, mode="eval"))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return used
+
+
+def _imported_names(tree):
+    """The names every import statement of tree binds, with the statement's
+    line; `from __future__` imports bind none."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, ast.Import | ast.ImportFrom):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                out.append((name, node.lineno))
+    return out
+
+
+def _private_functions():
+    """(module, function node) for every module-level function whose name
+    starts with one underscore."""
+    return [(path.name, node)
+            for path in MODULES
+            for node in _tree(path).body
+            if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef)
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = _tree(path)
+    used = _used_names(tree)
+    stale = [(name, line) for name, line in _imported_names(tree) if name not in used]
+    assert not stale, f"{path.name} imports names it never uses: {stale}"
+
+
+def test_every_private_function_is_referenced():
+    used = sum((_used_names(_tree(path)) for path in MODULES), Counter())
+    functions = _private_functions()
+    assert functions, "no private function found: the scan reads nothing"
+    unreferenced = []
+    for module, fn in functions:
+        # references inside the function's own body (recursion) do not count
+        if used[fn.name] == _used_names(fn)[fn.name]:
+            unreferenced.append(f"{module}:{fn.name}")
+    assert not unreferenced, f"private functions referenced nowhere: {unreferenced}"
+
+
+def test_the_checks_catch_a_stale_import_and_an_unreferenced_function():
+    tree = ast.parse(
+        "from .linalg import Matrix, solve\n"
+        "def _helper():\n    return _helper()\n"
+        "def f(m: 'Matrix'):\n    return m\n")
+    used = _used_names(tree)
+    assert [name for name, _ in _imported_names(tree) if name not in used] == ["solve"]
+    helper = tree.body[1]
+    assert _used_names(tree)["_helper"] == _used_names(helper)["_helper"] == 1
