@@ -22,6 +22,11 @@ The dense kernels (`is_zero`, products, `apply`, `rref`) test an entry for
 zero by its truth value: every representation defines `bool` as "nonzero"
 (`int.__bool__`, `Fraction.__bool__`, `FpElement.__bool__`), at a fraction
 of the cost of comparing with the field's zero.
+
+A matrix of one row is not eliminated: `rank` reads it off its entries and
+`kernel_basis` writes its kernel in closed form around the first nonzero
+entry, entry for entry what `rref` would give.  The covers of the checks
+are made almost entirely of such rows.
 """
 
 from __future__ import annotations
@@ -388,21 +393,6 @@ def vstack(parts: list[Matrix]) -> Matrix:
     return Matrix(field, sum(p.rows for p in parts), cols, data)
 
 
-def direct_sum(parts: list[Matrix]) -> Matrix:
-    assert parts
-    field = parts[0].field
-    rows = sum(p.rows for p in parts)
-    cols = sum(p.cols for p in parts)
-    out = Matrix.zeros(field, rows, cols)
-    ro = co = 0
-    for p in parts:
-        for i in range(p.rows):
-            out.data[(ro + i) * cols + co : (ro + i) * cols + co + p.cols] = p.row(i)
-        ro += p.rows
-        co += p.cols
-    return out
-
-
 def rref(m: Matrix) -> tuple[int, Matrix, list[int]]:
     """Row-reduced echelon form.  Returns (rank, reduced matrix, pivot columns)."""
     r = m.copy()
@@ -450,6 +440,9 @@ def rref(m: Matrix) -> tuple[int, Matrix, list[int]]:
 
 
 def rank(m: Matrix) -> int:
+    """The rank; a matrix of at most one row is read off its entries."""
+    if m.rows <= 1:
+        return 1 if any(m.data) else 0
     return rref(m)[0]
 
 
@@ -457,7 +450,14 @@ def kernel_basis(m: Matrix) -> tuple[Matrix, list[int]]:
     """Columns form a basis of the right null space of m; returned with the
     free columns of m's echelon form.  At the rows of the free columns the
     basis is an identity, so a vector of the null space has its coordinates
-    at those rows."""
+    at those rows.
+
+    One row a is not eliminated: around its first nonzero entry a_p the
+    basis is e_f - (a_f / a_p) e_p for every column f != p, entry for entry
+    what `rref` gives, and an all-zero row has every column free.  Two or
+    more rows go through `rref`."""
+    if m.rows == 1:
+        return _row_kernel_basis(m)
     _, red, pivots = rref(m)
     pivot_set = set(pivots)
     free = [j for j in range(m.cols) if j not in pivot_set]
@@ -471,6 +471,29 @@ def kernel_basis(m: Matrix) -> tuple[Matrix, list[int]]:
     return out, free
 
 
+def _row_kernel_basis(m: Matrix) -> tuple[Matrix, list[int]]:
+    """`kernel_basis` of a one-row matrix, in closed form."""
+    fld, n, row = m.field, m.cols, m.data
+    p = next((j for j, a in enumerate(row) if a), None)
+    if p is None:
+        return Matrix.identity(fld, n), list(range(n))
+    k = n - 1
+    data = [fld.zero] * (n * k)
+    one = fld.one
+    for idx in range(p):
+        data[idx * k + idx] = one
+    for f in range(p + 1, n):
+        data[f * k + f - 1] = one
+    # row p: -a_f / a_p at free column f; the columns before p are zero there
+    ap = row[p]
+    if ap == one:
+        data[p * k + p:(p + 1) * k] = [-a for a in row[p + 1:]]
+    else:
+        div = fld.div
+        data[p * k + p:(p + 1) * k] = [-div(a, ap) if a else a for a in row[p + 1:]]
+    return Matrix(fld, n, k, data), [*range(p), *range(p + 1, n)]
+
+
 def column_space_basis(m: Matrix) -> Matrix:
     """Columns of m forming a basis of the column space (original columns at pivot positions)."""
     rk, _, pivots = rref(m)
@@ -479,23 +502,6 @@ def column_space_basis(m: Matrix) -> Matrix:
         for i in range(m.rows):
             out.data[i * rk + idx] = m.data[i * m.cols + pc]
     return out
-
-
-def solve(m: Matrix, b: list) -> list | None:
-    """One exact solution of m x = b, or None when b is not in the image."""
-    assert len(b) == m.rows
-    aug = Matrix.zeros(m.field, m.rows, m.cols + 1)
-    for i in range(m.rows):
-        aug.data[i * (m.cols + 1) : i * (m.cols + 1) + m.cols] = m.row(i)
-        aug.data[i * (m.cols + 1) + m.cols] = m.field(b[i])
-    rk, red, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    zero = m.field.zero
-    x = [zero] * m.cols
-    for row, pc in enumerate(pivots):
-        x[pc] = red.data[row * red.cols + m.cols]
-    return x
 
 
 def solve_matrix(m: Matrix, b: Matrix) -> Matrix | None:

@@ -34,33 +34,41 @@ other key reads as the empty matrix of its shape (0 x n or n x 0), so
 `.items()` visits only the stored blocks.  A module caches its support and
 the arrows inside it, and covers, kernels, cokernels, sums, duals, Yoneda
 maps and compositions loop over those, so a simple's cover costs the same
-on any window.  `Rep.dims` stays a full dict over the window's vertices on
-purpose: dimension vectors are compared and indexed at every vertex by
-callers outside this module, and it costs one small dict per module.
+on any window.  The cover pipeline reads and writes stored blocks only: a
+sum places each part's stored blocks at the part's offsets, a Yoneda write
+puts each basis path's column straight into the sum's component, and a
+kernel or cokernel reads a map's components with `.get`, so no empty block
+is built on the way.  `Rep.dims` stays a full dict over the window's
+vertices on purpose: dimension vectors are compared and indexed at every
+vertex by callers outside this module, and it costs one small dict per
+module.
 
 Elimination runs only where its answer is not already known.  A kernel or
 cokernel takes the identity basis or projection at the vertices where the
-map's component is zero, and an arrow between two such vertices keeps its
-matrix.  Elsewhere a kernel basis is an identity at the rows of its free
-columns (`linalg.kernel_basis` returns them), so an arrow's coordinates in
-the kernel are read off those rows of its image, and one exact product
-checks that the image lies in the span.  `linalg.solve_matrix` reduces
-[m | B] once for all columns.  A cover's components are eliminated once, by
-its kernel: `projective_cover` computes the kernel, certifies the cover with
-it by rank-nullity and hands it back on the map, and resolutions and
-presentations read it there.  The cover also recognizes a sum of standard
-projectives: M is one exactly when its cover's kernel is zero, which is all
-`kernel_as_projectives` asks, with no decomposition of M.  The top is read
-from the vectors spanning the radical at each vertex (the nonzero columns of
-the arrow maps out of it), eliminated once as rows, with no matrix stacked;
-at a one-dimensional vertex only whether one of them is nonzero is asked.  A
-two-term presentation is returned as the vertex tuples of its terms, since
-that is all its callers read.  Its second term is the top of the first
-cover's kernel, read off `top_generators` and certified locally (at every
-vertex of the kernel's support, the radical's vectors and the generators
-there span the space), so no second cover is written.  The minimal injective
-copresentation of M is read as the projective presentation of D M over the
-opposite window, with no injective hull or cokernel built.
+map's component is unstored or zero (one identity per dimension, shared:
+matrices are never mutated), and an arrow between two such vertices keeps
+its matrix.  Elsewhere a kernel basis is an identity at the rows of its
+free columns (`linalg.kernel_basis` returns them, in closed form for a
+one-row component), so an arrow's coordinates in the kernel are read off
+those rows of its image, and one exact product checks that the image lies
+in the span.  `linalg.solve_matrix` reduces [m | B] once for all columns.
+A cover's components are reduced once, by its kernel, and only those of
+two or more rows reach `rref`: `projective_cover` computes the kernel,
+certifies the cover with it by rank-nullity and hands it back on the map,
+and resolutions and presentations read it there.  The cover also
+recognizes a sum of standard projectives: M is one exactly when its
+cover's kernel is zero, which is all `kernel_as_projectives` asks, with no
+decomposition of M.  The top is read from the vectors spanning the radical
+at each vertex (the nonzero columns of the arrow maps out of it), eliminated
+once as rows, with no matrix stacked; at a one-dimensional vertex only
+whether one of them is nonzero is asked.  A two-term presentation is
+returned as the vertex tuples of its terms, since that is all its callers
+read.  Its second term is the top of the first cover's kernel, read off
+`top_generators` and certified locally (at every vertex of the kernel's
+support, the radical's vectors and the generators there span the space), so
+no second cover is written.  The minimal injective copresentation of M is
+read as the projective presentation of D M over the opposite window, with
+no injective hull or cokernel built.
 """
 
 from __future__ import annotations
@@ -307,18 +315,32 @@ def zero_map(M: Rep, N: Rep) -> RepMap:
 
 def _sum_object(parts: list[Rep]) -> Rep:
     """The direct sum alone: dims, block-diagonal arrow maps, and the joint
-    certificate when every part is certified of one kind."""
-    w = parts[0].window
-    from .linalg import direct_sum as mat_direct_sum
+    certificate when every part is certified of one kind.
 
+    Each part's stored blocks are placed at the part's running offsets, its
+    first coordinate at each vertex of its support; a part that does not
+    store an arrow contributes nothing to it, and an arrow stored by no part
+    gets the zero block from Rep."""
+    w = parts[0].window
+    fld = w.field
+    arrow_by_name = w.quiver.arrow_by_name
     dims: dict[str, int] = {}
-    names: dict[str, None] = {}
+    offsets = []
     for p in parts:
+        offsets.append({v: dims.get(v, 0) for v in p.support})
         for v in p.support:
             dims[v] = dims.get(v, 0) + p.dims[v]
-        names.update(dict.fromkeys(a.name for a in p.support_arrows))
-    # an arrow inside no part's support gets the zero block from Rep
-    maps = {name: mat_direct_sum([p.maps[name] for p in parts]) for name in names}
+    maps: dict[str, Matrix] = {}
+    for p, offs in zip(parts, offsets):
+        for name, m in p.maps.items():
+            a = arrow_by_name[name]
+            out = maps.get(name)
+            if out is None:
+                out = maps[name] = Matrix.zeros(fld, dims[a.src], dims[a.tgt])
+            cols, c0, k = out.cols, offs[a.tgt], m.cols
+            for i in range(m.rows):
+                base = (offs[a.src] + i) * cols + c0
+                out.data[base:base + k] = m.data[i * k:(i + 1) * k]
     cert = None
     kinds = {p.cert[0] for p in parts if p.cert is not None}
     if all(p.cert is not None for p in parts) and len(kinds) == 1:
@@ -405,26 +427,33 @@ def inj_sum(w: Window, vertices) -> Rep:
     return _sum_object([std_module(w, v, INJECTIVE) for v in vertices])
 
 
-def yoneda_map(P: Rep, v: str, N: Rep, vec: list) -> dict[str, Matrix]:
-    """Components of the map P(v) -> N determined by vec in N(v) (Yoneda).
+def yoneda_map(P: Rep, v: str, N: Rep, vec: list, offs: dict[str, int],
+               comps: dict[str, Matrix]) -> None:
+    """Write the map P(v) -> N determined by vec in N(v) (Yoneda) into comps,
+    the components of a map out of the sum P of which P(v) is a block, at
+    the block's column offsets offs.
 
-    Returns plain component matrices at the vertices x of the support of
-    P(v) where N(x) is nonzero (elsewhere the component is empty).  Path
-    actions are applied as matrix-vector products with shared suffixes, so
-    the cost is one small product per distinct subpath into v.
+    At each vertex x of the support of P(v) where N(x) is nonzero, the
+    column of basis path j of hom(x, v) is written straight into the
+    component at column offs[x] + j; a component is created, as zeros, when
+    its first block is written.  Path actions are applied as matrix-vector
+    products with shared suffixes, so the cost is one small product per
+    distinct subpath into v.
     """
     w = P.window
     f = w.field
     Pv = std_module(w, v, PROJECTIVE)
     # the value of each path suffix, filled from the longest one already known
     memo: dict[tuple[str, ...], list] = {(): list(vec)}
-    comps = {}
     for x in Pv.support:
-        if not N.dims[x]:
+        nx = N.dims[x]
+        if not nx:
             continue
-        hb = w.hom(x, v)
-        m = Matrix.zeros(f, N.dims[x], hb.dim)
-        for j, p in enumerate(hb.basis):
+        m = comps.get(x)
+        if m is None:
+            m = comps[x] = Matrix.zeros(f, nx, P.dims[x])
+        cols, c0 = m.cols, offs[x]
+        for j, p in enumerate(w.hom(x, v).basis):
             arrows = p.arrows
             col = memo.get(arrows)
             if col is None:
@@ -433,29 +462,19 @@ def yoneda_map(P: Rep, v: str, N: Rep, vec: list) -> dict[str, Matrix]:
                     k += 1
                 for i in range(k - 1, -1, -1):
                     col = memo[arrows[i:]] = N.maps[arrows[i]].apply(col)
-            m.data[j::hb.dim] = col
-        comps[x] = m
-    return comps
+            m.data[c0 + j::cols] = col
 
 
 def _yoneda_write(P: Rep, N: Rep, vecs: list) -> RepMap:
     """The map out of a certified projective sum P = ⊕ P(v_b) whose value at
     block b's identity path is vecs[b] in N(v_b), or zero where vecs[b] is
-    None.  The one place a map out of a projective sum is written."""
-    fld = P.field
+    None.  The one place a map out of a projective sum is written: each
+    block's columns go straight into the map's components at the block's
+    offsets (`yoneda_map`), with no per-block matrix."""
     comps: dict[str, Matrix] = {}
     for b, (v, vec) in enumerate(zip(P.cert[1], vecs, strict=True)):
-        if vec is None:
-            continue
-        offs = P.block_offsets[b]
-        for x, src in yoneda_map(P, v, N, vec).items():
-            dst = comps.get(x)
-            if dst is None:
-                dst = comps[x] = Matrix.zeros(fld, N.dims[x], P.dims[x])
-            bd = src.cols
-            for i in range(src.rows):
-                base = i * dst.cols + offs[x]
-                dst.data[base:base + bd] = src.data[i * bd:(i + 1) * bd]
+        if vec is not None:
+            yoneda_map(P, v, N, vec, P.block_offsets[b], comps)
     return RepMap(P, N, comps)
 
 
@@ -629,22 +648,39 @@ class Factorization:
     coker_proj: RepMap
 
 
+def _whole_spaces(fld):
+    """The identity of k^n, built once per dimension n for one kernel or
+    cokernel: matrices are never mutated, so its components share it."""
+    ids: dict[int, Matrix] = {}
+
+    def whole(n: int) -> Matrix:
+        m = ids.get(n)
+        if m is None:
+            m = ids[n] = Matrix.identity(fld, n)
+        return m
+
+    return whole
+
+
 def kernel_with_inclusion(f: RepMap) -> tuple[Rep, RepMap]:
     """Just the kernel subrepresentation and its inclusion (cheaper than
     a full factorization when only the kernel is needed).
 
-    Where f's component is zero the kernel is the whole space, with the
-    identity basis.  Elsewhere the kernel basis is an identity at the rows of
-    its free columns, so an arrow's coordinates are those rows of its image
-    M(a)·kb(y), and one product kb(x)·c == M(a)·kb(y) checks them.  An arrow
-    between two whole spaces keeps its matrix."""
+    Only f's stored components are read.  Where a component is unstored or
+    zero the kernel is the whole space, with the identity basis, one per
+    dimension within the call.  Elsewhere the kernel basis (in closed form
+    for a one-row component, see `linalg.kernel_basis`) is an identity at
+    the rows of its free columns, so an arrow's coordinates are those rows
+    of its image M(a)·kb(y), and one product kb(x)·c == M(a)·kb(y) checks
+    them.  An arrow between two whole spaces keeps its matrix."""
     M = f.source
     fld = M.field
+    whole = _whole_spaces(fld)
     kbases, frees = {}, {}
     for v in M.support:
-        comp = f.comps[v]
-        if comp.is_zero():
-            kbases[v] = Matrix.identity(fld, M.dims[v])
+        comp = f.comps.get(v)
+        if comp is None or comp.is_zero():
+            kbases[v] = whole(M.dims[v])
         else:
             kbases[v], frees[v] = kernel_basis(comp)
     kmaps = {}
@@ -670,16 +706,19 @@ def kernel_with_inclusion(f: RepMap) -> tuple[Rep, RepMap]:
 
 def cokernel_with_projection(f: RepMap) -> tuple[Rep, RepMap]:
     """Just the cokernel and its projection (cheaper than a full
-    factorization when only the cokernel is needed).  Where f's component is
-    zero the projection and its section are identities, and an arrow between
-    two such vertices keeps its matrix."""
+    factorization when only the cokernel is needed).  Only f's stored
+    components are read: where a component is unstored or zero the quotient
+    is the whole space and the projection an identity, one per dimension
+    within the call, and an arrow between two such vertices keeps its
+    matrix."""
     N = f.target
     w = N.window
+    whole = _whole_spaces(w.field)
     cprojs, csects = {}, {}
     for v in N.support:
-        comp = f.comps[v]
-        if comp.is_zero():
-            cprojs[v] = Matrix.identity(w.field, N.dims[v])
+        comp = f.comps.get(v)
+        if comp is None or comp.is_zero():
+            cprojs[v] = whole(N.dims[v])
         else:
             # the quotient depends only on the column space of the component
             cprojs[v], csects[v] = _quotient_projection(w.field, comp)
@@ -698,19 +737,24 @@ def cokernel_with_projection(f: RepMap) -> tuple[Rep, RepMap]:
     return C, RepMap(N, C, cprojs)
 
 
-def map_factor(f: RepMap) -> Factorization:
-    """Vertexwise exact kernel, image, and cokernel with induced arrow actions."""
-    M, N = f.source, f.target
-    K, ker_incl = kernel_with_inclusion(f)
+def image_with_inclusion(f: RepMap) -> tuple[Rep, RepMap]:
+    """Just the image and its inclusion into f.target: at each vertex the
+    columns of f's component at its pivots, and each arrow's coordinates
+    solved in that basis."""
+    N = f.target
     # the image lives where f has a stored block
     ibases = {v: column_space_basis(m) for v, m in f.comps.items()}
     idims = {v: ibases[v].cols for v in ibases}
     imaps = {a.name: coords_in_basis(ibases[a.src], N.maps[a.name] @ ibases[a.tgt])
              for a in N.support_arrows if idims.get(a.src) and idims.get(a.tgt)}
-    I = Rep(M.window, idims, imaps, validate=False)
-    im_incl = RepMap(I, N, {v: ibases[v] for v in ibases})
-    C, coker_proj = cokernel_with_projection(f)
-    return Factorization(K, ker_incl, I, im_incl, C, coker_proj)
+    I = Rep(N.window, idims, imaps, validate=False)
+    return I, RepMap(I, N, ibases)
+
+
+def map_factor(f: RepMap) -> Factorization:
+    """Vertexwise exact kernel, image, and cokernel with induced arrow actions."""
+    return Factorization(*kernel_with_inclusion(f), *image_with_inclusion(f),
+                         *cokernel_with_projection(f))
 
 
 def kernel_as_projectives(f: RepMap) -> tuple[tuple[str, ...], list[list]]:
@@ -1095,15 +1139,16 @@ def _try_split(M: Rep, h: RepMap) -> tuple[RepMap, RepMap, RepMap, RepMap] | Non
     if n == 0:
         return None
     hp = _endo_power(h, n)
-    fac = map_factor(hp)
-    kd, idm = fac.kernel.total_dim(), fac.image.total_dim()
+    K, ker_incl = kernel_with_inclusion(hp)
+    I, im_incl = image_with_inclusion(hp)
+    kd, idm = K.total_dim(), I.total_dim()
     if kd == 0 or idm == 0:
         return None
     # M = ker + im vertexwise; build the projections along the sum
     fld = M.field
     projK, projI = {}, {}
     for v in M.support:
-        kb, ib = fac.ker_incl.comps[v], fac.im_incl.comps[v]
+        kb, ib = ker_incl.comps[v], im_incl.comps[v]
         both = hstack([kb, ib])
         assert both.rows == both.cols == M.dims[v], "Fitting split failed"
         inv = solve_matrix(both, Matrix.identity(fld, both.rows))
@@ -1116,12 +1161,7 @@ def _try_split(M: Rep, h: RepMap) -> tuple[RepMap, RepMap, RepMap, RepMap] | Non
             ipart.data[i * M.dims[v] : (i + 1) * M.dims[v]] = inv.row(kb.cols + i)
         projK[v] = kpart
         projI[v] = ipart
-    return (
-        fac.ker_incl,
-        RepMap(M, fac.kernel, projK),
-        fac.im_incl,
-        RepMap(M, fac.image, projI),
-    )
+    return ker_incl, RepMap(M, K, projK), im_incl, RepMap(M, I, projI)
 
 
 def _is_scalar_plus_nilpotent(M: Rep, h: RepMap) -> bool:

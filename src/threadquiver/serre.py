@@ -323,12 +323,14 @@ def total_hom_dims(CX: Complex, CY: Complex) -> dict[int, int]:
     resolutions produced here always satisfy this), so homotopy classes
     compute derived homs; otherwise NotProjectiveCertified is raised.
     A complex whose components are all zero is answered with zeros before
-    any differential is built.
+    any differential is built, and a differential into or out of a zero
+    component has rank 0 and is not built.
     """
     dims, differential = _hom_complex(CX, CY)
     if not any(dims.values()):
         return dict.fromkeys(dims, 0)
-    ranks = {n: rank(differential(n)) for n in dims}
+    ranks = {n: rank(differential(n)) if d and dims.get(n + 1) else 0
+             for n, d in dims.items()}
     out: dict[int, int] = {}
     for n in dims:
         out[n] = dims[n] - ranks[n] - ranks.get(n - 1, 0)

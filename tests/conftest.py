@@ -24,7 +24,6 @@ from threadquiver.linalg import (
     kernel_basis,
     rank,
     rref,
-    solve,
 )
 from threadquiver.orders import INT, NAT, NEG_NAT, Fin
 from threadquiver.quiver import Path as QPath
@@ -568,6 +567,101 @@ def path_enumeration_hom_basis(q, relations, x, y, field):
     pivot_set = set(pivots)
     return EnumeratedHomBasis(field, paths, reducers,
                               [i for i in range(len(paths)) if i not in pivot_set])
+
+
+def solve(m, b):
+    """Oracle for one exact solution of m x = b, or None when b is not in
+    the image: one elimination of [m | b]."""
+    assert len(b) == m.rows
+    aug = Matrix.zeros(m.field, m.rows, m.cols + 1)
+    for i in range(m.rows):
+        aug.data[i * (m.cols + 1) : i * (m.cols + 1) + m.cols] = m.row(i)
+        aug.data[i * (m.cols + 1) + m.cols] = m.field(b[i])
+    rk, red, pivots = rref(aug)
+    if m.cols in pivots:
+        return None
+    zero = m.field.zero
+    x = [zero] * m.cols
+    for row, pc in enumerate(pivots):
+        x[pc] = red.data[row * red.cols + m.cols]
+    return x
+
+
+def rref_kernel_basis(m):
+    """Differential oracle for `linalg.kernel_basis`: the echelon form of
+    every matrix, one-row ones included, read off `rref`."""
+    _, red, pivots = rref(m)
+    pivot_set = set(pivots)
+    free = [j for j in range(m.cols) if j not in pivot_set]
+    out = Matrix.zeros(m.field, m.cols, len(free))
+    for idx, fc in enumerate(free):
+        out.data[fc * len(free) + idx] = m.field.one
+        for row, pc in enumerate(pivots):
+            out.data[pc * len(free) + idx] = -red.data[row * red.cols + fc]
+    return out, free
+
+
+def direct_sum(parts):
+    """The block-diagonal sum of matrices, empty blocks included."""
+    assert parts
+    field = parts[0].field
+    rows = sum(p.rows for p in parts)
+    cols = sum(p.cols for p in parts)
+    out = Matrix.zeros(field, rows, cols)
+    ro = co = 0
+    for p in parts:
+        for i in range(p.rows):
+            out.data[(ro + i) * cols + co : (ro + i) * cols + co + p.cols] = p.row(i)
+        ro += p.rows
+        co += p.cols
+    return out
+
+
+def direct_sum_object(parts):
+    """Differential oracle for `reps._sum_object`: every arrow stored by some
+    part is the block-diagonal `direct_sum` of that arrow's blocks over all
+    parts, the empty blocks of the parts that do not store it included."""
+    dims, names = {}, {}
+    for p in parts:
+        for v in p.support:
+            dims[v] = dims.get(v, 0) + p.dims[v]
+        names.update(dict.fromkeys(a.name for a in p.support_arrows))
+    maps = {name: direct_sum([p.maps[name] for p in parts]) for name in names}
+    cert = None
+    kinds = {p.cert[0] for p in parts if p.cert is not None}
+    if all(p.cert is not None for p in parts) and len(kinds) == 1:
+        cert = (kinds.pop(), tuple(v for p in parts for v in p.cert[1]))
+    return Rep(parts[0].window, dims, maps, validate=False, cert=cert)
+
+
+def per_block_yoneda_write(P, N, vecs):
+    """Differential oracle for `reps._yoneda_write`: per block, its own
+    matrix at every vertex of the block's support, copied row by row into
+    the sum's component at the block's offset."""
+    w = P.window
+    fld = w.field
+    comps = {}
+    for b, (v, vec) in enumerate(zip(P.cert[1], vecs, strict=True)):
+        if vec is None:
+            continue
+        offs = P.block_offsets[b]
+        for x in std_module(w, v, PROJECTIVE).support:
+            if not N.dims[x]:
+                continue
+            hb = w.hom(x, v)
+            src = Matrix.zeros(fld, N.dims[x], hb.dim)
+            for j, p in enumerate(hb.basis):
+                col = list(vec)
+                for name in reversed(p.arrows):
+                    col = N.maps[name].apply(col)
+                src.data[j::hb.dim] = col
+            dst = comps.get(x)
+            if dst is None:
+                dst = comps[x] = Matrix.zeros(fld, N.dims[x], P.dims[x])
+            for i in range(src.rows):
+                base = i * dst.cols + offs[x]
+                dst.data[base:base + hb.dim] = src.data[i * hb.dim:(i + 1) * hb.dim]
+    return RepMap(P, N, comps)
 
 
 def per_column_solve_matrix(m, b):

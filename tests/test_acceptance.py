@@ -14,6 +14,7 @@ from conftest import (
     chain_fixtures,
     dualizing_fixtures,
     random_fp_rep,
+    solve,
     tq_fin1_thread,
     tq_two_empty_threads,
     zigzag_window,
@@ -21,7 +22,7 @@ from conftest import (
 
 from threadquiver.cli import run
 from threadquiver.dsl import parse_tq, serialize_tq
-from threadquiver.linalg import QQ, Matrix, solve
+from threadquiver.linalg import QQ, Matrix
 from threadquiver.reps import (
     INJECTIVE,
     PROJECTIVE,

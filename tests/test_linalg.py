@@ -4,8 +4,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import FractionField, per_column_solve_matrix
-from hypothesis import given, settings
+from conftest import (
+    FractionField,
+    direct_sum,
+    per_column_solve_matrix,
+    rref_kernel_basis,
+    solve,
+)
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threadquiver.linalg import (
@@ -16,14 +22,12 @@ from threadquiver.linalg import (
     Matrix,
     PrimeField,
     column_space_basis,
-    direct_sum,
     field_by_name,
     hstack,
     is_prime,
     kernel_basis,
     rank,
     rref,
-    solve,
     solve_matrix,
     sparse_kernel,
     vstack,
@@ -433,3 +437,25 @@ def test_hstack_keeps_zero_column_parts_and_checks_rows():
         hstack([a, Matrix.zeros(QQ, 3, 0)])
     with pytest.raises(DimensionMismatch):
         hstack([Matrix.zeros(QQ, 1, 0), a])
+
+
+ONE_ROW_FIELDS = {"q": QQ, "fp:7": PrimeField(7)}
+
+
+@given(st.sampled_from(sorted(ONE_ROW_FIELDS)), st.integers(0, 3),
+       st.lists(st.integers(-9, 9), max_size=5))
+@example("q", 2, [3, 0, -6, 1])   # leading zeros, a non-unit pivot
+@example("fp:7", 1, [5, 2, 0, 4])
+@example("q", 0, [-2, 4, 3])      # a non-integral quotient
+@example("fp:7", 3, [])           # an all-zero row
+@example("q", 0, [2])             # 1 x 1
+@example("fp:7", 0, [0])          # 1 x 1 zero
+@settings(max_examples=200, deadline=None)
+def test_one_row_kernel_basis_matches_the_rref_oracle(name, zeros, tail):
+    fld = ONE_ROW_FIELDS[name]
+    m = Matrix.from_rows(fld, [[0] * zeros + tail or [0]])
+    kb, free = kernel_basis(m)
+    assert (kb, free) == rref_kernel_basis(m)
+    assert kb.rows == m.cols and (m @ kb).is_zero()
+    assert rank(m) == rref(m)[0] == m.cols - kb.cols
+    assert rank(Matrix.zeros(fld, 0, m.cols)) == 0

@@ -5,9 +5,11 @@ from conftest import (
     basis_route_ext_dim,
     comm_grid_window,
     cover_kernel_cover_presentation,
+    direct_sum_object,
     eliminating_cokernel_with_projection,
     fixture_windows,
     hull_cokernel_hull_copresentation,
+    per_block_yoneda_write,
     per_vertex_realize_proj_coords,
     random_fp_rep,
     random_thread_quivers,
@@ -22,12 +24,15 @@ from threadquiver.errors import ExceedsBound, NotFunctorial
 from threadquiver.linalg import QQ, Matrix, rank
 from threadquiver.orders import Fin
 from threadquiver.quiver import Path, Quiver, Relation
+import threadquiver.reps as reps
 from threadquiver.reps import (
     INJECTIVE,
     PROJECTIVE,
     SIMPLE,
     Rep,
     RepMap,
+    _sum_object,
+    _yoneda_write,
     cokernel_with_projection,
     decompose,
     dualize,
@@ -37,6 +42,7 @@ from threadquiver.reps import (
     hom_dim,
     identity_map,
     induce,
+    injective_hull,
     inj_dim,
     kernel_with_inclusion,
     map_factor,
@@ -531,6 +537,24 @@ def test_decompose_order_independent():
     assert key(decompose(M, rng1)) == key(decompose(M, rng2))
 
 
+def test_decompose_builds_no_cokernel(monkeypatch):
+    # a Fitting split reads the kernel and the image of h^N only
+    w = expand(tq_mixed(), 1)
+    rng = random.Random(5)
+    modules = [random_fp_rep(w, rng, 3, 3) for _ in range(8)] + [proj_sum(w, ["B", "B"])]
+
+    def no_cokernel(f):
+        raise AssertionError("a cokernel was built")
+
+    monkeypatch.setattr(reps, "cokernel_with_projection", no_cokernel)
+    split = 0
+    for M in modules:
+        parts = decompose(M)
+        assert sum(p.total_dim() for p in parts) == M.total_dim()
+        split += len(parts) > 1
+    assert split
+
+
 # -- restriction and induction ------------------------------------------------------
 
 
@@ -962,8 +986,10 @@ def test_assert_generates_rejects_a_dropped_generator(dims, a, drop):
 
 
 def test_presentations_and_resolutions_eliminate_each_cover_component_once(monkeypatch):
-    # no stacked matrix on either route, and every cover component is
-    # eliminated once, by its kernel, where it is nonzero (never where zero)
+    # no stacked matrix on either route, and every cover component with two
+    # or more rows is eliminated once, by its kernel, where it is nonzero; a
+    # one-row component's kernel is read in closed form and a zero one's is
+    # the whole space, so neither reaches rref
     import threadquiver.linalg as linalg
     import threadquiver.reps as reps
 
@@ -998,6 +1024,94 @@ def test_presentations_and_resolutions_eliminate_each_cover_component_once(monke
     times = {}
     for m in eliminated:
         times[id(m)] = times.get(id(m), 0) + 1
+    seen = set()
     for cover in covers:
         for m in cover.comps.values():
-            assert times.get(id(m), 0) == (0 if m.is_zero() else 1)
+            kind = "zero" if m.is_zero() else "one row" if m.rows == 1 else "rows"
+            seen.add(kind)
+            assert times.get(id(m), 0) == (1 if kind == "rows" else 0), kind
+    assert {"one row", "rows"} <= seen
+
+
+def _std_modules(w):
+    return [std_module(w, v, kind) for v in w.quiver.vertices
+            for kind in (PROJECTIVE, INJECTIVE, SIMPLE)]
+
+
+def test_sum_object_matches_the_direct_sum_oracle():
+    # per arrow a: x -> y, sums where a part misses a (S(x), S(y), P(x))
+    # before and after parts that store it, and sums where no part stores a
+    # although its two ends lie in different parts (S(x) + S(y))
+    w = expand(tq_mixed(), 2)
+    missed = split = 0
+    for a in w.quiver.arrows:
+        x, y = a.src, a.tgt
+        S = {v: std_module(w, v, SIMPLE) for v in (x, y)}
+        P = {v: std_module(w, v, PROJECTIVE) for v in (x, y)}
+        I = {v: std_module(w, v, INJECTIVE) for v in (x, y)}
+        for parts in ([S[x], S[y]], [S[x], P[y], S[y], P[y]], [P[y], S[x], I[x], P[x]],
+                      [I[y], I[x], S[x]], [P[y], P[y]]):
+            got, want = _sum_object(parts), direct_sum_object(parts)
+            assert (got.dims, got.support, got.support_arrows, got.cert) == (
+                want.dims, want.support, want.support_arrows, want.cert)
+            assert dict(got.maps) == dict(want.maps)
+            stored = [a.name in p.maps for p in parts]
+            missed += a.name in got.maps and not all(stored)
+            split += a.name in got.maps and not any(stored)
+    assert missed and split
+
+
+@pytest.mark.parametrize("label, w", [
+    ("mixed@2", expand(tq_mixed(), 2)),
+    ("grid3", comm_grid_window(3)),
+])
+def test_yoneda_write_matches_the_per_block_oracle(label, w):
+    # the covers of every standard module and of its cover's kernel, written
+    # block by block into the sum's components, equal the per-block matrices
+    # copied row by row; covers of more than one block put blocks at nonzero
+    # offsets
+    multi = 0
+    modules = _std_modules(w)
+    modules += [projective_cover(M)[1].kernel[0] for M in modules]
+    for M in modules:
+        gens = top_generators(M)
+        P = proj_sum(w, [v for v, _ in gens])
+        vecs = [vec for _, vec in gens]
+        got, want = _yoneda_write(P, M, vecs), per_block_yoneda_write(P, M, vecs)
+        assert dict(got.comps) == dict(want.comps), M
+        multi += len(gens) > 1
+        if len(gens) > 1:
+            # with a block left out, the others stay where they were
+            vecs[0] = None
+            assert dict(_yoneda_write(P, M, vecs).comps) == dict(
+                per_block_yoneda_write(P, M, vecs).comps)
+    assert multi
+
+
+@pytest.mark.parametrize("label, w", [
+    ("mixed@2", expand(tq_mixed(), 2)),
+    ("grid3", comm_grid_window(3)),
+])
+def test_kernel_and_cokernel_read_only_stored_blocks(monkeypatch, label, w):
+    # neither reaches _Blocks.__missing__: an unstored component is read as
+    # the whole space, with no empty block built
+    maps = []
+    for M in _std_modules(w):
+        maps.append(projective_cover(M)[1])
+        maps.append(injective_hull(M)[1])
+
+    def unstored(blocks, key):
+        raise AssertionError(f"unstored block {key!r} read")
+
+    monkeypatch.setattr(reps._Blocks, "__missing__", unstored)
+    for f in maps:
+        K, incl = kernel_with_inclusion(f)
+        C, proj = cokernel_with_projection(f)
+        monkeypatch.undo()
+        oK, oincl = solving_kernel_with_inclusion(f)
+        oC, oproj = eliminating_cokernel_with_projection(f)
+        assert (K.dims, dict(K.maps), dict(incl.comps)) == (oK.dims, dict(oK.maps),
+                                                            dict(oincl.comps))
+        assert (C.dims, dict(C.maps), dict(proj.comps)) == (oC.dims, dict(oC.maps),
+                                                            dict(oproj.comps))
+        monkeypatch.setattr(reps._Blocks, "__missing__", unstored)
