@@ -354,11 +354,8 @@ class Matrix:
         return out
 
     def transpose(self) -> "Matrix":
-        out = Matrix.zeros(self.field, self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.data[j * self.rows + i] = self.data[i * self.cols + j]
-        return out
+        c = self.cols  # row j of the transpose is the slice data[j::c]
+        return Matrix(self.field, c, self.rows, [e for j in range(c) for e in self.data[j::c]])
 
     def __repr__(self):
         body = "; ".join(
@@ -379,18 +376,6 @@ def hstack(parts: list[Matrix]) -> Matrix:
         for d, c in spans:
             data += d[i * c:(i + 1) * c]
     return Matrix(parts[0].field, rows, sum(c for _, c in spans), data)
-
-
-def vstack(parts: list[Matrix]) -> Matrix:
-    assert parts
-    field = parts[0].field
-    cols = parts[0].cols
-    if any(p.cols != cols for p in parts):
-        raise DimensionMismatch("vstack column mismatch")
-    data = []
-    for p in parts:
-        data.extend(p.data)
-    return Matrix(field, sum(p.rows for p in parts), cols, data)
 
 
 def rref(m: Matrix) -> tuple[int, Matrix, list[int]]:

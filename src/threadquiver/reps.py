@@ -22,9 +22,10 @@ coordinate form of such a map: `extract_proj_coords` reads it,
 inclusion of a kernel straight from the values it computes, with no map
 written.  Hom complexes, and so `ext_dim`, are evaluated on the certificates
 directly, as in the Serre check.  `hom_basis` gives explicit bases of module
-maps (it no longer serves `ext_dim`; the basis route to Ext survives only as
-a test oracle), and `hom_basis_generic` always solves the naturality system
-from scratch and is kept as the independent route for cross-checking.
+maps; into a certified injective sum N it transposes the basis of
+hom(D N, D M) over the opposite window onto M and N themselves.
+`hom_basis_generic` always solves the naturality system from scratch and is
+kept as the independent route for cross-checking.
 
 Storage: a module keeps its blocks on its support only.  `Rep.maps` stores
 the matrices of the arrows whose two ends are nonzero and `RepMap.comps` the
@@ -37,21 +38,22 @@ maps and compositions loop over those, so a simple's cover costs the same
 on any window.  The cover pipeline reads and writes stored blocks only: a
 sum places each part's stored blocks at the part's offsets, a Yoneda write
 puts each basis path's column straight into the sum's component, and a
-kernel or cokernel reads a map's components with `.get`, so no empty block
-is built on the way.  `Rep.dims` stays a full dict over the window's
-vertices on purpose: dimension vectors are compared and indexed at every
-vertex by callers outside this module, and it costs one small dict per
-module.
+kernel reads a map's components with `.get`, so no empty block is built on
+the way.  `Rep.dims` stays a full dict over the window's vertices on
+purpose: dimension vectors are compared and indexed at every vertex by
+callers outside this module, and it costs one small dict per module.
 
-Elimination runs only where its answer is not already known.  A kernel or
-cokernel takes the identity basis or projection at the vertices where the
-map's component is unstored or zero (one identity per dimension, shared:
-matrices are never mutated), and an arrow between two such vertices keeps
-its matrix.  Elsewhere a kernel basis is an identity at the rows of its
-free columns (`linalg.kernel_basis` returns them, in closed form for a
-one-row component), so an arrow's coordinates in the kernel are read off
-those rows of its image, and one exact product checks that the image lies
-in the span.  `linalg.solve_matrix` reduces [m | B] once for all columns.
+Elimination runs only where its answer is not already known.  A kernel
+takes the identity basis at the vertices where the map's component is
+unstored or zero (one identity per dimension, shared: matrices are never
+mutated), and an arrow between two such vertices keeps its matrix.
+Elsewhere a kernel basis is an identity at the rows of its free columns
+(`linalg.kernel_basis` returns them, in closed form for a one-row
+component), so an arrow's coordinates in the kernel are read off those rows
+of its image, and one exact product checks that the image lies in the span.
+A cokernel is the same kernel taken over the opposite window, D ker(D f),
+with the transposed basis as its projection, so it has no elimination of
+its own.  `linalg.solve_matrix` reduces [m | B] once for all columns.
 A cover's components are reduced once, by its kernel, and only those of
 two or more rows reach `rref`: `projective_cover` computes the kernel,
 certifies the cover with it by rank-nullity and hands it back on the map,
@@ -238,7 +240,7 @@ class Rep:
 class RepMap:
     """A natural transformation between representations of one window."""
 
-    def __init__(self, source: Rep, target: Rep, comps: dict[str, Matrix], validate: bool = False):
+    def __init__(self, source: Rep, target: Rep, comps: dict[str, Matrix]):
         if source.window is not target.window:
             raise WindowMismatch("representations live over different windows")
         self.source = source
@@ -255,8 +257,6 @@ class RepMap:
                 self.comps[v] = m
         for v, m in comps.items():
             assert (m.rows, m.cols) == (td[v], sd[v]), v
-        if validate:
-            assert self.is_natural(), "naturality fails"
 
     def is_natural(self) -> bool:
         # both sides of the square at a: x -> y are N(x) x M(y) matrices
@@ -399,12 +399,6 @@ def dualize(M: Rep) -> Rep:
     if M.cert is not None:
         cert = ("inj" if M.cert[0] == "proj" else "proj", M.cert[1])
     return Rep(op, {v: M.dims[v] for v in M.support}, maps, validate=False, cert=cert)
-
-
-def dualize_map(fm: RepMap) -> RepMap:
-    """Contravariant duality on morphisms."""
-    return RepMap(dualize(fm.target), dualize(fm.source),
-                  {v: m.transpose() for v, m in fm.comps.items()})
 
 
 def proj_sum(w: Window, vertices) -> Rep:
@@ -574,12 +568,11 @@ def hom_basis(M: Rep, N: Rep) -> tuple[int, list[RepMap]]:
                 basis.append(_yoneda_write(M, N, vecs))
         return len(basis), basis
     if N.cert is not None and N.cert[0] == "inj":
-        # hom(M, D P_op) is dual to hom_op(P_op, D M)
-        op = w.opposite()
-        Mop = dualize(M)
-        Pop = proj_sum(op, N.cert[1])
-        _, op_basis = hom_basis(Pop, Mop)
-        return len(op_basis), [dualize_map(g) for g in op_basis]
+        # hom(M, D P_op) is dual to hom_op(P_op, D M): each basis map of
+        # the latter, transposed, is a map M -> N
+        _, op_basis = hom_basis(proj_sum(w.opposite(), N.cert[1]), dualize(M))
+        return len(op_basis), [RepMap(M, N, {v: m.transpose() for v, m in g.comps.items()})
+                               for g in op_basis]
     return hom_basis_generic(M, N)
 
 
@@ -617,27 +610,6 @@ def hom_coords(basis: list[RepMap], f: RepMap) -> list:
 # -- kernels, images, cokernels ------------------------------------------------
 
 
-def _quotient_projection(fld, sub: Matrix) -> tuple[Matrix, Matrix]:
-    """(projection, section) presenting the quotient of k^n by the column space."""
-    n = sub.rows
-    rk, red, pivots = rref(sub.transpose())
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    proj = Matrix.zeros(fld, len(free), n)
-    for fi, j in enumerate(free):
-        proj.data[fi * n + j] = fld.one
-    for r, pc in enumerate(pivots):
-        # class(e_pc) = -sum_{j free} red[r, j] class(e_j)
-        for fi, j in enumerate(free):
-            c = red.data[r * red.cols + j]
-            if c != fld.zero:
-                proj.data[fi * n + pc] = -c
-    section = Matrix.zeros(fld, n, len(free))
-    for fi, j in enumerate(free):
-        section.data[j * len(free) + fi] = fld.one
-    return proj, section
-
-
 @dataclass
 class Factorization:
     kernel: Rep
@@ -648,39 +620,27 @@ class Factorization:
     coker_proj: RepMap
 
 
-def _whole_spaces(fld):
-    """The identity of k^n, built once per dimension n for one kernel or
-    cokernel: matrices are never mutated, so its components share it."""
-    ids: dict[int, Matrix] = {}
+def _kernel(M: Rep, comps: dict[str, Matrix]) -> tuple[Rep, dict[str, Matrix]]:
+    """The kernel of the map out of M with components comps, and its basis
+    at every vertex of M's support.
 
-    def whole(n: int) -> Matrix:
-        m = ids.get(n)
-        if m is None:
-            m = ids[n] = Matrix.identity(fld, n)
-        return m
-
-    return whole
-
-
-def kernel_with_inclusion(f: RepMap) -> tuple[Rep, RepMap]:
-    """Just the kernel subrepresentation and its inclusion (cheaper than
-    a full factorization when only the kernel is needed).
-
-    Only f's stored components are read.  Where a component is unstored or
-    zero the kernel is the whole space, with the identity basis, one per
-    dimension within the call.  Elsewhere the kernel basis (in closed form
-    for a one-row component, see `linalg.kernel_basis`) is an identity at
-    the rows of its free columns, so an arrow's coordinates are those rows
-    of its image M(a)·kb(y), and one product kb(x)·c == M(a)·kb(y) checks
-    them.  An arrow between two whole spaces keeps its matrix."""
-    M = f.source
+    Only comps' stored entries are read, with `.get`.  Where a component is
+    missing or zero the kernel is the whole space, with the identity basis,
+    one per dimension within the call.  Elsewhere the kernel basis (in
+    closed form for a one-row component, see `linalg.kernel_basis`) is an
+    identity at the rows of its free columns, so an arrow's coordinates are
+    those rows of its image M(a)·kb(y), and one product kb(x)·c == M(a)·kb(y)
+    checks them.  An arrow between two whole spaces keeps its matrix."""
     fld = M.field
-    whole = _whole_spaces(fld)
+    ids: dict[int, Matrix] = {}  # shared: matrices are never mutated
     kbases, frees = {}, {}
     for v in M.support:
-        comp = f.comps.get(v)
+        comp = comps.get(v)
         if comp is None or comp.is_zero():
-            kbases[v] = whole(M.dims[v])
+            n = M.dims[v]
+            if n not in ids:
+                ids[n] = Matrix.identity(fld, n)
+            kbases[v] = ids[n]
         else:
             kbases[v], frees[v] = kernel_basis(comp)
     kmaps = {}
@@ -701,40 +661,28 @@ def kernel_with_inclusion(f: RepMap) -> tuple[Rep, RepMap]:
         assert kx @ c == img, "vectors not in span of basis"
         kmaps[a.name] = c
     K = Rep(M.window, {v: kb.cols for v, kb in kbases.items()}, kmaps, validate=False)
-    return K, RepMap(K, M, kbases)
+    return K, kbases
+
+
+def kernel_with_inclusion(f: RepMap) -> tuple[Rep, RepMap]:
+    """Just the kernel subrepresentation and its inclusion (cheaper than
+    a full factorization when only the kernel is needed); see `_kernel`."""
+    K, kbases = _kernel(f.source, f.comps)
+    return K, RepMap(K, f.source, kbases)
 
 
 def cokernel_with_projection(f: RepMap) -> tuple[Rep, RepMap]:
-    """Just the cokernel and its projection (cheaper than a full
-    factorization when only the cokernel is needed).  Only f's stored
-    components are read: where a component is unstored or zero the quotient
-    is the whole space and the projection an identity, one per dimension
-    within the call, and an arrow between two such vertices keeps its
-    matrix."""
+    """Just the cokernel and its projection, as D ker(D f): the kernel of
+    the transposed components out of D N over the opposite window (`_kernel`,
+    so only f's stored components are read and the same exact check guards
+    every arrow), dualized back.  Its basis at v, transposed, is the
+    projection N(v) -> C(v), and C(a) = proj_x·N(a)·S_y, where the section
+    S_y is the unit vectors at y's free coordinates.  D M is not built: the
+    kernel never reads it."""
     N = f.target
-    w = N.window
-    whole = _whole_spaces(w.field)
-    cprojs, csects = {}, {}
-    for v in N.support:
-        comp = f.comps.get(v)
-        if comp is None or comp.is_zero():
-            cprojs[v] = whole(N.dims[v])
-        else:
-            # the quotient depends only on the column space of the component
-            cprojs[v], csects[v] = _quotient_projection(w.field, comp)
-    cmaps = {}
-    for a in N.support_arrows:
-        x, y = a.src, a.tgt
-        if not (cprojs[x].rows and cprojs[y].rows):
-            continue
-        m = N.maps[a.name]
-        if y in csects:
-            m = m @ csects[y]
-        if x in csects:
-            m = cprojs[x] @ m
-        cmaps[a.name] = m
-    C = Rep(w, {v: p.rows for v, p in cprojs.items()}, cmaps, validate=False)
-    return C, RepMap(N, C, cprojs)
+    K, kbases = _kernel(dualize(N), {v: m.transpose() for v, m in f.comps.items()})
+    C = dualize(K)
+    return C, RepMap(N, C, {v: kb.transpose() for v, kb in kbases.items()})
 
 
 def image_with_inclusion(f: RepMap) -> tuple[Rep, RepMap]:
@@ -1011,21 +959,21 @@ def resolution(M: Rep, side: str, max_len: int, forbid_boundary: bool = False) -
     raise ValueError(f"unknown side {side!r}")
 
 
-def proj_dim(M: Rep, max_len: int, forbid_boundary: bool = False) -> int:
+def proj_dim(M: Rep, max_len: int) -> int:
     if M.is_zero():
         return 0
-    res = resolution(M, PROJECTIVE, max_len, forbid_boundary)
+    res = resolution(M, PROJECTIVE, max_len)
     return len(res.complex.terms) - 1
 
 
-def inj_dim(M: Rep, max_len: int, forbid_boundary: bool = False) -> int:
+def inj_dim(M: Rep, max_len: int) -> int:
     if M.is_zero():
         return 0
-    res = resolution(M, INJECTIVE, max_len, forbid_boundary)
+    res = resolution(M, INJECTIVE, max_len)
     return len(res.complex.terms) - 1
 
 
-def ext_dim(i: int, M: Rep, N: Rep, max_len: int, forbid_boundary: bool = False) -> int:
+def ext_dim(i: int, M: Rep, N: Rep, max_len: int) -> int:
     """dim Ext^i(M, N): H^i of the total hom complex from a minimal projective
     resolution of M into N, evaluated by Yoneda as in the Serre check."""
     from .serre import total_hom_dims
@@ -1033,7 +981,7 @@ def ext_dim(i: int, M: Rep, N: Rep, max_len: int, forbid_boundary: bool = False)
     assert i >= 0
     if M.is_zero() or N.is_zero():
         return 0
-    res = resolution(M, PROJECTIVE, max_len, forbid_boundary)
+    res = resolution(M, PROJECTIVE, max_len)
     return total_hom_dims(res.complex, one_term_complex(N)).get(i, 0)
 
 
@@ -1262,14 +1210,6 @@ def restrict(M: Rep, target: Window, vertex_map: dict[str, str],
         if not out.act_terms(rel.terms).is_zero():
             raise NotFunctorial("assigned paths violate a relation of the target window")
     return out
-
-
-def restrict_full(M: Rep, target: Window) -> Rep:
-    """Restriction along a same-named full embedding (vertices and arrows of
-    the target exist verbatim in M's window)."""
-    vmap = {v: v for v in target.quiver.vertices}
-    amap = {a.name: Path(a.src, a.tgt, (a.name,)) for a in target.quiver.arrows}
-    return restrict(M, target, vmap, amap)
 
 
 def induce(M: Rep, source: Window, target: Window, vertex_map: dict[str, str],

@@ -199,19 +199,12 @@ def nakayama(cx: Complex) -> Complex:
     return Complex(w, cx.min_degree, terms, diffs)
 
 
-def serre_image(M: Rep, max_len: int, forbid_boundary: bool = False) -> Complex:
+def serre_image(M: Rep, max_len: int) -> Complex:
     """The Serre functor's value on M: Nakayama of a projective resolution."""
-    res = resolution(M, PROJECTIVE, max_len, forbid_boundary)
-    return nakayama(res.complex)
+    return nakayama(resolution(M, PROJECTIVE, max_len).complex)
 
 
 # -- derived hom ------------------------------------------------------------------
-
-
-def _as_complex(X, max_len: int, forbid_boundary: bool) -> Complex:
-    if isinstance(X, Complex):
-        return X
-    return resolution(X, PROJECTIVE, max_len, forbid_boundary).complex
 
 
 def _is_sum_of(cx: Complex, kind: str) -> bool:
@@ -293,27 +286,20 @@ def _yoneda_hom_data(CX: Complex, CY: Complex) -> tuple[dict[int, int], Callable
 
 
 def _hom_complex(CX: Complex, CY: Complex) -> tuple[dict[int, int], Callable[[int], Matrix]]:
-    """Component dimensions of the total hom complex and a function building
-    its differential out of a given degree; see `total_hom_data`."""
+    """Component dimensions of the total hom complex Hom(CX, CY) and a
+    function building its differential out of a given degree.
+
+    The degree-n component is the direct sum of hom(X^p, Y^q) over q - p = n;
+    the differential sends f to dY . f - (-1)^n f . dX.  CX must consist of
+    certified projective sums, or CY of certified injective sums; the latter
+    is computed as hom(D CY, D CX) over the opposite window, an isomorphic
+    complex (same degrees, differentials equal up to transpose and sign)."""
     if _is_sum_of(CX, "proj"):
         return _yoneda_hom_data(CX, CY)
     if _is_sum_of(CY, "inj"):
         return _yoneda_hom_data(dualize_complex(CY), dualize_complex(CX))
     raise NotProjectiveCertified(
         "total hom needs a complex of projective sums or a target of injective sums")
-
-
-def total_hom_data(CX: Complex, CY: Complex) -> tuple[dict[int, int], dict[int, Matrix]]:
-    """Component dimensions and differentials of the total hom complex.
-
-    The degree-n component is the direct sum of hom(X^p, Y^q) over q - p = n;
-    the differential sends f to dY . f - (-1)^n f . dX.  CX must consist of
-    certified projective sums, or CY of certified injective sums; the latter
-    is computed as hom(D CY, D CX) over the opposite window, an isomorphic
-    complex (same degrees, differentials equal up to transpose and sign).
-    """
-    dims, differential = _hom_complex(CX, CY)
-    return dims, {n: differential(n) for n in dims}
 
 
 def total_hom_dims(CX: Complex, CY: Complex) -> dict[int, int]:
@@ -338,7 +324,7 @@ def total_hom_dims(CX: Complex, CY: Complex) -> dict[int, int]:
     return out
 
 
-def derived_hom_dim(X, Y, n: int, max_len: int = 8, forbid_boundary: bool = False) -> int:
+def derived_hom_dim(X, Y, n: int, max_len: int = 8) -> int:
     """dim of the degree-n derived hom between reps or bounded complexes.
 
     The first argument is replaced by a projective resolution, except when
@@ -351,7 +337,7 @@ def derived_hom_dim(X, Y, n: int, max_len: int = 8, forbid_boundary: bool = Fals
     elif _is_sum_of(CY, "inj"):
         CX = one_term_complex(X)
     else:
-        CX = _as_complex(X, max_len, forbid_boundary)
+        CX = resolution(X, PROJECTIVE, max_len).complex
     return total_hom_dims(CX, CY).get(n, 0)
 
 

@@ -32,7 +32,7 @@ from .reps import (
     std_module,
     two_term_presentation,
 )
-from .serre import VarietyMor, realize_proj, total_hom_dims, transport_to_opposite
+from .serre import VarietyMor, total_hom_dims, transport_to_opposite
 from .windows import ThreadQuiver, Window, arrow_pairs, gabriel_neighbours, rad_irr_dims
 
 LEFT = "left"
@@ -251,18 +251,16 @@ def perp_adjoint(w: Window, A: str, Zs: list[Rep], side: str,
 def supp_adjoint(w: Window, A: str, Y: str) -> tuple[tuple[str, ...], VarietyMor]:
     """Left adjoint image of A for the embedding of supp hom(-, Y).
 
-    The image of the canonical P(A) -> P(Y) ⊗ hom(A, Y)^* must be a sum of
-    standard projectives (heredity).  As a quotient of P(A) it is one only
-    when it is P(A): A, with the identity as unit, when the map is
-    injective, and NotRepresentable otherwise.
+    The image of the canonical P(A) -> P(Y) ⊗ hom(A, Y)^* (the evaluation
+    into P(Y), `_evaluation`) must be a sum of standard projectives
+    (heredity).  As a quotient of P(A) it is one only when it is P(A): A,
+    with the identity as unit, when the map is injective, and
+    NotRepresentable otherwise.
     """
-    d = w.hom_dim(A, Y)
-    if d == 0:
+    e = _evaluation(w, A, [std_module(w, Y, PROJECTIVE)])
+    if e is None:
         return (), VarietyMor.zero(w, (A,), ())
-    fld = w.field
-    entries = [[[fld.one if k == i else fld.zero for k in range(d)]] for i in range(d)]
-    kernel, _ = kernel_with_inclusion(realize_proj(VarietyMor(w, (A,), (Y,) * d, entries)))
-    if not kernel.is_zero():
+    if not kernel_with_inclusion(e)[0].is_zero():
         raise NotRepresentable(NOT_STANDARD)
     return (A,), VarietyMor.identity(w, A)
 

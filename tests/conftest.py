@@ -37,7 +37,6 @@ from threadquiver.reps import (
     PROJECTIVE,
     Rep,
     RepMap,
-    _quotient_projection,
     _yoneda_read,
     decompose_with_maps,
     hom_basis,
@@ -48,6 +47,7 @@ from threadquiver.reps import (
     proj_sum,
     projective_cover,
     resolution,
+    restrict,
     split_proj_values,
     std_module,
 )
@@ -281,8 +281,16 @@ def random_fp_rep(w, rng, n_gens=2, n_rels=2):
     return map_factor(f).cokernel
 
 
+def total_hom_data(CX, CY):
+    """Component dimensions and differentials of the total hom complex
+    Hom(CX, CY) by the evaluation route, every differential built
+    (`serre._hom_complex`)."""
+    dims, differential = serre._hom_complex(CX, CY)
+    return dims, {n: differential(n) for n in dims}
+
+
 def basis_route_hom_data(CX, CY):
-    """Differential oracle for `serre.total_hom_data`: the total hom complex
+    """Differential oracle for `total_hom_data`: the total hom complex
     assembled from explicit RepMap bases of every hom(X^p, Y^q), reading each
     composite back with `hom_coords`.
 
@@ -336,7 +344,7 @@ def basis_route_hom_data(CX, CY):
     return dims, {n: differential(n) for n in range(n_min, n_max + 1)}
 
 
-def basis_route_ext_dim(i, M, N, max_len, forbid_boundary=False):
+def basis_route_ext_dim(i, M, N, max_len):
     """Differential oracle for `reps.ext_dim`: dim Ext^i(M, N) from explicit
     RepMap bases of hom(P_k, N) over a minimal projective resolution of M,
     each precomposed with the resolution's differential and read back with
@@ -345,7 +353,7 @@ def basis_route_ext_dim(i, M, N, max_len, forbid_boundary=False):
     if M.is_zero() or N.is_zero():
         return 0
     fld = M.field
-    cx = resolution(M, PROJECTIVE, max_len, forbid_boundary).complex
+    cx = resolution(M, PROJECTIVE, max_len).complex
 
     # the degree-k component is hom(P_k, N), with P_k in degree -k
     def basis_at(k):
@@ -680,6 +688,14 @@ def per_column_solve_matrix(m, b):
     return out
 
 
+def restrict_full(M, target):
+    """Restriction along a same-named full embedding (vertices and arrows of
+    the target exist verbatim in M's window), by `reps.restrict`."""
+    vmap = {v: v for v in target.quiver.vertices}
+    amap = {a.name: QPath(a.src, a.tgt, (a.name,)) for a in target.quiver.arrows}
+    return restrict(M, target, vmap, amap)
+
+
 def solving_kernel_with_inclusion(f):
     """Differential oracle for `reps.kernel_with_inclusion`: a kernel basis
     eliminated at every vertex, zero components included, and each arrow's
@@ -697,6 +713,28 @@ def solving_kernel_with_inclusion(f):
     return K, RepMap(K, M, kbases)
 
 
+def quotient_projection(fld, sub):
+    """(projection, section) presenting the quotient of k^n by the column
+    space of sub, from the reduced echelon form of its transpose."""
+    n = sub.rows
+    _, red, pivots = rref(sub.transpose())
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    proj = Matrix.zeros(fld, len(free), n)
+    for fi, j in enumerate(free):
+        proj.data[fi * n + j] = fld.one
+    for r, pc in enumerate(pivots):
+        # class(e_pc) = -sum_{j free} red[r, j] class(e_j)
+        for fi, j in enumerate(free):
+            c = red.data[r * red.cols + j]
+            if c != fld.zero:
+                proj.data[fi * n + pc] = -c
+    section = Matrix.zeros(fld, n, len(free))
+    for fi, j in enumerate(free):
+        section.data[j * len(free) + fi] = fld.one
+    return proj, section
+
+
 def eliminating_cokernel_with_projection(f):
     """Differential oracle for `reps.cokernel_with_projection`: the quotient
     projection and section eliminated at every vertex, zero components
@@ -705,7 +743,7 @@ def eliminating_cokernel_with_projection(f):
     w = N.window
     cprojs, csects = {}, {}
     for v in N.support:
-        cprojs[v], csects[v] = _quotient_projection(w.field, f.comps[v])
+        cprojs[v], csects[v] = quotient_projection(w.field, f.comps[v])
     cmaps = {a.name: cprojs[a.src] @ (N.maps[a.name] @ csects[a.tgt])
              for a in N.support_arrows if cprojs[a.src].rows and cprojs[a.tgt].rows}
     C = Rep(w, {v: p.rows for v, p in cprojs.items()}, cmaps, validate=False)

@@ -30,7 +30,6 @@ from threadquiver.linalg import (
     rref,
     solve_matrix,
     sparse_kernel,
-    vstack,
 )
 
 
@@ -119,8 +118,6 @@ def test_blocks():
     assert d == M([[2, 0], [0, 3]])
     h = hstack([Matrix.zeros(QQ, 2, 1), Matrix.identity(QQ, 2)])
     assert (h.rows, h.cols) == (2, 3)
-    v = vstack([Matrix.identity(QQ, 2), Matrix.zeros(QQ, 1, 2)])
-    assert (v.rows, v.cols) == (3, 2)
     with pytest.raises(DimensionMismatch):
         hstack([Matrix.zeros(QQ, 2, 1), Matrix.zeros(QQ, 3, 1)])
 
@@ -142,6 +139,35 @@ def matrices(draw, max_dim=4):
 @settings(max_examples=60, deadline=None)
 def test_rank_of_transpose(m):
     assert rank(m) == rank(m.transpose())
+
+
+F7 = field_by_name("fp:7")
+
+
+@st.composite
+def field_matrices(draw):
+    """Matrices over QQ or fp:7 with 0 to 4 rows and columns."""
+    fld = draw(st.sampled_from([QQ, F7]))
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entries = draw(st.lists(small_entries, min_size=r * c, max_size=r * c))
+    return Matrix(fld, r, c, [fld(x) for x in entries])
+
+
+@given(field_matrices())
+@example(Matrix(QQ, 0, 3, []))
+@example(Matrix(QQ, 3, 0, []))
+@example(Matrix(F7, 0, 2, []))
+@example(Matrix(F7, 2, 0, []))
+@example(Matrix(QQ, 2, 3, [1, Fraction(1, 2), 0, -3, 4, 5]))
+@settings(max_examples=80, deadline=None)
+def test_transpose_matches_the_per_entry_definition(m):
+    expected = Matrix.zeros(m.field, m.cols, m.rows)
+    for i in range(m.rows):
+        for j in range(m.cols):
+            expected.data[j * m.rows + i] = m.data[i * m.cols + j]
+    t = m.transpose()
+    assert t == expected and t.field is m.field
+    assert t.data is not m.data and t.transpose() == m
 
 
 @given(matrices())

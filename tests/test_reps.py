@@ -13,6 +13,7 @@ from conftest import (
     per_vertex_realize_proj_coords,
     random_fp_rep,
     random_thread_quivers,
+    restrict_full,
     solving_kernel_with_inclusion,
     tq_mixed,
     two_step_top_generators,
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threadquiver.errors import ExceedsBound, NotFunctorial
-from threadquiver.linalg import QQ, Matrix, rank
+from threadquiver.linalg import QQ, Matrix, field_by_name, rank
 from threadquiver.orders import Fin
 from threadquiver.quiver import Path, Quiver, Relation
 import threadquiver.reps as reps
@@ -51,7 +52,6 @@ from threadquiver.reps import (
     projective_cover,
     resolution,
     restrict,
-    restrict_full,
     std_module,
     top_generators,
     two_term_presentation,
@@ -802,8 +802,6 @@ def test_induce_along_path_valued_embedding():
 
 
 def test_decompose_over_prime_field():
-    from threadquiver.linalg import field_by_name
-
     f5 = field_by_name("fp:5")
     w = window_from_quiver(Quiver(["1", "2"], [("a", "1", "2")]), field=f5)
     total = proj_sum(w, ["1", "2", "2"])
@@ -843,9 +841,6 @@ def test_decompose_kronecker_local_over_prime_fields(field):
     # the Kronecker module with M(a) = I_2 and M(b) = J_2 has End = k[x]/x^2,
     # local over every field; over fp:2 each dimension is 0 in the field, so
     # every scalar is tried
-    from threadquiver.linalg import Matrix, field_by_name
-    from threadquiver.reps import Rep
-
     fld = field_by_name(field)
     q = Quiver(["x", "y"], [("a", "x", "y"), ("b", "x", "y")])
     w = window_from_quiver(q, field=fld)
@@ -923,6 +918,51 @@ def test_kernel_cokernel_top_and_presentations_match_oracles_on_random_maps(tq, 
     assert top_generators(K) == two_step_top_generators(K), seed
     assert two_term_presentation(M, PROJECTIVE) == cover_kernel_cover_presentation(M)
     assert two_term_presentation(M, INJECTIVE) == hull_cokernel_hull_copresentation(M)
+
+
+@given(random_thread_quivers(), st.integers(0, 1), st.sampled_from(["q", "fp:7"]),
+       st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_cokernel_matches_the_eliminating_oracle_on_random_maps(tq, depth, field, seed):
+    # the cokernel is D ker(D f); the oracle eliminates a quotient at every
+    # vertex.  Among the maps: one into the cokernel C, which carries no
+    # certificate, and zero maps, whose stored components are all zero
+    w = expand(tq, depth, field=field_by_name(field))
+    fld = w.field
+    rng = random.Random(seed)
+    M, N = random_fp_rep(w, rng), random_fp_rep(w, rng)
+    f = zero_map(M, N)
+    for g in hom_basis_generic(M, N)[1]:
+        c = rng.choice((0, 0, 1, -1, 2))
+        if c:
+            f = f + g.scale(fld(c))
+    C, proj = cokernel_with_projection(f)
+    P = std_module(w, w.quiver.vertices[0], PROJECTIVE)
+    maps = [f, proj, zero_map(N, C), zero_map(P, P)]
+    assert C.cert is None and any(m.is_zero() for m in maps[-1].comps.values())
+    for g in maps:
+        got, got_proj = cokernel_with_projection(g)
+        want, want_proj = eliminating_cokernel_with_projection(g)
+        assert got.window is want.window is w and got_proj.source is g.target, seed
+        assert _same_rep(got, want) and dict(got_proj.comps) == dict(want_proj.comps), seed
+
+
+def test_hom_basis_into_injective_sums_maps_between_the_given_modules():
+    # the opposite window's basis is transposed onto M and N themselves, not
+    # onto fresh duals of their duals
+    w = expand(tq_mixed(), 1)
+    verts = w.quiver.vertices
+    nonzero = 0
+    for v, u in zip(verts, verts[1:] + verts[:1]):
+        for N in (std_module(w, v, INJECTIVE), reps.inj_sum(w, (v, u))):
+            for kind in (PROJECTIVE, SIMPLE, INJECTIVE):
+                M = std_module(w, v, kind)
+                dim, basis = hom_basis(M, N)
+                assert dim == len(basis) == hom_basis_generic(M, N)[0], (v, kind)
+                assert all(g.source is M and g.target is N and g.is_natural()
+                           for g in basis), (v, kind)
+                nonzero += dim
+    assert nonzero
 
 
 def test_kernel_with_inclusion_rejects_a_non_natural_map():

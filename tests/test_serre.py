@@ -20,6 +20,7 @@ from conftest import (
     tq_fin1_thread,
     tq_mixed,
     tq_z_thread,
+    total_hom_data,
     zigzag_window,
 )
 from hypothesis import assume, given, settings
@@ -56,7 +57,6 @@ from threadquiver.serre import (
     nakayama,
     pseudo,
     serre_image,
-    total_hom_data,
     total_hom_dims,
 )
 from threadquiver.windows import expand, window_from_quiver
@@ -195,8 +195,6 @@ def test_derived_hom_a2_by_hand():
 def test_total_hom_complex_squares_to_zero():
     # the assembled total differential satisfies D^2 = 0 even when both
     # complexes have several terms (this pins the sign convention)
-    from threadquiver.serre import total_hom_data
-
     w = zigzag_window()
     s = std_module(w, "a22", SIMPLE)
     t = std_module(w, "a33", SIMPLE)

@@ -1,8 +1,11 @@
 """Hygiene of the package source, read with the standard library's `ast`.
 
-Two checks that keep a deletion from leaving dead code behind: every name a
-module imports is used in that module, and every module-level private
-function is referenced somewhere in the package.
+Checks that keep a deletion from leaving dead code behind: every name a
+module imports is used in that module, every module-level private function
+is referenced somewhere in the package, and every module-level public
+function is referenced in the package, exported by `__init__.py`, or traced
+by the benchmark (`TRACED` in `perfbench/tracing.py`, parsed, not imported).
+A function only tests call belongs in `tests/conftest.py`.
 """
 
 import ast
@@ -11,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "threadquiver"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "threadquiver"
 MODULES = sorted(SRC.glob("*.py"))
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _tree(path):
@@ -87,6 +92,65 @@ def test_every_private_function_is_referenced():
         if used[fn.name] == _used_names(fn)[fn.name]:
             unreferenced.append(f"{module}:{fn.name}")
     assert not unreferenced, f"private functions referenced nowhere: {unreferenced}"
+
+
+def _exported(tree):
+    """(module, name) for every name `__init__.py` imports from a package
+    module."""
+    return {(node.module, alias.asname or alias.name)
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+
+
+def _traced(tree):
+    """(module, qualified name) of every entry of the `TRACED` list."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("no TRACED list found")
+
+
+def _unreached_public_functions(trees, exported, traced):
+    """'module:function' for every module-level public function of trees
+    (module name -> tree) that nothing in trees references outside its own
+    body and that is neither exported nor traced."""
+    used = sum((_used_names(tree) for tree in trees.values()), Counter())
+    return [f"{module}:{fn.name}"
+            for module, tree in trees.items()
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef | ast.AsyncFunctionDef)
+            and not fn.name.startswith("_")
+            and used[fn.name] == _used_names(fn)[fn.name]
+            and (module, fn.name) not in exported and (module, fn.name) not in traced]
+
+
+def test_every_public_function_is_reached():
+    trees = {path.stem: _tree(path) for path in MODULES}
+    exported = _exported(trees["__init__"])
+    traced = _traced(_tree(TRACING))
+    assert exported and traced, "no export or traced name found: the scan reads nothing"
+    unreached = _unreached_public_functions(trees, exported, traced)
+    assert not unreached, (
+        f"public functions no module, export or trace reaches: {unreached}; "
+        "move test-only helpers to tests/conftest.py")
+
+
+def test_the_reach_rule_flags_a_function_only_itself_calls():
+    trees = {
+        "m": ast.parse("def used():\n    pass\n"
+                       "def lonely():\n    return lonely()\n"
+                       "def exported():\n    pass\n"
+                       "def traced():\n    pass\n"
+                       "x = used()\n"),
+        "__init__": ast.parse("from .m import exported\n"),
+    }
+    exported = _exported(trees["__init__"])
+    assert exported == {("m", "exported")}
+    traced = _traced(ast.parse("TRACED = [('m', 'traced'), ('m', 'C.method')]\n"))
+    assert _unreached_public_functions(trees, exported, traced) == ["m:lonely"]
+    assert _unreached_public_functions(trees, exported, set()) == ["m:lonely", "m:traced"]
 
 
 def test_the_checks_catch_a_stale_import_and_an_unreferenced_function():
