@@ -165,7 +165,7 @@ class Quiver:
         except NonAcyclic:
             return False
 
-    def _levels(self) -> dict[str, int]:
+    def levels(self) -> dict[str, int]:
         """Each vertex's level, the length of the longest path into it: every
         arrow raises the level, so a path x -> y needs level(x) < level(y)
         unless x = y.  Raises NonAcyclic on a cycle."""
@@ -182,7 +182,7 @@ class Quiver:
         so a y whose level is not above x's is rejected at once.  Positive
         answers are kept, and a walk stops at a vertex already known to reach
         y, so the memory follows the pairs asked, never all pairs."""
-        level = self._level or self._levels()
+        level = self._level or self.levels()
         if x == y:
             return True
         top = level[y]
@@ -209,7 +209,7 @@ class Quiver:
         """Vertices that reach y (y included), or with `start` only those of
         level at least start's (every vertex on a path from start): a walk
         back from y."""
-        level = self._level or self._levels()
+        level = self._level or self.levels()
         low = level[start] if start is not None else 0
         seen, stack = {y}, [y]
         while stack:
@@ -362,7 +362,7 @@ class HomBasis:
 
 
 def hom_basis_paths(q: Quiver, relations: list[Relation], x: str, y: str, field,
-                    hom=None) -> HomBasis:
+                    hom) -> HomBasis:
     """Hom space of the path category mod the two-sided ideal of the relations.
 
     A layered quotient: the candidates (see `HomBasis`) come from the bases
@@ -372,20 +372,9 @@ def hom_basis_paths(q: Quiver, relations: list[Relation], x: str, y: str, field,
     gives the basis and the reducers.
 
     `hom(z, y)` must return the basis for every vertex z != x on a path
-    x -> y; a window (acyclic by construction) passes its cached
-    `Window.hom`.  Without it, the quiver is checked to be acyclic and those
-    bases are built here first, nearest y first, and kept for this call.
+    x -> y.  The one caller is `Window.hom`, which passes its own cache
+    (a window is acyclic by construction, and fills those layers first).
     """
-    if hom is None:
-        if not q.is_acyclic():
-            raise NonAcyclic("hom spaces of cyclic quivers are infinite dimensional")
-        memo = {}
-
-        def hom(z, t):
-            return memo[z, t]
-
-        for z in q.between(x, y)[:-1]:
-            memo[z, y] = hom_basis_paths(q, relations, z, y, field, hom)
     if x == y:
         return HomBasis(field, [identity_path(x)], q, hom)
     firsts = [a for a in q.out_arrows[x] if q.reaches(a.tgt, y)]

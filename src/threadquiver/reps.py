@@ -70,7 +70,9 @@ read.  Its second term is the top of the first cover's kernel, read off
 support, the radical's vectors and the generators there span the space), so
 no second cover is written.  The minimal injective copresentation of M is
 read as the projective presentation of D M over the opposite window, with
-no injective hull or cokernel built.
+no injective hull or cokernel built; an injective resolution is read the
+same way.  A resolution is its complex alone, with no map to or from M, and
+reads no boundary: the Serre check reads the cut off the finished terms.
 """
 
 from __future__ import annotations
@@ -81,7 +83,6 @@ from functools import cached_property
 
 from .errors import (
     AlphaNotInvertible,
-    BoundaryContaminated,
     EndNotSplit,
     ExceedsBound,
     NotFunctorial,
@@ -885,8 +886,8 @@ class Complex:
             assert d1.then(d2).is_zero(), "differentials do not compose to zero"
 
 
-def one_term_complex(M: Rep, degree: int = 0) -> Complex:
-    return Complex(M.window, degree, [M], [])
+def one_term_complex(M: Rep) -> Complex:
+    return Complex(M.window, 0, [M], [])
 
 
 def dualize_complex(cx: Complex) -> Complex:
@@ -904,59 +905,37 @@ def dualize_complex(cx: Complex) -> Complex:
 @dataclass
 class Resolution:
     complex: Complex
-    augment: RepMap  # P_0 -> M (projective) or M -> I^0 (injective)
 
 
-def _check_boundary(w: Window, vertices) -> None:
-    touched = [v for v in vertices if v in w.boundary]
-    if touched:
-        raise BoundaryContaminated(f"resolution touches boundary vertices {sorted(touched)}")
-
-
-def resolution(M: Rep, side: str, max_len: int, forbid_boundary: bool = False) -> Resolution:
+def resolution(M: Rep, side: str, max_len: int) -> Resolution:
     """Minimal resolution by standard projectives (degrees -n..0) or standard
     injectives (degrees 0..n); raises ExceedsBound past max_len syzygies.
-    A certified sum of standard projectives is its own resolution (and a
-    certified sum of injectives, through `dualize`)."""
-    w = M.window
-    if side == PROJECTIVE and M.cert is not None and M.cert[0] == "proj":
-        if forbid_boundary:
-            _check_boundary(w, M.cert[1])
-        return Resolution(Complex(w, 0, [M], []), identity_map(M))
-    if side == PROJECTIVE:
-        terms: list[Rep] = []
-        diffs: list[RepMap] = []
-        P0, cover = projective_cover(M)
-        if forbid_boundary:
-            _check_boundary(w, P0.cert[1])
-        terms.append(P0)
-        augment = cover
-        current, prev_incl = cover.kernel
-        length = 0
-        while not current.is_zero():
-            if length >= max_len:
-                raise ExceedsBound(
-                    f"projective resolution exceeds length {max_len}")
-            P, cov = projective_cover(current)
-            if forbid_boundary:
-                _check_boundary(w, P.cert[1])
-            terms.append(P)
-            diffs.append(cov.then(prev_incl))  # P -> previous term
-            current, prev_incl = cov.kernel
-            length += 1
-        terms.reverse()
-        diffs.reverse()
-        return Resolution(Complex(w, -length, terms, diffs), augment)
+    The injective resolution is the dual of the projective resolution of D M
+    over the opposite window.  A certified sum of standard projectives is
+    its own resolution (and a certified sum of injectives, through
+    `dualize`).  Boundary contact is read off the finished terms by
+    `serre._usable_probes`."""
     if side == INJECTIVE:
-        op_res = resolution(dualize(M), PROJECTIVE, max_len, forbid_boundary=False)
-        if forbid_boundary:
-            for t in op_res.complex.terms:
-                _check_boundary(w, t.cert[1])
-        cx = dualize_complex(op_res.complex)
-        augment = RepMap(M, cx.terms[0],
-                         {v: m.transpose() for v, m in op_res.augment.comps.items()})
-        return Resolution(cx, augment)
-    raise ValueError(f"unknown side {side!r}")
+        return Resolution(dualize_complex(resolution(dualize(M), PROJECTIVE, max_len).complex))
+    if side != PROJECTIVE:
+        raise ValueError(f"unknown side {side!r}")
+    w = M.window
+    if M.cert is not None and M.cert[0] == "proj":
+        return Resolution(Complex(w, 0, [M], []))
+    P0, cover = projective_cover(M)
+    terms = [P0]
+    diffs: list[RepMap] = []
+    current, prev_incl = cover.kernel
+    while not current.is_zero():
+        if len(diffs) >= max_len:
+            raise ExceedsBound(f"projective resolution exceeds length {max_len}")
+        P, cov = projective_cover(current)
+        terms.append(P)
+        diffs.append(cov.then(prev_incl))  # P -> previous term
+        current, prev_incl = cov.kernel
+    terms.reverse()
+    diffs.reverse()
+    return Resolution(Complex(w, -len(diffs), terms, diffs))
 
 
 def proj_dim(M: Rep, max_len: int) -> int:
@@ -1213,7 +1192,7 @@ def restrict(M: Rep, target: Window, vertex_map: dict[str, str],
 
 
 def induce(M: Rep, source: Window, target: Window, vertex_map: dict[str, str],
-           arrow_map: dict[str, Path], max_len: int = 64) -> Rep:
+           arrow_map: dict[str, Path]) -> Rep:
     """Left adjoint of restriction: transport a projective presentation of M.
 
     Standard projectives P(v) map to P(vertex_map[v]); the presentation's

@@ -47,7 +47,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import (
-    BoundaryContaminated,
     ExceedsBound,
     NotProjectiveCertified,
     NotRepresentable,
@@ -414,32 +413,26 @@ def _injective_boundary_terms(X: Rep, simples: dict[str, Complex]) -> list[str]:
 def _usable_probes(w: Window, test_set: list[tuple[str, Rep]], max_len: int,
                    forbid_boundary: bool, report: Report) -> list[tuple[str, Rep, Complex]]:
     """The probes with finite projective and injective dimension within
-    max_len, each with its minimal projective resolution.  A probe that
-    exceeds the bound fails; under forbid_boundary a probe either of whose
-    resolutions touches the boundary is skipped.  See `check_serre` for how
-    the injective side is decided."""
+    max_len, each with its minimal projective resolution.  A probe fails if
+    either resolution exceeds max_len; otherwise, under forbid_boundary, it
+    is skipped if either resolution touches the boundary (see `check_serre`)."""
     simples = _simple_resolutions(w, max_len) if test_set else None
     usable = []
     for label, X in test_set:
+        inj = None
         try:
-            if simples is None:
-                res = resolution(X, PROJECTIVE, max_len, forbid_boundary).complex
-                resolution(X, INJECTIVE, max_len, forbid_boundary)
+            if simples is not None and X.total_dim() == 1:  # the simple at its one vertex
+                res = simples[X.support[0]]
             else:
-                if X.total_dim() == 1:  # the simple at its one vertex
-                    res = simples[X.support[0]]
-                else:
-                    res = resolution(X, PROJECTIVE, max_len, forbid_boundary).complex
-                if forbid_boundary:
-                    touched = _boundary_terms(res) or _injective_boundary_terms(X, simples)
-                    if touched:
-                        raise BoundaryContaminated(
-                            f"resolution touches boundary vertices {touched}")
+                res = resolution(X, PROJECTIVE, max_len).complex
+            if simples is None:
+                inj = resolution(X, INJECTIVE, max_len).complex
         except ExceedsBound:
             report.fail(f"pd/id({label})", f"<= {max_len}", "ExceedsBound")
             continue
-        except BoundaryContaminated:
-            # the probe's resolution leans on truncation artifacts: it carries
+        if forbid_boundary and (_boundary_terms(res) or (
+                _boundary_terms(inj) if inj else _injective_boundary_terms(X, simples))):
+            # the probe's resolutions lean on truncation artifacts: it carries
             # no evidence either way, so it is skipped rather than failed
             report.skipped += 1
             continue
@@ -484,16 +477,16 @@ def check_serre(
     dim RHom^n(X, Y) = dim RHom^{-n}(Y, SX), plus finite projective and
     injective dimension of every probe (within max_len).
 
-    The injective side is read off the minimal projective resolutions of
-    the window's simples, computed once: when all of them fit in max_len,
-    the global dimension bounds every probe's injective dimension, and
-    I(u) occurs in degree i of a probe X's minimal injective resolution
-    dim Ext^i(S(u), X) times, so under forbid_boundary X is skipped exactly
-    when that Ext is nonzero at a boundary vertex u.  A simple probe takes
-    its simple's resolution as its projective one.  When some simple's
-    resolution is longer than max_len, every probe falls back to resolving
-    X both projectively and injectively.  The rule reads only the window
-    and max_len.
+    A probe X fails if either of its resolutions exceeds max_len;
+    otherwise, under forbid_boundary, it is skipped if either has a term at
+    a boundary vertex.  The injective side is read off the minimal
+    projective resolutions of the window's simples, computed once: when all
+    of them fit in max_len, the global dimension bounds every probe's
+    injective dimension, and I(u) occurs in degree i of X's minimal
+    injective resolution dim Ext^i(S(u), X) times.  A simple probe takes its
+    simple's resolution as its projective one.  When some simple's
+    resolution is longer than max_len, every probe is resolved in full both
+    projectively and injectively.  The rule reads only the window and max_len.
 
     A side of a pair that is zero by support (`_zero_sides`) is answered
     with zeros without building its hom complex.  Every pair is tallied in

@@ -11,7 +11,13 @@ unit is the perpendicular step's, restricted to supp hom(-, Y).
 
 from __future__ import annotations
 
-from .errors import BoundaryContaminated, ExceedsBound, NotRepresentable, ZNotExtOrthogonal
+from .errors import (
+    BoundaryContaminated,
+    ExceedsBound,
+    NotRepresentable,
+    ThreadQuiverError,
+    ZNotExtOrthogonal,
+)
 from .orders import Fin
 from .quiver import Arrow, Quiver
 from .report import Report
@@ -153,9 +159,11 @@ def extract_threadquiver(w: Window, min_len: int) -> ThreadQuiver:
     Runs are maximal chains of vertices with a unique in-arrow and a unique
     out-arrow (truncation marks are ignored here: a cut chain keeps its run);
     a run of length >= min_len between endpoints X, Y becomes a thread arrow
-    X ..> Y labeled by the finite order of its length.
+    X ..> Y labeled by the finite order of its length.  A window with
+    relations raises ThreadQuiverError.
     """
-    assert not w.relations, "extraction expects a relation-free window"
+    if w.relations:
+        raise ThreadQuiverError("extraction expects a relation-free window")
     ins, outs = _arrow_neighbours(w)
     chainlike = {
         v for v in w.quiver.vertices if len(ins[v]) == 1 and len(outs[v]) == 1

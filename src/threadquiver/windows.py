@@ -365,9 +365,7 @@ def gabriel_neighbours(w: Window) -> tuple[dict[str, list[str]], dict[str, list[
 def _vertex_signature(w: Window) -> dict[str, tuple]:
     q = w.quiver
     # refine (indeg, outdeg) by neighbor degree multisets and longest-path level
-    level: dict[str, int] = {}
-    for v in w.topological_order():
-        level[v] = max((level[a.src] + 1 for a in q.in_arrows[v]), default=0)
+    level = q.levels()
     base = {
         v: (len(q.in_arrows[v]), len(q.out_arrows[v]), level[v]) for v in q.vertices
     }
@@ -425,17 +423,20 @@ def _relations_respected(w1: Window, w2: Window, vmap: dict[str, str]) -> bool:
     )
 
 
-def window_iso(
-    w1: Window, w2: Window, max_vertices: int = 60, max_tries: int = 20000
-) -> dict[str, str] | None:
+ISO_MAX_VERTICES = 60
+ISO_MAX_TRIES = 20000
+
+
+def window_iso(w1: Window, w2: Window) -> dict[str, str] | None:
     """A quiver isomorphism respecting relations, or None.
 
-    Backtracking on degree/level signatures; complete for windows up to
-    `max_vertices` vertices (raises TooLarge beyond that).
+    Backtracking on degree/level signatures, for windows of at most
+    ISO_MAX_VERTICES vertices; raises TooLarge beyond that, or once
+    ISO_MAX_TRIES vertex bijections have failed the relation test.
     """
     n1, n2 = len(w1.quiver.vertices), len(w2.quiver.vertices)
-    if n1 > max_vertices or n2 > max_vertices:
-        raise TooLarge(f"window_iso is limited to {max_vertices} vertices")
+    if n1 > ISO_MAX_VERTICES or n2 > ISO_MAX_VERTICES:
+        raise TooLarge(f"window_iso is limited to {ISO_MAX_VERTICES} vertices")
     if n1 != n2 or len(w1.quiver.arrows) != len(w2.quiver.arrows):
         return None
     if len(w1.relations) != len(w2.relations):
@@ -481,7 +482,7 @@ def window_iso(
         tries += 1
         if _relations_respected(w1, w2, candidate):
             return candidate
-        if tries >= max_tries:
+        if tries >= ISO_MAX_TRIES:
             raise TooLarge("window_iso exhausted its search budget")
     return None
 

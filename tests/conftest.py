@@ -14,7 +14,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from threadquiver.dsl import parse_tq
-from threadquiver.errors import BoundaryContaminated, ExceedsBound, NotRepresentable
+from threadquiver.errors import ExceedsBound, NotRepresentable
 from threadquiver.linalg import (
     QQ,
     Matrix,
@@ -380,21 +380,23 @@ def basis_route_ext_dim(i, M, N, max_len):
 
 def per_probe_usable_probes(w, test_set, max_len, forbid_boundary, report):
     """Differential oracle for `serre._usable_probes`: every probe resolved
-    both projectively and injectively, each resolution refusing the boundary
-    under forbid_boundary, and the injective one thrown away."""
+    both projectively and injectively, with no simples' resolutions, and
+    under forbid_boundary skipped when either finished resolution has a
+    term at a boundary vertex."""
     usable = []
     for label, X in test_set:
         try:
-            res = resolution(X, PROJECTIVE, max_len, forbid_boundary)
-            resolution(X, INJECTIVE, max_len, forbid_boundary)
+            res = resolution(X, PROJECTIVE, max_len).complex
+            inj = resolution(X, INJECTIVE, max_len).complex
         except ExceedsBound:
             report.fail(f"pd/id({label})", f"<= {max_len}", "ExceedsBound")
             continue
-        except BoundaryContaminated:
+        if forbid_boundary and any(
+                v in w.boundary for cx in (res, inj) for t in cx.terms for v in t.cert[1]):
             report.skipped += 1
             continue
         report.tally()
-        usable.append((label, X, res.complex))
+        usable.append((label, X, res))
     return usable
 
 

@@ -231,6 +231,18 @@ def test_extract_command_emits_dsl(capsys):
     assert tq.thread_arrows[0].label == Fin(5)
 
 
+@pytest.mark.parametrize("command", ["extract", "roundtrip"])
+@pytest.mark.parametrize("name", ["comm_square", "zigzag", "ainf_rad2"])
+def test_extraction_from_a_window_with_relations_is_refused(command, name, capsys):
+    # no traceback and no report: the reason on stderr, exit 1
+    code = run([command, str(FIXTURES / f"{name}.tq"), "--depth", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "ThreadQuiverError: extraction expects a relation-free window\n")
+
+
 def test_dot_command_expanded(capsys):
     code = run(["dot", str(FIXTURES / "empty_thread.tq"), "--expanded"])
     out = capsys.readouterr().out

@@ -19,7 +19,6 @@ from threadquiver.quiver import (
     Path,
     Quiver,
     Relation,
-    hom_basis_paths,
     identity_path,
     is_strongly_locally_finite,
 )
@@ -104,21 +103,21 @@ def test_enumerate_identity():
 
 
 def test_hom_a2_no_relations():
-    hb = hom_basis_paths(a2(), [], "1", "2", QQ)
+    hb = window_from_quiver(a2()).hom("1", "2")
     assert hb.dim == 1
 
 
 def test_hom_a3_zero_relation():
     q = a3()
     rel = Relation(((1, q.path(("a", "b"))),))
-    assert hom_basis_paths(q, [rel], "1", "3", QQ).dim == 0
-    assert hom_basis_paths(q, [], "1", "3", QQ).dim == 1
+    assert window_from_quiver(q, [rel]).hom("1", "3").dim == 0
+    assert window_from_quiver(q).hom("1", "3").dim == 1
 
 
 def test_hom_commutative_square():
     q = square()
     rel = Relation(((1, q.path(("a", "b"))), (-1, q.path(("c", "d")))))
-    hb = hom_basis_paths(q, [rel], "p", "s", QQ)
+    hb = window_from_quiver(q, [rel]).hom("p", "s")
     assert hb.dim == 1
     # both squares expand to the same class
     assert hb.expand_path(q.path(("a", "b"))) == hb.expand_path(q.path(("c", "d")))
@@ -131,14 +130,15 @@ def test_hom_ideal_propagates():
         [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")],
     )
     rel = Relation(((1, q.path(("a", "b"))),))
-    assert hom_basis_paths(q, [rel], "1", "4", QQ).dim == 0
-    assert hom_basis_paths(q, [rel], "2", "4", QQ).dim == 1
+    w = window_from_quiver(q, [rel])
+    assert w.hom("1", "4").dim == 0
+    assert w.hom("2", "4").dim == 1
 
 
 def test_hom_rejects_cycles():
     q = Quiver(["a", "b"], [("f", "a", "b"), ("g", "b", "a")])
     with pytest.raises(NonAcyclic):
-        hom_basis_paths(q, [], "a", "b", QQ)
+        window_from_quiver(q)
 
 
 def test_reachable_from_rejects_cycles():
@@ -159,7 +159,7 @@ def assert_reach_matches_oracle(q):
             assert q.reaches(x, y) == (y in reach[x]), (x, y)
             on_path = {z for z in reach[x] if y in reach[z]}
             assert set(q.between(x, y)) == on_path, (x, y)
-            level = q._levels()
+            level = q.levels()
             assert q.ancestors(y, start=x) == {y} | {
                 z for z in q.vertices if y in reach[z] and level[z] >= level[x]}
         assert q.ancestors(x) == {z for z in q.vertices if x in reach[z]}
@@ -224,9 +224,10 @@ edge = st.tuples(st.integers(0, 4), st.integers(0, 4))
 @settings(max_examples=50, deadline=None)
 def test_hom_dim_equals_path_count_without_relations(edges):
     q = random_acyclic_quiver(edges)
+    w = window_from_quiver(q)
     for x in q.vertices:
         for y in q.vertices:
-            hb = hom_basis_paths(q, [], x, y, QQ)
+            hb = w.hom(x, y)
             assert hb.dim == count_paths_matrix(q, x, y, len(q.vertices) - 1)
 
 
@@ -239,12 +240,10 @@ def test_hom_dims_invariant_under_renaming(edges):
         [ren_v[v] for v in q.vertices],
         [(f"r_{a.name}", ren_v[a.src], ren_v[a.tgt]) for a in q.arrows],
     )
+    w, w2 = window_from_quiver(q), window_from_quiver(q2)
     for x in q.vertices:
         for y in q.vertices:
-            assert (
-                hom_basis_paths(q, [], x, y, QQ).dim
-                == hom_basis_paths(q2, [], ren_v[x], ren_v[y], QQ).dim
-            )
+            assert w.hom_dim(x, y) == w2.hom_dim(ren_v[x], ren_v[y])
 
 
 @given(st.lists(edge, min_size=0, max_size=8))
@@ -254,8 +253,9 @@ def test_identity_survives_relations(edges):
     rels = []
     for a in q.arrows[:2]:
         rels.append(Relation(((1, Path(a.src, a.tgt, (a.name,))),)))
+    w = window_from_quiver(q, rels)
     for v in q.vertices:
-        assert hom_basis_paths(q, rels, v, v, QQ).dim >= 1
+        assert w.hom_dim(v, v) >= 1
 
 
 # -- the layered quotient against path enumeration ------------------------------
@@ -295,7 +295,7 @@ def test_layered_hom_matches_enumeration_non_admissible():
     assert_matches_enumeration(w)
     assert_matches_enumeration(w.opposite())
     # the pivot is the smallest path, so the composite is the basis path
-    hb = hom_basis_paths(q, [rel], "p", "r", QQ)
+    hb = w.hom("p", "r")
     assert hb.basis == [q.path(("a", "b"))]
     assert hb.expand_path(q.path(("c",))) == [1]
 
@@ -334,7 +334,7 @@ def test_layered_hom_matches_enumeration_random_relation(tq, data):
     assert_matches_enumeration(w.opposite())
     x, y = chosen[0].src, chosen[0].tgt
     ob = path_enumeration_hom_basis(q, [rel], x, y, QQ)
-    assert hom_basis_paths(q, [rel], x, y, QQ).basis == ob.basis
+    assert w.hom(x, y).basis == ob.basis
 
 
 def test_layered_hom_candidates_follow_dimensions():
@@ -350,7 +350,6 @@ def test_hom_on_a_long_line_does_not_recurse():
     n = 1200
     q = Quiver([f"v{i}" for i in range(n)], [(f"a{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)])
     top = f"v{n - 1}"
-    assert hom_basis_paths(q, [], "v0", top, QQ).dim == 1
     w = window_from_quiver(q)
     assert w.hom_dim("v0", top) == 1
     P = std_module(w, top, PROJECTIVE)

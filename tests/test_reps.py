@@ -282,11 +282,9 @@ def test_resolution_projective_is_length_zero():
 
 def test_certified_sum_is_its_own_resolution(monkeypatch):
     # a certified sum of projectives resolves to itself with no cover, the
-    # injective side through the dual; the boundary is still refused
+    # injective side through the dual
     import threadquiver.reps as reps
-    from conftest import star_tail_window
 
-    from threadquiver.errors import BoundaryContaminated
     from threadquiver.reps import inj_sum
 
     def no_cover(M):
@@ -297,18 +295,11 @@ def test_certified_sum_is_its_own_resolution(monkeypatch):
     P = proj_sum(w, ("3", "1", "3"))
     res = resolution(P, PROJECTIVE, 0)
     assert res.complex.terms == [P] and res.complex.min_degree == 0
-    assert res.augment.source is P and res.augment.target is P
-    assert all(m == Matrix.identity(QQ, P.dims[v]) for v, m in res.augment.comps.items())
     I = inj_sum(w, ("2", "1"))
     ires = resolution(I, INJECTIVE, 0)
     assert [t.cert for t in ires.complex.terms] == [("inj", ("2", "1"))]
-    assert all(m == Matrix.identity(QQ, I.dims[v]) for v, m in ires.augment.comps.items())
-    star = star_tail_window()
-    assert resolution(std_module(star, "X", PROJECTIVE), PROJECTIVE, 0, True).complex.terms
-    with pytest.raises(BoundaryContaminated):
-        resolution(std_module(star, "c6", PROJECTIVE), PROJECTIVE, 0, True)
-    with pytest.raises(BoundaryContaminated):
-        resolution(std_module(star, "c6", INJECTIVE), INJECTIVE, 0, True)
+    assert ires.complex.window is w and ires.complex.min_degree == 0
+    assert all(ires.complex.terms[0].dims[v] == I.dims[v] for v in w.quiver.vertices)
 
 
 def test_resolution_exactness():
@@ -317,7 +308,8 @@ def test_resolution_exactness():
     res = resolution(s3, PROJECTIVE, 6)
     cx = res.complex
     cx.check()
-    # exactness at each inner term: rank d_in + rank d_out = dim at that spot
+    # exactness at each inner term: rank d_in + rank d_out = dim at that spot;
+    # in degree 0 the cohomology is M: dim P0 - rank d_in = dim M
     for i in range(1, len(cx.terms)):
         term = cx.terms[i]
         d_out = cx.diffs[i] if i < len(cx.diffs) else None
@@ -325,10 +317,9 @@ def test_resolution_exactness():
         for v in w.quiver.vertices:
             r_in = rank(d_in.comps[v])
             if d_out is not None:
-                r_out = rank(d_out.comps[v])
+                assert r_in + rank(d_out.comps[v]) == term.dims[v]
             else:
-                r_out = rank(res.augment.comps[v])
-            assert r_in + r_out == term.dims[v]
+                assert term.dims[v] - r_in == s3.dims[v]
 
 
 def test_resolution_exceeds_bound():
@@ -397,11 +388,11 @@ def _memo_resolution(monkeypatch):
     real = reps.resolution
     memo = {}
 
-    def resolution_once(M, side, max_len, forbid_boundary=False):
-        key = (id(M), side, max_len, forbid_boundary)
+    def resolution_once(M, side, max_len):
+        key = (id(M), side, max_len)
         if key not in memo:
             try:
-                memo[key] = (M, real(M, side, max_len, forbid_boundary), None)
+                memo[key] = (M, real(M, side, max_len), None)
             except ExceedsBound as exc:
                 memo[key] = (M, None, exc)
         _, res, exc = memo[key]

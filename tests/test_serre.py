@@ -31,7 +31,7 @@ import threadquiver.serre as serre
 from threadquiver.dsl import parse_tq
 from threadquiver.errors import ExceedsBound, NotProjectiveCertified
 from threadquiver.linalg import QQ
-from threadquiver.quiver import Quiver, Relation
+from threadquiver.quiver import Path, Quiver, Relation
 from threadquiver.report import Report
 from threadquiver.reps import (
     INJECTIVE,
@@ -307,9 +307,6 @@ def test_zigzag_distance_two_homs_vanish():
 
 
 def test_resolution_boundary_rejection():
-    from threadquiver.errors import BoundaryContaminated
-    from threadquiver.reps import resolution
-
     w = expand(tq_z_thread(), 1)
     # a simple whose syzygy generator sits on a cut-adjacent vertex
     order = w.topological_order()
@@ -319,9 +316,25 @@ def test_resolution_boundary_rejection():
         if v not in flagged and any(a.src in flagged for a in w.quiver.in_arrows[v])
     )
     s = std_module(w, victim, SIMPLE)
-    resolution(s, PROJECTIVE, 6)  # fine without the flag
-    with pytest.raises(BoundaryContaminated):
-        resolution(s, PROJECTIVE, 6, forbid_boundary=True)
+    # the resolution is built in full; the check reads the cut off its terms
+    assert serre._boundary_terms(resolution(s, PROJECTIVE, 6).complex)
+    probe = [(f"S({victim})", s)]
+    rejected = check_serre(w, probe, 6)
+    assert (rejected.items, rejected.checked, rejected.skipped) == ([], 0, 1)
+    kept = check_serre(w, probe, 6, forbid_boundary=False)
+    assert kept.passed and kept.checked > 0 and kept.skipped == 0
+
+
+def test_boundary_probe_past_the_bound_fails_and_is_not_skipped():
+    # S(t:1) meets the cut in its projective cover and has pd 1 > 0: the
+    # bound is exceeded, and that fails the probe whatever the boundary says,
+    # on the projective side as on the injective one
+    w = expand(tq_z_thread(), 1)
+    report = check_serre(w, [("S(t:1)", std_module(w, "t:1", SIMPLE))], 0,
+                         forbid_boundary=True)
+    assert [(i.subject, i.actual) for i in report.items] == [
+        ("pd/id(S(t:1))", "ExceedsBound")]
+    assert report.skipped == 0
 
 
 def test_ainf_rad2_projective_dimensions():
@@ -759,3 +772,52 @@ def test_reports_over_the_fraction_field_equal_those_over_qq(name):
                 _serre_answer(check_dualizing(w, strict_boundary=True)),
             ))
         assert answers[0] == answers[1], (name, depth)
+
+
+# -- invariances: relabelling and duality ----------------------------------------
+
+
+def _reverse_sorted_relabelling(w):
+    """The same window with every vertex renamed so that the sort order of
+    the names reverses; arrows, relations and the boundary follow."""
+    names = sorted(w.quiver.vertices)
+    new = {v: f"v{len(names) - 1 - i:04d}" for i, v in enumerate(names)}
+
+    def path(p):
+        return Path(new[p.src], new[p.tgt], p.arrows)
+
+    q = Quiver([new[v] for v in w.quiver.vertices],
+               [(a.name, new[a.src], new[a.tgt]) for a in w.quiver.arrows])
+    rels = [Relation(tuple((c, path(p)) for c, p in r.terms)) for r in w.relations]
+    return window_from_quiver(q, rels, boundary={new[v] for v in w.boundary}, name=w.name)
+
+
+def _counts(report):
+    return report.status, report.checked, report.skipped, len(report.items)
+
+
+def _serre_and_dualizing_counts(w):
+    return (
+        _counts(check_serre(w, probes(w), 6)),
+        _counts(check_serre(w, probes(w, interior_only=False), 6, forbid_boundary=False)),
+        _counts(check_dualizing(w)),
+        _counts(check_dualizing(w, strict_boundary=True)),
+    )
+
+
+DEPTH1_WINDOWS = [pytest.param(w, id=label) for label, w in fixture_windows([1])]
+
+
+@pytest.mark.parametrize("w", DEPTH1_WINDOWS)
+def test_reports_do_not_depend_on_the_vertex_names(w):
+    renamed = _reverse_sorted_relabelling(w)
+    assert sorted(renamed.quiver.vertices, reverse=True) == [
+        renamed.quiver.vertices[w.quiver.vertices.index(v)] for v in sorted(w.quiver.vertices)]
+    assert _serre_and_dualizing_counts(renamed) == _serre_and_dualizing_counts(w)
+
+
+@pytest.mark.parametrize("w", DEPTH1_WINDOWS)
+def test_dualizing_check_of_the_opposite_window_counts_the_same(w):
+    for strict in (False, True):
+        assert _counts(check_dualizing(w.opposite(), strict_boundary=strict)) == _counts(
+            check_dualizing(w, strict_boundary=strict)), strict

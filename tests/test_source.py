@@ -5,7 +5,9 @@ module imports is used in that module, every module-level private function
 is referenced somewhere in the package, and every module-level public
 function is referenced in the package, exported by `__init__.py`, or traced
 by the benchmark (`TRACED` in `perfbench/tracing.py`, parsed, not imported).
-A function only tests call belongs in `tests/conftest.py`.
+A function only tests call belongs in `tests/conftest.py`.  Every parameter
+of every function, methods and nested functions included, is read in its
+body: an option the body ignores is dead code a caller can still set.
 """
 
 import ast
@@ -162,3 +164,37 @@ def test_the_checks_catch_a_stale_import_and_an_unreferenced_function():
     assert [name for name, _ in _imported_names(tree) if name not in used] == ["solve"]
     helper = tree.body[1]
     assert _used_names(tree)["_helper"] == _used_names(helper)["_helper"] == 1
+
+
+def _unread_parameters(tree):
+    """'function: parameter' for every parameter of every function of tree
+    that its body never reads; `self` and `cls` are exempt."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef | ast.AsyncFunctionDef):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            p for p in (a.vararg, a.kwarg) if p is not None]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        out += [f"{fn.name}: {p.arg}" for p in params
+                if p.arg not in ("self", "cls") and p.arg not in read]
+    return out
+
+
+def test_every_parameter_is_read():
+    unread = [f"{path.stem}.{entry}" for path in MODULES
+              for entry in _unread_parameters(_tree(path))]
+    assert not unread, f"parameters their function never reads: {unread}"
+
+
+def test_the_parameter_rule_flags_an_unread_option():
+    tree = ast.parse(
+        "class C:\n"
+        "    def m(self, used, unused=0):\n        return used\n"
+        "    @classmethod\n    def k(cls, *args, **extra):\n        return args\n"
+        "def f(x, *, depth=1):\n"
+        "    def inner(y):\n        return x\n"
+        "    return inner(depth)\n")
+    assert _unread_parameters(tree) == ["m: unused", "k: extra", "inner: y"]
