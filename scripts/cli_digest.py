@@ -1,0 +1,76 @@
+"""Digests of the CLI's answers over a fixed corpus, to compare two trees byte for byte.
+
+Every fixture under `fixtures/` is run through `threadquiver.cli.run`
+in-process with `serre-check`, `dualizing-check` (default and
+`--strict-boundary`), `threads`, `extract` and `roundtrip`, at depths 0-3.
+Each invocation prints one line: the sha256 of its exit code, stdout and
+stderr, then the command.  The last line is the sha256 of all of them.
+
+    python scripts/cli_digest.py            # every line
+    python scripts/cli_digest.py --total    # the total only
+
+Run it from any directory; the package is imported from this checkout's
+`src/` and fixtures are named relative to its root, so two checkouts give
+the same total exactly when every answer is the same.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMANDS = [
+    ["serre-check"],
+    ["dualizing-check"],
+    ["dualizing-check", "--strict-boundary"],
+    ["threads"],
+    ["extract"],
+    ["roundtrip"],
+]
+DEPTHS = [0, 1, 2, 3]
+
+
+def corpus() -> list[list[str]]:
+    """Every invocation, as argv lists, in a fixed order."""
+    fixtures = sorted(p.relative_to(ROOT).as_posix() for p in (ROOT / "fixtures").glob("*.tq"))
+    return [cmd + [fixture, "--depth", str(depth)]
+            for fixture in fixtures for cmd in COMMANDS for depth in DEPTHS]
+
+
+def digest(run, argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    h = hashlib.sha256()
+    for part in (str(code), out.getvalue(), err.getvalue()):
+        h.update(part.encode("utf-8"))
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--total", action="store_true", help="print the total only")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(ROOT / "src"))
+    os.chdir(ROOT)
+    from threadquiver import cli
+
+    total = hashlib.sha256()
+    for inv in corpus():
+        d = digest(cli.run, inv)
+        total.update(d.encode("ascii"))
+        if not args.total:
+            print(d, " ".join(inv), flush=True)
+    print(total.hexdigest(), f"total of {len(corpus())} invocations")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

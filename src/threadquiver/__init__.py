@@ -19,7 +19,6 @@ from .quiver import (
     Path,
     Quiver,
     Relation,
-    hom_basis_paths,
     is_strongly_locally_finite,
 )
 from .windows import (

@@ -8,13 +8,19 @@ ordered by (length, name tuple); the basis of hom(x, y) is the set of
 standard paths, those that are not the smallest path of any element of the
 two-sided ideal I generated by the relations.
 
-hom(x, y) is built as a layered quotient from the hom(z, y) of the arrows
-a: x -> z, vertex by vertex in reverse topological order, so the cost
-follows hom dimensions rather than the number of paths.  This gives the
-standard basis because the order is compatible with concatenation on both
-sides: if a . q is standard then so is q (were q the smallest path of some
-f in I(z, y), a . q would be the smallest path of a . f), so the standard
-paths are among the candidates a . q with q in the basis of hom(z, y).
+The hom spaces into one target y are built together, as the column
+hom(-, y): one sweep over the ancestors of y (the vertices that reach it),
+nearest y first, built up to the hom asked for, so each hom(x, y) is a
+layered quotient of the hom(z, y) already built for the arrows a: x -> z
+into that set, and a vertex outside it has the zero hom.  The cost follows
+hom dimensions rather than the number of paths, and no reachability walk
+runs per hom.  This gives the standard basis because the order is
+compatible with concatenation on both sides: if a . q is standard then so
+is q (were q the smallest path of some f in I(z, y), a . q would be the
+smallest path of a . f), so the standard paths are among the candidates
+a . q with q in the basis of hom(z, y).
+The candidates are ordered by the key (len q + 1, name of a, position of q
+in the basis of hom(z, y)), which is their order as paths (`candidates`).
 Every path x -> y is congruent modulo the a . I(z, y) to a combination of
 candidates, and that rewriting only replaces a path by larger ones; so
 I(x, y) meets the span of the candidates in the span of the rewritten rows
@@ -25,8 +31,10 @@ and the same normal forms as reducing all of I(x, y) over all paths.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 
 from .errors import NonAcyclic
 from .linalg import Matrix, rref
@@ -39,7 +47,7 @@ class Arrow:
     tgt: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     src: str
     tgt: str
@@ -108,8 +116,6 @@ class Quiver:
             self.in_arrows[a.tgt].append(a)
         self._topo_cache = None
         self._level: dict[str, int] | None = None
-        # per target y, the vertices already found to reach it
-        self._reaching: dict[str, set[str]] = {}
 
     @cached_property
     def vertex_index(self) -> dict[str, int]:
@@ -176,72 +182,24 @@ class Quiver:
             self._level = level
         return self._level
 
-    def reaches(self, x: str, y: str) -> bool:
-        """Whether some path runs x -> y (x reaches itself); raises NonAcyclic
-        on a cycle.  A walk from x through the vertices of level below y's,
-        so a y whose level is not above x's is rejected at once.  Positive
-        answers are kept, and a walk stops at a vertex already known to reach
-        y, so the memory follows the pairs asked, never all pairs."""
+    def ancestors(self, y: str) -> Iterator[str]:
+        """Yield the vertices that reach y (y included) in reverse topological
+        order, y first: a walk back from y that always goes on from the
+        vertex of highest level found so far.  Every arrow raises the level,
+        so the vertices come out by nonincreasing level, each before any
+        vertex of lower level, and a caller that stops early has walked only
+        the levels above where it stopped.  Raises NonAcyclic on a cycle."""
         level = self._level or self.levels()
-        if x == y:
-            return True
-        top = level[y]
-        if level[x] >= top:
-            return False
-        known = self._reaching.get(y)
-        if known is None:
-            known = self._reaching[y] = set()
-        elif x in known:
-            return True
-        seen, stack = {x}, [x]
-        while stack:
-            for a in self.out_arrows[stack.pop()]:
-                t = a.tgt
-                if t == y or t in known:
-                    known.add(x)
-                    return True
-                if t not in seen and level[t] < top:
-                    seen.add(t)
-                    stack.append(t)
-        return False
-
-    def ancestors(self, y: str, start: str | None = None) -> set[str]:
-        """Vertices that reach y (y included), or with `start` only those of
-        level at least start's (every vertex on a path from start): a walk
-        back from y."""
-        level = self._level or self.levels()
-        low = level[start] if start is not None else 0
-        seen, stack = {y}, [y]
-        while stack:
-            for a in self.in_arrows[stack.pop()]:
+        seen = {y}
+        heap = [(-level[y], 0, y)]
+        while heap:
+            v = heappop(heap)[2]
+            yield v
+            for a in self.in_arrows[v]:
                 s = a.src
-                if s not in seen and level[s] >= low:
+                if s not in seen:
                     seen.add(s)
-                    stack.append(s)
-        return seen
-
-    def between(self, x: str, y: str) -> list[str]:
-        """Vertices on some path x -> y, in reverse topological order (y first).
-
-        The post-order of a depth-first walk from x through the vertices
-        that reach y; the cost follows the answer, not the quiver.
-        """
-        to_y = self.ancestors(y, start=x)
-        if x not in to_y:
-            return []
-        order, seen = [], {x}
-        stack = [(x, iter(self.out_arrows[x]))]
-        while stack:
-            v, arrows = stack[-1]
-            for a in arrows:
-                if a.tgt not in seen and a.tgt in to_y:
-                    seen.add(a.tgt)
-                    stack.append((a.tgt, iter(self.out_arrows[a.tgt])))
-                    break
-            else:
-                stack.pop()
-                order.append(v)
-        return order
+                    heappush(heap, (-level[s], len(seen), s))
 
 
 def is_strongly_locally_finite(q: Quiver) -> bool:
@@ -254,28 +212,38 @@ def is_strongly_locally_finite(q: Quiver) -> bool:
 class HomBasis:
     """Basis data for the hom space (x, y) in kQ modulo relations.
 
-    `paths` lists the candidates, sorted by `Path.sort_key`: the identity
+    `paths` lists the candidates in the order of `candidates`: the identity
     when x = y, and otherwise every path a . q for an arrow a: x -> z and a
     basis path q of hom(z, y).  `basis` is the subset of candidates whose
     classes form a basis of the quotient, and `expand` rewrites any parallel
-    linear combination of paths in that basis.  `quiver` and the lookup
-    `hom` are shared by all bases built together; `expand` reads hom(z, y)
-    from them to rewrite a path that is not a candidate.
+    linear combination of paths in that basis.  `quiver` is the window's
+    quiver and `column` the column hom(-, y) the basis lies in; `expand`
+    reads hom(z, y) from it to rewrite a path that is not a candidate, for
+    vertices z that the sweep built before x.  The position of each
+    candidate path (`index`) is built on the first `expand` that needs it,
+    so a basis that is only read holds no dict.
     """
 
-    __slots__ = ("field", "paths", "index", "reducers", "free_idx", "basis", "dim",
-                 "quiver", "hom")
+    __slots__ = ("field", "paths", "_index", "reducers", "free_idx", "basis", "dim",
+                 "quiver", "column")
 
-    def __init__(self, field, paths: list[Path], quiver: Quiver, hom):
+    def __init__(self, field, paths: list[Path], quiver: Quiver, column):
         self.field = field
         self.paths = paths
-        self.index = {p: i for i, p in enumerate(paths)}
+        self._index = None
         self.reducers = []  # rref rows (pivot column, other entries) of the relation span
-        self.free_idx = list(range(len(paths)))
+        self.free_idx = range(len(paths))
         self.basis = paths
         self.dim = len(paths)
         self.quiver = quiver
-        self.hom = hom
+        self.column = column
+
+    @property
+    def index(self) -> dict[Path, int]:
+        """Position of each candidate path in `paths`."""
+        if self._index is None:
+            self._index = {p: i for i, p in enumerate(self.paths)}
+        return self._index
 
     def _reduce_by(self, rows: list[list]) -> None:
         """Quotient by the span of `rows`, vectors over the candidates."""
@@ -327,7 +295,7 @@ class HomBasis:
         `name`: x -> z and q_j is the basis of hom(z, y)."""
         a = self.quiver.arrow_by_name[name]
         zero = self.field.zero
-        for cj, q in zip(coords, self.hom(a.tgt, y).basis):
+        for cj, q in zip(coords, self.column[a.tgt].basis):
             if cj != zero:
                 k = self.index[Path(a.src, y, (name,) + q.arrows)]
                 vec[k] = vec[k] + c * cj
@@ -340,12 +308,12 @@ class HomBasis:
         (the action of the arrows on the projective at y), so nothing
         recurses along the path.
         """
-        field, hom, arrow = self.field, self.hom, self.quiver.arrow_by_name
+        field, col, arrow = self.field, self.column, self.quiver.arrow_by_name
         y, arrows = p.tgt, p.arrows
         i = 1
         while True:
             z = arrow[arrows[i]].src
-            hb = hom(z, y)
+            hb = col[z]
             k = hb.index.get(Path(z, y, arrows[i:]))
             if k is not None:
                 break
@@ -354,43 +322,64 @@ class HomBasis:
         vec[k] = field.one
         coords = hb._reduce(vec)
         for j in range(i - 1, 0, -1):
-            hb = hom(arrow[arrows[j]].src, y)
+            hb = col[arrow[arrows[j]].src]
             vec = [field.zero] * len(hb.paths)
             hb._add_prepended(vec, field.one, arrows[j], coords, y)
             coords = hb._reduce(vec)
         return coords
 
 
+def candidates(q: Quiver, x: str, column) -> list[tuple]:
+    """The candidates a . q_j of hom(x, y), x != y, in their order.
+
+    `column` is the column hom(-, y) as the sweep has built it, which holds
+    hom(z, y) for every vertex z that reaches y and lies nearer y than x;
+    the first arrows are the arrows a: x -> z into it, and q_j runs over the
+    basis of hom(z, y).  Each candidate is the tuple (len q_j, name of a, j,
+    a, q_j), and the list is sorted by its first three entries, which no two
+    candidates share: the key (len q_j + 1, name of a, j).  That is the
+    order of the paths a . q_j by (length, arrow names): among paths of one
+    length the first arrow decides, and behind one arrow the equal-length
+    basis paths of hom(z, y) are already in that order, by induction.
+    `hom_basis_paths` and the standard projectives both read the order
+    here, so no path is built to sort it.
+    """
+    keyed = []
+    for a in q.out_arrows[x]:
+        hz = column.get(a.tgt)
+        if hz is not None:
+            name = a.name
+            keyed.extend((len(p.arrows), name, j, a, p) for j, p in enumerate(hz.basis))
+    keyed.sort()
+    return keyed
+
+
 def hom_basis_paths(q: Quiver, relations: list[Relation], x: str, y: str, field,
-                    hom) -> HomBasis:
-    """Hom space of the path category mod the two-sided ideal of the relations.
+                    column) -> HomBasis:
+    """hom(x, y) of the path category mod the two-sided ideal of the relations,
+    one step of the sweep that builds the column hom(-, y).
 
-    A layered quotient: the candidates (see `HomBasis`) come from the bases
-    of hom(z, y) for the arrows a: x -> z, and the ideal rows are r . q for
-    each relation r starting at x and each basis path q of hom(r.tgt, y),
-    rewritten over the candidates through those bases.  rref of the rows
-    gives the basis and the reducers.
-
-    `hom(z, y)` must return the basis for every vertex z != x on a path
-    x -> y.  The one caller is `Window.hom`, which passes its own cache
-    (a window is acyclic by construction, and fills those layers first).
+    A layered quotient: the candidates come from `candidates` over `column`,
+    the part of the column already built, and the ideal rows are r . q for
+    each relation r of `relations` (those that start at x) and each basis
+    path q of hom(r.tgt, y), rewritten over the candidates through those
+    bases.  rref of the rows gives the basis and the reducers.  The basis
+    keeps `column` for `expand`; the one caller is `Window.hom`, one call
+    per hom it builds.
     """
     if x == y:
-        return HomBasis(field, [identity_path(x)], q, hom)
-    firsts = [a for a in q.out_arrows[x] if q.reaches(a.tgt, y)]
-    paths = sorted(
-        (Path(x, y, (a.name,) + b.arrows) for a in firsts for b in hom(a.tgt, y).basis),
-        key=Path.sort_key,
-    )
-    hb = HomBasis(field, paths, q, hom)
+        return HomBasis(field, [identity_path(x)], q, column)
+    paths = [Path(x, y, (name,) + p.arrows) for _, name, _, _, p in candidates(q, x, column)]
+    hb = HomBasis(field, paths, q, column)
     if not paths:
         return hb
     zero = field.zero
     rows = []
     for rel in relations:
-        if rel.src != x or not q.reaches(rel.tgt, y):
+        hz = column.get(rel.tgt)
+        if hz is None:
             continue
-        for b in hom(rel.tgt, y).basis:
+        for b in hz.basis:
             vec = hb._candidate_vector([(c, t.then(b)) for c, t in rel.terms])
             if any(v != zero for v in vec):
                 rows.append(vec)

@@ -100,7 +100,7 @@ from .linalg import (
     solve_matrix,
     sparse_kernel,
 )
-from .quiver import Arrow, Path, Quiver, identity_path
+from .quiver import Arrow, Path, Quiver, candidates, identity_path
 from .windows import Window
 
 PROJECTIVE = "projective"
@@ -362,24 +362,28 @@ def std_module(w: Window, v: str, kind: str) -> Rep:
     if kind == SIMPLE:
         rep = Rep(w, {v: 1}, {}, validate=False)
     elif kind == PROJECTIVE:
-        # P(v) lives on the vertices with a nonzero hom to v, all of which reach v
+        # P(v) lives on the ancestors of v.  For a: x -> z, column j of P(v)(a)
+        # is a . q_j for the basis path q_j of hom(z, v): the candidate k of
+        # hom(x, v) in the order of `candidates`, a unit vector before the
+        # relations' reducers are applied
         q = w.quiver
-        dims = {x: w.hom(x, v).dim
-                for x in sorted(q.ancestors(v), key=q.vertex_index.__getitem__)}
+        col = w.column(v)
+        dims = {x: hb.dim for x, hb in col.items()}
         maps = {}
-        for x, dx in dims.items():
-            if not dx:
+        for x, hx in col.items():
+            if x == v or not hx.dim:
                 continue
-            for a in q.out_arrows[x]:
-                if not dims.get(a.tgt):
-                    continue
-                hx, hy = w.hom(a.src, v), w.hom(a.tgt, v)
-                m = Matrix.zeros(f, hx.dim, hy.dim)
-                for j, p in enumerate(hy.basis):
-                    col = hx.expand_path(Path(a.src, v, (a.name,) + p.arrows))
-                    for i, c in enumerate(col):
-                        m.data[i * hy.dim + j] = c
-                maps[a.name] = m
+            for k, (_, name, j, a, _) in enumerate(candidates(q, x, col)):
+                m = maps.get(name)
+                if m is None:
+                    m = maps[name] = Matrix.zeros(f, hx.dim, dims[a.tgt])
+                cols = m.cols
+                if hx.reducers:
+                    unit = [f.zero] * len(hx.paths)
+                    unit[k] = f.one
+                    m.data[j::cols] = hx._reduce(unit)
+                else:
+                    m.data[k * cols + j] = f.one
         rep = Rep(w, dims, maps, validate=False, cert=("proj", (v,)))
     elif kind == INJECTIVE:
         # dual of the standard projective at v over the opposite window

@@ -10,6 +10,7 @@ which vertices are truncation artifacts and how the original data embeds.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -100,7 +101,8 @@ class Window:
     `boundary` marks vertices whose neighborhood is a truncation artifact;
     `embed_r` records where the thread quiver's own vertices land and
     `embed_t` where each thread chain's elements land.  Hom-space bases of
-    the path category mod relations are computed lazily and cached.
+    the path category mod relations are computed lazily and cached, one
+    column hom(-, y) per target y (`column`).
     """
 
     def __init__(
@@ -124,7 +126,12 @@ class Window:
         self.depth = depth
         self.field = field
         self.name = name
-        self._hom_cache: dict[tuple[str, str], HomBasis] = {}
+        # per target y, the column hom(-, y) built so far, and the sweep of
+        # its ancestors: the walk, the vertices walked so far in order, and
+        # the position of each
+        self._hom_cache: dict[str, dict[str, HomBasis]] = {}
+        self._sweeps: dict[str, tuple[Iterator[str], list[str], dict[str, int]]] = {}
+        self._zero_hom = HomBasis(field, [], quiver, None)
         self._std_cache: dict = {}
         self._topo = self.quiver.topological_order()
         self._opposite = None
@@ -145,31 +152,68 @@ class Window:
     # -- hom spaces of the presented category --------------------------------
 
     @cached_property
-    def _hom(self):
-        # one lookup shared by every HomBasis of this window, bound on the
-        # first hom so that a window that never builds one holds no cycle
-        return self.hom
+    def _relations_at(self) -> dict[str, list[Relation]]:
+        """The relations by source vertex, indexed once per window."""
+        out: dict[str, list[Relation]] = {}
+        for r in self.relations:
+            out.setdefault(r.src, []).append(r)
+        return out
 
     def hom(self, x: str, y: str) -> HomBasis:
-        key = (x, y)
-        cache = self._hom_cache
-        hb = cache.get(key)
-        if hb is None:
-            q = self.quiver
-            # hom(x, y) is built from the hom(z, y) of the vertices z between
-            # x and y.  A cached hom(z, y) implies the same for every vertex
-            # between z and y, so the layers are filled only when a direct
-            # successor of x other than y (whose hom needs no other) is
-            # missing, nearest y first, and no build recurses along a path.
-            for a in q.out_arrows[x]:
-                if a.tgt != y and (a.tgt, y) not in cache and q.reaches(a.tgt, y):
-                    for z in q.between(x, y)[:-1]:
-                        if (z, y) not in cache:
-                            self.hom(z, y)
+        """hom(x, y) from the column of y, or the zero basis when x does not
+        reach y.
+
+        The column hom(-, y) is filled by one sweep over the ancestors of y
+        (the vertices that reach it) in reverse topological order, y first
+        (`Quiver.ancestors`): each hom(x, y) reads the hom(z, y) of its
+        first arrows from the part of the column already built
+        (`hom_basis_paths`), so no hom is built twice and none recurses along
+        a path.  A miss walks the ancestors of y down to x's level, builds
+        the part of the sweep before x, each vertex by its own call of
+        `hom`, and then hom(x, y); the rest of the column waits for the next
+        miss, so a hom between near vertices costs only the levels above x.
+        """
+        col = self._hom_cache.get(y)
+        if col is None:
+            col = self._hom_cache[y] = {}
+            self._sweeps[y] = (self.quiver.ancestors(y), [], {})
+        else:
+            hb = col.get(x)
+            if hb is not None:
+                return hb
+        walk, order, pos = self._sweeps[y]
+        i = pos.get(x)
+        if i is None:
+            # every vertex that reaches y comes out of the walk before any of
+            # lower level, so x does not reach y once one of them has
+            level = self.quiver.levels()
+            low = level[x]
+            for z in walk:
+                pos[z] = len(order)
+                order.append(z)
+                if z == x or level[z] < low:
                     break
-            hb = hom_basis_paths(q, self.relations, x, y, self.field, self._hom)
-            cache[key] = hb
+            i = pos.get(x)
+            if i is None:
+                return self._zero_hom
+        for z in order[len(col):i]:
+            self.hom(z, y)
+        hb = col[x] = hom_basis_paths(self.quiver, self._relations_at.get(x, ()), x, y,
+                                      self.field, col)
         return hb
+
+    def column(self, y: str) -> dict[str, HomBasis]:
+        """hom(-, y) on every vertex that reaches y, in the sweep's order (y
+        first)."""
+        self.hom(y, y)
+        walk, order, pos = self._sweeps[y]
+        for z in walk:
+            pos[z] = len(order)
+            order.append(z)
+        col = self._hom_cache[y]
+        if len(col) < len(order):
+            self.hom(order[-1], y)
+        return col
 
     def hom_dim(self, x: str, y: str) -> int:
         return self.hom(x, y).dim
@@ -227,22 +271,27 @@ class Window:
         return w
 
     def release(self) -> None:
-        """Drop the caches of this window and of its opposite, then unlink the
-        two, so that reference counting frees them once the caller lets go.
+        """Drop the caches of this window and of its opposite (the hom columns
+        and the standard modules), then unlink the two, so that reference
+        counting frees them once the caller lets go.
 
-        Everything cached refers back to its window: a `HomBasis` through the
-        bound `hom` lookup, a standard module through `Rep.window`, and each
-        window through its opposite.  Without `release` a window is a web of
-        reference cycles that only a full garbage collection frees.  Call it
-        when the window's work is done.  The window stays usable, since its
-        caches refill on demand and `opposite()` builds a new opposite, but
-        modules built before the call keep the old opposite.
+        Everything cached is a reference cycle: each `HomBasis` of a column
+        reads the column it lies in, a standard module refers back to its
+        window through `Rep.window`, and each window to its opposite.
+        Without `release` these are cycles that only a full garbage
+        collection frees, so the columns are emptied.  Call it when the
+        window's work is done.  The window stays usable, since its caches
+        refill on demand and `opposite()` builds a new opposite, but modules
+        built before the call keep the old opposite, and a `HomBasis` taken
+        before the call no longer expands a path that is not a candidate.
         """
         for w in (self, self._opposite):
             if w is not None:
+                for col in w._hom_cache.values():
+                    col.clear()
                 w._hom_cache = {}
+                w._sweeps = {}
                 w._std_cache = {}
-                w.__dict__.pop("_hom", None)
                 w._opposite = None
 
     def __repr__(self):

@@ -486,8 +486,9 @@ def cohomology_dims(dims, diffs):
 
 @lru_cache(maxsize=64)
 def all_pairs_reach(q):
-    """Oracle for `Quiver.reaches`: every vertex's set of reachable vertices
-    (itself included), built at once along a reverse topological sweep."""
+    """Reachability oracle for `Quiver.ancestors` and the path enumeration:
+    every vertex's set of reachable vertices (itself included), built at once
+    along a reverse topological sweep."""
     reach = {}
     for v in reversed(q.topological_order()):
         acc = {v}
@@ -577,6 +578,26 @@ def path_enumeration_hom_basis(q, relations, x, y, field):
     pivot_set = set(pivots)
     return EnumeratedHomBasis(field, paths, reducers,
                               [i for i in range(len(paths)) if i not in pivot_set])
+
+
+def expand_path_projective(w, v):
+    """Differential oracle for the standard projective P(v) of
+    `reps.std_module`: the dimension at every vertex x is dim hom(x, v), and
+    column j of the matrix of a: x -> z is the path a . q_j, for the basis
+    path q_j of hom(z, v), expanded in the basis of hom(x, v) by
+    `HomBasis.expand_path`, one path at a time."""
+    q = w.quiver
+    dims = {x: w.hom(x, v).dim for x in q.vertices}
+    maps = {}
+    for a in q.arrows:
+        hx, hz = w.hom(a.src, v), w.hom(a.tgt, v)
+        if not (hx.dim and hz.dim):
+            continue
+        m = Matrix.zeros(w.field, hx.dim, hz.dim)
+        for j, p in enumerate(hz.basis):
+            m.data[j::hz.dim] = hx.expand_path(QPath(a.src, v, (a.name,) + p.arrows))
+        maps[a.name] = m
+    return dims, maps
 
 
 def solve(m, b):

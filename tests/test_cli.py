@@ -439,8 +439,11 @@ def test_released_window_still_answers():
     w = expand(parse_tq((FIXTURES / "mixed.tq").read_text()), 1)
     op = w.opposite()
     dims = {(x, y): w.hom_dim(x, y) for x in w.vertices for y in w.vertices}
+    columns = list(w._hom_cache.values())
     w.release()
     assert w._hom_cache == {} and w._std_cache == {} and op._hom_cache == {}
+    # a basis reads the column it lies in, so the columns are emptied
+    assert columns and not any(columns)
     assert op._opposite is None
     assert {(x, y): w.hom_dim(x, y) for x in w.vertices for y in w.vertices} == dims
     assert w.opposite() is not op and w.opposite().opposite() is w

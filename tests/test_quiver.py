@@ -6,6 +6,7 @@ from conftest import (
     all_pairs_reach,
     comm_grid_window,
     enumerate_paths,
+    expand_path_projective,
     fixture_windows,
     path_enumeration_hom_basis,
     random_thread_quivers,
@@ -22,8 +23,9 @@ from threadquiver.quiver import (
     identity_path,
     is_strongly_locally_finite,
 )
-from threadquiver.reps import PROJECTIVE, std_module
-from threadquiver.windows import expand, window_from_quiver
+from threadquiver.reps import INJECTIVE, PROJECTIVE, std_module
+from threadquiver import windows
+from threadquiver.windows import Window, expand, window_from_quiver
 
 
 def a2():
@@ -142,27 +144,29 @@ def test_hom_rejects_cycles():
 
 
 def test_reachable_from_rejects_cycles():
-    # the reachability queries `reaches`, `ancestors` and `between`
+    # `ancestors`, the reachability query the hom sweep runs on
     q = Quiver(["a", "b"], [("f", "a", "b"), ("g", "b", "a")])
     for _ in range(2):  # the cycle is not cached as an answer
-        for query in (lambda: q.reaches("a", "b"), lambda: q.ancestors("a"),
-                      lambda: q.between("a", "b")):
-            with pytest.raises(NonAcyclic):
-                query()
+        with pytest.raises(NonAcyclic):
+            list(q.ancestors("a"))
 
 
-def assert_reach_matches_oracle(q):
-    """`reaches`, `ancestors` and `between` against the all-pairs sets."""
+def assert_ancestors_match_oracle(q):
+    """`ancestors` against the all-pairs sets: the vertices that reach y,
+    y first, each after every vertex it has an arrow to, by nonincreasing
+    level."""
     reach = all_pairs_reach(q)
-    for x in q.vertices:
-        for y in q.vertices:
-            assert q.reaches(x, y) == (y in reach[x]), (x, y)
-            on_path = {z for z in reach[x] if y in reach[z]}
-            assert set(q.between(x, y)) == on_path, (x, y)
-            level = q.levels()
-            assert q.ancestors(y, start=x) == {y} | {
-                z for z in q.vertices if y in reach[z] and level[z] >= level[x]}
-        assert q.ancestors(x) == {z for z in q.vertices if x in reach[z]}
+    for y in q.vertices:
+        anc = list(q.ancestors(y))
+        assert anc[0] == y
+        assert len(anc) == len(set(anc))
+        assert set(anc) == {z for z in q.vertices if y in reach[z]}, y
+        levels = [q.levels()[z] for z in anc]
+        assert levels == sorted(levels, reverse=True), y
+        pos = {z: i for i, z in enumerate(anc)}
+        for a in q.arrows:
+            if a.src in pos and a.tgt in pos:
+                assert pos[a.tgt] < pos[a.src], (y, a)
 
 
 @st.composite
@@ -181,24 +185,23 @@ def shuffled_dags(draw):
 
 @given(shuffled_dags())
 @settings(max_examples=80, deadline=None)
-def test_reaches_matches_all_pairs_oracle_on_random_dags(q):
-    assert_reach_matches_oracle(q)
+def test_ancestors_match_all_pairs_oracle_on_random_dags(q):
+    assert_ancestors_match_oracle(q)
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2])
-def test_reaches_matches_all_pairs_oracle_on_fixtures(depth):
+def test_ancestors_match_all_pairs_oracle_on_fixtures(depth):
     for _, w in fixture_windows([depth]):
-        assert_reach_matches_oracle(w.quiver)
-        assert_reach_matches_oracle(w.opposite().quiver)
+        assert_ancestors_match_oracle(w.quiver)
+        assert_ancestors_match_oracle(w.opposite().quiver)
 
 
-def test_reaches_and_between_on_a_long_line():
+def test_ancestors_on_a_long_line():
     n = 1200
     q = Quiver([f"v{i}" for i in range(n)],
                [(f"a{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)])
-    assert q.reaches("v0", f"v{n - 1}")
-    assert not q.reaches(f"v{n - 1}", "v0")
-    assert q.between("v10", "v12") == ["v12", "v11", "v10"]
+    assert list(q.ancestors(f"v{n - 1}")) == [f"v{i}" for i in range(n - 1, -1, -1)]
+    assert list(q.ancestors("v0")) == ["v0"]
 
 
 def test_fixture_windows_fails_on_an_empty_directory(tmp_path):
@@ -261,16 +264,74 @@ def test_identity_survives_relations(edges):
 # -- the layered quotient against path enumeration ------------------------------
 
 
+def normal_forms(hb):
+    """Each pivot candidate of a basis, as a path, with its reducer row as a
+    path -> coefficient dict."""
+    return {hb.paths[pc]: {hb.paths[j]: c for j, c in row} for pc, row in hb.reducers}
+
+
 def assert_matches_enumeration(w):
-    """Same basis as the enumerate-and-rref oracle on every ordered pair, and
-    the same coordinates for every path the oracle enumerates."""
-    for x in w.quiver.vertices:
-        for y in w.quiver.vertices:
-            hb = w.hom(x, y)
-            ob = path_enumeration_hom_basis(w.quiver, w.relations, x, y, w.field)
+    """The swept bases against the enumerate-and-rref oracle on every ordered
+    pair.  The candidates are the paths a . q over the arrows a: x -> z and
+    the oracle's basis q of hom(z, y), in path order; the basis and every
+    pivot candidate's normal form (its reducer) are the oracle's; and every
+    path the oracle enumerates has the same coordinates."""
+    q = w.quiver
+    V = q.vertices
+    oracle = {(x, y): path_enumeration_hom_basis(q, w.relations, x, y, w.field)
+              for x in V for y in V}
+    for x in V:
+        for y in V:
+            hb, ob = w.hom(x, y), oracle[x, y]
+            if x == y:
+                cands = [identity_path(x)]
+            else:
+                cands = sorted((Path(x, y, (a.name,) + b.arrows)
+                                for a in q.out_arrows[x] for b in oracle[a.tgt, y].basis),
+                               key=Path.sort_key)
+            assert hb.paths == cands, (w.name, x, y)
             assert hb.basis == ob.basis, (w.name, x, y)
+            cand_set = set(cands)
+            assert normal_forms(hb) == {
+                p: nf for p, nf in normal_forms(ob).items() if p in cand_set}, (w.name, x, y)
             for p in ob.paths:
                 assert hb.expand_path(p) == ob.expand_path(p), (w.name, x, y, p)
+
+
+def assert_projectives_match_expand_path(w):
+    """Every P(v) against the assembly that expands each path a . q."""
+    for v in w.quiver.vertices:
+        P = std_module(w, v, PROJECTIVE)
+        dims, maps = expand_path_projective(w, v)
+        assert P.dims == dims, (w.name, v)
+        assert dict(P.maps.items()) == maps, (w.name, v)
+
+
+def assert_request_order_free(make, seed):
+    """Homs and standard modules asked in a random order, so that the sweeps
+    of the columns stop part way at random places, give the bases and
+    modules of a window whose columns were each swept in one go."""
+    ref = make()
+    V = ref.quiver.vertices
+    for y in V:
+        ref.column(y)
+    w = make()
+    requests = [(x, y) for x in V for y in V] + [(v, kind) for v in V
+                                                for kind in (PROJECTIVE, INJECTIVE)]
+    random.Random(seed).shuffle(requests)
+    for a, b in requests:
+        if b in (PROJECTIVE, INJECTIVE):
+            std_module(w, a, b)
+        else:
+            w.hom(a, b)
+    for x in V:
+        for y in V:
+            hb, rb = w.hom(x, y), ref.hom(x, y)
+            assert (hb.paths, hb.basis, hb.reducers) == (rb.paths, rb.basis, rb.reducers), (x, y)
+    for v in V:
+        for kind in (PROJECTIVE, INJECTIVE):
+            M, R = std_module(w, v, kind), std_module(ref, v, kind)
+            assert M.dims == R.dims and dict(M.maps.items()) == dict(R.maps.items()), (v, kind)
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2])
@@ -285,6 +346,78 @@ def test_layered_hom_matches_enumeration_on_grids(n):
     w = comm_grid_window(n)
     assert_matches_enumeration(w)
     assert_matches_enumeration(w.opposite())
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_standard_projectives_match_expand_path_on_fixtures(depth):
+    for _, w in fixture_windows([depth]):
+        assert_projectives_match_expand_path(w)
+        assert_projectives_match_expand_path(w.opposite())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_standard_projectives_match_expand_path_on_grids(n):
+    w = comm_grid_window(n)
+    assert_projectives_match_expand_path(w)
+    assert_projectives_match_expand_path(w.opposite())
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_bases_do_not_depend_on_request_order_on_fixtures(depth):
+    for label, w in fixture_windows([depth]):
+        assert_request_order_free(lambda: expand(w.source_tq, depth), label)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bases_do_not_depend_on_request_order_on_grids(n):
+    assert_request_order_free(lambda: comm_grid_window(n), n)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_each_hom_is_built_by_its_own_hom_call(monkeypatch, depth):
+    """A miss of `Window.hom(x, y)` builds hom(x, y) itself and every other
+    hom it needs by a call of `Window.hom` of its own, so each build sits
+    directly under the call that asks for it; it builds only vertices of the
+    sweep before x, none below x's level, and nothing for a vertex that does
+    not reach y."""
+    open_calls, built = [], []
+    hom, build = Window.hom, windows.hom_basis_paths
+
+    def traced_hom(self, x, y):
+        open_calls.append([x, y, False])
+        try:
+            return hom(self, x, y)
+        finally:
+            open_calls.pop()
+
+    def traced_build(q, rels, x, y, field, column):
+        call = open_calls[-1]
+        assert call == [x, y, False], (call, x, y)
+        call[2] = True
+        built.append((x, y))
+        return build(q, rels, x, y, field, column)
+
+    monkeypatch.setattr(Window, "hom", traced_hom)
+    monkeypatch.setattr(windows, "hom_basis_paths", traced_build)
+    for label, w in fixture_windows([depth]):
+        built.clear()
+        level = w.quiver.levels()
+        V = w.quiver.vertices
+        pairs = [(x, y) for x in V for y in V]
+        random.Random(label).shuffle(pairs)
+        for x, y in pairs:
+            before = len(built)
+            hb = w.hom(x, y)
+            new = built[before:]
+            reach = x in w.quiver.ancestors(y)
+            assert (hb.dim > 0) <= reach, (label, x, y)
+            if not reach:
+                assert new == [] and hb.paths == [], (label, x, y)
+            assert all(level[z] >= level[x] and t == y for z, t in new), (label, x, y)
+        assert len(built) == len(set(built)), label
+        for v in V:
+            std_module(w, v, PROJECTIVE)
+        assert len(built) == len(set(built)), label
 
 
 def test_layered_hom_matches_enumeration_non_admissible():
@@ -335,6 +468,9 @@ def test_layered_hom_matches_enumeration_random_relation(tq, data):
     x, y = chosen[0].src, chosen[0].tgt
     ob = path_enumeration_hom_basis(q, [rel], x, y, QQ)
     assert w.hom(x, y).basis == ob.basis
+    assert_projectives_match_expand_path(w)
+    assert_projectives_match_expand_path(w.opposite())
+    assert_request_order_free(lambda: window_from_quiver(q, [rel]), data.draw(st.integers(0, 99)))
 
 
 def test_layered_hom_candidates_follow_dimensions():
