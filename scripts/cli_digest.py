@@ -2,7 +2,8 @@
 
 Every fixture under `fixtures/` is run through `threadquiver.cli.run`
 in-process with `serre-check`, `dualizing-check` (default and
-`--strict-boundary`), `threads`, `extract` and `roundtrip`, at depths 0-3.
+`--strict-boundary`), `threads`, `extract`, `roundtrip`, `expand` and
+`dot --expanded`, at depths 0-3.
 Each invocation prints one line: the sha256 of its exit code, stdout and
 stderr, then the command.  The last line is the sha256 of all of them.
 
@@ -32,6 +33,8 @@ COMMANDS = [
     ["threads"],
     ["extract"],
     ["roundtrip"],
+    ["expand"],
+    ["dot", "--expanded"],
 ]
 DEPTHS = [0, 1, 2, 3]
 

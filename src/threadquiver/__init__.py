@@ -28,7 +28,6 @@ from .windows import (
     expand,
     normalize,
     underlying_quiver,
-    window_from_quiver,
     window_iso,
 )
 from .reps import (
@@ -74,8 +73,9 @@ from .threads import (
     perp_adjoint,
     rad_irr_dims,
     supp_adjoint,
-    thread_analysis,
     thread_hom_check,
+    thread_runs,
+    thread_summary,
 )
 from .dsl import emit_dot, parse_tq, serialize_tq
 from .report import Report, ReportItem

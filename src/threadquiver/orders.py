@@ -97,14 +97,6 @@ class FiniteChain:
             raise ElementNotFound(e)
         return self._index[e]
 
-    @property
-    def min(self) -> str:
-        return self.elements[0]
-
-    @property
-    def max(self) -> str:
-        return self.elements[-1]
-
 
 def neighbors(c: FiniteChain, e: str) -> tuple[str | None, str | None]:
     """Positional predecessor and successor; None at the chain ends."""

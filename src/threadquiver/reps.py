@@ -101,7 +101,7 @@ from .linalg import (
     sparse_kernel,
 )
 from .quiver import Arrow, Path, Quiver, candidates, identity_path
-from .windows import Window
+from .windows import Window, underlying_quiver
 
 PROJECTIVE = "projective"
 INJECTIVE = "injective"
@@ -1232,10 +1232,7 @@ def _transport_coords(source: Window, target: Window, x: str, y: str, coords,
         for aname in p.arrows:
             arrows.extend(arrow_map[aname].arrows)
         terms.append((c, Path(vertex_map[x], vertex_map[y], tuple(arrows))))
-    hb_tgt = target.hom(vertex_map[x], vertex_map[y])
-    if not terms:
-        return [target.field.zero] * hb_tgt.dim
-    return hb_tgt.expand(terms)
+    return target.hom(vertex_map[x], vertex_map[y]).expand(terms)
 
 
 def split_proj_values(w: Window, src, tgt, vals) -> list[list]:
@@ -1325,26 +1322,20 @@ class TripleRep:
 
 
 def _window_triple_scaffold(w: Window):
-    tq = getattr(w, "source_tq", None)
+    tq = w.source_tq
     assert tq is not None, "window was not produced by expand()"
-    from .windows import underlying_quiver, window_from_quiver
-
-    base = getattr(w, "_triple_base", None)
-    if base is None:
-        base = window_from_quiver(underlying_quiver(tq), tq.relations, field=w.field)
-        w._triple_base = base
-    chains = getattr(w, "_triple_chains", None)
-    if chains is None:
+    if w._triple is None:
+        base = Window(underlying_quiver(tq), tq.relations, field=w.field)
         chains = {}
         for t in tq.thread_arrows:
-            vmap = w.embed_t[t.name]
-            elems = list(vmap)
+            elems = list(w.embed_t[t.name])
             arrows = [
                 Arrow(f"{t.name}.{i}", elems[i], elems[i + 1])
                 for i in range(len(elems) - 1)
             ]
-            chains[t.name] = window_from_quiver(Quiver(elems, arrows), field=w.field)
-        w._triple_chains = chains
+            chains[t.name] = Window(Quiver(elems, arrows), field=w.field)
+        w._triple = base, chains
+    base, chains = w._triple
     ends = {t.name: (t.src, t.tgt) for t in tq.thread_arrows}
     return tq, base, chains, ends
 
@@ -1354,7 +1345,7 @@ def to_triple(M: Rep) -> TripleRep:
     w = M.window
     tq, base, chains, ends = _window_triple_scaffold(w)
     # N: restrict along the functor base -> window (thread arrow -> chain composite)
-    vmap = dict(w.embed_r)
+    vmap = {v: v for v in tq.vertices}
     amap = {}
     for a in tq.standard_arrows:
         amap[a.name] = Path(a.src, a.tgt, (a.name,))
@@ -1386,8 +1377,8 @@ def from_triple(trip: TripleRep, w: Window) -> Rep:
     tq, base, chains, ends = _window_triple_scaffold(w)
     f = w.field
     dims = {}
-    for v, wv in w.embed_r.items():
-        dims[wv] = trip.N.dims[v]
+    for v in tq.vertices:
+        dims[v] = trip.N.dims[v]
     for t, vmap in w.embed_t.items():
         elems = list(vmap)
         for e in elems[1:-1]:

@@ -80,7 +80,7 @@ def _arrow_neighbours(w: Window) -> tuple[dict, dict]:
 def _maximal_runs(w: Window, is_thread, ins, outs) -> list[list[str]]:
     runs = []
     seen = set()
-    for v in w.topological_order():
+    for v in w.quiver.topological_order():
         if v in seen or not is_thread(v):
             continue
         # only start at run heads: predecessor absent or not a thread vertex
@@ -117,11 +117,6 @@ def thread_summary(runs: list[list[str]]) -> tuple[set[str], list[tuple[str, str
     """Thread vertices (the union of the runs) and the maximal threads as
     (first, last) intervals."""
     return {v for run in runs for v in run}, [(run[0], run[-1]) for run in runs]
-
-
-def thread_analysis(w: Window) -> tuple[set[str], list[tuple[str, str]]]:
-    """Thread vertices and maximal threads of the window, read off `thread_runs`."""
-    return thread_summary(thread_runs(w))
 
 
 def thread_hom_check(w: Window, runs: list[list[str]] | None = None) -> Report:

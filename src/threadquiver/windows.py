@@ -4,8 +4,9 @@ A thread quiver is a quiver whose arrows split into standard arrows and
 thread arrows, the latter labeled by a plain linear order.  Expansion
 replaces every thread arrow by a finite truncation of its thread order
 (a chain glued to the arrow's endpoints at the chain's minimum and
-maximum), producing an ordinary quiver with relations plus bookkeeping:
-which vertices are truncation artifacts and how the original data embeds.
+maximum), producing an ordinary quiver with relations plus bookkeeping: which
+vertices are truncation artifacts (`boundary`) and where each chain's
+elements land (`embed_t`); the thread quiver's own vertices keep their names.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ class ThreadQuiver:
         for t in self.thread_arrows:
             assert not contains_thread_order(t.label), "thread labels must be plain orders"
 
-    def arrow_names(self) -> set[str]:
-        return {a.name for a in self.standard_arrows} | {t.name for t in self.thread_arrows}
-
 
 def underlying_quiver(tq: ThreadQuiver) -> Quiver:
     """Forget labels: thread arrows become plain arrows."""
@@ -98,21 +96,22 @@ def normalize(tq: ThreadQuiver) -> ThreadQuiver:
 class Window:
     """A finite quiver with relations presenting a slice of the glued category.
 
-    `boundary` marks vertices whose neighborhood is a truncation artifact;
-    `embed_r` records where the thread quiver's own vertices land and
-    `embed_t` where each thread chain's elements land.  Hom-space bases of
-    the path category mod relations are computed lazily and cached, one
-    column hom(-, y) per target y (`column`).
+    `boundary` marks vertices whose neighborhood is a truncation artifact and
+    `embed_t` records where each thread chain's elements land; `expand` sets
+    `source_tq`, the thread quiver the window truncates, whose own vertices
+    keep their names in the window.  Hom-space bases of the path category mod
+    relations are computed lazily and cached, one column hom(-, y) per target
+    y (`column`), as are the standard modules, the opposite window and, for a
+    window that `expand` made, the base and chain windows of its glued model
+    (`reps.to_triple`).
     """
 
     def __init__(
         self,
         quiver: Quiver,
-        relations: list[Relation],
+        relations=(),
         boundary: set[str] | frozenset[str] = frozenset(),
-        embed_r: dict[str, str] | None = None,
         embed_t: dict[str, dict[str, str]] | None = None,
-        depth: int | None = None,
         field=QQ,
         name: str = "",
     ):
@@ -121,9 +120,7 @@ class Window:
         self.quiver = quiver
         self.relations = list(relations)
         self.boundary = frozenset(boundary)
-        self.embed_r = dict(embed_r or {})
         self.embed_t = {k: dict(v) for k, v in (embed_t or {}).items()}
-        self.depth = depth
         self.field = field
         self.name = name
         # per target y, the column hom(-, y) built so far, and the sweep of
@@ -133,8 +130,9 @@ class Window:
         self._sweeps: dict[str, tuple[Iterator[str], list[str], dict[str, int]]] = {}
         self._zero_hom = HomBasis(field, [], quiver, None)
         self._std_cache: dict = {}
-        self._topo = self.quiver.topological_order()
         self._opposite = None
+        # (base window, chain window per thread arrow), built by reps.to_triple
+        self._triple: tuple[Window, dict[str, Window]] | None = None
         self.source_tq = None  # set by expand()
 
     # -- basic structure ----------------------------------------------------
@@ -142,9 +140,6 @@ class Window:
     @property
     def vertices(self) -> list[str]:
         return self.quiver.vertices
-
-    def topological_order(self) -> list[str]:
-        return list(self._topo)
 
     def interior_vertices(self) -> list[str]:
         return [v for v in self.quiver.vertices if v not in self.boundary]
@@ -229,8 +224,6 @@ class Window:
                 if cj == self.field.zero:
                     continue
                 terms.append((ci * cj, hxy.basis[i].then(hyz.basis[j])))
-        if not terms:
-            return [self.field.zero] * hxz.dim
         return hxz.expand(terms)
 
     def identity_coords(self, v: str):
@@ -260,9 +253,7 @@ class Window:
             q,
             rels,
             boundary=self.boundary,
-            embed_r=self.embed_r,
             embed_t=self.embed_t,
-            depth=self.depth,
             field=self.field,
             name=f"{self.name}^op" if self.name else "",
         )
@@ -271,19 +262,22 @@ class Window:
         return w
 
     def release(self) -> None:
-        """Drop the caches of this window and of its opposite (the hom columns
-        and the standard modules), then unlink the two, so that reference
-        counting frees them once the caller lets go.
+        """Drop the caches of this window and of its opposite (the hom columns,
+        the standard modules and the glued model's windows, each released in
+        turn), then unlink the two, so that reference counting frees them
+        once the caller lets go.
 
-        Everything cached is a reference cycle: each `HomBasis` of a column
-        reads the column it lies in, a standard module refers back to its
-        window through `Rep.window`, and each window to its opposite.
-        Without `release` these are cycles that only a full garbage
-        collection frees, so the columns are emptied.  Call it when the
-        window's work is done.  The window stays usable, since its caches
-        refill on demand and `opposite()` builds a new opposite, but modules
-        built before the call keep the old opposite, and a `HomBasis` taken
-        before the call no longer expands a path that is not a candidate.
+        Everything cached is a reference cycle or holds one: each `HomBasis`
+        of a column reads the column it lies in, a standard module refers
+        back to its window through `Rep.window`, each window to its opposite,
+        and the glued model's windows have caches of their own.  Without
+        `release` these are cycles that only a full garbage collection frees,
+        so the columns are emptied.  Call it when the window's work is done.
+        The window stays usable, since its caches refill on demand and
+        `opposite()` builds a new opposite, but modules built before the call
+        keep the old opposite (and a triple its old base and chain windows),
+        and a `HomBasis` taken before the call no longer expands a path that
+        is not a candidate.
         """
         for w in (self, self._opposite):
             if w is not None:
@@ -292,6 +286,11 @@ class Window:
                 w._hom_cache = {}
                 w._sweeps = {}
                 w._std_cache = {}
+                if w._triple is not None:
+                    base, chains = w._triple
+                    for part in (base, *chains.values()):
+                        part.release()
+                    w._triple = None
                 w._opposite = None
 
     def __repr__(self):
@@ -316,7 +315,6 @@ def expand(tq: ThreadQuiver, depth: int, field=QQ, name: str = "") -> Window:
     vertices = list(tq.vertices)
     arrows = list(tq.standard_arrows)
     boundary: set[str] = set()
-    embed_r = {v: v for v in tq.vertices}
     embed_t: dict[str, dict[str, str]] = {}
     replacement: dict[str, tuple[str, ...]] = {}
     for t in tq.thread_arrows:
@@ -349,9 +347,7 @@ def expand(tq: ThreadQuiver, depth: int, field=QQ, name: str = "") -> Window:
         Quiver(vertices, arrows),
         relations,
         boundary=boundary,
-        embed_r=embed_r,
         embed_t=embed_t,
-        depth=depth,
         field=field,
         name=name,
     )
@@ -426,13 +422,6 @@ def _vertex_signature(w: Window) -> dict[str, tuple]:
     return sig
 
 
-def _arrow_counts(q: Quiver) -> dict[tuple[str, str], int]:
-    out: dict[tuple[str, str], int] = {}
-    for a in q.arrows:
-        out[(a.src, a.tgt)] = out.get((a.src, a.tgt), 0) + 1
-    return out
-
-
 def _parallel_groups(q: Quiver) -> dict[tuple[str, str], list[str]]:
     out: dict[tuple[str, str], list[str]] = {}
     for a in q.arrows:
@@ -500,7 +489,9 @@ def window_iso(w1: Window, w2: Window) -> dict[str, str] | None:
     if {s: len(vs) for s, vs in by_sig.items()} != counts_check:
         return None
     order = sorted(w1.quiver.vertices, key=lambda v: (len(by_sig[sig1[v]]), v))
-    ac1, ac2 = _arrow_counts(w1.quiver), _arrow_counts(w2.quiver)
+    # the number of arrows between each ordered pair of vertices
+    ac1, ac2 = ({key: len(names) for key, names in _parallel_groups(w.quiver).items()}
+                for w in (w1, w2))
     assignment: dict[str, str] = {}
     used: set[str] = set()
 
@@ -534,20 +525,3 @@ def window_iso(w1: Window, w2: Window) -> dict[str, str] | None:
         if tries >= ISO_MAX_TRIES:
             raise TooLarge("window_iso exhausted its search budget")
     return None
-
-
-def window_from_quiver(
-    quiver: Quiver, relations=(), boundary=frozenset(), field=QQ, name: str = ""
-) -> Window:
-    """Convenience constructor for hand-built windows (no thread data)."""
-    return Window(
-        quiver,
-        list(relations),
-        boundary=boundary,
-        embed_r={v: v for v in quiver.vertices},
-        embed_t={},
-        depth=None,
-        field=field,
-        name=name,
-    )
-

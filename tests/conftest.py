@@ -52,7 +52,7 @@ from threadquiver.reps import (
     std_module,
 )
 from threadquiver.serre import VarietyMor
-from threadquiver.windows import ThreadQuiver, expand, window_from_quiver
+from threadquiver.windows import ThreadQuiver, Window, expand
 
 
 class FractionField(RationalField):
@@ -178,7 +178,7 @@ def zigzag_window(field=QQ):
     for a in q.arrows:
         for b in q.out_arrows[a.tgt]:
             rels.append(Relation(((1, q.path((a.name, b.name))),)))
-    return window_from_quiver(q, rels, field=field, name="zigzag")
+    return Window(q, rels, field=field, name="zigzag")
 
 
 def ainf_rad2_window(n=10, field=QQ):
@@ -190,7 +190,7 @@ def ainf_rad2_window(n=10, field=QQ):
     rels = [
         Relation(((1, q.path((f"a{i}", f"a{i+1}"))),)) for i in range(1, n - 1)
     ]
-    return window_from_quiver(q, rels, field=field, name=f"ainf-rad2-{n}")
+    return Window(q, rels, field=field, name=f"ainf-rad2-{n}")
 
 
 def star_tail_window(n=6, field=QQ):
@@ -202,7 +202,7 @@ def star_tail_window(n=6, field=QQ):
     arrows += [(f"x{i}", "X", f"c{i}") for i in range(1, n + 1)]
     arrows += [(f"c{i}", f"c{i}", f"c{i+1}") for i in range(1, n)]
     q = Quiver(vertices, arrows)
-    return window_from_quiver(q, [], boundary={f"c{n}"}, field=field, name="star-tail")
+    return Window(q, [], boundary={f"c{n}"}, field=field, name="star-tail")
 
 
 def comm_grid_window(n, field=QQ):
@@ -222,7 +222,7 @@ def comm_grid_window(n, field=QQ):
                   (-1, q.path((f"d{i}_{j}", f"h{i + 1}_{j}")))))
         for i in range(n) for j in range(n)
     ]
-    return window_from_quiver(q, rels, field=field, name=f"grid{n}")
+    return Window(q, rels, field=field, name=f"grid{n}")
 
 
 def fixture_windows(depths, fixtures=FIXTURES):
@@ -400,19 +400,17 @@ def per_probe_usable_probes(w, test_set, max_len, forbid_boundary, report):
     return usable
 
 
-def per_pair_check_serre(w, test_set, max_len, shifts=None, forbid_boundary=True):
+def per_pair_check_serre(w, test_set, max_len, forbid_boundary=True):
     """Differential oracle for `serre.check_serre`: both hom complexes of
     every ordered probe pair are evaluated, with no test by support."""
     report = Report("serre-check")
-    if shifts is None:
-        shifts = range(-max_len, max_len + 1)
     usable = serre._usable_probes(w, test_set, max_len, forbid_boundary, report)
     images = {label: serre.nakayama(res) for label, _, res in usable}
     for xl, _, res_x in usable:
         for yl, Y, res_y in usable:
             left = serre.total_hom_dims(res_x, serre.one_term_complex(Y))
             right = serre.total_hom_dims(res_y, images[xl])
-            for n in shifts:
+            for n in range(-max_len, max_len + 1):
                 report.tally()
                 ln, rn = left.get(n, 0), right.get(-n, 0)
                 if ln != rn:

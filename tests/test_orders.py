@@ -108,7 +108,7 @@ def test_neighbors_small_chain():
 
 def test_neighbors_thread_min():
     c = truncate(thread_order(Fin(0)), 2)
-    assert neighbors(c, c.min) == (None, "1")
+    assert neighbors(c, c.elements[0]) == (None, "1")
 
 
 label_exprs = st.one_of(

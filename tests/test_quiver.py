@@ -25,7 +25,7 @@ from threadquiver.quiver import (
 )
 from threadquiver.reps import INJECTIVE, PROJECTIVE, std_module
 from threadquiver import windows
-from threadquiver.windows import Window, expand, window_from_quiver
+from threadquiver.windows import Window, expand
 
 
 def a2():
@@ -105,24 +105,38 @@ def test_enumerate_identity():
 
 
 def test_hom_a2_no_relations():
-    hb = window_from_quiver(a2()).hom("1", "2")
+    hb = Window(a2()).hom("1", "2")
     assert hb.dim == 1
 
 
 def test_hom_a3_zero_relation():
     q = a3()
     rel = Relation(((1, q.path(("a", "b"))),))
-    assert window_from_quiver(q, [rel]).hom("1", "3").dim == 0
-    assert window_from_quiver(q).hom("1", "3").dim == 1
+    assert Window(q, [rel]).hom("1", "3").dim == 0
+    assert Window(q).hom("1", "3").dim == 1
 
 
 def test_hom_commutative_square():
     q = square()
     rel = Relation(((1, q.path(("a", "b"))), (-1, q.path(("c", "d")))))
-    hb = window_from_quiver(q, [rel]).hom("p", "s")
+    hb = Window(q, [rel]).hom("p", "s")
     assert hb.dim == 1
     # both squares expand to the same class
     assert hb.expand_path(q.path(("a", "b"))) == hb.expand_path(q.path(("c", "d")))
+
+
+def test_expand_of_no_terms_is_the_zero_vector():
+    # a zero hom, an identity hom and a hom with reducers
+    sq = square()
+    rel = Relation(((1, sq.path(("a", "b"))), (-1, sq.path(("c", "d")))))
+    w = Window(sq, [rel])
+    homs = [w.hom("s", "p"), w.hom("p", "p"), w.hom("p", "s")]
+    assert homs[0].paths == [] and homs[1].dim == 1 and homs[2].reducers
+    for hb in homs:
+        assert hb.expand([]) == [QQ.zero] * hb.dim
+    # so the composite of zero coordinates needs no branch of its own
+    zero = [QQ.zero]
+    assert w.compose_coords("p", "q", "s", zero, zero) == [QQ.zero]
 
 
 def test_hom_ideal_propagates():
@@ -132,7 +146,7 @@ def test_hom_ideal_propagates():
         [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")],
     )
     rel = Relation(((1, q.path(("a", "b"))),))
-    w = window_from_quiver(q, [rel])
+    w = Window(q, [rel])
     assert w.hom("1", "4").dim == 0
     assert w.hom("2", "4").dim == 1
 
@@ -140,7 +154,7 @@ def test_hom_ideal_propagates():
 def test_hom_rejects_cycles():
     q = Quiver(["a", "b"], [("f", "a", "b"), ("g", "b", "a")])
     with pytest.raises(NonAcyclic):
-        window_from_quiver(q)
+        Window(q)
 
 
 def test_reachable_from_rejects_cycles():
@@ -227,7 +241,7 @@ edge = st.tuples(st.integers(0, 4), st.integers(0, 4))
 @settings(max_examples=50, deadline=None)
 def test_hom_dim_equals_path_count_without_relations(edges):
     q = random_acyclic_quiver(edges)
-    w = window_from_quiver(q)
+    w = Window(q)
     for x in q.vertices:
         for y in q.vertices:
             hb = w.hom(x, y)
@@ -243,7 +257,7 @@ def test_hom_dims_invariant_under_renaming(edges):
         [ren_v[v] for v in q.vertices],
         [(f"r_{a.name}", ren_v[a.src], ren_v[a.tgt]) for a in q.arrows],
     )
-    w, w2 = window_from_quiver(q), window_from_quiver(q2)
+    w, w2 = Window(q), Window(q2)
     for x in q.vertices:
         for y in q.vertices:
             assert w.hom_dim(x, y) == w2.hom_dim(ren_v[x], ren_v[y])
@@ -256,7 +270,7 @@ def test_identity_survives_relations(edges):
     rels = []
     for a in q.arrows[:2]:
         rels.append(Relation(((1, Path(a.src, a.tgt, (a.name,))),)))
-    w = window_from_quiver(q, rels)
+    w = Window(q, rels)
     for v in q.vertices:
         assert w.hom_dim(v, v) >= 1
 
@@ -424,7 +438,7 @@ def test_layered_hom_matches_enumeration_non_admissible():
     # c - b*a = 0 identifies an arrow with a composite
     q = Quiver(["p", "q", "r"], [("a", "p", "q"), ("b", "q", "r"), ("c", "p", "r")])
     rel = Relation(((1, q.path(("c",))), (-1, q.path(("a", "b")))))
-    w = window_from_quiver(q, [rel])
+    w = Window(q, [rel])
     assert_matches_enumeration(w)
     assert_matches_enumeration(w.opposite())
     # the pivot is the smallest path, so the composite is the basis path
@@ -440,7 +454,7 @@ def test_layered_hom_matches_enumeration_deep_rewrite():
     q = Quiver([str(i) for i in range(5)],
                [(f"{c}{i}", str(i), str(i + 1)) for i in range(4) for c in "ab"])
     rel = Relation(((1, q.path(("a2", "b3"))), (-1, q.path(("b2", "a3")))))
-    w = window_from_quiver(q, [rel])
+    w = Window(q, [rel])
     assert w.hom_dim("0", "4") == 12
     assert_matches_enumeration(w)
     assert_matches_enumeration(w.opposite())
@@ -462,7 +476,7 @@ def test_layered_hom_matches_enumeration_random_relation(tq, data):
     chosen = data.draw(st.permutations(paths))[:k]
     coeffs = data.draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=k, max_size=k))
     rel = Relation(tuple(zip(coeffs, chosen)))
-    w = window_from_quiver(q, [rel])
+    w = Window(q, [rel])
     assert_matches_enumeration(w)
     assert_matches_enumeration(w.opposite())
     x, y = chosen[0].src, chosen[0].tgt
@@ -470,7 +484,7 @@ def test_layered_hom_matches_enumeration_random_relation(tq, data):
     assert w.hom(x, y).basis == ob.basis
     assert_projectives_match_expand_path(w)
     assert_projectives_match_expand_path(w.opposite())
-    assert_request_order_free(lambda: window_from_quiver(q, [rel]), data.draw(st.integers(0, 99)))
+    assert_request_order_free(lambda: Window(q, [rel]), data.draw(st.integers(0, 99)))
 
 
 def test_layered_hom_candidates_follow_dimensions():
@@ -486,7 +500,7 @@ def test_hom_on_a_long_line_does_not_recurse():
     n = 1200
     q = Quiver([f"v{i}" for i in range(n)], [(f"a{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)])
     top = f"v{n - 1}"
-    w = window_from_quiver(q)
+    w = Window(q)
     assert w.hom_dim("v0", top) == 1
     P = std_module(w, top, PROJECTIVE)
     assert all(P.dims[v] == 1 for v in q.vertices)

@@ -58,17 +58,17 @@ from threadquiver.reps import (
     zero_map,
     zero_rep,
 )
-from threadquiver.windows import ThreadQuiver, expand, window_from_quiver
+from threadquiver.windows import ThreadQuiver, Window, expand
 
 
 def a2_window():
-    return window_from_quiver(Quiver(["1", "2"], [("a", "1", "2")]), name="A2")
+    return Window(Quiver(["1", "2"], [("a", "1", "2")]), name="A2")
 
 
 def a3_window(zero_rel=False):
     q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
     rels = [Relation(((1, q.path(("a", "b"))),))] if zero_rel else []
-    return window_from_quiver(q, rels, name="A3")
+    return Window(q, rels, name="A3")
 
 
 def dim_vec(M):
@@ -332,7 +332,7 @@ def test_resolution_exceeds_bound():
         Relation(((1, q.path(("a", "b"))),)),
         Relation(((1, q.path(("b", "c"))),)),
     ]
-    w = window_from_quiver(q, rels)
+    w = Window(q, rels)
     s4 = std_module(w, "4", SIMPLE)
     assert proj_dim(s4, 5) == 3
     with pytest.raises(ExceedsBound):
@@ -558,14 +558,14 @@ def test_restrict_identity():
 
 def test_restrict_p2_to_sub():
     w = a3_window()
-    sub = window_from_quiver(Quiver(["1", "2"], [("a", "1", "2")]))
+    sub = Window(Quiver(["1", "2"], [("a", "1", "2")]))
     M = restrict_full(std_module(w, "2", PROJECTIVE), sub)
     assert dim_vec(M) == {"1": 1, "2": 1}
 
 
 def test_restrict_s3_vanishes():
     w = a3_window()
-    sub = window_from_quiver(Quiver(["1", "2"], [("a", "1", "2")]))
+    sub = Window(Quiver(["1", "2"], [("a", "1", "2")]))
     M = restrict_full(std_module(w, "3", SIMPLE), sub)
     assert M.is_zero()
 
@@ -573,7 +573,7 @@ def test_restrict_s3_vanishes():
 def test_restrict_checks_relations():
     # target has a zero relation the big module does not satisfy
     q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
-    target = window_from_quiver(q, [Relation(((1, q.path(("a", "b"))),))])
+    target = Window(q, [Relation(((1, q.path(("a", "b"))),))])
     big = a3_window()
     M = std_module(big, "3", PROJECTIVE)
     vmap = {v: v for v in q.vertices}
@@ -590,7 +590,7 @@ def sub_embedding(sub, big):
 
 def test_induce_projective():
     big = a3_window()
-    sub = window_from_quiver(Quiver(["1", "2"], [("a", "1", "2")]))
+    sub = Window(Quiver(["1", "2"], [("a", "1", "2")]))
     vmap, amap = sub_embedding(sub, big)
     P = std_module(sub, "2", PROJECTIVE)
     ind = induce(P, sub, big, vmap, amap)
@@ -600,7 +600,7 @@ def test_induce_projective():
 
 def test_induce_restrict_roundtrip():
     big = a3_window()
-    sub = window_from_quiver(Quiver(["2", "3"], [("b", "2", "3")]))
+    sub = Window(Quiver(["2", "3"], [("b", "2", "3")]))
     vmap, amap = sub_embedding(sub, big)
     rng = random.Random(31)
     for _ in range(4):
@@ -617,7 +617,7 @@ def test_induce_restrict_roundtrip():
 
 def test_induce_adjunction_dims():
     big = a3_window()
-    sub = window_from_quiver(Quiver(["2", "3"], [("b", "2", "3")]))
+    sub = Window(Quiver(["2", "3"], [("b", "2", "3")]))
     vmap, amap = sub_embedding(sub, big)
     rng = random.Random(37)
     for _ in range(3):
@@ -631,7 +631,7 @@ def test_induce_adjunction_dims():
 def test_induce_preserves_exactness_dims():
     # short exact sequences map to short exact sequences (dimension check)
     big = a3_window()
-    sub = window_from_quiver(Quiver(["1", "2"], [("a", "1", "2")]))
+    sub = Window(Quiver(["1", "2"], [("a", "1", "2")]))
     vmap, amap = sub_embedding(sub, big)
     rng = random.Random(41)
     for _ in range(3):
@@ -778,7 +778,7 @@ def test_kernel_as_projectives_writes_no_map(monkeypatch):
 def test_induce_along_path_valued_embedding():
     # embed A2 into A3 sending the arrow to the length-two composite
     big = a3_window()
-    sub = window_from_quiver(Quiver(["a", "b"], [("f", "a", "b")]))
+    sub = Window(Quiver(["a", "b"], [("f", "a", "b")]))
     vmap = {"a": "1", "b": "3"}
     amap = {"f": Path("1", "3", ("a", "b"))}
     P = std_module(sub, "b", PROJECTIVE)
@@ -794,7 +794,7 @@ def test_induce_along_path_valued_embedding():
 
 def test_decompose_over_prime_field():
     f5 = field_by_name("fp:5")
-    w = window_from_quiver(Quiver(["1", "2"], [("a", "1", "2")]), field=f5)
+    w = Window(Quiver(["1", "2"], [("a", "1", "2")]), field=f5)
     total = proj_sum(w, ["1", "2", "2"])
     parts = decompose(total)
     assert len(parts) == 3
@@ -803,7 +803,7 @@ def test_decompose_over_prime_field():
     from threadquiver.reps import Rep
 
     q = Quiver(["x", "y"], [("a", "x", "y"), ("b", "x", "y")])
-    w2 = window_from_quiver(q, field=f5)
+    w2 = Window(q, field=f5)
     rot = Matrix.from_rows(f5, [[0, -1], [1, 0]])
     M = Rep(w2, {"x": 2, "y": 2}, {"a": Matrix.identity(f5, 2), "b": rot})
     assert len(decompose(M)) == 2
@@ -818,7 +818,7 @@ def test_decompose_end_not_split_over_rationals():
     from threadquiver.reps import Rep
 
     q = Quiver(["x", "y"], [("a", "x", "y"), ("b", "x", "y")])
-    w = window_from_quiver(q)
+    w = Window(q)
     rot = Matrix.from_rows(QQ, [[0, -1], [1, 0]])
     ident = Matrix.identity(QQ, 2)
     M = Rep(w, {"x": 2, "y": 2}, {"a": ident, "b": rot})
@@ -834,7 +834,7 @@ def test_decompose_kronecker_local_over_prime_fields(field):
     # every scalar is tried
     fld = field_by_name(field)
     q = Quiver(["x", "y"], [("a", "x", "y"), ("b", "x", "y")])
-    w = window_from_quiver(q, field=fld)
+    w = Window(q, field=fld)
     jordan = Matrix.from_rows(fld, [[0, 1], [0, 0]])
     M = Rep(w, {"x": 2, "y": 2}, {"a": Matrix.identity(fld, 2), "b": jordan})
     assert hom_dim(M, M) == 2

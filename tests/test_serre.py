@@ -59,11 +59,11 @@ from threadquiver.serre import (
     serre_image,
     total_hom_dims,
 )
-from threadquiver.windows import expand, window_from_quiver
+from threadquiver.windows import Window, expand
 
 
 def a2_window():
-    return window_from_quiver(Quiver(["1", "2"], [("a", "1", "2")]), name="A2")
+    return Window(Quiver(["1", "2"], [("a", "1", "2")]), name="A2")
 
 
 def probes(w, kinds=(PROJECTIVE, SIMPLE), interior_only=True):
@@ -109,7 +109,7 @@ def test_pseudo_kernel_rad_square_zero():
     q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
     from threadquiver.quiver import Relation
 
-    w = window_from_quiver(q, [Relation(((1, q.path(("a", "b"))),))])
+    w = Window(q, [Relation(((1, q.path(("a", "b"))),))])
     vm = VarietyMor.from_arrow(w, "b")  # P(2) -> P(3)
     verts, ind = pseudo(vm, KERNEL)
     assert verts == ("1",)
@@ -259,13 +259,13 @@ def test_ext_agrees_with_injective_coresolution_route():
 
 def test_check_serre_a2_passes():
     w = a2_window()
-    report = check_serre(w, probes(w), 6, shifts=range(-3, 4))
+    report = check_serre(w, probes(w), 6)
     assert report.passed, report.items
 
 
 def test_check_serre_zigzag_passes():
     w = zigzag_window()
-    report = check_serre(w, probes(w), 6, shifts=range(-4, 5))
+    report = check_serre(w, probes(w), 6)
     assert report.passed, report.items[:4]
 
 
@@ -273,7 +273,7 @@ def test_check_serre_z_thread_depth2_skips_cut_probes():
     # interior probes whose resolutions lean on the cut are skipped, the
     # honest remainder passes
     w = expand(tq_z_thread(), 2)
-    report = check_serre(w, probes(w), 6, shifts=range(-3, 4))
+    report = check_serre(w, probes(w), 6)
     assert report.passed, report.items[:3]
     assert report.skipped > 0
     assert report.checked > 0
@@ -281,7 +281,7 @@ def test_check_serre_z_thread_depth2_skips_cut_probes():
 
 def test_check_serre_detects_exceeds_bound():
     w = ainf_rad2_window(10)
-    report = check_serre(w, probes(w), 6, shifts=range(-2, 3))
+    report = check_serre(w, probes(w), 6)
     assert not report.passed
     assert any("ExceedsBound" in i.actual for i in report.items)
 
@@ -309,7 +309,7 @@ def test_zigzag_distance_two_homs_vanish():
 def test_resolution_boundary_rejection():
     w = expand(tq_z_thread(), 1)
     # a simple whose syzygy generator sits on a cut-adjacent vertex
-    order = w.topological_order()
+    order = w.quiver.topological_order()
     flagged = set(w.boundary)
     victim = next(
         v for v in order
@@ -458,7 +458,7 @@ def test_check_serre_fails_without_the_nakayama_transport(monkeypatch):
 
     monkeypatch.setattr(serre, "realize_inj_coords", zero_transport)
     w = zigzag_window()
-    report = check_serre(w, probes(w), 6, shifts=range(-4, 5))
+    report = check_serre(w, probes(w), 6)
     assert not report.passed
     assert any(i.subject.startswith("RHom") for i in report.items)
 
@@ -467,7 +467,7 @@ def test_nakayama_functoriality_checks_every_pair(monkeypatch):
     # A4 has the composable pairs (a, b) and (b, c); corrupting the transport
     # of the second composite only is still caught
     q = Quiver(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
-    w = window_from_quiver(q, name="A4")
+    w = Window(q, name="A4")
     real = serre.realize_inj_coords
 
     def corrupt(I, J, entries):
@@ -476,9 +476,9 @@ def test_nakayama_functoriality_checks_every_pair(monkeypatch):
             return g.scale(2)
         return g
 
-    assert check_serre(w, probes(w), 6, shifts=range(-3, 4)).passed
+    assert check_serre(w, probes(w), 6).passed
     monkeypatch.setattr(serre, "realize_inj_coords", corrupt)
-    report = check_serre(w, probes(w), 6, shifts=range(-3, 4))
+    report = check_serre(w, probes(w), 6)
     assert [i.subject for i in report.items] == ["nakayama functoriality"]
 
 
@@ -500,7 +500,7 @@ def test_check_dualizing_lets_bugs_propagate(monkeypatch):
 def two_in_arrows_window():
     # the kernel of P(v) -> S(v) on a -f-> v <-g- b is P(a) + P(b): its
     # support {a, b} has no arrow inside, and each vertex carries one generator
-    return window_from_quiver(Quiver(["a", "b", "v"], [("f", "a", "v"), ("g", "b", "v")]))
+    return Window(Quiver(["a", "b", "v"], [("f", "a", "v"), ("g", "b", "v")]))
 
 
 def drop_last_generator(K, gens):
@@ -600,7 +600,7 @@ def test_simple_presentation_items_compare_with_the_gabriel_quiver(monkeypatch):
     # a presentation answering with the other side's second term fails every
     # S(v) item, showing both tuples; the I(v) and P(v) items, which are not
     # compared, and the checked count do not move
-    w = window_from_quiver(Quiver(["s", "a", "b"], [("f", "s", "a"), ("g", "s", "b")]))
+    w = Window(Quiver(["s", "a", "b"], [("f", "s", "a"), ("g", "s", "b")]))
     honest = check_dualizing(w)
     assert honest.passed
     presentation = serre.two_term_presentation
@@ -670,7 +670,7 @@ def test_injective_resolution_terms_are_ext_from_simples_random(tq, data):
     ]
     assume(parallel)
     p1, p2 = data.draw(st.permutations(data.draw(st.sampled_from(parallel))))[:2]
-    w = window_from_quiver(q, [Relation(((1, p1), (-1, p2)))])
+    w = Window(q, [Relation(((1, p1), (-1, p2)))])
     rng = random.Random(data.draw(st.integers(0, 2**16)))
     _assert_injective_terms_are_ext_from_simples(w, [("random", random_fp_rep(w, rng))])
 
@@ -789,7 +789,7 @@ def _reverse_sorted_relabelling(w):
     q = Quiver([new[v] for v in w.quiver.vertices],
                [(a.name, new[a.src], new[a.tgt]) for a in w.quiver.arrows])
     rels = [Relation(tuple((c, path(p)) for c, p in r.terms)) for r in w.relations]
-    return window_from_quiver(q, rels, boundary={new[v] for v in w.boundary}, name=w.name)
+    return Window(q, rels, boundary={new[v] for v in w.boundary}, name=w.name)
 
 
 def _counts(report):

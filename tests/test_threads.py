@@ -47,21 +47,21 @@ from threadquiver.threads import (
     perp_adjoint,
     rad_irr_dims,
     supp_adjoint,
-    thread_analysis,
     thread_hom_check,
     thread_runs,
+    thread_summary,
 )
-from threadquiver.windows import expand, normalize, window_from_quiver, window_iso
+from threadquiver.windows import Window, expand, normalize, window_iso
 
 
 def a2_window():
-    return window_from_quiver(Quiver(["1", "2"], [("a", "1", "2")]))
+    return Window(Quiver(["1", "2"], [("a", "1", "2")]))
 
 
 def a3_window(zero_rel=False):
     q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
     rels = [Relation(((1, q.path(("a", "b"))),))] if zero_rel else []
-    return window_from_quiver(q, rels)
+    return Window(q, rels)
 
 
 def an_window(n):
@@ -69,7 +69,7 @@ def an_window(n):
         [str(i) for i in range(1, n + 1)],
         [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)],
     )
-    return window_from_quiver(q)
+    return Window(q)
 
 
 # -- radical and irreducible dimensions ------------------------------------------
@@ -108,7 +108,7 @@ def test_gabriel_quiver_with_zero_relation():
 
 
 def test_gabriel_single_vertex():
-    w = window_from_quiver(Quiver(["v"], []))
+    w = Window(Quiver(["v"], []))
     assert gabriel_quiver(w).arrows == []
 
 
@@ -190,13 +190,13 @@ def test_almost_split_a2():
 
 def test_almost_split_source_with_two_arrows():
     q = Quiver(["s", "a", "b"], [("f", "s", "a"), ("g", "s", "b")])
-    w = window_from_quiver(q)
+    w = Window(q)
     assert tuple(sorted(almost_split(w, "s", RIGHT))) == ("a", "b")
 
 
 def test_almost_split_chain_interior():
     w = expand(tq_empty_thread(), 2)
-    order = w.topological_order()
+    order = w.quiver.topological_order()
     interior_chain = [v for v in order[1:-1] if v not in w.boundary]
     assert interior_chain
     for v in interior_chain:
@@ -216,10 +216,10 @@ def test_almost_split_boundary_refused():
 
 def test_thread_analysis_chain_expansion():
     w = expand(tq_empty_thread(), 2)
-    tv, threads = thread_analysis(w)
+    tv, threads = thread_summary(thread_runs(w))
     # interior chain vertices are thread vertices; src/tgt are not (degree),
     # cut-adjacent ones are not (boundary)
-    order = w.topological_order()
+    order = w.quiver.topological_order()
     assert order[0] not in tv and order[-1] not in tv
     for b in w.boundary:
         assert b not in tv
@@ -231,14 +231,14 @@ def test_thread_analysis_branch_vertex_is_nonthread():
         ["b", "c1", "c2", "d1", "d2"],
         [("f", "b", "c1"), ("g", "c1", "c2"), ("h", "b", "d1"), ("i", "d1", "d2")],
     )
-    w = window_from_quiver(q)
-    tv, _ = thread_analysis(w)
+    w = Window(q)
+    tv, _ = thread_summary(thread_runs(w))
     assert "b" not in tv
 
 
 def test_thread_analysis_linear_an():
     w = an_window(5)
-    tv, threads = thread_analysis(w)
+    tv, threads = thread_summary(thread_runs(w))
     assert tv == {"2", "3", "4"}
     assert threads == [("2", "4")]
 
@@ -248,8 +248,8 @@ def test_doubled_arrow_breaks_thread():
         ["1", "2", "3", "4"],
         [("a", "1", "2"), ("b", "2", "3"), ("b2", "2", "3"), ("c", "3", "4")],
     )
-    w = window_from_quiver(q)
-    tv, _ = thread_analysis(w)
+    w = Window(q)
+    tv, _ = thread_summary(thread_runs(w))
     assert "2" not in tv and "3" not in tv
 
 
@@ -261,7 +261,7 @@ def test_thread_hom_check_fixtures():
 
 
 def test_thread_hom_check_single_vertex_vacuous():
-    w = window_from_quiver(Quiver(["v"], []))
+    w = Window(Quiver(["v"], []))
     assert thread_hom_check(w).passed
 
 
@@ -456,7 +456,7 @@ def test_supp_adjoint_branch():
         ["A", "y1", "y2", "w"],
         [("f", "A", "y1"), ("g", "y1", "y2"), ("h", "A", "w")],
     )
-    w = window_from_quiver(q)
+    w = Window(q)
     verts, _ = supp_adjoint(w, "A", "y2")
     assert verts == ("A",) or verts == ("y1",)
     # hom(-, y2) of the image must match hom(-, A) on the branch

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import FIXTURES
 
 from threadquiver.errors import AlphaNotInvertible
 from threadquiver.linalg import QQ
@@ -17,7 +18,8 @@ from threadquiver.reps import (
     std_module,
     to_triple,
 )
-from threadquiver.windows import ThreadQuiver, expand
+from threadquiver.dsl import parse_tq
+from threadquiver.windows import ThreadQuiver, Window, expand
 
 
 def fixtures():
@@ -60,6 +62,39 @@ def test_roundtrip_identity_on_the_nose():
             assert M2.dims == M.dims
             for a in w.quiver.arrows:
                 assert M2.maps[a.name] == M.maps[a.name]
+
+
+def _windows_held(obj, seen=None) -> list:
+    """The windows that obj refers to, directly or through dicts, lists,
+    tuples and sets."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, Window):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = [*obj.keys(), *obj.values()]
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return [w for x in obj for w in _windows_held(x, seen)]
+    return []
+
+
+def test_release_drops_the_glued_model_windows():
+    w = expand(parse_tq((FIXTURES / "mixed.tq").read_text()), 1)
+    M = random_rep(w, random.Random(3))
+    T = to_triple(M)
+    parts = [T.base, *T.chains.values()]
+    for part in parts:
+        part.hom_dim(part.vertices[0], part.vertices[-1])
+    w.release()
+    assert not _windows_held(list(vars(w).values()))
+    # each window of the glued model is released in turn
+    assert all(part._hom_cache == {} and part._std_cache == {} for part in parts)
+    M2 = from_triple(to_triple(M), w)
+    assert M2.dims == M.dims
+    for a in w.quiver.arrows:
+        assert M2.maps[a.name] == M.maps[a.name]
 
 
 def test_glued_projective_from_chain_data():

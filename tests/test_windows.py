@@ -8,10 +8,10 @@ from threadquiver.orders import INT, Fin
 from threadquiver.quiver import Path, Quiver, Relation
 from threadquiver.windows import (
     ThreadQuiver,
+    Window,
     expand,
     normalize,
     underlying_quiver,
-    window_from_quiver,
     window_iso,
 )
 
@@ -134,7 +134,6 @@ def test_expand_acyclic_and_boundary():
 def test_expand_embeds():
     tq = ft_not_full()
     w = expand(tq, 1)
-    assert w.embed_r == {"x": "x", "y": "y"}
     vmap = w.embed_t["t"]
     chain_elems = list(vmap)
     assert vmap[chain_elems[0]] == "x"
@@ -186,8 +185,8 @@ def test_window_iso_counts_differ():
 def test_window_iso_respects_relations():
     q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
     rel = Relation(((1, q.path(("a", "b"))),))
-    w_plain = window_from_quiver(q, [])
-    w_rel = window_from_quiver(q, [rel])
+    w_plain = Window(q, [])
+    w_rel = Window(q, [rel])
     assert window_iso(w_plain, w_rel) is None
     assert window_iso(w_rel, w_rel) is not None
 
