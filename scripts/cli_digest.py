@@ -3,7 +3,9 @@
 Every fixture under `fixtures/` is run through `threadquiver.cli.run`
 in-process with `serre-check`, `dualizing-check` (default and
 `--strict-boundary`), `threads`, `extract`, `roundtrip`, `expand` and
-`dot --expanded`, at depths 0-3.
+`dot --expanded`, at depths 0-3.  Then, at depths 0-2, every ordered pair
+of the thread quiver's own vertices is run through `hom` and through `ext`
+at degrees 0, 1 and 2.
 Each invocation prints one line: the sha256 of its exit code, stdout and
 stderr, then the command.  The last line is the sha256 of all of them.
 
@@ -37,13 +39,22 @@ COMMANDS = [
     ["dot", "--expanded"],
 ]
 DEPTHS = [0, 1, 2, 3]
+PAIR_COMMANDS = [["hom"]] + [["ext", "--degree", str(d)] for d in (0, 1, 2)]
+PAIR_DEPTHS = [0, 1, 2]
 
 
-def corpus() -> list[list[str]]:
-    """Every invocation, as argv lists, in a fixed order."""
+def corpus(parse_tq) -> list[list[str]]:
+    """Every invocation, as argv lists, in a fixed order; `parse_tq` reads
+    the vertices of each fixture for the commands that take a pair."""
     fixtures = sorted(p.relative_to(ROOT).as_posix() for p in (ROOT / "fixtures").glob("*.tq"))
-    return [cmd + [fixture, "--depth", str(depth)]
-            for fixture in fixtures for cmd in COMMANDS for depth in DEPTHS]
+    out = [cmd + [fixture, "--depth", str(depth)]
+           for fixture in fixtures for cmd in COMMANDS for depth in DEPTHS]
+    for fixture in fixtures:
+        vertices = parse_tq((ROOT / fixture).read_text(encoding="utf-8")).vertices
+        out += [[cmd[0], fixture, x, y, *cmd[1:], "--depth", str(depth)]
+                for cmd in PAIR_COMMANDS for depth in PAIR_DEPTHS
+                for x in vertices for y in vertices]
+    return out
 
 
 def digest(run, argv: list[str]) -> str:
@@ -64,14 +75,16 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     os.chdir(ROOT)
     from threadquiver import cli
+    from threadquiver.dsl import parse_tq
 
     total = hashlib.sha256()
-    for inv in corpus():
+    invocations = corpus(parse_tq)
+    for inv in invocations:
         d = digest(cli.run, inv)
         total.update(d.encode("ascii"))
         if not args.total:
             print(d, " ".join(inv), flush=True)
-    print(total.hexdigest(), f"total of {len(corpus())} invocations")
+    print(total.hexdigest(), f"total of {len(invocations)} invocations")
     return 0
 
 

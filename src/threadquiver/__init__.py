@@ -54,12 +54,12 @@ from .reps import (
     restrict,
     std_module,
     to_triple,
+    total_hom_dims,
 )
 from .serre import (
     VarietyMor,
     check_dualizing,
     check_serre,
-    derived_hom_dim,
     nakayama,
     pseudo,
     serre_image,

@@ -35,7 +35,7 @@ def _window(args, tq=None, depth=None):
     """Expand the command's thread quiver (or `tq`) at its depth (or `depth`);
     `run` releases every window built here when the command returns."""
     tq = tq if tq is not None else _load(args.file)
-    w = expand(tq, args.depth if depth is None else depth, field=field_by_name(args.field))
+    w = expand(tq, args.depth if depth is None else depth, field=args.field)
     args.windows.append(w)
     return w
 
@@ -188,19 +188,27 @@ def cmd_roundtrip(args) -> int:
     return _emit(report)
 
 
+def _nonnegative(text: str) -> int:
+    """An integer flag's value; a negative one is a usage error."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
+
+
 # every option a subcommand can take: its add_argument keywords, under the
 # name of the flag (--max-len for max_len)
 _OPTIONS = {
-    "depth": dict(type=int, default=2, help="truncation depth"),
-    "field": dict(default="q", help="q or fp:<prime>"),
-    "max_len": dict(type=int, default=6, help="resolution length bound"),
-    "min_thread_len": dict(type=int, default=3, help="extraction threshold"),
+    "depth": dict(type=_nonnegative, default=2, help="truncation depth"),
+    "field": dict(type=field_by_name, default="q", help="q or fp:<prime>"),
+    "max_len": dict(type=_nonnegative, default=6, help="resolution length bound"),
+    "min_thread_len": dict(type=_nonnegative, default=3, help="extraction threshold"),
     "skip_boundary": dict(action=argparse.BooleanOptionalAction, default=True,
                           help="restrict checks to interior vertices (default on)"),
     "strict_boundary": dict(action="store_true",
                             help="fail presentations that touch truncation artifacts"),
     "expanded": dict(action="store_true", help="render the expanded window instead"),
-    "degree": dict(type=int, default=1),
+    "degree": dict(type=_nonnegative, default=1),
 }
 _WINDOW = ("depth", "field")  # read by _window
 

@@ -250,16 +250,6 @@ class Matrix:
             m.data[i * n + i] = one
         return m
 
-    @classmethod
-    def from_rows(cls, field, rows: list) -> "Matrix":
-        r = len(rows)
-        c = len(rows[0]) if rows else 0
-        data = []
-        for row in rows:
-            assert len(row) == c, "ragged rows"
-            data.extend(field(x) for x in row)
-        return cls(field, r, c, data)
-
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i * self.cols + j]

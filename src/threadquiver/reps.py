@@ -20,12 +20,22 @@ coordinates, entries[i][j] for P(src_j) -> P(tgt_i) or None, are the one
 coordinate form of such a map: `extract_proj_coords` reads it,
 `realize_proj_coords` writes it, and `kernel_as_projectives` splits the
 inclusion of a kernel straight from the values it computes, with no map
-written.  Hom complexes, and so `ext_dim`, are evaluated on the certificates
-directly, as in the Serre check.  `hom_basis` gives explicit bases of module
-maps; into a certified injective sum N it transposes the basis of
-hom(D N, D M) over the opposite window onto M and N themselves.
-`hom_basis_generic` always solves the naturality system from scratch and is
-kept as the independent route for cross-checking.
+written.  `hom_basis` gives explicit bases of module maps; into a certified
+injective sum N it transposes the basis of hom(D N, D M) over the opposite
+window onto M and N themselves.  `hom_basis_generic` always solves the
+naturality system from scratch and is kept as the independent route for
+cross-checking.
+
+Total hom complexes are assembled by Yoneda evaluation, never from bases of
+module maps: hom(⊕P(v_b), Z) = ⊕Z(v_b), so a complex of certified projective
+sums into any complex gives blocks of Z's spaces, with the differentials read
+off as path actions Z(q) weighted by the hom coordinates of the projective
+side's differentials.  A target of injective sums is handled by the dual
+isomorphism over the opposite window.  `total_hom_dims` is the one
+implementation of derived hom: `ext_dim` reads Ext off it (a projective
+resolution into a one-term complex), and the Serre check and the
+orthogonality test of the perpendicular adjoint call it; the basis route
+survives only as a test oracle.
 
 Storage: a module keeps its blocks on its support only.  `Rep.maps` stores
 the matrices of the arrows whose two ends are nonzero and `RepMap.comps` the
@@ -77,20 +87,25 @@ reads no boundary: the Serre check reads the cut off the finished terms.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .errors import (
     AlphaNotInvertible,
     EndNotSplit,
     ExceedsBound,
     NotFunctorial,
+    NotProjectiveCertified,
     NotRepresentable,
     WindowMismatch,
 )
 from .linalg import (
     Matrix,
+    PrimeField,
+    RationalField,
     column_space_basis,
     coords_in_basis,
     hstack,
@@ -906,6 +921,123 @@ def dualize_complex(cx: Complex) -> Complex:
     return Complex(cx.window.opposite(), -top, terms, diffs)
 
 
+def _is_sum_of(cx: Complex, kind: str) -> bool:
+    return all(t.cert is not None and t.cert[0] == kind for t in cx.terms)
+
+
+def _yoneda_hom_data(CX: Complex, CY: Complex) -> tuple[dict[int, int], Callable[[int], Matrix]]:
+    """The total hom complex of a complex of certified projective sums, by
+    Yoneda evaluation: hom(⊕_b P(v_b), Z) = ⊕_b Z(v_b).
+
+    The (p, q) block is ⊕_b CY^q(v_b) over the vertices v_b of CX^p, ordered
+    by block and then unit vector, as in `hom_basis`.  A map P(u) -> P(v)
+    with hom coordinates c over the paths q: u -> v induces Σ c_q·Z(q):
+    Z(v) -> Z(u), so precomposing with dX is a block matrix of path actions,
+    and postcomposing with dY is block diagonal with blocks dY(v_b).
+    Returns the component dimensions and a function giving the differential
+    out of a degree, so that a caller can stop at the dimensions.
+    """
+    w = CX.window
+    fld = w.field
+    n_min = CY.min_degree - (CX.min_degree + len(CX.terms) - 1)
+    n_max = (CY.min_degree + len(CY.terms) - 1) - CX.min_degree
+    layout: dict[int, list[tuple[int, int]]] = {}
+    # (p, q) -> first coordinate of each block b within degree q - p
+    offsets: dict[tuple[int, int], list[int]] = {}
+    dims: dict[int, int] = {}
+    for n in range(n_min, n_max + 1):
+        blocks = []
+        off = 0
+        for p in CX.degrees():
+            Y = CY.term(p + n)
+            if Y is None:
+                continue
+            blocks.append((p, p + n))
+            offsets[(p, p + n)] = starts = []
+            for v in CX.term(p).cert[1]:
+                starts.append(off)
+                off += Y.dims[v]
+        layout[n] = blocks
+        dims[n] = off
+
+    def differential(n: int) -> Matrix:
+        rows = dims.get(n + 1, 0)
+        cols = dims.get(n, 0)
+        m = Matrix.zeros(fld, rows, cols)
+        if rows == 0 or cols == 0:
+            return m
+        sign = -(fld(-1) if n % 2 else fld.one)  # -(-1)^n
+
+        def place(r0: int, c0: int, block: Matrix, scale=None):
+            for i in range(block.rows):
+                row = block.data[i * block.cols:(i + 1) * block.cols]
+                base = (r0 + i) * cols + c0
+                m.data[base:base + block.cols] = (
+                    row if scale is None else [scale * c for c in row])
+
+        for (p, q) in layout[n]:
+            verts = CX.term(p).cert[1]
+            dY = CY.diff(q)
+            if dY is not None:
+                for b, v in enumerate(verts):
+                    place(offsets[(p, q + 1)][b], offsets[(p, q)][b], dY.comps[v])
+            dX = CX.diff(p - 1)
+            if dX is not None:
+                Y = CY.term(q)
+                prev = CX.term(p - 1).cert[1]
+                for b, row in enumerate(dX.proj_coords):
+                    for a, coords in enumerate(row):
+                        if coords is None:
+                            continue
+                        hom = w.hom(prev[a], verts[b])
+                        terms = [(c, path) for c, path in zip(coords, hom.basis)
+                                 if c != fld.zero]
+                        place(offsets[(p - 1, q)][a], offsets[(p, q)][b],
+                              Y.act_terms(terms), sign)
+        return m
+
+    return dims, differential
+
+
+def _hom_complex(CX: Complex, CY: Complex) -> tuple[dict[int, int], Callable[[int], Matrix]]:
+    """Component dimensions of the total hom complex Hom(CX, CY) and a
+    function building its differential out of a given degree.
+
+    The degree-n component is the direct sum of hom(X^p, Y^q) over q - p = n;
+    the differential sends f to dY . f - (-1)^n f . dX.  CX must consist of
+    certified projective sums, or CY of certified injective sums; the latter
+    is computed as hom(D CY, D CX) over the opposite window, an isomorphic
+    complex (same degrees, differentials equal up to transpose and sign)."""
+    if _is_sum_of(CX, "proj"):
+        return _yoneda_hom_data(CX, CY)
+    if _is_sum_of(CY, "inj"):
+        return _yoneda_hom_data(dualize_complex(CY), dualize_complex(CX))
+    raise NotProjectiveCertified(
+        "total hom needs a complex of projective sums or a target of injective sums")
+
+
+def total_hom_dims(CX: Complex, CY: Complex) -> dict[int, int]:
+    """Cohomology dimensions of the total hom complex Hom(CX, CY).
+
+    Requires CX to consist of projectives or CY of injectives (the
+    resolutions produced here always satisfy this), so homotopy classes
+    compute derived homs; otherwise NotProjectiveCertified is raised.
+    A complex whose components are all zero is answered with zeros before
+    any differential is built, and a differential into or out of a zero
+    component has rank 0 and is not built.
+    """
+    dims, differential = _hom_complex(CX, CY)
+    if not any(dims.values()):
+        return dict.fromkeys(dims, 0)
+    ranks = {n: rank(differential(n)) if d and dims.get(n + 1) else 0
+             for n, d in dims.items()}
+    out: dict[int, int] = {}
+    for n in dims:
+        out[n] = dims[n] - ranks[n] - ranks.get(n - 1, 0)
+        assert out[n] >= 0
+    return out
+
+
 @dataclass
 class Resolution:
     complex: Complex
@@ -959,8 +1091,6 @@ def inj_dim(M: Rep, max_len: int) -> int:
 def ext_dim(i: int, M: Rep, N: Rep, max_len: int) -> int:
     """dim Ext^i(M, N): H^i of the total hom complex from a minimal projective
     resolution of M into N, evaluated by Yoneda as in the Serre check."""
-    from .serre import total_hom_dims
-
     assert i >= 0
     if M.is_zero() or N.is_zero():
         return 0
@@ -991,8 +1121,6 @@ def _char_poly(fld, m: Matrix) -> list:
 def _rational_roots(coeffs: list) -> list[Fraction]:
     """Rational roots of a polynomial with Fraction coefficients."""
     # clear denominators
-    from math import gcd
-
     denoms = [c.denominator for c in coeffs]
     lcm = 1
     for d in denoms:
@@ -1040,8 +1168,6 @@ def _eigen_candidates(M: Rep, h: RepMap) -> list:
     per-vertex characteristic polynomials over Q, every scalar over a small
     prime field."""
     fld = M.field
-    from .linalg import PrimeField, RationalField
-
     if isinstance(fld, PrimeField):
         if fld.p > 101:
             return []

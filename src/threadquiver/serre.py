@@ -17,19 +17,10 @@ bounded complexes of standard projectives by the Nakayama transport
 P(v) -> I(v): each differential's coordinates are realized between the
 complex's injective sums (`realize_inj_coords`) as the dual of the
 projective realization over the opposite window.  The duality is verified at
-dimension level: dim RHom^n(X, Y) = dim RHom^{-n}(Y, SX).
-
-Total hom complexes are assembled by Yoneda evaluation, never from bases of
-module maps: hom(⊕P(v_b), Z) = ⊕Z(v_b), so a complex of certified projective
-sums into any complex gives blocks of Z's spaces, with the differentials read
-off as path actions Z(q) weighted by the hom coordinates of the projective
-side's differentials.  A target of injective sums is handled by the dual
-isomorphism over the opposite window.  `reps.ext_dim` reads Ext off the same
-evaluation (`total_hom_dims` of a projective resolution into a one-term
-complex), so derived hom has one implementation; the basis route survives
-only as a test oracle.  The right-hand side still reads the realized
-Nakayama complex (its injective sums and transported maps), so the check
-compares two different computations rather than a matrix with its
+dimension level: dim RHom^n(X, Y) = dim RHom^{-n}(Y, SX), both sides read
+off total hom complexes (`reps.total_hom_dims`).  The right-hand side reads
+the realized Nakayama complex (its injective sums and transported maps), so
+the check compares two different computations rather than a matrix with its
 transpose.
 
 The evidence that every probe has finite injective dimension is read off the
@@ -43,7 +34,6 @@ back to an injective resolution of its own.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import (
@@ -52,7 +42,6 @@ from .errors import (
     NotRepresentable,
     ThreadQuiverError,
 )
-from .linalg import Matrix, rank
 from .quiver import Path
 from .report import Report
 from .reps import (
@@ -62,7 +51,6 @@ from .reps import (
     Complex,
     Rep,
     RepMap,
-    dualize_complex,
     inj_sum,
     kernel_as_projectives,
     one_term_complex,
@@ -70,6 +58,7 @@ from .reps import (
     realize_proj_coords,
     resolution,
     std_module,
+    total_hom_dims,
     two_term_presentation,
 )
 from .windows import Window, gabriel_neighbours
@@ -197,143 +186,6 @@ def nakayama(cx: Complex) -> Complex:
 def serre_image(M: Rep, max_len: int) -> Complex:
     """The Serre functor's value on M: Nakayama of a projective resolution."""
     return nakayama(resolution(M, PROJECTIVE, max_len).complex)
-
-
-# -- derived hom ------------------------------------------------------------------
-
-
-def _is_sum_of(cx: Complex, kind: str) -> bool:
-    return all(t.cert is not None and t.cert[0] == kind for t in cx.terms)
-
-
-def _yoneda_hom_data(CX: Complex, CY: Complex) -> tuple[dict[int, int], Callable[[int], Matrix]]:
-    """The total hom complex of a complex of certified projective sums, by
-    Yoneda evaluation: hom(⊕_b P(v_b), Z) = ⊕_b Z(v_b).
-
-    The (p, q) block is ⊕_b CY^q(v_b) over the vertices v_b of CX^p, ordered
-    by block and then unit vector, as in `hom_basis`.  A map P(u) -> P(v)
-    with hom coordinates c over the paths q: u -> v induces Σ c_q·Z(q):
-    Z(v) -> Z(u), so precomposing with dX is a block matrix of path actions,
-    and postcomposing with dY is block diagonal with blocks dY(v_b).
-    Returns the component dimensions and a function giving the differential
-    out of a degree, so that a caller can stop at the dimensions.
-    """
-    w = CX.window
-    fld = w.field
-    n_min = CY.min_degree - (CX.min_degree + len(CX.terms) - 1)
-    n_max = (CY.min_degree + len(CY.terms) - 1) - CX.min_degree
-    layout: dict[int, list[tuple[int, int]]] = {}
-    # (p, q) -> first coordinate of each block b within degree q - p
-    offsets: dict[tuple[int, int], list[int]] = {}
-    dims: dict[int, int] = {}
-    for n in range(n_min, n_max + 1):
-        blocks = []
-        off = 0
-        for p in CX.degrees():
-            Y = CY.term(p + n)
-            if Y is None:
-                continue
-            blocks.append((p, p + n))
-            offsets[(p, p + n)] = starts = []
-            for v in CX.term(p).cert[1]:
-                starts.append(off)
-                off += Y.dims[v]
-        layout[n] = blocks
-        dims[n] = off
-
-    def differential(n: int) -> Matrix:
-        rows = dims.get(n + 1, 0)
-        cols = dims.get(n, 0)
-        m = Matrix.zeros(fld, rows, cols)
-        if rows == 0 or cols == 0:
-            return m
-        sign = -(fld(-1) if n % 2 else fld.one)  # -(-1)^n
-
-        def place(r0: int, c0: int, block: Matrix, scale=None):
-            for i in range(block.rows):
-                row = block.data[i * block.cols:(i + 1) * block.cols]
-                base = (r0 + i) * cols + c0
-                m.data[base:base + block.cols] = (
-                    row if scale is None else [scale * c for c in row])
-
-        for (p, q) in layout[n]:
-            verts = CX.term(p).cert[1]
-            dY = CY.diff(q)
-            if dY is not None:
-                for b, v in enumerate(verts):
-                    place(offsets[(p, q + 1)][b], offsets[(p, q)][b], dY.comps[v])
-            dX = CX.diff(p - 1)
-            if dX is not None:
-                Y = CY.term(q)
-                prev = CX.term(p - 1).cert[1]
-                for b, row in enumerate(dX.proj_coords):
-                    for a, coords in enumerate(row):
-                        if coords is None:
-                            continue
-                        hom = w.hom(prev[a], verts[b])
-                        terms = [(c, path) for c, path in zip(coords, hom.basis)
-                                 if c != fld.zero]
-                        place(offsets[(p - 1, q)][a], offsets[(p, q)][b],
-                              Y.act_terms(terms), sign)
-        return m
-
-    return dims, differential
-
-
-def _hom_complex(CX: Complex, CY: Complex) -> tuple[dict[int, int], Callable[[int], Matrix]]:
-    """Component dimensions of the total hom complex Hom(CX, CY) and a
-    function building its differential out of a given degree.
-
-    The degree-n component is the direct sum of hom(X^p, Y^q) over q - p = n;
-    the differential sends f to dY . f - (-1)^n f . dX.  CX must consist of
-    certified projective sums, or CY of certified injective sums; the latter
-    is computed as hom(D CY, D CX) over the opposite window, an isomorphic
-    complex (same degrees, differentials equal up to transpose and sign)."""
-    if _is_sum_of(CX, "proj"):
-        return _yoneda_hom_data(CX, CY)
-    if _is_sum_of(CY, "inj"):
-        return _yoneda_hom_data(dualize_complex(CY), dualize_complex(CX))
-    raise NotProjectiveCertified(
-        "total hom needs a complex of projective sums or a target of injective sums")
-
-
-def total_hom_dims(CX: Complex, CY: Complex) -> dict[int, int]:
-    """Cohomology dimensions of the total hom complex Hom(CX, CY).
-
-    Requires CX to consist of projectives or CY of injectives (the
-    resolutions produced here always satisfy this), so homotopy classes
-    compute derived homs; otherwise NotProjectiveCertified is raised.
-    A complex whose components are all zero is answered with zeros before
-    any differential is built, and a differential into or out of a zero
-    component has rank 0 and is not built.
-    """
-    dims, differential = _hom_complex(CX, CY)
-    if not any(dims.values()):
-        return dict.fromkeys(dims, 0)
-    ranks = {n: rank(differential(n)) if d and dims.get(n + 1) else 0
-             for n, d in dims.items()}
-    out: dict[int, int] = {}
-    for n in dims:
-        out[n] = dims[n] - ranks[n] - ranks.get(n - 1, 0)
-        assert out[n] >= 0
-    return out
-
-
-def derived_hom_dim(X, Y, n: int, max_len: int = 8) -> int:
-    """dim of the degree-n derived hom between reps or bounded complexes.
-
-    The first argument is replaced by a projective resolution, except when
-    the second is already a complex of standard injectives, in which case no
-    resolution is needed (and double resolution is avoided).
-    """
-    CY = Y if isinstance(Y, Complex) else one_term_complex(Y)
-    if isinstance(X, Complex):
-        CX = X
-    elif _is_sum_of(CY, "inj"):
-        CX = one_term_complex(X)
-    else:
-        CX = resolution(X, PROJECTIVE, max_len).complex
-    return total_hom_dims(CX, CY).get(n, 0)
 
 
 # -- checks -----------------------------------------------------------------------

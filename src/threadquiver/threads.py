@@ -36,9 +36,10 @@ from .reps import (
     one_term_complex,
     resolution,
     std_module,
+    total_hom_dims,
     two_term_presentation,
 )
-from .serre import VarietyMor, total_hom_dims, transport_to_opposite
+from .serre import VarietyMor, transport_to_opposite
 from .windows import ThreadQuiver, Window, arrow_pairs, gabriel_neighbours, rad_irr_dims
 
 LEFT = "left"

@@ -301,7 +301,7 @@ class Window:
         )
 
 
-def expand(tq: ThreadQuiver, depth: int, field=QQ, name: str = "") -> Window:
+def expand(tq: ThreadQuiver, depth: int, field=QQ) -> Window:
     """Replace each thread arrow by the depth-d truncation of its thread order.
 
     The chain's minimum and maximum are identified with the thread arrow's
@@ -349,7 +349,6 @@ def expand(tq: ThreadQuiver, depth: int, field=QQ, name: str = "") -> Window:
         boundary=boundary,
         embed_t=embed_t,
         field=field,
-        name=name,
     )
     w.source_tq = tq
     return w

@@ -28,6 +28,7 @@ from threadquiver.linalg import (
 from threadquiver.orders import INT, NAT, NEG_NAT, Fin
 from threadquiver.quiver import Path as QPath
 from threadquiver.quiver import Quiver, Relation
+import threadquiver.reps as reps
 import threadquiver.serre as serre
 import threadquiver.threads as threads
 from threadquiver.report import Report
@@ -284,8 +285,8 @@ def random_fp_rep(w, rng, n_gens=2, n_rels=2):
 def total_hom_data(CX, CY):
     """Component dimensions and differentials of the total hom complex
     Hom(CX, CY) by the evaluation route, every differential built
-    (`serre._hom_complex`)."""
-    dims, differential = serre._hom_complex(CX, CY)
+    (`reps._hom_complex`)."""
+    dims, differential = reps._hom_complex(CX, CY)
     return dims, {n: differential(n) for n in dims}
 
 
@@ -596,6 +597,16 @@ def expand_path_projective(w, v):
             m.data[j::hz.dim] = hx.expand_path(QPath(a.src, v, (a.name,) + p.arrows))
         maps[a.name] = m
     return dims, maps
+
+
+def matrix_from_rows(field, rows):
+    """The matrix with the given rows, each entry coerced into field."""
+    c = len(rows[0]) if rows else 0
+    data = []
+    for row in rows:
+        assert len(row) == c, "ragged rows"
+        data.extend(field(x) for x in row)
+    return Matrix(field, len(rows), c, data)
 
 
 def solve(m, b):

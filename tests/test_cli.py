@@ -316,6 +316,32 @@ def test_flag_a_subcommand_ignores_is_a_usage_error(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+
+NUMERIC_FLAGS = {"--depth", "--max-len", "--degree", "--min-thread-len"}
+BAD_FIELDS = ("zz", "fp:4", "fp:x")
+
+
+def _bad_flag_values():
+    """[subcommand, flag, value] for -1 at every numeric flag a subcommand
+    takes and for every bad field at --field."""
+    for name, flags in SUBCOMMAND_FLAGS.items():
+        for flag in sorted(flags & NUMERIC_FLAGS):
+            yield [name, flag, "-1"]
+        if "--field" in flags:
+            for field in BAD_FIELDS:
+                yield [name, "--field", field]
+
+
+@pytest.mark.parametrize("argv", list(_bad_flag_values()), ids=" ".join)
+def test_a_bad_flag_value_is_a_usage_error(argv, capsys):
+    # argparse rejects the value before any command runs, so nothing is
+    # printed; z_thread has a thread, so a negative depth would reach the cut
+    name, flag, value = argv
+    vertices = ["x", "y"] if name in ("hom", "ext") else []
+    code = run([name, str(FIXTURES / "z_thread.tq"), *vertices, flag, value])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
 def test_cli_subprocess_entry():
     # the module is runnable end to end through the interpreter
     proc = subprocess.run(

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     FractionField,
     direct_sum,
+    matrix_from_rows,
     per_column_solve_matrix,
     rref_kernel_basis,
     solve,
@@ -34,7 +35,7 @@ from threadquiver.linalg import (
 
 
 def M(rows):
-    return Matrix.from_rows(QQ, rows)
+    return matrix_from_rows(QQ, rows)
 
 
 def hand_row_reduce(rows):
@@ -227,7 +228,7 @@ def test_prime_field_arithmetic():
     assert a / f5(3) == f5(4)  # 2 * 3^{-1} = 2 * 2 = 4
     with pytest.raises(ZeroDivisionError):
         a / f5(0)
-    m = Matrix.from_rows(f5, [[1, 2], [2, 4]])
+    m = matrix_from_rows(f5, [[1, 2], [2, 4]])
     assert rank(m) == 1
 
 
@@ -384,7 +385,7 @@ def non_unit_pivot_rows(draw, max_dim=4):
 
 def _both_fields(rows):
     FF = FractionField()
-    return Matrix.from_rows(QQ, rows), Matrix.from_rows(FF, rows)
+    return matrix_from_rows(QQ, rows), matrix_from_rows(FF, rows)
 
 
 def _assert_exact(values):
@@ -414,7 +415,7 @@ def test_qq_elimination_matches_the_fraction_field(rows, data):
         min_size=m.rows, max_size=m.rows))
     # half of the right-hand sides are in the image by construction
     if data.draw(st.booleans()):
-        x = Matrix.from_rows(QQ, data.draw(st.lists(
+        x = matrix_from_rows(QQ, data.draw(st.lists(
             st.lists(small_entries, min_size=b_cols, max_size=b_cols),
             min_size=m.cols, max_size=m.cols)))
         b_rows = [(m @ x).row(i) for i in range(m.rows)]
@@ -479,7 +480,7 @@ ONE_ROW_FIELDS = {"q": QQ, "fp:7": PrimeField(7)}
 @settings(max_examples=200, deadline=None)
 def test_one_row_kernel_basis_matches_the_rref_oracle(name, zeros, tail):
     fld = ONE_ROW_FIELDS[name]
-    m = Matrix.from_rows(fld, [[0] * zeros + tail or [0]])
+    m = matrix_from_rows(fld, [[0] * zeros + tail or [0]])
     kb, free = kernel_basis(m)
     assert (kb, free) == rref_kernel_basis(m)
     assert kb.rows == m.cols and (m @ kb).is_zero()

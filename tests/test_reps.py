@@ -9,6 +9,7 @@ from conftest import (
     eliminating_cokernel_with_projection,
     fixture_windows,
     hull_cokernel_hull_copresentation,
+    matrix_from_rows,
     per_block_yoneda_write,
     per_vertex_realize_proj_coords,
     random_fp_rep,
@@ -804,7 +805,7 @@ def test_decompose_over_prime_field():
 
     q = Quiver(["x", "y"], [("a", "x", "y"), ("b", "x", "y")])
     w2 = Window(q, field=f5)
-    rot = Matrix.from_rows(f5, [[0, -1], [1, 0]])
+    rot = matrix_from_rows(f5, [[0, -1], [1, 0]])
     M = Rep(w2, {"x": 2, "y": 2}, {"a": Matrix.identity(f5, 2), "b": rot})
     assert len(decompose(M)) == 2
 
@@ -819,7 +820,7 @@ def test_decompose_end_not_split_over_rationals():
 
     q = Quiver(["x", "y"], [("a", "x", "y"), ("b", "x", "y")])
     w = Window(q)
-    rot = Matrix.from_rows(QQ, [[0, -1], [1, 0]])
+    rot = matrix_from_rows(QQ, [[0, -1], [1, 0]])
     ident = Matrix.identity(QQ, 2)
     M = Rep(w, {"x": 2, "y": 2}, {"a": ident, "b": rot})
     assert hom_dim(M, M) == 2
@@ -835,7 +836,7 @@ def test_decompose_kronecker_local_over_prime_fields(field):
     fld = field_by_name(field)
     q = Quiver(["x", "y"], [("a", "x", "y"), ("b", "x", "y")])
     w = Window(q, field=fld)
-    jordan = Matrix.from_rows(fld, [[0, 1], [0, 0]])
+    jordan = matrix_from_rows(fld, [[0, 1], [0, 0]])
     M = Rep(w, {"x": 2, "y": 2}, {"a": Matrix.identity(fld, 2), "b": jordan})
     assert hom_dim(M, M) == 2
     assert len(decompose(M)) == 1
@@ -961,8 +962,8 @@ def test_kernel_with_inclusion_rejects_a_non_natural_map():
     # coordinate at 1 only: M(a) sends M(2) outside the kernel at 1, which
     # the free-row coordinates alone would not notice
     w = a2_window()
-    M = Rep(w, {"1": 2, "2": 1}, {"a": Matrix.from_rows(QQ, [[1], [0]])})
-    f = RepMap(M, std_module(w, "1", SIMPLE), {"1": Matrix.from_rows(QQ, [[1, 0]])})
+    M = Rep(w, {"1": 2, "2": 1}, {"a": matrix_from_rows(QQ, [[1], [0]])})
+    f = RepMap(M, std_module(w, "1", SIMPLE), {"1": matrix_from_rows(QQ, [[1, 0]])})
     assert not f.is_natural()
     with pytest.raises(AssertionError, match="not in span"):
         kernel_with_inclusion(f)
@@ -1007,7 +1008,7 @@ def test_assert_generates_rejects_a_dropped_generator(dims, a, drop):
     from threadquiver.reps import _assert_generates, _radical_vectors
 
     w = a2_window()
-    M = Rep(w, dims, {"a": Matrix.from_rows(QQ, a)})
+    M = Rep(w, dims, {"a": matrix_from_rows(QQ, a)})
     rad = _radical_vectors(M)
     gens = top_generators(M, rad)
     _assert_generates(M, gens, rad)

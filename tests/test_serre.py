@@ -27,6 +27,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_windows import random_thread_quivers
 
+import threadquiver.reps as reps
 import threadquiver.serre as serre
 from threadquiver.dsl import parse_tq
 from threadquiver.errors import ExceedsBound, NotProjectiveCertified
@@ -45,6 +46,7 @@ from threadquiver.reps import (
     proj_dim,
     resolution,
     std_module,
+    total_hom_dims,
     two_term_presentation,
 )
 from threadquiver.serre import (
@@ -53,11 +55,9 @@ from threadquiver.serre import (
     VarietyMor,
     check_dualizing,
     check_serre,
-    derived_hom_dim,
     nakayama,
     pseudo,
     serre_image,
-    total_hom_dims,
 )
 from threadquiver.windows import Window, expand
 
@@ -168,8 +168,9 @@ def test_derived_hom_matches_hom_and_ext():
     probes_list = [p for _, p in probes(w)]
     for M in probes_list:
         for N in probes_list:
-            assert derived_hom_dim(M, N, 0, 6) == hom_dim(M, N)
-            assert derived_hom_dim(M, N, 1, 6) == ext_dim(1, M, N, 6)
+            assert ext_dim(0, M, N, 6) == hom_dim(M, N)
+            inj = resolution(N, INJECTIVE, 6).complex
+            assert total_hom_dims(one_term_complex(M), inj).get(1, 0) == ext_dim(1, M, N, 6)
             assert ext_dim(1, M, N, 6) == basis_route_ext_dim(1, M, N, 6)
 
 
@@ -179,8 +180,8 @@ def test_derived_hom_a2_by_hand():
     p2 = std_module(w, "2", PROJECTIVE)
     s2 = std_module(w, "2", SIMPLE)
     s1 = std_module(w, "1", SIMPLE)
-    assert derived_hom_dim(s2, s1, 1) == 1
-    assert derived_hom_dim(p1, serre_image(p1, 4), 0) == 1
+    assert ext_dim(1, s2, s1, 8) == 1
+    assert total_hom_dims(one_term_complex(p1), serre_image(p1, 4)).get(0, 0) == 1
     # frozen table of the six ordered hom dims on {P1, P2, S2}
     table = {
         ("p1", "p2"): 1, ("p2", "p1"): 0,
@@ -739,7 +740,7 @@ def test_serre_sides_zero_by_support_are_exactly_the_zero_complexes(w, forbid_bo
     # and every side with all components zero is flagged
     for xl, yl, sides in _probe_sides(w, forbid_boundary):
         for zero, (CX, CY) in sides:
-            dims, _ = serre._hom_complex(CX, CY)
+            dims, _ = reps._hom_complex(CX, CY)
             assert zero == (not any(dims.values())), (xl, yl)
             if zero:
                 assert not any(total_hom_dims(CX, CY).values()), (xl, yl)

@@ -8,6 +8,9 @@ by the benchmark (`TRACED` in `perfbench/tracing.py`, parsed, not imported).
 A function only tests call belongs in `tests/conftest.py`.  Every parameter
 of every function, methods and nested functions included, is read in its
 body: an option the body ignores is dead code a caller can still set.
+Every import sits at module level, and the package's relative imports among
+its modules (`__init__.py` aside) form no cycle, so the layering is the one
+the import lines show.
 """
 
 import ast
@@ -198,3 +201,78 @@ def test_the_parameter_rule_flags_an_unread_option():
         "    def inner(y):\n        return x\n"
         "    return inner(depth)\n")
     assert _unread_parameters(tree) == ["m: unused", "k: extra", "inner: y"]
+
+
+def _nested_imports(tree):
+    """The line of every import statement of tree that is not a statement
+    of the module's body."""
+    top = {id(node) for node in tree.body}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Import | ast.ImportFrom) and id(node) not in top]
+
+
+def _relative_imports(trees):
+    """Module name -> the modules of trees it imports relatively, at any
+    depth of its tree."""
+    graph = {}
+    for module, tree in trees.items():
+        graph[module] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                graph[module].update(n for n in names if n in trees)
+    return graph
+
+
+def _import_cycle(graph):
+    """One cycle of the import graph as [m0, m1, ..., m0], or None."""
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done:
+            return None
+        path.append(module)
+        for dep in sorted(graph[module]):
+            cycle = visit(dep)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(module)
+        return None
+
+    for module in sorted(graph):
+        cycle = visit(module)
+        if cycle:
+            return cycle
+    return None
+
+
+def test_every_import_is_at_module_level():
+    nested = {path.name: lines for path in MODULES
+              if (lines := _nested_imports(_tree(path)))}
+    assert not nested, f"imports inside a function or block, by line: {nested}"
+
+
+def test_the_package_imports_form_no_cycle():
+    trees = {path.stem: _tree(path) for path in MODULES if path.name != "__init__.py"}
+    graph = _relative_imports(trees)
+    assert any(graph.values()), "no relative import found: the scan reads nothing"
+    assert _import_cycle(graph) is None, f"import cycle: {_import_cycle(graph)}"
+
+
+def test_the_import_rules_flag_a_nested_import_and_a_cycle():
+    trees = {
+        "low": ast.parse("from .errors import E\n"
+                         "def f():\n    from .high import g\n    return g\n"),
+        "high": ast.parse("from .low import f\nfrom . import errors\n"),
+        "errors": ast.parse("import sys\nclass E(Exception):\n    pass\n"),
+    }
+    assert _nested_imports(trees["low"]) == [3]
+    assert _nested_imports(trees["high"]) == []
+    graph = _relative_imports(trees)
+    assert graph == {"low": {"errors", "high"}, "high": {"low", "errors"}, "errors": set()}
+    assert _import_cycle(graph) == ["high", "low", "high"]
+    graph["low"].discard("high")
+    assert _import_cycle(graph) is None
