@@ -61,9 +61,6 @@ class Path:
         assert self.tgt == other.src, (self, other)
         return Path(self.src, other.tgt, self.arrows + other.arrows)
 
-    def sort_key(self):
-        return (len(self.arrows), self.arrows)
-
 
 def identity_path(v: str) -> Path:
     return Path(v, v, ())

@@ -21,7 +21,11 @@ dimension level: dim RHom^n(X, Y) = dim RHom^{-n}(Y, SX), both sides read
 off total hom complexes (`reps.total_hom_dims`).  The right-hand side reads
 the realized Nakayama complex (its injective sums and transported maps), so
 the check compares two different computations rather than a matrix with its
-transpose.
+transpose.  It compares these dimension identities only.  The composition
+law of the realization, N(b·a) = N(b)·N(a), holds on every window when
+`realize_inj_coords` is right: it is a property of the code, not of the
+window, and a test checks it
+(`tests/test_serre.py::test_nakayama_realization_composes`).
 
 The evidence that every probe has finite injective dimension is read off the
 minimal projective resolutions of the window's simples, computed once per
@@ -191,37 +195,6 @@ def serre_image(M: Rep, max_len: int) -> Complex:
 # -- checks -----------------------------------------------------------------------
 
 
-def _nakayama_functoriality_check(w: Window) -> bool:
-    """The Nakayama realization composes: N(b·a) = N(b)·N(a) for every
-    composable pair of arrows a, b."""
-    q = w.quiver
-    # pairs are grouped by their middle vertex, visited in topological order:
-    # an arrow is realized once, at its source's turn, and held until its
-    # target's turn
-    held: dict[str, tuple[VarietyMor, RepMap]] = {}
-    for y in q.topological_order():
-        for arrow in q.out_arrows[y]:
-            if q.in_arrows[y] or q.out_arrows[arrow.tgt]:
-                vm = VarietyMor.from_arrow(w, arrow.name)
-                held[arrow.name] = (vm, realize_inj_coords(
-                    inj_sum(w, vm.source), inj_sum(w, vm.target), vm.entries))
-        ins = [held.pop(arrow.name, None) for arrow in q.in_arrows[y]]
-        if not ins or not q.out_arrows[y]:
-            continue
-        outs = [held[arrow.name] for arrow in q.out_arrows[y]]
-        for f, nf in ins:
-            for g, ng in outs:
-                x, z = f.source[0], g.target[0]
-                comp_coords = w.compose_coords(x, y, z, f.entries[0][0], g.entries[0][0])
-                ngf = realize_inj_coords(nf.source, ng.target, [[comp_coords]])
-                lhs = nf.then(ng)
-                # both store the blocks where I(x) and I(z) are nonzero, and
-                # every other block of either is empty
-                if lhs.comps != ngf.comps:
-                    return False
-    return True
-
-
 def _simple_resolutions(w: Window, max_len: int) -> dict[str, Complex] | None:
     """The minimal projective resolution of every simple of the window, with
     no boundary restriction, or None as soon as one is longer than max_len.
@@ -322,7 +295,10 @@ def check_serre(
 
     For every pair X, Y and shift n in -max_len..max_len, asserts
     dim RHom^n(X, Y) = dim RHom^{-n}(Y, SX), plus finite projective and
-    injective dimension of every probe (within max_len).
+    injective dimension of every probe (within max_len).  Only these
+    dimension identities are compared: the composition law of the Nakayama
+    realization is a property of the code, tested by
+    `tests/test_serre.py::test_nakayama_realization_composes`.
 
     A probe X fails if either of its resolutions exceeds max_len;
     otherwise, under forbid_boundary, it is skipped if either has a term at
@@ -363,8 +339,6 @@ def check_serre(
                     report.fail(
                         f"RHom^{n}({xl}, {yl}) vs RHom^{-n}({yl}, S {xl})", ln, rn
                     )
-    if usable and not _nakayama_functoriality_check(w):
-        report.fail("nakayama functoriality", "composition preserved", "violated")
     return report
 
 

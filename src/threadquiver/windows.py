@@ -213,19 +213,6 @@ class Window:
     def hom_dim(self, x: str, y: str) -> int:
         return self.hom(x, y).dim
 
-    def compose_coords(self, x: str, y: str, z: str, f_coords, g_coords):
-        """Coordinates of g . f for f in hom(x,y), g in hom(y,z)."""
-        hxy, hyz, hxz = self.hom(x, y), self.hom(y, z), self.hom(x, z)
-        terms = []
-        for i, ci in enumerate(f_coords):
-            if ci == self.field.zero:
-                continue
-            for j, cj in enumerate(g_coords):
-                if cj == self.field.zero:
-                    continue
-                terms.append((ci * cj, hxy.basis[i].then(hyz.basis[j])))
-        return hxz.expand(terms)
-
     def identity_coords(self, v: str):
         return self.hom(v, v).expand_path(identity_path(v))
 

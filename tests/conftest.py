@@ -7,10 +7,12 @@ zero, and its linearly oriented cousin.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from threadquiver.dsl import parse_tq
@@ -36,15 +38,18 @@ from threadquiver.reps import (
     INJECTIVE,
     NOT_STANDARD,
     PROJECTIVE,
+    SIMPLE,
     Rep,
     RepMap,
     _yoneda_read,
     decompose_with_maps,
     hom_basis,
     hom_coords,
+    inj_sum,
     injective_hull,
     kernel_with_inclusion,
     map_factor,
+    proj_dim,
     proj_sum,
     projective_cover,
     resolution,
@@ -53,7 +58,7 @@ from threadquiver.reps import (
     std_module,
 )
 from threadquiver.serre import VarietyMor
-from threadquiver.windows import ThreadQuiver, Window, expand
+from threadquiver.windows import ThreadQuiver, Window, expand, gabriel_neighbours
 
 
 class FractionField(RationalField):
@@ -263,6 +268,23 @@ def random_thread_quivers(draw):
     return ThreadQuiver(verts, std, thr)
 
 
+def draw_relation(data, q):
+    """One relation of q drawn with hypothesis' `data`: 2 or 3 of the paths
+    x -> y of some pair with at least two, with coefficients in ±1, ±2.
+    Rejects the example when no pair has two parallel paths."""
+    max_len = len(q.vertices) - 1
+    parallel = [
+        ps for x in q.vertices for y in q.vertices if x != y
+        for ps in [enumerate_paths(q, x, y, max_len)] if len(ps) >= 2
+    ]
+    assume(parallel)
+    paths = data.draw(st.sampled_from(parallel))
+    k = data.draw(st.integers(2, min(3, len(paths))))
+    chosen = data.draw(st.permutations(paths))[:k]
+    coeffs = data.draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=k, max_size=k))
+    return Relation(tuple(zip(coeffs, chosen)))
+
+
 def random_fp_rep(w, rng, n_gens=2, n_rels=2):
     """Random finitely presented module as a cokernel between projective sums."""
     verts = w.quiver.vertices
@@ -418,9 +440,52 @@ def per_pair_check_serre(w, test_set, max_len, forbid_boundary=True):
                     report.fail(
                         f"RHom^{n}({xl}, {yl}) vs RHom^{-n}({yl}, S {xl})", ln, rn
                     )
-    if usable and not serre._nakayama_functoriality_check(w):
-        report.fail("nakayama functoriality", "composition preserved", "violated")
     return report
+
+
+def compose_coords(w, x, y, z, f_coords, g_coords):
+    """Coordinates of g . f for f in hom(x,y), g in hom(y,z)."""
+    hxy, hyz, hxz = w.hom(x, y), w.hom(y, z), w.hom(x, z)
+    terms = []
+    for i, ci in enumerate(f_coords):
+        if ci == w.field.zero:
+            continue
+        for j, cj in enumerate(g_coords):
+            if cj == w.field.zero:
+                continue
+            terms.append((ci * cj, hxy.basis[i].then(hyz.basis[j])))
+    return hxz.expand(terms)
+
+
+def nakayama_composes(w: Window) -> bool:
+    """The Nakayama realization composes: N(b·a) = N(b)·N(a) for every
+    composable pair of arrows a, b."""
+    q = w.quiver
+    # pairs are grouped by their middle vertex, visited in topological order:
+    # an arrow is realized once, at its source's turn, and held until its
+    # target's turn
+    held: dict[str, tuple[VarietyMor, RepMap]] = {}
+    for y in q.topological_order():
+        for arrow in q.out_arrows[y]:
+            if q.in_arrows[y] or q.out_arrows[arrow.tgt]:
+                vm = VarietyMor.from_arrow(w, arrow.name)
+                held[arrow.name] = (vm, serre.realize_inj_coords(
+                    inj_sum(w, vm.source), inj_sum(w, vm.target), vm.entries))
+        ins = [held.pop(arrow.name, None) for arrow in q.in_arrows[y]]
+        if not ins or not q.out_arrows[y]:
+            continue
+        outs = [held[arrow.name] for arrow in q.out_arrows[y]]
+        for f, nf in ins:
+            for g, ng in outs:
+                x, z = f.source[0], g.target[0]
+                comp_coords = compose_coords(w, x, y, z, f.entries[0][0], g.entries[0][0])
+                ngf = serre.realize_inj_coords(nf.source, ng.target, [[comp_coords]])
+                lhs = nf.then(ng)
+                # both store the blocks where I(x) and I(z) are nonzero, and
+                # every other block of either is empty
+                if lhs.comps != ngf.comps:
+                    return False
+    return True
 
 
 def per_vertex_realize_proj_coords(P, Q, entries):
@@ -517,8 +582,13 @@ def enumerate_paths(q, x, y, max_len):
                 acc.pop()
 
     walk(x, [])
-    out.sort(key=QPath.sort_key)
+    out.sort(key=path_sort_key)
     return out
+
+
+def path_sort_key(p):
+    """Paths ordered by length, then by arrow names."""
+    return (len(p.arrows), p.arrows)
 
 
 class EnumeratedHomBasis:
@@ -880,7 +950,7 @@ def unit_composing_interval_adjoint(w, X, Y, A, side, max_len=8):
     """Differential oracle for `threads.interval_adjoint`: the support step
     by `factorization_supp_adjoint`, one perpendicular step
     (`threads.perp_adjoint`) per vertex of its image, and the two units
-    composed entry by entry with `Window.compose_coords`."""
+    composed entry by entry with `compose_coords`."""
     if w.hom_dim(X, A) != 0 and w.hom_dim(A, Y) != 0:
         return (A,), VarietyMor.identity(w, A)
     if side == threads.RIGHT:
@@ -899,7 +969,7 @@ def unit_composing_interval_adjoint(w, X, Y, A, side, max_len=8):
             if w.hom_dim(pv, Y) == 0:
                 continue
             f, g = row1[0], row2[0]
-            coords = None if f is None or g is None else w.compose_coords(A, mid, pv, f, g)
+            coords = None if f is None or g is None else compose_coords(w, A, mid, pv, f, g)
             out_verts.append(pv)
             entries.append([coords if coords and any(c != zero for c in coords) else None])
     for v in out_verts:
@@ -907,3 +977,32 @@ def unit_composing_interval_adjoint(w, X, Y, A, side, max_len=8):
             raise NotRepresentable(f"adjoint image {v} fell outside [{X}, {Y}]")
     out_verts = tuple(out_verts)
     return out_verts, VarietyMor(w, (A,), out_verts, entries)
+
+
+def non_hereditary_simples(w):
+    """The vertices u whose simple S(u) has projective dimension above 1:
+    the window's category is hereditary when there are none."""
+    out = []
+    for u in w.quiver.vertices:
+        try:
+            proj_dim(std_module(w, u, SIMPLE), 1)
+        except ExceedsBound:
+            out.append(u)
+    return out
+
+
+def non_free_pairs(w):
+    """The pairs (x, y) where dim hom(x, y) differs from the number of
+    Gabriel paths x -> y, an arrow u -> v counted irr(u, v) times: the
+    window's category is the free category on its Gabriel quiver when there
+    are none."""
+    # counts[y][x] is the number of Gabriel paths x -> y; targets are taken
+    # in topological order, since a Gabriel arrow u -> v needs hom(u, v) != 0
+    ins, _ = gabriel_neighbours(w)
+    counts = {}
+    for y in w.quiver.topological_order():
+        counts[y] = Counter({y: 1})
+        for u in ins[y]:
+            counts[y].update(counts[u])
+    V = w.quiver.vertices
+    return [(x, y) for x in V for y in V if w.hom_dim(x, y) != counts[y][x]]

@@ -5,13 +5,16 @@ import pytest
 from conftest import (
     all_pairs_reach,
     comm_grid_window,
+    compose_coords,
+    draw_relation,
     enumerate_paths,
     expand_path_projective,
     fixture_windows,
     path_enumeration_hom_basis,
+    path_sort_key,
     random_thread_quivers,
 )
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threadquiver.errors import NonAcyclic
@@ -136,7 +139,7 @@ def test_expand_of_no_terms_is_the_zero_vector():
         assert hb.expand([]) == [QQ.zero] * hb.dim
     # so the composite of zero coordinates needs no branch of its own
     zero = [QQ.zero]
-    assert w.compose_coords("p", "q", "s", zero, zero) == [QQ.zero]
+    assert compose_coords(w, "p", "q", "s", zero, zero) == [QQ.zero]
 
 
 def test_hom_ideal_propagates():
@@ -302,7 +305,7 @@ def assert_matches_enumeration(w):
             else:
                 cands = sorted((Path(x, y, (a.name,) + b.arrows)
                                 for a in q.out_arrows[x] for b in oracle[a.tgt, y].basis),
-                               key=Path.sort_key)
+                               key=path_sort_key)
             assert hb.paths == cands, (w.name, x, y)
             assert hb.basis == ob.basis, (w.name, x, y)
             cand_set = set(cands)
@@ -463,23 +466,12 @@ def test_layered_hom_matches_enumeration_deep_rewrite():
 @given(random_thread_quivers(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_layered_hom_matches_enumeration_random_relation(tq, data):
-    w0 = expand(tq, data.draw(st.integers(0, 1)))
-    q = w0.quiver
-    max_len = len(q.vertices) - 1
-    parallel = [
-        ps for x in q.vertices for y in q.vertices if x != y
-        for ps in [enumerate_paths(q, x, y, max_len)] if len(ps) >= 2
-    ]
-    assume(parallel)
-    paths = data.draw(st.sampled_from(parallel))
-    k = data.draw(st.integers(2, min(3, len(paths))))
-    chosen = data.draw(st.permutations(paths))[:k]
-    coeffs = data.draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=k, max_size=k))
-    rel = Relation(tuple(zip(coeffs, chosen)))
+    q = expand(tq, data.draw(st.integers(0, 1))).quiver
+    rel = draw_relation(data, q)
     w = Window(q, [rel])
     assert_matches_enumeration(w)
     assert_matches_enumeration(w.opposite())
-    x, y = chosen[0].src, chosen[0].tgt
+    x, y = rel.src, rel.tgt
     ob = path_enumeration_hom_basis(q, [rel], x, y, QQ)
     assert w.hom(x, y).basis == ob.basis
     assert_projectives_match_expand_path(w)

@@ -18,6 +18,7 @@ from collections import Counter
 import pytest
 from conftest import (
     ainf_rad2_window,
+    compose_coords,
     decomposition_kernel_as_projectives,
     factorization_supp_adjoint,
     fixture_windows,
@@ -99,7 +100,7 @@ def kernel_maps(w, rng, n_evaluations):
     maps = [realize_proj(VarietyMor.from_arrow(w, a.name)) for a in w.quiver.arrows]
     for a in w.quiver.arrows:
         for b in w.quiver.out_arrows[a.tgt]:
-            ba = w.compose_coords(a.src, a.tgt, b.tgt, coords(a), coords(b))
+            ba = compose_coords(w, a.src, a.tgt, b.tgt, coords(a), coords(b))
             cell = ba if any(c != w.field.zero for c in ba) else None
             maps.append(realize_proj(VarietyMor(w, (a.src, a.tgt), (b.tgt,), [[cell, coords(b)]])))
     pairs = [(A, X) for A in w.quiver.vertices for X in w.quiver.vertices if w.hom_dim(X, A)]

@@ -4,6 +4,7 @@ import pytest
 from conftest import (
     basis_route_ext_dim,
     comm_grid_window,
+    compose_coords,
     cover_kernel_cover_presentation,
     direct_sum_object,
     eliminating_cokernel_with_projection,
@@ -694,7 +695,7 @@ def _realize_cases(w):
         yield proj_sum(w, (x,)), proj_sum(w, (y,)), [[cell(coords(a))]]
         for b in w.quiver.out_arrows[y]:
             z = b.tgt
-            ba = w.compose_coords(x, y, z, coords(a), coords(b))
+            ba = compose_coords(w, x, y, z, coords(a), coords(b))
             entries = [[cell(coords(a)), cell(w.identity_coords(y))],
                        [cell(ba), cell(coords(b))]]
             yield proj_sum(w, (x, y)), proj_sum(w, (y, z)), entries

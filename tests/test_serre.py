@@ -10,8 +10,12 @@ from conftest import (
     basis_route_hom_data,
     cohomology_dims,
     comm_grid_window,
+    draw_relation,
     enumerate_paths,
     fixture_windows,
+    nakayama_composes,
+    non_free_pairs,
+    non_hereditary_simples,
     per_pair_check_serre,
     per_probe_usable_probes,
     random_fp_rep,
@@ -477,10 +481,90 @@ def test_nakayama_functoriality_checks_every_pair(monkeypatch):
             return g.scale(2)
         return g
 
-    assert check_serre(w, probes(w), 6).passed
+    assert nakayama_composes(w)
     monkeypatch.setattr(serre, "realize_inj_coords", corrupt)
-    report = check_serre(w, probes(w), 6)
-    assert [i.subject for i in report.items] == ["nakayama functoriality"]
+    assert not nakayama_composes(w)
+
+
+# -- the Nakayama realization composes, on every window -----------------------------
+
+# every fixture at depths 0-3, the commutative grids and the hand-built
+# zig-zag and radical-square-zero windows
+SWEEP = [
+    pytest.param(label, w, id=label)
+    for label, w in fixture_windows((0, 1, 2, 3))
+    + [(f"grid{n}", comm_grid_window(n)) for n in (2, 3, 4)]
+    + [("zigzag_window", zigzag_window()), ("ainf_rad2_window", ainf_rad2_window())]
+]
+
+
+@pytest.mark.parametrize("label, w", SWEEP)
+def test_nakayama_realization_composes(label, w):
+    assert nakayama_composes(w)
+
+
+@given(random_thread_quivers(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_nakayama_realization_composes_random_relation(tq, data):
+    q = expand(tq, data.draw(st.integers(0, 1))).quiver
+    assert nakayama_composes(Window(q, [draw_relation(data, q)]))
+
+
+@pytest.mark.parametrize("name", ["mixed", "z_thread"])
+def test_a_scaled_nakayama_transport_breaks_composition_not_check_serre(name, monkeypatch):
+    # every transported map doubled keeps every shape and every cohomology
+    # dimension: the composition law catches it, and check_serre, which
+    # compares dimensions only, passes
+    real = serre.realize_inj_coords
+    monkeypatch.setattr(serre, "realize_inj_coords",
+                        lambda I, J, entries: real(I, J, entries).scale(2))
+    w = expand(parse_tq((FIXTURES / f"{name}.tq").read_text()), 2)
+    assert not nakayama_composes(w)
+    assert check_serre(w, probes(w), 6).passed
+
+
+# -- heredity and freeness on the Gabriel quiver ------------------------------------
+
+# pairs (x, y) where dim hom(x, y) is not the number of Gabriel paths; every
+# other window of the sweep is free and hereditary
+NOT_FREE = {"comm_square": 1, "zigzag": 8, "zigzag_window": 8, "ainf_rad2": 36,
+            "ainf_rad2_window": 36, "grid2": 9, "grid3": 36, "grid4": 100}
+
+
+@pytest.mark.parametrize("label, w", SWEEP)
+def test_heredity_matches_freeness(label, w):
+    name = label.split("@")[0]
+    assert len(non_free_pairs(w)) == NOT_FREE.get(name, 0)
+    assert bool(non_hereditary_simples(w)) == (name in NOT_FREE)
+
+
+def _triangle():
+    q = Quiver(["p", "q", "r"], [("a", "p", "q"), ("b", "q", "r"), ("c", "p", "r")])
+    return Window(q, [Relation(((1, q.path(("c",))), (-1, q.path(("a", "b")))))])
+
+
+def _kronecker_tail():
+    return Window(Quiver(["1", "2", "3"],
+                         [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3")]))
+
+
+@pytest.mark.parametrize("w, x, y, dim", [
+    # c = b.a is not admissible: the Gabriel quiver is p -> q -> r
+    pytest.param(_triangle(), "p", "r", 1, id="triangle"),
+    # two Gabriel arrows 1 -> 2, so two Gabriel paths 1 -> 3
+    pytest.param(_kronecker_tail(), "1", "3", 2, id="kronecker-tail"),
+])
+def test_hereditary_and_free_beyond_the_fixtures(w, x, y, dim):
+    assert w.hom_dim(x, y) == dim
+    assert non_free_pairs(w) == [] and non_hereditary_simples(w) == []
+
+
+@given(random_thread_quivers(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_heredity_matches_freeness_random_relation(tq, data):
+    q = expand(tq, data.draw(st.integers(0, 1))).quiver
+    w = Window(q, [draw_relation(data, q)])
+    assert bool(non_hereditary_simples(w)) == bool(non_free_pairs(w))
 
 
 def test_check_dualizing_lets_bugs_propagate(monkeypatch):

@@ -5,7 +5,9 @@ module imports is used in that module, every module-level private function
 is referenced somewhere in the package, and every module-level public
 function is referenced in the package, exported by `__init__.py`, or traced
 by the benchmark (`TRACED` in `perfbench/tracing.py`, parsed, not imported).
-A function only tests call belongs in `tests/conftest.py`.  Every parameter
+Every public method of a module-level class is read in the package outside
+its own body, read under `perfbench/`, or traced.  A function or method
+only tests call belongs in `tests/conftest.py`.  Every parameter
 of every function, methods and nested functions included, is read in its
 body: an option the body ignores is dead code a caller can still set.
 Every import sits at module level, and the package's relative imports among
@@ -22,7 +24,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "threadquiver"
 MODULES = sorted(SRC.glob("*.py"))
-TRACING = ROOT / "perfbench" / "tracing.py"
+PERFBENCH = ROOT / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _tree(path):
@@ -156,6 +159,51 @@ def test_the_reach_rule_flags_a_function_only_itself_calls():
     traced = _traced(ast.parse("TRACED = [('m', 'traced'), ('m', 'C.method')]\n"))
     assert _unreached_public_functions(trees, exported, traced) == ["m:lonely"]
     assert _unreached_public_functions(trees, exported, set()) == ["m:lonely", "m:traced"]
+
+
+def _unreached_public_methods(trees, outside, traced):
+    """'module:Class.method' for every public method of a module-level class
+    of trees (module name -> tree) that nothing in trees reads outside its own
+    body, that `outside` (name -> reads elsewhere) never reads, and that is
+    not traced."""
+    used = sum((_used_names(tree) for tree in trees.values()), Counter())
+    return [f"{module}:{cls.name}.{fn.name}"
+            for module, tree in trees.items()
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef | ast.AsyncFunctionDef)
+            and not fn.name.startswith("_")
+            and used[fn.name] == _used_names(fn)[fn.name] and not outside[fn.name]
+            and (module, f"{cls.name}.{fn.name}") not in traced]
+
+
+def test_every_public_method_is_reached():
+    trees = {path.stem: _tree(path) for path in MODULES}
+    outside = sum((_used_names(_tree(path)) for path in sorted(PERFBENCH.rglob("*.py"))),
+                  Counter())
+    traced = _traced(_tree(TRACING))
+    assert outside and traced, "no perfbench name or traced name found: the scan reads nothing"
+    unreached = _unreached_public_methods(trees, outside, traced)
+    assert not unreached, (
+        f"public methods no module, benchmark or trace reaches: {unreached}; "
+        "move test-only helpers to tests/conftest.py")
+
+
+def test_the_reach_rule_flags_a_method_only_itself_calls():
+    trees = {"m": ast.parse("class C:\n"
+                            "    def __init__(self):\n        pass\n"
+                            "    def _private(self):\n        pass\n"
+                            "    def used(self):\n        return self._private()\n"
+                            "    def lonely(self):\n        return self.lonely()\n"
+                            "    def benched(self):\n        pass\n"
+                            "    def traced(self):\n        pass\n"
+                            "def f():\n    pass\n"
+                            "x = C().used()\n")}
+    outside = _used_names(ast.parse("C().benched()\n"))
+    traced = _traced(ast.parse("TRACED = [('m', 'C.traced'), ('m', 'f')]\n"))
+    assert _unreached_public_methods(trees, outside, traced) == ["m:C.lonely"]
+    assert _unreached_public_methods(trees, Counter(), {("m", "traced")}) == [
+        "m:C.lonely", "m:C.benched", "m:C.traced"]
 
 
 def test_the_checks_catch_a_stale_import_and_an_unreferenced_function():
