@@ -261,9 +261,6 @@ class Matrix:
     def row(self, i: int) -> list:
         return self.data[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int) -> list:
-        return self.data[j :: self.cols] if self.cols else []
-
     def copy(self) -> "Matrix":
         return Matrix(self.field, self.rows, self.cols, list(self.data))
 

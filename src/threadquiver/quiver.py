@@ -124,19 +124,6 @@ class Quiver:
         """Position of each arrow name in `arrows`."""
         return {a.name: i for i, a in enumerate(self.arrows)}
 
-    def path(self, arrow_names: tuple[str, ...], src: str | None = None) -> Path:
-        """Build a Path from arrow names in composition order; checks composability."""
-        if not arrow_names:
-            assert src is not None, "identity path needs a vertex"
-            return identity_path(src)
-        first = self.arrow_by_name[arrow_names[0]]
-        cur = first.src
-        for name in arrow_names:
-            a = self.arrow_by_name[name]
-            assert a.src == cur, f"non-composable at {name}"
-            cur = a.tgt
-        return Path(first.src, cur, tuple(arrow_names))
-
     def topological_order(self) -> list[str]:
         """Vertices in topological order; raises NonAcyclic on a cycle."""
         if getattr(self, "_topo_cache", None) is not None:

@@ -900,10 +900,6 @@ class Complex:
             return self.diffs[i]
         return None
 
-    def check(self):
-        for d1, d2 in zip(self.diffs, self.diffs[1:]):
-            assert d1.then(d2).is_zero(), "differentials do not compose to zero"
-
 
 def one_term_complex(M: Rep) -> Complex:
     return Complex(M.window, 0, [M], [])
@@ -1043,35 +1039,43 @@ class Resolution:
     complex: Complex
 
 
-def resolution(M: Rep, side: str, max_len: int) -> Resolution:
-    """Minimal resolution by standard projectives (degrees -n..0) or standard
-    injectives (degrees 0..n); raises ExceedsBound past max_len syzygies.
-    The injective resolution is the dual of the projective resolution of D M
-    over the opposite window.  A certified sum of standard projectives is
-    its own resolution (and a certified sum of injectives, through
-    `dualize`).  Boundary contact is read off the finished terms by
-    `serre._usable_probes`."""
-    if side == INJECTIVE:
-        return Resolution(dualize_complex(resolution(dualize(M), PROJECTIVE, max_len).complex))
-    if side != PROJECTIVE:
-        raise ValueError(f"unknown side {side!r}")
+def _resolve(M: Rep, length: int) -> tuple[Complex, bool]:
+    """The terms P_length -> ... -> P_0 of the minimal projective resolution
+    of M (fewer where it ends sooner), in degrees -length..0, and whether the
+    resolution ends there.  A certified sum of standard projectives is its
+    own resolution."""
     w = M.window
     if M.cert is not None and M.cert[0] == "proj":
-        return Resolution(Complex(w, 0, [M], []))
+        return Complex(w, 0, [M], []), True
     P0, cover = projective_cover(M)
     terms = [P0]
     diffs: list[RepMap] = []
     current, prev_incl = cover.kernel
-    while not current.is_zero():
-        if len(diffs) >= max_len:
-            raise ExceedsBound(f"projective resolution exceeds length {max_len}")
+    while not current.is_zero() and len(diffs) < length:
         P, cov = projective_cover(current)
         terms.append(P)
         diffs.append(cov.then(prev_incl))  # P -> previous term
         current, prev_incl = cov.kernel
     terms.reverse()
     diffs.reverse()
-    return Resolution(Complex(w, -len(diffs), terms, diffs))
+    return Complex(w, -len(diffs), terms, diffs), current.is_zero()
+
+
+def resolution(M: Rep, side: str, max_len: int) -> Resolution:
+    """Minimal resolution by standard projectives (degrees -n..0) or standard
+    injectives (degrees 0..n); raises ExceedsBound past max_len syzygies.
+    The projective resolution is `_resolve`'s; the injective resolution is
+    the dual of the projective resolution of D M over the opposite window,
+    so a certified sum of injectives is its own.  Boundary contact is read
+    off the finished terms by `serre._usable_probes`."""
+    if side == INJECTIVE:
+        return Resolution(dualize_complex(resolution(dualize(M), PROJECTIVE, max_len).complex))
+    if side != PROJECTIVE:
+        raise ValueError(f"unknown side {side!r}")
+    cx, ended = _resolve(M, max_len)
+    if not ended:
+        raise ExceedsBound(f"projective resolution exceeds length {max_len}")
+    return Resolution(cx)
 
 
 def proj_dim(M: Rep, max_len: int) -> int:
@@ -1448,20 +1452,20 @@ class TripleRep:
 
 
 def _window_triple_scaffold(w: Window):
+    """The thread quiver of an expanded window, its base window, one chain
+    window per thread arrow and each thread's (source, target), built anew
+    on each call."""
     tq = w.source_tq
     assert tq is not None, "window was not produced by expand()"
-    if w._triple is None:
-        base = Window(underlying_quiver(tq), tq.relations, field=w.field)
-        chains = {}
-        for t in tq.thread_arrows:
-            elems = list(w.embed_t[t.name])
-            arrows = [
-                Arrow(f"{t.name}.{i}", elems[i], elems[i + 1])
-                for i in range(len(elems) - 1)
-            ]
-            chains[t.name] = Window(Quiver(elems, arrows), field=w.field)
-        w._triple = base, chains
-    base, chains = w._triple
+    base = Window(underlying_quiver(tq), tq.relations, field=w.field)
+    chains = {}
+    for t in tq.thread_arrows:
+        elems = list(w.embed_t[t.name])
+        arrows = [
+            Arrow(f"{t.name}.{i}", elems[i], elems[i + 1])
+            for i in range(len(elems) - 1)
+        ]
+        chains[t.name] = Window(Quiver(elems, arrows), field=w.field)
     ends = {t.name: (t.src, t.tgt) for t in tq.thread_arrows}
     return tq, base, chains, ends
 
@@ -1500,7 +1504,8 @@ def to_triple(M: Rep) -> TripleRep:
 
 def from_triple(trip: TripleRep, w: Window) -> Rep:
     """Glue triple data back into a representation of the expanded window."""
-    tq, base, chains, ends = _window_triple_scaffold(w)
+    tq = w.source_tq
+    assert tq is not None, "window was not produced by expand()"
     f = w.field
     dims = {}
     for v in tq.vertices:

@@ -6,14 +6,17 @@ extraction back to a thread quiver, and the explicit adjoints of reflective
 subcategory embeddings (perpendicular, support, and interval), all verified
 instance-wise through hom dimensions.  The support adjoint of A is A or
 nothing (a projective quotient of P(A) is P(A)), so the interval adjoint's
-unit is the perpendicular step's, restricted to supp hom(-, Y).
+unit is the perpendicular step's, restricted to supp hom(-, Y).  A
+perpendicular category asks only Ext^0 and Ext^1 to vanish, so the
+orthogonality of a removed family is read off the first three terms of
+each member's minimal projective resolution, with no length bound; the
+interval adjoint removes standard projectives, which need no test.
 """
 
 from __future__ import annotations
 
 from .errors import (
     BoundaryContaminated,
-    ExceedsBound,
     NotRepresentable,
     ThreadQuiverError,
     ZNotExtOrthogonal,
@@ -28,13 +31,13 @@ from .reps import (
     SIMPLE,
     Rep,
     RepMap,
+    _resolve,
     _sum_object,
     _yoneda_write,
     dualize,
     kernel_as_projectives,
     kernel_with_inclusion,
     one_term_complex,
-    resolution,
     std_module,
     total_hom_dims,
     two_term_presentation,
@@ -203,25 +206,17 @@ def _evaluation(w: Window, A: str, Zs: list[Rep]) -> RepMap | None:
                          [generator])
 
 
-def _assert_ext_orthogonal(Zs: list[Rep], max_len: int) -> None:
+def _assert_ext_orthogonal(Zs: list[Rep]) -> None:
     """Raise ZNotExtOrthogonal unless Ext^1(Z1, Z2) = 0 over every ordered
-    pair of the family, each nonzero Z1 resolved once.  Where a resolution
-    does not finish within max_len, the dual family over the opposite window
-    settles it instead: Ext^1_op(DZ1, DZ2) = Ext^1(Z2, Z1), so its ordered
-    pairs are those of Zs.  ExceedsBound comes only when neither finishes."""
-
-    def test(family):
-        nonzero = [Z for Z in family if not Z.is_zero()]
-        for Z1 in nonzero:
-            res = resolution(Z1, PROJECTIVE, max_len).complex
-            for Z2 in nonzero:
-                if total_hom_dims(res, one_term_complex(Z2)).get(1, 0) != 0:
-                    raise ZNotExtOrthogonal("the removed family is not Ext-orthogonal")
-
-    try:
-        test(Zs)
-    except ExceedsBound:
-        test([dualize(Z) for Z in Zs])
+    pair of nonzero members of the family.  Ext^1(Z1, Z2) is H^1 of
+    Hom(P2 -> P1 -> P0, Z2), so only the first three terms of each Z1's
+    minimal projective resolution are built, once per member."""
+    nonzero = [Z for Z in Zs if not Z.is_zero()]
+    for Z1 in nonzero:
+        head, _ = _resolve(Z1, 2)
+        for Z2 in nonzero:
+            if total_hom_dims(head, one_term_complex(Z2)).get(1, 0) != 0:
+                raise ZNotExtOrthogonal("the removed family is not Ext-orthogonal")
 
 
 def _right_perp(w: Window, A: str, Zs: list[Rep]) -> tuple[tuple[str, ...], VarietyMor]:
@@ -234,20 +229,26 @@ def _right_perp(w: Window, A: str, Zs: list[Rep]) -> tuple[tuple[str, ...], Vari
     return verts, VarietyMor(w, verts, (A,), entries)
 
 
-def perp_adjoint(w: Window, A: str, Zs: list[Rep], side: str,
-                 max_len: int = 8) -> tuple[tuple[str, ...], VarietyMor]:
+def _left_perp(w: Window, A: str, Zs: list[Rep]) -> tuple[tuple[str, ...], VarietyMor]:
+    """The left adjoint's image of A: the right adjoint's over the opposite
+    window for the dual family, transported back."""
+    verts, op_mor = _right_perp(w.opposite(), A, [dualize(Z) for Z in Zs])
+    return verts, transport_to_opposite(op_mor)
+
+
+def perp_adjoint(w: Window, A: str, Zs: list[Rep],
+                 side: str) -> tuple[tuple[str, ...], VarietyMor]:
     """Image of A under the adjoint of the perpendicular-subcategory embedding.
 
     Right adjoint: the kernel of the evaluation P(A) -> ⊕_Z Z ⊗ Z(A)^*,
     recognized as a sum of standard projectives.  Left adjoint: the dual
     construction over the opposite window.  Requires the Z family to be
-    Ext^1-orthogonal (raises ZNotExtOrthogonal otherwise), tested once on
-    either side.
+    Ext^1-orthogonal (raises ZNotExtOrthogonal otherwise), tested once over
+    the window on either side.
     """
-    _assert_ext_orthogonal(Zs, max_len)
+    _assert_ext_orthogonal(Zs)
     if side == LEFT:
-        verts, op_mor = _right_perp(w.opposite(), A, [dualize(Z) for Z in Zs])
-        return verts, transport_to_opposite(op_mor)
+        return _left_perp(w, A, Zs)
     assert side == RIGHT
     return _right_perp(w, A, Zs)
 
@@ -279,27 +280,28 @@ def _interval_kernel_object(w: Window, X: str, Y: str) -> tuple[str, ...]:
     return verts
 
 
-def interval_adjoint(w: Window, X: str, Y: str, A: str, side: str,
-                     max_len: int = 8) -> tuple[tuple[str, ...], VarietyMor]:
+def interval_adjoint(w: Window, X: str, Y: str, A: str,
+                     side: str) -> tuple[tuple[str, ...], VarietyMor]:
     """Adjoint image of A for the interval embedding [X, Y] -> window.
 
     An A already in [X, Y] (hom(X, A) != 0 != hom(A, Y)) is its own image,
     with the identity as unit.  Otherwise, left adjoint: corestrict onto
     supp hom(-, Y), then pass to the perpendicular of the kernel object of
     P(Y) -> I(X) ⊗ hom(X, Y); the first step gives A or nothing, so the
-    unit is the second step's, restricted to supp hom(-, Y).  Right
-    adjoint: the dual construction over the opposite window.
+    unit is the second step's, restricted to supp hom(-, Y).  That family
+    is standard projectives, and Ext^1(P, -) = 0, so no orthogonality test
+    runs.  Right adjoint: the dual construction over the opposite window.
     """
     if w.hom_dim(X, A) != 0 and w.hom_dim(A, Y) != 0:
         return (A,), VarietyMor.identity(w, A)
     if side == RIGHT:
-        verts, op_mor = interval_adjoint(w.opposite(), Y, X, A, LEFT, max_len)
+        verts, op_mor = interval_adjoint(w.opposite(), Y, X, A, LEFT)
         return verts, transport_to_opposite(op_mor)
     assert side == LEFT
     if not supp_adjoint(w, A, Y)[0]:
         return (), VarietyMor.zero(w, (A,), ())
     zmods = [std_module(w, z, PROJECTIVE) for z in _interval_kernel_object(w, X, Y)]
-    pverts, unit = perp_adjoint(w, A, zmods, LEFT, max_len)
+    pverts, unit = _left_perp(w, A, zmods)
     # the perpendicular step belongs inside supp hom(-, Y); components the
     # full window adds outside that support have no homs into [X, Y]
     # (composition of nonzero paths is nonzero here) and are discarded

@@ -101,9 +101,7 @@ class Window:
     `source_tq`, the thread quiver the window truncates, whose own vertices
     keep their names in the window.  Hom-space bases of the path category mod
     relations are computed lazily and cached, one column hom(-, y) per target
-    y (`column`), as are the standard modules, the opposite window and, for a
-    window that `expand` made, the base and chain windows of its glued model
-    (`reps.to_triple`).
+    y (`column`), as are the standard modules and the opposite window.
     """
 
     def __init__(
@@ -113,7 +111,6 @@ class Window:
         boundary: set[str] | frozenset[str] = frozenset(),
         embed_t: dict[str, dict[str, str]] | None = None,
         field=QQ,
-        name: str = "",
     ):
         if not quiver.is_acyclic():
             raise NonAcyclic("windows must be acyclic")
@@ -122,7 +119,6 @@ class Window:
         self.boundary = frozenset(boundary)
         self.embed_t = {k: dict(v) for k, v in (embed_t or {}).items()}
         self.field = field
-        self.name = name
         # per target y, the column hom(-, y) built so far, and the sweep of
         # its ancestors: the walk, the vertices walked so far in order, and
         # the position of each
@@ -131,8 +127,6 @@ class Window:
         self._zero_hom = HomBasis(field, [], quiver, None)
         self._std_cache: dict = {}
         self._opposite = None
-        # (base window, chain window per thread arrow), built by reps.to_triple
-        self._triple: tuple[Window, dict[str, Window]] | None = None
         self.source_tq = None  # set by expand()
 
     # -- basic structure ----------------------------------------------------
@@ -242,29 +236,27 @@ class Window:
             boundary=self.boundary,
             embed_t=self.embed_t,
             field=self.field,
-            name=f"{self.name}^op" if self.name else "",
         )
         w._opposite = self
         self._opposite = w
         return w
 
     def release(self) -> None:
-        """Drop the caches of this window and of its opposite (the hom columns,
-        the standard modules and the glued model's windows, each released in
-        turn), then unlink the two, so that reference counting frees them
-        once the caller lets go.
+        """Drop the caches of this window and of its opposite (the hom columns
+        and the standard modules), then unlink the two, so that reference
+        counting frees them once the caller lets go.
 
         Everything cached is a reference cycle or holds one: each `HomBasis`
         of a column reads the column it lies in, a standard module refers
-        back to its window through `Rep.window`, each window to its opposite,
-        and the glued model's windows have caches of their own.  Without
-        `release` these are cycles that only a full garbage collection frees,
-        so the columns are emptied.  Call it when the window's work is done.
-        The window stays usable, since its caches refill on demand and
-        `opposite()` builds a new opposite, but modules built before the call
-        keep the old opposite (and a triple its old base and chain windows),
-        and a `HomBasis` taken before the call no longer expands a path that
-        is not a candidate.
+        back to its window through `Rep.window`, and each window to its
+        opposite.  Without `release` these are cycles that only a full
+        garbage collection frees, so the columns are emptied.  Call it when
+        the window's work is done.  The window stays usable, since its caches
+        refill on demand and `opposite()` builds a new opposite, but modules
+        built before the call keep the old opposite, and a `HomBasis` taken
+        before the call no longer expands a path that is not a candidate.
+        The glued model's base and chain windows are not cached here:
+        `reps.to_triple` builds them on each call.
         """
         for w in (self, self._opposite):
             if w is not None:
@@ -273,16 +265,11 @@ class Window:
                 w._hom_cache = {}
                 w._sweeps = {}
                 w._std_cache = {}
-                if w._triple is not None:
-                    base, chains = w._triple
-                    for part in (base, *chains.values()):
-                        part.release()
-                    w._triple = None
                 w._opposite = None
 
     def __repr__(self):
         return (
-            f"Window({self.name or 'anon'}: {len(self.quiver.vertices)} vertices, "
+            f"Window({len(self.quiver.vertices)} vertices, "
             f"{len(self.quiver.arrows)} arrows, {len(self.relations)} relations, "
             f"{len(self.boundary)} boundary)"
         )

@@ -89,6 +89,26 @@ class FractionField(RationalField):
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def arrow_path(q, arrow_names):
+    """The path of q along arrow_names, in composition order; asserts that
+    consecutive arrows compose."""
+    arrows = [q.arrow_by_name[name] for name in arrow_names]
+    for a, b in zip(arrows, arrows[1:]):
+        assert a.tgt == b.src, f"non-composable at {b.name}"
+    return QPath(arrows[0].src, arrows[-1].tgt, tuple(arrow_names))
+
+
+def column(m, j):
+    """Column j of the matrix m, as a list."""
+    return m.data[j :: m.cols] if m.cols else []
+
+
+def check_complex(cx):
+    """Assert that consecutive differentials of cx compose to zero."""
+    for d1, d2 in zip(cx.diffs, cx.diffs[1:]):
+        assert d1.then(d2).is_zero(), "differentials do not compose to zero"
+
+
 def tq_a2():
     return ThreadQuiver(["a", "b"], [("f", "a", "b")], [])
 
@@ -100,7 +120,7 @@ def tq_comm_square():
         [],
     )
     q = Quiver(tq.vertices, tq.standard_arrows)
-    rel = Relation(((1, q.path(("a", "b"))), (-1, q.path(("c", "d")))))
+    rel = Relation(((1, arrow_path(q, ("a", "b"))), (-1, arrow_path(q, ("c", "d")))))
     return ThreadQuiver(tq.vertices, tq.standard_arrows, [], [rel])
 
 
@@ -183,8 +203,8 @@ def zigzag_window(field=QQ):
     rels = []
     for a in q.arrows:
         for b in q.out_arrows[a.tgt]:
-            rels.append(Relation(((1, q.path((a.name, b.name))),)))
-    return Window(q, rels, field=field, name="zigzag")
+            rels.append(Relation(((1, arrow_path(q, (a.name, b.name))),)))
+    return Window(q, rels, field=field)
 
 
 def ainf_rad2_window(n=10, field=QQ):
@@ -194,9 +214,9 @@ def ainf_rad2_window(n=10, field=QQ):
     arrows = [(f"a{i}", f"v{i}", f"v{i+1}") for i in range(1, n)]
     q = Quiver(vertices, arrows)
     rels = [
-        Relation(((1, q.path((f"a{i}", f"a{i+1}"))),)) for i in range(1, n - 1)
+        Relation(((1, arrow_path(q, (f"a{i}", f"a{i+1}"))),)) for i in range(1, n - 1)
     ]
-    return Window(q, rels, field=field, name=f"ainf-rad2-{n}")
+    return Window(q, rels, field=field)
 
 
 def star_tail_window(n=6, field=QQ):
@@ -208,7 +228,7 @@ def star_tail_window(n=6, field=QQ):
     arrows += [(f"x{i}", "X", f"c{i}") for i in range(1, n + 1)]
     arrows += [(f"c{i}", f"c{i}", f"c{i+1}") for i in range(1, n)]
     q = Quiver(vertices, arrows)
-    return Window(q, [], boundary={f"c{n}"}, field=field, name="star-tail")
+    return Window(q, [], boundary={f"c{n}"}, field=field)
 
 
 def comm_grid_window(n, field=QQ):
@@ -224,11 +244,11 @@ def comm_grid_window(n, field=QQ):
                for i in range(n) for j in range(n + 1)]
     q = Quiver(vertices, arrows)
     rels = [
-        Relation(((1, q.path((f"h{i}_{j}", f"d{i}_{j + 1}"))),
-                  (-1, q.path((f"d{i}_{j}", f"h{i + 1}_{j}")))))
+        Relation(((1, arrow_path(q, (f"h{i}_{j}", f"d{i}_{j + 1}"))),
+                  (-1, arrow_path(q, (f"d{i}_{j}", f"h{i + 1}_{j}")))))
         for i in range(n) for j in range(n)
     ]
-    return Window(q, rels, field=field, name=f"grid{n}")
+    return Window(q, rels, field=field)
 
 
 def fixture_windows(depths, fixtures=FIXTURES):
@@ -779,7 +799,7 @@ def per_column_solve_matrix(m, b):
     [m | b_j] per column of b."""
     cols = []
     for j in range(b.cols):
-        x = solve(m, b.col(j))
+        x = solve(m, column(b, j))
         if x is None:
             return None
         cols.append(x)
@@ -946,7 +966,7 @@ def factorization_supp_adjoint(w, A, Y):
     return verts, VarietyMor(w, (A,), verts, split_proj_values(w, (A,), verts, [value]))
 
 
-def unit_composing_interval_adjoint(w, X, Y, A, side, max_len=8):
+def unit_composing_interval_adjoint(w, X, Y, A, side):
     """Differential oracle for `threads.interval_adjoint`: the support step
     by `factorization_supp_adjoint`, one perpendicular step
     (`threads.perp_adjoint`) per vertex of its image, and the two units
@@ -954,8 +974,7 @@ def unit_composing_interval_adjoint(w, X, Y, A, side, max_len=8):
     if w.hom_dim(X, A) != 0 and w.hom_dim(A, Y) != 0:
         return (A,), VarietyMor.identity(w, A)
     if side == threads.RIGHT:
-        verts, op_mor = unit_composing_interval_adjoint(
-            w.opposite(), Y, X, A, threads.LEFT, max_len)
+        verts, op_mor = unit_composing_interval_adjoint(w.opposite(), Y, X, A, threads.LEFT)
         return verts, serre.transport_to_opposite(op_mor)
     averts, unit1 = factorization_supp_adjoint(w, A, Y)
     if not averts:
@@ -964,7 +983,7 @@ def unit_composing_interval_adjoint(w, X, Y, A, side, max_len=8):
     zero = w.field.zero
     out_verts, entries = [], []
     for mid, row1 in zip(averts, unit1.entries):
-        pverts, unit2 = threads.perp_adjoint(w, mid, zmods, threads.LEFT, max_len)
+        pverts, unit2 = threads.perp_adjoint(w, mid, zmods, threads.LEFT)
         for pv, row2 in zip(pverts, unit2.entries):
             if w.hom_dim(pv, Y) == 0:
                 continue

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from conftest import (
     FractionField,
+    column,
     direct_sum,
     matrix_from_rows,
     per_column_solve_matrix,
@@ -95,7 +96,7 @@ def test_kernel_hand_example():
     k, free = kernel_basis(m)
     assert k.cols == 1
     assert free == [2] and k[2, 0] == 1
-    v = k.col(0)
+    v = column(k, 0)
     # proportional to (1, -1, 1)
     assert v[0] == -v[1] == v[2] != 0
     assert all(x == 0 for x in m.apply(v))

@@ -4,6 +4,7 @@ import re
 import pytest
 from conftest import (
     all_pairs_reach,
+    arrow_path,
     comm_grid_window,
     compose_coords,
     draw_relation,
@@ -114,24 +115,24 @@ def test_hom_a2_no_relations():
 
 def test_hom_a3_zero_relation():
     q = a3()
-    rel = Relation(((1, q.path(("a", "b"))),))
+    rel = Relation(((1, arrow_path(q, ("a", "b"))),))
     assert Window(q, [rel]).hom("1", "3").dim == 0
     assert Window(q).hom("1", "3").dim == 1
 
 
 def test_hom_commutative_square():
     q = square()
-    rel = Relation(((1, q.path(("a", "b"))), (-1, q.path(("c", "d")))))
+    rel = Relation(((1, arrow_path(q, ("a", "b"))), (-1, arrow_path(q, ("c", "d")))))
     hb = Window(q, [rel]).hom("p", "s")
     assert hb.dim == 1
     # both squares expand to the same class
-    assert hb.expand_path(q.path(("a", "b"))) == hb.expand_path(q.path(("c", "d")))
+    assert hb.expand_path(arrow_path(q, ("a", "b"))) == hb.expand_path(arrow_path(q, ("c", "d")))
 
 
 def test_expand_of_no_terms_is_the_zero_vector():
     # a zero hom, an identity hom and a hom with reducers
     sq = square()
-    rel = Relation(((1, sq.path(("a", "b"))), (-1, sq.path(("c", "d")))))
+    rel = Relation(((1, arrow_path(sq, ("a", "b"))), (-1, arrow_path(sq, ("c", "d")))))
     w = Window(sq, [rel])
     homs = [w.hom("s", "p"), w.hom("p", "p"), w.hom("p", "s")]
     assert homs[0].paths == [] and homs[1].dim == 1 and homs[2].reducers
@@ -148,7 +149,7 @@ def test_hom_ideal_propagates():
         ["1", "2", "3", "4"],
         [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")],
     )
-    rel = Relation(((1, q.path(("a", "b"))),))
+    rel = Relation(((1, arrow_path(q, ("a", "b"))),))
     w = Window(q, [rel])
     assert w.hom("1", "4").dim == 0
     assert w.hom("2", "4").dim == 1
@@ -287,7 +288,7 @@ def normal_forms(hb):
     return {hb.paths[pc]: {hb.paths[j]: c for j, c in row} for pc, row in hb.reducers}
 
 
-def assert_matches_enumeration(w):
+def assert_matches_enumeration(w, label):
     """The swept bases against the enumerate-and-rref oracle on every ordered
     pair.  The candidates are the paths a . q over the arrows a: x -> z and
     the oracle's basis q of hom(z, y), in path order; the basis and every
@@ -306,22 +307,22 @@ def assert_matches_enumeration(w):
                 cands = sorted((Path(x, y, (a.name,) + b.arrows)
                                 for a in q.out_arrows[x] for b in oracle[a.tgt, y].basis),
                                key=path_sort_key)
-            assert hb.paths == cands, (w.name, x, y)
-            assert hb.basis == ob.basis, (w.name, x, y)
+            assert hb.paths == cands, (label, x, y)
+            assert hb.basis == ob.basis, (label, x, y)
             cand_set = set(cands)
             assert normal_forms(hb) == {
-                p: nf for p, nf in normal_forms(ob).items() if p in cand_set}, (w.name, x, y)
+                p: nf for p, nf in normal_forms(ob).items() if p in cand_set}, (label, x, y)
             for p in ob.paths:
-                assert hb.expand_path(p) == ob.expand_path(p), (w.name, x, y, p)
+                assert hb.expand_path(p) == ob.expand_path(p), (label, x, y, p)
 
 
-def assert_projectives_match_expand_path(w):
+def assert_projectives_match_expand_path(w, label):
     """Every P(v) against the assembly that expands each path a . q."""
     for v in w.quiver.vertices:
         P = std_module(w, v, PROJECTIVE)
         dims, maps = expand_path_projective(w, v)
-        assert P.dims == dims, (w.name, v)
-        assert dict(P.maps.items()) == maps, (w.name, v)
+        assert P.dims == dims, (label, v)
+        assert dict(P.maps.items()) == maps, (label, v)
 
 
 def assert_request_order_free(make, seed):
@@ -353,30 +354,30 @@ def assert_request_order_free(make, seed):
 
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_layered_hom_matches_enumeration_on_fixtures(depth):
-    for _, w in fixture_windows([depth]):
-        assert_matches_enumeration(w)
-        assert_matches_enumeration(w.opposite())
+    for label, w in fixture_windows([depth]):
+        assert_matches_enumeration(w, label)
+        assert_matches_enumeration(w.opposite(), f"{label}^op")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_layered_hom_matches_enumeration_on_grids(n):
     w = comm_grid_window(n)
-    assert_matches_enumeration(w)
-    assert_matches_enumeration(w.opposite())
+    assert_matches_enumeration(w, "window")
+    assert_matches_enumeration(w.opposite(), "opposite")
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_standard_projectives_match_expand_path_on_fixtures(depth):
-    for _, w in fixture_windows([depth]):
-        assert_projectives_match_expand_path(w)
-        assert_projectives_match_expand_path(w.opposite())
+    for label, w in fixture_windows([depth]):
+        assert_projectives_match_expand_path(w, label)
+        assert_projectives_match_expand_path(w.opposite(), f"{label}^op")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_standard_projectives_match_expand_path_on_grids(n):
     w = comm_grid_window(n)
-    assert_projectives_match_expand_path(w)
-    assert_projectives_match_expand_path(w.opposite())
+    assert_projectives_match_expand_path(w, "window")
+    assert_projectives_match_expand_path(w.opposite(), "opposite")
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2])
@@ -440,14 +441,14 @@ def test_each_hom_is_built_by_its_own_hom_call(monkeypatch, depth):
 def test_layered_hom_matches_enumeration_non_admissible():
     # c - b*a = 0 identifies an arrow with a composite
     q = Quiver(["p", "q", "r"], [("a", "p", "q"), ("b", "q", "r"), ("c", "p", "r")])
-    rel = Relation(((1, q.path(("c",))), (-1, q.path(("a", "b")))))
+    rel = Relation(((1, arrow_path(q, ("c",))), (-1, arrow_path(q, ("a", "b")))))
     w = Window(q, [rel])
-    assert_matches_enumeration(w)
-    assert_matches_enumeration(w.opposite())
+    assert_matches_enumeration(w, "window")
+    assert_matches_enumeration(w.opposite(), "opposite")
     # the pivot is the smallest path, so the composite is the basis path
     hb = w.hom("p", "r")
-    assert hb.basis == [q.path(("a", "b"))]
-    assert hb.expand_path(q.path(("c",))) == [1]
+    assert hb.basis == [arrow_path(q, ("a", "b"))]
+    assert hb.expand_path(arrow_path(q, ("c",))) == [1]
 
 
 def test_layered_hom_matches_enumeration_deep_rewrite():
@@ -456,11 +457,11 @@ def test_layered_hom_matches_enumeration_deep_rewrite():
     # of dimension > 1
     q = Quiver([str(i) for i in range(5)],
                [(f"{c}{i}", str(i), str(i + 1)) for i in range(4) for c in "ab"])
-    rel = Relation(((1, q.path(("a2", "b3"))), (-1, q.path(("b2", "a3")))))
+    rel = Relation(((1, arrow_path(q, ("a2", "b3"))), (-1, arrow_path(q, ("b2", "a3")))))
     w = Window(q, [rel])
     assert w.hom_dim("0", "4") == 12
-    assert_matches_enumeration(w)
-    assert_matches_enumeration(w.opposite())
+    assert_matches_enumeration(w, "window")
+    assert_matches_enumeration(w.opposite(), "opposite")
 
 
 @given(random_thread_quivers(), st.data())
@@ -469,13 +470,13 @@ def test_layered_hom_matches_enumeration_random_relation(tq, data):
     q = expand(tq, data.draw(st.integers(0, 1))).quiver
     rel = draw_relation(data, q)
     w = Window(q, [rel])
-    assert_matches_enumeration(w)
-    assert_matches_enumeration(w.opposite())
+    assert_matches_enumeration(w, "window")
+    assert_matches_enumeration(w.opposite(), "opposite")
     x, y = rel.src, rel.tgt
     ob = path_enumeration_hom_basis(q, [rel], x, y, QQ)
     assert w.hom(x, y).basis == ob.basis
-    assert_projectives_match_expand_path(w)
-    assert_projectives_match_expand_path(w.opposite())
+    assert_projectives_match_expand_path(w, "window")
+    assert_projectives_match_expand_path(w.opposite(), "opposite")
     assert_request_order_free(lambda: Window(q, [rel]), data.draw(st.integers(0, 99)))
 
 

@@ -2,7 +2,9 @@ import random
 
 import pytest
 from conftest import (
+    arrow_path,
     basis_route_ext_dim,
+    check_complex,
     comm_grid_window,
     compose_coords,
     cover_kernel_cover_presentation,
@@ -64,13 +66,13 @@ from threadquiver.windows import ThreadQuiver, Window, expand
 
 
 def a2_window():
-    return Window(Quiver(["1", "2"], [("a", "1", "2")]), name="A2")
+    return Window(Quiver(["1", "2"], [("a", "1", "2")]))
 
 
 def a3_window(zero_rel=False):
     q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
-    rels = [Relation(((1, q.path(("a", "b"))),))] if zero_rel else []
-    return Window(q, rels, name="A3")
+    rels = [Relation(((1, arrow_path(q, ("a", "b"))),))] if zero_rel else []
+    return Window(q, rels)
 
 
 def dim_vec(M):
@@ -271,7 +273,7 @@ def test_resolution_simple_a2():
     assert len(res.complex.terms) == 2
     assert res.complex.terms[0].cert == ("proj", ("1",))
     assert res.complex.terms[1].cert == ("proj", ("2",))
-    res.complex.check()
+    check_complex(res.complex)
     assert proj_dim(s2, 4) == 1
 
 
@@ -309,7 +311,7 @@ def test_resolution_exactness():
     s3 = std_module(w, "3", SIMPLE)
     res = resolution(s3, PROJECTIVE, 6)
     cx = res.complex
-    cx.check()
+    check_complex(cx)
     # exactness at each inner term: rank d_in + rank d_out = dim at that spot;
     # in degree 0 the cohomology is M: dim P0 - rank d_in = dim M
     for i in range(1, len(cx.terms)):
@@ -331,8 +333,8 @@ def test_resolution_exceeds_bound():
         [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")],
     )
     rels = [
-        Relation(((1, q.path(("a", "b"))),)),
-        Relation(((1, q.path(("b", "c"))),)),
+        Relation(((1, arrow_path(q, ("a", "b"))),)),
+        Relation(((1, arrow_path(q, ("b", "c"))),)),
     ]
     w = Window(q, rels)
     s4 = std_module(w, "4", SIMPLE)
@@ -345,7 +347,7 @@ def test_injective_resolution_via_duality():
     w = a2_window()
     s1 = std_module(w, "1", SIMPLE)
     res = resolution(s1, INJECTIVE, 4)
-    res.complex.check()
+    check_complex(res.complex)
     assert inj_dim(s1, 4) == 1
     # duality exchanges resolutions: lengths agree
     dres = resolution(dualize(s1), PROJECTIVE, 4)
@@ -575,7 +577,7 @@ def test_restrict_s3_vanishes():
 def test_restrict_checks_relations():
     # target has a zero relation the big module does not satisfy
     q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
-    target = Window(q, [Relation(((1, q.path(("a", "b"))),))])
+    target = Window(q, [Relation(((1, arrow_path(q, ("a", "b"))),))])
     big = a3_window()
     M = std_module(big, "3", PROJECTIVE)
     vmap = {v: v for v in q.vertices}

@@ -6,8 +6,10 @@ from conftest import (
     FIXTURES,
     FractionField,
     ainf_rad2_window,
+    arrow_path,
     basis_route_ext_dim,
     basis_route_hom_data,
+    check_complex,
     cohomology_dims,
     comm_grid_window,
     draw_relation,
@@ -67,7 +69,7 @@ from threadquiver.windows import Window, expand
 
 
 def a2_window():
-    return Window(Quiver(["1", "2"], [("a", "1", "2")]), name="A2")
+    return Window(Quiver(["1", "2"], [("a", "1", "2")]))
 
 
 def probes(w, kinds=(PROJECTIVE, SIMPLE), interior_only=True):
@@ -113,7 +115,7 @@ def test_pseudo_kernel_rad_square_zero():
     q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
     from threadquiver.quiver import Relation
 
-    w = Window(q, [Relation(((1, q.path(("a", "b"))),))])
+    w = Window(q, [Relation(((1, arrow_path(q, ("a", "b"))),))])
     vm = VarietyMor.from_arrow(w, "b")  # P(2) -> P(3)
     verts, ind = pseudo(vm, KERNEL)
     assert verts == ("1",)
@@ -129,7 +131,7 @@ def test_nakayama_transports_resolution_a2():
     assert [t.cert for t in res.complex.terms] == [("proj", ("1",)), ("proj", ("2",))]
     ncx = nakayama(res.complex)
     assert [t.cert for t in ncx.terms] == [("inj", ("1",)), ("inj", ("2",))]
-    ncx.check()
+    check_complex(ncx)
     # the transported differential is nonzero (the pairing is faithful)
     assert not ncx.diffs[0].is_zero()
 
@@ -150,7 +152,7 @@ def test_nakayama_preserves_complex_law_zigzag():
     s = std_module(w, "a22", SIMPLE)
     res = resolution(s, PROJECTIVE, 6)
     ncx = nakayama(res.complex)
-    ncx.check()
+    check_complex(ncx)
 
 
 # -- serre image and derived homs -----------------------------------------------------
@@ -240,10 +242,10 @@ def test_ext_agrees_with_injective_coresolution_route():
 
     rng = _random.Random(8)
     windows = [
-        zigzag_window(),
-        expand(tq_fin1_thread(), 1),
+        ("zigzag", zigzag_window()),
+        ("fin1@1", expand(tq_fin1_thread(), 1)),
     ]
-    for w in windows:
+    for label, w in windows:
         for _ in range(4):
             M = random_fp_rep(w, rng)
             N = random_fp_rep(w, rng)
@@ -254,9 +256,9 @@ def test_ext_agrees_with_injective_coresolution_route():
             via_inj = total_hom_dims(one_term_complex(M), inj.complex)
             via_both = total_hom_dims(proj.complex, inj.complex)
             for i in range(3):
-                assert ext_dim(i, M, N, 8) == via_inj.get(i, 0), (i, w.name)
-                assert ext_dim(i, M, N, 8) == via_both.get(i, 0), (i, w.name)
-                assert ext_dim(i, M, N, 8) == basis_route_ext_dim(i, M, N, 8), (i, w.name)
+                assert ext_dim(i, M, N, 8) == via_inj.get(i, 0), (i, label)
+                assert ext_dim(i, M, N, 8) == via_both.get(i, 0), (i, label)
+                assert ext_dim(i, M, N, 8) == basis_route_ext_dim(i, M, N, 8), (i, label)
 
 
 # -- check_serre -------------------------------------------------------------------
@@ -472,7 +474,7 @@ def test_nakayama_functoriality_checks_every_pair(monkeypatch):
     # A4 has the composable pairs (a, b) and (b, c); corrupting the transport
     # of the second composite only is still caught
     q = Quiver(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
-    w = Window(q, name="A4")
+    w = Window(q)
     real = serre.realize_inj_coords
 
     def corrupt(I, J, entries):
@@ -540,7 +542,7 @@ def test_heredity_matches_freeness(label, w):
 
 def _triangle():
     q = Quiver(["p", "q", "r"], [("a", "p", "q"), ("b", "q", "r"), ("c", "p", "r")])
-    return Window(q, [Relation(((1, q.path(("c",))), (-1, q.path(("a", "b")))))])
+    return Window(q, [Relation(((1, arrow_path(q, ("c",))), (-1, arrow_path(q, ("a", "b")))))])
 
 
 def _kronecker_tail():
@@ -729,7 +731,7 @@ def _assert_injective_terms_are_ext_from_simples(w, modules=()):
     for label, X in std + list(modules):
         cx = resolution(X, INJECTIVE, max_len).complex
         terms = {i: Counter(cx.term(i).cert[1]) for i in cx.degrees() if cx.term(i).cert[1]}
-        assert terms == _injective_multiplicities(X, simples), (w.name, label)
+        assert terms == _injective_multiplicities(X, simples), label
 
 
 FIXTURE_WINDOWS = [pytest.param(w, id=label) for label, w in fixture_windows([0, 1, 2])]
@@ -874,7 +876,7 @@ def _reverse_sorted_relabelling(w):
     q = Quiver([new[v] for v in w.quiver.vertices],
                [(a.name, new[a.src], new[a.tgt]) for a in w.quiver.arrows])
     rels = [Relation(tuple((c, path(p)) for c, p in r.terms)) for r in w.relations]
-    return Window(q, rels, boundary={new[v] for v in w.boundary}, name=w.name)
+    return Window(q, rels, boundary={new[v] for v in w.boundary})
 
 
 def _counts(report):

@@ -5,8 +5,9 @@ module imports is used in that module, every module-level private function
 is referenced somewhere in the package, and every module-level public
 function is referenced in the package, exported by `__init__.py`, or traced
 by the benchmark (`TRACED` in `perfbench/tracing.py`, parsed, not imported).
-Every public method of a module-level class is read in the package outside
-its own body, read under `perfbench/`, or traced.  A function or method
+Every public method of a module-level class is called in the package
+outside its own body, called under `perfbench/`, or traced; a property or
+cached property counts wherever it is read.  A function or method
 only tests call belongs in `tests/conftest.py`.  Every parameter
 of every function, methods and nested functions included, is read in its
 body: an option the body ignores is dead code a caller can still set.
@@ -161,28 +162,50 @@ def test_the_reach_rule_flags_a_function_only_itself_calls():
     assert _unreached_public_functions(trees, exported, set()) == ["m:lonely", "m:traced"]
 
 
+def _called_methods(tree):
+    """How often each attribute name is called in tree, as in `x.m(...)`."""
+    return Counter(node.func.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute))
+
+
+def _is_property(fn):
+    """Whether fn is decorated as a property or a cached property."""
+    return any((d.id if isinstance(d, ast.Name) else getattr(d, "attr", None))
+               in ("property", "cached_property") for d in fn.decorator_list)
+
+
 def _unreached_public_methods(trees, outside, traced):
     """'module:Class.method' for every public method of a module-level class
-    of trees (module name -> tree) that nothing in trees reads outside its own
-    body, that `outside` (name -> reads elsewhere) never reads, and that is
-    not traced."""
-    used = sum((_used_names(tree) for tree in trees.values()), Counter())
-    return [f"{module}:{cls.name}.{fn.name}"
-            for module, tree in trees.items()
-            for cls in tree.body if isinstance(cls, ast.ClassDef)
-            for fn in cls.body
-            if isinstance(fn, ast.FunctionDef | ast.AsyncFunctionDef)
-            and not fn.name.startswith("_")
-            and used[fn.name] == _used_names(fn)[fn.name] and not outside[fn.name]
-            and (module, f"{cls.name}.{fn.name}") not in traced]
+    of trees (module name -> tree) that nothing in trees or in the trees of
+    `outside` reaches outside its own body, and that is not traced.  A
+    property or cached property is reached where its name is read; a plain
+    method only where it is called, so a read of another object's attribute
+    of the same name (`sys.path`) does not reach a method `path`."""
+    everywhere = [*trees.values(), *outside]
+    reads = sum((_used_names(tree) for tree in everywhere), Counter())
+    calls = sum((_called_methods(tree) for tree in everywhere), Counter())
+    out = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if (not isinstance(fn, ast.FunctionDef | ast.AsyncFunctionDef)
+                        or fn.name.startswith("_")
+                        or (module, f"{cls.name}.{fn.name}") in traced):
+                    continue
+                count, total = ((_used_names, reads) if _is_property(fn)
+                                else (_called_methods, calls))
+                if total[fn.name] == count(fn)[fn.name]:
+                    out.append(f"{module}:{cls.name}.{fn.name}")
+    return out
 
 
 def test_every_public_method_is_reached():
     trees = {path.stem: _tree(path) for path in MODULES}
-    outside = sum((_used_names(_tree(path)) for path in sorted(PERFBENCH.rglob("*.py"))),
-                  Counter())
+    outside = [_tree(path) for path in sorted(PERFBENCH.rglob("*.py"))]
     traced = _traced(_tree(TRACING))
-    assert outside and traced, "no perfbench name or traced name found: the scan reads nothing"
+    assert outside and traced, "no perfbench file or traced name found: the scan reads nothing"
     unreached = _unreached_public_methods(trees, outside, traced)
     assert not unreached, (
         f"public methods no module, benchmark or trace reaches: {unreached}; "
@@ -190,20 +213,30 @@ def test_every_public_method_is_reached():
 
 
 def test_the_reach_rule_flags_a_method_only_itself_calls():
-    trees = {"m": ast.parse("class C:\n"
+    trees = {"m": ast.parse("import sys\n"
+                            "from functools import cached_property\n"
+                            "class C:\n"
                             "    def __init__(self):\n        pass\n"
                             "    def _private(self):\n        pass\n"
                             "    def used(self):\n        return self._private()\n"
                             "    def lonely(self):\n        return self.lonely()\n"
                             "    def benched(self):\n        pass\n"
                             "    def traced(self):\n        pass\n"
+                            "    def path(self):\n        pass\n"
+                            "    def unbound(self):\n        pass\n"
+                            "    @property\n    def size(self):\n        return 0\n"
+                            "    @cached_property\n    def key(self):\n        return 0\n"
                             "def f():\n    pass\n"
-                            "x = C().used()\n")}
-    outside = _used_names(ast.parse("C().benched()\n"))
+                            "x = C().used()\n"
+                            "sys.path.insert(0, '.')\n"
+                            "g = C().unbound\n"
+                            "n = C().size + C().key\n")}
+    outside = [ast.parse("C().benched()\n")]
     traced = _traced(ast.parse("TRACED = [('m', 'C.traced'), ('m', 'f')]\n"))
-    assert _unreached_public_methods(trees, outside, traced) == ["m:C.lonely"]
-    assert _unreached_public_methods(trees, Counter(), {("m", "traced")}) == [
-        "m:C.lonely", "m:C.benched", "m:C.traced"]
+    assert _unreached_public_methods(trees, outside, traced) == [
+        "m:C.lonely", "m:C.path", "m:C.unbound"]
+    assert _unreached_public_methods(trees, [], {("m", "traced")}) == [
+        "m:C.lonely", "m:C.benched", "m:C.traced", "m:C.path", "m:C.unbound"]
 
 
 def test_the_checks_catch_a_stale_import_and_an_unreferenced_function():

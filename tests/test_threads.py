@@ -3,7 +3,9 @@ from conftest import (
     FIXTURES,
     ainf_rad2_window,
     all_intermediate_rad_irr_dims,
+    arrow_path,
     comm_grid_window,
+    draw_relation,
     fixture_windows,
     random_thread_quivers,
     tq_empty_thread,
@@ -16,7 +18,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threadquiver import cli, threads, windows
+from threadquiver import cli, reps, threads, windows
 from threadquiver.dsl import parse_tq
 from threadquiver.errors import (
     BoundaryContaminated,
@@ -30,10 +32,12 @@ from threadquiver.reps import (
     INJECTIVE,
     PROJECTIVE,
     SIMPLE,
-    dualize,
     ext_dim,
     kernel_as_projectives,
+    one_term_complex,
+    resolution,
     std_module,
+    total_hom_dims,
 )
 from threadquiver.serre import VarietyMor, realize_proj, transport_to_opposite
 from threadquiver.threads import (
@@ -60,7 +64,7 @@ def a2_window():
 
 def a3_window(zero_rel=False):
     q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
-    rels = [Relation(((1, q.path(("a", "b"))),))] if zero_rel else []
+    rels = [Relation(((1, arrow_path(q, ("a", "b"))),))] if zero_rel else []
     return Window(q, rels)
 
 
@@ -326,28 +330,20 @@ def test_perp_adjoint_left_side():
     assert report.passed, report.items
 
 
-def _pairwise_orthogonality(Zs, max_len):
+def _pairwise_orthogonality(Zs):
     """The orthogonality test as `ext_dim` on every ordered pair, each pair
-    resolving its first module again, and the family that settled it: Zs
-    over the window, or, where one of its resolutions does not finish, the
-    dual family over the opposite window (Ext^1_op(DZ1, DZ2) = Ext^1(Z2, Z1))."""
-    def outcome(family):
-        for Z1 in family:
-            for Z2 in family:
-                if ext_dim(1, Z1, Z2, max_len) != 0:
-                    return "ZNotExtOrthogonal"
-        return "orthogonal"
+    resolving its first module again, in full (a finite acyclic window has
+    global dimension below its vertex count)."""
+    for Z1 in Zs:
+        for Z2 in Zs:
+            if ext_dim(1, Z1, Z2, len(Z1.window.quiver.vertices)) != 0:
+                return "ZNotExtOrthogonal"
+    return "orthogonal"
 
+
+def _perp_outcome(w, A, Zs, side):
     try:
-        return outcome(Zs), Zs
-    except ExceedsBound:
-        dual = [dualize(Z) for Z in Zs]
-        return outcome(dual), dual
-
-
-def _perp_outcome(w, A, Zs, side, max_len):
-    try:
-        perp_adjoint(w, A, Zs, side, max_len)
+        perp_adjoint(w, A, Zs, side)
     except ZNotExtOrthogonal:
         return "ZNotExtOrthogonal"
     except NotRepresentable:
@@ -355,45 +351,89 @@ def _perp_outcome(w, A, Zs, side, max_len):
     return "orthogonal"
 
 
+def _count_resolutions(monkeypatch):
+    """The (module, length) of every resolution head the orthogonality test
+    asks for, in order."""
+    resolved = []
+    resolve_orig = threads._resolve
+
+    def counting_resolve(M, length):
+        resolved.append((M, length))
+        return resolve_orig(M, length)
+
+    monkeypatch.setattr(threads, "_resolve", counting_resolve)
+    return resolved
+
+
+def _arrow_end_families(w, a):
+    """Families at the ends of the arrow a: x -> y, orthogonal or not."""
+    x, y = a.src, a.tgt
+    S = {v: std_module(w, v, SIMPLE) for v in (x, y)}
+    return [[S[x], S[y]], [S[y], S[x]], [std_module(w, x, PROJECTIVE), S[y]],
+            [S[x], std_module(w, y, INJECTIVE)], [S[y]]]
+
+
 @pytest.mark.parametrize("label, w", [
     pytest.param(label, w, id=label) for label, w in fixture_windows((0, 1, 2))])
 def test_perp_adjoint_orthogonality_matches_pairwise_ext(label, w, monkeypatch):
     # families at the ends of every arrow x -> y; on either side each member
-    # of the family that settles orthogonality is resolved once, and
-    # ZNotExtOrthogonal (or ExceedsBound) comes exactly when the pairwise
-    # route raises it
-    resolved = []
-    resolution_orig = threads.resolution
-
-    def counting_resolution(M, *args, **kwargs):
-        resolved.append(M)
-        return resolution_orig(M, *args, **kwargs)
-
-    monkeypatch.setattr(threads, "resolution", counting_resolution)
+    # is resolved once, to three terms, and ZNotExtOrthogonal comes exactly
+    # when the pairwise route finds a nonzero Ext^1
+    resolved = _count_resolutions(monkeypatch)
     outcomes = set()
     for a in w.quiver.arrows:
-        x, y = a.src, a.tgt
-        S = {v: std_module(w, v, SIMPLE) for v in (x, y)}
-        families = [[S[x], S[y]], [S[y], S[x]], [std_module(w, x, PROJECTIVE), S[y]],
-                    [S[x], std_module(w, y, INJECTIVE)], [S[y]]]
-        for Zs in families:
-            try:
-                expected, settled_by = _pairwise_orthogonality(Zs, 4)
-            except ExceedsBound:
-                expected, settled_by = "ExceedsBound", None
+        for Zs in _arrow_end_families(w, a):
+            expected = _pairwise_orthogonality(Zs)
             for side in (LEFT, RIGHT):
                 del resolved[:]
-                try:
-                    got = _perp_outcome(w, x, Zs, side, 4)
-                except ExceedsBound:
-                    got = "ExceedsBound"
+                got = _perp_outcome(w, a.src, Zs, side)
                 assert got == expected, (label, a.name, side)
                 if got == "orthogonal":
-                    tail = resolved[len(resolved) - len(Zs):]
-                    assert [M.window for M in tail] == [Z.window for Z in settled_by]
-                    assert len(resolved) == len(Zs) or settled_by is not Zs, (label, a.name)
+                    assert len(resolved) == len(Zs), (label, a.name, side)
+                    assert all(M is Z and length == 2
+                               for (M, length), Z in zip(resolved, Zs)), (label, a.name)
                 outcomes.add(got)
     assert "ZNotExtOrthogonal" in outcomes and "orthogonal" in outcomes, (label, outcomes)
+
+
+def _assert_three_term_ext1_matches_ext_dim(w, pairs, where):
+    """For every Z1 of pairs ((Z1, [Z2, ...]) items), Ext^1(Z1, Z2) read off
+    three terms of Z1's minimal projective resolution equals `ext_dim`'s,
+    from the full resolution; the three terms are the full resolution's
+    first, and they end where that resolution does."""
+    bound = len(w.quiver.vertices)
+    for Z1, targets in pairs:
+        head, ended = reps._resolve(Z1, 2)
+        full = resolution(Z1, PROJECTIVE, bound).complex
+        assert [t.cert for t in head.terms] == [t.cert for t in full.terms[-3:]], where
+        assert ended == (len(full.terms) <= 3), where
+        for Z2 in targets:
+            ext1 = total_hom_dims(head, one_term_complex(Z2)).get(1, 0)
+            assert ext1 == ext_dim(1, Z1, Z2, bound), where
+
+
+@pytest.mark.parametrize("label, w", [
+    pytest.param(label, w, id=label) for label, w in fixture_windows((0, 1, 2))])
+def test_three_term_ext1_matches_ext_dim(label, w):
+    # every ordered pair among S(x), S(y), I(x) and P(y) at the ends of an
+    # arrow x -> y
+    targets = {}
+    for a in w.quiver.arrows:
+        ends = [(a.src, SIMPLE), (a.tgt, SIMPLE), (a.src, INJECTIVE), (a.tgt, PROJECTIVE)]
+        for end in ends:
+            targets.setdefault(end, set()).update(ends)
+    pairs = [(std_module(w, *end), [std_module(w, *t) for t in sorted(ts)])
+             for end, ts in targets.items()]
+    _assert_three_term_ext1_matches_ext_dim(w, pairs, label)
+
+
+@given(random_thread_quivers(), st.data())
+@settings(max_examples=15, deadline=None)
+def test_three_term_ext1_matches_ext_dim_with_a_random_relation(tq, data):
+    q = expand(tq, data.draw(st.integers(0, 1))).quiver
+    w = Window(q, [draw_relation(data, q)])
+    simples = [std_module(w, v, SIMPLE) for v in w.quiver.vertices]
+    _assert_three_term_ext1_matches_ext_dim(w, [(S, simples) for S in simples], w.relations)
 
 
 def test_perp_adjoint_rejects_nonorthogonal():
@@ -405,10 +445,10 @@ def test_perp_adjoint_rejects_nonorthogonal():
             perp_adjoint(w, "1", [s2, s3], side)
 
 
-def test_perp_adjoint_orthogonality_settled_by_the_dual_family():
-    # on the radical-square-zero A10, S(v10) has projective dimension 9, past
-    # max_len = 8, while its dual over the opposite window is projective:
-    # the dual family settles orthogonality, on either side
+def test_perp_adjoint_orthogonality_reads_three_terms_of_a_long_resolution():
+    # on the radical-square-zero A10, S(v10) has projective dimension 9:
+    # its resolution runs past length 8, and the orthogonality test reads
+    # only its first three terms, on either side
     w = expand(parse_tq((FIXTURES / "ainf_rad2.tq").read_text()), 0)
     s9, s10 = std_module(w, "v9", SIMPLE), std_module(w, "v10", SIMPLE)
     with pytest.raises(ExceedsBound):
@@ -419,25 +459,32 @@ def test_perp_adjoint_orthogonality_settled_by_the_dual_family():
             perp_adjoint(w, "v9", [s9, s10], side)
 
 
+def test_perp_adjoint_answers_where_both_families_resolve_past_length_8():
+    # S(v12) has projective dimension 11 and S(v1) injective dimension 11,
+    # so neither the family nor its dual over the opposite window resolves
+    # within length 8; Ext^1 vanishes on every ordered pair, read off three
+    # terms
+    w = ainf_rad2_window(12)
+    Zs = [std_module(w, "v1", SIMPLE), std_module(w, "v12", SIMPLE)]
+    with pytest.raises(ExceedsBound):
+        resolution(Zs[1], PROJECTIVE, 8)
+    with pytest.raises(ExceedsBound):
+        resolution(Zs[0], INJECTIVE, 8)
+    assert _pairwise_orthogonality(Zs) == "orthogonal"
+    for side in (LEFT, RIGHT):
+        assert perp_adjoint(w, "v6", Zs, side)[0] == ("v6",), side
+
+
 def test_perp_adjoint_left_tests_orthogonality_once(monkeypatch):
-    # on a window of finite global dimension either side resolves each
-    # nonzero member once, over the window; a zero member is never resolved
-    import threadquiver.reps as reps
-
-    resolved = []
-    resolution_orig = reps.resolution
-
-    def counting_resolution(M, *args, **kwargs):
-        resolved.append(M.window)
-        return resolution_orig(M, *args, **kwargs)
-
-    monkeypatch.setattr(threads, "resolution", counting_resolution)
+    # either side resolves each nonzero member once, over the window; a zero
+    # member is never resolved
+    resolved = _count_resolutions(monkeypatch)
     w = a3_window()
     Zs = [std_module(w, "1", SIMPLE), reps.zero_rep(w), std_module(w, "3", SIMPLE)]
     for side in (RIGHT, LEFT):
         del resolved[:]
         perp_adjoint(w, "2", Zs, side)
-        assert resolved == [w, w], side
+        assert [(M.window, length) for M, length in resolved] == [(w, 2), (w, 2)], side
 
 
 def test_supp_adjoint_trivial_cases():
@@ -509,7 +556,7 @@ def test_opposite_transport_round_trip_and_dual_side_adjoints(label, w):
         back = transport_to_opposite(op)
         assert back.window is w
         assert (back.source, back.target, back.entries) == (vm.source, vm.target, vm.entries)
-        _, unit = perp_adjoint(w, a.src, [std_module(w, a.tgt, SIMPLE)], LEFT, max_len=12)
+        _, unit = perp_adjoint(w, a.src, [std_module(w, a.tgt, SIMPLE)], LEFT)
         assert unit.window is w
         # a.src lies before the one-point interval [a.tgt, a.tgt], so this
         # goes through the opposite window (with an empty image); objects of
@@ -541,6 +588,23 @@ def test_interval_adjoint_full_assignment_checks():
         assign = {
             v: interval_adjoint(w, "2", "4", v, side)[0] for v in w.quiver.vertices
         }
+        report = adjunction_check(w, sub, assign, side)
+        assert report.passed, (side, report.items)
+
+
+def test_interval_adjoint_resolves_nothing(monkeypatch):
+    # the perpendicular step removes standard projectives, so the full
+    # assignment of [A, B] on mixed at depth 2 runs no resolution and no
+    # orthogonality test, on either side, and satisfies the adjunction
+    def refuse(*args):
+        raise AssertionError("the interval adjoint resolved a module")
+
+    monkeypatch.setattr(threads, "_resolve", refuse)
+    monkeypatch.setattr(threads, "_assert_ext_orthogonal", refuse)
+    w = expand(parse_tq((FIXTURES / "mixed.tq").read_text()), 2)
+    sub = [v for v in w.quiver.vertices if w.hom_dim("A", v) and w.hom_dim(v, "B")]
+    for side in (LEFT, RIGHT):
+        assign = {v: interval_adjoint(w, "A", "B", v, side)[0] for v in w.quiver.vertices}
         report = adjunction_check(w, sub, assign, side)
         assert report.passed, (side, report.items)
 

@@ -1,5 +1,5 @@
 import pytest
-from conftest import random_thread_quivers
+from conftest import arrow_path, random_thread_quivers
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -184,7 +184,7 @@ def test_window_iso_counts_differ():
 
 def test_window_iso_respects_relations():
     q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
-    rel = Relation(((1, q.path(("a", "b"))),))
+    rel = Relation(((1, arrow_path(q, ("a", "b"))),))
     w_plain = Window(q, [])
     w_rel = Window(q, [rel])
     assert window_iso(w_plain, w_rel) is None
