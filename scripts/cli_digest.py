@@ -1,11 +1,11 @@
 """Digests of the CLI's answers over a fixed corpus, to compare two trees byte for byte.
 
 Every fixture under `fixtures/` is run through `threadquiver.cli.run`
-in-process with `serre-check`, `dualizing-check` (default and
-`--strict-boundary`), `threads`, `extract`, `roundtrip`, `expand` and
-`dot --expanded`, at depths 0-3.  Then, at depths 0-2, every ordered pair
-of the thread quiver's own vertices is run through `hom` and through `ext`
-at degrees 0, 1 and 2.
+in-process with `serre-check` (default and `--max-len 2`),
+`dualizing-check` (default and `--strict-boundary`), `threads`, `extract`,
+`roundtrip`, `expand` and `dot --expanded`, at depths 0-3, and once through
+`normalize`.  Then, at depths 0-2, every ordered pair of the thread quiver's
+own vertices is run through `hom` and through `ext` at degrees 0, 1 and 2.
 Each invocation prints one line: the sha256 of its exit code, stdout and
 stderr, then the command.  The last line is the sha256 of all of them.
 
@@ -37,6 +37,7 @@ COMMANDS = [
     ["roundtrip"],
     ["expand"],
     ["dot", "--expanded"],
+    ["serre-check", "--max-len", "2"],
 ]
 DEPTHS = [0, 1, 2, 3]
 PAIR_COMMANDS = [["hom"]] + [["ext", "--degree", str(d)] for d in (0, 1, 2)]
@@ -49,6 +50,7 @@ def corpus(parse_tq) -> list[list[str]]:
     fixtures = sorted(p.relative_to(ROOT).as_posix() for p in (ROOT / "fixtures").glob("*.tq"))
     out = [cmd + [fixture, "--depth", str(depth)]
            for fixture in fixtures for cmd in COMMANDS for depth in DEPTHS]
+    out += [["normalize", fixture] for fixture in fixtures]
     for fixture in fixtures:
         vertices = parse_tq((ROOT / fixture).read_text(encoding="utf-8")).vertices
         out += [[cmd[0], fixture, x, y, *cmd[1:], "--depth", str(depth)]

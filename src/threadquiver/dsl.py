@@ -267,7 +267,8 @@ def sanitize_names(tq: ThreadQuiver) -> ThreadQuiver:
         std.append((amap[a.name], vmap[a.src], vmap[a.tgt]))
     thr = []
     for t in tq.thread_arrows:
-        thr.append((clean(t.name), vmap[t.src], vmap[t.tgt], t.label))
+        amap[t.name] = clean(t.name)
+        thr.append((amap[t.name], vmap[t.src], vmap[t.tgt], t.label))
     rels = []
     for rel in tq.relations:
         rels.append(

@@ -1066,8 +1066,9 @@ def resolution(M: Rep, side: str, max_len: int) -> Resolution:
     injectives (degrees 0..n); raises ExceedsBound past max_len syzygies.
     The projective resolution is `_resolve`'s; the injective resolution is
     the dual of the projective resolution of D M over the opposite window,
-    so a certified sum of injectives is its own.  Boundary contact is read
-    off the finished terms by `serre._usable_probes`."""
+    so a certified sum of injectives is its own.  The Serre check reads its
+    probes' resolutions off `_resolve` instead, with the injective side
+    taken from the simples' resolutions (`serre._usable_probes`)."""
     if side == INJECTIVE:
         return Resolution(dualize_complex(resolution(dualize(M), PROJECTIVE, max_len).complex))
     if side != PROJECTIVE:

@@ -29,10 +29,10 @@ window, and a test checks it
 
 The evidence that every probe has finite injective dimension is read off the
 minimal projective resolutions of the window's simples, computed once per
-check: in a minimal injective resolution of X, I(u) occurs in degree i
-dim Ext^i(S(u), X) times, and the global dimension is max_u pd S(u).  Only
-when some simple's resolution is longer than the bound does each probe fall
-back to an injective resolution of its own.
+check and cut after degree max_len + 2: in a minimal injective resolution of
+X, I(u) occurs in degree i dim Ext^i(S(u), X) times, so id X <= n exactly
+when Ext^{n+1}(S(u), X) = 0 for every simple S(u).  No probe is resolved
+injectively, whatever the window's global dimension.
 """
 
 from __future__ import annotations
@@ -40,12 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import (
-    ExceedsBound,
-    NotProjectiveCertified,
-    NotRepresentable,
-    ThreadQuiverError,
-)
+from .errors import NotProjectiveCertified, NotRepresentable, ThreadQuiverError
 from .quiver import Path
 from .report import Report
 from .reps import (
@@ -55,6 +50,7 @@ from .reps import (
     Complex,
     Rep,
     RepMap,
+    _resolve,
     inj_sum,
     kernel_as_projectives,
     one_term_complex,
@@ -195,21 +191,18 @@ def serre_image(M: Rep, max_len: int) -> Complex:
 # -- checks -----------------------------------------------------------------------
 
 
-def _simple_resolutions(w: Window, max_len: int) -> dict[str, Complex] | None:
+def _simple_resolutions(w: Window, max_len: int) -> dict[str, Complex]:
     """The minimal projective resolution of every simple of the window, with
-    no boundary restriction, or None as soon as one is longer than max_len.
+    no boundary restriction, cut after degree max_len + 2.
 
-    The window's category is a finite-dimensional algebra, so its global
-    dimension is max_u pd S(u): when every resolution fits, no module has
-    projective or injective dimension above max_len.
+    Against any module X the cut complex computes Ext^i(S(u), X) exactly in
+    every degree i <= max_len + 1.  Those groups answer the check's questions
+    about X's injective side (Auslander-Reiten-Smalø, *Representation Theory
+    of Artin Algebras*, ch. I): I(u) occurs in degree i of a minimal
+    injective resolution of X dim Ext^i(S(u), X) times, so id X <= max_len
+    exactly when Ext^{max_len+1}(S(u), X) = 0 for every u.
     """
-    out: dict[str, Complex] = {}
-    for u in w.quiver.vertices:
-        try:
-            out[u] = resolution(std_module(w, u, SIMPLE), PROJECTIVE, max_len).complex
-        except ExceedsBound:
-            return None
-    return out
+    return {u: _resolve(std_module(w, u, SIMPLE), max_len + 2)[0] for u in w.quiver.vertices}
 
 
 def _boundary_terms(cx: Complex) -> list[str]:
@@ -217,42 +210,47 @@ def _boundary_terms(cx: Complex) -> list[str]:
     return sorted({v for t in cx.terms for v in t.cert[1] if v in boundary})
 
 
-def _injective_boundary_terms(X: Rep, simples: dict[str, Complex]) -> list[str]:
-    """The boundary vertices b with I(b) in the minimal injective resolution
-    of X: I(b) occurs in degree i with multiplicity dim Ext^i(S(b), X)."""
-    touched = []
-    for b in sorted(X.window.boundary):
-        res = simples[b]
-        # hom(P(v), X) = X(v), so the Ext vanishes unless a term meets X's support
-        if not any(X.dims[v] for t in res.terms for v in t.cert[1]):
+def _has_ext_from_simples(X: Rep, simples: dict[str, Complex], vertices,
+                          degrees: range) -> bool:
+    """Whether Ext^i(S(u), X) != 0 for some u in vertices and i in degrees
+    (at most max_len + 1), read off the simples' cut resolutions; stops at
+    the first such u."""
+    for u in vertices:
+        res = simples[u]
+        # hom(P(v), X) = X(v), so Ext^i vanishes unless the degree -i term
+        # meets X's support
+        if not any(X.dims[v] for i in degrees if res.term(-i) for v in res.term(-i).cert[1]):
             continue
-        if any(total_hom_dims(res, one_term_complex(X)).values()):
-            touched.append(b)
-    return touched
+        dims = total_hom_dims(res, one_term_complex(X))
+        if any(dims.get(i) for i in degrees):
+            return True
+    return False
 
 
 def _usable_probes(w: Window, test_set: list[tuple[str, Rep]], max_len: int,
                    forbid_boundary: bool, report: Report) -> list[tuple[str, Rep, Complex]]:
-    """The probes with finite projective and injective dimension within
-    max_len, each with its minimal projective resolution.  A probe fails if
-    either resolution exceeds max_len; otherwise, under forbid_boundary, it
-    is skipped if either resolution touches the boundary (see `check_serre`)."""
-    simples = _simple_resolutions(w, max_len) if test_set else None
+    """The probes with projective and injective dimension within max_len,
+    each with its minimal projective resolution (a simple probe takes its
+    simple's).  A probe X fails if that resolution reaches degree
+    max_len + 1 or Ext^{max_len+1}(S(u), X) != 0 for some u; otherwise,
+    under forbid_boundary, it is skipped if that resolution has a term at a
+    boundary vertex b or Ext^i(S(b), X) != 0 for some i <= max_len, that
+    is, if I(b) occurs in X's minimal injective resolution."""
+    simples = _simple_resolutions(w, max_len) if test_set else {}
+    # only these simples have a term, so possibly an Ext, in degree max_len + 1
+    long = [u for u, res in simples.items() if len(res.terms) > max_len + 1]
     usable = []
     for label, X in test_set:
-        inj = None
-        try:
-            if simples is not None and X.total_dim() == 1:  # the simple at its one vertex
-                res = simples[X.support[0]]
-            else:
-                res = resolution(X, PROJECTIVE, max_len).complex
-            if simples is None:
-                inj = resolution(X, INJECTIVE, max_len).complex
-        except ExceedsBound:
+        if X.total_dim() == 1:  # the simple at its one vertex
+            res = simples[X.support[0]]
+        else:
+            res = _resolve(X, max_len + 1)[0]
+        if len(res.terms) > max_len + 1 or _has_ext_from_simples(
+                X, simples, long, range(max_len + 1, max_len + 2)):
             report.fail(f"pd/id({label})", f"<= {max_len}", "ExceedsBound")
             continue
-        if forbid_boundary and (_boundary_terms(res) or (
-                _boundary_terms(inj) if inj else _injective_boundary_terms(X, simples))):
+        if forbid_boundary and (_boundary_terms(res) or _has_ext_from_simples(
+                X, simples, sorted(w.boundary), range(max_len + 1))):
             # the probe's resolutions lean on truncation artifacts: it carries
             # no evidence either way, so it is skipped rather than failed
             report.skipped += 1
@@ -300,16 +298,14 @@ def check_serre(
     realization is a property of the code, tested by
     `tests/test_serre.py::test_nakayama_realization_composes`.
 
-    A probe X fails if either of its resolutions exceeds max_len;
-    otherwise, under forbid_boundary, it is skipped if either has a term at
-    a boundary vertex.  The injective side is read off the minimal
-    projective resolutions of the window's simples, computed once: when all
-    of them fit in max_len, the global dimension bounds every probe's
-    injective dimension, and I(u) occurs in degree i of X's minimal
-    injective resolution dim Ext^i(S(u), X) times.  A simple probe takes its
-    simple's resolution as its projective one.  When some simple's
-    resolution is longer than max_len, every probe is resolved in full both
-    projectively and injectively.  The rule reads only the window and max_len.
+    A probe X fails if either of its minimal resolutions is longer than
+    max_len; otherwise, under forbid_boundary, it is skipped if either has a
+    term at a boundary vertex.  The injective side is read off the simples'
+    projective resolutions (`_simple_resolutions`) at every global
+    dimension: id X <= max_len exactly when Ext^{max_len+1}(S(u), X) = 0 for
+    every simple S(u), and I(u) occurs in degree i of X's minimal injective
+    resolution dim Ext^i(S(u), X) times (Auslander-Reiten-Smalø, ch. I).  No
+    probe is resolved injectively.
 
     A side of a pair that is zero by support (`_zero_sides`) is answered
     with zeros without building its hom complex.  Every pair is tallied in

@@ -14,7 +14,7 @@ from threadquiver.dsl import emit_dot, parse_tq, sanitize_names, serialize_tq
 from threadquiver.errors import DuplicateName, ParseError, TooLarge, UnknownVertex
 from threadquiver.orders import INT, Concat, Fin, NAT, NEG_NAT
 from threadquiver.threads import thread_hom_check
-from threadquiver.windows import Window, expand
+from threadquiver.windows import Window, expand, normalize, window_iso
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -258,6 +258,17 @@ def test_normalize_command(capsys):
     tq = parse_tq(out)
     assert len(tq.vertices) == 4
     assert len(tq.standard_arrows) == 2
+
+
+def test_normalize_command_renames_a_thread_arrow_inside_a_relation(tmp_path, capsys):
+    src = tmp_path / "rel_thread.tq"
+    src.write_text("vertex x y z\narrow a: x -> y\nthread t: y ..> z [2]\n"
+                   "arrow b: x -> z\nrelation t*a - b = 0\n")
+    code = run(["normalize", str(src)])
+    out = capsys.readouterr().out
+    assert code == 0
+    tq = parse_tq(src.read_text())
+    assert window_iso(expand(parse_tq(out), 2), expand(normalize(tq), 2)) is not None
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

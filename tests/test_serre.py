@@ -725,7 +725,8 @@ def _assert_injective_terms_are_ext_from_simples(w, modules=()):
     # a finite acyclic window has global dimension below its vertex count
     max_len = len(w.quiver.vertices)
     simples = serre._simple_resolutions(w, max_len)
-    assert simples is not None
+    # every simple's resolution ended within max_len, so no cut term is read
+    assert all(len(res.terms) <= max_len + 1 for res in simples.values())
     std = [(f"{k}({v})", std_module(w, v, k))
            for v in w.quiver.vertices for k in (PROJECTIVE, INJECTIVE, SIMPLE)]
     for label, X in std + list(modules):
@@ -766,42 +767,70 @@ def _serre_answer(report):
     return report.to_json_dict(), report.checked, report.skipped
 
 
-@pytest.mark.parametrize("forbid_boundary", [True, False], ids=["skip", "no-skip"])
-@pytest.mark.parametrize("w", FIXTURE_WINDOWS)
-def test_check_serre_matches_per_probe_oracle(w, forbid_boundary, monkeypatch):
+def _assert_check_serre_matches_oracles(w, max_len, forbid_boundary, monkeypatch):
     # the CLI's probe set; one oracle resolves every probe both ways, the
     # other evaluates every pair with no test by support: the same items and
     # the same checked and skipped counts
     test_set = probes(w, interior_only=forbid_boundary)
-    got = _serre_answer(check_serre(w, test_set, 6, forbid_boundary=forbid_boundary))
+    got = _serre_answer(check_serre(w, test_set, max_len, forbid_boundary=forbid_boundary))
     assert got == _serre_answer(
-        per_pair_check_serre(w, test_set, 6, forbid_boundary=forbid_boundary))
+        per_pair_check_serre(w, test_set, max_len, forbid_boundary=forbid_boundary))
     monkeypatch.setattr(serre, "_usable_probes", per_probe_usable_probes)
-    assert got == _serre_answer(check_serre(w, test_set, 6, forbid_boundary=forbid_boundary))
+    assert got == _serre_answer(
+        check_serre(w, test_set, max_len, forbid_boundary=forbid_boundary))
 
 
-def test_check_serre_resolves_injectively_only_past_the_global_dimension(monkeypatch):
-    # the route is decided by the window and max_len: mixed has global
-    # dimension 1, zigzag 3 and the radical-square-zero line 9
-    real = serre.resolution
-    calls = []
+@pytest.mark.parametrize("forbid_boundary", [True, False], ids=["skip", "no-skip"])
+@pytest.mark.parametrize("w", FIXTURE_WINDOWS)
+def test_check_serre_matches_per_probe_oracle(w, forbid_boundary, monkeypatch):
+    _assert_check_serre_matches_oracles(w, 6, forbid_boundary, monkeypatch)
 
-    def counting(M, side, *args, **kwargs):
-        if side == INJECTIVE:
-            calls.append(M)
-        return real(M, side, *args, **kwargs)
 
-    monkeypatch.setattr(serre, "resolution", counting)
+def _fixture_window(name, depth):
+    return expand(parse_tq((FIXTURES / f"{name}.tq").read_text()), depth)
 
-    def injective_resolutions(name, depth, max_len):
-        w = expand(parse_tq((FIXTURES / f"{name}.tq").read_text()), depth)
-        calls.clear()
-        check_serre(w, probes(w), max_len)
-        return len(calls)
 
-    assert injective_resolutions("mixed", 2, 6) == 0
-    assert injective_resolutions("ainf_rad2", 2, 6) > 0
-    assert injective_resolutions("zigzag", 2, 2) > 0
+@pytest.mark.parametrize("make, max_len, forbid_boundary", [
+    # I(b) of the cut in degree max_len of an injective resolution
+    *[pytest.param(lambda d=d: _fixture_window("z_thread", d), 1, True,
+                   id=f"z_thread@{d}-len1-skip") for d in (1, 2)],
+    pytest.param(lambda: _fixture_window("mixed", 2), 1, True, id="mixed@2-len1-skip"),
+    pytest.param(lambda: _fixture_window("comm_square", 1), 0, False,
+                 id="comm_square@1-len0-no-skip"),
+    pytest.param(zigzag_window, 2, True, id="zigzag-len2-skip"),
+    # pd and id 9 on the radical-square-zero line: the bound cuts every
+    # long resolution, the simples' included
+    *[pytest.param(ainf_rad2_window, n, False, id=f"ainf_rad2-len{n}-no-skip")
+      for n in (2, 3, 6)],
+])
+def test_check_serre_matches_per_probe_oracle_at_short_bounds(
+        make, max_len, forbid_boundary, monkeypatch):
+    _assert_check_serre_matches_oracles(make(), max_len, forbid_boundary, monkeypatch)
+
+
+@pytest.mark.parametrize("name, depth, max_len", [
+    pytest.param(name, depth, max_len, id=f"{name}@{depth}-len{max_len}")
+    for name, depth, max_len in [("mixed", 2, 6), ("ainf_rad2", 2, 6), ("zigzag", 2, 2)]])
+def test_check_serre_builds_no_injective_resolution(name, depth, max_len, monkeypatch):
+    # every injective resolution or hull is a projective cover over the
+    # opposite window; the check takes covers over the window only, at
+    # global dimension 1 (mixed), 9 (ainf_rad2) and 3 (zigzag) alike
+    w = _fixture_window(name, depth)
+    real = reps.projective_cover
+    windows = []
+
+    def recording(M):
+        windows.append(M.window)
+        return real(M)
+
+    monkeypatch.setattr(reps, "projective_cover", recording)
+    check_serre(w, probes(w), max_len)
+    assert windows and all(x is w for x in windows)
+    # the detector sees the per-probe oracle's injective resolutions
+    windows.clear()
+    monkeypatch.setattr(serre, "_usable_probes", per_probe_usable_probes)
+    check_serre(w, probes(w), max_len)
+    assert any(x is w.opposite() for x in windows)
 
 
 def _probe_sides(w, forbid_boundary):
