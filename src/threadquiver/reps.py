@@ -76,9 +76,9 @@ once as rows, with no matrix stacked; at a one-dimensional vertex only
 whether one of them is nonzero is asked.  A two-term presentation is
 returned as the vertex tuples of its terms, since that is all its callers
 read.  Its second term is the top of the first cover's kernel, read off
-`top_generators` and certified locally (at every vertex of the kernel's
-support, the radical's vectors and the generators there span the space), so
-no second cover is written.  The minimal injective copresentation of M is
+`top_generators` with no second cover written and no certificate of its
+own: the cover carries the one certificate, and the top is graded
+Nakayama's.  The minimal injective copresentation of M is
 read as the projective presentation of D M over the opposite window, with
 no injective hull or cokernel built; an injective resolution is read the
 same way.  A resolution is its complex alone, with no map to or from M, and
@@ -115,7 +115,7 @@ from .linalg import (
     solve_matrix,
     sparse_kernel,
 )
-from .quiver import Arrow, Path, Quiver, candidates, identity_path
+from .quiver import Arrow, Path, Quiver, candidates
 from .windows import Window, underlying_quiver
 
 PROJECTIVE = "projective"
@@ -495,12 +495,12 @@ def _yoneda_write(P: Rep, N: Rep, vecs: list) -> RepMap:
 def _yoneda_read(f: RepMap) -> list[list]:
     """Per block v_b of the certified projective sum f.source, the value of f
     at the block's identity path, a vector of f.target(v_b).  The one place
-    a map out of a projective sum is read."""
+    a map out of a projective sum is read.  On an acyclic window hom(v, v)
+    is spanned by the identity, so it is the block's first column at v."""
     P = f.source
-    w = P.window
     vals = []
     for b, v in enumerate(P.cert[1]):
-        col = P.block_offsets[b][v] + w.hom(v, v).basis.index(identity_path(v))
+        col = P.block_offsets[b][v]
         comp = f.comps[v]
         vals.append([comp.data[i * comp.cols + col] for i in range(comp.rows)])
     return vals
@@ -760,21 +760,22 @@ def _radical_vectors(M: Rep) -> dict[str, list[list]]:
     return vecs
 
 
-def top_generators(M: Rep, rad: dict[str, list[list]] | None = None) -> list[tuple[str, list]]:
+def top_generators(M: Rep) -> list[tuple[str, list]]:
     """Vectors projecting to a basis of top M = M / rad M, as (vertex, vector).
 
-    At each vertex v the vectors spanning rad M(v) (`rad`, M's
-    `_radical_vectors`, when the caller already has them) are eliminated
-    once, as the rows of a matrix with their coordinates reversed, so that a
-    row's pivot is its vector's last nonzero coordinate.  The unit vectors
-    at the other coordinates complete rad M(v) to a basis: e_j is taken
-    exactly when no vector of rad M(v) ends at j, the same units as a
-    column elimination of [spanning vectors | I] picks.  At a
-    one-dimensional M(v) the radical is 0 or all of M(v), so only whether
-    some spanning vector is nonzero is asked."""
+    At each vertex v the vectors spanning rad M(v) (`_radical_vectors`) are
+    eliminated once, as the rows of a matrix with their coordinates
+    reversed, so that a row's pivot is its vector's last nonzero
+    coordinate.  The unit vectors at the other coordinates complete
+    rad M(v) to a basis: e_j is taken exactly when no vector of rad M(v)
+    ends at j, the same units as a column elimination of
+    [spanning vectors | I] picks.  At a one-dimensional M(v) the radical is
+    0 or all of M(v), so only whether some spanning vector is nonzero is
+    asked.  On a finite acyclic window the generators span M modulo its
+    radical at every vertex, so they generate M (graded Nakayama, by
+    induction from the sinks); `projective_cover` certifies that answer."""
     fld = M.field
-    if rad is None:
-        rad = _radical_vectors(M)
+    rad = _radical_vectors(M)
     gens = []
     for v in M.support:
         n = M.dims[v]
@@ -790,31 +791,6 @@ def top_generators(M: Rep, rad: dict[str, list[list]] | None = None) -> list[tup
         for j in units:
             gens.append((v, [fld.one if i == j else fld.zero for i in range(n)]))
     return gens
-
-
-def _assert_generates(M: Rep, gens: list[tuple[str, list]],
-                      rad: dict[str, list[list]]) -> None:
-    """Certify that the vectors gens generate M, with no cover written: at
-    every vertex x of the support, the vectors spanning rad M(x) (`rad`,
-    M's `_radical_vectors`) and the generators at x span M(x), ranked as
-    the rows of one matrix.  On a finite acyclic window this holds at every
-    x exactly when the generated submodule is M (graded Nakayama, by
-    induction from the sinks), that is, when P(gens) -> M is onto.  At a
-    one-dimensional M(x) it asks only whether one of those vectors is
-    nonzero; a vertex with none of them fails."""
-    fld = M.field
-    at: dict[str, list[list]] = {}
-    for v, vec in gens:
-        at.setdefault(v, []).append(vec)
-    for v in M.support:
-        n = M.dims[v]
-        vecs = rad[v] + at.get(v, [])
-        if n == 1:
-            spans = any(any(vec) for vec in vecs)
-        else:
-            spans = len(vecs) >= n and rank(
-                Matrix(fld, len(vecs), n, [e for vec in vecs for e in vec])) == n
-        assert spans, "cover not surjective"
 
 
 def projective_cover(M: Rep) -> tuple[Rep, RepMap]:
@@ -856,17 +832,12 @@ def two_term_presentation(M: Rep, side: str) -> tuple[tuple[str, ...], tuple[str
     copresentation 0 -> M -> I0 -> I1, which is the dual of the projective
     presentation of D M over the opposite window (D I(v) = P(v) there).
 
-    P0 is the projective cover of M.  P1 is the top of the cover's kernel K:
-    its vertices are those of `top_generators(K)`, and `_assert_generates`
-    certifies at every vertex of K's support that they generate K, so no
-    second cover is written.  The differential is not composed."""
+    P0 is the projective cover of M, certified onto by its kernel K.  P1 is
+    the cover of K, so its vertices are those of `top_generators(K)`; no
+    second cover is written and the differential is not composed."""
     if side == PROJECTIVE:
         P0, cover = projective_cover(M)
-        K = cover.kernel[0]
-        rad = _radical_vectors(K)
-        gens = top_generators(K, rad)
-        _assert_generates(K, gens, rad)
-        return P0.cert[1], tuple(v for v, _ in gens)
+        return P0.cert[1], tuple(v for v, _ in top_generators(cover.kernel[0]))
     if side == INJECTIVE:
         return two_term_presentation(dualize(M), PROJECTIVE)
     raise ValueError(f"unknown side {side!r}")
@@ -1248,7 +1219,7 @@ def _is_scalar_plus_nilpotent(M: Rep, h: RepMap) -> bool:
     return False
 
 
-def decompose_with_maps(M: Rep, rng=None) -> list[tuple[Rep, RepMap, RepMap]]:
+def decompose_with_maps(M: Rep) -> list[tuple[Rep, RepMap, RepMap]]:
     """Indecomposable summands with their inclusions and projections.
 
     Fitting iteration over candidate endomorphisms: basis elements, their
@@ -1261,16 +1232,13 @@ def decompose_with_maps(M: Rep, rng=None) -> list[tuple[Rep, RepMap, RepMap]]:
     dim, basis = hom_basis_generic(M, M)
     if dim == 1:
         return [(M, identity_map(M), identity_map(M))]
-    candidates = list(basis)
-    if rng is not None:
-        rng.shuffle(candidates)
-    pool = list(candidates)
-    for i in range(len(candidates)):
-        for j in range(len(candidates)):
-            pool.append(candidates[i].then(candidates[j]))
+    pool = list(basis)
+    for i in range(len(basis)):
+        for j in range(len(basis)):
+            pool.append(basis[i].then(basis[j]))
             if j > i:
-                pool.append(candidates[i] + candidates[j])
-                pool.append(candidates[i] - candidates[j])
+                pool.append(basis[i] + basis[j])
+                pool.append(basis[i] - basis[j])
     for h in pool:
         split = _try_split(M, h)
         if split is None:
@@ -1283,9 +1251,9 @@ def decompose_with_maps(M: Rep, rng=None) -> list[tuple[Rep, RepMap, RepMap]]:
         if split is not None:
             ki, kp, ii, ip = split
             out = []
-            for part, pincl, pproj in decompose_with_maps(ki.source, rng):
+            for part, pincl, pproj in decompose_with_maps(ki.source):
                 out.append((part, pincl.then(ki), kp.then(pproj)))
-            for part, pincl, pproj in decompose_with_maps(ii.source, rng):
+            for part, pincl, pproj in decompose_with_maps(ii.source):
                 out.append((part, pincl.then(ii), ip.then(pproj)))
             return out
     for h in pool:
@@ -1295,8 +1263,8 @@ def decompose_with_maps(M: Rep, rng=None) -> list[tuple[Rep, RepMap, RepMap]]:
     return [(M, identity_map(M), identity_map(M))]
 
 
-def decompose(M: Rep, rng=None) -> list[Rep]:
-    parts = decompose_with_maps(M, rng)
+def decompose(M: Rep) -> list[Rep]:
+    parts = decompose_with_maps(M)
     parts.sort(key=lambda t: (t[0].total_dim(), sorted(t[0].dims.items())))
     return [p for p, _, _ in parts]
 

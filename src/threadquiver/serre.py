@@ -98,7 +98,8 @@ class VarietyMor:
 
     @classmethod
     def identity(cls, w: Window, v: str) -> "VarietyMor":
-        return cls(w, (v,), (v,), [[w.identity_coords(v)]])
+        # hom(v, v) is spanned by the identity on an acyclic window
+        return cls(w, (v,), (v,), [[[w.field.one]]])
 
 
 def realize_proj(vm: VarietyMor) -> RepMap:
@@ -232,10 +233,12 @@ def _usable_probes(w: Window, test_set: list[tuple[str, Rep]], max_len: int,
     """The probes with projective and injective dimension within max_len,
     each with its minimal projective resolution (a simple probe takes its
     simple's).  A probe X fails if that resolution reaches degree
-    max_len + 1 or Ext^{max_len+1}(S(u), X) != 0 for some u; otherwise,
-    under forbid_boundary, it is skipped if that resolution has a term at a
-    boundary vertex b or Ext^i(S(b), X) != 0 for some i <= max_len, that
-    is, if I(b) occurs in X's minimal injective resolution."""
+    max_len + 1 or Ext^{max_len+1}(S(u), X) != 0 for some u, in one item
+    whose subject names what exceeds the bound: pd(X), id(X) or pd/id(X).
+    Otherwise, under forbid_boundary, it is skipped if that resolution has a
+    term at a boundary vertex b or Ext^i(S(b), X) != 0 for some
+    i <= max_len, that is, if I(b) occurs in X's minimal injective
+    resolution."""
     simples = _simple_resolutions(w, max_len) if test_set else {}
     # only these simples have a term, so possibly an Ext, in degree max_len + 1
     long = [u for u, res in simples.items() if len(res.terms) > max_len + 1]
@@ -245,9 +248,11 @@ def _usable_probes(w: Window, test_set: list[tuple[str, Rep]], max_len: int,
             res = simples[X.support[0]]
         else:
             res = _resolve(X, max_len + 1)[0]
-        if len(res.terms) > max_len + 1 or _has_ext_from_simples(
-                X, simples, long, range(max_len + 1, max_len + 2)):
-            report.fail(f"pd/id({label})", f"<= {max_len}", "ExceedsBound")
+        pd_over = len(res.terms) > max_len + 1
+        id_over = _has_ext_from_simples(X, simples, long, range(max_len + 1, max_len + 2))
+        if pd_over or id_over:
+            exceeded = "pd/id" if pd_over and id_over else "pd" if pd_over else "id"
+            report.fail(f"{exceeded}({label})", f"<= {max_len}", "ExceedsBound")
             continue
         if forbid_boundary and (_boundary_terms(res) or _has_ext_from_simples(
                 X, simples, sorted(w.boundary), range(max_len + 1))):
@@ -299,7 +304,8 @@ def check_serre(
     `tests/test_serre.py::test_nakayama_realization_composes`.
 
     A probe X fails if either of its minimal resolutions is longer than
-    max_len; otherwise, under forbid_boundary, it is skipped if either has a
+    max_len, in an item named pd(X), id(X) or pd/id(X) after the longer
+    ones; otherwise, under forbid_boundary, it is skipped if either has a
     term at a boundary vertex.  The injective side is read off the simples'
     projective resolutions (`_simple_resolutions`) at every global
     dimension: id X <= max_len exactly when Ext^{max_len+1}(S(u), X) = 0 for

@@ -70,35 +70,18 @@ def almost_split(w: Window, v: str, side: str) -> tuple[str, ...]:
     return two_term_presentation(S, PROJECTIVE if side == LEFT else INJECTIVE)[1]
 
 
-def _arrow_neighbours(w: Window) -> tuple[dict, dict]:
-    """(in-neighbours, out-neighbours) of every vertex by the window's arrows,
-    with multiplicity."""
-    ins: dict[str, list[str]] = {v: [] for v in w.quiver.vertices}
-    outs: dict[str, list[str]] = {v: [] for v in w.quiver.vertices}
-    for a in w.quiver.arrows:
-        outs[a.src].append(a.tgt)
-        ins[a.tgt].append(a.src)
-    return ins, outs
-
-
-def _maximal_runs(w: Window, is_thread, ins, outs) -> list[list[str]]:
+def _maximal_runs(w: Window, links: dict[str, tuple[str, str]]) -> list[list[str]]:
+    """Maximal chains of the vertices in `links`, each of which maps to its
+    unique (predecessor, successor), in topological order of their heads.
+    A vertex whose predecessor is in `links` is that predecessor's unique
+    successor, so it continues the predecessor's run."""
     runs = []
-    seen = set()
     for v in w.quiver.topological_order():
-        if v in seen or not is_thread(v):
-            continue
-        # only start at run heads: predecessor absent or not a thread vertex
-        pred = ins[v][0] if ins[v] else None
-        if pred is not None and is_thread(pred) and outs[pred] == [v]:
+        if v not in links or links[v][0] in links:
             continue
         run = [v]
-        seen.add(v)
-        while True:
-            nxt = outs[run[-1]][0] if outs[run[-1]] else None
-            if nxt is None or not is_thread(nxt) or ins[nxt] != [run[-1]]:
-                break
-            run.append(nxt)
-            seen.add(nxt)
+        while links[run[-1]][1] in links:
+            run.append(links[run[-1]][1])
         runs.append(run)
     return runs
 
@@ -111,10 +94,10 @@ def thread_runs(w: Window) -> list[list[str]]:
     exactly one run.
     """
     ins, outs = gabriel_neighbours(w)
-    tv = {
-        v for v in w.interior_vertices() if len(ins[v]) == 1 and len(outs[v]) == 1
-    }
-    return _maximal_runs(w, lambda v: v in tv, ins, outs)
+    return _maximal_runs(w, {
+        v: (ins[v][0], outs[v][0])
+        for v in w.interior_vertices() if len(ins[v]) == 1 and len(outs[v]) == 1
+    })
 
 
 def thread_summary(runs: list[list[str]]) -> tuple[set[str], list[tuple[str, str]]]:
@@ -163,15 +146,12 @@ def extract_threadquiver(w: Window, min_len: int) -> ThreadQuiver:
     """
     if w.relations:
         raise ThreadQuiverError("extraction expects a relation-free window")
-    ins, outs = _arrow_neighbours(w)
+    q = w.quiver
     chainlike = {
-        v for v in w.quiver.vertices if len(ins[v]) == 1 and len(outs[v]) == 1
+        v: (q.in_arrows[v][0].src, q.out_arrows[v][0].tgt)
+        for v in q.vertices if len(q.in_arrows[v]) == 1 and len(q.out_arrows[v]) == 1
     }
-    runs = [
-        run
-        for run in _maximal_runs(w, lambda v: v in chainlike, ins, outs)
-        if len(run) >= min_len
-    ]
+    runs = [run for run in _maximal_runs(w, chainlike) if len(run) >= min_len]
     consumed = set()
     for run in runs:
         consumed.update(run)
@@ -183,8 +163,8 @@ def extract_threadquiver(w: Window, min_len: int) -> ThreadQuiver:
     ]
     threads = []
     for k, run in enumerate(runs):
-        x = ins[run[0]][0]
-        y = outs[run[-1]][0]
+        x = chainlike[run[0]][0]
+        y = chainlike[run[-1]][1]
         assert x not in consumed and y not in consumed, "run endpoints missing"
         threads.append((f"th{k}", x, y, Fin(len(run))))
     return ThreadQuiver(vertices, standard, threads)

@@ -24,7 +24,7 @@ from .orders import (
     thread_order,
     truncate,
 )
-from .quiver import Arrow, HomBasis, Path, Quiver, Relation, hom_basis_paths, identity_path
+from .quiver import Arrow, HomBasis, Path, Quiver, Relation, hom_basis_paths
 
 
 @dataclass(frozen=True)
@@ -206,9 +206,6 @@ class Window:
 
     def hom_dim(self, x: str, y: str) -> int:
         return self.hom(x, y).dim
-
-    def identity_coords(self, v: str):
-        return self.hom(v, v).expand_path(identity_path(v))
 
     # -- derived windows ------------------------------------------------------
 

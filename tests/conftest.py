@@ -423,16 +423,23 @@ def basis_route_ext_dim(i, M, N, max_len):
 
 def per_probe_usable_probes(w, test_set, max_len, forbid_boundary, report):
     """Differential oracle for `serre._usable_probes`: every probe resolved
-    both projectively and injectively, with no simples' resolutions, and
-    under forbid_boundary skipped when either finished resolution has a
-    term at a boundary vertex."""
+    both projectively and injectively, each side on its own, with no
+    simples' resolutions; a probe past the bound fails in one item named
+    after the sides that exceed it, and under forbid_boundary a probe is
+    skipped when either finished resolution has a term at a boundary
+    vertex."""
+    def resolved(X, side):
+        try:
+            return resolution(X, side, max_len).complex
+        except ExceedsBound:
+            return None
+
     usable = []
     for label, X in test_set:
-        try:
-            res = resolution(X, PROJECTIVE, max_len).complex
-            inj = resolution(X, INJECTIVE, max_len).complex
-        except ExceedsBound:
-            report.fail(f"pd/id({label})", f"<= {max_len}", "ExceedsBound")
+        res, inj = resolved(X, PROJECTIVE), resolved(X, INJECTIVE)
+        if res is None or inj is None:
+            exceeded = "/".join(d for d, cx in (("pd", res), ("id", inj)) if cx is None)
+            report.fail(f"{exceeded}({label})", f"<= {max_len}", "ExceedsBound")
             continue
         if forbid_boundary and any(
                 v in w.boundary for cx in (res, inj) for t in cx.terms for v in t.cert[1]):

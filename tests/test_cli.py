@@ -1,5 +1,6 @@
 import argparse
 import gc
+import importlib.util
 import json
 import subprocess
 import sys
@@ -381,6 +382,61 @@ def test_time_checks_script_prints_one_row_per_check_and_depth():
     assert len(rows) == 1
     assert set(rows[0]) == {"check", "depth", "exit", "wall_s", "peak_rss_mb"}
     assert (rows[0]["check"], rows[0]["depth"], rows[0]["exit"]) == ("threads", 1, 0)
+
+
+def _cli_digest():
+    path = FIXTURES.parent / "scripts" / "cli_digest.py"
+    spec = importlib.util.spec_from_file_location("cli_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_digest_corpus_runs_every_fixture_under_every_command_and_depth():
+    # scripts/cli_digest.py compares two trees' answers byte for byte: every
+    # fixture under each of its commands at each depth, once through
+    # normalize, and every vertex pair through hom and ext; every
+    # subcommand but `check`, which only parses the file, is run, and every
+    # invocation parses
+    digest = _cli_digest()
+    corpus = digest.corpus(parse_tq)
+    invocations = {tuple(argv) for argv in corpus}
+    assert len(invocations) == len(corpus)
+    fixtures = sorted(f"fixtures/{p.name}" for p in FIXTURES.glob("*.tq"))
+    assert fixtures
+    for fixture in fixtures:
+        for cmd in digest.COMMANDS:
+            for depth in digest.DEPTHS:
+                assert (*cmd, fixture, "--depth", str(depth)) in invocations, (cmd, depth)
+        assert ("normalize", fixture) in invocations
+        vertices = parse_tq((FIXTURES.parent / fixture).read_text()).vertices
+        for cmd in digest.PAIR_COMMANDS:
+            for depth in digest.PAIR_DEPTHS:
+                for x in vertices:
+                    for y in vertices:
+                        assert (cmd[0], fixture, x, y, *cmd[1:], "--depth",
+                                str(depth)) in invocations
+    assert {argv[0] for argv in invocations} == {name for name, *_ in cli._COMMANDS} - {"check"}
+    parser = build_parser()
+    for argv in corpus:
+        parser.parse_args(argv)
+
+
+def test_cli_digest_is_stable_and_sees_the_exit_code_and_the_output():
+    digest = _cli_digest()
+    argv = ["serre-check", str(FIXTURES / "a2.tq"), "--depth", "0"]
+    assert digest.digest(run, argv) == digest.digest(run, argv)
+
+    def answering(code, out, err=""):
+        def fake_run(argv):
+            print(out, end="")
+            print(err, end="", file=sys.stderr)
+            return code
+        return fake_run
+
+    digests = {digest.digest(answering(code, out, err), argv)
+               for code, out, err in [(0, "{}", ""), (1, "{}", ""), (0, "{ }", ""), (0, "{}", "x")]}
+    assert len(digests) == 4
 
 
 def test_json_keys_sorted(capsys):

@@ -9,6 +9,7 @@ from conftest import (
     compose_coords,
     cover_kernel_cover_presentation,
     direct_sum_object,
+    draw_relation,
     eliminating_cokernel_with_projection,
     fixture_windows,
     hull_cokernel_hull_copresentation,
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 from threadquiver.errors import ExceedsBound, NotFunctorial
 from threadquiver.linalg import QQ, Matrix, field_by_name, rank
 from threadquiver.orders import Fin
-from threadquiver.quiver import Path, Quiver, Relation
+from threadquiver.quiver import Path, Quiver, Relation, identity_path
 import threadquiver.reps as reps
 from threadquiver.reps import (
     INJECTIVE,
@@ -524,12 +525,26 @@ def test_decompose_square_of_same_summand():
     assert all(dim_vec(p) == {"1": 1, "2": 1} for p in parts)
 
 
-def test_decompose_order_independent():
+def test_decompose_order_independent(monkeypatch):
+    # the Fitting candidates are drawn from End's basis (9-dimensional here)
+    # in a seeded shuffled order; the summands do not depend on it
     w = a3_window()
-    rng1, rng2 = random.Random(23), random.Random(99)
-    M = random_rep(w, random.Random(4), n_gens=3)
+    M = random_rep(w, random.Random(11), n_gens=4)
     key = lambda parts: sorted(tuple(sorted(dim_vec(p).items())) for p in parts)
-    assert key(decompose(M, rng1)) == key(decompose(M, rng2))
+    real = reps.hom_basis_generic
+    want = key(decompose(M))
+    assert len(want) == 4
+
+    def shuffled(rng):
+        def basis(M, N):
+            dim, b = real(M, N)
+            rng.shuffle(b)
+            return dim, b
+        return basis
+
+    for seed in (23, 99):
+        monkeypatch.setattr(reps, "hom_basis_generic", shuffled(random.Random(seed)))
+        assert key(decompose(M)) == want, seed
 
 
 def test_decompose_builds_no_cokernel(monkeypatch):
@@ -698,7 +713,7 @@ def _realize_cases(w):
         for b in w.quiver.out_arrows[y]:
             z = b.tgt
             ba = compose_coords(w, x, y, z, coords(a), coords(b))
-            entries = [[cell(coords(a)), cell(w.identity_coords(y))],
+            entries = [[cell(coords(a)), cell(w.hom(y, y).expand_path(identity_path(y)))],
                        [cell(ba), cell(coords(b))]]
             yield proj_sum(w, (x, y)), proj_sum(w, (y, z)), entries
             yield (proj_sum(w, (x, y, z)), proj_sum(w, (z,)),
@@ -915,6 +930,20 @@ def test_kernel_cokernel_top_and_presentations_match_oracles_on_random_maps(tq, 
     assert two_term_presentation(M, INJECTIVE) == hull_cokernel_hull_copresentation(M)
 
 
+@given(random_thread_quivers(), st.integers(0, 1), st.data())
+@settings(max_examples=30, deadline=None)
+def test_presentations_match_oracles_on_random_relation_windows(tq, depth, data):
+    # one random relation: the covers' kernels, and the tops read off them,
+    # see the relation's paths identified or killed
+    q = expand(tq, depth).quiver
+    w = Window(q, [draw_relation(data, q)])
+    for v in q.vertices:
+        for kind in (PROJECTIVE, INJECTIVE, SIMPLE):
+            X = std_module(w, v, kind)
+            assert two_term_presentation(X, PROJECTIVE) == cover_kernel_cover_presentation(X)
+            assert two_term_presentation(X, INJECTIVE) == hull_cokernel_hull_copresentation(X)
+
+
 @given(random_thread_quivers(), st.integers(0, 1), st.sampled_from(["q", "fp:7"]),
        st.integers(0, 2**16))
 @settings(max_examples=40, deadline=None)
@@ -996,28 +1025,6 @@ def test_top_generators_match_the_two_step_oracle_on_cover_kernels(n):
             assert top_generators(X) == two_step_top_generators(X)
             seen |= {min(d, 2) for d in _nonzero_radical_dims(X)}
     assert seen == {1, 2}
-
-
-@pytest.mark.parametrize("dims, a, drop", [
-    # S(1) + S(2): the zero arrow's column spans nothing at the
-    # one-dimensional M(1), so its generator is needed
-    ({"1": 1, "2": 1}, [[0]], "1"),
-    # P(2) on 1 -a-> 2: the one-dimensional M(2) has no arrow out
-    ({"1": 1, "2": 1}, [[1]], "2"),
-    # rad M(1) = span(e0) in the two-dimensional M(1); e1 is the generator
-    ({"1": 2, "2": 1}, [[1], [0]], "1"),
-], ids=["dim1-zero-arrow", "dim1-sink", "dim2"])
-def test_assert_generates_rejects_a_dropped_generator(dims, a, drop):
-    from threadquiver.reps import _assert_generates, _radical_vectors
-
-    w = a2_window()
-    M = Rep(w, dims, {"a": matrix_from_rows(QQ, a)})
-    rad = _radical_vectors(M)
-    gens = top_generators(M, rad)
-    _assert_generates(M, gens, rad)
-    assert [v for v, _ in gens].count(drop) == 1
-    with pytest.raises(AssertionError, match="cover not surjective"):
-        _assert_generates(M, [(v, vec) for v, vec in gens if v != drop], rad)
 
 
 def test_presentations_and_resolutions_eliminate_each_cover_component_once(monkeypatch):

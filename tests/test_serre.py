@@ -12,9 +12,11 @@ from conftest import (
     check_complex,
     cohomology_dims,
     comm_grid_window,
+    cover_kernel_cover_presentation,
     draw_relation,
     enumerate_paths,
     fixture_windows,
+    hull_cokernel_hull_copresentation,
     nakayama_composes,
     non_free_pairs,
     non_hereditary_simples,
@@ -344,6 +346,23 @@ def test_boundary_probe_past_the_bound_fails_and_is_not_skipped():
     assert report.skipped == 0
 
 
+def test_a_probe_past_the_bound_names_the_dimensions_that_exceed_it():
+    # every P and S probe of the radical-square-zero line at max_len 2: 3
+    # exceed in pd only, 4 in id only and 4 in both, and the per-probe
+    # oracle, which resolves each side on its own, names them alike
+    w = ainf_rad2_window()
+    test_set = probes(w, interior_only=False)
+    report = check_serre(w, test_set, 2, forbid_boundary=False)
+    exceeded = [(i.subject, i.expected, i.actual) for i in report.items
+                if i.actual == "ExceedsBound"]
+    assert Counter(subject.split("(")[0] for subject, _, _ in exceeded) == {
+        "pd": 3, "id": 4, "pd/id": 4}
+    assert {expected for _, expected, _ in exceeded} == {"<= 2"}
+    oracle = Report("serre-check")
+    per_probe_usable_probes(w, test_set, 2, False, oracle)
+    assert [(i.subject, i.expected, i.actual) for i in oracle.items] == exceeded
+
+
 def test_ainf_rad2_projective_dimensions():
     w = ainf_rad2_window(10)
     for k in range(1, 11):
@@ -581,7 +600,7 @@ def test_check_dualizing_lets_bugs_propagate(monkeypatch):
         check_dualizing(a2_window())
 
 
-# -- presentations: the second term certified without a second cover ----------------
+# -- presentations: the second term is the top of the cover's kernel ---------------
 
 
 def two_in_arrows_window():
@@ -626,8 +645,8 @@ def mutate_kernel_top(monkeypatch, mutate, in_cover=False):
         finally:
             covers_open.pop()
 
-    def mutant(M, *args):
-        gens = top_generators(M, *args)
+    def mutant(M):
+        gens = top_generators(M)
         if gens and bool(covers_open) == in_cover:
             given.append(mutate(M, gens))
             return given[-1]
@@ -648,23 +667,36 @@ def raised_assertion(call):
 
 @pytest.mark.parametrize("mutate", [
     drop_last_generator, drop_every_generator, drop_generators_at_a_sink])
-def test_presentation_certificate_rejects_a_wrong_kernel_top(monkeypatch, mutate):
-    # generators that miss part of the kernel fail the local certificate, at
-    # a vertex with no generator too, and the AssertionError is a bug that
-    # check_dualizing lets through
+def test_a_wrong_kernel_top_fails_only_the_simple_items(monkeypatch, mutate):
+    # a kernel top that misses generators changes presentations on both
+    # sides, which the oracles (a second cover or hull, under the cover's
+    # own certificate) catch; check_dualizing compares only the S(v) terms
+    # with the Gabriel quiver, so its I(v) and P(v) items still pass
     w = two_in_arrows_window()
-    S = std_module(w, "v", SIMPLE)
-    assert two_term_presentation(S, PROJECTIVE) == (("v",), ("a", "b"))
+    modules = {f"{tag}({v})": std_module(w, v, kind) for v in w.quiver.vertices
+               for tag, kind in (("I", INJECTIVE), ("P", PROJECTIVE), ("S", SIMPLE))}
+    oracles = {(label, side): oracle(M) for label, M in modules.items() for side, oracle in (
+        (PROJECTIVE, cover_kernel_cover_presentation),
+        (INJECTIVE, hull_cokernel_hull_copresentation))}
+    honest = check_dualizing(w)
+    assert honest.passed
     given = mutate_kernel_top(monkeypatch, mutate)
-    raised = raised_assertion(lambda: two_term_presentation(S, PROJECTIVE))
+    got = two_term_presentation(modules["S(v)"], PROJECTIVE)
     assert len(given) == 1, "the mutant did not answer for the kernel's top"
-    assert raised == "cover not surjective"
+    assert got != oracles["S(v)", PROJECTIVE]
     if mutate is drop_generators_at_a_sink:  # a generator is left, at b
         assert [v for v, _ in given[0]] == ["b"]
-    del given[:]
-    raised = raised_assertion(lambda: check_dualizing(w))
-    assert given, "the mutant did not answer inside check_dualizing"
-    assert raised == "cover not surjective"
+    wrong = {key for key, want in oracles.items()
+             if two_term_presentation(modules[key[0]], key[1]) != want}
+    # every I(v) presentation and P(v) copresentation check_dualizing asks
+    # for is wrong too, yet only the wrong S(v) items fail
+    assert {(f"{tag}({v})", side) for v in w.quiver.vertices
+            for tag, side in (("I", PROJECTIVE), ("P", INJECTIVE))} <= wrong
+    report = check_dualizing(w)
+    assert report.checked == honest.checked
+    kind = {PROJECTIVE: "finitely", INJECTIVE: "cofinitely"}
+    assert {i.subject for i in report.items} == {
+        f"{label} {kind[side]} presented" for label, side in wrong if label.startswith("S")}
 
 
 @pytest.mark.parametrize("dims", [{"a": 1, "b": 1}, {"v": 2}], ids=["dim1", "dim2"])

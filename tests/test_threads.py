@@ -27,7 +27,7 @@ from threadquiver.errors import (
     ZNotExtOrthogonal,
 )
 from threadquiver.orders import Fin
-from threadquiver.quiver import Quiver, Relation
+from threadquiver.quiver import Quiver, Relation, identity_path
 from threadquiver.reps import (
     INJECTIVE,
     PROJECTIVE,
@@ -578,7 +578,7 @@ def test_interval_adjoint_fixes_objects_of_the_interval(label, w):
                 assert verts == (A,), (label, a.name, A, side)
                 assert unit.window is w
                 assert (unit.source, unit.target) == ((A,), (A,))
-                assert unit.entries == [[w.identity_coords(A)]]
+                assert unit.entries == [[w.hom(A, A).expand_path(identity_path(A))]]
 
 
 def test_interval_adjoint_full_assignment_checks():
