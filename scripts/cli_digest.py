@@ -3,9 +3,10 @@
 Every fixture under `fixtures/` is run through `threadquiver.cli.run`
 in-process with `serre-check` (default and `--max-len 2`),
 `dualizing-check` (default and `--strict-boundary`), `threads`, `extract`,
-`roundtrip`, `expand` and `dot --expanded`, at depths 0-3, and once through
-`normalize`.  Then, at depths 0-2, every ordered pair of the thread quiver's
-own vertices is run through `hom` and through `ext` at degrees 0, 1 and 2.
+`roundtrip`, `expand` and `dot --expanded`, at depths 0-3, and once each
+through `normalize` and `check` (whose statistics go to stderr).  Then, at
+depths 0-2, every ordered pair of the thread quiver's own vertices is run
+through `hom` and through `ext` at degrees 0, 1 and 2.
 Each invocation prints one line: the sha256 of its exit code, stdout and
 stderr, then the command.  The last line is the sha256 of all of them.
 
@@ -50,7 +51,7 @@ def corpus(parse_tq) -> list[list[str]]:
     fixtures = sorted(p.relative_to(ROOT).as_posix() for p in (ROOT / "fixtures").glob("*.tq"))
     out = [cmd + [fixture, "--depth", str(depth)]
            for fixture in fixtures for cmd in COMMANDS for depth in DEPTHS]
-    out += [["normalize", fixture] for fixture in fixtures]
+    out += [[cmd, fixture] for fixture in fixtures for cmd in ("normalize", "check")]
     for fixture in fixtures:
         vertices = parse_tq((ROOT / fixture).read_text(encoding="utf-8")).vertices
         out += [[cmd[0], fixture, x, y, *cmd[1:], "--depth", str(depth)]

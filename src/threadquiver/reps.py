@@ -30,8 +30,15 @@ Total hom complexes are assembled by Yoneda evaluation, never from bases of
 module maps: hom(⊕P(v_b), Z) = ⊕Z(v_b), so a complex of certified projective
 sums into any complex gives blocks of Z's spaces, with the differentials read
 off as path actions Z(q) weighted by the hom coordinates of the projective
-side's differentials.  A target of injective sums is handled by the dual
-isomorphism over the opposite window.  `total_hom_dims` is the one
+side's differentials.  The projective side is compiled once into a
+`YonedaPlan`, cached on its `Complex` as `proj_coords` is on a map (neither
+is ever mutated): each term's vertex tuple and each differential's nonzero
+blocks with their coefficients and basis paths, read the first time a
+differential needs them.  A call then only sums the target's dims at the
+plan's vertices and writes the blocks of the differentials it needs
+straight into flat matrices, with no hom basis looked up again.  A target
+of injective sums is handled by the dual isomorphism over the opposite
+window.  `total_hom_dims` is the one
 implementation of derived hom: `ext_dim` reads Ext off it (a projective
 resolution into a one-term complex), and the Serre check and the
 orthogonality test of the perpendicular adjoint call it; the basis route
@@ -91,6 +98,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import gcd
 
 from .errors import (
@@ -871,6 +879,13 @@ class Complex:
             return self.diffs[i]
         return None
 
+    @cached_property
+    def yoneda_plan(self) -> "YonedaPlan | None":
+        """The `YonedaPlan` of a complex of certified projective sums, or
+        None when some term is not one; compiled once (complexes are never
+        mutated, so every hom complex out of this one reads the same plan)."""
+        return YonedaPlan(self) if _is_sum_of(self, "proj") else None
+
 
 def one_term_complex(M: Rep) -> Complex:
     return Complex(M.window, 0, [M], [])
@@ -892,40 +907,89 @@ def _is_sum_of(cx: Complex, kind: str) -> bool:
     return all(t.cert is not None and t.cert[0] == kind for t in cx.terms)
 
 
-def _yoneda_hom_data(CX: Complex, CY: Complex) -> tuple[dict[int, int], Callable[[int], Matrix]]:
-    """The total hom complex of a complex of certified projective sums, by
-    Yoneda evaluation: hom(⊕_b P(v_b), Z) = ⊕_b Z(v_b).
+class YonedaPlan:
+    """What a total hom complex Hom(CX, -) reads of a complex CX of
+    certified projective sums, compiled once per complex
+    (`Complex.yoneda_plan`).
+
+    `verts[p]` is the vertex tuple of the degree-p term, in degree order.
+    `entries(p)` lists the nonzero blocks of the differential
+    CX^{p-1} -> CX^p as (a, b, [(c, path), ...]): source block a, target
+    block b, and the nonzero hom coordinates of P(v_a) -> P(v_b), each with
+    its basis path v_a -> v_b.  A differential's blocks are read from
+    `RepMap.proj_coords` and the window's hom bases the first time a hom
+    complex builds a differential through them, and kept: a complex met
+    once, as in `ext_dim`, reads no more of them than that hom complex
+    needs."""
+
+    __slots__ = ("verts", "_window", "_diffs", "_entries")
+
+    def __init__(self, cx: Complex):
+        self.verts: dict[int, tuple[str, ...]] = {
+            p: t.cert[1] for p, t in zip(cx.degrees(), cx.terms)}
+        self._window = cx.window
+        self._diffs = dict(zip(cx.degrees()[1:], cx.diffs))  # into degree p
+        self._entries: dict[int, list[tuple[int, int, list]]] = {}
+
+    def entries(self, p: int) -> list[tuple[int, int, list]]:
+        """The blocks of the differential into degree p, which must not be
+        the lowest degree; read on first use."""
+        out = self._entries.get(p)
+        if out is None:
+            w = self._window
+            zero = w.field.zero
+            prev, verts = self.verts[p - 1], self.verts[p]
+            out = self._entries[p] = [
+                (a, b, [(c, path) for c, path in zip(coords, w.hom(prev[a], v).basis)
+                        if c != zero])
+                for b, (v, row) in enumerate(zip(verts, self._diffs[p].proj_coords))
+                for a, coords in enumerate(row) if coords is not None]
+        return out
+
+
+def _write_block(data: list, cols: int, r0: int, c0: int, block: Matrix, c) -> None:
+    """Write c·block into the row-major entries data of a matrix with cols
+    columns, its first entry at (r0, c0); c None writes block itself."""
+    k, src = block.cols, block.data
+    for i in range(block.rows):
+        row = src[i * k:(i + 1) * k]
+        base = (r0 + i) * cols + c0
+        data[base:base + k] = row if c is None else [c * x for x in row]
+
+
+def _yoneda_hom_data(plan: YonedaPlan, CX: Complex,
+                     CY: Complex) -> tuple[dict[int, int], Callable[[int], Matrix]]:
+    """The total hom complex of a complex CX of certified projective sums,
+    with plan its `YonedaPlan`, by Yoneda evaluation:
+    hom(⊕_b P(v_b), Z) = ⊕_b Z(v_b).
 
     The (p, q) block is ⊕_b CY^q(v_b) over the vertices v_b of CX^p, ordered
     by block and then unit vector, as in `hom_basis`.  A map P(u) -> P(v)
     with hom coordinates c over the paths q: u -> v induces Σ c_q·Z(q):
     Z(v) -> Z(u), so precomposing with dX is a block matrix of path actions,
     and postcomposing with dY is block diagonal with blocks dY(v_b).
-    Returns the component dimensions and a function giving the differential
-    out of a degree, so that a caller can stop at the dimensions.
+    Everything read of CX's terms and differentials comes from the plan:
+    a block's coordinates are running sums of CY's dims at the plan's
+    vertices, and a differential writes each block straight into the flat
+    matrix, a single path of coefficient ±1 as its action Z(q) with no
+    scaled copy, the sign -(-1)^n applied as it is written.  Returns the
+    component dimensions and a function giving the differential out of a
+    degree, so that a caller can stop at the dimensions.
     """
-    w = CX.window
-    fld = w.field
-    n_min = CY.min_degree - (CX.min_degree + len(CX.terms) - 1)
-    n_max = (CY.min_degree + len(CY.terms) - 1) - CX.min_degree
-    layout: dict[int, list[tuple[int, int]]] = {}
-    # (p, q) -> first coordinate of each block b within degree q - p
-    offsets: dict[tuple[int, int], list[int]] = {}
-    dims: dict[int, int] = {}
-    for n in range(n_min, n_max + 1):
-        blocks = []
-        off = 0
-        for p in CX.degrees():
-            Y = CY.term(p + n)
-            if Y is None:
-                continue
-            blocks.append((p, p + n))
-            offsets[(p, p + n)] = starts = []
-            for v in CX.term(p).cert[1]:
-                starts.append(off)
-                off += Y.dims[v]
-        layout[n] = blocks
-        dims[n] = off
+    fld = CX.window.field
+    one = fld.one
+    lo_y = CY.min_degree
+    dims = dict.fromkeys(range(lo_y - CX.min_degree - len(CX.terms) + 1,
+                               lo_y + len(CY.terms) - CX.min_degree), 0)
+    # (p, q) -> the first coordinate of each block b of the (p, q) block
+    # within degree q - p, then the block's end
+    starts: dict[tuple[int, int], list[int]] = {}
+    for q, Y in enumerate(CY.terms, lo_y):
+        at = Y.dims.__getitem__
+        for p, verts in plan.verts.items():
+            n = q - p
+            run = starts[p, q] = list(accumulate(map(at, verts), initial=dims[n]))
+            dims[n] = run[-1]
 
     def differential(n: int) -> Matrix:
         rows = dims.get(n + 1, 0)
@@ -933,34 +997,36 @@ def _yoneda_hom_data(CX: Complex, CY: Complex) -> tuple[dict[int, int], Callable
         m = Matrix.zeros(fld, rows, cols)
         if rows == 0 or cols == 0:
             return m
-        sign = -(fld(-1) if n % 2 else fld.one)  # -(-1)^n
-
-        def place(r0: int, c0: int, block: Matrix, scale=None):
-            for i in range(block.rows):
-                row = block.data[i * block.cols:(i + 1) * block.cols]
-                base = (r0 + i) * cols + c0
-                m.data[base:base + block.cols] = (
-                    row if scale is None else [scale * c for c in row])
-
-        for (p, q) in layout[n]:
-            verts = CX.term(p).cert[1]
+        data = m.data
+        sign = -one if n % 2 == 0 else one  # -(-1)^n
+        for p, verts in plan.verts.items():
+            q = p + n
+            at = starts.get((p, q))
+            if at is None:
+                continue
             dY = CY.diff(q)
             if dY is not None:
+                into = starts[p, q + 1]
                 for b, v in enumerate(verts):
-                    place(offsets[(p, q + 1)][b], offsets[(p, q)][b], dY.comps[v])
-            dX = CX.diff(p - 1)
-            if dX is not None:
-                Y = CY.term(q)
-                prev = CX.term(p - 1).cert[1]
-                for b, row in enumerate(dX.proj_coords):
-                    for a, coords in enumerate(row):
-                        if coords is None:
-                            continue
-                        hom = w.hom(prev[a], verts[b])
-                        terms = [(c, path) for c, path in zip(coords, hom.basis)
-                                 if c != fld.zero]
-                        place(offsets[(p - 1, q)][a], offsets[(p, q)][b],
-                              Y.act_terms(terms), sign)
+                    block = dY.comps.get(v)
+                    if block is not None:
+                        _write_block(data, cols, into[b], at[b], block, None)
+            if p - 1 not in plan.verts:
+                continue
+            entries = plan.entries(p)
+            Y, prev, into = CY.term(q), plan.verts[p - 1], starts[p - 1, q]
+            yd = Y.dims
+            for a, b, terms in entries:
+                if not (yd[prev[a]] and yd[verts[b]]):
+                    continue
+                if len(terms) == 1:
+                    c, path = terms[0]
+                    c = sign * c
+                    _write_block(data, cols, into[a], at[b], Y.act(path),
+                                 None if c == one else c)
+                else:
+                    _write_block(data, cols, into[a], at[b], Y.act_terms(terms),
+                                 None if sign == one else sign)
         return m
 
     return dims, differential
@@ -974,11 +1040,15 @@ def _hom_complex(CX: Complex, CY: Complex) -> tuple[dict[int, int], Callable[[in
     the differential sends f to dY . f - (-1)^n f . dX.  CX must consist of
     certified projective sums, or CY of certified injective sums; the latter
     is computed as hom(D CY, D CX) over the opposite window, an isomorphic
-    complex (same degrees, differentials equal up to transpose and sign)."""
-    if _is_sum_of(CX, "proj"):
-        return _yoneda_hom_data(CX, CY)
+    complex (same degrees, differentials equal up to transpose and sign).
+    Either way the projective side is read through its `YonedaPlan`, compiled
+    once per complex."""
+    plan = CX.yoneda_plan
+    if plan is not None:
+        return _yoneda_hom_data(plan, CX, CY)
     if _is_sum_of(CY, "inj"):
-        return _yoneda_hom_data(dualize_complex(CY), dualize_complex(CX))
+        DY = dualize_complex(CY)
+        return _yoneda_hom_data(DY.yoneda_plan, DY, dualize_complex(CX))
     raise NotProjectiveCertified(
         "total hom needs a complex of projective sums or a target of injective sums")
 
@@ -989,19 +1059,19 @@ def total_hom_dims(CX: Complex, CY: Complex) -> dict[int, int]:
     Requires CX to consist of projectives or CY of injectives (the
     resolutions produced here always satisfy this), so homotopy classes
     compute derived homs; otherwise NotProjectiveCertified is raised.
-    A complex whose components are all zero is answered with zeros before
-    any differential is built, and a differential into or out of a zero
-    component has rank 0 and is not built.
+    The component dimensions come from the projective side's `YonedaPlan`
+    and the other side's dims alone; a differential is built only where the
+    components on both of its sides are nonzero, since elsewhere its rank
+    is 0.
     """
     dims, differential = _hom_complex(CX, CY)
-    if not any(dims.values()):
-        return dict.fromkeys(dims, 0)
-    ranks = {n: rank(differential(n)) if d and dims.get(n + 1) else 0
-             for n, d in dims.items()}
-    out: dict[int, int] = {}
-    for n in dims:
-        out[n] = dims[n] - ranks[n] - ranks.get(n - 1, 0)
-        assert out[n] >= 0
+    out = dict(dims)
+    for n, d in dims.items():
+        if d and dims.get(n + 1):
+            r = rank(differential(n))
+            out[n] -= r
+            out[n + 1] -= r
+    assert min(out.values()) >= 0
     return out
 
 

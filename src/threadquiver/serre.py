@@ -218,9 +218,10 @@ def _has_ext_from_simples(X: Rep, simples: dict[str, Complex], vertices,
     the first such u."""
     for u in vertices:
         res = simples[u]
-        # hom(P(v), X) = X(v), so Ext^i vanishes unless the degree -i term
-        # meets X's support
-        if not any(X.dims[v] for i in degrees if res.term(-i) for v in res.term(-i).cert[1]):
+        # hom(P(v), X) = X(v), so Ext^i vanishes unless the degree -i term,
+        # whose vertices the resolution's plan holds, meets X's support
+        verts = res.yoneda_plan.verts
+        if not any(X.dims[v] for i in degrees for v in verts.get(-i, ())):
             continue
         dims = total_hom_dims(res, one_term_complex(X))
         if any(dims.get(i) for i in degrees):
@@ -314,7 +315,10 @@ def check_serre(
     probe is resolved injectively.
 
     A side of a pair that is zero by support (`_zero_sides`) is answered
-    with zeros without building its hom complex.  Every pair is tallied in
+    with zeros without building its hom complex.  The others go through
+    `total_hom_dims`, once per side: each probe's one-term complex is built
+    once, and each resolution is read through its `reps.YonedaPlan`,
+    compiled on its first hom complex.  Every pair is tallied in
     bulk, each of its shifts counted as checked, and its two sides are
     compared only at the shifts where one of them is nonzero, in shift
     order, so the failed items are those of a shift-by-shift comparison.
@@ -325,13 +329,14 @@ def check_serre(
     usable = _usable_probes(w, test_set, max_len, forbid_boundary, report)
     images = {label: nakayama(res) for label, _, res in usable}
     sets = _support_sets(usable, images)
+    ones = {label: one_term_complex(X) for label, X, _ in usable}
     for xl, _, res_x in usable:
-        for yl, Y, res_y in usable:
+        for yl, _, res_y in usable:
             left_zero, right_zero = _zero_sides(sets, xl, yl)
             report.tally(2 * max_len + 1)
             if left_zero and right_zero:  # every shift holds as 0 = 0
                 continue
-            left = {} if left_zero else total_hom_dims(res_x, one_term_complex(Y))
+            left = {} if left_zero else total_hom_dims(res_x, ones[yl])
             right = {} if right_zero else total_hom_dims(res_y, images[xl])
             # a shift where both sides read 0 holds; the others in shift order
             nonzero = {n for n, d in left.items() if d} | {-n for n, d in right.items() if d}

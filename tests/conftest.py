@@ -332,6 +332,74 @@ def total_hom_data(CX, CY):
     return dims, {n: differential(n) for n in dims}
 
 
+def per_call_hom_data(CX, CY):
+    """Differential oracle for `total_hom_data` on a complex CX of certified
+    projective sums: the same Yoneda evaluation with nothing compiled, every
+    call laying out the blocks, reading each hom basis and summing each
+    block's path actions, scaled copies included, before placing it with
+    its sign.  Every differential is built."""
+    w = CX.window
+    fld = w.field
+    n_min = CY.min_degree - (CX.min_degree + len(CX.terms) - 1)
+    n_max = (CY.min_degree + len(CY.terms) - 1) - CX.min_degree
+    layout = {}
+    # (p, q) -> first coordinate of each block b within degree q - p
+    offsets = {}
+    dims = {}
+    for n in range(n_min, n_max + 1):
+        blocks = []
+        off = 0
+        for p in CX.degrees():
+            Y = CY.term(p + n)
+            if Y is None:
+                continue
+            blocks.append((p, p + n))
+            offsets[(p, p + n)] = starts = []
+            for v in CX.term(p).cert[1]:
+                starts.append(off)
+                off += Y.dims[v]
+        layout[n] = blocks
+        dims[n] = off
+
+    def differential(n):
+        rows = dims.get(n + 1, 0)
+        cols = dims.get(n, 0)
+        m = Matrix.zeros(fld, rows, cols)
+        if rows == 0 or cols == 0:
+            return m
+        sign = -(fld(-1) if n % 2 else fld.one)  # -(-1)^n
+
+        def place(r0, c0, block, scale=None):
+            for i in range(block.rows):
+                row = block.data[i * block.cols:(i + 1) * block.cols]
+                base = (r0 + i) * cols + c0
+                m.data[base:base + block.cols] = (
+                    row if scale is None else [scale * c for c in row])
+
+        for (p, q) in layout[n]:
+            verts = CX.term(p).cert[1]
+            dY = CY.diff(q)
+            if dY is not None:
+                for b, v in enumerate(verts):
+                    place(offsets[(p, q + 1)][b], offsets[(p, q)][b], dY.comps[v])
+            dX = CX.diff(p - 1)
+            if dX is not None:
+                Y = CY.term(q)
+                prev = CX.term(p - 1).cert[1]
+                for b, row in enumerate(dX.proj_coords):
+                    for a, coords in enumerate(row):
+                        if coords is None:
+                            continue
+                        hom = w.hom(prev[a], verts[b])
+                        terms = [(c, path) for c, path in zip(coords, hom.basis)
+                                 if c != fld.zero]
+                        place(offsets[(p - 1, q)][a], offsets[(p, q)][b],
+                              Y.act_terms(terms), sign)
+        return m
+
+    return dims, {n: differential(n) for n in dims}
+
+
 def basis_route_hom_data(CX, CY):
     """Differential oracle for `total_hom_data`: the total hom complex
     assembled from explicit RepMap bases of every hom(X^p, Y^q), reading each

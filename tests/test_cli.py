@@ -395,9 +395,8 @@ def _cli_digest():
 def test_cli_digest_corpus_runs_every_fixture_under_every_command_and_depth():
     # scripts/cli_digest.py compares two trees' answers byte for byte: every
     # fixture under each of its commands at each depth, once through
-    # normalize, and every vertex pair through hom and ext; every
-    # subcommand but `check`, which only parses the file, is run, and every
-    # invocation parses
+    # normalize and check, and every vertex pair through hom and ext; every
+    # subcommand is run, and every invocation parses
     digest = _cli_digest()
     corpus = digest.corpus(parse_tq)
     invocations = {tuple(argv) for argv in corpus}
@@ -409,6 +408,7 @@ def test_cli_digest_corpus_runs_every_fixture_under_every_command_and_depth():
             for depth in digest.DEPTHS:
                 assert (*cmd, fixture, "--depth", str(depth)) in invocations, (cmd, depth)
         assert ("normalize", fixture) in invocations
+        assert ("check", fixture) in invocations
         vertices = parse_tq((FIXTURES.parent / fixture).read_text()).vertices
         for cmd in digest.PAIR_COMMANDS:
             for depth in digest.PAIR_DEPTHS:
@@ -416,7 +416,7 @@ def test_cli_digest_corpus_runs_every_fixture_under_every_command_and_depth():
                     for y in vertices:
                         assert (cmd[0], fixture, x, y, *cmd[1:], "--depth",
                                 str(depth)) in invocations
-    assert {argv[0] for argv in invocations} == {name for name, *_ in cli._COMMANDS} - {"check"}
+    assert {argv[0] for argv in invocations} == {name for name, *_ in cli._COMMANDS}
     parser = build_parser()
     for argv in corpus:
         parser.parse_args(argv)

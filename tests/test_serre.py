@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -20,6 +21,7 @@ from conftest import (
     nakayama_composes,
     non_free_pairs,
     non_hereditary_simples,
+    per_call_hom_data,
     per_pair_check_serre,
     per_probe_usable_probes,
     random_fp_rep,
@@ -31,7 +33,7 @@ from conftest import (
     total_hom_data,
     zigzag_window,
 )
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_windows import random_thread_quivers
 
@@ -903,6 +905,112 @@ def test_check_serre_skips_by_support_without_presuming_duality(monkeypatch):
     assert not got.passed
     assert _serre_answer(got) == _serre_answer(
         per_pair_check_serre(w, test_set, 6, forbid_boundary=False))
+
+
+@pytest.mark.parametrize("forbid_boundary", [True, False], ids=["skip", "no-skip"])
+def test_check_serre_calls_total_hom_dims_once_per_side_not_zero_by_support(
+        monkeypatch, forbid_boundary):
+    # perfbench's serre.total_hom_dims.calls counts exactly the sides not
+    # zero by support plus the boundary pre-test's Ext reads
+    w = expand(tq_mixed(), 2)
+    test_set = probes(w, interior_only=forbid_boundary)
+    nonzero = sum(not zero for _, _, sides in _probe_sides(w, forbid_boundary)
+                  for zero, _ in sides)
+    callers = Counter()
+    inner = serre.total_hom_dims
+
+    def counting(CX, CY):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return inner(CX, CY)
+
+    monkeypatch.setattr(serre, "total_hom_dims", counting)
+    serre._usable_probes(w, test_set, 6, forbid_boundary, Report("serre-check"))
+    pretest = callers["_has_ext_from_simples"]
+    assert set(callers) <= {"_has_ext_from_simples"}
+    # no simple's resolution runs past max_len here, so only the boundary
+    # rule reads Ext from the simples
+    assert pretest > 0 if forbid_boundary else pretest == 0
+    callers.clear()
+    check_serre(w, test_set, 6, forbid_boundary)
+    assert nonzero > 0
+    assert callers == Counter(check_serre=nonzero, _has_ext_from_simples=pretest)
+
+
+PER_CALL_WINDOWS = FIXTURE_WINDOWS + [
+    pytest.param(comm_grid_window(2), id="grid2"),
+    pytest.param(comm_grid_window(3), id="grid3"),
+    pytest.param(zigzag_window(), id="zigzag"),
+    pytest.param(ainf_rad2_window(), id="ainf_rad2"),
+]
+
+
+@pytest.mark.parametrize("forbid_boundary", [True, False], ids=["skip", "no-skip"])
+@pytest.mark.parametrize("w", PER_CALL_WINDOWS)
+def test_yoneda_plan_matches_per_call_assembly(w, forbid_boundary):
+    # every hom complex check_serre can build, from each complex's compiled
+    # plan, equals the one assembled from scratch on each call: both sides of
+    # every ordered probe pair, and the boundary pre-test's Ext complexes
+    for xl, yl, sides in _probe_sides(w, forbid_boundary):
+        for _, (CX, CY) in sides:
+            assert total_hom_data(CX, CY) == per_call_hom_data(CX, CY), (xl, yl)
+    simples = serre._simple_resolutions(w, 6)
+    for b in sorted(w.boundary):
+        for label, X in probes(w, interior_only=forbid_boundary):
+            CY = one_term_complex(X)
+            assert total_hom_data(simples[b], CY) == per_call_hom_data(simples[b], CY), (b, label)
+
+
+def test_yoneda_plan_reads_the_complexs_own_differentials():
+    # two complexes with the same terms and different differentials get
+    # different plans: the twin's dX blocks are twice the resolution's
+    w = zigzag_window()
+    res = resolution(std_module(w, "a22", SIMPLE), PROJECTIVE, 6).complex
+    twin = Complex(w, res.min_degree, res.terms, [d.scale(QQ(2)) for d in res.diffs])
+    assert len(res.terms) >= 3
+    differ = 0
+    for label, Y in probes(w, interior_only=False):
+        CY = one_term_complex(Y)
+        got = [total_hom_data(cx, CY) for cx in (res, twin)]
+        assert got == [per_call_hom_data(cx, CY) for cx in (res, twin)], label
+        differ += got[0] != got[1]
+    assert differ
+
+
+@st.composite
+def parallel_arrow_windows(draw):
+    """Relation-free windows on 2-4 vertices with up to three parallel
+    arrows per drawn pair, so hom spaces of dimension 2 or more are common."""
+    n = draw(st.integers(2, 4))
+    verts = [f"v{i}" for i in range(n)]
+    ends = []
+    for i, k in draw(st.lists(st.tuples(st.integers(0, n - 2), st.integers(1, 3)),
+                              min_size=1, max_size=4)):
+        ends += [(verts[i], verts[draw(st.integers(i + 1, n - 1))])] * k
+    return Window(Quiver(verts, [(f"a{m}", x, y) for m, (x, y) in enumerate(ends)]))
+
+
+KRONECKER = Window(Quiver(["x", "y"], [("a", "x", "y"), ("b", "x", "y")]))
+
+
+@given(parallel_arrow_windows(), st.integers(0, 2**16))
+@example(KRONECKER, 11)
+@settings(max_examples=40, deadline=None)
+def test_yoneda_plan_matches_per_call_assembly_on_random_resolutions(w, seed):
+    # resolutions of random finitely presented modules, whose differentials'
+    # hom coordinates often have several terms, into a random module and into
+    # the Nakayama image of its resolution
+    rng = random.Random(seed)
+    M, N = random_fp_rep(w, rng), random_fp_rep(w, rng)
+    CX = resolution(M, PROJECTIVE, 8).complex
+    for CY in (one_term_complex(N), nakayama(resolution(N, PROJECTIVE, 8).complex)):
+        assert total_hom_data(CX, CY) == per_call_hom_data(CX, CY)
+
+
+def test_the_kronecker_example_has_a_coordinate_of_several_terms():
+    # the explicit example above exercises a block summed over several paths
+    M = random_fp_rep(KRONECKER, random.Random(11))
+    plan = resolution(M, PROJECTIVE, 8).complex.yoneda_plan
+    assert any(len(terms) > 1 for p in list(plan.verts)[1:] for _, _, terms in plan.entries(p))
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.tq")))
