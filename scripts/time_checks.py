@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CHECKS = ["serre-check", "dualizing-check --strict-boundary"]
+CHECKS = ["serre-check", "dualizing-check", "dualizing-check --strict-boundary"]
 
 CHILD = """
 import contextlib, io, json, resource, sys, time

@@ -71,10 +71,19 @@ of its image, and one exact product checks that the image lies in the span.
 A cokernel is the same kernel taken over the opposite window, D ker(D f),
 with the transposed basis as its projection, so it has no elimination of
 its own.  `linalg.solve_matrix` reduces [m | B] once for all columns.
-A cover's components are reduced once, by its kernel, and only those of
-two or more rows reach `rref`: `projective_cover` computes the kernel,
-certifies the cover with it by rank-nullity and hands it back on the map,
-and resolutions and presentations read it there.  The cover also
+A cover's components are reduced once, by its kernel bases, and only those
+of two or more rows reach `rref`: `projective_cover` eliminates the bases
+on the cover's whole support (`RepMap.kernel_bases`) and certifies the
+cover with them by rank-nullity at every vertex of M's support, a
+certificate that does not depend on how much of the kernel module is ever
+built.  The kernel module is built from those bases only when a caller
+reads `cover.kernel`: resolutions, `induce` and `kernel_as_projectives`
+read the full kernel there.  A presentation builds it only around M:
+where the cover vanishes at x and at the head of every arrow out of x,
+ker(x) = P0(x) and rad ker(x) = rad P0(x), so top ker(x) = top P0(x) = 0,
+and the kernel's top is read on R and the heads of R's out-arrows, R
+being the vertices where the cover is nonzero with the sources of the
+arrows into them.  The cover also
 recognizes a sum of standard projectives: M is one exactly when its
 cover's kernel is zero, which is all `kernel_as_projectives` asks, with no
 decomposition of M.  The top is read from the vectors spanning the radical
@@ -83,9 +92,9 @@ once as rows, with no matrix stacked; at a one-dimensional vertex only
 whether one of them is nonzero is asked.  A two-term presentation is
 returned as the vertex tuples of its terms, since that is all its callers
 read.  Its second term is the top of the first cover's kernel, read off
-`top_generators` with no second cover written and no certificate of its
-own: the cover carries the one certificate, and the top is graded
-Nakayama's.  The minimal injective copresentation of M is
+`top_generators` on that neighbourhood with no second cover written and no
+certificate of its own: the cover carries the one certificate, and the top
+is graded Nakayama's.  The minimal injective copresentation of M is
 read as the projective presentation of D M over the opposite window, with
 no injective hull or cokernel built; an injective resolution is read the
 same way.  A resolution is its complex alone, with no map to or from M, and
@@ -302,6 +311,20 @@ class RepMap:
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.comps.values())
+
+    @cached_property
+    def kernel_bases(self) -> tuple[dict[str, Matrix], dict[str, list[int]]]:
+        """`_kernel_bases` of this map, eliminated once: a cover certifies
+        itself with them, and its kernel module is built from them."""
+        return _kernel_bases(self.source, self.comps)
+
+    @cached_property
+    def kernel(self) -> tuple[Rep, "RepMap"]:
+        """ker f with its inclusion, built from `kernel_bases` the first time
+        it is read (maps are never mutated)."""
+        kbases, frees = self.kernel_bases
+        K = _kernel_module(self.source, kbases, frees)
+        return K, RepMap(K, self.source, kbases)
 
     @cached_property
     def proj_coords(self):
@@ -648,17 +671,17 @@ class Factorization:
     coker_proj: RepMap
 
 
-def _kernel(M: Rep, comps: dict[str, Matrix]) -> tuple[Rep, dict[str, Matrix]]:
-    """The kernel of the map out of M with components comps, and its basis
-    at every vertex of M's support.
+def _kernel_bases(M: Rep, comps: dict[str, Matrix]) -> tuple[dict[str, Matrix],
+                                                              dict[str, list[int]]]:
+    """The kernel basis of the map out of M with components comps at every
+    vertex of M's support, and its free columns where a component was
+    eliminated.
 
     Only comps' stored entries are read, with `.get`.  Where a component is
     missing or zero the kernel is the whole space, with the identity basis,
     one per dimension within the call.  Elsewhere the kernel basis (in
     closed form for a one-row component, see `linalg.kernel_basis`) is an
-    identity at the rows of its free columns, so an arrow's coordinates are
-    those rows of its image M(a)·kb(y), and one product kb(x)·c == M(a)·kb(y)
-    checks them.  An arrow between two whole spaces keeps its matrix."""
+    identity at the rows of its free columns."""
     fld = M.field
     ids: dict[int, Matrix] = {}  # shared: matrices are never mutated
     kbases, frees = {}, {}
@@ -671,8 +694,27 @@ def _kernel(M: Rep, comps: dict[str, Matrix]) -> tuple[Rep, dict[str, Matrix]]:
             kbases[v] = ids[n]
         else:
             kbases[v], frees[v] = kernel_basis(comp)
+    return kbases, frees
+
+
+def _kernel_module(M: Rep, kbases: dict[str, Matrix], frees: dict[str, list[int]],
+                   verts=None) -> Rep:
+    """The kernel with bases kbases and free columns frees (`_kernel_bases`)
+    as a module, on all of M's support, or on its vertices in verts only,
+    with the arrows between them.
+
+    An arrow's coordinates are the free rows of its image M(a)·kb(y), and
+    one product kb(x)·c == M(a)·kb(y) checks them.  An arrow between two
+    whole spaces keeps its matrix."""
+    fld = M.field
+    if verts is None:
+        arrows = M.support_arrows
+    else:
+        kbases = {v: kbases[v] for v in verts if v in kbases}
+        out_arrows = M.window.quiver.out_arrows
+        arrows = [a for x in kbases for a in out_arrows[x] if a.tgt in kbases]
     kmaps = {}
-    for a in M.support_arrows:
+    for a in arrows:
         x, y = a.src, a.tgt
         kx = kbases[x]
         if not (kx.cols and kbases[y].cols):
@@ -688,28 +730,27 @@ def _kernel(M: Rep, comps: dict[str, Matrix]) -> tuple[Rep, dict[str, Matrix]]:
         c = Matrix(fld, len(free), n, [e for i in free for e in img.data[i * n:(i + 1) * n]])
         assert kx @ c == img, "vectors not in span of basis"
         kmaps[a.name] = c
-    K = Rep(M.window, {v: kb.cols for v, kb in kbases.items()}, kmaps, validate=False)
-    return K, kbases
+    return Rep(M.window, {v: kb.cols for v, kb in kbases.items()}, kmaps, validate=False)
 
 
 def kernel_with_inclusion(f: RepMap) -> tuple[Rep, RepMap]:
     """Just the kernel subrepresentation and its inclusion (cheaper than
-    a full factorization when only the kernel is needed); see `_kernel`."""
-    K, kbases = _kernel(f.source, f.comps)
-    return K, RepMap(K, f.source, kbases)
+    a full factorization when only the kernel is needed): `f.kernel`."""
+    return f.kernel
 
 
 def cokernel_with_projection(f: RepMap) -> tuple[Rep, RepMap]:
     """Just the cokernel and its projection, as D ker(D f): the kernel of
-    the transposed components out of D N over the opposite window (`_kernel`,
-    so only f's stored components are read and the same exact check guards
-    every arrow), dualized back.  Its basis at v, transposed, is the
-    projection N(v) -> C(v), and C(a) = proj_x·N(a)·S_y, where the section
-    S_y is the unit vectors at y's free coordinates.  D M is not built: the
-    kernel never reads it."""
+    the transposed components out of D N over the opposite window
+    (`_kernel_bases`, `_kernel_module`, so only f's stored components are
+    read and the same exact check guards every arrow), dualized back.  Its
+    basis at v, transposed, is the projection N(v) -> C(v), and C(a) =
+    proj_x·N(a)·S_y, where the section S_y is the unit vectors at y's free
+    coordinates.  D M is not built: the kernel never reads it."""
     N = f.target
-    K, kbases = _kernel(dualize(N), {v: m.transpose() for v, m in f.comps.items()})
-    C = dualize(K)
+    DN = dualize(N)
+    kbases, frees = _kernel_bases(DN, {v: m.transpose() for v, m in f.comps.items()})
+    C = dualize(_kernel_module(DN, kbases, frees))
     return C, RepMap(N, C, {v: kb.transpose() for v, kb in kbases.items()})
 
 
@@ -804,13 +845,14 @@ def top_generators(M: Rep) -> list[tuple[str, list]]:
 def projective_cover(M: Rep) -> tuple[Rep, RepMap]:
     """Minimal projective cover: P(top M) onto M.
 
-    The cover's kernel is computed here, once, and handed back on the map
-    as `cover.kernel`, the pair (K, inclusion K -> P) of
-    `kernel_with_inclusion`; callers read it there instead of eliminating
-    the cover again, and it lives as long as the map.  It also certifies
-    the cover: over an acyclic window the cover is onto exactly when
-    dim P(v) - dim K(v) = dim M(v) at every vertex v of M's support
-    (rank-nullity: the cover's rank at v is dim M(v))."""
+    The cover's kernel bases are eliminated here, once, at every vertex of
+    P's support (`RepMap.kernel_bases`; an unstored or zero component keeps
+    the identity), and they certify the cover: over an acyclic window the
+    cover is onto exactly when dim P(v) - dim ker(v) = dim M(v) at every
+    vertex v of M's support (rank-nullity: the cover's rank at v is
+    dim M(v)).  The kernel module is built from those bases only when a
+    caller reads `cover.kernel` (resolutions, `induce`, the recognition in
+    `kernel_as_projectives`); a presentation builds it around M only."""
     w = M.window
     gens = top_generators(M)
     P = proj_sum(w, [v for v, _ in gens])
@@ -819,10 +861,10 @@ def projective_cover(M: Rep) -> tuple[Rep, RepMap]:
     else:
         assert M.is_zero(), "nonzero module with zero top"
         cover = zero_map(P, M)
-    cover.kernel = kernel_with_inclusion(cover)
-    kdims = cover.kernel[0].dims
+    kbases, _ = cover.kernel_bases
     for v in M.support:
-        assert P.dims[v] - kdims[v] == M.dims[v], "cover not surjective"
+        assert v in kbases and P.dims[v] - kbases[v].cols == M.dims[v], (
+            "cover not surjective")
     return P, cover
 
 
@@ -840,12 +882,25 @@ def two_term_presentation(M: Rep, side: str) -> tuple[tuple[str, ...], tuple[str
     copresentation 0 -> M -> I0 -> I1, which is the dual of the projective
     presentation of D M over the opposite window (D I(v) = P(v) there).
 
-    P0 is the projective cover of M, certified onto by its kernel K.  P1 is
-    the cover of K, so its vertices are those of `top_generators(K)`; no
-    second cover is written and the differential is not composed."""
+    P0 is the projective cover of M, certified onto by its kernel bases.
+    P1 is the cover of the kernel K, so its vertices are those of K's top;
+    no second cover is written and the differential is not composed.  The
+    top is read around M only.  Let S be the vertices where the cover is
+    nonzero, with P0's blocks, and R = S with the sources of the arrows
+    into S.  Off R the cover vanishes at x and at the head of every arrow
+    out of x, so K(x) = P0(x) and rad K(x) = rad P0(x), and top K(x) =
+    top P0(x) = 0.  K's top is therefore its top at R, which needs K only
+    on R and the heads of R's out-arrows; tops on that rim are not K's and
+    are dropped.  The full kernel is never built here."""
     if side == PROJECTIVE:
         P0, cover = projective_cover(M)
-        return P0.cert[1], tuple(v for v, _ in top_generators(cover.kernel[0]))
+        kbases, frees = cover.kernel_bases
+        q = M.window.quiver
+        near = set(frees).union(P0.cert[1])
+        near.update(a.src for v in tuple(near) for a in q.in_arrows[v])
+        rim = {a.tgt for v in near for a in q.out_arrows[v]}
+        K = _kernel_module(P0, kbases, frees, near | rim)
+        return P0.cert[1], tuple(v for v, _ in top_generators(K) if v in near)
     if side == INJECTIVE:
         return two_term_presentation(dualize(M), PROJECTIVE)
     raise ValueError(f"unknown side {side!r}")
@@ -885,6 +940,13 @@ class Complex:
         None when some term is not one; compiled once (complexes are never
         mutated, so every hom complex out of this one reads the same plan)."""
         return YonedaPlan(self) if _is_sum_of(self, "proj") else None
+
+    @cached_property
+    def dual(self) -> "Complex":
+        """`dualize_complex` of this complex, built once, so a hom complex
+        into a complex of injective sums reads one `YonedaPlan` of its dual
+        however often it is asked for."""
+        return dualize_complex(self)
 
 
 def one_term_complex(M: Rep) -> Complex:
@@ -1040,15 +1102,16 @@ def _hom_complex(CX: Complex, CY: Complex) -> tuple[dict[int, int], Callable[[in
     the differential sends f to dY . f - (-1)^n f . dX.  CX must consist of
     certified projective sums, or CY of certified injective sums; the latter
     is computed as hom(D CY, D CX) over the opposite window, an isomorphic
-    complex (same degrees, differentials equal up to transpose and sign).
-    Either way the projective side is read through its `YonedaPlan`, compiled
-    once per complex."""
+    complex (same degrees, differentials equal up to transpose and sign),
+    with both duals cached on their complexes (`Complex.dual`).  Either way
+    the projective side is read through its `YonedaPlan`, compiled once per
+    complex."""
     plan = CX.yoneda_plan
     if plan is not None:
         return _yoneda_hom_data(plan, CX, CY)
     if _is_sum_of(CY, "inj"):
-        DY = dualize_complex(CY)
-        return _yoneda_hom_data(DY.yoneda_plan, DY, dualize_complex(CX))
+        DY = CY.dual
+        return _yoneda_hom_data(DY.yoneda_plan, DY, CX.dual)
     raise NotProjectiveCertified(
         "total hom needs a complex of projective sums or a target of injective sums")
 

@@ -1075,6 +1075,68 @@ def test_presentations_and_resolutions_eliminate_each_cover_component_once(monke
     assert {"one row", "rows"} <= seen
 
 
+def _around(M):
+    """R and R with the heads of R's out-arrows, for the presentation of M,
+    from M's support alone: the cover is onto, so it is nonzero exactly on
+    supp M, which holds the cover's blocks; R adds the sources of the
+    arrows into supp M."""
+    q = M.window.quiver
+    near = set(M.support).union(a.src for v in M.support for a in q.in_arrows[v])
+    return near, near.union(a.tgt for v in near for a in q.out_arrows[v])
+
+
+@given(random_thread_quivers(), st.integers(0, 1), st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_the_kernel_top_lies_around_the_module(tq, depth, seed):
+    # off R the cover vanishes at x and at the head of every arrow out of
+    # x, so the full kernel has no top there; the presentation, which builds
+    # the kernel around M only, reads the same top
+    w = expand(tq, depth)
+    M = random_fp_rep(w, random.Random(seed))
+    for X in (M, dualize(M)):
+        near, _ = _around(X)
+        P0, cover = projective_cover(X)
+        top = tuple(v for v, _ in top_generators(solving_kernel_with_inclusion(cover)[0]))
+        assert set(top) <= near
+        assert two_term_presentation(X, PROJECTIVE) == (P0.cert[1], top)
+
+
+def test_presentations_build_kernels_only_around_the_module(monkeypatch):
+    # presenting every P, I and S of mixed@3 on both sides builds no
+    # uncertified module (the kernel, or D M) off R ∪ heads(R); a
+    # resolution still builds the full kernel, and its terms are the oracle's
+    w = expand(tq_mixed(), 3)
+    built = []
+    real_init = Rep.__init__
+
+    def recording_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        if self.cert is None:
+            built.append(self)
+
+    modules = [std_module(w, v, kind) for v in w.quiver.vertices
+               for kind in (PROJECTIVE, INJECTIVE, SIMPLE)]
+    monkeypatch.setattr(Rep, "__init__", recording_init)
+    for M in modules:
+        for side, X in ((PROJECTIVE, M), (INJECTIVE, dualize(M))):
+            _, around = _around(X)
+            built.clear()
+            two_term_presentation(M, side)
+            assert built, "no kernel module was built"
+            assert all(set(K.support) <= around for K in built), (M, side)
+    full = 0
+    for M in modules[2::3]:  # the simples, whose kernels reach furthest
+        _, around = _around(M)
+        built.clear()
+        cx, _ = reps._resolve(M, 1)
+        want = solving_kernel_with_inclusion(projective_cover(M)[1])[0]
+        assert any(K.dims == want.dims for K in built)
+        full += not set(want.support) <= around
+        second = cx.term(-1).cert[1] if cx.term(-1) else ()
+        assert (cx.term(0).cert[1], second) == cover_kernel_cover_presentation(M)
+    assert full
+
+
 def _std_modules(w):
     return [std_module(w, v, kind) for v in w.quiver.vertices
             for kind in (PROJECTIVE, INJECTIVE, SIMPLE)]

@@ -469,6 +469,31 @@ def test_injective_target_route_matches_basis_oracle(tq, depth, seed):
     assert all(got.get(i, 0) == basis_route_ext_dim(i, X, Y, 8) for i in range(3))
 
 
+@pytest.mark.parametrize("name, depth, seed", [
+    ("mixed", 1, 0), ("mixed", 1, 1), ("zigzag", 1, 2), ("comm_square", 1, 3)])
+def test_injective_target_route_compiles_one_plan(monkeypatch, name, depth, seed):
+    # the dual of an injective coresolution is kept on it, so two hom
+    # complexes into it read one plan; the dims match the basis oracle
+    w = _fixture_window(name, depth)
+    rng = random.Random(seed)
+    X = random_fp_rep(w, rng)
+    while X.cert is not None:  # a projective X would take the other route
+        X = random_fp_rep(w, rng)
+    CY = resolution(random_fp_rep(w, rng), INJECTIVE, 8).complex
+    want = cohomology_dims(*basis_route_hom_data(one_term_complex(X), CY))
+    compiled = []
+    real_init = reps.YonedaPlan.__init__
+
+    def counting_init(plan, cx):
+        compiled.append(cx)
+        real_init(plan, cx)
+
+    monkeypatch.setattr(reps.YonedaPlan, "__init__", counting_init)
+    for _ in range(2):
+        assert total_hom_dims(one_term_complex(X), CY) == want
+    assert len(compiled) == 1 and compiled[0] is CY.dual
+
+
 def test_total_hom_needs_a_certified_side():
     w = a2_window()
     s = one_term_complex(std_module(w, "2", SIMPLE))
@@ -795,6 +820,40 @@ def test_injective_resolution_terms_are_ext_from_simples_random(tq, data):
     w = Window(q, [Relation(((1, p1), (-1, p2)))])
     rng = random.Random(data.draw(st.integers(0, 2**16)))
     _assert_injective_terms_are_ext_from_simples(w, [("random", random_fp_rep(w, rng))])
+
+
+def _presentation_multiplicities(M, simples):
+    """{i: multiset of u with multiplicity dim Ext^i(M, S(u))} for i = 0, 1,
+    each read as H^i of Hom(res S(u), D M) over the opposite window, with
+    simples the resolutions of its simples to three terms; these count
+    P(u) in P0 and in P1 of M's minimal presentation."""
+    DM = one_term_complex(reps.dualize(M))
+    out = {0: Counter(), 1: Counter()}
+    for u, res in simples.items():
+        dims = total_hom_dims(res, DM)
+        for i in (0, 1):
+            if dims.get(i):
+                out[i][u] += dims[i]
+    return out
+
+
+@pytest.mark.parametrize(
+    "w", FIXTURE_WINDOWS + [pytest.param(comm_grid_window(2), id="grid2")])
+def test_presentation_terms_are_hom_and_ext_into_simples(w):
+    # an independent route: P(u) occurs dim Hom(M, S(u)) times in P0 and
+    # dim Ext^1(M, S(u)) times in P1; a copresentation of M is the
+    # presentation of D M over the opposite window, read the same way
+    simples = {
+        x: {u: reps._resolve(std_module(x.opposite(), u, SIMPLE), 2)[0]
+            for u in x.quiver.vertices}
+        for x in (w, w.opposite())}
+    for v in w.quiver.vertices:
+        for kind in (PROJECTIVE, INJECTIVE, SIMPLE):
+            M = std_module(w, v, kind)
+            for side, X in ((PROJECTIVE, M), (INJECTIVE, reps.dualize(M))):
+                terms = two_term_presentation(M, side)
+                want = _presentation_multiplicities(X, simples[X.window])
+                assert {i: Counter(t) for i, t in enumerate(terms)} == want, (v, kind, side)
 
 
 def _serre_answer(report):
