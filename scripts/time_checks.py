@@ -2,7 +2,9 @@
 
 Each (check, depth) runs in a fresh interpreter through `threadquiver.cli.run`,
 so peak RSS is that one check's, import included.  One JSON object per run is
-printed: check, depth, exit code, wall seconds and peak RSS in MB.
+printed: check, depth, exit code, wall seconds, peak RSS in MB, and the RSS
+in MB after the import, before the check runs (`import_rss_mb`), so that a
+memory figure can be read net of the interpreter and the package.
 
     python scripts/time_checks.py fixtures/mixed.tq --depths 4 5 6
 
@@ -24,13 +26,15 @@ CHILD = """
 import contextlib, io, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 from threadquiver import cli
+import_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 argv = sys.argv[2:]
 with contextlib.redirect_stdout(io.StringIO()):
     t0 = time.perf_counter()
     code = cli.run(argv)
     wall = time.perf_counter() - t0
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"exit": code, "wall_s": round(wall, 3), "peak_rss_mb": round(rss_mb, 1)}))
+print(json.dumps({"exit": code, "wall_s": round(wall, 3), "peak_rss_mb": round(rss_mb, 1),
+                  "import_rss_mb": round(import_mb, 1)}))
 """
 
 

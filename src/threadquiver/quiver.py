@@ -21,6 +21,10 @@ smallest path of a . f), so the standard paths are among the candidates
 a . q with q in the basis of hom(z, y).
 The candidates are ordered by the key (len q + 1, name of a, position of q
 in the basis of hom(z, y)), which is their order as paths (`candidates`).
+That key is also how a candidate is stored: as a handle, its length, its
+first arrow a and the position j of q in the basis of hom(z, y), with no
+path built.  A basis element is thus (first arrow, position in hom(z, y)),
+and its path is walked off the handles of the column when it is read.
 Every path x -> y is congruent modulo the a . I(z, y) to a combination of
 candidates, and that rewriting only replaces a path by larger ones; so
 I(x, y) meets the span of the candidates in the span of the rewritten rows
@@ -60,10 +64,6 @@ class Path:
         """self followed by other (requires self.tgt == other.src)."""
         assert self.tgt == other.src, (self, other)
         return Path(self.src, other.tgt, self.arrows + other.arrows)
-
-
-def identity_path(v: str) -> Path:
-    return Path(v, v, ())
 
 
 @dataclass(frozen=True)
@@ -196,43 +196,75 @@ def is_strongly_locally_finite(q: Quiver) -> bool:
 class HomBasis:
     """Basis data for the hom space (x, y) in kQ modulo relations.
 
-    `paths` lists the candidates in the order of `candidates`: the identity
-    when x = y, and otherwise every path a . q for an arrow a: x -> z and a
-    basis path q of hom(z, y).  `basis` is the subset of candidates whose
-    classes form a basis of the quotient, and `expand` rewrites any parallel
-    linear combination of paths in that basis.  `quiver` is the window's
-    quiver and `column` the column hom(-, y) the basis lies in; `expand`
-    reads hom(z, y) from it to rewrite a path that is not a candidate, for
-    vertices z that the sweep built before x.  The position of each
-    candidate path (`index`) is built on the first `expand` that needs it,
-    so a basis that is only read holds no dict.
+    The candidates are stored as handles, in the order of `candidates`: the
+    handle of a . q_j, for an arrow a: x -> z and the basis element q_j of
+    hom(z, y), is the tuple (length, name of a, j, a), and the identity of
+    hom(x, x) is the one handle (0, "", 0, None).  So a basis element is its
+    first arrow and a position in hom(z, y), and its path is read off the
+    handles of `column`, the column hom(-, y) the basis lies in (`arrows_of`).
+    `free_idx` lists the candidates whose classes form a basis of the
+    quotient, in order, and `reducers` the rref rows of the relations that
+    rewrite the others.  No path is stored: `paths` (every candidate) and
+    `basis` (the basis elements) build them when read.
+
+    `expand` rewrites any parallel linear combination of paths in the basis.
+    A path's coordinates come from prepending its arrows one at a time,
+    right to left, to coordinate vectors, starting from the identity at y
+    (`_prepend`): prepending a: x -> z to coordinates over hom(z, y) puts
+    them at the candidates a . q_j and reduces, so no path is hashed and
+    nothing recurses along the path.  `quiver` is the window's quiver, and
+    the vertices z along the path lie nearer y than x, so the sweep built
+    hom(z, y) before x.  The position of each candidate by first arrow
+    (`_by_arrow`) is built on the first call that prepends an arrow, so a
+    basis that is only read holds no dict.
     """
 
-    __slots__ = ("field", "paths", "_index", "reducers", "free_idx", "basis", "dim",
-                 "quiver", "column")
+    __slots__ = ("field", "src", "tgt", "handles", "_by_arrow", "reducers", "free_idx",
+                 "dim", "quiver", "column")
 
-    def __init__(self, field, paths: list[Path], quiver: Quiver, column):
+    def __init__(self, field, x: str | None, y: str | None, handles, quiver: Quiver, column):
         self.field = field
-        self.paths = paths
-        self._index = None
+        self.src = x
+        self.tgt = y
+        self.handles = handles
+        self._by_arrow = None
         self.reducers = []  # rref rows (pivot column, other entries) of the relation span
-        self.free_idx = range(len(paths))
-        self.basis = paths
-        self.dim = len(paths)
+        self.free_idx = range(len(handles))
+        self.dim = len(handles)
         self.quiver = quiver
         self.column = column
 
+    def split(self, i: int) -> tuple[Arrow | None, int]:
+        """Basis element i as its first arrow a: x -> z and the position of
+        the rest in the basis of hom(z, y); (None, 0) for the identity."""
+        _, _, j, a = self.handles[self.free_idx[i]]
+        return a, j
+
+    def arrows_of(self, k: int) -> tuple[str, ...]:
+        """The arrow names of candidate k, walked off the handles: its first
+        arrow, then those of its basis element of hom(z, y), down to the
+        identity at y."""
+        names = []
+        _, _, j, a = self.handles[k]
+        while a is not None:
+            names.append(a.name)
+            a, j = self.column[a.tgt].split(j)
+        return tuple(names)
+
     @property
-    def index(self) -> dict[Path, int]:
-        """Position of each candidate path in `paths`."""
-        if self._index is None:
-            self._index = {p: i for i, p in enumerate(self.paths)}
-        return self._index
+    def paths(self) -> list[Path]:
+        """Every candidate as a path, built when read."""
+        return [Path(self.src, self.tgt, self.arrows_of(k)) for k in range(len(self.handles))]
+
+    @property
+    def basis(self) -> list[Path]:
+        """The basis elements as paths, built when read."""
+        return [Path(self.src, self.tgt, self.arrows_of(k)) for k in self.free_idx]
 
     def _reduce_by(self, rows: list[list]) -> None:
         """Quotient by the span of `rows`, vectors over the candidates."""
         zero = self.field.zero
-        n = len(self.paths)
+        n = len(self.handles)
         _, red, pivots = rref(Matrix(self.field, len(rows), n, [c for row in rows for c in row]))
         self.reducers = []
         for r, pc in enumerate(pivots):
@@ -241,7 +273,6 @@ class HomBasis:
                 (pc, [(j, c) for j, c in enumerate(entries) if j != pc and c != zero]))
         pivot_set = set(pivots)
         self.free_idx = [i for i in range(n) if i not in pivot_set]
-        self.basis = [self.paths[i] for i in self.free_idx]
         self.dim = len(self.free_idx)
 
     def expand(self, terms) -> list:
@@ -250,6 +281,12 @@ class HomBasis:
 
     def expand_path(self, p: Path) -> list:
         return self.expand([(self.field.one, p)])
+
+    def candidate_coords(self, k: int) -> list:
+        """Coordinates of candidate k in the chosen basis."""
+        vec = [self.field.zero] * len(self.handles)
+        vec[k] = self.field.one
+        return self._reduce(vec)
 
     def _reduce(self, vec: list) -> list:
         zero = self.field.zero
@@ -261,79 +298,70 @@ class HomBasis:
         return [vec[i] for i in self.free_idx]
 
     def _candidate_vector(self, terms) -> list:
-        """sum(c * path) over the candidates: a path a . t that is not a
-        candidate contributes a . (t rewritten in the basis of hom(z, y))."""
+        """sum(c * path) over the candidates: a path a . t contributes a
+        prepended to the coordinates of t in hom(z, y)."""
         field = self.field
-        vec = [field.zero] * len(self.paths)
+        vec = [field.zero] * len(self.handles)
         for c, p in terms:
             c = field(c)
-            i = self.index.get(p)
-            if i is None:
-                self._add_prepended(vec, c, p.arrows[0], self._tail_coords(p), p.tgt)
-            else:
-                vec[i] = vec[i] + c
+            if p.arrows:
+                self._add_prepended(vec, c, p.arrows[0], self._prepend([field.one], p.arrows[1:]))
+            else:  # the identity of hom(x, x)
+                vec[0] = vec[0] + c
         return vec
 
-    def _add_prepended(self, vec: list, c, name: str, coords: list, y: str) -> None:
+    def _add_prepended(self, vec: list, c, name: str, coords: list) -> None:
         """Add c * a . (sum_j coords[j] q_j) to `vec`, where a is the arrow
         `name`: x -> z and q_j is the basis of hom(z, y)."""
-        a = self.quiver.arrow_by_name[name]
+        if self._by_arrow is None:
+            self._by_arrow = {}
+            for k, h in enumerate(self.handles):
+                self._by_arrow.setdefault(h[1], []).append(k)
         zero = self.field.zero
-        for cj, q in zip(coords, self.column[a.tgt].basis):
+        # behind one first arrow the candidates keep the order of j; an arrow
+        # into a zero hom(z, y) has none, and its coordinates are empty
+        for k, cj in zip(self._by_arrow.get(name, ()), coords):
             if cj != zero:
-                k = self.index[Path(a.src, y, (name,) + q.arrows)]
                 vec[k] = vec[k] + c * cj
 
-    def _tail_coords(self, p: Path) -> list:
-        """Coordinates of p without its first arrow in the basis of hom(z, y).
-
-        The longest suffix of p that is a candidate is read off directly and
-        the arrows before it are prepended one at a time, nearest y first
-        (the action of the arrows on the projective at y), so nothing
-        recurses along the path.
-        """
+    def _prepend(self, coords: list, arrows) -> list:
+        """The coordinates in hom(z, y) of the path `arrows` from z followed
+        by the element of coordinates `coords`, its arrows prepended one at
+        a time, nearest y first (the action of the arrows on the projective
+        at y)."""
         field, col, arrow = self.field, self.column, self.quiver.arrow_by_name
-        y, arrows = p.tgt, p.arrows
-        i = 1
-        while True:
-            z = arrow[arrows[i]].src
-            hb = col[z]
-            k = hb.index.get(Path(z, y, arrows[i:]))
-            if k is not None:
-                break
-            i += 1
-        vec = [field.zero] * len(hb.paths)
-        vec[k] = field.one
-        coords = hb._reduce(vec)
-        for j in range(i - 1, 0, -1):
-            hb = col[arrow[arrows[j]].src]
-            vec = [field.zero] * len(hb.paths)
-            hb._add_prepended(vec, field.one, arrows[j], coords, y)
+        for name in reversed(arrows):
+            hb = col[arrow[name].src]
+            vec = [field.zero] * len(hb.handles)
+            hb._add_prepended(vec, field.one, name, coords)
             coords = hb._reduce(vec)
         return coords
 
 
+IDENTITY = ((0, "", 0, None),)  # the handles of hom(x, x)
+
+
 def candidates(q: Quiver, x: str, column) -> list[tuple]:
-    """The candidates a . q_j of hom(x, y), x != y, in their order.
+    """The handles of the candidates a . q_j of hom(x, y), x != y, in their
+    order.
 
     `column` is the column hom(-, y) as the sweep has built it, which holds
     hom(z, y) for every vertex z that reaches y and lies nearer y than x;
     the first arrows are the arrows a: x -> z into it, and q_j runs over the
-    basis of hom(z, y).  Each candidate is the tuple (len q_j, name of a, j,
-    a, q_j), and the list is sorted by its first three entries, which no two
-    candidates share: the key (len q_j + 1, name of a, j).  That is the
-    order of the paths a . q_j by (length, arrow names): among paths of one
-    length the first arrow decides, and behind one arrow the equal-length
-    basis paths of hom(z, y) are already in that order, by induction.
-    `hom_basis_paths` and the standard projectives both read the order
-    here, so no path is built to sort it.
+    basis of hom(z, y).  Each handle is the tuple (len q_j + 1, name of a,
+    j, a), and the list is sorted by its first three entries, which no two
+    candidates share.  That is the order of the paths a . q_j by (length,
+    arrow names): among paths of one length the first arrow decides, and
+    behind one arrow the equal-length basis paths of hom(z, y) are already
+    in that order, by induction.  The lengths are read off the handles of
+    hom(z, y), so no path is built to sort the candidates.
     """
     keyed = []
     for a in q.out_arrows[x]:
         hz = column.get(a.tgt)
         if hz is not None:
-            name = a.name
-            keyed.extend((len(p.arrows), name, j, a, p) for j, p in enumerate(hz.basis))
+            name, hs = a.name, hz.handles
+            keyed.extend((hs[k][0] + 1, name, j, a) for j, k in enumerate(hz.free_idx))
     keyed.sort()
     return keyed
 
@@ -346,25 +374,30 @@ def hom_basis_paths(q: Quiver, relations: list[Relation], x: str, y: str, field,
     A layered quotient: the candidates come from `candidates` over `column`,
     the part of the column already built, and the ideal rows are r . q for
     each relation r of `relations` (those that start at x) and each basis
-    path q of hom(r.tgt, y), rewritten over the candidates through those
-    bases.  rref of the rows gives the basis and the reducers.  The basis
-    keeps `column` for `expand`; the one caller is `Window.hom`, one call
-    per hom it builds.
+    element q of hom(r.tgt, y): each term t of r is prepended to the unit
+    coordinates of q, its arrows after the first through the homs of the
+    column and its first arrow onto the candidates.  rref of the rows gives
+    the basis and the reducers.  The basis keeps `column` for `expand`; the
+    one caller is `Window.hom`, one call per hom it builds.
     """
     if x == y:
-        return HomBasis(field, [identity_path(x)], q, column)
-    paths = [Path(x, y, (name,) + p.arrows) for _, name, _, _, p in candidates(q, x, column)]
-    hb = HomBasis(field, paths, q, column)
-    if not paths:
+        return HomBasis(field, x, y, IDENTITY, q, column)
+    hb = HomBasis(field, x, y, candidates(q, x, column), q, column)
+    if not hb.handles:
         return hb
-    zero = field.zero
+    zero, one = field.zero, field.one
     rows = []
     for rel in relations:
         hz = column.get(rel.tgt)
         if hz is None:
             continue
-        for b in hz.basis:
-            vec = hb._candidate_vector([(c, t.then(b)) for c, t in rel.terms])
+        terms = [(field(c), t.arrows) for c, t in rel.terms]
+        for b in range(hz.dim):
+            unit = [zero] * hz.dim
+            unit[b] = one
+            vec = [zero] * len(hb.handles)
+            for c, arrows in terms:
+                hb._add_prepended(vec, c, arrows[0], hb._prepend(unit, arrows[1:]))
             if any(v != zero for v in vec):
                 rows.append(vec)
     if rows:

@@ -7,9 +7,10 @@ supported on the predecessors of v.  Paths act by multiplying their arrow
 matrices in path order, and every relation of the window must act by zero.
 
 Certificates: representations built as direct sums of standard projectives
-(resp. injectives) remember the vertex list.  By Yoneda, a map out of such a
-sum P = ⊕ P(v_b) -> N is the list of its values at the blocks' identity
-paths, one vector of N(v_b) per block.  `_yoneda_write` is the one place
+(resp. injectives) remember the vertex list, and each such sum is built
+once per window and vertex tuple (`proj_sum`, `inj_sum`).  By Yoneda, a
+map out of such a sum P = ⊕ P(v_b) -> N is the list of its values at the
+blocks' identity paths, one vector of N(v_b) per block.  `_yoneda_write` is the one place
 such a map is written, and only where a module map is needed: covers, the
 certified branch of `hom_basis`, `realize_proj_coords` and the evaluation
 map of `threads`.  `_yoneda_read` is the one place it is read (`hom_coords`,
@@ -33,10 +34,11 @@ off as path actions Z(q) weighted by the hom coordinates of the projective
 side's differentials.  The projective side is compiled once into a
 `YonedaPlan`, cached on its `Complex` as `proj_coords` is on a map (neither
 is ever mutated): each term's vertex tuple and each differential's nonzero
-blocks with their coefficients and basis paths, read the first time a
-differential needs them.  A call then only sums the target's dims at the
-plan's vertices and writes the blocks of the differentials it needs
-straight into flat matrices, with no hom basis looked up again.  A target
+blocks with their coefficients and the positions of their basis elements,
+read the first time a differential needs them.  A call then only sums the
+target's dims at the plan's vertices and writes the blocks of the
+differentials it needs straight into flat matrices, each action read off
+the basis element's handle (`Rep.act_basis`), with no path built.  A target
 of injective sums is handled by the dual isomorphism over the opposite
 window.  `total_hom_dims` is the one
 implementation of derived hom: `ext_dim` reads Ext off it (a projective
@@ -54,7 +56,7 @@ the arrows inside it, and covers, kernels, cokernels, sums, duals, Yoneda
 maps and compositions loop over those, so a simple's cover costs the same
 on any window.  The cover pipeline reads and writes stored blocks only: a
 sum places each part's stored blocks at the part's offsets, a Yoneda write
-puts each basis path's column straight into the sum's component, and a
+puts each basis element's column straight into the sum's component, and a
 kernel reads a map's components with `.get`, so no empty block is built on
 the way.  `Rep.dims` stays a full dict over the window's vertices on
 purpose: dimension vectors are compared and indexed at every vertex by
@@ -132,7 +134,7 @@ from .linalg import (
     solve_matrix,
     sparse_kernel,
 )
-from .quiver import Arrow, Path, Quiver, candidates
+from .quiver import Arrow, Path, Quiver
 from .windows import Window, underlying_quiver
 
 PROJECTIVE = "projective"
@@ -233,6 +235,33 @@ class Rep:
                          p.arrows[:-1]))
             m = prefix @ self.maps[p.arrows[-1]]
         self._act_cache[key] = m
+        return m
+
+    def act_basis(self, x: str, y: str, i: int) -> Matrix:
+        """Matrix of the action of basis element i of hom(x, y), read off its
+        handle: the first arrow's matrix times the action of the rest, a
+        basis element of hom(z, y).  Cached by (x, y, i), so basis elements
+        that share a suffix share its product, and walked without
+        recursion."""
+        cache = self._act_cache
+        key = (x, y, i)
+        m = cache.get(key)
+        if m is not None:
+            return m
+        col = self.window.column(y)
+        chain = []  # (key, first arrow) down to a cached suffix or the identity
+        while m is None:
+            a, j = col[key[0]].split(key[2])
+            if a is None:
+                break
+            chain.append((key, a.name))
+            key = (a.tgt, y, j)
+            m = cache.get(key)
+        if not chain:
+            m = cache[key] = Matrix.identity(self.field, self.dims[y])
+        for key, name in reversed(chain):
+            # before the first product m is None, the identity at y
+            m = cache[key] = self.maps[name] if m is None else self.maps[name] @ m
         return m
 
     def act_terms(self, terms) -> Matrix:
@@ -409,25 +438,22 @@ def std_module(w: Window, v: str, kind: str) -> Rep:
         rep = Rep(w, {v: 1}, {}, validate=False)
     elif kind == PROJECTIVE:
         # P(v) lives on the ancestors of v.  For a: x -> z, column j of P(v)(a)
-        # is a . q_j for the basis path q_j of hom(z, v): the candidate k of
-        # hom(x, v) in the order of `candidates`, a unit vector before the
+        # is a . q_j for the basis element q_j of hom(z, v): the candidate k
+        # of hom(x, v) whose handle is (a, j), a unit vector before the
         # relations' reducers are applied
-        q = w.quiver
         col = w.column(v)
         dims = {x: hb.dim for x, hb in col.items()}
         maps = {}
         for x, hx in col.items():
             if x == v or not hx.dim:
                 continue
-            for k, (_, name, j, a, _) in enumerate(candidates(q, x, col)):
+            for k, (_, name, j, a) in enumerate(hx.handles):
                 m = maps.get(name)
                 if m is None:
                     m = maps[name] = Matrix.zeros(f, hx.dim, dims[a.tgt])
                 cols = m.cols
                 if hx.reducers:
-                    unit = [f.zero] * len(hx.paths)
-                    unit[k] = f.one
-                    m.data[j::cols] = hx._reduce(unit)
+                    m.data[j::cols] = hx.candidate_coords(k)
                 else:
                     m.data[k * cols + j] = f.one
         rep = Rep(w, dims, maps, validate=False, cert=("proj", (v,)))
@@ -452,24 +478,36 @@ def dualize(M: Rep) -> Rep:
     return Rep(op, {v: M.dims[v] for v in M.support}, maps, validate=False, cert=cert)
 
 
-def proj_sum(w: Window, vertices) -> Rep:
-    """Direct sum of standard projectives (empty sum allowed)."""
-    vertices = tuple(vertices)
-    if not vertices:
-        return zero_rep(w)
+def _std_sum(w: Window, vertices: tuple[str, ...], kind: str) -> Rep:
+    """The certified sum of the standard modules of `kind` at `vertices`,
+    built once per window and vertex tuple and kept in the window's
+    `_std_cache` beside the standard modules (`Window.release` drops both),
+    so a cover whose top repeats reuses the sum, its `block_offsets` and its
+    action cache."""
     if len(vertices) == 1:
-        return std_module(w, vertices[0], PROJECTIVE)
-    return _sum_object([std_module(w, v, PROJECTIVE) for v in vertices])
+        return std_module(w, vertices[0], kind)
+    key = (vertices, kind)
+    rep = w._std_cache.get(key)
+    if rep is None:
+        if vertices:
+            rep = _sum_object([std_module(w, v, kind) for v in vertices])
+        else:
+            rep = Rep(w, {}, {}, validate=False,
+                      cert=("proj" if kind == PROJECTIVE else "inj", ()))
+        w._std_cache[key] = rep
+    return rep
+
+
+def proj_sum(w: Window, vertices) -> Rep:
+    """Direct sum of standard projectives (empty sum allowed), one object per
+    window and vertex tuple (`_std_sum`)."""
+    return _std_sum(w, tuple(vertices), PROJECTIVE)
 
 
 def inj_sum(w: Window, vertices) -> Rep:
-    """Direct sum of standard injectives (empty sum allowed)."""
-    vertices = tuple(vertices)
-    if not vertices:
-        return Rep(w, {}, {}, validate=False, cert=("inj", ()))
-    if len(vertices) == 1:
-        return std_module(w, vertices[0], INJECTIVE)
-    return _sum_object([std_module(w, v, INJECTIVE) for v in vertices])
+    """Direct sum of standard injectives (empty sum allowed), one object per
+    window and vertex tuple (`_std_sum`)."""
+    return _std_sum(w, tuple(vertices), INJECTIVE)
 
 
 def yoneda_map(P: Rep, v: str, N: Rep, vec: list, offs: dict[str, int],
@@ -479,17 +517,21 @@ def yoneda_map(P: Rep, v: str, N: Rep, vec: list, offs: dict[str, int],
     the block's column offsets offs.
 
     At each vertex x of the support of P(v) where N(x) is nonzero, the
-    column of basis path j of hom(x, v) is written straight into the
+    column of basis element j of hom(x, v) is written straight into the
     component at column offs[x] + j; a component is created, as zeros, when
-    its first block is written.  Path actions are applied as matrix-vector
-    products with shared suffixes, so the cost is one small product per
-    distinct subpath into v.
+    its first block is written.  The column is N(a) applied to the column of
+    the element's handle (a, i), basis element i of hom(a.tgt, v), so path
+    actions are matrix-vector products with shared suffixes, memoized by
+    (vertex, position): one small product per basis element into v, walked
+    without recursion.
     """
     w = P.window
     f = w.field
     Pv = std_module(w, v, PROJECTIVE)
-    # the value of each path suffix, filled from the longest one already known
-    memo: dict[tuple[str, ...], list] = {(): list(vec)}
+    col_v = w.column(v)
+    # the value of each basis element of the column, filled from the
+    # nearest suffix already known
+    memo: dict[tuple[str, int], list] = {(v, 0): list(vec)}
     for x in Pv.support:
         nx = N.dims[x]
         if not nx:
@@ -498,15 +540,19 @@ def yoneda_map(P: Rep, v: str, N: Rep, vec: list, offs: dict[str, int],
         if m is None:
             m = comps[x] = Matrix.zeros(f, nx, P.dims[x])
         cols, c0 = m.cols, offs[x]
-        for j, p in enumerate(w.hom(x, v).basis):
-            arrows = p.arrows
-            col = memo.get(arrows)
+        hx = col_v[x]
+        for j in range(hx.dim):
+            col = memo.get((x, j))
             if col is None:
-                k = 1
-                while (col := memo.get(arrows[k:])) is None:
-                    k += 1
-                for i in range(k - 1, -1, -1):
-                    col = memo[arrows[i:]] = N.maps[arrows[i]].apply(col)
+                chain = []
+                key = (x, j)
+                while col is None:
+                    a, i = col_v[key[0]].split(key[1])
+                    chain.append((key, a.name))
+                    key = (a.tgt, i)
+                    col = memo.get(key)
+                for key, name in reversed(chain):
+                    col = memo[key] = N.maps[name].apply(col)
             m.data[c0 + j::cols] = col
 
 
@@ -794,14 +840,16 @@ def kernel_as_projectives(f: RepMap) -> tuple[tuple[str, ...], list[list]]:
 # -- covers, hulls, resolutions -------------------------------------------------
 
 
-def _radical_vectors(M: Rep) -> dict[str, list[list]]:
-    """Per vertex x of M's support, the nonzero columns of the matrices of
-    the arrows out of x: these vectors span rad M(x)."""
-    vecs: dict[str, list[list]] = {v: [] for v in M.support}
+def _radical_vectors(M: Rep, verts) -> dict[str, list[list]]:
+    """Per vertex x of `verts`, the nonzero columns of the matrices of the
+    arrows out of x: these vectors span rad M(x)."""
+    vecs: dict[str, list[list]] = {v: [] for v in verts}
     for a in M.support_arrows:
+        out = vecs.get(a.src)
+        if out is None:
+            continue
         m = M.maps[a.name]
         k = m.cols
-        out = vecs[a.src]
         for j in range(k):
             col = m.data[j::k]
             if any(col):
@@ -809,8 +857,9 @@ def _radical_vectors(M: Rep) -> dict[str, list[list]]:
     return vecs
 
 
-def top_generators(M: Rep) -> list[tuple[str, list]]:
-    """Vectors projecting to a basis of top M = M / rad M, as (vertex, vector).
+def top_generators(M: Rep, at=None) -> list[tuple[str, list]]:
+    """Vectors projecting to a basis of top M = M / rad M, as (vertex, vector),
+    at the vertices of M's support in `at` (all of it when `at` is None).
 
     At each vertex v the vectors spanning rad M(v) (`_radical_vectors`) are
     eliminated once, as the rows of a matrix with their coordinates
@@ -824,9 +873,10 @@ def top_generators(M: Rep) -> list[tuple[str, list]]:
     radical at every vertex, so they generate M (graded Nakayama, by
     induction from the sinks); `projective_cover` certifies that answer."""
     fld = M.field
-    rad = _radical_vectors(M)
+    verts = M.support if at is None else [v for v in M.support if v in at]
+    rad = _radical_vectors(M, verts)
     gens = []
-    for v in M.support:
+    for v in verts:
         n = M.dims[v]
         vecs = rad[v]
         if not vecs:
@@ -890,8 +940,8 @@ def two_term_presentation(M: Rep, side: str) -> tuple[tuple[str, ...], tuple[str
     into S.  Off R the cover vanishes at x and at the head of every arrow
     out of x, so K(x) = P0(x) and rad K(x) = rad P0(x), and top K(x) =
     top P0(x) = 0.  K's top is therefore its top at R, which needs K only
-    on R and the heads of R's out-arrows; tops on that rim are not K's and
-    are dropped.  The full kernel is never built here."""
+    on R and the heads of R's out-arrows; the top is read at R alone, none
+    on that rim.  The full kernel is never built here."""
     if side == PROJECTIVE:
         P0, cover = projective_cover(M)
         kbases, frees = cover.kernel_bases
@@ -900,7 +950,7 @@ def two_term_presentation(M: Rep, side: str) -> tuple[tuple[str, ...], tuple[str
         near.update(a.src for v in tuple(near) for a in q.in_arrows[v])
         rim = {a.tgt for v in near for a in q.out_arrows[v]}
         K = _kernel_module(P0, kbases, frees, near | rim)
-        return P0.cert[1], tuple(v for v, _ in top_generators(K) if v in near)
+        return P0.cert[1], tuple(v for v, _ in top_generators(K, near))
     if side == INJECTIVE:
         return two_term_presentation(dualize(M), PROJECTIVE)
     raise ValueError(f"unknown side {side!r}")
@@ -943,9 +993,10 @@ class Complex:
 
     @cached_property
     def dual(self) -> "Complex":
-        """`dualize_complex` of this complex, built once, so a hom complex
-        into a complex of injective sums reads one `YonedaPlan` of its dual
-        however often it is asked for."""
+        """`dualize_complex` of this complex, built once (or the complex this
+        one was dualized from), so a hom complex into a complex of injective
+        sums reads one `YonedaPlan` of its dual however often it is asked
+        for."""
         return dualize_complex(self)
 
 
@@ -955,14 +1006,18 @@ def one_term_complex(M: Rep) -> Complex:
 
 def dualize_complex(cx: Complex) -> Complex:
     """The dual complex over the opposite window: D of the degree-n term sits
-    in degree -n, and each differential is transposed."""
+    in degree -n, and each differential is transposed.  The result records
+    cx as its `dual`, so an injective resolution's dual is the projective
+    resolution it was read from, not a new copy."""
     terms = [dualize(t) for t in reversed(cx.terms)]
     diffs = [
         RepMap(terms[i], terms[i + 1], {v: m.transpose() for v, m in d.comps.items()})
         for i, d in enumerate(reversed(cx.diffs))
     ]
     top = cx.min_degree + len(cx.terms) - 1
-    return Complex(cx.window.opposite(), -top, terms, diffs)
+    out = Complex(cx.window.opposite(), -top, terms, diffs)
+    out.dual = cx
+    return out
 
 
 def _is_sum_of(cx: Complex, kind: str) -> bool:
@@ -976,20 +1031,20 @@ class YonedaPlan:
 
     `verts[p]` is the vertex tuple of the degree-p term, in degree order.
     `entries(p)` lists the nonzero blocks of the differential
-    CX^{p-1} -> CX^p as (a, b, [(c, path), ...]): source block a, target
+    CX^{p-1} -> CX^p as (a, b, [(c, i), ...]): source block a, target
     block b, and the nonzero hom coordinates of P(v_a) -> P(v_b), each with
-    its basis path v_a -> v_b.  A differential's blocks are read from
-    `RepMap.proj_coords` and the window's hom bases the first time a hom
-    complex builds a differential through them, and kept: a complex met
-    once, as in `ext_dim`, reads no more of them than that hom complex
-    needs."""
+    the position i of its basis element in hom(v_a, v_b), whose action a
+    target reads by `Rep.act_basis`.  A differential's blocks are read from
+    `RepMap.proj_coords` the first time a hom complex builds a differential
+    through them, and kept: a complex met once, as in `ext_dim`, reads no
+    more of them than that hom complex needs."""
 
-    __slots__ = ("verts", "_window", "_diffs", "_entries")
+    __slots__ = ("verts", "_zero", "_diffs", "_entries")
 
     def __init__(self, cx: Complex):
         self.verts: dict[int, tuple[str, ...]] = {
             p: t.cert[1] for p, t in zip(cx.degrees(), cx.terms)}
-        self._window = cx.window
+        self._zero = cx.window.field.zero
         self._diffs = dict(zip(cx.degrees()[1:], cx.diffs))  # into degree p
         self._entries: dict[int, list[tuple[int, int, list]]] = {}
 
@@ -998,13 +1053,10 @@ class YonedaPlan:
         the lowest degree; read on first use."""
         out = self._entries.get(p)
         if out is None:
-            w = self._window
-            zero = w.field.zero
-            prev, verts = self.verts[p - 1], self.verts[p]
+            zero = self._zero
             out = self._entries[p] = [
-                (a, b, [(c, path) for c, path in zip(coords, w.hom(prev[a], v).basis)
-                        if c != zero])
-                for b, (v, row) in enumerate(zip(verts, self._diffs[p].proj_coords))
+                (a, b, [(c, i) for i, c in enumerate(coords) if c != zero])
+                for b, row in enumerate(self._diffs[p].proj_coords)
                 for a, coords in enumerate(row) if coords is not None]
         return out
 
@@ -1079,15 +1131,20 @@ def _yoneda_hom_data(plan: YonedaPlan, CX: Complex,
             Y, prev, into = CY.term(q), plan.verts[p - 1], starts[p - 1, q]
             yd = Y.dims
             for a, b, terms in entries:
-                if not (yd[prev[a]] and yd[verts[b]]):
+                u, v = prev[a], verts[b]
+                if not (yd[u] and yd[v]):
                     continue
                 if len(terms) == 1:
-                    c, path = terms[0]
+                    c, i = terms[0]
                     c = sign * c
-                    _write_block(data, cols, into[a], at[b], Y.act(path),
+                    _write_block(data, cols, into[a], at[b], Y.act_basis(u, v, i),
                                  None if c == one else c)
                 else:
-                    _write_block(data, cols, into[a], at[b], Y.act_terms(terms),
+                    acc = None
+                    for c, i in terms:
+                        part = Y.act_basis(u, v, i).scale(c)
+                        acc = part if acc is None else acc + part
+                    _write_block(data, cols, into[a], at[b], acc,
                                  None if sign == one else sign)
         return m
 
@@ -1457,11 +1514,11 @@ def _transport_coords(source: Window, target: Window, x: str, y: str, coords,
                       vertex_map, arrow_map) -> list:
     hb_src = source.hom(x, y)
     terms = []
-    for c, p in zip(coords, hb_src.basis):
+    for c, k in zip(coords, hb_src.free_idx):
         if c == source.field.zero:
             continue
         arrows: list[str] = []
-        for aname in p.arrows:
+        for aname in hb_src.arrows_of(k):
             arrows.extend(arrow_map[aname].arrows)
         terms.append((c, Path(vertex_map[x], vertex_map[y], tuple(arrows))))
     return target.hom(vertex_map[x], vertex_map[y]).expand(terms)

@@ -109,11 +109,13 @@ def realize_proj(vm: VarietyMor) -> RepMap:
 
 
 def _coords_to_op(w: Window, x: str, y: str, coords) -> list:
-    """Transport an element of hom(x, y) to the opposite window's hom(y, x)."""
+    """Transport an element of hom(x, y) to the opposite window's hom(y, x):
+    each basis element's arrows, walked off its handles, reversed."""
     zero = w.field.zero
+    hb = w.hom(x, y)
     terms = [
-        (c, Path(y, x, tuple(reversed(p.arrows))))
-        for c, p in zip(coords, w.hom(x, y).basis)
+        (c, Path(y, x, tuple(reversed(hb.arrows_of(k)))))
+        for c, k in zip(coords, hb.free_idx)
         if c != zero
     ]
     return w.opposite().hom(y, x).expand(terms)

@@ -124,7 +124,7 @@ class Window:
         # the position of each
         self._hom_cache: dict[str, dict[str, HomBasis]] = {}
         self._sweeps: dict[str, tuple[Iterator[str], list[str], dict[str, int]]] = {}
-        self._zero_hom = HomBasis(field, [], quiver, None)
+        self._zero_hom = HomBasis(field, None, None, (), quiver, None)
         self._std_cache: dict = {}
         self._opposite = None
         self.source_tq = None  # set by expand()
@@ -239,9 +239,11 @@ class Window:
         return w
 
     def release(self) -> None:
-        """Drop the caches of this window and of its opposite (the hom columns
-        and the standard modules), then unlink the two, so that reference
-        counting frees them once the caller lets go.
+        """Drop the caches of this window and of its opposite (the hom
+        columns, the standard modules and the certified sums of them that
+        `reps.proj_sum` and `reps.inj_sum` keep by vertex tuple), then unlink
+        the two, so that reference counting frees them once the caller lets
+        go.
 
         Everything cached is a reference cycle or holds one: each `HomBasis`
         of a column reads the column it lies in, a standard module refers
@@ -251,7 +253,8 @@ class Window:
         the window's work is done.  The window stays usable, since its caches
         refill on demand and `opposite()` builds a new opposite, but modules
         built before the call keep the old opposite, and a `HomBasis` taken
-        before the call no longer expands a path that is not a candidate.
+        before the call, whose handles name positions in the emptied column,
+        no longer builds its paths nor expands a path longer than one arrow.
         The glued model's base and chain windows are not cached here:
         `reps.to_triple` builds them on each call.
         """
@@ -340,8 +343,9 @@ def rad_irr_dims(w: Window, x: str, y: str) -> tuple[int, int, int]:
     Between distinct vertices of an acyclic window every morphism is radical.
     A path of length >= 2 is an arrow a: x -> z followed by a path z -> y with
     z != y, so rad^2 is spanned by the classes of a . q over those arrows and
-    the basis q of hom(z, y); this holds whatever the relations.  Without an
-    arrow x -> y every path has length >= 2, so irr(x, y) = 0.
+    the basis q of hom(z, y); this holds whatever the relations.  Those are
+    the candidates of hom(x, y) whose first arrow does not end at y.  Without
+    an arrow x -> y every path has length >= 2, so irr(x, y) = 0.
     """
     if x == y:
         return 0, 0, 0
@@ -349,12 +353,8 @@ def rad_irr_dims(w: Window, x: str, y: str) -> tuple[int, int, int]:
     radd = hxy.dim
     if radd == 0:
         return 0, 0, 0
-    vectors = []
-    for a in w.quiver.out_arrows[x]:
-        if a.tgt == y:
-            continue
-        for q in w.hom(a.tgt, y).basis:
-            vectors.append(hxy.expand_path(Path(x, y, (a.name,) + q.arrows)))
+    vectors = [hxy.candidate_coords(k) for k, (_, _, _, a) in enumerate(hxy.handles)
+               if a.tgt != y]
     if not vectors:
         return radd, 0, radd
     m = Matrix(w.field, len(vectors), hxy.dim, [c for vec in vectors for c in vec])

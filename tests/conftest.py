@@ -89,6 +89,11 @@ class FractionField(RationalField):
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def identity_path(v):
+    """The path of length zero at v."""
+    return QPath(v, v, ())
+
+
 def arrow_path(q, arrow_names):
     """The path of q along arrow_names, in composition order; asserts that
     consecutive arrows compose."""
@@ -742,6 +747,128 @@ def path_enumeration_hom_basis(q, relations, x, y, field):
     pivot_set = set(pivots)
     return EnumeratedHomBasis(field, paths, reducers,
                               [i for i in range(len(paths)) if i not in pivot_set])
+
+
+class PathIndexHomBasis:
+    """Differential oracle for `quiver.HomBasis`: the route the handles
+    replaced.  Every candidate is stored as a path (`paths`), its position
+    is found by hashing it (`index`), and a path that is not a candidate is
+    rewritten from its longest suffix that is one (`_tail_coords`), with the
+    arrows before that suffix prepended by building each path a . q_j and
+    looking it up (`_add_prepended`)."""
+
+    def __init__(self, field, paths, quiver, column):
+        self.field = field
+        self.paths = paths
+        self.index = {p: i for i, p in enumerate(paths)}
+        self.reducers = []
+        self.free_idx = range(len(paths))
+        self.basis = paths
+        self.dim = len(paths)
+        self.quiver = quiver
+        self.column = column
+
+    def reduce_by(self, rows):
+        zero = self.field.zero
+        n = len(self.paths)
+        _, red, pivots = rref(Matrix(self.field, len(rows), n, [c for row in rows for c in row]))
+        for r, pc in enumerate(pivots):
+            entries = red.data[r * n:(r + 1) * n]
+            self.reducers.append(
+                (pc, [(j, c) for j, c in enumerate(entries) if j != pc and c != zero]))
+        pivot_set = set(pivots)
+        self.free_idx = [i for i in range(n) if i not in pivot_set]
+        self.basis = [self.paths[i] for i in self.free_idx]
+        self.dim = len(self.free_idx)
+
+    def expand(self, terms):
+        return self._reduce(self._candidate_vector(terms))
+
+    def expand_path(self, p):
+        return self.expand([(self.field.one, p)])
+
+    def _reduce(self, vec):
+        zero = self.field.zero
+        for pivot_col, row in self.reducers:
+            f = vec[pivot_col]
+            if f != zero:
+                for j, rv in row:
+                    vec[j] = vec[j] - f * rv
+        return [vec[i] for i in self.free_idx]
+
+    def _candidate_vector(self, terms):
+        field = self.field
+        vec = [field.zero] * len(self.paths)
+        for c, p in terms:
+            c = field(c)
+            i = self.index.get(p)
+            if i is None:
+                self._add_prepended(vec, c, p.arrows[0], self._tail_coords(p), p.tgt)
+            else:
+                vec[i] = vec[i] + c
+        return vec
+
+    def _add_prepended(self, vec, c, name, coords, y):
+        a = self.quiver.arrow_by_name[name]
+        zero = self.field.zero
+        for cj, q in zip(coords, self.column[a.tgt].basis):
+            if cj != zero:
+                k = self.index[QPath(a.src, y, (name,) + q.arrows)]
+                vec[k] = vec[k] + c * cj
+
+    def _tail_coords(self, p):
+        field, col, arrow = self.field, self.column, self.quiver.arrow_by_name
+        y, arrows = p.tgt, p.arrows
+        i = 1
+        while True:
+            z = arrow[arrows[i]].src
+            hb = col[z]
+            k = hb.index.get(QPath(z, y, arrows[i:]))
+            if k is not None:
+                break
+            i += 1
+        vec = [field.zero] * len(hb.paths)
+        vec[k] = field.one
+        coords = hb._reduce(vec)
+        for j in range(i - 1, 0, -1):
+            hb = col[arrow[arrows[j]].src]
+            vec = [field.zero] * len(hb.paths)
+            hb._add_prepended(vec, field.one, arrows[j], coords, y)
+            coords = hb._reduce(vec)
+        return coords
+
+
+def path_index_column(w, y):
+    """Differential oracle for `Window.column`: hom(-, y) swept in the same
+    order, each hom built by the Path-index route (`PathIndexHomBasis`): the
+    candidates a . q as paths sorted by (len q, name of a, position of q),
+    and each relation row r . q expanded path by path over them."""
+    q, field = w.quiver, w.field
+    col = {}
+    for x in q.ancestors(y):
+        if x == y:
+            col[x] = PathIndexHomBasis(field, [identity_path(x)], q, col)
+            continue
+        keyed = []
+        for a in q.out_arrows[x]:
+            hz = col.get(a.tgt)
+            if hz is not None:
+                keyed.extend((len(b.arrows), a.name, j, b) for j, b in enumerate(hz.basis))
+        keyed.sort(key=lambda key: key[:3])
+        paths = [QPath(x, y, (name,) + b.arrows) for _, name, _, b in keyed]
+        hb = col[x] = PathIndexHomBasis(field, paths, q, col)
+        rows = []
+        for rel in w.relations:
+            hz = col.get(rel.tgt)
+            if rel.src != x or hz is None or not paths:
+                continue
+            for b in hz.basis:
+                vec = hb._candidate_vector([(c, t.then(b)) for c, t in rel.terms])
+                if any(v != field.zero for v in vec):
+                    rows.append(vec)
+        if rows:
+            hb.reduce_by(rows)
+    return col
 
 
 def expand_path_projective(w, v):

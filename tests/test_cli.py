@@ -380,7 +380,8 @@ def test_time_checks_script_prints_one_row_per_check_and_depth():
     )
     rows = [json.loads(line) for line in proc.stdout.splitlines()]
     assert len(rows) == 1
-    assert set(rows[0]) == {"check", "depth", "exit", "wall_s", "peak_rss_mb"}
+    assert set(rows[0]) == {"check", "depth", "exit", "wall_s", "peak_rss_mb", "import_rss_mb"}
+    assert 0 < rows[0]["import_rss_mb"] <= rows[0]["peak_rss_mb"]
     assert (rows[0]["check"], rows[0]["depth"], rows[0]["exit"]) == ("threads", 1, 0)
 
 

@@ -11,9 +11,12 @@ from conftest import (
     enumerate_paths,
     expand_path_projective,
     fixture_windows,
+    identity_path,
     path_enumeration_hom_basis,
+    path_index_column,
     path_sort_key,
     random_thread_quivers,
+    tq_mixed,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,11 +27,10 @@ from threadquiver.quiver import (
     Path,
     Quiver,
     Relation,
-    identity_path,
     is_strongly_locally_finite,
 )
-from threadquiver.reps import INJECTIVE, PROJECTIVE, std_module
-from threadquiver import windows
+from threadquiver.reps import INJECTIVE, PROJECTIVE, SIMPLE, projective_cover, std_module
+from threadquiver import quiver, reps, windows
 from threadquiver.windows import Window, expand
 
 
@@ -497,3 +499,96 @@ def test_hom_on_a_long_line_does_not_recurse():
     assert w.hom_dim("v0", top) == 1
     P = std_module(w, top, PROJECTIVE)
     assert all(P.dims[v] == 1 for v in q.vertices)
+    # the path of 1199 arrows is read back, expanded, acted along and
+    # written by Yoneda one handle at a time
+    path = Path("v0", top, tuple(f"a{i}" for i in range(n - 1)))
+    hb = w.hom("v0", top)
+    assert hb.basis == [path] and hb.expand_path(path) == [1]
+    assert P.act_basis("v0", top, 0).data == [1]
+    cover_source, cover = projective_cover(P)
+    assert cover_source is P and cover.comps["v0"].data == [1]
+
+
+# -- handles against the Path-index route ---------------------------------------
+
+
+def assert_matches_path_index_route(w, label, max_len=4):
+    """Every column against the Path-index route the handles replaced
+    (`path_index_column`): the candidates, basis and reducers built from
+    the handles are the route's lists, in the same order, and every path
+    of at most max_len arrows, and the sum of them all with distinct
+    coefficients, expands alike."""
+    q = w.quiver
+    for y in q.vertices:
+        col = w.column(y)
+        for x, ob in path_index_column(w, y).items():
+            hb = col[x]
+            assert hb.paths == ob.paths, (label, x, y)
+            assert (hb.basis, hb.reducers) == (ob.basis, ob.reducers), (label, x, y)
+            paths = enumerate_paths(q, x, y, max_len)
+            for p in paths:
+                assert hb.expand_path(p) == ob.expand_path(p), (label, x, y, p)
+            terms = [(k + 1, p) for k, p in enumerate(paths)]
+            assert hb.expand(terms) == ob.expand(terms), (label, x, y)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_handles_match_the_path_index_route_on_fixtures(depth):
+    for label, w in fixture_windows([depth]):
+        assert_matches_path_index_route(w, label)
+        assert_matches_path_index_route(w.opposite(), f"{label}^op")
+
+
+def test_handles_match_the_path_index_route_on_a_grid():
+    w = comm_grid_window(2)
+    assert_matches_path_index_route(w, "window")
+    assert_matches_path_index_route(w.opposite(), "opposite")
+
+
+@given(random_thread_quivers(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_handles_match_the_path_index_route_on_random_relation_windows(tq, data):
+    q = expand(tq, data.draw(st.integers(0, 1))).quiver
+    rels = [draw_relation(data, q) for _ in range(data.draw(st.integers(1, 2)))]
+    assert_matches_path_index_route(Window(q, rels), "window")
+    assert_matches_path_index_route(Window(q, rels).opposite(), "opposite")
+
+
+def test_a_basis_element_is_its_first_arrow_and_a_position():
+    # doubled arrows 0 => 1 => 2 with a0.b1 = b0.a1: the handle of each
+    # candidate names its first arrow and the position of its tail in the
+    # basis of hom(1, 2); the pivot a0.b1, the smaller path, is the
+    # candidate (a0, 1) and expands to the basis element (b0, 0)
+    q = Quiver(["0", "1", "2"], [(f"{c}{i}", str(i), str(i + 1)) for i in range(2) for c in "ab"])
+    rel = Relation(((1, arrow_path(q, ("a0", "b1"))), (-1, arrow_path(q, ("b0", "a1")))))
+    w = Window(q, [rel])
+    hb = w.hom("0", "2")
+    assert [(n, name, j) for n, name, j, _ in hb.handles] == [
+        (2, "a0", 0), (2, "a0", 1), (2, "b0", 0), (2, "b0", 1)]
+    assert [hb.arrows_of(k) for k in hb.free_idx] == [("a0", "a1"), ("b0", "a1"), ("b0", "b1")]
+    assert hb.expand_path(arrow_path(q, ("a0", "b1"))) == [0, 1, 0]
+    assert w.hom("2", "2").handles == quiver.IDENTITY
+
+
+def test_columns_and_standard_modules_build_no_path(monkeypatch):
+    # every column and standard module of mixed@3 is built from the handles
+    # alone: no candidate, basis element or relation row becomes a Path
+    w = expand(tq_mixed(), 3)
+    built = []
+    real_path = quiver.Path
+
+    def counting_path(*args):
+        built.append(args)
+        return real_path(*args)
+
+    for module in (quiver, reps, windows):
+        monkeypatch.setattr(module, "Path", counting_path)
+    V = w.quiver.vertices
+    for y in V:
+        w.column(y)
+        w.opposite().column(y)
+    for v in V:
+        for kind in (PROJECTIVE, INJECTIVE, SIMPLE):
+            std_module(w, v, kind)
+    assert built == []
+    assert sum(len(hb.handles) for y in V for hb in w.column(y).values()) > len(V)

@@ -4,7 +4,9 @@ import pytest
 from conftest import (
     arrow_path,
     basis_route_ext_dim,
+    basis_route_hom_data,
     check_complex,
+    cohomology_dims,
     comm_grid_window,
     compose_coords,
     cover_kernel_cover_presentation,
@@ -13,6 +15,7 @@ from conftest import (
     eliminating_cokernel_with_projection,
     fixture_windows,
     hull_cokernel_hull_copresentation,
+    identity_path,
     matrix_from_rows,
     per_block_yoneda_write,
     per_vertex_realize_proj_coords,
@@ -29,7 +32,7 @@ from hypothesis import strategies as st
 from threadquiver.errors import ExceedsBound, NotFunctorial
 from threadquiver.linalg import QQ, Matrix, field_by_name, rank
 from threadquiver.orders import Fin
-from threadquiver.quiver import Path, Quiver, Relation, identity_path
+from threadquiver.quiver import Path, Quiver, Relation
 import threadquiver.reps as reps
 from threadquiver.reps import (
     INJECTIVE,
@@ -1135,6 +1138,118 @@ def test_presentations_build_kernels_only_around_the_module(monkeypatch):
         second = cx.term(-1).cert[1] if cx.term(-1) else ()
         assert (cx.term(0).cert[1], second) == cover_kernel_cover_presentation(M)
     assert full
+
+
+def test_presentations_read_the_kernel_top_at_r_only(monkeypatch):
+    # presenting every P, I and S of mixed@3 on both sides computes the
+    # kernel's top only where it is kept: every generator of the kernel-top
+    # call (the one made outside projective_cover) is a term of P1, none on
+    # the rim heads(R) minus R; the answers are the oracle's
+    w = expand(tq_mixed(), 3)
+    modules = [std_module(w, v, kind) for v in w.quiver.vertices
+               for kind in (PROJECTIVE, INJECTIVE, SIMPLE)]
+    covers_open, kernel_tops = [], []
+    real_top, real_cover = reps.top_generators, reps.projective_cover
+
+    def counting_top(M, *at):
+        gens = real_top(M, *at)
+        if not covers_open:
+            kernel_tops.append(len(gens))
+        return gens
+
+    def cover(M):
+        covers_open.append(M)
+        try:
+            return real_cover(M)
+        finally:
+            covers_open.pop()
+
+    monkeypatch.setattr(reps, "top_generators", counting_top)
+    monkeypatch.setattr(reps, "projective_cover", cover)
+    kept = computed = 0
+    for M in modules:
+        for side, oracle in ((PROJECTIVE, cover_kernel_cover_presentation),
+                             (INJECTIVE, hull_cokernel_hull_copresentation)):
+            want = oracle(M)
+            kernel_tops.clear()
+            got = two_term_presentation(M, side)
+            assert got == want and len(kernel_tops) == 1, (M, side)
+            kept += len(got[1])
+            computed += kernel_tops[0]
+    assert kept and computed == kept
+
+
+def test_a_sum_is_built_once_per_vertex_tuple():
+    # proj_sum and inj_sum keep each certified sum on the window by its
+    # vertex tuple, so a repeated tuple is the same object, with its
+    # offsets; release drops the sums with the standard modules
+    w = expand(tq_mixed(), 2)
+    vs = tuple(w.quiver.vertices[:3]) + (w.quiver.vertices[0],)
+    P, I = proj_sum(w, vs), reps.inj_sum(w, vs)
+    assert proj_sum(w, list(vs)) is P and reps.inj_sum(w, vs) is I
+    assert P.cert == ("proj", vs) and I.cert == ("inj", vs)
+    assert proj_sum(w, ()) is proj_sum(w, ()) and proj_sum(w, ()).is_zero()
+    assert proj_sum(w, vs[:1]) is std_module(w, vs[0], PROJECTIVE)
+    want = direct_sum_object([std_module(w, v, PROJECTIVE) for v in vs])
+    assert P.dims == want.dims and dict(P.maps.items()) == dict(want.maps.items())
+    w.release()
+    assert w._std_cache == {}
+    assert proj_sum(w, vs) is not P and proj_sum(w, vs).dims == P.dims
+
+
+def test_injective_presentations_build_each_sum_once(monkeypatch):
+    # presenting every I(v) of mixed@3 on both sides writes one direct sum
+    # per window and vertex tuple, however often a cover's top repeats
+    w = expand(tq_mixed(), 3)
+    injectives = [std_module(w, v, INJECTIVE) for v in w.quiver.vertices]
+    sums = []
+    real_sum = reps._sum_object
+
+    def counting_sum(parts):
+        sums.append((parts[0].window, tuple(v for p in parts for v in p.cert[1])))
+        return real_sum(parts)
+
+    monkeypatch.setattr(reps, "_sum_object", counting_sum)
+    for M in injectives:
+        for side in (PROJECTIVE, INJECTIVE):
+            two_term_presentation(M, side)
+    assert sums and len(sums) == len(set(sums))
+
+
+def test_an_injective_resolution_is_the_dual_of_the_one_resolved(monkeypatch):
+    # resolution(M, INJECTIVE) dualizes the projective resolution of D M,
+    # and the result's dual is that complex itself: a hom complex into it
+    # compiles its one plan on the complex _resolve built, with the dims
+    # of the basis oracle
+    w = expand(tq_mixed(), 1)
+    rng = random.Random(7)
+    X, M = random_fp_rep(w, rng), random_fp_rep(w, rng)
+    while X.cert is not None:  # a projective X would take the other route
+        X = random_fp_rep(w, rng)
+    resolved = []
+    real_resolve = reps._resolve
+
+    def recording_resolve(N, length):
+        out = real_resolve(N, length)
+        resolved.append(out[0])
+        return out
+
+    monkeypatch.setattr(reps, "_resolve", recording_resolve)
+    CY = resolution(M, INJECTIVE, 8).complex
+    assert len(resolved) == 1 and CY.dual is resolved[0]
+    assert [t.dims for t in CY.terms] == [
+        dualize(t).dims for t in reversed(resolved[0].terms)]
+    want = cohomology_dims(*basis_route_hom_data(reps.one_term_complex(X), CY))
+    compiled = []
+    real_init = reps.YonedaPlan.__init__
+
+    def counting_init(plan, cx):
+        compiled.append(cx)
+        real_init(plan, cx)
+
+    monkeypatch.setattr(reps.YonedaPlan, "__init__", counting_init)
+    assert reps.total_hom_dims(reps.one_term_complex(X), CY) == want
+    assert len(compiled) == 1 and compiled[0] is resolved[0]
 
 
 def _std_modules(w):

@@ -672,8 +672,8 @@ def mutate_kernel_top(monkeypatch, mutate, in_cover=False):
         finally:
             covers_open.pop()
 
-    def mutant(M):
-        gens = top_generators(M)
+    def mutant(M, *at):
+        gens = top_generators(M, *at)
         if gens and bool(covers_open) == in_cover:
             given.append(mutate(M, gens))
             return given[-1]

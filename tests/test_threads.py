@@ -7,6 +7,7 @@ from conftest import (
     comm_grid_window,
     draw_relation,
     fixture_windows,
+    identity_path,
     random_thread_quivers,
     tq_empty_thread,
     tq_fin1_thread,
@@ -27,7 +28,7 @@ from threadquiver.errors import (
     ZNotExtOrthogonal,
 )
 from threadquiver.orders import Fin
-from threadquiver.quiver import Quiver, Relation, identity_path
+from threadquiver.quiver import Quiver, Relation
 from threadquiver.reps import (
     INJECTIVE,
     PROJECTIVE,
