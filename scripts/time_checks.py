@@ -9,6 +9,13 @@ memory figure can be read net of the interpreter and the package.
     python scripts/time_checks.py fixtures/mixed.tq --depths 4 5 6
 
 Run it from the root of a checkout; the package is imported from `src/`.
+Every row carries a `tree` key, "this" for this checkout.  To compare two
+trees, give the other checkout's root with `--against DIR` (its rows read
+"against") and a number of `--rounds`: each round runs every (check, depth)
+on both trees back to back, this tree first in even rounds and DIR first in
+odd ones, so both see the same drift of the machine.
+
+    python scripts/time_checks.py fixtures/mixed.tq --depths 4 5 --against ../parent --rounds 5
 """
 
 from __future__ import annotations
@@ -44,14 +51,22 @@ def main(argv=None) -> int:
     ap.add_argument("--depths", type=int, nargs="+", default=[4, 5, 6])
     ap.add_argument("--checks", nargs="+", default=CHECKS,
                     help="subcommand with its flags, one quoted string each")
+    ap.add_argument("--against", type=Path, metavar="DIR",
+                    help="root of a second checkout, run alternately with this one")
+    ap.add_argument("--rounds", type=int, default=1, help="runs of every (check, depth)")
     args = ap.parse_args(argv)
-    for check in args.checks:
-        for depth in args.depths:
-            cmd = check.split() + [args.fixture, "--depth", str(depth)]
-            out = subprocess.run([sys.executable, "-c", CHILD, str(ROOT / "src"), *cmd],
-                                 capture_output=True, text=True, check=True)
-            row = {"check": check, "depth": depth, **json.loads(out.stdout)}
-            print(json.dumps(row), flush=True)
+    trees = [("this", ROOT)]
+    if args.against is not None:
+        trees.append(("against", args.against.resolve()))
+    for r in range(args.rounds):
+        for check in args.checks:
+            for depth in args.depths:
+                cmd = check.split() + [args.fixture, "--depth", str(depth)]
+                for tree, root in trees if r % 2 == 0 else trees[::-1]:
+                    out = subprocess.run([sys.executable, "-c", CHILD, str(root / "src"), *cmd],
+                                         capture_output=True, text=True, check=True)
+                    row = {"tree": tree, "check": check, "depth": depth, **json.loads(out.stdout)}
+                    print(json.dumps(row), flush=True)
     return 0
 
 

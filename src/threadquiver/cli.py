@@ -21,7 +21,11 @@ from .threads import extract_threadquiver, thread_hom_check, thread_runs, thread
 from .windows import expand, normalize, window_iso
 
 
-def _emit(report: Report) -> int:
+def _emit(report: Report, min_checked: int | None = None) -> int:
+    """Print the report; with min_checked, a report that checked fewer
+    assertions first gets one failed item saying so."""
+    if min_checked is not None and report.checked < min_checked:
+        report.fail("checked", f">= {min_checked}", report.checked)
     print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
     return 0 if report.passed else 1
 
@@ -142,13 +146,13 @@ def cmd_serre_check(args) -> int:
         args.max_len,
         forbid_boundary=args.skip_boundary,
     )
-    return _emit(report)
+    return _emit(report, args.min_checked)
 
 
 def cmd_dualizing_check(args) -> int:
     w = _window(args)
     report = check_dualizing(w, strict_boundary=args.strict_boundary)
-    return _emit(report)
+    return _emit(report, args.min_checked)
 
 
 def cmd_threads(args) -> int:
@@ -162,7 +166,7 @@ def cmd_threads(args) -> int:
         + ", ".join(f"[{a}..{b}]" for a, b in intervals),
         file=sys.stderr,
     )
-    return _emit(report)
+    return _emit(report, args.min_checked)
 
 
 def cmd_extract(args) -> int:
@@ -209,6 +213,8 @@ _OPTIONS = {
                             help="fail presentations that touch truncation artifacts"),
     "expanded": dict(action="store_true", help="render the expanded window instead"),
     "degree": dict(type=_nonnegative, default=1),
+    "min_checked": dict(type=_nonnegative, default=None, metavar="N",
+                        help="fail when fewer than N assertions were checked"),
 }
 _WINDOW = ("depth", "field")  # read by _window
 
@@ -220,9 +226,9 @@ _COMMANDS = [
     ("dot", cmd_dot, (), _WINDOW + ("expanded",)),
     ("hom", cmd_hom, ("x", "y"), _WINDOW),
     ("ext", cmd_ext, ("x", "y"), _WINDOW + ("max_len", "degree")),
-    ("serre-check", cmd_serre_check, (), _WINDOW + ("max_len", "skip_boundary")),
-    ("dualizing-check", cmd_dualizing_check, (), _WINDOW + ("strict_boundary",)),
-    ("threads", cmd_threads, (), _WINDOW),
+    ("serre-check", cmd_serre_check, (), _WINDOW + ("max_len", "skip_boundary", "min_checked")),
+    ("dualizing-check", cmd_dualizing_check, (), _WINDOW + ("strict_boundary", "min_checked")),
+    ("threads", cmd_threads, (), _WINDOW + ("min_checked",)),
     ("extract", cmd_extract, (), _WINDOW + ("min_thread_len",)),
     ("roundtrip", cmd_roundtrip, (), _WINDOW + ("min_thread_len",)),
 ]

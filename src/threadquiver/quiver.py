@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from heapq import heappop, heappush
 
 from .errors import NonAcyclic
@@ -191,6 +191,9 @@ def is_strongly_locally_finite(q: Quiver) -> bool:
     return q.is_acyclic()
 
 
+# the candidates' positions, one range per length, shared by every basis
+# without relation rows
+_shared_range = cache(range)
 
 
 class HomBasis:
@@ -228,8 +231,11 @@ class HomBasis:
         self.tgt = y
         self.handles = handles
         self._by_arrow = None
-        self.reducers = []  # rref rows (pivot column, other entries) of the relation span
-        self.free_idx = range(len(handles))
+        # rref rows (pivot column, other entries) of the relation span; a
+        # basis without relation rows shares the empty tuple and the range
+        # of its length, so it holds no container of its own
+        self.reducers = ()
+        self.free_idx = _shared_range(len(handles))
         self.dim = len(handles)
         self.quiver = quiver
         self.column = column

@@ -35,12 +35,13 @@ side's differentials.  The projective side is compiled once into a
 `YonedaPlan`, cached on its `Complex` as `proj_coords` is on a map (neither
 is ever mutated): each term's vertex tuple and each differential's nonzero
 blocks with their coefficients and the positions of their basis elements,
-read the first time a differential needs them.  A call then only sums the
-target's dims at the plan's vertices and writes the blocks of the
-differentials it needs straight into flat matrices, each action read off
-the basis element's handle (`Rep.act_basis`), with no path built.  A target
-of injective sums is handled by the dual isomorphism over the opposite
-window.  `total_hom_dims` is the one
+read the first time a differential needs them.  A call then makes one
+pass: it sums the target's dims at the plan's vertices (`_hom_layout`) and
+writes each differential it needs straight into one flat row-major list
+(`_hom_differential`), which `total_hom_dims` ranks with no matrix object
+but the one `rref` reads, each action read off the basis element's handle
+(`Rep.act_basis`), with no path built.  A target of injective sums is
+handled by the dual isomorphism over the opposite window.  `total_hom_dims` is the one
 implementation of derived hom: `ext_dim` reads Ext off it (a projective
 resolution into a one-term complex), and the Serre check and the
 orthogonality test of the perpendicular adjoint call it; the basis route
@@ -105,7 +106,6 @@ reads no boundary: the Serre check reads the cut off the finished terms.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -1029,7 +1029,8 @@ class YonedaPlan:
     certified projective sums, compiled once per complex
     (`Complex.yoneda_plan`).
 
-    `verts[p]` is the vertex tuple of the degree-p term, in degree order.
+    `degrees` is the complex's degree range and `verts[p]` the vertex tuple
+    of the degree-p term, in degree order.
     `entries(p)` lists the nonzero blocks of the differential
     CX^{p-1} -> CX^p as (a, b, [(c, i), ...]): source block a, target
     block b, and the nonzero hom coordinates of P(v_a) -> P(v_b), each with
@@ -1039,9 +1040,10 @@ class YonedaPlan:
     through them, and kept: a complex met once, as in `ext_dim`, reads no
     more of them than that hom complex needs."""
 
-    __slots__ = ("verts", "_zero", "_diffs", "_entries")
+    __slots__ = ("degrees", "verts", "_zero", "_diffs", "_entries")
 
     def __init__(self, cx: Complex):
+        self.degrees = cx.degrees()
         self.verts: dict[int, tuple[str, ...]] = {
             p: t.cert[1] for p, t in zip(cx.degrees(), cx.terms)}
         self._zero = cx.window.field.zero
@@ -1061,116 +1063,121 @@ class YonedaPlan:
         return out
 
 
+def _hom_layout(CX: Complex, CY: Complex) -> tuple[YonedaPlan, Complex, dict[int, int],
+                                                     dict[tuple[int, int], int]]:
+    """The layout of the total hom complex Hom(CX, CY), read from the
+    projective side's `YonedaPlan` and the other side's dims alone.
+
+    The degree-n component is the direct sum of hom(X^p, Y^q) over
+    q - p = n; the differential sends f to dY . f - (-1)^n f . dX.  CX must
+    consist of certified projective sums, or CY of certified injective sums;
+    the latter is laid out as hom(D CY, D CX) over the opposite window, an
+    isomorphic complex (same degrees, differentials equal up to transpose
+    and sign), with both duals cached on their complexes (`Complex.dual`).
+    By Yoneda, hom(⊕_b P(v_b), Z) = ⊕_b Z(v_b), so the (p, q) block is
+    ⊕_b CY^q(v_b) over the vertices v_b of CX^p, ordered by block and then
+    unit vector, as in `hom_basis`.  Returns the plan, the complex Z it is
+    evaluated on (CY, or D CX), the dimension of every degree between the
+    lowest and the highest, and the first coordinate of each (p, q) block
+    within degree q - p.  `_hom_differential` writes the differentials of
+    this layout."""
+    plan = CX.yoneda_plan
+    if plan is None:
+        if not _is_sum_of(CY, "inj"):
+            raise NotProjectiveCertified(
+                "total hom needs a complex of projective sums or a target of injective sums")
+        DY = CY.dual
+        plan, CY = DY.yoneda_plan, CX.dual
+    lo_y, degs = CY.min_degree, plan.degrees
+    dims = dict.fromkeys(range(lo_y - degs.stop + 1, lo_y + len(CY.terms) - degs.start), 0)
+    starts = {}
+    for q, Y in enumerate(CY.terms, lo_y):
+        yd = Y.dims
+        for p, verts in plan.verts.items():
+            n = q - p
+            starts[p, q] = d = dims[n]
+            for v in verts:
+                d += yd[v]
+            dims[n] = d
+    return plan, CY, dims, starts
+
+
 def _write_block(data: list, cols: int, r0: int, c0: int, block: Matrix, c) -> None:
     """Write c·block into the row-major entries data of a matrix with cols
     columns, its first entry at (r0, c0); c None writes block itself."""
     k, src = block.cols, block.data
-    for i in range(block.rows):
-        row = src[i * k:(i + 1) * k]
-        base = (r0 + i) * cols + c0
-        data[base:base + k] = row if c is None else [c * x for x in row]
+    base = r0 * cols + c0
+    for i in range(0, len(src), k):
+        data[base:base + k] = src[i:i + k] if c is None else [c * x for x in src[i:i + k]]
+        base += cols
 
 
-def _yoneda_hom_data(plan: YonedaPlan, CX: Complex,
-                     CY: Complex) -> tuple[dict[int, int], Callable[[int], Matrix]]:
-    """The total hom complex of a complex CX of certified projective sums,
-    with plan its `YonedaPlan`, by Yoneda evaluation:
-    hom(⊕_b P(v_b), Z) = ⊕_b Z(v_b).
+def _block_starts(dims: dict[str, int], verts: tuple[str, ...], start: int) -> list[int]:
+    """The first coordinate of each block b, of dimension dims[verts[b]],
+    of a run of blocks from start."""
+    if len(verts) == 1:
+        return [start]
+    return list(accumulate(map(dims.__getitem__, verts), initial=start))
 
-    The (p, q) block is ⊕_b CY^q(v_b) over the vertices v_b of CX^p, ordered
-    by block and then unit vector, as in `hom_basis`.  A map P(u) -> P(v)
-    with hom coordinates c over the paths q: u -> v induces Σ c_q·Z(q):
-    Z(v) -> Z(u), so precomposing with dX is a block matrix of path actions,
-    and postcomposing with dY is block diagonal with blocks dY(v_b).
-    Everything read of CX's terms and differentials comes from the plan:
-    a block's coordinates are running sums of CY's dims at the plan's
-    vertices, and a differential writes each block straight into the flat
-    matrix, a single path of coefficient ±1 as its action Z(q) with no
-    scaled copy, the sign -(-1)^n applied as it is written.  Returns the
-    component dimensions and a function giving the differential out of a
-    degree, so that a caller can stop at the dimensions.
-    """
-    fld = CX.window.field
+
+def _hom_differential(plan: YonedaPlan, CY: Complex, dims: dict[int, int],
+                      starts: dict[tuple[int, int], int], n: int) -> list:
+    """The row-major entries of the differential out of degree n of a
+    layout from `_hom_layout`, dims[n + 1] rows by dims[n] columns.
+
+    A map P(u) -> P(v) with hom coordinates c over the paths q: u -> v
+    induces Σ c_q·Z(q): Z(v) -> Z(u), so precomposing with dX is a block
+    matrix of path actions, and postcomposing with dY is block diagonal with
+    blocks dY(v_b).  Each block is written straight into the one flat list,
+    a single path of coefficient ±1 as its action Z(q) with no scaled copy,
+    the sign -(-1)^n applied as it is written.  A block's coordinates are
+    running sums of Z's dims at the plan's vertices from the (p, q) block's
+    start, taken only where a block is written."""
+    fld = CY.window.field
     one = fld.one
-    lo_y = CY.min_degree
-    dims = dict.fromkeys(range(lo_y - CX.min_degree - len(CX.terms) + 1,
-                               lo_y + len(CY.terms) - CX.min_degree), 0)
-    # (p, q) -> the first coordinate of each block b of the (p, q) block
-    # within degree q - p, then the block's end
-    starts: dict[tuple[int, int], list[int]] = {}
-    for q, Y in enumerate(CY.terms, lo_y):
-        at = Y.dims.__getitem__
-        for p, verts in plan.verts.items():
-            n = q - p
-            run = starts[p, q] = list(accumulate(map(at, verts), initial=dims[n]))
-            dims[n] = run[-1]
-
-    def differential(n: int) -> Matrix:
-        rows = dims.get(n + 1, 0)
-        cols = dims.get(n, 0)
-        m = Matrix.zeros(fld, rows, cols)
-        if rows == 0 or cols == 0:
-            return m
-        data = m.data
-        sign = -one if n % 2 == 0 else one  # -(-1)^n
-        for p, verts in plan.verts.items():
-            q = p + n
-            at = starts.get((p, q))
-            if at is None:
+    cols = dims[n]
+    data = [fld.zero] * (dims.get(n + 1, 0) * cols)
+    if not data:
+        return data
+    sign = -one if n % 2 == 0 else one  # -(-1)^n
+    for p, verts in plan.verts.items():
+        q = p + n
+        at = starts.get((p, q))
+        if at is None:
+            continue
+        Y, dY = CY.term(q), CY.diff(q)
+        yd = Y.dims
+        if dY is not None:
+            comps, nd = dY.comps, CY.term(q + 1).dims
+            r, c = starts[p, q + 1], at
+            for v in verts:
+                block = comps.get(v)
+                if block is not None:
+                    _write_block(data, cols, r, c, block, None)
+                r += nd[v]
+                c += yd[v]
+        prev = plan.verts.get(p - 1)
+        if prev is None:
+            continue
+        into = _block_starts(yd, prev, starts[p - 1, q])
+        at = _block_starts(yd, verts, at)
+        for a, b, coords in plan.entries(p):
+            u, v = prev[a], verts[b]
+            if not (yd[u] and yd[v]):
                 continue
-            dY = CY.diff(q)
-            if dY is not None:
-                into = starts[p, q + 1]
-                for b, v in enumerate(verts):
-                    block = dY.comps.get(v)
-                    if block is not None:
-                        _write_block(data, cols, into[b], at[b], block, None)
-            if p - 1 not in plan.verts:
-                continue
-            entries = plan.entries(p)
-            Y, prev, into = CY.term(q), plan.verts[p - 1], starts[p - 1, q]
-            yd = Y.dims
-            for a, b, terms in entries:
-                u, v = prev[a], verts[b]
-                if not (yd[u] and yd[v]):
-                    continue
-                if len(terms) == 1:
-                    c, i = terms[0]
-                    c = sign * c
-                    _write_block(data, cols, into[a], at[b], Y.act_basis(u, v, i),
-                                 None if c == one else c)
-                else:
-                    acc = None
-                    for c, i in terms:
-                        part = Y.act_basis(u, v, i).scale(c)
-                        acc = part if acc is None else acc + part
-                    _write_block(data, cols, into[a], at[b], acc,
-                                 None if sign == one else sign)
-        return m
-
-    return dims, differential
-
-
-def _hom_complex(CX: Complex, CY: Complex) -> tuple[dict[int, int], Callable[[int], Matrix]]:
-    """Component dimensions of the total hom complex Hom(CX, CY) and a
-    function building its differential out of a given degree.
-
-    The degree-n component is the direct sum of hom(X^p, Y^q) over q - p = n;
-    the differential sends f to dY . f - (-1)^n f . dX.  CX must consist of
-    certified projective sums, or CY of certified injective sums; the latter
-    is computed as hom(D CY, D CX) over the opposite window, an isomorphic
-    complex (same degrees, differentials equal up to transpose and sign),
-    with both duals cached on their complexes (`Complex.dual`).  Either way
-    the projective side is read through its `YonedaPlan`, compiled once per
-    complex."""
-    plan = CX.yoneda_plan
-    if plan is not None:
-        return _yoneda_hom_data(plan, CX, CY)
-    if _is_sum_of(CY, "inj"):
-        DY = CY.dual
-        return _yoneda_hom_data(DY.yoneda_plan, DY, CX.dual)
-    raise NotProjectiveCertified(
-        "total hom needs a complex of projective sums or a target of injective sums")
+            if len(coords) == 1:
+                c, i = coords[0]
+                c = sign * c
+                _write_block(data, cols, into[a], at[b], Y.act_basis(u, v, i),
+                             None if c == one else c)
+            else:
+                acc = None
+                for c, i in coords:
+                    part = Y.act_basis(u, v, i).scale(c)
+                    acc = part if acc is None else acc + part
+                _write_block(data, cols, into[a], at[b], acc,
+                             None if sign == one else sign)
+    return data
 
 
 def total_hom_dims(CX: Complex, CY: Complex) -> dict[int, int]:
@@ -1179,16 +1186,23 @@ def total_hom_dims(CX: Complex, CY: Complex) -> dict[int, int]:
     Requires CX to consist of projectives or CY of injectives (the
     resolutions produced here always satisfy this), so homotopy classes
     compute derived homs; otherwise NotProjectiveCertified is raised.
-    The component dimensions come from the projective side's `YonedaPlan`
-    and the other side's dims alone; a differential is built only where the
+    One pass: the component dimensions come from the projective side's
+    `YonedaPlan` and the other side's dims alone (`_hom_layout`), and a
+    differential is written (`_hom_differential`) and ranked only where the
     components on both of its sides are nonzero, since elsewhere its rank
-    is 0.
+    is 0.  A one-row differential's rank is read off its entries, as
+    `linalg.rank` does; two or more rows go through `rref`.
     """
-    dims, differential = _hom_complex(CX, CY)
+    plan, CY, dims, starts = _hom_layout(CX, CY)
     out = dict(dims)
-    for n, d in dims.items():
-        if d and dims.get(n + 1):
-            r = rank(differential(n))
+    for n, cols in dims.items():
+        rows = dims.get(n + 1)
+        if cols and rows:
+            data = _hom_differential(plan, CY, dims, starts, n)
+            if rows == 1:
+                r = 1 if any(data) else 0
+            else:
+                r = rref(Matrix(CY.window.field, rows, cols, data))[0]
             out[n] -= r
             out[n + 1] -= r
     assert min(out.values()) >= 0

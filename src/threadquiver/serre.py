@@ -21,7 +21,10 @@ dimension level: dim RHom^n(X, Y) = dim RHom^{-n}(Y, SX), both sides read
 off total hom complexes (`reps.total_hom_dims`).  The right-hand side reads
 the realized Nakayama complex (its injective sums and transported maps), so
 the check compares two different computations rather than a matrix with its
-transpose.  It compares these dimension identities only.  The composition
+transpose.  A side zero by support (the vertices of a resolution's terms
+miss the other module's support) is never built: the probe pairs to visit
+are read off two vertex indexes built once per check, not tested pair by
+pair.  It compares these dimension identities only.  The composition
 law of the realization, N(b·a) = N(b)·N(a), holds on every window when
 `realize_inj_coords` is right: it is a property of the code, not of the
 window, and a test checks it
@@ -213,36 +216,50 @@ def _boundary_terms(cx: Complex) -> list[str]:
     return sorted({v for t in cx.terms for v in t.cert[1] if v in boundary})
 
 
-def _has_ext_from_simples(X: Rep, simples: dict[str, Complex], vertices,
+def _ext_index(simples: dict[str, Complex]) -> dict[str, list[tuple[str, int]]]:
+    """Vertex v -> every (u, i) such that the cut resolution of S(u) has a
+    term at v in degree -i, in the simples' order."""
+    index: dict[str, list[tuple[str, int]]] = {}
+    for u, res in simples.items():
+        for p, t in zip(res.degrees(), res.terms):
+            for v in set(t.cert[1]):
+                index.setdefault(v, []).append((u, -p))
+    return index
+
+
+def _has_ext_from_simples(X: Rep, one: Complex, simples: dict[str, Complex],
+                          index: dict[str, list[tuple[str, int]]], vertices,
                           degrees: range) -> bool:
     """Whether Ext^i(S(u), X) != 0 for some u in vertices and i in degrees
-    (at most max_len + 1), read off the simples' cut resolutions; stops at
-    the first such u."""
+    (at most max_len + 1), read off the simples' cut resolutions against
+    one, X's one-term complex; visits vertices in order and stops at the
+    first such u.  hom(P(v), X) = X(v), so Ext^i(S(u), X) vanishes unless
+    the degree -i term of S(u)'s resolution has a vertex in X's support:
+    only the u that index (`_ext_index`) pairs with such a vertex and degree
+    are read."""
+    met = {u for v in X.support for u, i in index.get(v, ()) if i in degrees}
     for u in vertices:
-        res = simples[u]
-        # hom(P(v), X) = X(v), so Ext^i vanishes unless the degree -i term,
-        # whose vertices the resolution's plan holds, meets X's support
-        verts = res.yoneda_plan.verts
-        if not any(X.dims[v] for i in degrees for v in verts.get(-i, ())):
-            continue
-        dims = total_hom_dims(res, one_term_complex(X))
-        if any(dims.get(i) for i in degrees):
-            return True
+        if u in met:
+            dims = total_hom_dims(simples[u], one)
+            if any(dims.get(i) for i in degrees):
+                return True
     return False
 
 
 def _usable_probes(w: Window, test_set: list[tuple[str, Rep]], max_len: int,
-                   forbid_boundary: bool, report: Report) -> list[tuple[str, Rep, Complex]]:
+                   forbid_boundary: bool,
+                   report: Report) -> list[tuple[str, Rep, Complex, Complex]]:
     """The probes with projective and injective dimension within max_len,
     each with its minimal projective resolution (a simple probe takes its
-    simple's).  A probe X fails if that resolution reaches degree
-    max_len + 1 or Ext^{max_len+1}(S(u), X) != 0 for some u, in one item
-    whose subject names what exceeds the bound: pd(X), id(X) or pd/id(X).
-    Otherwise, under forbid_boundary, it is skipped if that resolution has a
-    term at a boundary vertex b or Ext^i(S(b), X) != 0 for some
-    i <= max_len, that is, if I(b) occurs in X's minimal injective
+    simple's) and its one-term complex.  A probe X fails if that resolution
+    reaches degree max_len + 1 or Ext^{max_len+1}(S(u), X) != 0 for some u,
+    in one item whose subject names what exceeds the bound: pd(X), id(X) or
+    pd/id(X).  Otherwise, under forbid_boundary, it is skipped if that
+    resolution has a term at a boundary vertex b or Ext^i(S(b), X) != 0 for
+    some i <= max_len, that is, if I(b) occurs in X's minimal injective
     resolution."""
     simples = _simple_resolutions(w, max_len) if test_set else {}
+    index = _ext_index(simples)
     # only these simples have a term, so possibly an Ext, in degree max_len + 1
     long = [u for u, res in simples.items() if len(res.terms) > max_len + 1]
     usable = []
@@ -251,44 +268,32 @@ def _usable_probes(w: Window, test_set: list[tuple[str, Rep]], max_len: int,
             res = simples[X.support[0]]
         else:
             res = _resolve(X, max_len + 1)[0]
+        one = one_term_complex(X)
         pd_over = len(res.terms) > max_len + 1
-        id_over = _has_ext_from_simples(X, simples, long, range(max_len + 1, max_len + 2))
+        id_over = _has_ext_from_simples(X, one, simples, index, long,
+                                        range(max_len + 1, max_len + 2))
         if pd_over or id_over:
             exceeded = "pd/id" if pd_over and id_over else "pd" if pd_over else "id"
             report.fail(f"{exceeded}({label})", f"<= {max_len}", "ExceedsBound")
             continue
         if forbid_boundary and (_boundary_terms(res) or _has_ext_from_simples(
-                X, simples, sorted(w.boundary), range(max_len + 1))):
+                X, one, simples, index, sorted(w.boundary), range(max_len + 1))):
             # the probe's resolutions lean on truncation artifacts: it carries
             # no evidence either way, so it is skipped rather than failed
             report.skipped += 1
             continue
         report.tally()
-        usable.append((label, X, res))
+        usable.append((label, X, res, one))
     return usable
 
 
-def _support_sets(usable: list[tuple[str, Rep, Complex]],
-                  images: dict[str, Complex]) -> dict[str, tuple[set, set, set]]:
-    """Per probe label: the vertices of its resolution's terms, its support,
-    and the support of its Nakayama image's terms.  By Yoneda,
-    hom(⊕_b P(v_b), Z) = ⊕_b Z(v_b), so every component of Hom(res X, Y) is
-    zero when X's term vertices miss Y's support, and every component of
-    Hom(res Y, S X) when Y's term vertices miss the support of S X."""
-    return {
-        label: ({v for t in res.terms for v in t.cert[1]},
-                set(X.support),
-                {v for t in images[label].terms for v in t.support})
-        for label, X, res in usable
-    }
-
-
-def _zero_sides(sets: dict[str, tuple[set, set, set]], xl: str, yl: str) -> tuple[bool, bool]:
-    """Whether Hom(res X, Y) and Hom(res Y, S X) are zero by support, for
-    the probes labelled xl and yl (see `_support_sets`)."""
-    terms_x, _, image_x = sets[xl]
-    terms_y, support_y, _ = sets[yl]
-    return terms_x.isdisjoint(support_y), terms_y.isdisjoint(image_x)
+def _by_vertex(sets) -> dict[str, list[int]]:
+    """Vertex v -> the positions j, in order, of the vertex sets that hold v."""
+    index: dict[str, list[int]] = {}
+    for j, vertices in enumerate(sets):
+        for v in vertices:
+            index.setdefault(v, []).append(j)
+    return index
 
 
 def check_serre(
@@ -316,34 +321,42 @@ def check_serre(
     resolution dim Ext^i(S(u), X) times (Auslander-Reiten-Smalø, ch. I).  No
     probe is resolved injectively.
 
-    A side of a pair that is zero by support (`_zero_sides`) is answered
-    with zeros without building its hom complex.  The others go through
-    `total_hom_dims`, once per side: each probe's one-term complex is built
-    once, and each resolution is read through its `reps.YonedaPlan`,
-    compiled on its first hom complex.  Every pair is tallied in
-    bulk, each of its shifts counted as checked, and its two sides are
-    compared only at the shifts where one of them is nonzero, in shift
-    order, so the failed items are those of a shift-by-shift comparison.
-    Both resolutions have length at most max_len, so every such shift lies
-    in -max_len..max_len.
+    By Yoneda, hom(⊕_b P(v_b), Z) = ⊕_b Z(v_b), so Hom(res X, Y) is zero
+    when the vertices of res X's terms miss Y's support, and Hom(res Y, S X)
+    when those of res Y's terms miss the support of S X's terms.  Two
+    indexes built once per check, the probes supported at each vertex and
+    the probes whose resolution has a term at each vertex, give each X the
+    probes Y where a side is not zero by support: the first read at res X's
+    term vertices, the second on S X's support.  Those Y are visited in
+    probe order, each such side through `total_hom_dims` once, the other
+    side read as zeros.  Every pair is tallied in bulk, each of its shifts
+    counted as checked, and its two sides are compared only at the shifts
+    where one of them is nonzero, in shift order, so the failed items are
+    those of a pair-by-pair, shift-by-shift comparison.  Both resolutions
+    have length at most max_len, so every such shift lies in
+    -max_len..max_len.
     """
     report = Report("serre-check")
     usable = _usable_probes(w, test_set, max_len, forbid_boundary, report)
-    images = {label: nakayama(res) for label, _, res in usable}
-    sets = _support_sets(usable, images)
-    ones = {label: one_term_complex(X) for label, X, _ in usable}
-    for xl, _, res_x in usable:
-        for yl, _, res_y in usable:
-            left_zero, right_zero = _zero_sides(sets, xl, yl)
-            report.tally(2 * max_len + 1)
-            if left_zero and right_zero:  # every shift holds as 0 = 0
-                continue
-            left = {} if left_zero else total_hom_dims(res_x, ones[yl])
-            right = {} if right_zero else total_hom_dims(res_y, images[xl])
+    images = [nakayama(res) for _, _, res, _ in usable]
+    terms = [{v for t in res.terms for v in t.cert[1]} for _, _, res, _ in usable]
+    supported = _by_vertex(X.support for _, X, _, _ in usable)
+    termed = _by_vertex(terms)
+    # every shift of every pair is checked; a pair with both sides zero
+    # holds at each shift as 0 = 0
+    report.tally((2 * max_len + 1) * len(usable) ** 2)
+    for (xl, _, res_x, _), terms_x, image in zip(usable, terms, images):
+        left = {j for v in terms_x for j in supported.get(v, ())}
+        right = {j for v in {v for t in image.terms for v in t.support}
+                 for j in termed.get(v, ())}
+        for j in sorted(left | right):
+            yl, _, res_y, one_y = usable[j]
+            ls = total_hom_dims(res_x, one_y) if j in left else {}
+            rs = total_hom_dims(res_y, image) if j in right else {}
             # a shift where both sides read 0 holds; the others in shift order
-            nonzero = {n for n, d in left.items() if d} | {-n for n, d in right.items() if d}
+            nonzero = {n for n, d in ls.items() if d} | {-n for n, d in rs.items() if d}
             for n in sorted(nonzero):
-                ln, rn = left.get(n, 0), right.get(-n, 0)
+                ln, rn = ls.get(n, 0), rs.get(-n, 0)
                 if ln != rn:
                     report.fail(
                         f"RHom^{n}({xl}, {yl}) vs RHom^{-n}({yl}, S {xl})", ln, rn

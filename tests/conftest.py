@@ -331,10 +331,13 @@ def random_fp_rep(w, rng, n_gens=2, n_rels=2):
 
 def total_hom_data(CX, CY):
     """Component dimensions and differentials of the total hom complex
-    Hom(CX, CY) by the evaluation route, every differential built
-    (`reps._hom_complex`)."""
-    dims, differential = reps._hom_complex(CX, CY)
-    return dims, {n: differential(n) for n in dims}
+    Hom(CX, CY) by the evaluation route, every differential built from the
+    layout and block writer `reps.total_hom_dims` ranks
+    (`reps._hom_layout`, `reps._hom_differential`)."""
+    plan, Z, dims, starts = reps._hom_layout(CX, CY)
+    return dims, {n: Matrix(Z.window.field, dims.get(n + 1, 0), d,
+                            reps._hom_differential(plan, Z, dims, starts, n))
+                  for n, d in dims.items()}
 
 
 def per_call_hom_data(CX, CY):
@@ -519,7 +522,7 @@ def per_probe_usable_probes(w, test_set, max_len, forbid_boundary, report):
             report.skipped += 1
             continue
         report.tally()
-        usable.append((label, X, res))
+        usable.append((label, X, res, serre.one_term_complex(X)))
     return usable
 
 
@@ -528,9 +531,9 @@ def per_pair_check_serre(w, test_set, max_len, forbid_boundary=True):
     every ordered probe pair are evaluated, with no test by support."""
     report = Report("serre-check")
     usable = serre._usable_probes(w, test_set, max_len, forbid_boundary, report)
-    images = {label: serre.nakayama(res) for label, _, res in usable}
-    for xl, _, res_x in usable:
-        for yl, Y, res_y in usable:
+    images = {label: serre.nakayama(res) for label, _, res, _ in usable}
+    for xl, _, res_x, _ in usable:
+        for yl, Y, res_y, _ in usable:
             left = serre.total_hom_dims(res_x, serre.one_term_complex(Y))
             right = serre.total_hom_dims(res_y, images[xl])
             for n in range(-max_len, max_len + 1):
@@ -541,6 +544,45 @@ def per_pair_check_serre(w, test_set, max_len, forbid_boundary=True):
                         f"RHom^{n}({xl}, {yl}) vs RHom^{-n}({yl}, S {xl})", ln, rn
                     )
     return report
+
+
+def support_sets(usable, images):
+    """Per probe label: the vertices of its resolution's terms, its support,
+    and the support of its Nakayama image's terms.  By Yoneda,
+    hom(⊕_b P(v_b), Z) = ⊕_b Z(v_b), so every component of Hom(res X, Y) is
+    zero when X's term vertices miss Y's support, and every component of
+    Hom(res Y, S X) when Y's term vertices miss the support of S X."""
+    return {
+        label: ({v for t in res.terms for v in t.cert[1]},
+                set(X.support),
+                {v for t in images[label].terms for v in t.support})
+        for label, X, res, _ in usable
+    }
+
+
+def zero_sides(sets, xl, yl):
+    """Differential oracle for the targets `serre.check_serre` reads off its
+    vertex indexes: whether Hom(res X, Y) and Hom(res Y, S X) are zero by
+    support, for the probes labelled xl and yl, tested pair by pair (see
+    `support_sets`)."""
+    terms_x, _, image_x = sets[xl]
+    terms_y, support_y, _ = sets[yl]
+    return terms_x.isdisjoint(support_y), terms_y.isdisjoint(image_x)
+
+
+def per_simple_has_ext_from_simples(X, one, simples, vertices, degrees):
+    """Differential oracle for `serre._has_ext_from_simples`: every simple u
+    in vertices is scanned in turn, its resolution's plan read at the
+    degrees -i for i in degrees, and its Ext read when a term there meets
+    X's support; stops at the first u with a nonzero Ext."""
+    for u in vertices:
+        verts = simples[u].yoneda_plan.verts
+        if not any(X.dims[v] for i in degrees for v in verts.get(-i, ())):
+            continue
+        dims = serre.total_hom_dims(simples[u], one)
+        if any(dims.get(i) for i in degrees):
+            return True
+    return False
 
 
 def compose_coords(w, x, y, z, f_coords, g_coords):
@@ -761,7 +803,7 @@ class PathIndexHomBasis:
         self.field = field
         self.paths = paths
         self.index = {p: i for i, p in enumerate(paths)}
-        self.reducers = []
+        self.reducers = ()
         self.free_idx = range(len(paths))
         self.basis = paths
         self.dim = len(paths)
@@ -772,6 +814,7 @@ class PathIndexHomBasis:
         zero = self.field.zero
         n = len(self.paths)
         _, red, pivots = rref(Matrix(self.field, len(rows), n, [c for row in rows for c in row]))
+        self.reducers = []
         for r, pc in enumerate(pivots):
             entries = red.data[r * n:(r + 1) * n]
             self.reducers.append(

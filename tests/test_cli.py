@@ -295,9 +295,10 @@ SUBCOMMAND_FLAGS = {
     "dot": WINDOW | {"--expanded"},
     "hom": WINDOW,
     "ext": WINDOW | {"--max-len", "--degree"},
-    "serre-check": WINDOW | {"--max-len", "--skip-boundary", "--no-skip-boundary"},
-    "dualizing-check": WINDOW | {"--strict-boundary"},
-    "threads": WINDOW,
+    "serre-check": WINDOW | {"--max-len", "--skip-boundary", "--no-skip-boundary",
+                             "--min-checked"},
+    "dualizing-check": WINDOW | {"--strict-boundary", "--min-checked"},
+    "threads": WINDOW | {"--min-checked"},
     "extract": WINDOW | {"--min-thread-len"},
     "roundtrip": WINDOW | {"--min-thread-len"},
 }
@@ -312,7 +313,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         settable += len(actions)
         flags[name] = {opt for a in actions for opt in a.option_strings}
     assert flags == SUBCOMMAND_FLAGS
-    assert settable == 26  # --skip-boundary / --no-skip-boundary is one setting
+    assert settable == 29  # --skip-boundary / --no-skip-boundary is one setting
 
 
 @pytest.mark.parametrize("argv", [
@@ -329,7 +330,7 @@ def test_flag_a_subcommand_ignores_is_a_usage_error(argv, capsys):
 
 
 
-NUMERIC_FLAGS = {"--depth", "--max-len", "--degree", "--min-thread-len"}
+NUMERIC_FLAGS = {"--depth", "--max-len", "--degree", "--min-thread-len", "--min-checked"}
 BAD_FIELDS = ("zz", "fp:4", "fp:x")
 
 
@@ -353,6 +354,32 @@ def test_a_bad_flag_value_is_a_usage_error(argv, capsys):
     code = run([name, str(FIXTURES / "z_thread.tq"), *vertices, flag, value])
     assert code == 2
     assert capsys.readouterr().out == ""
+
+@pytest.mark.parametrize("n, code", [(20, 1), (14, 0)])
+def test_min_checked_fails_a_report_that_checked_fewer(n, code, capsys):
+    # serre-check z_thread at depth 1 checks 14 assertions and skips 9 probes:
+    # below --min-checked N it fails in one item, at N it passes unchanged
+    argv = ["serre-check", str(FIXTURES / "z_thread.tq"), "--depth", "1"]
+    plain = run_json(argv, capsys)
+    got = run_json(argv + ["--min-checked", str(n)], capsys)
+    assert plain[0] == 0 and plain[1]["items"] == []
+    assert got[0] == code
+    if code:
+        assert got[1]["items"] == [
+            {"subject": "checked", "expected": f">= {n}", "actual": "14", "location": ""}]
+    else:
+        assert got == plain
+
+
+@pytest.mark.parametrize("command", ["dualizing-check", "threads"])
+def test_min_checked_applies_to_every_check(command, capsys):
+    argv = [command, str(FIXTURES / "a2.tq"), "--depth", "1"]
+    plain = run_json(argv, capsys)
+    assert run_json(argv + ["--min-checked", "0"], capsys) == plain
+    code, doc = run_json(argv + ["--min-checked", "100000"], capsys)
+    assert code == 1 and doc["items"][-1]["subject"] == "checked"
+    assert doc["items"][:-1] == plain[1]["items"]
+
 
 def test_cli_subprocess_entry():
     # the module is runnable end to end through the interpreter
@@ -380,9 +407,24 @@ def test_time_checks_script_prints_one_row_per_check_and_depth():
     )
     rows = [json.loads(line) for line in proc.stdout.splitlines()]
     assert len(rows) == 1
-    assert set(rows[0]) == {"check", "depth", "exit", "wall_s", "peak_rss_mb", "import_rss_mb"}
+    assert set(rows[0]) == {"tree", "check", "depth", "exit", "wall_s", "peak_rss_mb",
+                            "import_rss_mb"}
     assert 0 < rows[0]["import_rss_mb"] <= rows[0]["peak_rss_mb"]
-    assert (rows[0]["check"], rows[0]["depth"], rows[0]["exit"]) == ("threads", 1, 0)
+    assert (rows[0]["tree"], rows[0]["check"], rows[0]["depth"], rows[0]["exit"]) == (
+        "this", "threads", 1, 0)
+    # against a second tree (here the same checkout), two rounds alternate
+    # which tree runs first
+    proc = subprocess.run(
+        [sys.executable, str(script), str(FIXTURES / "z_thread.tq"),
+         "--depths", "0", "--checks", "threads", "--against", str(FIXTURES.parent),
+         "--rounds", "2"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(row["tree"], row["depth"], row["exit"]) for row in rows] == [
+        ("this", 0, 0), ("against", 0, 0), ("against", 0, 0), ("this", 0, 0)]
 
 
 def _cli_digest():

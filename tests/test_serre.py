@@ -22,15 +22,18 @@ from conftest import (
     non_free_pairs,
     non_hereditary_simples,
     per_call_hom_data,
+    per_simple_has_ext_from_simples,
     per_pair_check_serre,
     per_probe_usable_probes,
     random_fp_rep,
     star_tail_window,
+    support_sets,
     tq_comm_square,
     tq_fin1_thread,
     tq_mixed,
     tq_z_thread,
     total_hom_data,
+    zero_sides,
     zigzag_window,
 )
 from hypothesis import assume, example, given, settings
@@ -928,16 +931,17 @@ def test_check_serre_builds_no_injective_resolution(name, depth, max_len, monkey
 
 def _probe_sides(w, forbid_boundary):
     """Every ordered probe pair of the CLI's probe set, with both hom
-    complexes `check_serre` compares and the sides it flags as zero."""
+    complexes `check_serre` compares and the sides the pairwise rule flags
+    as zero by support (`conftest.zero_sides`)."""
     report = Report("serre-check")
     usable = serre._usable_probes(
         w, probes(w, interior_only=forbid_boundary), 6, forbid_boundary, report)
-    images = {label: nakayama(res) for label, _, res in usable}
-    sets = serre._support_sets(usable, images)
-    for xl, _, res_x in usable:
-        for yl, Y, res_y in usable:
+    images = {label: nakayama(res) for label, _, res, _ in usable}
+    sets = support_sets(usable, images)
+    for xl, _, res_x, _ in usable:
+        for yl, Y, res_y, _ in usable:
             sides = ((res_x, one_term_complex(Y)), (res_y, images[xl]))
-            yield xl, yl, zip(serre._zero_sides(sets, xl, yl), sides)
+            yield xl, yl, zip(zero_sides(sets, xl, yl), sides)
 
 
 @pytest.mark.parametrize("forbid_boundary", [True, False], ids=["skip", "no-skip"])
@@ -948,7 +952,7 @@ def test_serre_sides_zero_by_support_are_exactly_the_zero_complexes(w, forbid_bo
     # and every side with all components zero is flagged
     for xl, yl, sides in _probe_sides(w, forbid_boundary):
         for zero, (CX, CY) in sides:
-            dims, _ = reps._hom_complex(CX, CY)
+            dims = reps._hom_layout(CX, CY)[2]
             assert zero == (not any(dims.values())), (xl, yl)
             if zero:
                 assert not any(total_hom_dims(CX, CY).values()), (xl, yl)
@@ -993,6 +997,72 @@ def test_check_serre_calls_total_hom_dims_once_per_side_not_zero_by_support(
     check_serre(w, test_set, 6, forbid_boundary)
     assert nonzero > 0
     assert callers == Counter(check_serre=nonzero, _has_ext_from_simples=pretest)
+
+
+TARGET_WINDOWS = [pytest.param(w, id=label) for label, w in fixture_windows([0, 1, 2, 3])] + [
+    pytest.param(comm_grid_window(2), id="grid2")]
+
+
+@pytest.mark.parametrize("forbid_boundary", [True, False], ids=["skip", "no-skip"])
+@pytest.mark.parametrize("w", TARGET_WINDOWS)
+def test_serre_targets_by_vertex_index_are_the_pairwise_nonzero_sides(
+        w, forbid_boundary, monkeypatch):
+    # check_serre reads exactly the sides the pairwise rule flags nonzero by
+    # support, pair after pair in probe order and the left side first: the
+    # same hom complexes, the same objects, in the same order
+    test_set = probes(w, interior_only=forbid_boundary)
+    usable = serre._usable_probes(w, test_set, 6, forbid_boundary, Report("serre-check"))
+    images = [nakayama(res) for _, _, res, _ in usable]
+    sets = support_sets(usable, {label: im for (label, *_), im in zip(usable, images)})
+    expected = []
+    for (xl, _, res_x, _), image in zip(usable, images):
+        for yl, _, res_y, one_y in usable:
+            left_zero, right_zero = zero_sides(sets, xl, yl)
+            expected += [(res_x, one_y)] * (not left_zero) + [(res_y, image)] * (not right_zero)
+    calls = []
+    fed = iter(images)
+    monkeypatch.setattr(serre, "_usable_probes", lambda *args: usable)
+    monkeypatch.setattr(serre, "nakayama", lambda cx: next(fed))
+    monkeypatch.setattr(serre, "total_hom_dims", lambda CX, CY: calls.append((CX, CY)) or {})
+    check_serre(w, test_set, 6, forbid_boundary)
+    assert [(id(CX), id(CY)) for CX, CY in calls] == [(id(CX), id(CY)) for CX, CY in expected]
+
+
+@pytest.mark.parametrize("w, max_len", [
+    *[pytest.param(w, 2, id=label) for label, w in fixture_windows([0, 1, 2])],
+    pytest.param(comm_grid_window(2), 2, id="grid2"),
+    pytest.param(ainf_rad2_window(), 2, id="ainf_rad2")])
+def test_ext_index_reads_the_simples_of_the_per_simple_scan(w, max_len, monkeypatch):
+    # the boundary pre-test reads the same simples' Ext, in the same order,
+    # and gives the same answer as a scan of every simple's plan; over all
+    # simples and the boundary ones, the two degree sets check_serre asks
+    # about and every single degree of the cut resolutions
+    simples = serre._simple_resolutions(w, max_len)
+    index = serre._ext_index(simples)
+    of = {id(res): u for u, res in simples.items()}
+    read = []
+    inner = serre.total_hom_dims
+
+    def recording(CX, CY):
+        read.append(of[id(CX)])
+        return inner(CX, CY)
+
+    monkeypatch.setattr(serre, "total_hom_dims", recording)
+    degree_sets = [range(max_len + 1), range(max_len + 1, max_len + 2)] + [
+        range(i, i + 1) for i in range(max_len + 3)]
+    answers = Counter()
+    for vertices in (list(simples), sorted(w.boundary)):
+        for degrees in degree_sets:
+            for label, X in probes(w, interior_only=False):
+                one = one_term_complex(X)
+                got = serre._has_ext_from_simples(X, one, simples, index, vertices, degrees)
+                got_read = read[:]
+                read.clear()
+                want = per_simple_has_ext_from_simples(X, one, simples, vertices, degrees)
+                assert (got, got_read) == (want, read), (label, degrees)
+                read.clear()
+                answers[got] += 1
+    assert answers[True] and answers[False]
 
 
 PER_CALL_WINDOWS = FIXTURE_WINDOWS + [
