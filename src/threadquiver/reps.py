@@ -10,10 +10,11 @@ Certificates: representations built as direct sums of standard projectives
 (resp. injectives) remember the vertex list, and each such sum is built
 once per window and vertex tuple (`proj_sum`, `inj_sum`).  By Yoneda, a
 map out of such a sum P = ⊕ P(v_b) -> N is the list of its values at the
-blocks' identity paths, one vector of N(v_b) per block.  `_yoneda_write` is the one place
-such a map is written, and only where a module map is needed: covers, the
-certified branch of `hom_basis`, `realize_proj_coords` and the evaluation
-map of `threads`.  `_yoneda_read` is the one place it is read (`hom_coords`,
+blocks' identity paths, one vector of N(v_b) per block.  `_yoneda_write` is
+the one place such a map is written, and only where a module map is needed:
+covers, resolution steps, the certified branch of `hom_basis`,
+`realize_proj_coords` and the evaluation map of `threads`.  `_yoneda_read`
+is the one place it is read (`hom_coords`,
 `extract_proj_coords`, and the kernel's cover in `kernel_as_projectives`).
 Between two certified sums the values split by target block into hom
 coordinates (`split_proj_values`), and these certificate-indexed
@@ -77,31 +78,26 @@ its own.  `linalg.solve_matrix` reduces [m | B] once for all columns.
 A cover's components are reduced once, by its kernel bases, and only those
 of two or more rows reach `rref`: `projective_cover` eliminates the bases
 on the cover's whole support (`RepMap.kernel_bases`) and certifies the
-cover with them by rank-nullity at every vertex of M's support, a
-certificate that does not depend on how much of the kernel module is ever
-built.  The kernel module is built from those bases only when a caller
-reads `cover.kernel`: resolutions, `induce` and `kernel_as_projectives`
-read the full kernel there.  A presentation builds it only around M:
-where the cover vanishes at x and at the head of every arrow out of x,
-ker(x) = P0(x) and rad ker(x) = rad P0(x), so top ker(x) = top P0(x) = 0,
-and the kernel's top is read on R and the heads of R's out-arrows, R
-being the vertices where the cover is nonzero with the sources of the
-arrows into them.  The cover also
-recognizes a sum of standard projectives: M is one exactly when its
-cover's kernel is zero, which is all `kernel_as_projectives` asks, with no
-decomposition of M.  The top is read from the vectors spanning the radical
-at each vertex (the nonzero columns of the arrow maps out of it), eliminated
-once as rows, with no matrix stacked; at a one-dimensional vertex only
-whether one of them is nonzero is asked.  A two-term presentation is
-returned as the vertex tuples of its terms, since that is all its callers
-read.  Its second term is the top of the first cover's kernel, read off
-`top_generators` on that neighbourhood with no second cover written and no
-certificate of its own: the cover carries the one certificate, and the top
-is graded Nakayama's.  The minimal injective copresentation of M is
-read as the projective presentation of D M over the opposite window, with
-no injective hull or cokernel built; an injective resolution is read the
-same way.  A resolution is its complex alone, with no map to or from M, and
-reads no boundary: the Serre check reads the cut off the finished terms.
+cover with them by rank-nullity at every vertex of M's support.  The top
+of the kernel of a map d out of a projective sum P is read where d acts
+(`_kernel_top`): where d vanishes at x and at the head of every arrow out
+of x, ker(x) = P(x) and rad ker(x) = rad P(x), so top ker(x) = top P(x) =
+0; the kernel is built on R and the heads of R's out-arrows only, R being
+the vertices where d is nonzero, P's blocks and the sources of the arrows
+into them.  M is a sum of standard projectives exactly when its cover's
+kernel bases are zero, all `kernel_as_projectives` asks.  The top is read
+from the vectors spanning the radical at each vertex (the nonzero columns
+of the arrow maps out of it), eliminated once as rows, with no matrix
+stacked; at a one-dimensional vertex only whether one of them is nonzero
+is asked.  A two-term presentation is returned as the vertex tuples of its
+terms, all its callers read; its second term is the top of the first
+cover's kernel, certified by the cover and graded Nakayama.  The minimal
+injective copresentation of M is read as the projective presentation of
+D M over the opposite window, with no injective hull or cokernel built;
+an injective resolution is read the same way.  A resolution is its
+complex alone, with no map to or from M, and reads no boundary: the Serre
+check reads the cut off the finished terms.  Each step writes its
+differential into the previous term (`_resolve`).
 """
 
 from __future__ import annotations
@@ -344,16 +340,8 @@ class RepMap:
     @cached_property
     def kernel_bases(self) -> tuple[dict[str, Matrix], dict[str, list[int]]]:
         """`_kernel_bases` of this map, eliminated once: a cover certifies
-        itself with them, and its kernel module is built from them."""
+        itself with them, and a kernel is built from them."""
         return _kernel_bases(self.source, self.comps)
-
-    @cached_property
-    def kernel(self) -> tuple[Rep, "RepMap"]:
-        """ker f with its inclusion, built from `kernel_bases` the first time
-        it is read (maps are never mutated)."""
-        kbases, frees = self.kernel_bases
-        K = _kernel_module(self.source, kbases, frees)
-        return K, RepMap(K, self.source, kbases)
 
     @cached_property
     def proj_coords(self):
@@ -780,9 +768,11 @@ def _kernel_module(M: Rep, kbases: dict[str, Matrix], frees: dict[str, list[int]
 
 
 def kernel_with_inclusion(f: RepMap) -> tuple[Rep, RepMap]:
-    """Just the kernel subrepresentation and its inclusion (cheaper than
-    a full factorization when only the kernel is needed): `f.kernel`."""
-    return f.kernel
+    """Just the kernel subrepresentation and its inclusion, built from
+    `f.kernel_bases` (cheaper than a full factorization)."""
+    kbases, frees = f.kernel_bases
+    K = _kernel_module(f.source, kbases, frees)
+    return K, RepMap(K, f.source, kbases)
 
 
 def cokernel_with_projection(f: RepMap) -> tuple[Rep, RepMap]:
@@ -826,11 +816,11 @@ def kernel_as_projectives(f: RepMap) -> tuple[tuple[str, ...], list[list]]:
     order, and the hom coordinates of the inclusion ⊕P(verts) -> source(f)
     in the shape of `extract_proj_coords`.  A zero kernel returns at once;
     otherwise NotRepresentable is raised unless the cover's kernel is zero."""
-    K, incl = kernel_with_inclusion(f)
     verts, vals = (), []
-    if not K.is_zero():
+    if any(kb.cols for kb in f.kernel_bases[0].values()):
+        K, incl = kernel_with_inclusion(f)
         P, cover = projective_cover(K)
-        if not cover.kernel[0].is_zero():
+        if any(kb.cols for kb in cover.kernel_bases[0].values()):
             raise NotRepresentable(NOT_STANDARD)
         verts = P.cert[1]
         vals = [incl.comps[v].apply(val) for v, val in zip(verts, _yoneda_read(cover))]
@@ -900,9 +890,7 @@ def projective_cover(M: Rep) -> tuple[Rep, RepMap]:
     the identity), and they certify the cover: over an acyclic window the
     cover is onto exactly when dim P(v) - dim ker(v) = dim M(v) at every
     vertex v of M's support (rank-nullity: the cover's rank at v is
-    dim M(v)).  The kernel module is built from those bases only when a
-    caller reads `cover.kernel` (resolutions, `induce`, the recognition in
-    `kernel_as_projectives`); a presentation builds it around M only."""
+    dim M(v))."""
     w = M.window
     gens = top_generators(M)
     P = proj_sum(w, [v for v, _ in gens])
@@ -926,31 +914,30 @@ def injective_hull(M: Rep) -> tuple[Rep, RepMap]:
     return I, emb
 
 
+def _kernel_top(P: Rep, kbases: dict[str, Matrix],
+                frees: dict[str, list[int]]) -> list[tuple[str, list]]:
+    """`top_generators` of ker d, in its bases' coordinates, for d out of
+    the certified sum P with kernel bases kbases and free columns frees
+    (`_kernel_bases`; d is nonzero at frees' keys), read at R only: see
+    the module docstring."""
+    q = P.window.quiver
+    near = set(frees).union(P.cert[1])
+    near.update(a.src for v in tuple(near) for a in q.in_arrows[v])
+    rim = {a.tgt for v in near for a in q.out_arrows[v]}
+    return top_generators(_kernel_module(P, kbases, frees, near | rim), near)
+
+
 def two_term_presentation(M: Rep, side: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The vertices of the terms (P0, P1) of the minimal projective
     presentation P1 -> P0 -> M -> 0; or of (I0, I1) of the minimal injective
     copresentation 0 -> M -> I0 -> I1, which is the dual of the projective
     presentation of D M over the opposite window (D I(v) = P(v) there).
 
-    P0 is the projective cover of M, certified onto by its kernel bases.
-    P1 is the cover of the kernel K, so its vertices are those of K's top;
-    no second cover is written and the differential is not composed.  The
-    top is read around M only.  Let S be the vertices where the cover is
-    nonzero, with P0's blocks, and R = S with the sources of the arrows
-    into S.  Off R the cover vanishes at x and at the head of every arrow
-    out of x, so K(x) = P0(x) and rad K(x) = rad P0(x), and top K(x) =
-    top P0(x) = 0.  K's top is therefore its top at R, which needs K only
-    on R and the heads of R's out-arrows; the top is read at R alone, none
-    on that rim.  The full kernel is never built here."""
+    P0 is the projective cover of M, certified onto by its kernel bases;
+    P1 is the top of its kernel, read around M (`_kernel_top`)."""
     if side == PROJECTIVE:
         P0, cover = projective_cover(M)
-        kbases, frees = cover.kernel_bases
-        q = M.window.quiver
-        near = set(frees).union(P0.cert[1])
-        near.update(a.src for v in tuple(near) for a in q.in_arrows[v])
-        rim = {a.tgt for v in near for a in q.out_arrows[v]}
-        K = _kernel_module(P0, kbases, frees, near | rim)
-        return P0.cert[1], tuple(v for v, _ in top_generators(K, near))
+        return P0.cert[1], tuple(v for v, _ in _kernel_top(P0, *cover.kernel_bases))
     if side == INJECTIVE:
         return two_term_presentation(dualize(M), PROJECTIVE)
     raise ValueError(f"unknown side {side!r}")
@@ -1216,24 +1203,38 @@ class Resolution:
 
 def _resolve(M: Rep, length: int) -> tuple[Complex, bool]:
     """The terms P_length -> ... -> P_0 of the minimal projective resolution
-    of M (fewer where it ends sooner), in degrees -length..0, and whether the
-    resolution ends there.  A certified sum of standard projectives is its
-    own resolution."""
+    of M (fewer where it ends sooner), in degrees -length..0, and whether it
+    ends there; a certified projective sum is its own.  Past M's cover, a
+    step takes the kernel bases of the last map d out of P (uncached: no
+    differential keeps them), writes Q -> P in one Yoneda write of the
+    kernel's top (`_kernel_top`) in P's coordinates, and certifies
+    exactness at P: d∘(Q -> P) = 0 wherever d acts, and Q's rank is dim ker d
+    on P's support."""
     w = M.window
     if M.cert is not None and M.cert[0] == "proj":
         return Complex(w, 0, [M], []), True
-    P0, cover = projective_cover(M)
-    terms = [P0]
-    diffs: list[RepMap] = []
-    current, prev_incl = cover.kernel
-    while not current.is_zero() and len(diffs) < length:
-        P, cov = projective_cover(current)
-        terms.append(P)
-        diffs.append(cov.then(prev_incl))  # P -> previous term
-        current, prev_incl = cov.kernel
-    terms.reverse()
-    diffs.reverse()
-    return Complex(w, -len(diffs), terms, diffs), current.is_zero()
+    P, d = projective_cover(M)
+    terms, diffs = [P], []
+    kbases, frees = d.kernel_bases
+    while any(kb.cols for kb in kbases.values()) and len(diffs) < length:
+        gens = _kernel_top(P, kbases, frees)
+        Q = proj_sum(w, [v for v, _ in gens])
+        nxt = _yoneda_write(Q, P, [kbases[v].apply(vec) for v, vec in gens])
+        for v, m in d.comps.items():
+            assert v not in nxt.comps or (m @ nxt.comps[v]).is_zero(), (
+                "differential leaves the kernel")
+        # Q -> P in ker d's coordinates: its rows at d's free columns
+        nbases, frees = _kernel_bases(Q, {v: m if v not in frees else Matrix(
+            m.field, len(frees[v]), m.cols, [e for i in frees[v] for e in m.row(i)])
+            for v, m in nxt.comps.items()})
+        for v in P.support:
+            rank = Q.dims[v] - nbases[v].cols if Q.dims[v] else 0
+            assert rank == kbases[v].cols, "differential misses the kernel"
+        terms.append(Q)
+        diffs.append(nxt)
+        P, d, kbases = Q, nxt, nbases
+    ended = not any(kb.cols for kb in kbases.values())
+    return Complex(w, -len(diffs), terms[::-1], diffs[::-1]), ended
 
 
 def resolution(M: Rep, side: str, max_len: int) -> Resolution:
@@ -1509,10 +1510,10 @@ def induce(M: Rep, source: Window, target: Window, vertex_map: dict[str, str],
     assert M.window is source
     if M.is_zero():
         return zero_rep(target)
-    P0, cover = projective_cover(M)
-    K0, ker_incl = cover.kernel
-    P1, cover1 = projective_cover(K0)
-    d = cover1.then(ker_incl)  # P1 -> P0 over the source
+    cx, _ = _resolve(M, 1)
+    P0 = cx.term(0)
+    d = cx.diff(-1) or zero_map(proj_sum(source, ()), P0)  # P1 -> P0
+    P1 = d.source
     tgt_entries = [
         [None if cell is None else
          _transport_coords(source, target, vs, vt, cell, vertex_map, arrow_map)

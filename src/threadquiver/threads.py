@@ -36,7 +36,6 @@ from .reps import (
     _yoneda_write,
     dualize,
     kernel_as_projectives,
-    kernel_with_inclusion,
     one_term_complex,
     std_module,
     total_hom_dims,
@@ -245,7 +244,7 @@ def supp_adjoint(w: Window, A: str, Y: str) -> tuple[tuple[str, ...], VarietyMor
     e = _evaluation(w, A, [std_module(w, Y, PROJECTIVE)])
     if e is None:
         return (), VarietyMor.zero(w, (A,), ())
-    if not kernel_with_inclusion(e)[0].is_zero():
+    if any(kb.cols for kb in e.kernel_bases[0].values()):
         raise NotRepresentable(NOT_STANDARD)
     return (A,), VarietyMor.identity(w, A)
 

@@ -1148,6 +1148,35 @@ def cover_kernel_cover_presentation(M):
     return P0.cert[1], P1.cert[1]
 
 
+def composed_resolution(M, length):
+    """Differential oracle for `reps._resolve`: the composed loop, which
+    builds each syzygy as a whole kernel module (`reps.kernel_with_inclusion`),
+    covers it (`reps.projective_cover`, with its certificate), and composes
+    the cover with the kernel's inclusion into the previous term."""
+    w = M.window
+    if M.cert is not None and M.cert[0] == "proj":
+        return reps.Complex(w, 0, [M], []), True
+    P0, cover = projective_cover(M)
+    terms, diffs = [P0], []
+    current, prev_incl = kernel_with_inclusion(cover)
+    while not current.is_zero() and len(diffs) < length:
+        P, cov = projective_cover(current)
+        terms.append(P)
+        diffs.append(cov.then(prev_incl))  # P -> previous term
+        current, prev_incl = kernel_with_inclusion(cov)
+    terms.reverse()
+    diffs.reverse()
+    return reps.Complex(w, -len(diffs), terms, diffs), current.is_zero()
+
+
+def resolution_entries(cx, ended):
+    """What a resolution is compared on: its lowest degree, each term's
+    certificate, each differential's stored components, and whether it
+    ended."""
+    return (cx.min_degree, [t.cert for t in cx.terms],
+            [dict(d.comps) for d in cx.diffs], ended)
+
+
 def hull_cokernel_hull_copresentation(M):
     """Differential oracle for the injective side of
     `reps.two_term_presentation`: the vertices of the injective hull of M and
@@ -1167,7 +1196,7 @@ def decomposition_standard_summands(M):
     out = []
     for part, incl, proj in decompose_with_maps(M):
         P, cover = projective_cover(part)
-        if len(P.cert[1]) != 1 or not cover.kernel[0].is_zero():
+        if len(P.cert[1]) != 1 or not kernel_with_inclusion(cover)[0].is_zero():
             raise NotRepresentable(NOT_STANDARD)
         out.append((P.cert[1][0], cover, incl, proj))
     return out

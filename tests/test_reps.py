@@ -9,6 +9,7 @@ from conftest import (
     cohomology_dims,
     comm_grid_window,
     compose_coords,
+    composed_resolution,
     cover_kernel_cover_presentation,
     direct_sum_object,
     draw_relation,
@@ -21,6 +22,7 @@ from conftest import (
     per_vertex_realize_proj_coords,
     random_fp_rep,
     random_thread_quivers,
+    resolution_entries,
     restrict_full,
     solving_kernel_with_inclusion,
     tq_mixed,
@@ -345,6 +347,43 @@ def test_resolution_exceeds_bound():
     assert proj_dim(s4, 5) == 3
     with pytest.raises(ExceedsBound):
         resolution(s4, PROJECTIVE, 2)
+
+
+def _assert_resolves_as_the_oracle(M, where) -> bool:
+    """`_resolve` against the composed oracle, cut before the first step,
+    after it, and at the window's size: the same terms, differentials entry
+    for entry and `ended`, and no differential keeps the kernel bases its
+    step read.  Returns whether some cut left the resolution unended."""
+    unended = False
+    for length in (0, 1, len(M.window.quiver.vertices)):
+        cx, ended = reps._resolve(M, length)
+        want = composed_resolution(M, length)
+        assert resolution_entries(cx, ended) == resolution_entries(*want), (where, length)
+        assert not any("kernel_bases" in d.__dict__ for d in cx.diffs), (where, length)
+        unended |= not ended
+    return unended
+
+
+@pytest.mark.parametrize("label, w", [
+    pytest.param(label, w, id=label) for label, w in fixture_windows((0, 1, 2))
+] + [pytest.param("grid2", comm_grid_window(2), id="grid2")])
+def test_resolutions_match_the_composed_oracle(label, w):
+    # every P, I and S of the window; each step writes its differential
+    # into the previous term from the kernel's top, read around the map
+    unended = False
+    for v in w.quiver.vertices:
+        for kind in (PROJECTIVE, INJECTIVE, SIMPLE):
+            unended |= _assert_resolves_as_the_oracle(std_module(w, v, kind), (label, v, kind))
+    assert unended
+
+
+@given(random_thread_quivers(), st.integers(0, 1), st.integers(0, 2**16))
+@settings(max_examples=30, deadline=None)
+def test_resolutions_match_the_composed_oracle_on_random_modules(tq, depth, seed):
+    w = expand(tq, depth)
+    M = random_fp_rep(w, random.Random(seed))
+    for X in (M, dualize(M)):
+        _assert_resolves_as_the_oracle(X, seed)
 
 
 def test_injective_resolution_via_duality():
@@ -927,7 +966,7 @@ def test_kernel_cokernel_top_and_presentations_match_oracles_on_random_maps(tq, 
         if c:
             f = f + g.scale(QQ(c))
     _assert_matches_oracles(f, seed)
-    K = projective_cover(M)[1].kernel[0]
+    K = kernel_with_inclusion(projective_cover(M)[1])[0]
     assert top_generators(K) == two_step_top_generators(K), seed
     assert two_term_presentation(M, PROJECTIVE) == cover_kernel_cover_presentation(M)
     assert two_term_presentation(M, INJECTIVE) == hull_cokernel_hull_copresentation(M)
@@ -1024,7 +1063,7 @@ def test_top_generators_match_the_two_step_oracle_on_cover_kernels(n):
     modules += [random_fp_rep(w, rng, n_gens=4) for _ in range(8)]
     seen = set()
     for M in modules:
-        for X in (M, projective_cover(M)[1].kernel[0]):
+        for X in (M, kernel_with_inclusion(projective_cover(M)[1])[0]):
             assert top_generators(X) == two_step_top_generators(X)
             seen |= {min(d, 2) for d in _nonzero_radical_dims(X)}
     assert seen == {1, 2}
@@ -1104,10 +1143,21 @@ def test_the_kernel_top_lies_around_the_module(tq, depth, seed):
         assert two_term_presentation(X, PROJECTIVE) == (P0.cert[1], top)
 
 
+def _step_around(d):
+    """R ∪ heads(R) for the kernel of d, a map out of a certified sum P: R
+    is the vertices where d is nonzero, with P's blocks, and the sources of
+    the arrows into them."""
+    q = d.source.window.quiver
+    near = {v for v, m in d.comps.items() if not m.is_zero()}.union(d.source.cert[1])
+    near.update(a.src for v in tuple(near) for a in q.in_arrows[v])
+    return near.union(a.tgt for v in near for a in q.out_arrows[v])
+
+
 def test_presentations_build_kernels_only_around_the_module(monkeypatch):
     # presenting every P, I and S of mixed@3 on both sides builds no
     # uncertified module (the kernel, or D M) off R ∪ heads(R); a
-    # resolution still builds the full kernel, and its terms are the oracle's
+    # resolution builds one kernel module per step, around that step's map
+    # (the cover, then each differential), and its terms are the oracle's
     w = expand(tq_mixed(), 3)
     built = []
     real_init = Rep.__init__
@@ -1127,17 +1177,28 @@ def test_presentations_build_kernels_only_around_the_module(monkeypatch):
             two_term_presentation(M, side)
             assert built, "no kernel module was built"
             assert all(set(K.support) <= around for K in built), (M, side)
-    full = 0
-    for M in modules[2::3]:  # the simples, whose kernels reach furthest
-        _, around = _around(M)
+    full = deep = 0
+    grid = comm_grid_window(2)  # not hereditary: its simples take two steps
+    simples = modules[2::3] + [std_module(grid, v, SIMPLE) for v in grid.quiver.vertices]
+    for M in simples:  # the simples, whose kernels reach furthest
         built.clear()
-        cx, _ = reps._resolve(M, 1)
-        want = solving_kernel_with_inclusion(projective_cover(M)[1])[0]
-        assert any(K.dims == want.dims for K in built)
-        full += not set(want.support) <= around
+        cx, ended = reps._resolve(M, len(M.window.quiver.vertices))
+        kernels = list(built)
+        assert ended
+        # one step per differential: step 0 reads the kernel of M's cover,
+        # step i that of the differential out of degree -i
+        cover = projective_cover(M)[1]
+        maps = [cover] + [cx.diff(-i) for i in range(1, len(cx.diffs))]
+        maps = maps[:len(cx.diffs)]
+        assert len(kernels) == len(maps), M
+        for K, d in zip(kernels, maps):
+            assert set(K.support) <= _step_around(d), M
+        deep += len(kernels) > 1
+        want = solving_kernel_with_inclusion(cover)[0]
+        full += not set(want.support) <= _step_around(cover)
         second = cx.term(-1).cert[1] if cx.term(-1) else ()
         assert (cx.term(0).cert[1], second) == cover_kernel_cover_presentation(M)
-    assert full
+    assert full and deep
 
 
 def test_presentations_read_the_kernel_top_at_r_only(monkeypatch):
@@ -1291,7 +1352,7 @@ def test_yoneda_write_matches_the_per_block_oracle(label, w):
     # offsets
     multi = 0
     modules = _std_modules(w)
-    modules += [projective_cover(M)[1].kernel[0] for M in modules]
+    modules += [kernel_with_inclusion(projective_cover(M)[1])[0] for M in modules]
     for M in modules:
         gens = top_generators(M)
         P = proj_sum(w, [v for v, _ in gens])

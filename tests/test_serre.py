@@ -658,9 +658,10 @@ def drop_generators_at_a_sink(K, gens):
 def mutate_kernel_top(monkeypatch, mutate, in_cover=False):
     """`top_generators` answers wrongly on every call made outside
     `projective_cover`, which keeps its exact top and its own rank
-    assertion: the only such call reads the kernel's top in
-    `two_term_presentation`.  With in_cover, it answers wrongly on the calls
-    made inside `projective_cover` instead.  Returns the wrong answers given."""
+    assertion: those calls read a kernel's top (`reps._kernel_top`), once in
+    `two_term_presentation` and once per step of a resolution.  With
+    in_cover, it answers wrongly on the calls made inside `projective_cover`
+    instead.  Returns the wrong answers given."""
     import threadquiver.reps as reps
 
     top_generators = reps.top_generators
@@ -743,6 +744,51 @@ def test_cover_rejects_a_dropped_generator(monkeypatch, dims, route):
     given = mutate_kernel_top(monkeypatch, drop_last_generator, in_cover=True)
     assert raised_assertion(build) == "cover not surjective"
     assert len(given) == 1, "the mutant did not answer for the cover's top"
+
+
+def test_resolution_rejects_a_dropped_kernel_generator(monkeypatch):
+    # the kernel-top call of a resolution step loses its last generator, at
+    # b of the kernel P(a) + P(b) of P(v) -> S(v): the next term's rank
+    # misses ker d at b, and the step's rank assertion fires
+    w = two_in_arrows_window()
+    S = std_module(w, "v", SIMPLE)
+    resolution(S, PROJECTIVE, 4)
+    given = mutate_kernel_top(monkeypatch, drop_last_generator)
+    assert raised_assertion(lambda: resolution(S, PROJECTIVE, 4)) == (
+        "differential misses the kernel")
+    assert [[v for v, _ in gens] for gens in given] == [["a"]]
+
+
+def test_resolution_rejects_a_generator_written_off_the_kernel(monkeypatch):
+    # a resolution step writes its last generator, where it has two or more
+    # coordinates, plus the first unit vector.  On the commutative square
+    # the second step's one generator, at the source v0_0, is (-1, 1) in
+    # P(v0_1) + P(v1_0); (0, 1) is not killed by the first differential,
+    # yet the rank there is still the kernel's, so d∘next = 0 fails
+    w = comm_grid_window(1)
+    S = std_module(w, "v1_1", SIMPLE)
+    resolution(S, PROJECTIVE, 4)
+    yoneda_write, projective_cover = reps._yoneda_write, reps.projective_cover
+    covers_open, written = [], []
+
+    def cover(M):
+        covers_open.append(M)
+        try:
+            return projective_cover(M)
+        finally:
+            covers_open.pop()
+
+    def off_kernel(P, N, vecs):
+        if vecs and len(vecs[-1]) > 1 and not covers_open:
+            vecs = vecs[:-1] + [[c + (i == 0) for i, c in enumerate(vecs[-1])]]
+            written.append(vecs[-1])
+        return yoneda_write(P, N, vecs)
+
+    monkeypatch.setattr(reps, "projective_cover", cover)
+    monkeypatch.setattr(reps, "_yoneda_write", off_kernel)
+    assert raised_assertion(lambda: resolution(S, PROJECTIVE, 4)) == (
+        "differential leaves the kernel")
+    assert written == [[0, 1]]
 
 
 def test_simple_presentation_items_compare_with_the_gabriel_quiver(monkeypatch):
