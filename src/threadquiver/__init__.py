@@ -9,8 +9,6 @@ from .orders import (
     Concat,
     Fin,
     FiniteChain,
-    concat_orders,
-    neighbors,
     thread_order,
     truncate,
 )
@@ -46,7 +44,6 @@ from .reps import (
     hom_basis_generic,
     hom_dim,
     induce,
-    inj_dim,
     map_factor,
     modification_hom_dim,
     proj_dim,
@@ -62,11 +59,9 @@ from .serre import (
     check_serre,
     nakayama,
     pseudo,
-    serre_image,
 )
 from .threads import (
     adjunction_check,
-    almost_split,
     extract_threadquiver,
     gabriel_quiver,
     interval_adjoint,

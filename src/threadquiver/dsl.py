@@ -85,7 +85,11 @@ def _parse_relation(body: str, line: int, arrows: dict, col0: int):
         sign = m.group("sign")
         if sign is None and not first:
             raise ParseError(line, col0 + pos, "terms must be joined by '+' or '-'")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        num, _, den = (m.group("coeff") or "1").partition("/")
+        if den and not int(den):
+            raise ParseError(line, col0 + pos + m.start("coeff"),
+                             f"zero denominator in coefficient {m.group('coeff')!r}")
+        coeff = Fraction(int(num), int(den or 1))
         if sign == "-":
             coeff = -coeff
         word = m.group("word")
@@ -175,7 +179,8 @@ def parse_tq(text: str) -> ThreadQuiver:
         else:
             raise ParseError(lineno, indent, f"unknown statement {stmt.split()[0]!r}")
     for lineno, indent, body in pending_relations:
-        relations.append(_parse_relation(body, lineno, arrow_endpoints, indent))
+        relations.append(_parse_relation(body, lineno, arrow_endpoints,
+                                         indent + len("relation ")))
     return ThreadQuiver(vertices, standard, threads, relations)
 
 

@@ -17,20 +17,12 @@ class NestedThread(ThreadQuiverError):
     pass
 
 
-class ElementNotFound(ThreadQuiverError):
-    pass
-
-
 class WindowMismatch(ThreadQuiverError):
     pass
 
 
 class ExceedsBound(ThreadQuiverError):
     """A resolution did not terminate within the requested length."""
-
-
-class BoundaryContaminated(ThreadQuiverError):
-    """A computation depends on vertices marked as truncation artifacts."""
 
 
 class NotProjectiveCertified(ThreadQuiverError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ElementNotFound, NestedThread
+from .errors import NestedThread
 
 
 class LinearOrderExpr:
@@ -66,10 +66,6 @@ def contains_thread_order(e: LinearOrderExpr) -> bool:
     return False
 
 
-def concat_orders(a: LinearOrderExpr, b: LinearOrderExpr) -> LinearOrderExpr:
-    return Concat(a, b)
-
-
 def thread_order(p: LinearOrderExpr) -> LinearOrderExpr:
     """The order N . (p x_lex Z) . -N substituted for a thread arrow labeled p."""
     if contains_thread_order(p):
@@ -87,23 +83,9 @@ class FiniteChain:
     def __post_init__(self):
         assert len(self.elements) == len(self.cut_adjacent)
         assert len(set(self.elements)) == len(self.elements), "duplicate labels"
-        self._index = {e: i for i, e in enumerate(self.elements)}
 
     def __len__(self):
         return len(self.elements)
-
-    def index(self, e: str) -> int:
-        if e not in self._index:
-            raise ElementNotFound(e)
-        return self._index[e]
-
-
-def neighbors(c: FiniteChain, e: str) -> tuple[str | None, str | None]:
-    """Positional predecessor and successor; None at the chain ends."""
-    i = c.index(e)
-    pred = c.elements[i - 1] if i > 0 else None
-    succ = c.elements[i + 1] if i + 1 < len(c.elements) else None
-    return pred, succ
 
 
 def _segments(e: LinearOrderExpr) -> list[LinearOrderExpr]:

@@ -397,7 +397,7 @@ def hom_basis_paths(q: Quiver, relations: list[Relation], x: str, y: str, field,
         hz = column.get(rel.tgt)
         if hz is None:
             continue
-        terms = [(field(c), t.arrows) for c, t in rel.terms]
+        terms = [(c, t.arrows) for c, t in rel.terms]  # c is in field: see `Window`
         for b in range(hz.dim):
             unit = [zero] * hz.dim
             unit[b] = one

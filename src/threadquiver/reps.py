@@ -14,19 +14,16 @@ blocks' identity paths, one vector of N(v_b) per block.  `_yoneda_write` is
 the one place such a map is written, and only where a module map is needed:
 covers, resolution steps, the certified branch of `hom_basis`,
 `realize_proj_coords` and the evaluation map of `threads`.  `_yoneda_read`
-is the one place it is read (`hom_coords`,
-`extract_proj_coords`, and the kernel's cover in `kernel_as_projectives`).
+is the one place it is read (`hom_coords` and `extract_proj_coords`).
 Between two certified sums the values split by target block into hom
 coordinates (`split_proj_values`), and these certificate-indexed
 coordinates, entries[i][j] for P(src_j) -> P(tgt_i) or None, are the one
-coordinate form of such a map: `extract_proj_coords` reads it,
-`realize_proj_coords` writes it, and `kernel_as_projectives` splits the
-inclusion of a kernel straight from the values it computes, with no map
-written.  `hom_basis` gives explicit bases of module maps; into a certified
-injective sum N it transposes the basis of hom(D N, D M) over the opposite
-window onto M and N themselves.  `hom_basis_generic` always solves the
-naturality system from scratch and is kept as the independent route for
-cross-checking.
+coordinate form of such a map: `extract_proj_coords` reads it and
+`realize_proj_coords` writes it.  `hom_basis` gives explicit bases of
+module maps; into a certified injective sum N it transposes the basis of
+hom(D N, D M) over the opposite window onto M and N themselves.
+`hom_basis_generic` always solves the naturality system from scratch and
+is kept as the independent route for cross-checking.
 
 Total hom complexes are assembled by Yoneda evaluation, never from bases of
 module maps: hom(⊕P(v_b), Z) = ⊕Z(v_b), so a complex of certified projective
@@ -84,20 +81,24 @@ of the kernel of a map d out of a projective sum P is read where d acts
 of x, ker(x) = P(x) and rad ker(x) = rad P(x), so top ker(x) = top P(x) =
 0; the kernel is built on R and the heads of R's out-arrows only, R being
 the vertices where d is nonzero, P's blocks and the sources of the arrows
-into them.  M is a sum of standard projectives exactly when its cover's
-kernel bases are zero, all `kernel_as_projectives` asks.  The top is read
-from the vectors spanning the radical at each vertex (the nonzero columns
-of the arrow maps out of it), eliminated once as rows, with no matrix
-stacked; at a one-dimensional vertex only whether one of them is nonzero
-is asked.  A two-term presentation is returned as the vertex tuples of its
-terms, all its callers read; its second term is the top of the first
-cover's kernel, certified by the cover and graded Nakayama.  The minimal
+into them.  The top is read from the vectors spanning the radical at each
+vertex (the nonzero columns of the arrow maps out of it), eliminated once
+as rows, with no matrix stacked; at a one-dimensional vertex only whether
+one of them is nonzero is asked.  A two-term presentation is returned as
+the vertex tuples of its terms, all its callers read; its second term is
+the top of the first cover's kernel, certified by the cover and graded
+Nakayama.  The minimal
 injective copresentation of M is read as the projective presentation of
 D M over the opposite window, with no injective hull or cokernel built;
 an injective resolution is read the same way.  A resolution is its
 complex alone, with no map to or from M, and reads no boundary: the Serre
 check reads the cut off the finished terms.  Each step writes its
-differential into the previous term (`_resolve`).
+differential into the previous term and certifies it (`_syzygy`).  A kernel
+of a map between certified sums is recognized as a sum of standard
+projectives by one such step (`kernel_as_projectives`): it is one exactly
+when the step's own kernel is zero, and the step's differential is the
+inclusion.  Only `kernel_with_inclusion`, for `map_factor` and the
+decomposition, builds a kernel on a whole support.
 """
 
 from __future__ import annotations
@@ -815,16 +816,15 @@ def kernel_as_projectives(f: RepMap) -> tuple[tuple[str, ...], list[list]]:
     certified projective sum: the vertices of the kernel's cover, in its
     order, and the hom coordinates of the inclusion ⊕P(verts) -> source(f)
     in the shape of `extract_proj_coords`.  A zero kernel returns at once;
-    otherwise NotRepresentable is raised unless the cover's kernel is zero."""
-    verts, vals = (), []
-    if any(kb.cols for kb in f.kernel_bases[0].values()):
-        K, incl = kernel_with_inclusion(f)
-        P, cover = projective_cover(K)
-        if any(kb.cols for kb in cover.kernel_bases[0].values()):
-            raise NotRepresentable(NOT_STANDARD)
-        verts = P.cert[1]
-        vals = [incl.comps[v].apply(val) for v, val in zip(verts, _yoneda_read(cover))]
-    return verts, split_proj_values(f.source.window, verts, f.source.cert[1], vals)
+    otherwise the cover is one resolution step (`_syzygy`), and
+    NotRepresentable is raised unless its kernel is zero."""
+    kbases, frees = f.kernel_bases
+    if not any(kb.cols for kb in kbases.values()):
+        return (), [[] for _ in f.source.cert[1]]
+    Q, incl, nbases, _ = _syzygy(f.source, f, kbases, frees)
+    if any(kb.cols for kb in nbases.values()):
+        raise NotRepresentable(NOT_STANDARD)
+    return Q.cert[1], incl.proj_coords
 
 
 # -- covers, hulls, resolutions -------------------------------------------------
@@ -1201,15 +1201,37 @@ class Resolution:
     complex: Complex
 
 
+def _syzygy(P: Rep, d: RepMap, kbases: dict[str, Matrix],
+            frees: dict[str, list[int]]) -> tuple[Rep, RepMap, dict[str, Matrix],
+                                                  dict[str, list[int]]]:
+    """One resolution step: the cover Q -> P of ker d, for d out of the
+    certified sum P with kernel bases kbases and free columns frees
+    (`_kernel_bases`), and the kernel bases and free columns of Q -> P.
+    Q -> P is one Yoneda write of the kernel's top (`_kernel_top`) in P's
+    coordinates, certified as exact at P: d∘(Q -> P) = 0 wherever d acts,
+    and Q's rank is dim ker d on P's support."""
+    gens = _kernel_top(P, kbases, frees)
+    Q = proj_sum(P.window, [v for v, _ in gens])
+    nxt = _yoneda_write(Q, P, [kbases[v].apply(vec) for v, vec in gens])
+    for v, m in d.comps.items():
+        assert v not in nxt.comps or (m @ nxt.comps[v]).is_zero(), (
+            "differential leaves the kernel")
+    # Q -> P in ker d's coordinates: its rows at d's free columns
+    nbases, nfrees = _kernel_bases(Q, {v: m if v not in frees else Matrix(
+        m.field, len(frees[v]), m.cols, [e for i in frees[v] for e in m.row(i)])
+        for v, m in nxt.comps.items()})
+    for v in P.support:
+        rank = Q.dims[v] - nbases[v].cols if Q.dims[v] else 0
+        assert rank == kbases[v].cols, "differential misses the kernel"
+    return Q, nxt, nbases, nfrees
+
+
 def _resolve(M: Rep, length: int) -> tuple[Complex, bool]:
     """The terms P_length -> ... -> P_0 of the minimal projective resolution
     of M (fewer where it ends sooner), in degrees -length..0, and whether it
-    ends there; a certified projective sum is its own.  Past M's cover, a
-    step takes the kernel bases of the last map d out of P (uncached: no
-    differential keeps them), writes Q -> P in one Yoneda write of the
-    kernel's top (`_kernel_top`) in P's coordinates, and certifies
-    exactness at P: d∘(Q -> P) = 0 wherever d acts, and Q's rank is dim ker d
-    on P's support."""
+    ends there; a certified projective sum is its own.  Past M's cover, each
+    step is `_syzygy` of the last map d out of P, with d's kernel bases
+    passed on, not cached: no differential keeps them."""
     w = M.window
     if M.cert is not None and M.cert[0] == "proj":
         return Complex(w, 0, [M], []), True
@@ -1217,22 +1239,9 @@ def _resolve(M: Rep, length: int) -> tuple[Complex, bool]:
     terms, diffs = [P], []
     kbases, frees = d.kernel_bases
     while any(kb.cols for kb in kbases.values()) and len(diffs) < length:
-        gens = _kernel_top(P, kbases, frees)
-        Q = proj_sum(w, [v for v, _ in gens])
-        nxt = _yoneda_write(Q, P, [kbases[v].apply(vec) for v, vec in gens])
-        for v, m in d.comps.items():
-            assert v not in nxt.comps or (m @ nxt.comps[v]).is_zero(), (
-                "differential leaves the kernel")
-        # Q -> P in ker d's coordinates: its rows at d's free columns
-        nbases, frees = _kernel_bases(Q, {v: m if v not in frees else Matrix(
-            m.field, len(frees[v]), m.cols, [e for i in frees[v] for e in m.row(i)])
-            for v, m in nxt.comps.items()})
-        for v in P.support:
-            rank = Q.dims[v] - nbases[v].cols if Q.dims[v] else 0
-            assert rank == kbases[v].cols, "differential misses the kernel"
-        terms.append(Q)
-        diffs.append(nxt)
-        P, d, kbases = Q, nxt, nbases
+        P, d, kbases, frees = _syzygy(P, d, kbases, frees)
+        terms.append(P)
+        diffs.append(d)
     ended = not any(kb.cols for kb in kbases.values())
     return Complex(w, -len(diffs), terms[::-1], diffs[::-1]), ended
 
@@ -1259,13 +1268,6 @@ def proj_dim(M: Rep, max_len: int) -> int:
     if M.is_zero():
         return 0
     res = resolution(M, PROJECTIVE, max_len)
-    return len(res.complex.terms) - 1
-
-
-def inj_dim(M: Rep, max_len: int) -> int:
-    if M.is_zero():
-        return 0
-    res = resolution(M, INJECTIVE, max_len)
     return len(res.complex.terms) - 1
 
 

@@ -7,16 +7,16 @@ map between sums of standard projectives: `realize_proj` writes a module map
 from them (through `reps.realize_proj_coords`), and a resolution's
 differentials are read back into them once (`RepMap.proj_coords`).
 `transport_to_opposite` is the one place that reads such a morphism in the
-opposite window.  Pseudokernels are computed by taking the honest kernel of
-the induced map of projective modules and recognizing it as a sum of
-standard projectives by its projective cover, which must be an isomorphism;
-`reps.kernel_as_projectives` returns the inclusion's coordinates, which are
-the pseudokernel's entries, without writing the inclusion.  Pseudocokernels
-are pseudokernels in the opposite window.  The Serre functor is realized on
-bounded complexes of standard projectives by the Nakayama transport
-P(v) -> I(v): each differential's coordinates are realized between the
-complex's injective sums (`realize_inj_coords`) as the dual of the
-projective realization over the opposite window.  The duality is verified at
+opposite window.  Pseudokernels are computed by recognizing the kernel of
+the induced map of projective modules as a sum of standard projectives:
+`reps.kernel_as_projectives` covers it by one certified resolution step,
+whose own kernel must be zero, and returns the step's coordinates, which
+are the pseudokernel's entries.  Pseudocokernels are pseudokernels in the
+opposite window.  The Serre functor is realized on bounded complexes of
+standard projectives by the Nakayama transport P(v) -> I(v): each
+differential's coordinates are realized between the complex's injective
+sums (`realize_inj_coords`) as the dual of the projective realization over
+the opposite window.  The duality is verified at
 dimension level: dim RHom^n(X, Y) = dim RHom^{-n}(Y, SX), both sides read
 off total hom complexes (`reps.total_hom_dims`).  The right-hand side reads
 the realized Nakayama complex (its injective sums and transported maps), so
@@ -59,7 +59,6 @@ from .reps import (
     one_term_complex,
     proj_sum,
     realize_proj_coords,
-    resolution,
     std_module,
     total_hom_dims,
     two_term_presentation,
@@ -148,7 +147,7 @@ def pseudo(vm: VarietyMor, side: str) -> tuple[tuple[str, ...], VarietyMor]:
     """Pseudokernel or pseudocokernel of a variety morphism.
 
     The kernel of the induced map of projective modules must be a sum of
-    standard projectives, recognized by its cover (this is where
+    standard projectives, recognized by one resolution step (this is where
     semi-heredity is used); otherwise NotRepresentable is raised.  Cokernels
     are kernels over the opposite.
     """
@@ -187,11 +186,6 @@ def nakayama(cx: Complex) -> Complex:
     diffs = [realize_inj_coords(terms[i], terms[i + 1], d.proj_coords)
              for i, d in enumerate(cx.diffs)]
     return Complex(w, cx.min_degree, terms, diffs)
-
-
-def serre_image(M: Rep, max_len: int) -> Complex:
-    """The Serre functor's value on M: Nakayama of a projective resolution."""
-    return nakayama(resolution(M, PROJECTIVE, max_len).complex)
 
 
 # -- checks -----------------------------------------------------------------------

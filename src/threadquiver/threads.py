@@ -1,12 +1,12 @@
 """Structure theory of the window category itself.
 
 The Gabriel quiver (its irreducible-map dimensions are
-`windows.rad_irr_dims`), almost split neighbors, thread detection and
-extraction back to a thread quiver, and the explicit adjoints of reflective
-subcategory embeddings (perpendicular, support, and interval), all verified
-instance-wise through hom dimensions.  The support adjoint of A is A or
-nothing (a projective quotient of P(A) is P(A)), so the interval adjoint's
-unit is the perpendicular step's, restricted to supp hom(-, Y).  A
+`windows.rad_irr_dims`), thread detection and extraction back to a thread
+quiver, and the explicit adjoints of reflective subcategory embeddings
+(perpendicular, support, and interval), all verified instance-wise through
+hom dimensions.  The support adjoint of A is A or nothing (a projective
+quotient of P(A) is P(A)), so the interval adjoint's unit is the
+perpendicular step's, restricted to supp hom(-, Y).  A
 perpendicular category asks only Ext^0 and Ext^1 to vanish, so the
 orthogonality of a removed family is read off the first three terms of
 each member's minimal projective resolution, with no length bound; the
@@ -16,7 +16,6 @@ interval adjoint removes standard projectives, which need no test.
 from __future__ import annotations
 
 from .errors import (
-    BoundaryContaminated,
     NotRepresentable,
     ThreadQuiverError,
     ZNotExtOrthogonal,
@@ -28,7 +27,6 @@ from .reps import (
     INJECTIVE,
     NOT_STANDARD,
     PROJECTIVE,
-    SIMPLE,
     Rep,
     RepMap,
     _resolve,
@@ -39,7 +37,6 @@ from .reps import (
     one_term_complex,
     std_module,
     total_hom_dims,
-    two_term_presentation,
 )
 from .serre import VarietyMor, transport_to_opposite
 from .windows import ThreadQuiver, Window, arrow_pairs, gabriel_neighbours, rad_irr_dims
@@ -56,17 +53,6 @@ def gabriel_quiver(w: Window) -> Quiver:
         for i in range(irr):
             arrows.append(Arrow(f"{x}->{y}#{i}", x, y))
     return Quiver(list(w.quiver.vertices), arrows)
-
-
-def almost_split(w: Window, v: str, side: str) -> tuple[str, ...]:
-    """The sum N in the (left/right) almost split map at v: the second term
-    of the minimal presentation (resp. copresentation) of the simple at v."""
-    if v in w.boundary:
-        raise BoundaryContaminated(f"{v} is a truncation artifact")
-    if side not in (LEFT, RIGHT):
-        raise ValueError(f"unknown side {side!r}")
-    S = std_module(w, v, SIMPLE)
-    return two_term_presentation(S, PROJECTIVE if side == LEFT else INJECTIVE)[1]
 
 
 def _maximal_runs(w: Window, links: dict[str, tuple[str, str]]) -> list[list[str]]:

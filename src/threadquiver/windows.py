@@ -15,7 +15,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import NonAcyclic, TooLarge
+from .errors import NonAcyclic, ThreadQuiverError, TooLarge
 from .linalg import QQ, Matrix, rank
 from .orders import (
     FiniteChain,
@@ -93,6 +93,18 @@ def normalize(tq: ThreadQuiver) -> ThreadQuiver:
     return ThreadQuiver(vertices, std, thr, rels)
 
 
+def _in_field(rel: Relation, field) -> Relation:
+    """rel with each coefficient converted to `field`; a coefficient with no
+    value there (a denominator that is 0 mod p) raises ThreadQuiverError
+    naming the relation and the field."""
+    try:
+        return Relation(tuple((field(c), p) for c, p in rel.terms))
+    except ZeroDivisionError:
+        text = " + ".join(f"{c} {'*'.join(reversed(p.arrows))}" for c, p in rel.terms)
+        raise ThreadQuiverError(
+            f"relation {text} = 0 has a coefficient with no value in {field.name}") from None
+
+
 class Window:
     """A finite quiver with relations presenting a slice of the glued category.
 
@@ -115,7 +127,9 @@ class Window:
         if not quiver.is_acyclic():
             raise NonAcyclic("windows must be acyclic")
         self.quiver = quiver
-        self.relations = list(relations)
+        # each coefficient is converted once, so `expand` and `opposite`
+        # hand every reader the field's own elements
+        self.relations = [_in_field(r, field) for r in relations]
         self.boundary = frozenset(boundary)
         self.embed_t = {k: dict(v) for k, v in (embed_t or {}).items()}
         self.field = field

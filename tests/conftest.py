@@ -1202,6 +1202,30 @@ def decomposition_standard_summands(M):
     return out
 
 
+def a3_block_map():
+    """P(1) + P(2) -> P(2) + P(3) over 1 -a-> 2 -b-> 3, with blocks a, id,
+    b.a and b: its kernel is P(1), included as (-id, a)."""
+    w = Window(Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
+    one = [w.field.one]
+    return serre.realize_proj(VarietyMor(w, ("1", "2"), ("2", "3"), [[one, one], [one, one]]))
+
+
+def cover_of_whole_kernel_as_projectives(f):
+    """Differential oracle for `reps.kernel_as_projectives`: the kernel
+    built on all of source(f)'s support (`kernel_with_inclusion`), its
+    projective cover, NotRepresentable unless the cover's kernel is zero,
+    and the cover's values sent through the inclusion into source(f)."""
+    verts, vals = (), []
+    if any(kb.cols for kb in f.kernel_bases[0].values()):
+        K, incl = kernel_with_inclusion(f)
+        P, cover = projective_cover(K)
+        if any(kb.cols for kb in cover.kernel_bases[0].values()):
+            raise NotRepresentable(NOT_STANDARD)
+        verts = P.cert[1]
+        vals = [incl.comps[v].apply(val) for v, val in zip(verts, _yoneda_read(cover))]
+    return verts, split_proj_values(f.source.window, verts, f.source.cert[1], vals)
+
+
 def decomposition_kernel_as_projectives(f):
     """Differential oracle for `reps.kernel_as_projectives`: the kernel
     recognized summand by summand (`decomposition_standard_summands`), in

@@ -5,10 +5,12 @@ import json
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import threadquiver.reps as reps
 from threadquiver import cli
 from threadquiver.cli import build_parser, run
 from threadquiver.dsl import emit_dot, parse_tq, sanitize_names, serialize_tq
@@ -279,6 +281,41 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_a_zero_denominator_is_a_parse_error(tmp_path, capsys):
+    # 2/0 is refused at the coefficient's column, before any field reads it
+    text = "vertex x y\narrow a: x -> y\nrelation 2/0 a = 0\n"
+    with pytest.raises(ParseError) as ei:
+        parse_tq(text)
+    assert (ei.value.line, ei.value.col) == (3, 9)
+    bad = tmp_path / "zero.tq"
+    bad.write_text(text)
+    for argv in (["check", str(bad)], ["serre-check", str(bad)]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "line 3, col 9: zero denominator in coefficient '2/0'\n"
+
+
+def test_a_coefficient_with_no_value_in_the_field_is_one_error_line(tmp_path, capsys):
+    # 1/7 has no value mod 7: the window refuses the relation, naming it and
+    # the field, in one stderr line with exit 1; a coefficient that merely
+    # vanishes mod 7 is accepted, and 1/7 is 3 mod 5
+    src = tmp_path / "triangle.tq"
+    head = "vertex x y z\narrow a: x -> y\narrow b: y -> z\narrow c: x -> z\n"
+    src.write_text(head + "relation b*a - 1/7 c = 0\n")
+    for argv in (["serre-check", str(src)], ["hom", str(src), "x", "z"]):
+        assert run(argv + ["--field", "fp:7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("ThreadQuiverError: relation 1 b*a + -1/7 c = 0 has a "
+                                "coefficient with no value in fp:7\n")
+    code, doc = run_json(["hom", str(src), "x", "z", "--field", "fp:5"], capsys)
+    assert code == 0 and doc["items"][0]["actual"] == "1"
+    src.write_text(head + "relation 7 b*a - 7 c = 0\n")
+    code, doc = run_json(["hom", str(src), "x", "z", "--field", "fp:7"], capsys)
+    assert code == 0 and doc["items"][0]["actual"] == "2"
+
+
 def test_usage_error_exit_code():
     assert run(["no-such-command"]) == 2
 
@@ -480,6 +517,29 @@ def test_cli_digest_is_stable_and_sees_the_exit_code_and_the_output():
     digests = {digest.digest(answering(code, out, err), argv)
                for code, out, err in [(0, "{}", ""), (1, "{}", ""), (0, "{ }", ""), (0, "{}", "x")]}
     assert len(digests) == 4
+
+
+def test_no_cli_check_builds_a_kernel_on_a_whole_support(monkeypatch, capsys):
+    # every serre-check and dualizing-check of the digest corpus builds its
+    # kernels around a map (`reps._kernel_top`), its pseudo(co)kernels
+    # included: each is one resolution step
+    digest = _cli_digest()
+    checks = [argv for argv in digest.corpus(parse_tq)
+              if argv[0] in ("serre-check", "dualizing-check")]
+    real = reps._kernel_module
+    whole = Counter()
+
+    def recording(M, kbases, frees, verts=None):
+        whole[verts is None] += 1
+        return real(M, kbases, frees, verts)
+
+    monkeypatch.setattr(reps, "_kernel_module", recording)
+    monkeypatch.chdir(FIXTURES.parent)
+    for argv in checks:
+        run(argv)
+    capsys.readouterr()
+    assert checks and whole[False]
+    assert not whole[True], f"{whole[True]} kernels built on a whole support"
 
 
 def test_json_keys_sorted(capsys):

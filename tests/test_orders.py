@@ -2,15 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threadquiver.errors import ElementNotFound, NestedThread
+from threadquiver.errors import NestedThread
 from threadquiver.orders import (
     INT,
     NAT,
     NEG_NAT,
     Concat,
     Fin,
-    concat_orders,
-    neighbors,
     order_expr_str,
     thread_order,
     truncate,
@@ -36,7 +34,7 @@ def brute_size(e, d):
 
 
 def test_concat_nat_negnat_depth1():
-    c = truncate(concat_orders(NAT, NEG_NAT), 1)
+    c = truncate(Concat(NAT, NEG_NAT), 1)
     assert c.elements == ["0", "1", "-1", "-0"]
     assert c.cut_adjacent == [False, True, True, False]
 
@@ -44,14 +42,14 @@ def test_concat_nat_negnat_depth1():
 def test_concat_empty_left_is_identity():
     p = Concat(NAT, Fin(2))
     for d in range(4):
-        a = truncate(concat_orders(Fin(0), p), d)
+        a = truncate(Concat(Fin(0), p), d)
         b = truncate(p, d)
         assert a.elements == b.elements
         assert a.cut_adjacent == b.cut_adjacent
 
 
 def test_concat_fin_fin():
-    c = truncate(concat_orders(Fin(1), Fin(2)), 3)
+    c = truncate(Concat(Fin(1), Fin(2)), 3)
     assert len(c) == 3
     assert not any(c.cut_adjacent)
 
@@ -99,16 +97,14 @@ def test_thread_order_extremes_interior():
 
 
 def test_neighbors_small_chain():
+    # a chain's neighbours are its elements by position
     c = truncate(Fin(3), 0)
-    assert neighbors(c, "2") == ("1", "3")
-    assert neighbors(c, "1") == (None, "2")
-    with pytest.raises(ElementNotFound):
-        neighbors(c, "9")
+    assert c.elements == ["1", "2", "3"]
 
 
 def test_neighbors_thread_min():
     c = truncate(thread_order(Fin(0)), 2)
-    assert neighbors(c, c.elements[0]) == (None, "1")
+    assert c.elements[:2] == ["0", "1"]
 
 
 label_exprs = st.one_of(
@@ -160,7 +156,7 @@ def test_concat_truncation_is_concatenation():
     for d in range(3):
         left = truncate(a, d)
         right = truncate(b, d)
-        both = truncate(concat_orders(a, b), d)
+        both = truncate(Concat(a, b), d)
         assert both.elements == left.elements + right.elements
         assert both.cut_adjacent == left.cut_adjacent + right.cut_adjacent
 
@@ -171,7 +167,7 @@ def test_concat_truncation_shape(a, b, d):
     # in general the concatenation holds up to the disambiguating relabeling
     left = truncate(a, d)
     right = truncate(b, d)
-    both = truncate(concat_orders(a, b), d)
+    both = truncate(Concat(a, b), d)
     assert len(both) == len(left) + len(right)
     assert both.cut_adjacent == left.cut_adjacent + right.cut_adjacent
 

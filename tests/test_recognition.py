@@ -1,13 +1,13 @@
 """Recognising a module as a sum of standard projectives by its cover.
 
-`reps.kernel_as_projectives` takes the projective cover of a kernel and asks
-whether the cover's kernel is zero; `threads.supp_adjoint` asks whether a
+`reps.kernel_as_projectives` covers a kernel by one resolution step and asks
+whether the step's kernel is zero; `threads.supp_adjoint` asks whether a
 quotient of P(A) is P(A) itself; `threads.interval_adjoint` reads its unit
 off the perpendicular step alone.  Each is compared with the route it
 replaced, kept in `conftest` as an oracle: the Fitting decomposition with one
 cover per summand, the image from a full factorization, and the composition
 of the two steps' units.  A kernel with two or more summands comes out in
-the cover's order rather than the decomposition's, so recognitions are
+the step's order rather than the decomposition's, so recognitions are
 compared up to isomorphism: the same vertices with multiplicity, and the
 same image of the realized inclusion at every vertex.
 """

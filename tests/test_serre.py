@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     FIXTURES,
     FractionField,
+    a3_block_map,
     ainf_rad2_window,
     arrow_path,
     basis_route_ext_dim,
@@ -55,6 +56,7 @@ from threadquiver.reps import (
     Rep,
     ext_dim,
     hom_dim,
+    kernel_as_projectives,
     one_term_complex,
     proj_dim,
     resolution,
@@ -70,7 +72,6 @@ from threadquiver.serre import (
     check_serre,
     nakayama,
     pseudo,
-    serre_image,
 )
 from threadquiver.windows import Window, expand
 
@@ -168,10 +169,10 @@ def test_nakayama_preserves_complex_law_zigzag():
 def test_serre_image_projectives_a2():
     w = a2_window()
     p1 = std_module(w, "1", PROJECTIVE)
-    sx = serre_image(p1, 4)
+    sx = nakayama(resolution(p1, PROJECTIVE, 4).complex)
     assert len(sx.terms) == 1 and sx.terms[0].cert == ("inj", ("1",))
     p2 = std_module(w, "2", PROJECTIVE)
-    sx2 = serre_image(p2, 4)
+    sx2 = nakayama(resolution(p2, PROJECTIVE, 4).complex)
     assert sx2.terms[0].cert == ("inj", ("2",))
 
 
@@ -194,7 +195,8 @@ def test_derived_hom_a2_by_hand():
     s2 = std_module(w, "2", SIMPLE)
     s1 = std_module(w, "1", SIMPLE)
     assert ext_dim(1, s2, s1, 8) == 1
-    assert total_hom_dims(one_term_complex(p1), serre_image(p1, 4)).get(0, 0) == 1
+    sp1 = nakayama(resolution(p1, PROJECTIVE, 4).complex)
+    assert total_hom_dims(one_term_complex(p1), sp1).get(0, 0) == 1
     # frozen table of the six ordered hom dims on {P1, P2, S2}
     table = {
         ("p1", "p2"): 1, ("p2", "p1"): 0,
@@ -213,7 +215,7 @@ def test_total_hom_complex_squares_to_zero():
     s = std_module(w, "a22", SIMPLE)
     t = std_module(w, "a33", SIMPLE)
     res = resolution(s, PROJECTIVE, 6)
-    img = serre_image(t, 6)
+    img = nakayama(resolution(t, PROJECTIVE, 6).complex)
     assert len(res.complex.terms) >= 3 and len(img.terms) >= 4
     dims, diffs = total_hom_data(res.complex, img)
     for n in sorted(dims):
@@ -233,7 +235,7 @@ def test_derived_hom_shift_identity():
     s = std_module(w, "a22", SIMPLE)
     t = std_module(w, "a33", SIMPLE)
     res = resolution(s, PROJECTIVE, 6)
-    img = serre_image(t, 6)
+    img = nakayama(resolution(t, PROJECTIVE, 6).complex)
     base = total_hom_dims(res.complex, img)
     shifted = total_hom_dims(res.complex, shift_degrees(img, 2))
     for n, d in base.items():
@@ -659,7 +661,8 @@ def mutate_kernel_top(monkeypatch, mutate, in_cover=False):
     """`top_generators` answers wrongly on every call made outside
     `projective_cover`, which keeps its exact top and its own rank
     assertion: those calls read a kernel's top (`reps._kernel_top`), once in
-    `two_term_presentation` and once per step of a resolution.  With
+    `two_term_presentation`, once per step of a resolution, and once in
+    `kernel_as_projectives` (a pseudokernel's one step).  With
     in_cover, it answers wrongly on the calls made inside `projective_cover`
     instead.  Returns the wrong answers given."""
     import threadquiver.reps as reps
@@ -757,6 +760,17 @@ def test_resolution_rejects_a_dropped_kernel_generator(monkeypatch):
     assert raised_assertion(lambda: resolution(S, PROJECTIVE, 4)) == (
         "differential misses the kernel")
     assert [[v for v, _ in gens] for gens in given] == [["a"]]
+
+
+def test_kernel_as_projectives_rejects_a_dropped_kernel_generator(monkeypatch):
+    # the kernel P(1) of a3's P(1) + P(2) -> P(2) + P(3) loses its one
+    # generator in the pseudokernel's step: the step's rank assertion fires
+    f = a3_block_map()
+    assert kernel_as_projectives(f)[0] == ("1",)
+    given = mutate_kernel_top(monkeypatch, drop_last_generator)
+    assert raised_assertion(lambda: kernel_as_projectives(f)) == (
+        "differential misses the kernel")
+    assert given == [[]]
 
 
 def test_resolution_rejects_a_generator_written_off_the_kernel(monkeypatch):

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from threadquiver import cli, reps, threads, windows
 from threadquiver.dsl import parse_tq
 from threadquiver.errors import (
-    BoundaryContaminated,
     ExceedsBound,
     NotRepresentable,
     ZNotExtOrthogonal,
@@ -39,13 +38,13 @@ from threadquiver.reps import (
     resolution,
     std_module,
     total_hom_dims,
+    two_term_presentation,
 )
 from threadquiver.serre import VarietyMor, realize_proj, transport_to_opposite
 from threadquiver.threads import (
     LEFT,
     RIGHT,
     adjunction_check,
-    almost_split,
     extract_threadquiver,
     gabriel_quiver,
     interval_adjoint,
@@ -185,18 +184,20 @@ def test_threads_cli_asks_rad_irr_dims_only_for_arrow_pairs(monkeypatch, capsys)
 
 
 # -- almost split neighbors -------------------------------------------------------
+# the middle term of the almost split sequence at v is the second term of the
+# minimal presentation (left) or copresentation (right) of S(v)
 
 
 def test_almost_split_a2():
     w = a2_window()
-    assert almost_split(w, "2", LEFT) == ("1",)
-    assert almost_split(w, "1", RIGHT) == ("2",)
+    assert two_term_presentation(std_module(w, "2", SIMPLE), PROJECTIVE)[1] == ("1",)
+    assert two_term_presentation(std_module(w, "1", SIMPLE), INJECTIVE)[1] == ("2",)
 
 
 def test_almost_split_source_with_two_arrows():
     q = Quiver(["s", "a", "b"], [("f", "s", "a"), ("g", "s", "b")])
-    w = Window(q)
-    assert tuple(sorted(almost_split(w, "s", RIGHT))) == ("a", "b")
+    S = std_module(Window(q), "s", SIMPLE)
+    assert tuple(sorted(two_term_presentation(S, INJECTIVE)[1])) == ("a", "b")
 
 
 def test_almost_split_chain_interior():
@@ -205,15 +206,9 @@ def test_almost_split_chain_interior():
     interior_chain = [v for v in order[1:-1] if v not in w.boundary]
     assert interior_chain
     for v in interior_chain:
-        assert len(almost_split(w, v, LEFT)) == 1
-        assert len(almost_split(w, v, RIGHT)) == 1
-
-
-def test_almost_split_boundary_refused():
-    w = expand(tq_z_thread(), 1)
-    b = sorted(w.boundary)[0]
-    with pytest.raises(BoundaryContaminated):
-        almost_split(w, b, LEFT)
+        S = std_module(w, v, SIMPLE)
+        assert len(two_term_presentation(S, PROJECTIVE)[1]) == 1
+        assert len(two_term_presentation(S, INJECTIVE)[1]) == 1
 
 
 # -- thread analysis ---------------------------------------------------------------
