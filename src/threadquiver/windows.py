@@ -445,6 +445,42 @@ def _relations_respected(w1: Window, w2: Window, vmap: dict[str, str]) -> bool:
     )
 
 
+def _consistency(w1: Window, w2: Window, assignment: dict[str, str], used: set[str]):
+    """window_iso's test of one more pair v -> w against the partial
+    bijection `assignment` (whose image is `used`): it keeps the number of
+    arrows between v and every assigned u, in both directions.
+
+    Only neighbours are visited.  Each assigned neighbour u of v must go to
+    a neighbour of w with the same arrow counts; then every other assigned
+    vertex goes to a non-neighbour of w exactly when w has no more used
+    neighbours than v has assigned ones."""
+    # the number of arrows between each ordered pair of vertices, and each
+    # vertex's neighbours along them
+    ac1, ac2 = ({key: len(names) for key, names in _parallel_groups(w.quiver).items()}
+                for w in (w1, w2))
+    nb1: dict[str, set[str]] = {}
+    nb2: dict[str, set[str]] = {}
+    for ac, nb in ((ac1, nb1), (ac2, nb2)):
+        for u, v in ac:
+            nb.setdefault(u, set()).add(v)
+            nb.setdefault(v, set()).add(u)
+
+    def consistent(v, w):
+        placed = 0
+        for u in nb1.get(v, ()):
+            x = assignment.get(u)
+            if x is None:
+                continue
+            if ac1.get((u, v), 0) != ac2.get((x, w), 0):
+                return False
+            if ac1.get((v, u), 0) != ac2.get((w, x), 0):
+                return False
+            placed += 1
+        return placed == len(used.intersection(nb2.get(w, ())))
+
+    return consistent
+
+
 ISO_MAX_VERTICES = 60
 ISO_MAX_TRIES = 20000
 
@@ -473,19 +509,9 @@ def window_iso(w1: Window, w2: Window) -> dict[str, str] | None:
     if {s: len(vs) for s, vs in by_sig.items()} != counts_check:
         return None
     order = sorted(w1.quiver.vertices, key=lambda v: (len(by_sig[sig1[v]]), v))
-    # the number of arrows between each ordered pair of vertices
-    ac1, ac2 = ({key: len(names) for key, names in _parallel_groups(w.quiver).items()}
-                for w in (w1, w2))
     assignment: dict[str, str] = {}
     used: set[str] = set()
-
-    def consistent(v, w):
-        for u, x in assignment.items():
-            if ac1.get((u, v), 0) != ac2.get((x, w), 0):
-                return False
-            if ac1.get((v, u), 0) != ac2.get((w, x), 0):
-                return False
-        return True
+    consistent = _consistency(w1, w2, assignment, used)
 
     def search(i: int):
         if i == len(order):

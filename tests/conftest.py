@@ -271,6 +271,19 @@ def fixture_windows(depths, fixtures=FIXTURES):
     return out
 
 
+def full_scan_consistency(w1, w2, assignment, used):
+    """Oracle for `windows._consistency`: v -> w is consistent when, for
+    every assigned u -> x, the arrow counts u -> v and x -> w agree, and so
+    do v -> u and w -> x.  It scans every assigned vertex, neighbour or not."""
+    ac1, ac2 = (Counter((a.src, a.tgt) for a in w.quiver.arrows) for w in (w1, w2))
+
+    def consistent(v, w):
+        return all(ac1[(u, v)] == ac2[(x, w)] and ac1[(v, u)] == ac2[(w, x)]
+                   for u, x in assignment.items())
+
+    return consistent
+
+
 label_strategy = st.one_of(
     st.builds(Fin, st.integers(0, 3)), st.just(NAT), st.just(NEG_NAT), st.just(INT)
 )

@@ -316,6 +316,22 @@ def test_a_coefficient_with_no_value_in_the_field_is_one_error_line(tmp_path, ca
     assert code == 0 and doc["items"][0]["actual"] == "2"
 
 
+@pytest.mark.parametrize("text", [
+    "vertex a\narrow f: a -> a\n",
+    "vertex a b\narrow f: a -> b\narrow g: b -> a\n",
+], ids=["loop", "2-cycle"])
+def test_check_fails_a_cyclic_quiver(text, tmp_path, capsys):
+    # every command that builds a window refuses the file; check says so too
+    src = tmp_path / "cyclic.tq"
+    src.write_text(text)
+    code, doc = run_json(["check", str(src)], capsys)
+    assert code == 1 and schema_valid(doc)
+    assert doc["items"] == [{"subject": "underlying quiver", "expected": "acyclic",
+                             "actual": "NonAcyclic", "location": ""}]
+    assert run(["expand", str(src)]) == 1
+    assert capsys.readouterr().err == "NonAcyclic: underlying quiver must be acyclic\n"
+
+
 def test_usage_error_exit_code():
     assert run(["no-such-command"]) == 2
 
@@ -566,6 +582,88 @@ def test_sanitize_names_roundtrip():
     extracted = sanitize_names(extract_threadquiver(w, 1))
     text = serialize_tq(extracted)
     assert parse_tq(text).vertices == extracted.vertices
+
+
+# -- one parser per process ---------------------------------------------------------
+
+
+def _answer(argv, capsys):
+    code = run(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_run_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    a2 = str(FIXTURES / "a2.tq")
+    codes = [run(argv) for argv in (["check", a2], ["threads", a2, "--depth", "0"],
+                                    ["no-such-command"], ["serre-check", a2, "--depth", "0"])]
+    assert codes == [0, 0, 2, 0]
+    assert len(built) == 1
+
+
+A2 = str(FIXTURES / "a2.tq")
+# each option set, then omitted: a later parse must not see an earlier value
+SET_THEN_OMITTED = [
+    ["serre-check", A2, "--depth", "0", "--field", "fp:7", "--max-len", "2",
+     "--no-skip-boundary", "--min-checked", "1"],
+    ["serre-check", A2, "--depth", "0"],
+    ["serre-check", A2, "--depth", "0", "--skip-boundary"],
+    ["dualizing-check", A2, "--depth", "0", "--strict-boundary", "--field", "fp:7",
+     "--min-checked", "0"],
+    ["dualizing-check", A2, "--depth", "0"],
+    ["ext", A2, "a", "b", "--depth", "0", "--max-len", "1", "--degree", "0"],
+    ["ext", A2, "a", "b", "--depth", "0"],
+    ["threads", A2, "--depth", "0", "--min-checked", "3"],
+    ["threads", A2, "--depth", "0"],
+]
+
+
+def test_the_shared_parser_parses_as_a_fresh_one(monkeypatch, capsys):
+    seen = []
+
+    def recording():
+        ap = build_parser()
+        parse = ap.parse_args
+
+        def parse_args(argv):
+            args = parse(argv)
+            seen.append(dict(vars(args)))
+            return args
+
+        ap.parse_args = parse_args
+        return ap
+
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    monkeypatch.setattr(cli, "build_parser", recording)
+    for argv in SET_THEN_OMITTED:
+        assert run(argv) in (0, 1), argv
+    capsys.readouterr()
+    assert seen == [vars(build_parser().parse_args(argv)) for argv in SET_THEN_OMITTED]
+
+
+def test_the_shared_parser_keeps_usage_errors_help_and_answers(monkeypatch, capsys):
+    # the first call builds the parser; the same calls after others answer
+    # in the same bytes
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    argvs = [["serre-check", A2, "--depth", "0"], ["serre-check", "--help"], ["--help"],
+             ["serre-check"], ["threads", A2, "--depth", "-1"], ["no-such-command"]]
+    first = [_answer(argv, capsys) for argv in argvs]
+    assert [code for code, _, _ in first] == [0, 0, 0, 2, 2, 2]
+    assert first[1][1].startswith("usage: threadquiver serre-check")
+    assert first[2][1] == build_parser().format_help()
+    assert all(err.startswith("usage: ") for _, _, err in first[3:])
+    for argv in SET_THEN_OMITTED:
+        run(argv)
+    capsys.readouterr()
+    assert [_answer(argv, capsys) for argv in argvs] == first
 
 
 # -- window lifetime -----------------------------------------------------------------

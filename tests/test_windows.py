@@ -1,11 +1,20 @@
+import random
+
 import pytest
-from conftest import arrow_path, random_thread_quivers
+from conftest import (
+    arrow_path,
+    fixture_windows,
+    full_scan_consistency,
+    random_thread_quivers,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threadquiver.errors import NonAcyclic, TooLarge
 from threadquiver.orders import INT, Fin
 from threadquiver.quiver import Path, Quiver, Relation
+from threadquiver.threads import extract_threadquiver
+import threadquiver.windows as windows
 from threadquiver.windows import (
     ThreadQuiver,
     Window,
@@ -196,6 +205,91 @@ def test_window_iso_too_large():
     w = expand(tq, 4)  # 5 + 9*9 + 5 - 2 vertices > 60
     with pytest.raises(TooLarge):
         window_iso(w, w)
+
+
+def _iso_outcome(w1, w2):
+    try:
+        return window_iso(w1, w2)
+    except TooLarge as e:
+        return f"TooLarge: {e}"
+
+
+def _assert_consistency_matches_full_scan(w1, w2):
+    """window_iso(w1, w2) returns the same under the full-scan oracle, and
+    its consistency test answers as the oracle at every call.  Returns the
+    number of calls."""
+    real = windows._consistency
+    calls = []
+
+    def checked(a, b, assignment, used):
+        mine, scan = real(a, b, assignment, used), full_scan_consistency(a, b, assignment, used)
+
+        def consistent(v, w):
+            got = mine(v, w)
+            assert got == scan(v, w), (v, w, dict(assignment))
+            calls.append(got)
+            return got
+
+        return consistent
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(windows, "_consistency", full_scan_consistency)
+        want = _iso_outcome(w1, w2)
+        m.setattr(windows, "_consistency", checked)
+        assert _iso_outcome(w1, w2) == want
+    return len(calls)
+
+
+def _relabelled(w, rng):
+    """A relation-free window isomorphic to w, with its vertices and arrows
+    renamed and listed in a shuffled order, so the search meets them in
+    another order."""
+    names = [f"u{i}" for i in range(len(w.quiver.vertices))]
+    rng.shuffle(names)
+    rename = dict(zip(w.quiver.vertices, names))
+    arrows = [(f"b{i}", rename[a.src], rename[a.tgt]) for i, a in enumerate(w.quiver.arrows)]
+    rng.shuffle(names)
+    rng.shuffle(arrows)
+    return Window(Quiver(names, arrows), [])
+
+
+def _iso_pairs(w, rng):
+    """(w, w); when w has no relations also w against its extraction's
+    window, as `roundtrip` compares them, and against two relabelled
+    copies, each both ways."""
+    if w.relations:
+        return [(w, w)]
+    others = [expand(extract_threadquiver(w, 3), 0), _relabelled(w, rng), _relabelled(w, rng)]
+    return [(w, w)] + [pair for o in others for pair in ((o, w), (w, o))]
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_window_iso_consistency_matches_the_full_scan_on_fixtures(depth):
+    for label, w in fixture_windows([depth]):
+        calls = sum(_assert_consistency_matches_full_scan(a, b)
+                    for a, b in _iso_pairs(w, random.Random(label)))
+        assert calls > 0 or len(w.quiver.vertices) > windows.ISO_MAX_VERTICES, label
+
+
+@given(random_thread_quivers(), st.integers(0, 2), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_window_iso_consistency_matches_the_full_scan_on_random_thread_quivers(tq, d, rng):
+    for a, b in _iso_pairs(expand(tq, d), rng):
+        _assert_consistency_matches_full_scan(a, b)
+
+
+def test_window_iso_consistency_counts_used_neighbours():
+    # a -> d and c -> b: with a -> a placed, b (no placed neighbour) may not
+    # go to d (a placed neighbour); only the used-neighbour count sees it
+    q = Quiver(["a", "b", "c", "d"], [("f", "a", "d"), ("g", "c", "b")])
+    w = Window(q, [])
+    assignment, used = {"a": "a"}, {"a"}
+    for consistent in (windows._consistency(w, w, assignment, used),
+                       full_scan_consistency(w, w, assignment, used)):
+        assert not consistent("b", "d")
+        assert consistent("b", "b")
+        assert consistent("d", "d")
+        assert not consistent("d", "b")
 
 
 def test_normalize_empty_label_depth_shift():
