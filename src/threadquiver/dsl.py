@@ -10,7 +10,8 @@ Grammar (one statement per line, '#' starts a comment):
 where <order> is empty, an integer n (the chain 1 < ... < n), N, -N, Z, or a
 '.'-separated concatenation of those, and a relation term is an optional
 integer or p/q coefficient followed by a path word a*b*c, composed right to
-left (c first).
+left (c first).  `sanitize_names` renames through `quiver.map_terms`, the
+one rewrite of relations along a map of quivers.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .orders import (
     LinearOrderExpr,
     order_expr_str,
 )
-from .quiver import Path, Relation
+from .quiver import Path, Relation, map_terms
 from .windows import ThreadQuiver, Window
 
 NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -265,23 +266,8 @@ def sanitize_names(tq: ThreadQuiver) -> ThreadQuiver:
         return cand
 
     vmap = {v: clean(v) for v in tq.vertices}
-    amap = {}
-    std = []
-    for a in tq.standard_arrows:
-        amap[a.name] = clean(a.name)
-        std.append((amap[a.name], vmap[a.src], vmap[a.tgt]))
-    thr = []
-    for t in tq.thread_arrows:
-        amap[t.name] = clean(t.name)
-        thr.append((amap[t.name], vmap[t.src], vmap[t.tgt], t.label))
-    rels = []
-    for rel in tq.relations:
-        rels.append(
-            Relation(
-                tuple(
-                    (c, Path(vmap[p.src], vmap[p.tgt], tuple(amap[x] for x in p.arrows)))
-                    for c, p in rel.terms
-                )
-            )
-        )
+    amap = {a.name: (clean(a.name),) for a in [*tq.standard_arrows, *tq.thread_arrows]}
+    std = [(amap[a.name][0], vmap[a.src], vmap[a.tgt]) for a in tq.standard_arrows]
+    thr = [(amap[t.name][0], vmap[t.src], vmap[t.tgt], t.label) for t in tq.thread_arrows]
+    rels = [Relation(map_terms(rel.terms, vmap, amap)) for rel in tq.relations]
     return ThreadQuiver([vmap[v] for v in tq.vertices], std, thr, rels)

@@ -99,12 +99,12 @@ def _segments(e: LinearOrderExpr) -> list[LinearOrderExpr]:
 def _namespace(e: LinearOrderExpr) -> frozenset:
     """Symbolic label alphabet of a segment, over all truncation depths.
 
-    Tags: NN (nonnegative integer strings), NEGINT (negative integers),
-    NEGNAT (the -0, -1, ... strings), PAIR (parenthesized lex pairs),
-    and literal Fin labels.
+    Tags: POS (the labels 1..n of a nonempty finite segment), NN
+    (nonnegative integer strings), NEGINT (negative integers), NEGNAT (the
+    -0, -1, ... strings) and PAIR (parenthesized lex pairs).
     """
     if isinstance(e, Fin):
-        return frozenset(("LIT", str(i + 1)) for i in range(e.n))
+        return frozenset({"POS"} if e.n else ())
     if isinstance(e, _Nat):
         return frozenset({"NN"})
     if isinstance(e, _NegNat):
@@ -118,21 +118,13 @@ def _namespace(e: LinearOrderExpr) -> frozenset:
     raise TypeError(f"not a linear order expression: {e!r}")
 
 
-def _tags_overlap(a, b) -> bool:
-    lits = lambda t: t[1] if isinstance(t, tuple) else None
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return a[1] == b[1]
-    if isinstance(a, tuple) or isinstance(b, tuple):
-        lit = lits(a) or lits(b)
-        other = b if isinstance(a, tuple) else a
-        return other == "NN" and not lit.startswith("-")
-    if a == b:
-        return True
-    return {a, b} == {"NEGINT", "NEGNAT"}
+# tag pairs that share a label: 1, 2, ... are nonnegative integers, and
+# -1, -2, ... both negative integers and negated naturals
+_OVERLAPPING_TAGS = ({"POS", "NN"}, {"NEGINT", "NEGNAT"})
 
 
 def _namespaces_overlap(n1: frozenset, n2: frozenset) -> bool:
-    return any(_tags_overlap(a, b) for a in n1 for b in n2)
+    return any(a == b or {a, b} in _OVERLAPPING_TAGS for a in n1 for b in n2)
 
 
 def _atom_pairs(e: LinearOrderExpr, d: int) -> list[tuple[str, bool]]:
@@ -186,6 +178,21 @@ def truncate(e: LinearOrderExpr, d: int) -> FiniteChain:
     assert d >= 0
     pairs = _truncate_pairs(e, d)
     return FiniteChain([p[0] for p in pairs], [p[1] for p in pairs])
+
+
+def truncated_size(e: LinearOrderExpr, d: int) -> int:
+    """len(truncate(e, d)), read off the expression without enumerating it."""
+    if isinstance(e, Fin):
+        return e.n
+    if isinstance(e, (_Nat, _NegNat)):
+        return d + 1
+    if isinstance(e, _Int):
+        return 2 * d + 1
+    if isinstance(e, Concat):
+        return truncated_size(e.left, d) + truncated_size(e.right, d)
+    if isinstance(e, ThreadOrder):
+        return 2 * (d + 1) + truncated_size(e.label, d) * (2 * d + 1)
+    raise TypeError(f"not a linear order expression: {e!r}")
 
 
 def order_expr_str(e: LinearOrderExpr) -> str:

@@ -31,6 +31,14 @@ I(x, y) meets the span of the candidates in the span of the rewritten rows
 r . q (r a relation starting at x), with the same smallest paths as I(x, y).
 Reducing those rows in the same column order gives the same standard paths
 and the same normal forms as reducing all of I(x, y) over all paths.
+
+A linear combination of paths moves between quivers by one of two
+rewrites, and by no other code: `map_terms` carries it along a map of
+quivers (a vertex map, and each arrow to a tuple of arrows; an arrow the
+map does not name is kept), and `opposite_terms` reads it in the opposite
+quiver (the ends swap and the arrows run in reverse order).  An element of
+a hom space enters them as (coefficient, basis path) pairs
+(`HomBasis.terms`) and comes back through `HomBasis.expand`.
 """
 
 from __future__ import annotations
@@ -86,6 +94,24 @@ class Relation:
     @property
     def tgt(self):
         return self.terms[0][1].tgt
+
+
+def map_terms(terms, vertex_map: dict[str, str],
+              arrow_map: dict[str, tuple[str, ...]]) -> tuple:
+    """A combination sum(c * path) carried along a map of quivers: each
+    path's ends through `vertex_map`, and each of its arrows replaced by the
+    arrows `arrow_map` gives it, in order; an arrow the map does not name
+    is kept."""
+    return tuple(
+        (c, Path(vertex_map[p.src], vertex_map[p.tgt],
+                 tuple(b for a in p.arrows for b in arrow_map.get(a, (a,)))))
+        for c, p in terms)
+
+
+def opposite_terms(terms) -> tuple:
+    """A combination sum(c * path) read in the opposite quiver: each path's
+    ends swap and its arrows run in reverse order."""
+    return tuple((c, Path(p.tgt, p.src, p.arrows[::-1])) for c, p in terms)
 
 
 class Quiver:
@@ -266,6 +292,13 @@ class HomBasis:
     def basis(self) -> list[Path]:
         """The basis elements as paths, built when read."""
         return [Path(self.src, self.tgt, self.arrows_of(k)) for k in self.free_idx]
+
+    def terms(self, coords) -> list[tuple[object, Path]]:
+        """The element of coordinates `coords` as (coefficient, basis path)
+        pairs, zero coordinates left out."""
+        zero = self.field.zero
+        return [(c, Path(self.src, self.tgt, self.arrows_of(k)))
+                for c, k in zip(coords, self.free_idx) if c != zero]
 
     def _reduce_by(self, rows: list[list]) -> None:
         """Quotient by the span of `rows`, vectors over the candidates."""

@@ -23,7 +23,9 @@ coordinate form of such a map: `extract_proj_coords` reads it and
 module maps; into a certified injective sum N it transposes the basis of
 hom(D N, D M) over the opposite window onto M and N themselves.
 `hom_basis_generic` always solves the naturality system from scratch and
-is kept as the independent route for cross-checking.
+is kept as the independent route for cross-checking.  `induce` carries the
+hom coordinates of a presentation along the window map through
+`quiver.map_terms`.
 
 Total hom complexes are assembled by Yoneda evaluation, never from bases of
 module maps: hom(⊕P(v_b), Z) = ⊕Z(v_b), so a complex of certified projective
@@ -131,7 +133,7 @@ from .linalg import (
     solve_matrix,
     sparse_kernel,
 )
-from .quiver import Arrow, Path, Quiver
+from .quiver import Arrow, Path, Quiver, map_terms
 from .windows import Window, underlying_quiver
 
 PROJECTIVE = "projective"
@@ -214,24 +216,9 @@ class Rep:
 
     def act(self, p: Path) -> Matrix:
         """Matrix of the path action M(p): M(p.tgt) -> M(p.src)."""
-        key = (p.src, p.arrows)
-        m = self._act_cache.get(key)
-        if m is not None:
-            return m
-        if not p.arrows:
-            m = Matrix.identity(self.field, self.dims[p.src])
-        elif len(p.arrows) == 1:
-            m = self.maps[p.arrows[0]]
-        else:
-            # share prefixes: each distinct path costs one multiplication
-            prefix_key = (p.src, p.arrows[:-1])
-            prefix = self._act_cache.get(prefix_key)
-            if prefix is None:
-                prefix = self.act(
-                    Path(p.src, self.window.quiver.arrow_by_name[p.arrows[-1]].src,
-                         p.arrows[:-1]))
-            m = prefix @ self.maps[p.arrows[-1]]
-        self._act_cache[key] = m
+        m = Matrix.identity(self.field, self.dims[p.src])
+        for a in p.arrows:
+            m = m @ self.maps[a]
         return m
 
     def act_basis(self, x: str, y: str, i: int) -> Matrix:
@@ -1516,9 +1503,10 @@ def induce(M: Rep, source: Window, target: Window, vertex_map: dict[str, str],
     P0 = cx.term(0)
     d = cx.diff(-1) or zero_map(proj_sum(source, ()), P0)  # P1 -> P0
     P1 = d.source
+    arrows = {a.name: arrow_map[a.name].arrows for a in source.quiver.arrows}
     tgt_entries = [
         [None if cell is None else
-         _transport_coords(source, target, vs, vt, cell, vertex_map, arrow_map)
+         _transport_coords(source, target, vs, vt, cell, vertex_map, arrows)
          for vs, cell in zip(P1.cert[1], row)]
         for vt, row in zip(P0.cert[1], extract_proj_coords(d))]
     A = proj_sum(target, [vertex_map[v] for v in P1.cert[1]])
@@ -1528,16 +1516,10 @@ def induce(M: Rep, source: Window, target: Window, vertex_map: dict[str, str],
 
 
 def _transport_coords(source: Window, target: Window, x: str, y: str, coords,
-                      vertex_map, arrow_map) -> list:
-    hb_src = source.hom(x, y)
-    terms = []
-    for c, k in zip(coords, hb_src.free_idx):
-        if c == source.field.zero:
-            continue
-        arrows: list[str] = []
-        for aname in hb_src.arrows_of(k):
-            arrows.extend(arrow_map[aname].arrows)
-        terms.append((c, Path(vertex_map[x], vertex_map[y], tuple(arrows))))
+                      vertex_map, arrows) -> list:
+    """An element of hom(x, y) over `source` carried to hom(vertex_map[x],
+    vertex_map[y]) over `target`, each arrow to the arrows `arrows` gives it."""
+    terms = map_terms(source.hom(x, y).terms(coords), vertex_map, arrows)
     return target.hom(vertex_map[x], vertex_map[y]).expand(terms)
 
 

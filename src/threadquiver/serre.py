@@ -7,8 +7,9 @@ map between sums of standard projectives: `realize_proj` writes a module map
 from them (through `reps.realize_proj_coords`), and a resolution's
 differentials are read back into them once (`RepMap.proj_coords`).
 `transport_to_opposite` is the one place that reads such a morphism in the
-opposite window.  Pseudokernels are computed by recognizing the kernel of
-the induced map of projective modules as a sum of standard projectives:
+opposite window; each entry goes through `quiver.opposite_terms`.
+Pseudokernels are computed by recognizing the kernel of the induced map of
+projective modules as a sum of standard projectives:
 `reps.kernel_as_projectives` covers it by one certified resolution step,
 whose own kernel must be zero, and returns the step's coordinates, which
 are the pseudokernel's entries.  Pseudocokernels are pseudokernels in the
@@ -44,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NotProjectiveCertified, NotRepresentable, ThreadQuiverError
-from .quiver import Path
+from .quiver import Path, opposite_terms
 from .report import Report
 from .reps import (
     INJECTIVE,
@@ -111,16 +112,8 @@ def realize_proj(vm: VarietyMor) -> RepMap:
 
 
 def _coords_to_op(w: Window, x: str, y: str, coords) -> list:
-    """Transport an element of hom(x, y) to the opposite window's hom(y, x):
-    each basis element's arrows, walked off its handles, reversed."""
-    zero = w.field.zero
-    hb = w.hom(x, y)
-    terms = [
-        (c, Path(y, x, tuple(reversed(hb.arrows_of(k)))))
-        for c, k in zip(coords, hb.free_idx)
-        if c != zero
-    ]
-    return w.opposite().hom(y, x).expand(terms)
+    """Transport an element of hom(x, y) to the opposite window's hom(y, x)."""
+    return w.opposite().hom(y, x).expand(opposite_terms(w.hom(x, y).terms(coords)))
 
 
 def transport_to_opposite(vm: VarietyMor) -> VarietyMor:

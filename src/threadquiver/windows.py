@@ -7,6 +7,12 @@ replaces every thread arrow by a finite truncation of its thread order
 maximum), producing an ordinary quiver with relations plus bookkeeping: which
 vertices are truncation artifacts (`boundary`) and where each chain's
 elements land (`embed_t`); the thread quiver's own vertices keep their names.
+Relations follow the arrows they name through `quiver.map_terms` (into the
+buffered arrows of `normalize`, the chains of `expand`, and `window_iso`'s
+candidate arrow bijection), and into the opposite window through
+`quiver.opposite_terms`.  `expand` reads the window's vertex count off the
+labels (`orders.truncated_size`) before it builds anything, and refuses a
+window above EXPAND_MAX_VERTICES with TooLarge.
 """
 
 from __future__ import annotations
@@ -23,8 +29,10 @@ from .orders import (
     contains_thread_order,
     thread_order,
     truncate,
+    truncated_size,
 )
-from .quiver import Arrow, HomBasis, Path, Quiver, Relation, hom_basis_paths
+from .quiver import (Arrow, HomBasis, Quiver, Relation, hom_basis_paths, map_terms,
+                     opposite_terms)
 
 
 @dataclass(frozen=True)
@@ -59,16 +67,6 @@ def underlying_quiver(tq: ThreadQuiver) -> Quiver:
     return Quiver(tq.vertices, arrows)
 
 
-def _substitute(rel: Relation, replacement: dict[str, tuple[str, ...]]) -> Relation:
-    terms = []
-    for c, p in rel.terms:
-        arrows: list[str] = []
-        for a in p.arrows:
-            arrows.extend(replacement.get(a, (a,)))
-        terms.append((c, Path(p.src, p.tgt, tuple(arrows))))
-    return Relation(tuple(terms))
-
-
 def normalize(tq: ThreadQuiver) -> ThreadQuiver:
     """Isolate every thread arrow between fresh buffer vertices.
 
@@ -89,7 +87,8 @@ def normalize(tq: ThreadQuiver) -> ThreadQuiver:
         std.append(Arrow(post, b, t.tgt))
         thr.append(ThreadArrow(t.name, a, b, t.label))
         replacement[t.name] = (pre, t.name, post)
-    rels = [_substitute(r, replacement) for r in tq.relations]
+    same = {v: v for v in tq.vertices}
+    rels = [Relation(map_terms(r.terms, same, replacement)) for r in tq.relations]
     return ThreadQuiver(vertices, std, thr, rels)
 
 
@@ -231,23 +230,8 @@ class Window:
             list(self.quiver.vertices),
             [Arrow(a.name, a.tgt, a.src) for a in self.quiver.arrows],
         )
-        rels = []
-        for r in self.relations:
-            rels.append(
-                Relation(
-                    tuple(
-                        (c, Path(p.tgt, p.src, tuple(reversed(p.arrows))))
-                        for c, p in r.terms
-                    )
-                )
-            )
-        w = Window(
-            q,
-            rels,
-            boundary=self.boundary,
-            embed_t=self.embed_t,
-            field=self.field,
-        )
+        rels = [Relation(opposite_terms(r.terms)) for r in self.relations]
+        w = Window(q, rels, boundary=self.boundary, embed_t=self.embed_t, field=self.field)
         w._opposite = self
         self._opposite = w
         return w
@@ -296,7 +280,19 @@ def expand(tq: ThreadQuiver, depth: int, field=QQ) -> Window:
     source and target; interior chain elements become fresh vertices, and the
     cut-adjacent ones are recorded as the window boundary.  Occurrences of a
     thread arrow in relations are rewritten as the full chain composite.
+    Raises TooLarge, before building anything, when the window would have
+    more than EXPAND_MAX_VERTICES vertices.
     """
+    added = {t.name: truncated_size(thread_order(t.label), depth) - 2
+             for t in tq.thread_arrows}
+    count = len(tq.vertices) + sum(added.values())
+    if count > EXPAND_MAX_VERTICES:
+        big = max(added, key=added.get, default=None)
+        most = (f"thread {big} adds {added[big]}" if big is not None and added[big]
+                else "no thread adds any")
+        raise TooLarge(f"the depth-{depth} window would have {count} vertices, over "
+                       f"the limit of {EXPAND_MAX_VERTICES}; the file declares "
+                       f"{len(tq.vertices)}, {most}")
     uq = underlying_quiver(tq)
     if not uq.is_acyclic():
         raise NonAcyclic("underlying quiver must be acyclic")
@@ -330,7 +326,8 @@ def expand(tq: ThreadQuiver, depth: int, field=QQ) -> Window:
             chain_arrows.append(aname)
         replacement[t.name] = tuple(chain_arrows)
         embed_t[t.name] = vmap
-    relations = [_substitute(r, replacement) for r in tq.relations]
+    same = {v: v for v in tq.vertices}
+    relations = [Relation(map_terms(r.terms, same, replacement)) for r in tq.relations]
     w = Window(
         Quiver(vertices, arrows),
         relations,
@@ -419,27 +416,23 @@ def _relations_respected(w1: Window, w2: Window, vmap: dict[str, str]) -> bool:
     # arrow bijection compatible with vmap; parallel arrows matched in name
     # order (adequate at desk scale: no fixture has parallel arrows carrying
     # relation-sensitive structure)
-    amap: dict[str, str] = {}
+    amap: dict[str, tuple[str]] = {}
     pools = {key: sorted(names) for key, names in _parallel_groups(w2.quiver).items()}
     for a in sorted(w1.quiver.arrows, key=lambda a: a.name):
         pool = pools.get((vmap[a.src], vmap[a.tgt]))
         if not pool:
             return False
-        amap[a.name] = pool.pop(0)
+        amap[a.name] = (pool.pop(0),)
 
     def pushes_to_zero(rels, target: Window, vm, am) -> bool:
         for rel in rels:
-            terms = [
-                (c, Path(vm[p.src], vm[p.tgt], tuple(am[x] for x in p.arrows)))
-                for c, p in rel.terms
-            ]
-            hb = target.hom(terms[0][1].src, terms[0][1].tgt)
-            if any(c != target.field.zero for c in hb.expand(terms)):
+            hb = target.hom(vm[rel.src], vm[rel.tgt])
+            if any(c != target.field.zero for c in hb.expand(map_terms(rel.terms, vm, am))):
                 return False
         return True
 
     inv_v = {b: a for a, b in vmap.items()}
-    inv_a = {b: a for a, b in amap.items()}
+    inv_a = {b: (a,) for a, (b,) in amap.items()}
     return pushes_to_zero(w1.relations, w2, vmap, amap) and pushes_to_zero(
         w2.relations, w1, inv_v, inv_a
     )
@@ -481,6 +474,10 @@ def _consistency(w1: Window, w2: Window, assignment: dict[str, str], used: set[s
     return consistent
 
 
+# about twice mixed@6 (249 vertices); near it the slowest check measured,
+# serre-check on the commutative 22x22 grid (484 vertices), takes 19 s and
+# 423 MB peak RSS on a 2-core Intel Xeon
+EXPAND_MAX_VERTICES = 500
 ISO_MAX_VERTICES = 60
 ISO_MAX_TRIES = 20000
 

@@ -284,6 +284,28 @@ def full_scan_consistency(w1, w2, assignment, used):
     return consistent
 
 
+def literal_label_overlap(e1, e2) -> bool:
+    """Oracle for `orders._namespaces_overlap` on two segments: a finite
+    segment's alphabet is its literal labels "1".."n", each its own tag, and
+    tags are compared pair by pair.  A literal overlaps NN unless it is
+    negative; NEGINT and NEGNAT overlap each other."""
+
+    def tags(e):
+        if isinstance(e, Fin):
+            return {("LIT", str(i + 1)) for i in range(e.n)}
+        return {NAT: {"NN"}, NEG_NAT: {"NEGNAT"}, INT: {"NN", "NEGINT"}}[e]
+
+    def overlap(a, b):
+        if isinstance(a, tuple) and isinstance(b, tuple):
+            return a[1] == b[1]
+        if isinstance(a, tuple) or isinstance(b, tuple):
+            lit, other = (a[1], b) if isinstance(a, tuple) else (b[1], a)
+            return other == "NN" and not lit.startswith("-")
+        return a == b or {a, b} == {"NEGINT", "NEGNAT"}
+
+    return any(overlap(a, b) for a in tags(e1) for b in tags(e2))
+
+
 label_strategy = st.one_of(
     st.builds(Fin, st.integers(0, 3)), st.just(NAT), st.just(NEG_NAT), st.just(INT)
 )

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import threadquiver.reps as reps
-from threadquiver import cli
+from threadquiver import cli, windows
 from threadquiver.cli import build_parser, run
 from threadquiver.dsl import emit_dot, parse_tq, sanitize_names, serialize_tq
 from threadquiver.errors import DuplicateName, ParseError, TooLarge, UnknownVertex
@@ -330,6 +330,28 @@ def test_check_fails_a_cyclic_quiver(text, tmp_path, capsys):
                              "actual": "NonAcyclic", "location": ""}]
     assert run(["expand", str(src)]) == 1
     assert capsys.readouterr().err == "NonAcyclic: underlying quiver must be acyclic\n"
+
+
+def test_expand_refuses_a_huge_label_at_once(tmp_path, capsys, monkeypatch):
+    # the window's size is read off the label, not enumerated: no chain is
+    # truncated, so a regression fails here rather than listing 10^8 labels
+    monkeypatch.setattr(windows, "truncate", lambda e, d: pytest.fail("a chain was built"))
+    src = tmp_path / "huge.tq"
+    src.write_text("vertex a b\nthread t: a ..> b [99999999]\n")
+    assert run(["expand", str(src), "--depth", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "TooLarge: the depth-0 window would have 100000001 vertices, over the limit "
+        f"of {windows.EXPAND_MAX_VERTICES}; the file declares 2, thread t adds 99999999\n")
+
+
+def test_expand_refuses_a_file_over_the_bound_with_no_thread(tmp_path, capsys):
+    n = windows.EXPAND_MAX_VERTICES + 1
+    src = tmp_path / "wide.tq"
+    src.write_text("vertex " + " ".join(f"v{i}" for i in range(n)) + "\n")
+    assert run(["expand", str(src)]) == 1
+    assert capsys.readouterr().err == (
+        f"TooLarge: the depth-2 window would have {n} vertices, over the limit of "
+        f"{windows.EXPAND_MAX_VERTICES}; the file declares {n}, no thread adds any\n")
 
 
 def test_usage_error_exit_code():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import literal_label_overlap
 
 from threadquiver.errors import NestedThread
 from threadquiver.orders import (
@@ -9,9 +10,12 @@ from threadquiver.orders import (
     NEG_NAT,
     Concat,
     Fin,
+    _namespace,
+    _namespaces_overlap,
     order_expr_str,
     thread_order,
     truncate,
+    truncated_size,
 )
 
 
@@ -129,6 +133,22 @@ def test_thread_order_size_formula(m, d):
 def test_truncation_size_matches_brute_oracle(e, d):
     assert len(truncate(e, d)) == brute_size(e, d)
     assert len(truncate(thread_order(e), d)) == brute_size(thread_order(e), d)
+
+
+@given(plain_exprs, st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_truncated_size_is_the_length_of_the_truncation(e, d):
+    for expr in (e, thread_order(e)):
+        assert truncated_size(expr, d) == len(truncate(expr, d))
+
+
+SEGMENTS = [Fin(n) for n in range(1, 6)] + [NAT, NEG_NAT, INT]
+
+
+@pytest.mark.parametrize("a", SEGMENTS, ids=order_expr_str)
+@pytest.mark.parametrize("b", SEGMENTS, ids=order_expr_str)
+def test_one_tag_per_finite_segment_overlaps_as_its_literal_labels(a, b):
+    assert _namespaces_overlap(_namespace(a), _namespace(b)) == literal_label_overlap(a, b)
 
 
 @given(plain_exprs, st.integers(0, 3))

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 import re
 
@@ -30,6 +32,7 @@ from threadquiver.quiver import (
     is_strongly_locally_finite,
 )
 from threadquiver.reps import INJECTIVE, PROJECTIVE, SIMPLE, projective_cover, std_module
+import threadquiver
 from threadquiver import quiver, reps, windows
 from threadquiver.windows import Window, expand
 
@@ -581,7 +584,13 @@ def test_columns_and_standard_modules_build_no_path(monkeypatch):
         built.append(args)
         return real_path(*args)
 
-    for module in (quiver, reps, windows):
+    # every module of the package that binds Path, quiver (where paths are
+    # rewritten) among them
+    modules = [importlib.import_module(f"threadquiver.{m.name}")
+               for m in pkgutil.iter_modules(threadquiver.__path__)]
+    binding = [m for m in modules if getattr(m, "Path", None) is real_path]
+    assert quiver in binding and reps in binding
+    for module in binding:
         monkeypatch.setattr(module, "Path", counting_path)
     V = w.quiver.vertices
     for y in V:

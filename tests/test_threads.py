@@ -559,6 +559,15 @@ def test_opposite_transport_round_trip_and_dual_side_adjoints(label, w):
         # the interval return at once (see the next test)
         verts, unit = interval_adjoint(w, a.tgt, a.tgt, a.src, RIGHT)
         assert verts == () and unit.window is w
+    # so does every basis element of every hom, paths of any length included
+    zero, one = w.field.zero, w.field.one
+    for y in w.quiver.vertices:
+        for x, hb in w.column(y).items():
+            for i in range(hb.dim):
+                unit = [one if j == i else zero for j in range(hb.dim)]
+                vm = VarietyMor(w, (x,), (y,), [[unit]])
+                back = transport_to_opposite(transport_to_opposite(vm))
+                assert back.window is w and back.entries == [[unit]], (label, x, y, i)
 
 
 @pytest.mark.parametrize(

@@ -157,6 +157,27 @@ def test_expand_rejects_cycle():
         expand(tq, 1)
 
 
+def test_expand_bounds_the_whole_window_before_building(monkeypatch):
+    # each thread alone fits under the bound, the two together do not; the
+    # count is summed from the labels, before any chain is truncated
+    truncated = []
+    real_truncate = windows.truncate
+    monkeypatch.setattr(windows, "truncate",
+                        lambda e, d: truncated.append(e) or real_truncate(e, d))
+    n = windows.EXPAND_MAX_VERTICES // 2
+    one = ThreadQuiver(["w", "x"], [], [("s", "w", "x", Fin(n))])
+    assert len(expand(one, 0).quiver.vertices) == n + 2 <= windows.EXPAND_MAX_VERTICES
+    truncated.clear()
+    two = ThreadQuiver(["w", "x", "y", "z"], [],
+                       [("s", "w", "x", Fin(n)), ("t", "y", "z", Fin(n))])
+    with pytest.raises(TooLarge) as excinfo:
+        expand(two, 0)
+    assert str(excinfo.value) == (
+        f"the depth-0 window would have {2 * n + 4} vertices, over the limit of "
+        f"{windows.EXPAND_MAX_VERTICES}; the file declares 4, thread s adds {n}")
+    assert truncated == []
+
+
 def test_expand_thread_chain_hom_is_one():
     w = expand(single_thread(INT), 1)
     assert w.hom_dim("x", "y") == 1
