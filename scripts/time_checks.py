@@ -13,7 +13,10 @@ Every row carries a `tree` key, "this" for this checkout.  To compare two
 trees, give the other checkout's root with `--against DIR` (its rows read
 "against") and a number of `--rounds`: each round runs every (check, depth)
 on both trees back to back, this tree first in even rounds and DIR first in
-odd ones, so both see the same drift of the machine.
+odd ones, so both see the same drift of the machine.  The comparison ends
+with one summary row per (check, depth), with no `tree` key: each tree's
+median `wall_s` and `peak_rss_mb` over the rounds, and the number of rounds
+in which that tree was faster (a tie counts for neither).
 
     python scripts/time_checks.py fixtures/mixed.tq --depths 4 5 --against ../parent --rounds 5
 """
@@ -25,6 +28,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from statistics import median
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKS = ["serre-check", "dualizing-check", "dualizing-check --strict-boundary"]
@@ -58,15 +62,31 @@ def main(argv=None) -> int:
     trees = [("this", ROOT)]
     if args.against is not None:
         trees.append(("against", args.against.resolve()))
+    runs: dict[tuple[str, int], list[dict]] = {}  # (check, depth) -> per round, tree -> row
     for r in range(args.rounds):
         for check in args.checks:
             for depth in args.depths:
                 cmd = check.split() + [args.fixture, "--depth", str(depth)]
+                rows = {}
                 for tree, root in trees if r % 2 == 0 else trees[::-1]:
                     out = subprocess.run([sys.executable, "-c", CHILD, str(root / "src"), *cmd],
                                          capture_output=True, text=True, check=True)
                     row = {"tree": tree, "check": check, "depth": depth, **json.loads(out.stdout)}
                     print(json.dumps(row), flush=True)
+                    rows[tree] = row
+                runs.setdefault((check, depth), []).append(rows)
+    if args.against is not None:
+        for (check, depth), rounds in runs.items():
+            walls = [(rows["this"]["wall_s"], rows["against"]["wall_s"]) for rows in rounds]
+            print(json.dumps({
+                "check": check, "depth": depth, "rounds": len(rounds),
+                "median_wall_s": {tree: median(rows[tree]["wall_s"] for rows in rounds)
+                                  for tree, _ in trees},
+                "median_peak_rss_mb": {tree: median(rows[tree]["peak_rss_mb"] for rows in rounds)
+                                       for tree, _ in trees},
+                "faster_rounds": {"this": sum(t < a for t, a in walls),
+                                  "against": sum(a < t for t, a in walls)},
+            }), flush=True)
     return 0
 
 

@@ -1074,6 +1074,50 @@ def per_block_yoneda_write(P, N, vecs):
     return RepMap(P, N, comps)
 
 
+def per_component_kernel_bases(M, comps):
+    """Differential oracle for `reps._kernel_bases`: the identity where a
+    component is missing or zero, and `linalg.kernel_basis` of every other
+    component, a 1 x 1 one included."""
+    fld = M.field
+    kbases, frees = {}, {}
+    for v in M.support:
+        comp = comps.get(v)
+        if comp is None or comp.is_zero():
+            kbases[v] = Matrix.identity(fld, M.dims[v])
+        else:
+            kbases[v], frees[v] = kernel_basis(comp)
+    return kbases, frees
+
+
+def zero_filled_yoneda_map(P, v, N, vec, offs, comps):
+    """Differential oracle for `reps.yoneda_map`: every component created as
+    zeros when its first block is written, each basis element's column
+    reached by one `Matrix.apply` per path step and written through an
+    extended slice, 1 x 1 components included."""
+    w = P.window
+    col_v = w.column(v)
+    memo = {(v, 0): list(vec)}
+    for x in std_module(w, v, PROJECTIVE).support:
+        if not N.dims[x]:
+            continue
+        m = comps.get(x)
+        if m is None:
+            m = comps[x] = Matrix.zeros(w.field, N.dims[x], P.dims[x])
+        for j in range(col_v[x].dim):
+            col = memo.get((x, j))
+            if col is None:
+                chain = []
+                key = (x, j)
+                while col is None:
+                    a, i = col_v[key[0]].split(key[1])
+                    chain.append((key, a.name))
+                    key = (a.tgt, i)
+                    col = memo.get(key)
+                for key, name in reversed(chain):
+                    col = memo[key] = N.maps[name].apply(col)
+            m.data[offs[x] + j::m.cols] = col
+
+
 def per_column_solve_matrix(m, b):
     """Differential oracle for `linalg.solve_matrix`: one elimination of
     [m | b_j] per column of b."""

@@ -498,8 +498,22 @@ def test_time_checks_script_prints_one_row_per_check_and_depth():
         check=True,
     )
     rows = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert [(row["tree"], row["depth"], row["exit"]) for row in rows] == [
+    assert [(row["tree"], row["depth"], row["exit"]) for row in rows[:-1]] == [
         ("this", 0, 0), ("against", 0, 0), ("against", 0, 0), ("this", 0, 0)]
+    # and ends with one summary row per (check, depth): each tree's medians
+    # and the rounds in which it was faster
+    summary = rows[-1]
+    assert (summary["check"], summary["depth"], summary["rounds"]) == ("threads", 0, 2)
+    assert "tree" not in summary
+    for key in ("wall_s", "peak_rss_mb"):
+        for tree in ("this", "against"):
+            values = sorted(row[key] for row in rows[:-1] if row["tree"] == tree)
+            assert summary[f"median_{key}"][tree] == sum(values) / 2
+    this, against = ([row["wall_s"] for row in rows[:-1] if row["tree"] == tree]
+                     for tree in ("this", "against"))
+    assert summary["faster_rounds"] == {
+        "this": sum(t < a for t, a in zip(this, against)),
+        "against": sum(a < t for t, a in zip(this, against))}
 
 
 def _cli_digest():
@@ -594,6 +608,21 @@ def test_prime_field_backend(capsys):
         ["serre-check", str(FIXTURES / "a2.tq"), "--field", "fp:5"], capsys
     )
     assert code == 0 and doc["status"] == "pass"
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.tq")), ids=lambda p: p.stem)
+def test_window_checks_answer_the_same_over_every_field(capsys, path, depth):
+    # every fixture relation has coefficients +-1, so no answer may depend on
+    # the field: the stdout and exit code of each check read the same over
+    # q, fp:2 and fp:3
+    for check in (["serre-check"], ["dualizing-check"],
+                  ["dualizing-check", "--strict-boundary"], ["threads"]):
+        answers = []
+        for field in ("q", "fp:2", "fp:3"):
+            code = run(check + [str(path), "--depth", str(depth), "--field", field])
+            answers.append((code, capsys.readouterr().out))
+        assert answers[1:] == answers[:1] * 2, (check, answers)
 
 
 def test_sanitize_names_roundtrip():

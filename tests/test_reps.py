@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 from conftest import (
+    FIXTURES,
     a3_block_map,
     arrow_path,
     basis_route_ext_dim,
@@ -21,6 +23,7 @@ from conftest import (
     identity_path,
     matrix_from_rows,
     per_block_yoneda_write,
+    per_component_kernel_bases,
     per_vertex_realize_proj_coords,
     random_fp_rep,
     random_thread_quivers,
@@ -29,12 +32,15 @@ from conftest import (
     solving_kernel_with_inclusion,
     tq_mixed,
     two_step_top_generators,
+    zero_filled_yoneda_map,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threadquiver import cli
+from threadquiver.dsl import parse_tq
 from threadquiver.errors import ExceedsBound, NotFunctorial, NotRepresentable
-from threadquiver.linalg import QQ, Matrix, field_by_name, rank
+from threadquiver.linalg import QQ, Matrix, field_by_name, kernel_basis, rank
 from threadquiver.orders import Fin
 from threadquiver.quiver import Path, Quiver, Relation
 import threadquiver.reps as reps
@@ -68,6 +74,14 @@ from threadquiver.reps import (
     two_term_presentation,
     zero_map,
     zero_rep,
+)
+from threadquiver.serre import (
+    COKERNEL,
+    KERNEL,
+    VarietyMor,
+    check_dualizing,
+    check_serre,
+    pseudo,
 )
 from threadquiver.windows import ThreadQuiver, Window, expand
 
@@ -1385,3 +1399,100 @@ def test_kernel_and_cokernel_read_only_stored_blocks(monkeypatch, label, w):
         assert (C.dims, dict(C.maps), dict(proj.comps)) == (oC.dims, dict(oC.maps),
                                                             dict(oproj.comps))
         monkeypatch.setattr(reps._Blocks, "__missing__", unstored)
+
+
+def _checked_against_the_oracles(monkeypatch) -> Counter:
+    """Route every `_kernel_bases` and `yoneda_map` call through a wrapper
+    that compares the answer entry for entry with its oracle, and count the
+    components each saw, by kind."""
+    seen = Counter()
+    kernel_bases, yoneda_map = reps._kernel_bases, reps.yoneda_map
+
+    def checked_kernel_bases(M, comps):
+        got = kernel_bases(M, comps)
+        assert got == per_component_kernel_bases(M, comps), (M, comps)
+        for m in comps.values():
+            seen["1x1 nonzero" if (m.rows, m.cols) == (1, 1) and m.data[0]
+                 else "1x1 zero" if (m.rows, m.cols) == (1, 1)
+                 else "1xn" if m.rows == 1 else "larger"] += 1
+        return got
+
+    def checked_yoneda_map(P, v, N, vec, offs, comps):
+        want = {x: m.copy() for x, m in comps.items()}
+        zero_filled_yoneda_map(P, v, N, vec, offs, want)
+        yoneda_map(P, v, N, vec, offs, comps)
+        assert comps == want, (P, v, N, vec)
+        col_v = P.window.column(v)
+        for x in std_module(P.window, v, PROJECTIVE).support:
+            if N.dims[x] == col_v[x].dim == 1:
+                seen["scalar write" if P.dims[x] == 1 else "shared vertex"] += 1
+
+    monkeypatch.setattr(reps, "_kernel_bases", checked_kernel_bases)
+    monkeypatch.setattr(reps, "yoneda_map", checked_yoneda_map)
+    return seen
+
+
+def _cover_resolution_and_pseudo_sweep(w):
+    """Covers of every standard module, the resolution of every simple, the
+    pseudokernel and pseudocokernel of every arrow, and components built to
+    sit at the edge of the 1 x 1 rule: stored 1 x 1 blocks 0, 2 and 3 (2 is
+    zero over fp:2 and 3 over fp:3), a one-row block of two columns, and two
+    blocks of a sum writing the same one-dimensional vertex."""
+    fld = w.field
+    n = len(w.quiver.vertices)
+    for v in w.quiver.vertices:
+        for kind in (PROJECTIVE, INJECTIVE, SIMPLE):
+            projective_cover(std_module(w, v, kind))
+        reps._resolve(std_module(w, v, SIMPLE), n)
+    for a in w.quiver.arrows:
+        vm = VarietyMor.from_arrow(w, a.name)
+        for side in (KERNEL, COKERNEL):
+            try:
+                pseudo(vm, side)
+            except NotRepresentable:
+                pass
+    for v in w.quiver.vertices:
+        S, PP = std_module(w, v, SIMPLE), proj_sum(w, (v, v))
+        for e in (0, 2, 3):
+            reps._kernel_bases(S, {v: Matrix(fld, 1, 1, [fld(e)])})
+        reps._kernel_bases(PP, {v: Matrix(fld, 1, 2, [fld.one, fld.one])})
+        _yoneda_write(PP, std_module(w, v, PROJECTIVE), [[fld.one], [fld.one]])
+
+
+@pytest.mark.parametrize("field", ["q", "fp:2", "fp:3"])
+@pytest.mark.parametrize("stem, depth", [
+    (path.stem, d) for path in sorted(FIXTURES.glob("*.tq")) for d in (0, 1, 2)])
+def test_one_by_one_components_match_the_zero_filling_oracles(monkeypatch, stem, depth,
+                                                             field):
+    # every kernel basis, free-column list and Yoneda write of the sweep, on
+    # the window and on its opposite, equals the per-component loop and the
+    # zero-filled writer entry for entry; the sweep meets every kind of
+    # component the 1 x 1 rule tells apart
+    w = expand(parse_tq((FIXTURES / f"{stem}.tq").read_text()), depth,
+               field=field_by_name(field))
+    seen = _checked_against_the_oracles(monkeypatch)
+    for win in (w, w.opposite()):
+        _cover_resolution_and_pseudo_sweep(win)
+    assert all(seen[kind] for kind in ("1x1 nonzero", "1x1 zero", "1xn", "scalar write",
+                                       "shared vertex")), seen
+
+
+@pytest.mark.parametrize("label, make", [
+    ("mixed@2", lambda: expand(parse_tq((FIXTURES / "mixed.tq").read_text()), 2)),
+    ("grid3", lambda: comm_grid_window(3)),
+])
+def test_no_one_by_one_matrix_reaches_kernel_basis(monkeypatch, label, make):
+    # the default serre-check (the CLI's probes and resolution bound) and
+    # dualizing-check eliminate no 1 x 1 component: a nonzero one is read as
+    # an isomorphism and a zero one as the whole space
+    shapes = Counter()
+
+    def recording(m):
+        shapes[m.rows, m.cols] += 1
+        return kernel_basis(m)
+
+    monkeypatch.setattr(reps, "kernel_basis", recording)
+    w = make()
+    check_serre(w, cli._probes(w, False), 6)
+    check_dualizing(w)
+    assert shapes and not shapes[1, 1], shapes
