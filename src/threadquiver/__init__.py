@@ -36,6 +36,7 @@ from .reps import (
     Rep,
     RepMap,
     TripleRep,
+    VarietyMor,
     decompose,
     dualize,
     ext_dim,
@@ -54,7 +55,6 @@ from .reps import (
     total_hom_dims,
 )
 from .serre import (
-    VarietyMor,
     check_dualizing,
     check_serre,
     nakayama,

@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .errors import ParseError, ThreadQuiverError
+from .errors import ExceedsBound, ParseError, ThreadQuiverError
 from .dsl import emit_dot, parse_tq, sanitize_names, serialize_tq
 from .linalg import field_by_name
 from .report import Report
@@ -141,7 +141,7 @@ def cmd_ext(args) -> int:
         status = "pass"
         items = [{"actual": actual, "expected": "", "location": "",
                   "subject": f"dim ext^{args.degree}(S({args.x}), S({args.y}))"}]
-    except ThreadQuiverError as e:
+    except ExceedsBound as e:
         status = "fail"
         items = [{"actual": type(e).__name__, "expected": f"<= {args.max_len}",
                   "location": "", "subject": f"ext^{args.degree}"}]

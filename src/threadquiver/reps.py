@@ -13,13 +13,16 @@ map out of such a sum P = ⊕ P(v_b) -> N is the list of its values at the
 blocks' identity paths, one vector of N(v_b) per block.  `_yoneda_write` is
 the one place such a map is written, and only where a module map is needed:
 covers, resolution steps, the certified branch of `hom_basis`,
-`realize_proj_coords` and the evaluation map of `threads`.  `_yoneda_read`
-is the one place it is read (`hom_coords` and `extract_proj_coords`).
+`realize_proj` and the evaluation map of `threads`.  `_yoneda_read`
+is the one place it is read (`hom_coords` and `RepMap.proj_coords`).
 Between two certified sums the values split by target block into hom
-coordinates (`split_proj_values`), and these certificate-indexed
-coordinates, entries[i][j] for P(src_j) -> P(tgt_i) or None, are the one
-coordinate form of such a map: `extract_proj_coords` reads it and
-`realize_proj_coords` writes it.  `hom_basis` gives explicit bases of
+coordinates, and these certificate-indexed coordinates, entries[i][j] for
+P(src_j) -> P(tgt_i) or None, are the one coordinate form of such a map:
+a `VarietyMor`, a morphism of the window's variety between formal sums of
+vertices.  `RepMap.proj_coords` reads it, `realize_proj` writes it, and
+`transport_to_opposite` reads it in the opposite window.  A pseudokernel,
+an adjoint's unit and a hom complex's projective side all take it from
+here.  `hom_basis` gives explicit bases of
 module maps; into a certified injective sum N it transposes the basis of
 hom(D N, D M) over the opposite window onto M and N themselves.
 `hom_basis_generic` always solves the naturality system from scratch and
@@ -141,7 +144,7 @@ from .linalg import (
     solve_matrix,
     sparse_kernel,
 )
-from .quiver import Arrow, Path, Quiver, map_terms
+from .quiver import Arrow, Path, Quiver, map_terms, opposite_terms
 from .windows import Window, underlying_quiver
 
 PROJECTIVE = "projective"
@@ -340,10 +343,27 @@ class RepMap:
         return _kernel_bases(self.source, self.comps)
 
     @cached_property
-    def proj_coords(self):
-        """`extract_proj_coords` of this map, computed once (maps are never
-        mutated, so a resolution's differentials are read once per probe)."""
-        return extract_proj_coords(self)
+    def proj_coords(self) -> "VarietyMor":
+        """This map between certified projective sums in the coordinate
+        form, read once (maps are never mutated, so a resolution's
+        differentials are read once per probe): each source block's value at
+        its identity (`_yoneda_read`), split by target block into the hom
+        coordinates of P(src_j) -> P(tgt_i), or None where they are zero."""
+        P, Q = self.source, self.target
+        assert P.cert is not None and P.cert[0] == "proj"
+        assert Q.cert is not None and Q.cert[0] == "proj"
+        w, src, tgt = P.window, P.cert[1], Q.cert[1]
+        zero = w.field.zero
+        cols = []
+        for vs, val in zip(src, _yoneda_read(self), strict=True):
+            col, start = [], 0
+            for wt in tgt:
+                d = w.hom(vs, wt).dim
+                coords = val[start:start + d]
+                start += d
+                col.append(coords if any(c != zero for c in coords) else None)
+            cols.append(col)
+        return VarietyMor(w, src, tgt, [[col[i] for col in cols] for i in range(len(tgt))])
 
     def __add__(self, other: "RepMap") -> "RepMap":
         return RepMap(self.source, self.target,
@@ -826,20 +846,20 @@ def map_factor(f: RepMap) -> Factorization:
                          *cokernel_with_projection(f))
 
 
-def kernel_as_projectives(f: RepMap) -> tuple[tuple[str, ...], list[list]]:
+def kernel_as_projectives(f: RepMap) -> "VarietyMor":
     """ker f recognized as a sum of standard projectives, for f out of a
-    certified projective sum: the vertices of the kernel's cover, in its
-    order, and the hom coordinates of the inclusion ⊕P(verts) -> source(f)
-    in the shape of `extract_proj_coords`.  A zero kernel returns at once;
-    otherwise the cover is one resolution step (`_syzygy`), and
-    NotRepresentable is raised unless its kernel is zero."""
+    certified projective sum: the inclusion ⊕P(verts) -> source(f) in the
+    coordinate form, whose source is the vertices of the kernel's cover, in
+    its order.  A zero kernel returns the zero morphism out of the empty
+    sum at once; otherwise the cover is one resolution step (`_syzygy`),
+    and NotRepresentable is raised unless its kernel is zero."""
     kbases, frees = f.kernel_bases
     if not any(kb.cols for kb in kbases.values()):
-        return (), [[] for _ in f.source.cert[1]]
-    Q, incl, nbases, _ = _syzygy(f.source, f, kbases, frees)
+        return VarietyMor.zero(f.source.window, (), f.source.cert[1])
+    _, incl, nbases, _ = _syzygy(f.source, f, kbases, frees)
     if any(kb.cols for kb in nbases.values()):
         raise NotRepresentable(NOT_STANDARD)
-    return Q.cert[1], incl.proj_coords
+    return incl.proj_coords
 
 
 # -- covers, hulls, resolutions -------------------------------------------------
@@ -1060,7 +1080,7 @@ class YonedaPlan:
             zero = self._zero
             out = self._entries[p] = [
                 (a, b, [(c, i) for i, c in enumerate(coords) if c != zero])
-                for b, row in enumerate(self._diffs[p].proj_coords)
+                for b, row in enumerate(self._diffs[p].proj_coords.entries)
                 for a, coords in enumerate(row) if coords is not None]
         return out
 
@@ -1529,17 +1549,15 @@ def induce(M: Rep, source: Window, target: Window, vertex_map: dict[str, str],
         return zero_rep(target)
     cx, _ = _resolve(M, 1)
     P0 = cx.term(0)
-    d = cx.diff(-1) or zero_map(proj_sum(source, ()), P0)  # P1 -> P0
-    P1 = d.source
+    d = (cx.diff(-1) or zero_map(proj_sum(source, ()), P0)).proj_coords  # P1 -> P0
     arrows = {a.name: arrow_map[a.name].arrows for a in source.quiver.arrows}
-    tgt_entries = [
+    entries = [
         [None if cell is None else
          _transport_coords(source, target, vs, vt, cell, vertex_map, arrows)
-         for vs, cell in zip(P1.cert[1], row)]
-        for vt, row in zip(P0.cert[1], extract_proj_coords(d))]
-    A = proj_sum(target, [vertex_map[v] for v in P1.cert[1]])
-    B = proj_sum(target, [vertex_map[v] for v in P0.cert[1]])
-    g = realize_proj_coords(A, B, tgt_entries)
+         for vs, cell in zip(d.source, row)]
+        for vt, row in zip(d.target, d.entries)]
+    g = realize_proj(VarietyMor(target, tuple(vertex_map[v] for v in d.source),
+                                tuple(vertex_map[v] for v in d.target), entries))
     return cokernel_with_projection(g)[0]
 
 
@@ -1551,50 +1569,76 @@ def _transport_coords(source: Window, target: Window, x: str, y: str, coords,
     return target.hom(vertex_map[x], vertex_map[y]).expand(terms)
 
 
-def split_proj_values(w: Window, src, tgt, vals) -> list[list]:
-    """Hom coordinates of the map ⊕P(src) -> ⊕P(tgt) whose value at source
-    block j's identity path is vals[j], a vector of ⊕_i P(tgt_i)(src_j):
-    entries[i][j] is its slice at target block i, the coordinates of
-    P(src_j) -> P(tgt_i) over hom(src_j, tgt_i), or None when zero."""
-    zero = w.field.zero
-    cols = []
-    for vs, val in zip(src, vals, strict=True):
-        col, start = [], 0
-        for wt in tgt:
-            d = w.hom(vs, wt).dim
-            coords = val[start:start + d]
-            start += d
-            col.append(coords if any(c != zero for c in coords) else None)
-        cols.append(col)
-    return [[col[i] for col in cols] for i in range(len(tgt))]
+# -- the coordinate form -----------------------------------------------------------
 
 
-def extract_proj_coords(f: RepMap) -> list[list]:
-    """Coordinates of a map between certified projective sums: entries[i][j]
-    holds the hom coordinates of the block map P(src_j) -> P(tgt_i), or None
-    for a zero block, read off each source block's value at its identity."""
-    P, Q = f.source, f.target
-    assert P.cert is not None and P.cert[0] == "proj"
-    assert Q.cert is not None and Q.cert[0] == "proj"
-    return split_proj_values(P.window, P.cert[1], Q.cert[1], _yoneda_read(f))
+@dataclass
+class VarietyMor:
+    """A morphism of the window's variety between formal sums of vertices,
+    in the coordinate form: entries[i][j] is the coordinate vector, over the
+    window's hom basis, of the component source_j -> target_i, or None for
+    zero."""
+
+    window: Window
+    source: tuple[str, ...]
+    target: tuple[str, ...]
+    entries: list[list]
+
+    def __post_init__(self):
+        assert len(self.entries) == len(self.target)
+        for row in self.entries:
+            assert len(row) == len(self.source)
+
+    @classmethod
+    def zero(cls, w: Window, source, target) -> "VarietyMor":
+        source, target = tuple(source), tuple(target)
+        return cls(w, source, target, [[None] * len(source) for _ in target])
+
+    @classmethod
+    def from_arrow(cls, w: Window, arrow_name: str) -> "VarietyMor":
+        a = w.quiver.arrow_by_name[arrow_name]
+        coords = w.hom(a.src, a.tgt).expand_path(Path(a.src, a.tgt, (a.name,)))
+        return cls(w, (a.src,), (a.tgt,), [[coords]])
+
+    @classmethod
+    def identity(cls, w: Window, v: str) -> "VarietyMor":
+        # hom(v, v) is spanned by the identity on an acyclic window
+        return cls(w, (v,), (v,), [[[w.field.one]]])
 
 
-def realize_proj_coords(P: Rep, Q: Rep, entries) -> RepMap:
-    """Inverse of extract_proj_coords: each source block's cells, placed at
+def realize_proj(vm: VarietyMor) -> RepMap:
+    """The induced map of projective modules ⊕P(source) -> ⊕P(target), the
+    inverse of `RepMap.proj_coords`: each source block's cells, placed at
     the target blocks' offsets, are its value at the identity path."""
-    assert P.cert is not None and Q.cert is not None
-    zero = P.field.zero
+    w = vm.window
+    P, Q = proj_sum(w, vm.source), proj_sum(w, vm.target)
+    zero = w.field.zero
     qoffs = Q.block_offsets
     vecs = []
-    for j, vs in enumerate(P.cert[1]):
+    for j, vs in enumerate(vm.source):
         # a cell without coordinates has hom(vs, t) = 0, and vs may lie
         # outside Q's support
-        cells = [(qoffs[i][vs], row[j]) for i, row in enumerate(entries) if row[j]]
+        cells = [(qoffs[i][vs], row[j]) for i, row in enumerate(vm.entries) if row[j]]
         vec = [zero] * Q.dims[vs] if cells else None
         for start, coords in cells:
             vec[start:start + len(coords)] = coords
         vecs.append(vec)
     return _yoneda_write(P, Q, vecs)
+
+
+def transport_to_opposite(vm: VarietyMor) -> VarietyMor:
+    """The same morphism read in the opposite window (source and target
+    swap), each entry's element of hom(x, y) carried to hom(y, x) there
+    through `quiver.opposite_terms`.  `w.opposite().opposite() is w`, so
+    transporting twice gives back a morphism over the original window."""
+    w = vm.window
+    op = w.opposite()
+    entries = [
+        [None if vm.entries[i][j] is None else op.hom(y, x).expand(
+            opposite_terms(w.hom(x, y).terms(vm.entries[i][j])))
+         for i, y in enumerate(vm.target)]
+        for j, x in enumerate(vm.source)]
+    return VarietyMor(op, vm.target, vm.source, entries)
 
 
 # -- the triple presentation -------------------------------------------------------

@@ -1,23 +1,19 @@
 """Dualizing-variety and Serre-duality checks on finite windows.
 
-Morphisms of the variety itself are matrices of hom-space elements between
-formal direct sums of vertices (VarietyMor).  Their entries are the
-certificate-indexed hom coordinates of `reps`, the one coordinate form of a
-map between sums of standard projectives: `realize_proj` writes a module map
-from them (through `reps.realize_proj_coords`), and a resolution's
-differentials are read back into them once (`RepMap.proj_coords`).
-`transport_to_opposite` is the one place that reads such a morphism in the
-opposite window; each entry goes through `quiver.opposite_terms`.
-Pseudokernels are computed by recognizing the kernel of the induced map of
-projective modules as a sum of standard projectives:
-`reps.kernel_as_projectives` covers it by one certified resolution step,
-whose own kernel must be zero, and returns the step's coordinates, which
-are the pseudokernel's entries.  Pseudocokernels are pseudokernels in the
-opposite window.  The Serre functor is realized on bounded complexes of
-standard projectives by the Nakayama transport P(v) -> I(v): each
-differential's coordinates are realized between the complex's injective
-sums (`realize_inj_coords`) as the dual of the projective realization over
-the opposite window.  The duality is verified at
+Morphisms of the variety itself are `reps.VarietyMor`s: matrices of
+hom-space elements between formal direct sums of vertices, in the one
+coordinate form that `reps` reads (`RepMap.proj_coords`), writes
+(`realize_proj`) and reads in the opposite window
+(`transport_to_opposite`).  Pseudokernels are computed by recognizing the
+kernel of the induced map of projective modules as a sum of standard
+projectives: `reps.kernel_as_projectives` covers it by one certified
+resolution step, whose own kernel must be zero, and returns the step's
+differential, the inclusion, as the pseudokernel's morphism.
+Pseudocokernels are pseudokernels in the opposite window.  The Serre
+functor is realized on bounded complexes of standard projectives by the
+Nakayama transport P(v) -> I(v): each differential's coordinates are
+realized between injective sums (`realize_inj`) as the dual of the
+projective realization over the opposite window.  The duality is verified at
 dimension level: dim RHom^n(X, Y) = dim RHom^{-n}(Y, SX), both sides read
 off total hom complexes (`reps.total_hom_dims`).  The right-hand side reads
 the realized Nakayama complex (its injective sums and transported maps), so
@@ -27,7 +23,7 @@ miss the other module's support) is never built: the probe pairs to visit
 are read off two vertex indexes built once per check, not tested pair by
 pair.  It compares these dimension identities only.  The composition
 law of the realization, N(b·a) = N(b)·N(a), holds on every window when
-`realize_inj_coords` is right: it is a property of the code, not of the
+`realize_inj` is right: it is a property of the code, not of the
 window, and a test checks it
 (`tests/test_serre.py::test_nakayama_realization_composes`).
 
@@ -42,10 +38,8 @@ injectively, whatever the window's global dimension.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
-from .errors import NotProjectiveCertified, NotRepresentable, ThreadQuiverError
-from .quiver import Path, opposite_terms
+from .errors import NotProjectiveCertified, NotRepresentable
 from .report import Report
 from .reps import (
     INJECTIVE,
@@ -54,86 +48,21 @@ from .reps import (
     Complex,
     Rep,
     RepMap,
+    VarietyMor,
     _resolve,
     inj_sum,
     kernel_as_projectives,
     one_term_complex,
-    proj_sum,
-    realize_proj_coords,
+    realize_proj,
     std_module,
     total_hom_dims,
+    transport_to_opposite,
     two_term_presentation,
 )
 from .windows import Window, gabriel_neighbours
 
 KERNEL = "kernel"
 COKERNEL = "cokernel"
-
-
-@dataclass
-class VarietyMor:
-    """A morphism between formal sums of window vertices.
-
-    entries[i][j] is the coordinate vector (in the window's hom basis) of the
-    component source_j -> target_i, or None for zero.
-    """
-
-    window: Window
-    source: tuple[str, ...]
-    target: tuple[str, ...]
-    entries: list[list]
-
-    def __post_init__(self):
-        assert len(self.entries) == len(self.target)
-        for row in self.entries:
-            assert len(row) == len(self.source)
-
-    @classmethod
-    def zero(cls, w: Window, source, target) -> "VarietyMor":
-        source, target = tuple(source), tuple(target)
-        return cls(w, source, target, [[None] * len(source) for _ in target])
-
-    @classmethod
-    def from_arrow(cls, w: Window, arrow_name: str) -> "VarietyMor":
-        a = w.quiver.arrow_by_name[arrow_name]
-        coords = w.hom(a.src, a.tgt).expand_path(Path(a.src, a.tgt, (a.name,)))
-        return cls(w, (a.src,), (a.tgt,), [[coords]])
-
-    @classmethod
-    def identity(cls, w: Window, v: str) -> "VarietyMor":
-        # hom(v, v) is spanned by the identity on an acyclic window
-        return cls(w, (v,), (v,), [[[w.field.one]]])
-
-
-def realize_proj(vm: VarietyMor) -> RepMap:
-    """The induced map of projective modules ⊕P(source) -> ⊕P(target)."""
-    w = vm.window
-    return realize_proj_coords(proj_sum(w, vm.source), proj_sum(w, vm.target), vm.entries)
-
-
-def _coords_to_op(w: Window, x: str, y: str, coords) -> list:
-    """Transport an element of hom(x, y) to the opposite window's hom(y, x)."""
-    return w.opposite().hom(y, x).expand(opposite_terms(w.hom(x, y).terms(coords)))
-
-
-def transport_to_opposite(vm: VarietyMor) -> VarietyMor:
-    """The same morphism read in the opposite window (source and target swap).
-
-    `w.opposite().opposite() is w`, so transporting twice gives back a
-    morphism over the original window.
-    """
-    w = vm.window
-    op = w.opposite()
-    entries = [
-        [
-            None
-            if vm.entries[i][j] is None
-            else _coords_to_op(w, vm.source[j], vm.target[i], vm.entries[i][j])
-            for i in range(len(vm.target))
-        ]
-        for j in range(len(vm.source))
-    ]
-    return VarietyMor(op, vm.target, vm.source, entries)
 
 
 def pseudo(vm: VarietyMor, side: str) -> tuple[tuple[str, ...], VarietyMor]:
@@ -148,24 +77,24 @@ def pseudo(vm: VarietyMor, side: str) -> tuple[tuple[str, ...], VarietyMor]:
         verts, op_mor = pseudo(transport_to_opposite(vm), KERNEL)
         return verts, transport_to_opposite(op_mor)
     assert side == KERNEL
-    verts, entries = kernel_as_projectives(realize_proj(vm))
-    return verts, VarietyMor(vm.window, verts, vm.source, entries)
+    incl = kernel_as_projectives(realize_proj(vm))
+    return incl.source, incl
 
 
 # -- Nakayama transport ---------------------------------------------------------
 
 
-def realize_inj_coords(I: Rep, J: Rep, entries) -> RepMap:
-    """Realize hom coordinates as a map between the certified injective sums
-    I and J.
+def realize_inj(vm: VarietyMor) -> RepMap:
+    """The induced map of injective modules ⊕I(source) -> ⊕I(target).
 
     A path q: v -> w acts on injectives as the dual of precomposition, so the
     map is the dual of the projective realization of the same morphism read
     in the opposite window (`transport_to_opposite`).
     """
-    vm = VarietyMor(I.window, I.cert[1], J.cert[1], entries)
+    w = vm.window
     op = realize_proj(transport_to_opposite(vm))
-    return RepMap(I, J, {v: m.transpose() for v, m in op.comps.items()})
+    return RepMap(inj_sum(w, vm.source), inj_sum(w, vm.target),
+                  {v: m.transpose() for v, m in op.comps.items()})
 
 
 def nakayama(cx: Complex) -> Complex:
@@ -176,8 +105,7 @@ def nakayama(cx: Complex) -> Complex:
             raise NotProjectiveCertified(
                 "nakayama requires terms certified as sums of standard projectives")
     terms = [inj_sum(w, t.cert[1]) for t in cx.terms]
-    diffs = [realize_inj_coords(terms[i], terms[i + 1], d.proj_coords)
-             for i, d in enumerate(cx.diffs)]
+    diffs = [realize_inj(d.proj_coords) for d in cx.diffs]
     return Complex(w, cx.min_degree, terms, diffs)
 
 
@@ -362,7 +290,9 @@ def check_dualizing(w: Window, strict_boundary: bool = False) -> Report:
     in-neighbours (out-neighbours) u of v, with irr multiplicity.  With
     strict_boundary, presentations whose terms touch marked truncation
     artifacts are reported as failures (finite-window evidence that the
-    infinite object is not finitely / cofinitely presented).
+    infinite object is not finitely / cofinitely presented).  Every module
+    of a finite window has a minimal presentation, so an error raised while
+    computing one is a bug, and it propagates.
     """
     report = Report("dualizing-check")
     interior = set(w.interior_vertices())
@@ -388,11 +318,7 @@ def check_dualizing(w: Window, strict_boundary: bool = False) -> Report:
         ]
         for label, M, side, neighbours in checks:
             report.tally()
-            try:
-                first, second = two_term_presentation(M, side)
-            except ThreadQuiverError as exc:  # structural failure
-                report.fail(label, "2-term presentation", type(exc).__name__)
-                continue
+            first, second = two_term_presentation(M, side)
             if neighbours is not None and (
                     first != (v,) or Counter(second) != Counter(neighbours)):
                 report.fail(label, f"Gabriel quiver terms {((v,), tuple(neighbours))}",

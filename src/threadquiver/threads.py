@@ -10,7 +10,10 @@ perpendicular step's, restricted to supp hom(-, Y).  A
 perpendicular category asks only Ext^0 and Ext^1 to vanish, so the
 orthogonality of a removed family is read off the first three terms of
 each member's minimal projective resolution, with no length bound; the
-interval adjoint removes standard projectives, which need no test.
+interval adjoint removes standard projectives, which need no test.  An
+adjoint's unit is a `reps.VarietyMor`: the right perpendicular adjoint's is
+the inclusion `reps.kernel_as_projectives` returns, and each left or
+opposite side reads the right one's through `reps.transport_to_opposite`.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .reps import (
     PROJECTIVE,
     Rep,
     RepMap,
+    VarietyMor,
     _resolve,
     _sum_object,
     _yoneda_write,
@@ -37,8 +41,8 @@ from .reps import (
     one_term_complex,
     std_module,
     total_hom_dims,
+    transport_to_opposite,
 )
-from .serre import VarietyMor, transport_to_opposite
 from .windows import ThreadQuiver, Window, arrow_pairs, gabriel_neighbours, rad_irr_dims
 
 LEFT = "left"
@@ -190,8 +194,8 @@ def _right_perp(w: Window, A: str, Zs: list[Rep]) -> tuple[tuple[str, ...], Vari
     e = _evaluation(w, A, Zs)
     if e is None:
         return (A,), VarietyMor.identity(w, A)
-    verts, entries = kernel_as_projectives(e)
-    return verts, VarietyMor(w, verts, (A,), entries)
+    incl = kernel_as_projectives(e)
+    return incl.source, incl
 
 
 def _left_perp(w: Window, A: str, Zs: list[Rep]) -> tuple[tuple[str, ...], VarietyMor]:
@@ -241,8 +245,7 @@ def _interval_kernel_object(w: Window, X: str, Y: str) -> tuple[str, ...]:
     e = _evaluation(w, Y, [std_module(w, X, INJECTIVE)])
     if e is None:
         return (Y,)
-    verts, _ = kernel_as_projectives(e)
-    return verts
+    return kernel_as_projectives(e).source
 
 
 def interval_adjoint(w: Window, X: str, Y: str, A: str,

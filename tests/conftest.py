@@ -45,7 +45,6 @@ from threadquiver.reps import (
     decompose_with_maps,
     hom_basis,
     hom_coords,
-    inj_sum,
     injective_hull,
     kernel_with_inclusion,
     map_factor,
@@ -53,11 +52,10 @@ from threadquiver.reps import (
     proj_sum,
     projective_cover,
     resolution,
+    VarietyMor,
     restrict,
-    split_proj_values,
     std_module,
 )
-from threadquiver.serre import VarietyMor
 from threadquiver.windows import ThreadQuiver, Window, expand, gabriel_neighbours
 
 
@@ -429,7 +427,7 @@ def per_call_hom_data(CX, CY):
             if dX is not None:
                 Y = CY.term(q)
                 prev = CX.term(p - 1).cert[1]
-                for b, row in enumerate(dX.proj_coords):
+                for b, row in enumerate(dX.proj_coords.entries):
                     for a, coords in enumerate(row):
                         if coords is None:
                             continue
@@ -646,8 +644,7 @@ def nakayama_composes(w: Window) -> bool:
         for arrow in q.out_arrows[y]:
             if q.in_arrows[y] or q.out_arrows[arrow.tgt]:
                 vm = VarietyMor.from_arrow(w, arrow.name)
-                held[arrow.name] = (vm, serre.realize_inj_coords(
-                    inj_sum(w, vm.source), inj_sum(w, vm.target), vm.entries))
+                held[arrow.name] = (vm, serre.realize_inj(vm))
         ins = [held.pop(arrow.name, None) for arrow in q.in_arrows[y]]
         if not ins or not q.out_arrows[y]:
             continue
@@ -656,7 +653,7 @@ def nakayama_composes(w: Window) -> bool:
             for g, ng in outs:
                 x, z = f.source[0], g.target[0]
                 comp_coords = compose_coords(w, x, y, z, f.entries[0][0], g.entries[0][0])
-                ngf = serre.realize_inj_coords(nf.source, ng.target, [[comp_coords]])
+                ngf = serre.realize_inj(VarietyMor(w, (x,), (z,), [[comp_coords]]))
                 lhs = nf.then(ng)
                 # both store the blocks where I(x) and I(z) are nonzero, and
                 # every other block of either is empty
@@ -665,13 +662,14 @@ def nakayama_composes(w: Window) -> bool:
     return True
 
 
-def per_vertex_realize_proj_coords(P, Q, entries):
-    """Differential oracle for `reps.realize_proj_coords`: the map of
-    certified projective sums assembled vertex by vertex.  At each vertex x,
-    the block for the cell P(v) -> P(t) with hom coordinates c sends a basis
-    path p: x -> v of P(v)(x) to the class of p . (sum of c_q q) in
-    hom(x, t), expanded over the window's paths."""
-    w = P.window
+def per_vertex_realize_proj(vm):
+    """Differential oracle for `reps.realize_proj`: the map of certified
+    projective sums assembled vertex by vertex.  At each vertex x, the block
+    for the cell P(v) -> P(t) with hom coordinates c sends a basis path
+    p: x -> v of P(v)(x) to the class of p . (sum of c_q q) in hom(x, t),
+    expanded over the window's paths."""
+    w, entries = vm.window, vm.entries
+    P, Q = proj_sum(w, vm.source), proj_sum(w, vm.target)
     fld = w.field
     poffs, qoffs = P.block_offsets, Q.block_offsets
     comps = {x: Matrix.zeros(fld, Q.dims[x], P.dims[x]) for x in w.quiver.vertices}
@@ -1286,7 +1284,26 @@ def a3_block_map():
     b.a and b: its kernel is P(1), included as (-id, a)."""
     w = Window(Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
     one = [w.field.one]
-    return serre.realize_proj(VarietyMor(w, ("1", "2"), ("2", "3"), [[one, one], [one, one]]))
+    return reps.realize_proj(VarietyMor(w, ("1", "2"), ("2", "3"), [[one, one], [one, one]]))
+
+
+def split_proj_values(w, src, tgt, vals):
+    """The oracles' own reading of the coordinate form: hom coordinates of
+    the map ⊕P(src) -> ⊕P(tgt) whose value at source block j's identity
+    path is vals[j], a vector of ⊕_i P(tgt_i)(src_j): entries[i][j] is its
+    slice at target block i, the coordinates of P(src_j) -> P(tgt_i) over
+    hom(src_j, tgt_i), or None when zero."""
+    zero = w.field.zero
+    cols = []
+    for vs, val in zip(src, vals, strict=True):
+        col, start = [], 0
+        for wt in tgt:
+            d = w.hom(vs, wt).dim
+            coords = val[start:start + d]
+            start += d
+            col.append(coords if any(c != zero for c in coords) else None)
+        cols.append(col)
+    return [[col[i] for col in cols] for i in range(len(tgt))]
 
 
 def cover_of_whole_kernel_as_projectives(f):
@@ -1302,7 +1319,8 @@ def cover_of_whole_kernel_as_projectives(f):
             raise NotRepresentable(NOT_STANDARD)
         verts = P.cert[1]
         vals = [incl.comps[v].apply(val) for v, val in zip(verts, _yoneda_read(cover))]
-    return verts, split_proj_values(f.source.window, verts, f.source.cert[1], vals)
+    w, tgt = f.source.window, f.source.cert[1]
+    return VarietyMor(w, tuple(verts), tgt, split_proj_values(w, verts, tgt, vals))
 
 
 def decomposition_kernel_as_projectives(f):
@@ -1316,7 +1334,8 @@ def decomposition_kernel_as_projectives(f):
     verts = tuple(v for v, _, _, _ in summands)
     vals = [ker_incl.comps[v].apply(incl.comps[v].apply(_yoneda_read(cover)[0]))
             for v, cover, incl, _ in summands]
-    return verts, split_proj_values(f.source.window, verts, f.source.cert[1], vals)
+    w, tgt = f.source.window, f.source.cert[1]
+    return VarietyMor(w, tuple(verts), tgt, split_proj_values(w, verts, tgt, vals))
 
 
 def factorization_supp_adjoint(w, A, Y):
@@ -1330,7 +1349,7 @@ def factorization_supp_adjoint(w, A, Y):
         return (), VarietyMor.zero(w, (A,), ())
     fld = w.field
     entries = [[[fld.one if k == i else fld.zero for k in range(d)]] for i in range(d)]
-    g = serre.realize_proj(VarietyMor(w, (A,), (Y,) * d, entries))
+    g = reps.realize_proj(VarietyMor(w, (A,), (Y,) * d, entries))
     fac = map_factor(g)
     value_at_id = _yoneda_read(g)[0]
     image_id = solve(fac.im_incl.comps[A], value_at_id)
@@ -1352,7 +1371,7 @@ def unit_composing_interval_adjoint(w, X, Y, A, side):
         return (A,), VarietyMor.identity(w, A)
     if side == threads.RIGHT:
         verts, op_mor = unit_composing_interval_adjoint(w.opposite(), Y, X, A, threads.LEFT)
-        return verts, serre.transport_to_opposite(op_mor)
+        return verts, reps.transport_to_opposite(op_mor)
     averts, unit1 = factorization_supp_adjoint(w, A, Y)
     if not averts:
         return (), VarietyMor.zero(w, (A,), ())

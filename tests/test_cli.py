@@ -14,7 +14,13 @@ import threadquiver.reps as reps
 from threadquiver import cli, windows
 from threadquiver.cli import build_parser, run
 from threadquiver.dsl import emit_dot, parse_tq, sanitize_names, serialize_tq
-from threadquiver.errors import DuplicateName, ParseError, TooLarge, UnknownVertex
+from threadquiver.errors import (
+    DimensionMismatch,
+    DuplicateName,
+    ParseError,
+    TooLarge,
+    UnknownVertex,
+)
 from threadquiver.orders import INT, Concat, Fin, NAT, NEG_NAT
 from threadquiver.threads import thread_hom_check
 from threadquiver.windows import Window, expand, normalize, window_iso
@@ -217,6 +223,25 @@ def test_ext_command(capsys):
     )
     assert code == 0
     assert doc["items"][0]["actual"] == "1"
+
+
+def test_ext_makes_an_item_of_the_bound_only(capsys, monkeypatch):
+    # a resolution past --max-len is what the item's "<= max_len" says; any
+    # other package error is a bug: one stderr line, exit 1, no report
+    code, doc = run_json(["ext", str(FIXTURES / "ainf_rad2.tq"), "v3", "v1",
+                          "--max-len", "1", "--degree", "1"], capsys)
+    assert code == 1 and schema_valid(doc)
+    assert [(i["actual"], i["expected"]) for i in doc["items"]] == [("ExceedsBound", "<= 1")]
+
+    def broken(*args):
+        raise DimensionMismatch("a bug")
+
+    monkeypatch.setattr(cli, "ext_dim", broken)
+    code = run(["ext", str(FIXTURES / "a2.tq"), "b", "a", "--degree", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "DimensionMismatch: a bug\n"
 
 
 def test_threads_command(capsys):

@@ -33,12 +33,13 @@ from threadquiver.errors import ThreadQuiverError
 from threadquiver.linalg import hstack, rank
 from threadquiver.reps import (
     INJECTIVE,
+    VarietyMor,
     kernel_as_projectives,
-    proj_sum,
-    realize_proj_coords,
+    realize_proj,
     std_module,
+    transport_to_opposite,
 )
-from threadquiver.serre import COKERNEL, KERNEL, VarietyMor, realize_proj, transport_to_opposite
+from threadquiver.serre import COKERNEL, KERNEL
 from threadquiver.threads import LEFT, RIGHT, _evaluation, interval_adjoint, supp_adjoint
 from threadquiver.windows import expand
 
@@ -64,11 +65,12 @@ def adjoint_outcome(fn, *args):
     return kind, verts, unit.source, unit.target, unit.entries
 
 
-def assert_same_up_to_isomorphism(got, want, realize, where):
-    """got and want are outcomes of two recognitions, each (verts, coords)
-    when it succeeds; realize(verts, coords) is the inclusion of the sum of
-    standard projectives it names.  Equal errors; otherwise the same
-    vertices with multiplicity and, at every vertex, inclusions with the
+def assert_same_up_to_isomorphism(got, want, where):
+    """got and want are outcomes of two recognitions, each (verts, mor)
+    when it succeeds, mor the inclusion of the sum of standard projectives
+    it names, in the coordinate form.  Equal errors; otherwise the same
+    vertices with multiplicity and, at every vertex, realized inclusions
+    (`reps.realize_proj`) with the
     same column space; and identical answers where there is at most one
     summand.  Returns whether the two name the summands in different
     orders."""
@@ -76,12 +78,12 @@ def assert_same_up_to_isomorphism(got, want, realize, where):
     if got[0] != "ok":
         assert got == want, where
         return False
-    (gverts, gcoords), (wverts, wcoords) = got[1], want[1]
+    (gverts, gmor), (wverts, wmor) = got[1], want[1]
     assert Counter(gverts) == Counter(wverts), (where, gverts, wverts)
     if len(gverts) <= 1:
-        assert (gverts, gcoords) == (wverts, wcoords), where
+        assert (gverts, gmor) == (wverts, wmor), where
         return False
-    g, h = realize(gverts, gcoords), realize(wverts, wcoords)
+    g, h = realize_proj(gmor), realize_proj(wmor)
     for x in g.target.support:
         a, b = g.comps[x], h.comps[x]
         assert rank(a) == rank(b) == rank(hstack([a, b])), (where, x)
@@ -109,14 +111,22 @@ def kernel_maps(w, rng, n_evaluations):
     return maps
 
 
+def named(recognize):
+    """recognize's inclusion with the vertices it names: (verts, mor)."""
+    def pair(f):
+        mor = recognize(f)
+        return mor.source, mor
+    return pair
+
+
 def assert_kernels_match(w, where, rng, n_evaluations):
     """Returns how many kernels the two recognitions name in different
     orders."""
     reordered = 0
     for f in kernel_maps(w, rng, n_evaluations):
         reordered += assert_same_up_to_isomorphism(
-            outcome(kernel_as_projectives, f), outcome(decomposition_kernel_as_projectives, f),
-            lambda verts, coords, f=f: realize_proj_coords(proj_sum(w, verts), f.source, coords),
+            outcome(named(kernel_as_projectives), f),
+            outcome(named(decomposition_kernel_as_projectives), f),
             (where, f.source.cert, f.target.cert))
     return reordered
 
@@ -141,7 +151,7 @@ def assert_pseudo_match(w, where, monkeypatch):
         for side in (KERNEL, COKERNEL):
             assert_same_up_to_isomorphism(
                 answer(serre.pseudo, vm, side), answer(oracle_pseudo, vm, side),
-                lambda verts, mor: realize_proj(mor), (where, a.name, side))
+                (where, a.name, side))
 
 
 def assert_adjoints_match(w, where, rng, n_pairs, n_triples):

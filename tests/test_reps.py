@@ -24,7 +24,7 @@ from conftest import (
     matrix_from_rows,
     per_block_yoneda_write,
     per_component_kernel_bases,
-    per_vertex_realize_proj_coords,
+    per_vertex_realize_proj,
     random_fp_rep,
     random_thread_quivers,
     resolution_entries,
@@ -50,6 +50,7 @@ from threadquiver.reps import (
     SIMPLE,
     Rep,
     RepMap,
+    VarietyMor,
     _sum_object,
     _yoneda_write,
     cokernel_with_projection,
@@ -67,10 +68,12 @@ from threadquiver.reps import (
     proj_dim,
     proj_sum,
     projective_cover,
+    realize_proj,
     resolution,
     restrict,
     std_module,
     top_generators,
+    transport_to_opposite,
     two_term_presentation,
     zero_map,
     zero_rep,
@@ -78,7 +81,6 @@ from threadquiver.reps import (
 from threadquiver.serre import (
     COKERNEL,
     KERNEL,
-    VarietyMor,
     check_dualizing,
     check_serre,
     pseudo,
@@ -733,8 +735,6 @@ def test_projective_cover_minimal():
 
 
 def test_proj_coords_roundtrip_with_repeated_summands():
-    from threadquiver.reps import extract_proj_coords, realize_proj_coords
-
     w = a3_window()
     P = proj_sum(w, ("2", "2", "1"))
     Q = proj_sum(w, ("3", "2"))
@@ -747,15 +747,16 @@ def test_proj_coords_roundtrip_with_repeated_summands():
             g = g.scale(QQ(c))
             f = g if f is None else f + g
     assert f is not None
-    cells = extract_proj_coords(f)
-    f2 = realize_proj_coords(P, Q, cells)
+    f2 = realize_proj(f.proj_coords)
+    assert (f2.source, f2.target) == (P, Q)
     for v in w.quiver.vertices:
         assert f2.comps[v] == f.comps[v]
 
 
 def _realize_cases(w):
-    """(P, Q, entries) for every arrow a: x -> y as P(x) -> P(y), and for
-    every composable pair a, b: y -> z as the 2x2 block map
+    """Morphisms in the coordinate form: every arrow a: x -> y as
+    P(x) -> P(y), and for every composable pair a, b: y -> z as the 2x2
+    block map
     P(x) + P(y) -> P(y) + P(z) with blocks a, id, b.a (None when zero), b,
     and as the row P(x) + P(y) + P(z) -> P(z) with blocks b.a, b, None."""
     def coords(a):
@@ -766,15 +767,14 @@ def _realize_cases(w):
 
     for a in w.quiver.arrows:
         x, y = a.src, a.tgt
-        yield proj_sum(w, (x,)), proj_sum(w, (y,)), [[cell(coords(a))]]
+        yield VarietyMor(w, (x,), (y,), [[cell(coords(a))]])
         for b in w.quiver.out_arrows[y]:
             z = b.tgt
             ba = compose_coords(w, x, y, z, coords(a), coords(b))
             entries = [[cell(coords(a)), cell(w.hom(y, y).expand_path(identity_path(y)))],
                        [cell(ba), cell(coords(b))]]
-            yield proj_sum(w, (x, y)), proj_sum(w, (y, z)), entries
-            yield (proj_sum(w, (x, y, z)), proj_sum(w, (z,)),
-                   [[cell(ba), cell(coords(b)), None]])
+            yield VarietyMor(w, (x, y), (y, z), entries)
+            yield VarietyMor(w, (x, y, z), (z,), [[cell(ba), cell(coords(b)), None]])
 
 
 @pytest.mark.parametrize("label, w", [
@@ -783,14 +783,39 @@ def _realize_cases(w):
     for suffix, win in (("", w), ("-op", w.opposite()))
 ])
 def test_realize_proj_coords_matches_per_vertex_oracle(label, w):
-    from threadquiver.reps import extract_proj_coords, realize_proj_coords
-
-    for P, Q, entries in _realize_cases(w):
-        f = realize_proj_coords(P, Q, entries)
-        oracle = per_vertex_realize_proj_coords(P, Q, entries)
+    for vm in _realize_cases(w):
+        f = realize_proj(vm)
+        oracle = per_vertex_realize_proj(vm)
         for x in w.quiver.vertices:
-            assert f.comps[x] == oracle.comps[x], (label, P.cert, Q.cert, x)
-        assert extract_proj_coords(f) == entries
+            assert f.comps[x] == oracle.comps[x], (label, vm.source, vm.target, x)
+        assert f.proj_coords == vm
+
+
+@pytest.mark.parametrize("label, w", [
+    pytest.param(label, win, id=f"{label}{suffix}")
+    for label, w in fixture_windows((0, 1, 2))
+    for suffix, win in (("", w), ("-op", w.opposite()))
+])
+def test_the_coordinate_form_realizes_and_transports_every_resolution_differential(label, w):
+    # every differential d of the minimal projective resolutions of every P,
+    # I and S: realize_proj(d.proj_coords) is d, component for component,
+    # and the form read in the opposite window and back is d.proj_coords
+    n = len(w.quiver.vertices)
+    for v in w.quiver.vertices:
+        for kind in (PROJECTIVE, INJECTIVE, SIMPLE):
+            for d in reps._resolve(std_module(w, v, kind), n)[0].diffs:
+                where = (label, v, kind, d.source.cert, d.target.cert)
+                vm = d.proj_coords
+                assert (vm.window, vm.source, vm.target) == (
+                    w, d.source.cert[1], d.target.cert[1]), where
+                f = realize_proj(vm)
+                assert (f.source, f.target) == (d.source, d.target), where
+                for x in w.quiver.vertices:
+                    assert f.comps[x] == d.comps[x], (where, x)
+                op = transport_to_opposite(vm)
+                assert (op.window, op.source, op.target) == (
+                    w.opposite(), vm.target, vm.source), where
+                assert transport_to_opposite(op) == vm, where
 
 
 @pytest.mark.parametrize("label, w", [
@@ -804,12 +829,7 @@ def test_kernel_as_projectives_coordinates_realize_the_kernel(label, w):
     # resolution step names the kernel exactly as the cover of the whole
     # kernel does, entry for entry, or refuses it with the same error; the
     # returned coordinates realize a natural injection onto ker f
-    from threadquiver.reps import (
-        kernel_as_projectives,
-        kernel_with_inclusion,
-        realize_proj_coords,
-    )
-    from threadquiver.serre import VarietyMor, realize_proj
+    from threadquiver.reps import kernel_as_projectives
 
     def recognized(fn, f):
         try:
@@ -818,15 +838,15 @@ def test_kernel_as_projectives_coordinates_realize_the_kernel(label, w):
             return NotRepresentable, str(exc)
 
     maps = [realize_proj(VarietyMor.from_arrow(w, a.name)) for a in w.quiver.arrows]
-    maps += [realize_proj_coords(P, Q, entries) for P, Q, entries in _realize_cases(w)]
+    maps += [realize_proj(vm) for vm in _realize_cases(w)]
     for f in maps:
         got = recognized(kernel_as_projectives, f)
         assert got == recognized(cover_of_whole_kernel_as_projectives, f), (
             label, f.source.cert)
-        if got[0] is NotRepresentable:
+        if isinstance(got, tuple):  # NotRepresentable
             continue
-        verts, entries = got
-        g = realize_proj_coords(proj_sum(w, verts), f.source, entries)
+        g = realize_proj(got)
+        assert g.target is f.source, (label, f.source.cert)
         kernel = kernel_with_inclusion(f)[0]
         assert g.is_natural(), (label, f.source.cert)
         assert g.then(f).is_zero(), (label, f.source.cert)
@@ -928,8 +948,6 @@ def test_kernel_cokernel_top_and_presentations_match_oracles(label, w):
     # the covers of every standard module and the maps P(x) -> P(y) of the
     # arrows: their components vanish at some vertices of the source's
     # support and act at others
-    from threadquiver.serre import VarietyMor, realize_proj
-
     vanishing = acting = 0
     maps = [realize_proj(VarietyMor.from_arrow(w, a.name)) for a in w.quiver.arrows]
     for v in w.quiver.vertices:
@@ -1198,7 +1216,8 @@ def test_presentations_build_kernels_only_around_the_module(monkeypatch):
     # with blocks a, id, b.a, b has kernel P(1), built once, around the map
     f = a3_block_map()
     built.clear()
-    verts, coords = reps.kernel_as_projectives(f)
+    incl = reps.kernel_as_projectives(f)
+    verts, coords = incl.source, incl.entries
     assert len(built) == 1 and set(built[0].support) <= _step_around(f)
     assert verts == ("1",)
     one = f.source.field.one

@@ -44,7 +44,7 @@ from test_windows import random_thread_quivers
 import threadquiver.reps as reps
 import threadquiver.serre as serre
 from threadquiver.dsl import parse_tq
-from threadquiver.errors import ExceedsBound, NotProjectiveCertified
+from threadquiver.errors import DimensionMismatch, ExceedsBound, NotProjectiveCertified
 from threadquiver.linalg import QQ
 from threadquiver.quiver import Path, Quiver, Relation
 from threadquiver.report import Report
@@ -54,6 +54,7 @@ from threadquiver.reps import (
     SIMPLE,
     Complex,
     Rep,
+    VarietyMor,
     ext_dim,
     hom_dim,
     kernel_as_projectives,
@@ -67,7 +68,6 @@ from threadquiver.reps import (
 from threadquiver.serre import (
     COKERNEL,
     KERNEL,
-    VarietyMor,
     check_dualizing,
     check_serre,
     nakayama,
@@ -509,12 +509,12 @@ def test_total_hom_needs_a_certified_side():
 def test_check_serre_fails_without_the_nakayama_transport(monkeypatch):
     # the right-hand side must read the realized transport: with every
     # transported differential zeroed the dimensions disagree
-    from threadquiver.reps import RepMap
+    from threadquiver.reps import RepMap, inj_sum
 
-    def zero_transport(I, J, entries):
-        return RepMap(I, J, {})
+    def zero_transport(vm):
+        return RepMap(inj_sum(vm.window, vm.source), inj_sum(vm.window, vm.target), {})
 
-    monkeypatch.setattr(serre, "realize_inj_coords", zero_transport)
+    monkeypatch.setattr(serre, "realize_inj", zero_transport)
     w = zigzag_window()
     report = check_serre(w, probes(w), 6)
     assert not report.passed
@@ -526,16 +526,16 @@ def test_nakayama_functoriality_checks_every_pair(monkeypatch):
     # of the second composite only is still caught
     q = Quiver(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
     w = Window(q)
-    real = serre.realize_inj_coords
+    real = serre.realize_inj
 
-    def corrupt(I, J, entries):
-        g = real(I, J, entries)
-        if (I.cert[1], J.cert[1]) == (("2",), ("4",)):
+    def corrupt(vm):
+        g = real(vm)
+        if (vm.source, vm.target) == (("2",), ("4",)):
             return g.scale(2)
         return g
 
     assert nakayama_composes(w)
-    monkeypatch.setattr(serre, "realize_inj_coords", corrupt)
+    monkeypatch.setattr(serre, "realize_inj", corrupt)
     assert not nakayama_composes(w)
 
 
@@ -568,9 +568,8 @@ def test_a_scaled_nakayama_transport_breaks_composition_not_check_serre(name, mo
     # every transported map doubled keeps every shape and every cohomology
     # dimension: the composition law catches it, and check_serre, which
     # compares dimensions only, passes
-    real = serre.realize_inj_coords
-    monkeypatch.setattr(serre, "realize_inj_coords",
-                        lambda I, J, entries: real(I, J, entries).scale(2))
+    real = serre.realize_inj
+    monkeypatch.setattr(serre, "realize_inj", lambda vm: real(vm).scale(2))
     w = expand(parse_tq((FIXTURES / f"{name}.tq").read_text()), 2)
     assert not nakayama_composes(w)
     assert check_serre(w, probes(w), 6).passed
@@ -762,11 +761,25 @@ def test_resolution_rejects_a_dropped_kernel_generator(monkeypatch):
     assert [[v for v, _ in gens] for gens in given] == [["a"]]
 
 
+def test_an_error_while_presenting_propagates_out_of_check_dualizing(monkeypatch):
+    # every module of a finite window has a minimal presentation, so an
+    # error raised while computing one is a bug, not a failed item
+    w = expand(parse_tq((FIXTURES / "mixed.tq").read_text()), 1)
+    assert check_dualizing(w).passed
+
+    def broken(M, side):
+        raise DimensionMismatch("a bug")
+
+    monkeypatch.setattr(serre, "two_term_presentation", broken)
+    with pytest.raises(DimensionMismatch, match="a bug"):
+        check_dualizing(w)
+
+
 def test_kernel_as_projectives_rejects_a_dropped_kernel_generator(monkeypatch):
     # the kernel P(1) of a3's P(1) + P(2) -> P(2) + P(3) loses its one
     # generator in the pseudokernel's step: the step's rank assertion fires
     f = a3_block_map()
-    assert kernel_as_projectives(f)[0] == ("1",)
+    assert kernel_as_projectives(f).source == ("1",)
     given = mutate_kernel_top(monkeypatch, drop_last_generator)
     assert raised_assertion(lambda: kernel_as_projectives(f)) == (
         "differential misses the kernel")

@@ -32,15 +32,17 @@ from threadquiver.reps import (
     INJECTIVE,
     PROJECTIVE,
     SIMPLE,
+    VarietyMor,
     ext_dim,
     kernel_as_projectives,
     one_term_complex,
+    realize_proj,
     resolution,
     std_module,
     total_hom_dims,
+    transport_to_opposite,
     two_term_presentation,
 )
-from threadquiver.serre import VarietyMor, realize_proj, transport_to_opposite
 from threadquiver.threads import (
     LEFT,
     RIGHT,
