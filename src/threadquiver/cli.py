@@ -63,11 +63,7 @@ def _probes(w, skip_boundary: bool):
 
 def cmd_check(args) -> int:
     report = Report("check")
-    try:
-        tq = _load(args.file)
-    except ParseError as e:
-        print(str(e), file=sys.stderr)
-        return 2
+    tq = _load(args.file)
     report.tally()
     # every command that builds a window refuses a cyclic quiver
     report.tally()

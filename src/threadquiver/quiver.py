@@ -65,14 +65,6 @@ class Path:
     tgt: str
     arrows: tuple[str, ...]
 
-    def __len__(self):
-        return len(self.arrows)
-
-    def then(self, other: "Path") -> "Path":
-        """self followed by other (requires self.tgt == other.src)."""
-        assert self.tgt == other.src, (self, other)
-        return Path(self.src, other.tgt, self.arrows + other.arrows)
-
 
 @dataclass(frozen=True)
 class Relation:
@@ -233,8 +225,8 @@ class HomBasis:
     handles of `column`, the column hom(-, y) the basis lies in (`arrows_of`).
     `free_idx` lists the candidates whose classes form a basis of the
     quotient, in order, and `reducers` the rref rows of the relations that
-    rewrite the others.  No path is stored: `paths` (every candidate) and
-    `basis` (the basis elements) build them when read.
+    rewrite the others.  No path is stored: `paths` builds every candidate
+    as one when read, and `terms` the basis elements of an element.
 
     `expand` rewrites any parallel linear combination of paths in the basis.
     A path's coordinates come from prepending its arrows one at a time,
@@ -287,11 +279,6 @@ class HomBasis:
     def paths(self) -> list[Path]:
         """Every candidate as a path, built when read."""
         return [Path(self.src, self.tgt, self.arrows_of(k)) for k in range(len(self.handles))]
-
-    @property
-    def basis(self) -> list[Path]:
-        """The basis elements as paths, built when read."""
-        return [Path(self.src, self.tgt, self.arrows_of(k)) for k in self.free_idx]
 
     def terms(self, coords) -> list[tuple[object, Path]]:
         """The element of coordinates `coords` as (coefficient, basis path)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -35,16 +35,5 @@ class Report:
         self.checked += n
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "status": self.status,
-            "items": [
-                {
-                    "subject": i.subject,
-                    "expected": i.expected,
-                    "actual": i.actual,
-                    "location": i.location,
-                }
-                for i in self.items
-            ],
-        }
+        return {"check": self.check, "status": self.status,
+                "items": [asdict(i) for i in self.items]}

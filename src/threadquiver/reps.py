@@ -7,8 +7,12 @@ supported on the predecessors of v.  Paths act by multiplying their arrow
 matrices in path order, and every relation of the window must act by zero.
 
 Certificates: representations built as direct sums of standard projectives
-(resp. injectives) remember the vertex list, and each such sum is built
-once per window and vertex tuple (`proj_sum`, `inj_sum`).  By Yoneda, a
+(resp. injectives) remember the vertex list, tagged with the kind
+`PROJECTIVE` (resp. `INJECTIVE`) that `std_module` takes.  `_summands`
+answers whether a module is such a sum of one kind, and no other module
+reads a certificate: it reads a complex's term vertices off its
+`YonedaPlan`.  Each such sum is built once per window and vertex tuple
+(`proj_sum`, `inj_sum`).  By Yoneda, a
 map out of such a sum P = ⊕ P(v_b) -> N is the list of its values at the
 blocks' identity paths, one vector of N(v_b) per block.  `_yoneda_write` is
 the one place such a map is written, and only where a module map is needed:
@@ -208,8 +212,9 @@ class Rep:
             a = q.arrow_by_name[name]
             assert (m.rows, m.cols) == (d[a.src], d[a.tgt]), (
                 name, m.rows, m.cols, d[a.src], d[a.tgt])
-        # cert = ("proj"|"inj", vertex tuple): this rep is literally the direct
-        # sum of standard projectives/injectives at those vertices, in order
+        # cert = (PROJECTIVE | INJECTIVE, vertex tuple): this rep is literally
+        # the direct sum of the standard modules of that kind at those
+        # vertices, in order; read through `_summands`
         self.cert = cert
         self._act_cache: dict = {}
         if validate:
@@ -279,12 +284,11 @@ class Rep:
         """Per certified block, its first coordinate in M(x) for every vertex
         x of the support (computed once: representations are never mutated)."""
         kind, verts = self.cert
-        std = PROJECTIVE if kind == "proj" else INJECTIVE
         offs = []
         run = dict.fromkeys(self.support, 0)
         for v in verts:
             offs.append(dict(run))
-            block = std_module(self.window, v, std)
+            block = std_module(self.window, v, kind)
             for x in block.support:
                 run[x] += block.dims[x]
         return offs
@@ -349,10 +353,9 @@ class RepMap:
         differentials are read once per probe): each source block's value at
         its identity (`_yoneda_read`), split by target block into the hom
         coordinates of P(src_j) -> P(tgt_i), or None where they are zero."""
-        P, Q = self.source, self.target
-        assert P.cert is not None and P.cert[0] == "proj"
-        assert Q.cert is not None and Q.cert[0] == "proj"
-        w, src, tgt = P.window, P.cert[1], Q.cert[1]
+        w = self.source.window
+        src, tgt = _summands(self.source, PROJECTIVE), _summands(self.target, PROJECTIVE)
+        assert src is not None and tgt is not None
         zero = w.field.zero
         cols = []
         for vs, val in zip(src, _yoneda_read(self), strict=True):
@@ -381,12 +384,16 @@ class RepMap:
         return f"RepMap({self.source!r} -> {self.target!r})"
 
 
+def _summands(M: Rep, kind: str) -> tuple[str, ...] | None:
+    """The vertices of the standard modules of `kind` (PROJECTIVE or
+    INJECTIVE) that M is certified as the direct sum of, in order, or None
+    when M carries no such certificate."""
+    cert = M.cert
+    return cert[1] if cert is not None and cert[0] == kind else None
+
+
 def identity_map(M: Rep) -> RepMap:
     return RepMap(M, M, {v: Matrix.identity(M.field, M.dims[v]) for v in M.support})
-
-
-def zero_rep(w: Window) -> Rep:
-    return Rep(w, {}, {}, validate=False, cert=("proj", ()))
 
 
 def zero_map(M: Rep, N: Rep) -> RepMap:
@@ -460,7 +467,7 @@ def std_module(w: Window, v: str, kind: str) -> Rep:
                     m.data[j::cols] = hx.candidate_coords(k)
                 else:
                     m.data[k * cols + j] = f.one
-        rep = Rep(w, dims, maps, validate=False, cert=("proj", (v,)))
+        rep = Rep(w, dims, maps, validate=False, cert=(PROJECTIVE, (v,)))
     elif kind == INJECTIVE:
         # dual of the standard projective at v over the opposite window
         op = w.opposite()
@@ -478,7 +485,7 @@ def dualize(M: Rep) -> Rep:
     maps = {name: m.transpose() for name, m in M.maps.items()}
     cert = None
     if M.cert is not None:
-        cert = ("inj" if M.cert[0] == "proj" else "proj", M.cert[1])
+        cert = (INJECTIVE if M.cert[0] == PROJECTIVE else PROJECTIVE, M.cert[1])
     return Rep(op, {v: M.dims[v] for v in M.support}, maps, validate=False, cert=cert)
 
 
@@ -496,8 +503,7 @@ def _std_sum(w: Window, vertices: tuple[str, ...], kind: str) -> Rep:
         if vertices:
             rep = _sum_object([std_module(w, v, kind) for v in vertices])
         else:
-            rep = Rep(w, {}, {}, validate=False,
-                      cert=("proj" if kind == PROJECTIVE else "inj", ()))
+            rep = Rep(w, {}, {}, validate=False, cert=(kind, ()))
         w._std_cache[key] = rep
     return rep
 
@@ -673,19 +679,21 @@ def hom_basis(M: Rep, N: Rep) -> tuple[int, list[RepMap]]:
         raise WindowMismatch("hom between different windows")
     w = M.window
     f = w.field
-    if M.cert is not None and M.cert[0] == "proj":
+    verts = _summands(M, PROJECTIVE)
+    if verts is not None:
         # one map per block b and unit vector of N(v_b), in that order
         basis = []
-        for b, v in enumerate(M.cert[1]):
+        for b, v in enumerate(verts):
             for j in range(N.dims[v]):
-                vecs = [None] * len(M.cert[1])
+                vecs = [None] * len(verts)
                 vecs[b] = [f.one if i == j else f.zero for i in range(N.dims[v])]
                 basis.append(_yoneda_write(M, N, vecs))
         return len(basis), basis
-    if N.cert is not None and N.cert[0] == "inj":
+    verts = _summands(N, INJECTIVE)
+    if verts is not None:
         # hom(M, D P_op) is dual to hom_op(P_op, D M): each basis map of
         # the latter, transposed, is a map M -> N
-        _, op_basis = hom_basis(proj_sum(w.opposite(), N.cert[1]), dualize(M))
+        _, op_basis = hom_basis(proj_sum(w.opposite(), verts), dualize(M))
         return len(op_basis), [RepMap(M, N, {v: m.transpose() for v, m in g.comps.items()})
                                for g in op_basis]
     return hom_basis_generic(M, N)
@@ -703,7 +711,7 @@ def hom_coords(basis: list[RepMap], f: RepMap) -> list:
     M = basis[0].source
     w = M.window
     fld = w.field
-    if M.cert is not None and M.cert[0] == "proj":
+    if _summands(M, PROJECTIVE) is not None:
         # the basis produced by hom_basis is ordered by (block, unit vector)
         return [c for val in _yoneda_read(f) for c in val]
     # generic: solve against the flattened basis
@@ -1011,7 +1019,7 @@ class Complex:
         """The `YonedaPlan` of a complex of certified projective sums, or
         None when some term is not one; compiled once (complexes are never
         mutated, so every hom complex out of this one reads the same plan)."""
-        return YonedaPlan(self) if _is_sum_of(self, "proj") else None
+        return YonedaPlan(self) if _is_sum_of(self, PROJECTIVE) else None
 
     @cached_property
     def dual(self) -> "Complex":
@@ -1043,7 +1051,7 @@ def dualize_complex(cx: Complex) -> Complex:
 
 
 def _is_sum_of(cx: Complex, kind: str) -> bool:
-    return all(t.cert is not None and t.cert[0] == kind for t in cx.terms)
+    return all(_summands(t, kind) is not None for t in cx.terms)
 
 
 class YonedaPlan:
@@ -1105,7 +1113,7 @@ def _hom_layout(CX: Complex, CY: Complex) -> tuple[YonedaPlan, Complex, dict[int
     this layout."""
     plan = CX.yoneda_plan
     if plan is None:
-        if not _is_sum_of(CY, "inj"):
+        if not _is_sum_of(CY, INJECTIVE):
             raise NotProjectiveCertified(
                 "total hom needs a complex of projective sums or a target of injective sums")
         DY = CY.dual
@@ -1268,7 +1276,7 @@ def _resolve(M: Rep, length: int) -> tuple[Complex, bool]:
     step is `_syzygy` of the last map d out of P, with d's kernel bases
     passed on, not cached: no differential keeps them."""
     w = M.window
-    if M.cert is not None and M.cert[0] == "proj":
+    if _summands(M, PROJECTIVE) is not None:
         return Complex(w, 0, [M], []), True
     P, d = projective_cover(M)
     terms, diffs = [P], []
@@ -1546,7 +1554,7 @@ def induce(M: Rep, source: Window, target: Window, vertex_map: dict[str, str],
     """
     assert M.window is source
     if M.is_zero():
-        return zero_rep(target)
+        return proj_sum(target, ())
     cx, _ = _resolve(M, 1)
     P0 = cx.term(0)
     d = (cx.diff(-1) or zero_map(proj_sum(source, ()), P0)).proj_coords  # P1 -> P0

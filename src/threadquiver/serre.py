@@ -98,15 +98,15 @@ def realize_inj(vm: VarietyMor) -> RepMap:
 
 
 def nakayama(cx: Complex) -> Complex:
-    """Transport a complex of certified projective sums to injective sums."""
-    w = cx.window
-    for t in cx.terms:
-        if t.cert is None or t.cert[0] != "proj":
-            raise NotProjectiveCertified(
-                "nakayama requires terms certified as sums of standard projectives")
-    terms = [inj_sum(w, t.cert[1]) for t in cx.terms]
+    """Transport a complex of certified projective sums to injective sums,
+    the terms' vertices read off its `YonedaPlan`."""
+    plan = cx.yoneda_plan
+    if plan is None:
+        raise NotProjectiveCertified(
+            "nakayama requires terms certified as sums of standard projectives")
+    terms = [inj_sum(cx.window, verts) for verts in plan.verts.values()]
     diffs = [realize_inj(d.proj_coords) for d in cx.diffs]
-    return Complex(w, cx.min_degree, terms, diffs)
+    return Complex(cx.window, cx.min_degree, terms, diffs)
 
 
 # -- checks -----------------------------------------------------------------------
@@ -126,9 +126,14 @@ def _simple_resolutions(w: Window, max_len: int) -> dict[str, Complex]:
     return {u: _resolve(std_module(w, u, SIMPLE), max_len + 2)[0] for u in w.quiver.vertices}
 
 
+def _term_vertices(cx: Complex) -> set[str]:
+    """The vertices of the terms of a complex of certified projective sums,
+    read off its `YonedaPlan`."""
+    return {v for verts in cx.yoneda_plan.verts.values() for v in verts}
+
+
 def _boundary_terms(cx: Complex) -> list[str]:
-    boundary = cx.window.boundary
-    return sorted({v for t in cx.terms for v in t.cert[1] if v in boundary})
+    return sorted(_term_vertices(cx) & cx.window.boundary)
 
 
 def _ext_index(simples: dict[str, Complex]) -> dict[str, list[tuple[str, int]]]:
@@ -136,8 +141,8 @@ def _ext_index(simples: dict[str, Complex]) -> dict[str, list[tuple[str, int]]]:
     term at v in degree -i, in the simples' order."""
     index: dict[str, list[tuple[str, int]]] = {}
     for u, res in simples.items():
-        for p, t in zip(res.degrees(), res.terms):
-            for v in set(t.cert[1]):
+        for p, verts in res.yoneda_plan.verts.items():
+            for v in set(verts):
                 index.setdefault(v, []).append((u, -p))
     return index
 
@@ -254,7 +259,7 @@ def check_serre(
     report = Report("serre-check")
     usable = _usable_probes(w, test_set, max_len, forbid_boundary, report)
     images = [nakayama(res) for _, _, res, _ in usable]
-    terms = [{v for t in res.terms for v in t.cert[1]} for _, _, res, _ in usable]
+    terms = [_term_vertices(res) for _, _, res, _ in usable]
     supported = _by_vertex(X.support for _, X, _, _ in usable)
     termed = _by_vertex(terms)
     # every shift of every pair is checked; a pair with both sides zero

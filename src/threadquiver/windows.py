@@ -144,10 +144,6 @@ class Window:
 
     # -- basic structure ----------------------------------------------------
 
-    @property
-    def vertices(self) -> list[str]:
-        return self.quiver.vertices
-
     def interior_vertices(self) -> list[str]:
         return [v for v in self.quiver.vertices if v not in self.boundary]
 

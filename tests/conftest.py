@@ -101,6 +101,38 @@ def arrow_path(q, arrow_names):
     return QPath(arrows[0].src, arrows[-1].tgt, tuple(arrow_names))
 
 
+def schema_valid(doc):
+    """Whether a check's parsed stdout keeps the CLI contract: exactly the
+    keys check, status and items; status pass or fail; items a list whose
+    subject, expected and actual are strings; and status pass exactly when
+    items is empty.  `hom` and `ext`, which answer in one item, are the one
+    exception (`tests/test_cli.py::test_hom_and_ext_answer_in_one_item`)."""
+    if set(doc) != {"check", "status", "items"}:
+        return False
+    if doc["status"] not in ("pass", "fail"):
+        return False
+    if not isinstance(doc["items"], list):
+        return False
+    for item in doc["items"]:
+        if not {"subject", "expected", "actual"} <= set(item):
+            return False
+        if not all(isinstance(item[k], str) for k in ("subject", "expected", "actual")):
+            return False
+    return (doc["status"] == "pass") == (len(doc["items"]) == 0)
+
+
+def basis_paths(hb):
+    """The basis elements of a `quiver.HomBasis` as paths, each walked off
+    the handles of its column."""
+    return [QPath(hb.src, hb.tgt, hb.arrows_of(k)) for k in hb.free_idx]
+
+
+def path_then(p, q):
+    """The path p followed by q (requires p.tgt == q.src)."""
+    assert p.tgt == q.src, (p, q)
+    return QPath(p.src, q.tgt, p.arrows + q.arrows)
+
+
 def column(m, j):
     """Column j of the matrix m, as a list."""
     return m.data[j :: m.cols] if m.cols else []
@@ -432,7 +464,7 @@ def per_call_hom_data(CX, CY):
                         if coords is None:
                             continue
                         hom = w.hom(prev[a], verts[b])
-                        terms = [(c, path) for c, path in zip(coords, hom.basis)
+                        terms = [(c, path) for c, path in zip(coords, basis_paths(hom))
                                  if c != fld.zero]
                         place(offsets[(p - 1, q)][a], offsets[(p, q)][b],
                               Y.act_terms(terms), sign)
@@ -621,6 +653,7 @@ def per_simple_has_ext_from_simples(X, one, simples, vertices, degrees):
 def compose_coords(w, x, y, z, f_coords, g_coords):
     """Coordinates of g . f for f in hom(x,y), g in hom(y,z)."""
     hxy, hyz, hxz = w.hom(x, y), w.hom(y, z), w.hom(x, z)
+    bxy, byz = basis_paths(hxy), basis_paths(hyz)
     terms = []
     for i, ci in enumerate(f_coords):
         if ci == w.field.zero:
@@ -628,7 +661,7 @@ def compose_coords(w, x, y, z, f_coords, g_coords):
         for j, cj in enumerate(g_coords):
             if cj == w.field.zero:
                 continue
-            terms.append((ci * cj, hxy.basis[i].then(hyz.basis[j])))
+            terms.append((ci * cj, path_then(bxy[i], byz[j])))
     return hxz.expand(terms)
 
 
@@ -681,8 +714,9 @@ def per_vertex_realize_proj(vm):
             hb = w.hom(vs, wt)
             for x in w.quiver.vertices:
                 hxv, hxw = w.hom(x, vs), w.hom(x, wt)
-                for jj, p in enumerate(hxv.basis):
-                    terms = [(c, p.then(q)) for c, q in zip(cell, hb.basis) if c != fld.zero]
+                for jj, p in enumerate(basis_paths(hxv)):
+                    terms = [(c, path_then(p, q)) for c, q in zip(cell, basis_paths(hb))
+                             if c != fld.zero]
                     if not terms:
                         continue
                     for ii, c in enumerate(hxw.expand(terms)):
@@ -707,9 +741,9 @@ def all_intermediate_rad_irr_dims(w, x, y):
         hxz, hzy = w.hom(x, z), w.hom(z, y)
         if hxz.dim == 0 or hzy.dim == 0:
             continue
-        for p in hxz.basis:
-            for q in hzy.basis:
-                vectors.append(hxy.expand_path(p.then(q)))
+        for p in basis_paths(hxz):
+            for q in basis_paths(hzy):
+                vectors.append(hxy.expand_path(path_then(p, q)))
     if not vectors:
         return radd, 0, radd
     m = Matrix(w.field, len(vectors), hxy.dim, [c for vec in vectors for c in vec])
@@ -808,7 +842,7 @@ def path_enumeration_hom_basis(q, relations, x, y, field):
             for post in enumerate_paths(q, rel.tgt, y, max_len):
                 vec = [zero] * len(paths)
                 for c, t in rel.terms:
-                    full = pre.then(t).then(post)
+                    full = path_then(path_then(pre, t), post)
                     vec[index[full]] = vec[index[full]] + field(c)
                 if any(v != zero for v in vec):
                     rows.append(vec)
@@ -939,7 +973,7 @@ def path_index_column(w, y):
             if rel.src != x or hz is None or not paths:
                 continue
             for b in hz.basis:
-                vec = hb._candidate_vector([(c, t.then(b)) for c, t in rel.terms])
+                vec = hb._candidate_vector([(c, path_then(t, b)) for c, t in rel.terms])
                 if any(v != field.zero for v in vec):
                     rows.append(vec)
         if rows:
@@ -961,7 +995,7 @@ def expand_path_projective(w, v):
         if not (hx.dim and hz.dim):
             continue
         m = Matrix.zeros(w.field, hx.dim, hz.dim)
-        for j, p in enumerate(hz.basis):
+        for j, p in enumerate(basis_paths(hz)):
             m.data[j::hz.dim] = hx.expand_path(QPath(a.src, v, (a.name,) + p.arrows))
         maps[a.name] = m
     return dims, maps
@@ -1058,7 +1092,7 @@ def per_block_yoneda_write(P, N, vecs):
                 continue
             hb = w.hom(x, v)
             src = Matrix.zeros(fld, N.dims[x], hb.dim)
-            for j, p in enumerate(hb.basis):
+            for j, p in enumerate(basis_paths(hb)):
                 col = list(vec)
                 for name in reversed(p.arrows):
                     col = N.maps[name].apply(col)
@@ -1231,7 +1265,7 @@ def composed_resolution(M, length):
     covers it (`reps.projective_cover`, with its certificate), and composes
     the cover with the kernel's inclusion into the previous term."""
     w = M.window
-    if M.cert is not None and M.cert[0] == "proj":
+    if M.cert is not None and M.cert[0] == PROJECTIVE:
         return reps.Complex(w, 0, [M], []), True
     P0, cover = projective_cover(M)
     terms, diffs = [P0], []

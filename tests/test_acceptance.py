@@ -14,6 +14,7 @@ from conftest import (
     chain_fixtures,
     dualizing_fixtures,
     random_fp_rep,
+    schema_valid,
     solve,
     tq_fin1_thread,
     tq_two_empty_threads,
@@ -307,17 +308,6 @@ def test_criterion_9_triple_model():
         for a in w.quiver.arrows:
             assert back.maps[a.name] == M.maps[a.name]
     announce(9, "modification homs match glued homs; triple round trip exact", t0)
-
-
-def schema_valid(doc):
-    if set(doc) != {"check", "status", "items"}:
-        return False
-    if doc["status"] not in ("pass", "fail"):
-        return False
-    for item in doc["items"]:
-        if not {"subject", "expected", "actual"} <= set(item):
-            return False
-    return (doc["status"] == "pass") == (len(doc["items"]) == 0)
 
 
 def test_criterion_10_cli_contract(capsys):

@@ -9,6 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from conftest import schema_valid
 
 import threadquiver.reps as reps
 from threadquiver import cli, windows
@@ -167,19 +168,53 @@ def test_dot_on_all_fixtures():
 # -- commands ----------------------------------------------------------------------
 
 
-def schema_valid(doc):
-    if set(doc) != {"check", "status", "items"}:
-        return False
-    if doc["status"] not in ("pass", "fail"):
-        return False
-    if not isinstance(doc["items"], list):
-        return False
-    for item in doc["items"]:
-        if not {"subject", "expected", "actual"} <= set(item):
-            return False
-        if not all(isinstance(item[k], str) for k in ("subject", "expected", "actual")):
-            return False
-    return (doc["status"] == "pass") == (len(doc["items"]) == 0)
+# the reach subset's fixtures (`tests/test_cli_reach.py`)
+SCHEMA_FIXTURES = ("comm_square", "mixed")
+CHECK_COMMANDS = (["serre-check"], ["dualizing-check"], ["dualizing-check", "--strict-boundary"],
+                  ["threads"], ["roundtrip"])
+
+
+@pytest.mark.parametrize("argv", [
+    [*cmd, name, "--depth", str(depth)]
+    for name in SCHEMA_FIXTURES for cmd in CHECK_COMMANDS for depth in (0, 1)
+] + [["check", name] for name in SCHEMA_FIXTURES], ids=" ".join)
+def test_every_check_prints_a_schema_valid_report(argv, capsys):
+    fixture = next(a for a in argv if a in SCHEMA_FIXTURES)
+    argv = [str(FIXTURES / f"{a}.tq") if a == fixture else a for a in argv]
+    if argv[0] == "roundtrip" and fixture == "comm_square":
+        # extraction needs a relation-free window: one stderr line, no report
+        assert run(argv) == 1
+        assert capsys.readouterr() == (
+            "", "ThreadQuiverError: extraction expects a relation-free window\n")
+        return
+    code, doc = run_json(argv, capsys)
+    assert schema_valid(doc), doc
+    assert doc["check"] == argv[0] and code == (0 if doc["status"] == "pass" else 1)
+
+
+@pytest.mark.parametrize("cmd", [["hom"], ["ext"], ["ext", "--max-len", "0"]], ids=" ".join)
+@pytest.mark.parametrize("depth", [0, 1])
+@pytest.mark.parametrize("fixture", SCHEMA_FIXTURES)
+def test_hom_and_ext_answer_in_one_item(fixture, depth, cmd, capsys):
+    # the one exception to schema_valid: a pass with one item, the answer,
+    # whose expected is empty; or, for ext, a fail with one ExceedsBound item
+    path = FIXTURES / f"{fixture}.tq"
+    vertices = parse_tq(path.read_text()).vertices
+    statuses = set()
+    for x in vertices:
+        for y in vertices:
+            code, doc = run_json([cmd[0], str(path), x, y, *cmd[1:], "--depth", str(depth)],
+                                 capsys)
+            assert set(doc) == {"check", "status", "items"} and doc["check"] == cmd[0]
+            (item,) = doc["items"]
+            assert all(isinstance(v, str) for v in item.values())
+            statuses.add(doc["status"])
+            if doc["status"] == "pass":
+                assert code == 0 and item["expected"] == "" and item["actual"].isdigit()
+            else:
+                assert cmd[0] == "ext" and code == 1
+                assert (item["actual"], item["expected"]) == ("ExceedsBound", "<= 0")
+    assert statuses == ({"pass", "fail"} if "--max-len" in cmd else {"pass"})
 
 
 def test_serre_check_a2_passes(capsys):
@@ -808,12 +843,12 @@ def test_cli_run_frees_its_windows_without_a_collection(argv, code, patch, monke
 def test_released_window_still_answers():
     w = expand(parse_tq((FIXTURES / "mixed.tq").read_text()), 1)
     op = w.opposite()
-    dims = {(x, y): w.hom_dim(x, y) for x in w.vertices for y in w.vertices}
+    dims = {(x, y): w.hom_dim(x, y) for x in w.quiver.vertices for y in w.quiver.vertices}
     columns = list(w._hom_cache.values())
     w.release()
     assert w._hom_cache == {} and w._std_cache == {} and op._hom_cache == {}
     # a basis reads the column it lies in, so the columns are emptied
     assert columns and not any(columns)
     assert op._opposite is None
-    assert {(x, y): w.hom_dim(x, y) for x in w.vertices for y in w.vertices} == dims
+    assert {(x, y): w.hom_dim(x, y) for x in w.quiver.vertices for y in w.quiver.vertices} == dims
     assert w.opposite() is not op and w.opposite().opposite() is w

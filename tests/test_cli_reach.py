@@ -10,9 +10,10 @@ or take it out of `src/`, and that list may only shrink: an entry the subset
 enters, or that no longer exists, fails the test too.
 
 The subset enters the same functions as the whole corpus with `--field
-fp:3` cases for every fixture and depth added (195 of the package's 287
-functions, 104 invocations against 4,718, when the subset was chosen).  Its
-first invocation goes through `cli.main`, the console entry point.
+fp:3` cases for every fixture and depth added: 195 of the package's 280
+functions, in 104 invocations against 4,718, so the other 85 are
+`UNENTERED`.  Its first invocation goes through `cli.main`, the console
+entry point.
 """
 
 import contextlib
@@ -39,7 +40,7 @@ SUBSET_FIXTURES = ("fixtures/comm_square.tq", "fixtures/mixed.tq")
 UNENTERED = {
     1: ["reps:proj_dim"],
     4: ["reps:restrict", "reps:induce", "reps:_transport_coords", "reps:Rep.act",
-        "reps:Rep.act_terms", "reps:zero_rep", "reps:zero_map"],
+        "reps:Rep.act_terms", "reps:zero_map"],
     6: ["reps:to_triple", "reps:from_triple", "reps:TripleRep.validate",
         "reps:_window_triple_scaffold", "reps:modification_hom_dim",
         "reps:modification_hom_dim.<locals>.naturality", "reps:Rep.check_relations",
@@ -66,9 +67,8 @@ UNENTERED = {
     14: ["quiver:is_strongly_locally_finite"],
     # no CLI input reaches these yet, or only input the corpus lacks (a
     # concatenated label, a malformed file)
-    15: ["reps:dualize_complex", "reps:Complex.dual", "quiver:HomBasis.basis",
-         "quiver:Path.then", "quiver:Path.__len__", "windows:Window.vertices",
-         "orders:_namespaces_overlap", "errors:ParseError.__init__",
+    15: ["reps:dualize_complex", "reps:Complex.dual", "orders:_namespaces_overlap",
+         "errors:ParseError.__init__",
          "linalg:FpElement.__hash__", "linalg:FpElement.__repr__",
          "linalg:FpElement.__rsub__", "linalg:FpElement.__rtruediv__",
          "linalg:Matrix.__hash__", "linalg:Matrix.__neg__", "linalg:Matrix.__repr__",
@@ -164,7 +164,7 @@ def test_every_function_runs_under_a_cli_command(monkeypatch):
     functions = set(names.values())
     allowed = [name for names in UNENTERED.values() for name in names]
     assert len(allowed) == len(set(allowed)), "an entry is listed twice"
-    assert len(allowed) <= 90, "the allowlist may only shrink"
+    assert len(allowed) <= 85, "the allowlist may only shrink"
     stale = sorted(name for name in allowed if name in entered or name not in functions)
     assert not stale, f"allowlisted functions now entered or gone, drop them: {stale}"
     missing = sorted(functions - entered - set(allowed))

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     all_pairs_reach,
     arrow_path,
+    basis_paths,
     comm_grid_window,
     compose_coords,
     draw_relation,
@@ -105,7 +106,7 @@ def test_enumerate_paths_a3_composite():
 def test_enumerate_paths_square():
     ps = enumerate_paths(square(), "p", "s", 5)
     assert len(ps) == 2
-    assert all(len(p) == 2 for p in ps)
+    assert all(len(p.arrows) == 2 for p in ps)
 
 
 def test_enumerate_identity():
@@ -313,7 +314,7 @@ def assert_matches_enumeration(w, label):
                                 for a in q.out_arrows[x] for b in oracle[a.tgt, y].basis),
                                key=path_sort_key)
             assert hb.paths == cands, (label, x, y)
-            assert hb.basis == ob.basis, (label, x, y)
+            assert basis_paths(hb) == ob.basis, (label, x, y)
             cand_set = set(cands)
             assert normal_forms(hb) == {
                 p: nf for p, nf in normal_forms(ob).items() if p in cand_set}, (label, x, y)
@@ -350,7 +351,8 @@ def assert_request_order_free(make, seed):
     for x in V:
         for y in V:
             hb, rb = w.hom(x, y), ref.hom(x, y)
-            assert (hb.paths, hb.basis, hb.reducers) == (rb.paths, rb.basis, rb.reducers), (x, y)
+            assert (hb.paths, basis_paths(hb), hb.reducers) == (
+                rb.paths, basis_paths(rb), rb.reducers), (x, y)
     for v in V:
         for kind in (PROJECTIVE, INJECTIVE):
             M, R = std_module(w, v, kind), std_module(ref, v, kind)
@@ -452,7 +454,7 @@ def test_layered_hom_matches_enumeration_non_admissible():
     assert_matches_enumeration(w.opposite(), "opposite")
     # the pivot is the smallest path, so the composite is the basis path
     hb = w.hom("p", "r")
-    assert hb.basis == [arrow_path(q, ("a", "b"))]
+    assert basis_paths(hb) == [arrow_path(q, ("a", "b"))]
     assert hb.expand_path(arrow_path(q, ("c",))) == [1]
 
 
@@ -479,7 +481,7 @@ def test_layered_hom_matches_enumeration_random_relation(tq, data):
     assert_matches_enumeration(w.opposite(), "opposite")
     x, y = rel.src, rel.tgt
     ob = path_enumeration_hom_basis(q, [rel], x, y, QQ)
-    assert w.hom(x, y).basis == ob.basis
+    assert basis_paths(w.hom(x, y)) == ob.basis
     assert_projectives_match_expand_path(w, "window")
     assert_projectives_match_expand_path(w.opposite(), "opposite")
     assert_request_order_free(lambda: Window(q, [rel]), data.draw(st.integers(0, 99)))
@@ -506,7 +508,7 @@ def test_hom_on_a_long_line_does_not_recurse():
     # written by Yoneda one handle at a time
     path = Path("v0", top, tuple(f"a{i}" for i in range(n - 1)))
     hb = w.hom("v0", top)
-    assert hb.basis == [path] and hb.expand_path(path) == [1]
+    assert basis_paths(hb) == [path] and hb.expand_path(path) == [1]
     assert P.act_basis("v0", top, 0).data == [1]
     cover_source, cover = projective_cover(P)
     assert cover_source is P and cover.comps["v0"].data == [1]
@@ -527,7 +529,7 @@ def assert_matches_path_index_route(w, label, max_len=4):
         for x, ob in path_index_column(w, y).items():
             hb = col[x]
             assert hb.paths == ob.paths, (label, x, y)
-            assert (hb.basis, hb.reducers) == (ob.basis, ob.reducers), (label, x, y)
+            assert (basis_paths(hb), hb.reducers) == (ob.basis, ob.reducers), (label, x, y)
             paths = enumerate_paths(q, x, y, max_len)
             for p in paths:
                 assert hb.expand_path(p) == ob.expand_path(p), (label, x, y, p)

@@ -136,9 +136,9 @@ def test_nakayama_transports_resolution_a2():
     w = a2_window()
     s2 = std_module(w, "2", SIMPLE)
     res = resolution(s2, PROJECTIVE, 4)
-    assert [t.cert for t in res.complex.terms] == [("proj", ("1",)), ("proj", ("2",))]
+    assert [t.cert for t in res.complex.terms] == [(PROJECTIVE, ("1",)), (PROJECTIVE, ("2",))]
     ncx = nakayama(res.complex)
-    assert [t.cert for t in ncx.terms] == [("inj", ("1",)), ("inj", ("2",))]
+    assert [t.cert for t in ncx.terms] == [(INJECTIVE, ("1",)), (INJECTIVE, ("2",))]
     check_complex(ncx)
     # the transported differential is nonzero (the pairing is faithful)
     assert not ncx.diffs[0].is_zero()
@@ -149,7 +149,7 @@ def test_nakayama_zero_and_singleton():
     p1 = std_module(w, "1", PROJECTIVE)
     cx = one_term_complex(p1)
     ncx = nakayama(cx)
-    assert ncx.terms[0].cert == ("inj", ("1",))
+    assert ncx.terms[0].cert == (INJECTIVE, ("1",))
     s1 = std_module(w, "1", SIMPLE)
     with pytest.raises(NotProjectiveCertified):
         nakayama(one_term_complex(s1))
@@ -170,10 +170,10 @@ def test_serre_image_projectives_a2():
     w = a2_window()
     p1 = std_module(w, "1", PROJECTIVE)
     sx = nakayama(resolution(p1, PROJECTIVE, 4).complex)
-    assert len(sx.terms) == 1 and sx.terms[0].cert == ("inj", ("1",))
+    assert len(sx.terms) == 1 and sx.terms[0].cert == (INJECTIVE, ("1",))
     p2 = std_module(w, "2", PROJECTIVE)
     sx2 = nakayama(resolution(p2, PROJECTIVE, 4).complex)
-    assert sx2.terms[0].cert == ("inj", ("2",))
+    assert sx2.terms[0].cert == (INJECTIVE, ("2",))
 
 
 def test_derived_hom_matches_hom_and_ext():

@@ -15,7 +15,8 @@ of every function, methods and nested functions included, is read in its
 body: an option the body ignores is dead code a caller can still set.
 Every import sits at module level, and the package's relative imports among
 its modules (`__init__.py` aside) form no cycle, so the layering is the one
-the import lines show.
+the import lines show.  A certified sum's tag is `PROJECTIVE` or
+`INJECTIVE`, spelled no other way, and only `reps` reads a `cert`.
 """
 
 import ast
@@ -372,3 +373,37 @@ def test_the_import_rules_flag_a_nested_import_and_a_cycle():
     assert _import_cycle(graph) == ["high", "low", "high"]
     graph["low"].discard("high")
     assert _import_cycle(graph) is None
+
+
+def _cert_reads(tree):
+    """The line of every attribute named `cert` in tree."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "cert"]
+
+
+def _tag_literals(tree):
+    """The line of every string constant "proj" or "inj" in tree, a second
+    spelling of a certified sum's kind."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in ("proj", "inj")]
+
+
+def test_only_reps_reads_a_certificate():
+    # other modules read a complex's term vertices off its `YonedaPlan`
+    reads = {path.name: lines for path in MODULES
+             if path.name != "reps.py" and (lines := _cert_reads(_tree(path)))}
+    assert _cert_reads(_tree(SRC / "reps.py")), "no cert read found: the scan reads nothing"
+    assert not reads, f"certificates read outside reps, by line: {reads}"
+
+
+def test_a_certified_sum_has_one_tag_vocabulary():
+    literals = {path.name: lines for path in MODULES if (lines := _tag_literals(_tree(path)))}
+    assert not literals, f"tags spelled other than PROJECTIVE/INJECTIVE, by line: {literals}"
+
+
+def test_the_tag_rules_flag_a_cert_read_and_a_second_spelling():
+    tree = ast.parse("def f(M):\n"
+                     "    return M.cert[1] if M.cert[0] == 'proj' else 'inj'\n"
+                     "k = 'projective'\n")
+    assert _cert_reads(tree) == [2, 2]
+    assert _tag_literals(tree) == [2, 2]

@@ -478,7 +478,7 @@ def test_perp_adjoint_left_tests_orthogonality_once(monkeypatch):
     # member is never resolved
     resolved = _count_resolutions(monkeypatch)
     w = a3_window()
-    Zs = [std_module(w, "1", SIMPLE), reps.zero_rep(w), std_module(w, "3", SIMPLE)]
+    Zs = [std_module(w, "1", SIMPLE), reps.proj_sum(w, ()), std_module(w, "3", SIMPLE)]
     for side in (RIGHT, LEFT):
         del resolved[:]
         perp_adjoint(w, "2", Zs, side)
